@@ -16,12 +16,12 @@ import socketserver
 import struct
 import threading
 import time
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from . import codec, mainchain, sharding, subchain
-from .errors import PartialFetch, ShardChainError
-from .mainchain import ChainParams, Genesis, MainBlock, make_genesis
-from .network import Envelope, MsgKind, decode_envelope
+from .errors import DecodeError, ShardChainError
+from .mainchain import ChainParams, MainBlock, make_genesis
+from .network import ENVELOPE_HEADER, Envelope, MsgKind, decode_envelope
 from .node import Node
 from .sharding import ShardAssignment
 
@@ -30,9 +30,72 @@ ERR = b"\x01"
 
 
 # -- data directory persistence ---------------------------------------
+#
+# A data dir holds meta.json (chain parameters and genesis) and log.bin,
+# one [kind u8][len u32][payload] record per NewTx/NewBlock request the
+# node accepted, the payload being the request's wire bytes. Loading
+# replays the log through the calls the server makes for those requests.
+
+META_FILE = "meta.json"
+LOG_FILE = "log.bin"
+_LOG_HEAD = struct.Struct(">BI")
+
+
+def _log_record(kind: int, payload: bytes) -> bytes:
+    return _LOG_HEAD.pack(kind, len(payload)) + payload
+
+
+def _apply_request(node: Node, kind: int, payload: bytes) -> None:
+    """The one state transition for a persisted request."""
+    if kind == MsgKind.NewTx:
+        node.accept_pending_tx(codec.decode_tx(payload))
+    elif kind == MsgKind.NewBlock:
+        node.ingest_block(mainchain.decode_block(payload))
+    else:
+        raise DecodeError("unknown log record kind %d" % kind)
+
+
+def _read_log(path: str) -> Iterator[Tuple[int, int, bytes]]:
+    """Yield (end offset, kind, payload) for each complete record. A
+    record cut short by a crash mid-append ends the log."""
+    end = 0
+    with open(path, "rb") as fh:
+        while True:
+            head = fh.read(_LOG_HEAD.size)
+            if len(head) < _LOG_HEAD.size:
+                return
+            kind, length = _LOG_HEAD.unpack(head)
+            payload = fh.read(length)
+            if len(payload) < length:
+                return
+            end += _LOG_HEAD.size + length
+            yield end, kind, payload
+
+
+def _replace_file(path: str, data: bytes) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
 
 def save_node(node: Node, data_dir: str) -> None:
+    """Write a snapshot of the node: meta.json, and a log holding each
+    canonical block preceded by the fragment txs it confirmed, then the
+    pending tails. Each file is replaced atomically."""
     os.makedirs(data_dir, exist_ok=True)
+    records = []
+    for bh in node.view.canonical[1:]:
+        block = node.view.blocks[bh]
+        for rec in block.confirmations:
+            for tx in node.store.frag_archive.get((bh, rec.address), ()):
+                records.append(_log_record(MsgKind.NewTx,
+                                           codec.encode_tx(tx)))
+        records.append(_log_record(MsgKind.NewBlock, block.encode()))
+    for address in sorted(node.store.pending):
+        for tx in node.store.pending[address]:
+            records.append(_log_record(MsgKind.NewTx, codec.encode_tx(tx)))
+    _replace_file(os.path.join(data_dir, LOG_FILE), b"".join(records))
     meta = {
         "prefix": node.assignment.prefix_bits,
         "difficulty_bits": node.params.difficulty_bits,
@@ -43,27 +106,12 @@ def save_node(node: Node, data_dir: str) -> None:
         "allocations": {a.hex(): b for a, b in node.genesis.allocations},
         "genesis_timestamp": node.genesis.timestamp,
     }
-    with open(os.path.join(data_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-    with open(os.path.join(data_dir, "blocks.bin"), "wb") as fh:
-        for bh in node.view.canonical[1:]:
-            data = node.view.blocks[bh].encode()
-            fh.write(struct.pack(">I", len(data)) + data)
-    with open(os.path.join(data_dir, "frags.bin"), "wb") as fh:
-        for (bh, address), txs in sorted(node.store.frag_archive.items()):
-            body = subchain.encode_fragment(
-                subchain.SubchainFragment(address=address, from_height=0,
-                                          txs=tuple(txs)))
-            fh.write(struct.pack(">32sI", bh, len(body)) + body)
-    with open(os.path.join(data_dir, "pending.bin"), "wb") as fh:
-        for address in sorted(node.store.pending):
-            for tx in node.store.pending[address]:
-                data = codec.encode_tx(tx)
-                fh.write(struct.pack(">I", len(data)) + data)
+    _replace_file(os.path.join(data_dir, META_FILE),
+                  json.dumps(meta, sort_keys=True, indent=1).encode())
 
 
 def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
-    with open(os.path.join(data_dir, "meta.json")) as fh:
+    with open(os.path.join(data_dir, META_FILE)) as fh:
         meta = json.load(fh)
     params = ChainParams(difficulty_bits=meta["difficulty_bits"],
                          block_limit=meta["block_limit"],
@@ -74,47 +122,8 @@ def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
                             for a, b in meta["allocations"].items()},
                            timestamp=meta["genesis_timestamp"])
     node = Node(node_id, ShardAssignment(meta["prefix"]), genesis, params)
-    frags = {}
-    path = os.path.join(data_dir, "frags.bin")
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            while True:
-                head = fh.read(36)
-                if not head:
-                    break
-                bh, length = struct.unpack(">32sI", head)
-                frag = subchain.decode_fragment(fh.read(length))
-                frags[(bh, frag.address)] = frag.txs
-    path = os.path.join(data_dir, "blocks.bin")
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                (length,) = struct.unpack(">I", head)
-                block = mainchain.decode_block(fh.read(length))
-                bh = block.block_hash
-                for rec in block.confirmations:
-                    txs = frags.get((bh, rec.address))
-                    if txs:
-                        for tx in txs:
-                            node.store.pending.setdefault(
-                                rec.address, []).append(tx)
-                node.ingest_block(block)
-    path = os.path.join(data_dir, "pending.bin")
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            while True:
-                head = fh.read(4)
-                if not head:
-                    break
-                (length,) = struct.unpack(">I", head)
-                tx = codec.decode_tx(fh.read(length))
-                try:
-                    node.accept_pending_tx(tx)
-                except ShardChainError:
-                    pass
+    for _, kind, payload in _read_log(os.path.join(data_dir, LOG_FILE)):
+        _apply_request(node, kind, payload)
     return node
 
 
@@ -128,40 +137,58 @@ def init_data_dir(data_dir: str, allocations, params: ChainParams,
 
 # -- framing helpers --------------------------------------------------
 
-def read_envelope(sock) -> Optional[Envelope]:
-    head = _read_exact(sock, 37)
-    if head is None:
+def read_envelope(sock, max_frame: Optional[int] = None
+                  ) -> Optional[Envelope]:
+    """Read one envelope; None when the peer closes the connection. A
+    frame longer than ``max_frame`` bytes is refused with DecodeError
+    before its payload is read."""
+    head = bytearray(ENVELOPE_HEADER)
+    if not _recv_into(sock, memoryview(head)):
         return None
-    (length,) = struct.unpack(">I", head[:4])
-    payload = _read_exact(sock, length)
-    if payload is None and length:
+    (length,) = struct.unpack_from(">I", head)
+    if max_frame is not None and ENVELOPE_HEADER + length > max_frame:
+        raise DecodeError("frame of %d bytes exceeds the %d-byte cap"
+                          % (ENVELOPE_HEADER + length, max_frame))
+    frame = bytearray(ENVELOPE_HEADER + length)
+    frame[:ENVELOPE_HEADER] = head
+    if not _recv_into(sock, memoryview(frame)[ENVELOPE_HEADER:]):
         return None
-    return decode_envelope(head + (payload or b""))
+    try:
+        return decode_envelope(bytes(frame))
+    except ValueError as err:
+        raise DecodeError(str(err)) from err
 
 
-def _read_exact(sock, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+def _recv_into(sock, view: memoryview) -> bool:
+    """Fill ``view`` from the socket; False if the peer closes first."""
+    while view:
+        got = sock.recv_into(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
 
 
 def send_envelope(sock, env: Envelope) -> None:
     sock.sendall(env.encode())
 
 
+def _error_reply(err: ShardChainError) -> Envelope:
+    return Envelope(MsgKind.Hello, ERR + type(err).__name__.encode()
+                    + b": " + str(err).encode())
+
+
 # -- node server ------------------------------------------------------
 
 _PENDING_SUMMARY = struct.Struct(">20s32sQQ")
+_FRAGMENT_REQUEST = struct.Struct(">20sQQ")
 
 
 class NodeServer:
     def __init__(self, data_dir: str, listen: Tuple[str, int]):
         self.data_dir = data_dir
         self.node = load_node(data_dir)
+        self.max_frame = self.node.params.block_limit + ENVELOPE_HEADER
         self.lock = threading.Lock()
         self.listen = listen
         outer = self
@@ -169,13 +196,25 @@ class NodeServer:
         class Handler(socketserver.StreamRequestHandler):
             def handle(self):
                 while True:
-                    env = read_envelope(self.request)
+                    try:
+                        env = read_envelope(self.request, outer.max_frame)
+                    except DecodeError as err:
+                        # the stream cannot be resynchronised: reply, close
+                        send_envelope(self.request, _error_reply(err))
+                        return
                     if env is None:
                         return
                     send_envelope(self.request, outer.handle(env))
 
         self.server = socketserver.ThreadingTCPServer(listen, Handler)
         self.server.daemon_threads = True
+        # drop a torn final record, then append after the last whole one
+        path = os.path.join(data_dir, LOG_FILE)
+        end = 0
+        for end, _, _ in _read_log(path):
+            pass
+        self.log = open(path, "ab")
+        self.log.truncate(end)
 
     def serve_forever(self):
         self.server.serve_forever()
@@ -183,15 +222,15 @@ class NodeServer:
     def shutdown(self):
         self.server.shutdown()
         self.server.server_close()
+        with self.lock:
+            self.log.close()
 
     def handle(self, env: Envelope) -> Envelope:
         with self.lock:
             try:
                 return self._dispatch(env)
             except ShardChainError as err:
-                return Envelope(MsgKind.Hello,
-                                ERR + type(err).__name__.encode()
-                                + b": " + str(err).encode())
+                return _error_reply(err)
 
     def _dispatch(self, env: Envelope) -> Envelope:
         node = self.node
@@ -207,16 +246,16 @@ class NodeServer:
                     address, tail[-1].tx_hash, tail[-1].height,
                     confirmed.tip_height))
             return Envelope(MsgKind.Hello, OK + b"".join(body))
-        if env.kind == MsgKind.NewTx:
-            node.accept_pending_tx(codec.decode_tx(env.payload))
-            save_node(node, self.data_dir)
-            return Envelope(MsgKind.Hello, OK)
-        if env.kind == MsgKind.NewBlock:
-            node.ingest_block(mainchain.decode_block(env.payload))
-            save_node(node, self.data_dir)
+        if env.kind in (MsgKind.NewTx, MsgKind.NewBlock):
+            _apply_request(node, env.kind, env.payload)
+            self.log.write(_log_record(env.kind, env.payload))
+            self.log.flush()
             return Envelope(MsgKind.Hello, OK)
         if env.kind == MsgKind.FragmentRequest:
-            address, lo, hi = struct.unpack(">20sQQ", env.payload)
+            if len(env.payload) != _FRAGMENT_REQUEST.size:
+                raise DecodeError("FragmentRequest payload must be %d "
+                                  "bytes" % _FRAGMENT_REQUEST.size)
+            address, lo, hi = _FRAGMENT_REQUEST.unpack(env.payload)
             frag = node.serve_fragment(address, lo, hi)
             return Envelope(MsgKind.FragmentResponse,
                             OK + subchain.encode_fragment(frag))
@@ -261,7 +300,7 @@ class NodeClient:
 
     def fetch_fragment(self, address: bytes, lo: int, hi: int):
         body = self.call(Envelope(MsgKind.FragmentRequest,
-                                  struct.pack(">20sQQ", address, lo, hi)))
+                                  _FRAGMENT_REQUEST.pack(address, lo, hi)))
         return subchain.decode_fragment(body)
 
     def submit_tx(self, tx) -> None:

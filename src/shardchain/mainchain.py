@@ -64,6 +64,9 @@ class ConfirmationRecord:
 
 
 def decode_record(data: bytes) -> ConfirmationRecord:
+    if len(data) != RECORD_LEN:
+        raise codec.DecodeError("record must be %d bytes, got %d"
+                                % (RECORD_LEN, len(data)))
     address, tip_hash, tip_height = _RECORD.unpack(data)
     return ConfirmationRecord(address, tip_hash, tip_height)
 
@@ -110,17 +113,18 @@ class MainBlock:
 
 
 def decode_block(data: bytes) -> MainBlock:
-    fields = _HEADER.unpack_from(data, 0)
-    header = BlockHeader(*fields)
+    if len(data) < BLOCK_OVERHEAD:
+        raise codec.DecodeError("block shorter than %d bytes"
+                                % BLOCK_OVERHEAD)
+    header = BlockHeader(*_HEADER.unpack_from(data, 0))
     (count,) = struct.unpack_from(">I", data, HEADER_LEN)
-    records = []
-    offset = BLOCK_OVERHEAD
-    for _ in range(count):
-        records.append(decode_record(data[offset:offset + RECORD_LEN]))
-        offset += RECORD_LEN
-    if offset != len(data):
-        raise codec.DecodeError("trailing bytes in block")
-    return MainBlock(header=header, confirmations=tuple(records))
+    if len(data) != BLOCK_OVERHEAD + count * RECORD_LEN:
+        raise codec.DecodeError("block of %d records must be %d bytes, "
+                                "got %d" % (count, BLOCK_OVERHEAD
+                                            + count * RECORD_LEN, len(data)))
+    records = tuple(ConfirmationRecord(*fields) for fields
+                    in _RECORD.iter_unpack(data[BLOCK_OVERHEAD:]))
+    return MainBlock(header=header, confirmations=records)
 
 
 def target(difficulty_bits: int) -> int:

@@ -31,6 +31,9 @@ class MsgKind(IntEnum):
     Hello = 5
 
 
+ENVELOPE_HEADER = 37    # >IB32s: payload length, kind, msg_id
+
+
 @dataclass(frozen=True)
 class Envelope:
     kind: MsgKind
@@ -49,7 +52,7 @@ class Envelope:
 
 def decode_envelope(data: bytes) -> Envelope:
     length, kind, msg_id = struct.unpack_from(">IB32s", data, 0)
-    payload = data[37:37 + length]
+    payload = data[ENVELOPE_HEADER:ENVELOPE_HEADER + length]
     env = Envelope(kind=MsgKind(kind), payload=payload)
     if env.msg_id != msg_id:
         raise ValueError("envelope msg_id does not match payload")

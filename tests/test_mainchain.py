@@ -9,6 +9,7 @@ from shardchain.errors import (
     Aborted,
     BadPoW,
     ConfirmationMismatch,
+    DecodeError,
     MalformedBits,
     Oversize,
     RootMismatch,
@@ -31,6 +32,7 @@ from shardchain.mainchain import (
     capacity,
     confirmations_root,
     decode_block,
+    decode_record,
     make_genesis,
     meets_target,
     seal,
@@ -145,6 +147,17 @@ class TestBlockCodec:
         block = mk_block(view)
         with pytest.raises(Exception):
             decode_block(block.encode() + b"\x00")
+
+    def test_short_input_raises_decode_error(self):
+        genesis = make_genesis({})
+        view = ChainView(genesis, PARAMS)
+        recs = [ConfirmationRecord(b"\x01" * 20, b"\x02" * 32, 9)]
+        data = mk_block(view, recs).encode()
+        for cut in (0, 50, BLOCK_OVERHEAD - 1, len(data) - 1):
+            with pytest.raises(DecodeError):
+                decode_block(data[:cut])
+        with pytest.raises(DecodeError):
+            decode_record(recs[0].encode()[:-1])
 
 
 class TestChainView:
