@@ -95,7 +95,7 @@ def keygen(seed: bytes | None = None) -> KeyPair:
     return KeyPair(secret=seed, public=public)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendTx:
     parent_hash: bytes
     height: int
@@ -108,7 +108,7 @@ class SendTx:
     signature: bytes = b"\x00" * SIG_LEN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReceiveTx:
     parent_hash: bytes
     height: int

@@ -153,10 +153,7 @@ def read_envelope(sock, max_frame: Optional[int] = None
     frame[:ENVELOPE_HEADER] = head
     if not _recv_into(sock, memoryview(frame)[ENVELOPE_HEADER:]):
         return None
-    try:
-        return decode_envelope(bytes(frame))
-    except ValueError as err:
-        raise DecodeError(str(err)) from err
+    return decode_envelope(bytes(frame))
 
 
 def _recv_into(sock, view: memoryview) -> bool:

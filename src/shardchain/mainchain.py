@@ -8,9 +8,10 @@ first-seen tie-break.
 from __future__ import annotations
 
 import struct
+from collections import ChainMap
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import codec, subchain
 from .codec import sha256, sha256d
@@ -53,7 +54,7 @@ class ChainParams:
     maturity: int = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfirmationRecord:
     address: bytes
     tip_hash: bytes
@@ -221,7 +222,12 @@ def make_genesis(allocations: Dict[bytes, int], timestamp: int = 0) -> Genesis:
 
 class ChainView:
     """Block DAG index: canonical tip by cumulative work, plus the
-    per-address latest-confirmation map for the canonical chain only."""
+    per-address latest-confirmation map for the canonical chain only.
+
+    Each canonical block keeps an undo record: the confirmation entries
+    its records replaced. A reorg disconnects the old blocks down to the
+    fork point with those records and connects the new branch, so its
+    cost follows the fork distance, not the chain length."""
 
     def __init__(self, genesis: Genesis, params: ChainParams):
         self.genesis = genesis
@@ -235,6 +241,9 @@ class ChainView:
         # canonical indexes
         self.canonical: List[bytes] = [genesis.block_hash]
         self.confirmations: Dict[bytes, Tuple[bytes, bytes, int]] = {}
+        # canonical block -> the entries its records replaced, in record
+        # order, None for an address it confirmed first
+        self.undo: Dict[bytes, Tuple[Optional[tuple], ...]] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -260,6 +269,18 @@ class ChainView:
         entry = self.confirmations.get(address)
         return entry[2] if entry else 0
 
+    def fork_path(self, branch_tip: bytes) -> List[bytes]:
+        """The blocks of ``branch_tip``'s branch above its last canonical
+        ancestor (the fork point), oldest first; empty when ``branch_tip``
+        is canonical."""
+        path = []
+        h = branch_tip
+        while not self.is_canonical(h):
+            path.append(h)
+            h = self.blocks[h].header.parent_block_hash
+        path.reverse()
+        return path
+
     def branch(self, tip_hash: bytes) -> List[bytes]:
         """Hashes from genesis to tip_hash along parent links."""
         chain = []
@@ -273,7 +294,8 @@ class ChainView:
 
     def confirmations_at(self, branch_tip: bytes
                          ) -> Dict[bytes, Tuple[bytes, bytes, int]]:
-        """Latest confirmation per address along an arbitrary branch."""
+        """Latest confirmation per address along an arbitrary branch,
+        scanned from genesis: the oracle for ``branch_confirmations``."""
         index: Dict[bytes, Tuple[bytes, bytes, int]] = {}
         for bh in self.branch(branch_tip):
             if bh == self.genesis.block_hash:
@@ -281,6 +303,26 @@ class ChainView:
             for rec in self.blocks[bh].confirmations:
                 index[rec.address] = (bh, rec.tip_hash, rec.tip_height)
         return index
+
+    def branch_confirmations(self, branch_tip: bytes
+                             ) -> Mapping[bytes, Optional[tuple]]:
+        """Latest confirmation per address along ``branch_tip``'s branch,
+        None for an address the branch never confirmed. The canonical
+        index itself at the tip; elsewhere the index rolled back to the
+        fork point and overlaid with the side blocks."""
+        if branch_tip == self.tip:
+            return self.confirmations
+        side = self.fork_path(branch_tip)
+        fork_height = self.height[branch_tip] - len(side)
+        overlay: Dict[bytes, Optional[tuple]] = {}
+        for bh in reversed(self.canonical[fork_height + 1:]):
+            overlay.update(zip((r.address for r in
+                                self.blocks[bh].confirmations),
+                               self.undo[bh]))
+        for bh in side:
+            for rec in self.blocks[bh].confirmations:
+                overlay[rec.address] = (bh, rec.tip_hash, rec.tip_height)
+        return ChainMap(overlay, self.confirmations)
 
     # -- mutation ------------------------------------------------------
 
@@ -300,21 +342,32 @@ class ChainView:
             + block_work(block.header.difficulty_bits)
         self._seq += 1
         self.arrival[bh] = self._seq
-        if self.work[bh] > self.work[self.tip]:
-            old_tip = self.tip
-            self.tip = bh
-            if parent == old_tip:
-                self.canonical.append(bh)
-                for rec in block.confirmations:
-                    self.confirmations[rec.address] = (bh, rec.tip_hash,
-                                                       rec.tip_height)
-            else:
-                self.rebuild_index()
-            return True
-        return False
+        if self.work[bh] <= self.work[self.tip]:
+            return False
+        connect = self.fork_path(bh)
+        fork_height = self.height[bh] - len(connect)
+        while len(self.canonical) > fork_height + 1:
+            h = self.canonical.pop()
+            for rec, entry in zip(self.blocks[h].confirmations,
+                                  self.undo.pop(h)):
+                if entry is None:
+                    del self.confirmations[rec.address]
+                else:
+                    self.confirmations[rec.address] = entry
+        for h in connect:
+            records = self.blocks[h].confirmations
+            self.undo[h] = tuple(self.confirmations.get(r.address)
+                                 for r in records)
+            for rec in records:
+                self.confirmations[rec.address] = (h, rec.tip_hash,
+                                                   rec.tip_height)
+            self.canonical.append(h)
+        self.tip = bh
+        return True
 
     def rebuild_index(self) -> None:
-        """From-scratch canonical scan (also the reorg path)."""
+        """From-scratch canonical scan: the oracle that the incremental
+        indexes must equal."""
         self.canonical = self.branch(self.tip)
         self.confirmations = self.confirmations_at(self.tip)
 
@@ -323,7 +376,10 @@ class ViewClaimContext(subchain.ClaimContext):
     """ClaimContext bound to one branch of a ChainView.
 
     ``send_source`` maps (sender_address, height) -> SendTx for confirmed
-    transactions, typically a node store lookup or fragment fetch.
+    transactions, typically a node store lookup or fragment fetch. A
+    block is on the branch when it is canonical at or below the fork
+    point or one of the side blocks above it, so the answers hold until
+    the view's canonical chain next changes.
     """
 
     def __init__(self, view: ChainView, branch_tip: bytes,
@@ -334,13 +390,16 @@ class ViewClaimContext(subchain.ClaimContext):
         self.branch_height = view.height[branch_tip]
         self.send_source = send_source
         self.maturity = view.params.maturity if maturity is None else maturity
-        self._branch_set = set(view.branch(branch_tip))
+        self.side = view.fork_path(branch_tip)
+        self.fork_height = self.branch_height - len(self.side)
+        self._side_set = set(self.side)
 
     def _mature(self, block_hash: bytes) -> bool:
-        if block_hash not in self._branch_set:
-            return False
-        depth = self.branch_height - self.view.height[block_hash] + 1
-        return depth >= self.maturity
+        height = self.view.height.get(block_hash)
+        on_branch = block_hash in self._side_set or (
+            self.view.is_canonical(block_hash)
+            and height <= self.fork_height)
+        return on_branch and self.branch_height - height + 1 >= self.maturity
 
     def lookup_send(self, sender_address, sender_tx_hash, main_block_hash):
         if not self._mature(main_block_hash):
@@ -406,10 +465,11 @@ def validate_block(block: MainBlock, view: ChainView,
     if block.header.confirmations_root != confirmations_root(records):
         raise RootMismatch("confirmations root does not match records")
 
-    prev_index = view.confirmations_at(parent)
+    prev_index = view.branch_confirmations(parent)
     deltas: Dict[bytes, Tuple[SubchainState, SubchainState, tuple]] = {}
     for rec in records:
-        prev_height = prev_index.get(rec.address, (None, None, 0))[2]
+        entry = prev_index.get(rec.address)
+        prev_height = entry[2] if entry else 0
         if rec.tip_height <= prev_height:
             raise StaleConfirmation(
                 "record does not advance beyond height %d" % prev_height)

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import sharding
 from .codec import sha256
-from .errors import NoHost, ParentFull, Timeout, UnknownParent
+from .errors import DecodeError, NoHost, ParentFull, Timeout, UnknownParent
 from .sharding import ShardAssignment
 
 NodeId = bytes   # opaque 8-byte identifier
@@ -31,7 +31,8 @@ class MsgKind(IntEnum):
     Hello = 5
 
 
-ENVELOPE_HEADER = 37    # >IB32s: payload length, kind, msg_id
+_ENVELOPE = struct.Struct(">IB32s")   # payload length, kind, msg_id
+ENVELOPE_HEADER = _ENVELOPE.size      # 37
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,26 @@ class Envelope:
 
     def encode(self) -> bytes:
         # 4-byte length, 1-byte kind, 32-byte msg_id, payload
-        return struct.pack(">IB32s", len(self.payload), self.kind,
-                           self.msg_id) + self.payload
+        return _ENVELOPE.pack(len(self.payload), self.kind,
+                              self.msg_id) + self.payload
 
 
 def decode_envelope(data: bytes) -> Envelope:
-    length, kind, msg_id = struct.unpack_from(">IB32s", data, 0)
-    payload = data[ENVELOPE_HEADER:ENVELOPE_HEADER + length]
-    env = Envelope(kind=MsgKind(kind), payload=payload)
+    if len(data) < ENVELOPE_HEADER:
+        raise DecodeError("envelope shorter than its %d-byte header"
+                          % ENVELOPE_HEADER)
+    length, kind, msg_id = _ENVELOPE.unpack_from(data, 0)
+    if len(data) != ENVELOPE_HEADER + length:
+        raise DecodeError("envelope of a %d-byte payload must be %d bytes, "
+                          "got %d" % (length, ENVELOPE_HEADER + length,
+                                      len(data)))
+    try:
+        kind = MsgKind(kind)
+    except ValueError:
+        raise DecodeError("unknown message kind %d" % kind) from None
+    env = Envelope(kind=kind, payload=bytes(data[ENVELOPE_HEADER:]))
     if env.msg_id != msg_id:
-        raise ValueError("envelope msg_id does not match payload")
+        raise DecodeError("envelope msg_id does not match payload")
     return env
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NotHosted,
     PartialFetch,
     RangeUnavailable,
+    ShardChainError,
     TailConflict,
 )
 from .mainchain import ChainParams, ChainView, Genesis, MainBlock, \
@@ -30,7 +31,7 @@ from .sharding import ShardAssignment, hosts
 from .subchain import SubchainFragment, SubchainState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inflow:
     """A confirmed, not-yet-claimed transfer toward an account."""
     sender_address: bytes
@@ -65,9 +66,15 @@ class NodeStore:
         self.send_index: Dict[Tuple[bytes, bytes], SendTx] = {}
         self.seen: Dict[bytes, bytes] = {}      # tx_hash -> wire bytes
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
-        # every fragment any accepted block confirmed, per (block, address);
-        # this archive makes fork validation and reorg rebuild possible
+        # every hosted fragment any accepted block confirmed, per (block,
+        # address), and the validated state it led to: the confirmed state
+        # of an address on any branch is the post-state of its latest
+        # confirmation there, so no branch is ever replayed
         self.frag_archive: Dict[Tuple[bytes, bytes], tuple] = {}
+        self.post_states: Dict[Tuple[bytes, bytes], SubchainState] = {}
+        # canonical block -> the inflow writes it made, each (address, key,
+        # prior value), a None key marking a pool it created
+        self.undo: Dict[bytes, List[tuple]] = {}
 
     def find_send(self, address: bytes, tx_hash: bytes) -> Optional[SendTx]:
         return self.send_index.get((address, tx_hash))
@@ -110,9 +117,20 @@ class Node:
 
     def claim_context(self, branch_tip: Optional[bytes] = None
                       ) -> ViewClaimContext:
-        return ViewClaimContext(self.view,
-                                branch_tip or self.view.tip,
-                                send_source=self._send_source)
+        ctx = ViewClaimContext(self.view, branch_tip or self.view.tip,
+                               send_source=self._send_source)
+        if ctx.side:
+            # send_index holds canonical sends only; a side branch also
+            # confirms the sends archived for its side blocks
+            sends = {(tx.current_address, tx.tx_hash): tx
+                     for bh in ctx.side
+                     for rec in self.view.blocks[bh].confirmations
+                     for tx in self.store.frag_archive.get((bh, rec.address),
+                                                           ())
+                     if isinstance(tx, SendTx)}
+            ctx.send_source = lambda a, h: sends.get((a, h)) \
+                or self._send_source(a, h)
+        return ctx
 
     def _send_source(self, address: bytes, tx_hash: bytes):
         send = self.store.find_send(address, tx_hash)
@@ -199,30 +217,34 @@ class Node:
         if bh in self.view.blocks:
             return {}
         parent = block.header.parent_block_hash
-        fast = parent == self.view.tip
-        ctx = self.claim_context(parent) if parent in self.view.work \
-            else None
-        if ctx is None:
+        if parent not in self.view.work:
             raise mainchain.UnknownParent("parent block unknown")
-        if fast:
-            provider = self.confirmed_state
-        else:
-            provider = lambda addr: self._branch_state(parent, addr)
+        ctx = self.claim_context(parent)
+        index = self.view.branch_confirmations(parent)
         deltas = mainchain.validate_block(
-            block, self.view, provider, self._shard_oracle, ctx,
-            stf_filter=self.hosts)
-        for rec in block.confirmations:
-            if rec.address in deltas:
-                _, _, txs = deltas[rec.address]
-                self.store.frag_archive[(bh, rec.address)] = tuple(txs)
-        changed = self.view.extend(block)
-        if not changed:
+            block, self.view,
+            lambda address: self._state_after(index.get(address), address),
+            self._shard_oracle, ctx, stf_filter=self.hosts)
+        for address, (_, new_state, txs) in deltas.items():
+            key = (bh, address)
+            self.store.frag_archive[key] = tuple(txs)
+            self.store.post_states[key] = new_state
+        disconnect = self.view.canonical[ctx.fork_height + 1:]
+        if not self.view.extend(block):
             return deltas
-        if fast:
-            self._apply_canonical_deltas(block, deltas)
+        if disconnect:
+            self._reorg(disconnect, ctx.side + [bh])
         else:
-            self._rebuild_hosted()
+            self._connect(bh)
         return deltas
+
+    def _state_after(self, entry: Optional[tuple],
+                     address: bytes) -> SubchainState:
+        """Confirmed state of a hosted address given its latest
+        confirmation entry on some branch (None if it has none there)."""
+        if entry is None:
+            return self.base_state(address)
+        return self.store.post_states[(entry[0], address)]
 
     def _shard_oracle(self, address: bytes, lo: int, hi: int
                       ) -> SubchainFragment:
@@ -251,43 +273,137 @@ class Node:
         return SubchainFragment(address=address, from_height=lo,
                                 txs=tuple(txs))
 
-    def _apply_canonical_deltas(self, block: MainBlock,
-                                deltas: Dict[bytes, tuple]) -> None:
-        bh = block.block_hash
-        for address, (_, new_state, txs) in deltas.items():
+    def _connect(self, block_hash: bytes) -> None:
+        """Apply a block's archived hosted deltas to the canonical
+        keyspaces, noting its inflow writes for a later disconnect."""
+        block = self.view.blocks[block_hash]
+        height = block.header.height
+        undo = self.store.undo[block_hash] = []
+        for rec in block.confirmations:
+            address = rec.address
+            key = (block_hash, address)
+            new_state = self.store.post_states.get(key)
+            if new_state is None:
+                continue        # not hosted
             self.store.confirmed[address] = new_state
-            for tx in txs:
+            for tx in self.store.frag_archive[key]:
                 self.store.txs[(address, tx.height)] = tx
                 self.store.seen.setdefault(tx.tx_hash, codec.encode_tx(tx))
                 if isinstance(tx, SendTx):
                     self.store.send_index[(address, tx.tx_hash)] = tx
-                self._index_tx(tx, bh, block.header.height)
+                self._index_tx(tx, block_hash, height, undo)
             self._trim_pending(address, new_state)
-        if self.hosts(block.header.miner_address):
-            self.store.inflows.setdefault(
-                block.header.miner_address, {})[bh] = Inflow(
-                    sender_address=codec.NULL_ADDRESS,
-                    sender_tx_hash=codec.NULL_HASH,
-                    amount=mainchain.coinbase_amount(block.header.height,
-                                                     self.params),
-                    block_hash=bh, block_height=block.header.height,
-                    coinbase=True)
+        miner = block.header.miner_address
+        if self.hosts(miner):
+            self._put_inflow(undo, miner, block_hash, Inflow(
+                sender_address=codec.NULL_ADDRESS,
+                sender_tx_hash=codec.NULL_HASH,
+                amount=mainchain.coinbase_amount(height, self.params),
+                block_hash=block_hash, block_height=height, coinbase=True))
+
+    def _disconnect(self, block_hash: bytes) -> Dict[bytes, tuple]:
+        """Remove a formerly canonical block's txs, send_index entries and
+        inflow writes; returns the txs it had confirmed, per address. The
+        caller resets the confirmed states from the new canonical index."""
+        inflows = self.store.inflows
+        for address, key, prior in reversed(self.store.undo.pop(block_hash)):
+            if key is None:
+                del inflows[address]
+            elif prior is None:
+                del inflows[address][key]
+            else:
+                inflows[address][key] = prior
+        orphaned = {}
+        for rec in self.view.blocks[block_hash].confirmations:
+            txs = self.store.frag_archive.get((block_hash, rec.address))
+            if txs is None:
+                continue        # not hosted
+            orphaned[rec.address] = txs
+            for tx in txs:
+                del self.store.txs[(rec.address, tx.height)]
+                if isinstance(tx, SendTx):
+                    del self.store.send_index[(rec.address, tx.tx_hash)]
+        return orphaned
+
+    def _reorg(self, disconnect: List[bytes], connect: List[bytes]) -> None:
+        """Switch the hosted keyspaces from the old canonical blocks
+        ``disconnect`` to the new ones ``connect`` (both oldest first;
+        the view has switched already), then re-admit tails only for the
+        addresses this can change: the ones either side confirmed, and
+        the ones whose pending tail claims from a disconnected block.
+        Each tail is the orphaned formerly confirmed txs, then the old
+        pending txs, stopping at the first that no longer applies."""
+        orphaned: Dict[bytes, List[SubchainTx]] = {}
+        for undone in reversed([self._disconnect(h)
+                                for h in reversed(disconnect)]):
+            for address, txs in undone.items():
+                orphaned.setdefault(address, []).extend(txs)
+        touched = set(orphaned)
+        for h in connect:
+            touched.update(rec.address
+                           for rec in self.view.blocks[h].confirmations
+                           if (h, rec.address) in self.store.post_states)
+        gone = set(disconnect)
+        touched.update(address for address, tail in self.store.pending.items()
+                       if any(isinstance(tx, ReceiveTx)
+                              and tx.main_block_hash in gone for tx in tail))
+        tails = {address: self.store.pending.pop(address, [])
+                 for address in touched}
+        for address in orphaned:
+            entry = self.view.confirmations.get(address)
+            if entry is None:
+                del self.store.confirmed[address]
+            else:
+                self.store.confirmed[address] = \
+                    self._state_after(entry, address)
+        for h in connect:
+            self._connect(h)
+        ctx = self.claim_context()
+        for address in sorted(touched):
+            state = self.confirmed_state(address)
+            for tx in orphaned.get(address, []) + tails[address]:
+                if tx.height != state.tip_height + 1 \
+                        or tx.parent_hash != state.tip_hash:
+                    continue
+                try:
+                    state = subchain.apply_tx(state, tx, ctx)
+                except ShardChainError:
+                    break
+                self.store.pending.setdefault(address, []).append(tx)
+
+    def _put_inflow(self, undo: List[tuple], address: bytes, key: bytes,
+                    flow: Optional[Inflow]) -> None:
+        """Set one inflow, or remove it when ``flow`` is None, noting the
+        prior value in ``undo``."""
+        pool = self.store.inflows.get(address)
+        if pool is None:
+            if flow is None:
+                return
+            pool = self.store.inflows[address] = {}
+            undo.append((address, None, None))
+        prior = pool.get(key)
+        if flow is not None:
+            pool[key] = flow
+        elif prior is not None:
+            del pool[key]
+        else:
+            return
+        undo.append((address, key, prior))
 
     def _index_tx(self, tx: SubchainTx, block_hash: bytes,
-                  block_height: int) -> None:
+                  block_height: int, undo: List[tuple]) -> None:
         if isinstance(tx, SendTx):
             if self.hosts(tx.recipient_address):
-                self.store.inflows.setdefault(
-                    tx.recipient_address, {})[tx.tx_hash] = Inflow(
-                        sender_address=tx.current_address,
-                        sender_tx_hash=tx.tx_hash, amount=tx.amount,
-                        block_hash=block_hash, block_height=block_height)
+                self._put_inflow(undo, tx.recipient_address, tx.tx_hash,
+                                 Inflow(sender_address=tx.current_address,
+                                        sender_tx_hash=tx.tx_hash,
+                                        amount=tx.amount,
+                                        block_hash=block_hash,
+                                        block_height=block_height))
         elif isinstance(tx, ReceiveTx):
-            pool = self.store.inflows.get(tx.current_address)
-            if pool is not None:
-                key = tx.main_block_hash if tx.is_coinbase \
-                    else tx.sender_tx_hash
-                pool.pop(key, None)
+            key = tx.main_block_hash if tx.is_coinbase \
+                else tx.sender_tx_hash
+            self._put_inflow(undo, tx.current_address, key, None)
 
     def _trim_pending(self, address: bytes,
                       confirmed: SubchainState) -> None:
@@ -302,75 +418,6 @@ class Node:
             self.store.pending[address] = kept
         else:
             self.store.pending.pop(address, None)
-
-    def _branch_state(self, branch_tip: bytes,
-                      address: bytes) -> SubchainState:
-        """Confirmed state of one address along an arbitrary branch,
-        replayed from the fragment archive."""
-        state = self.base_state(address)
-        branch = self.view.branch(branch_tip)
-        sends: Dict[Tuple[bytes, bytes], SendTx] = {}
-        for bh in branch[1:]:
-            block = self.view.blocks[bh]
-            for rec in block.confirmations:
-                frag = self.store.frag_archive.get((bh, rec.address))
-                if frag is None:
-                    continue
-                for tx in frag:
-                    if isinstance(tx, SendTx):
-                        sends[(rec.address, tx.tx_hash)] = tx
-                if rec.address != address:
-                    continue
-                parent = block.header.parent_block_hash
-                ctx = ViewClaimContext(
-                    self.view, parent,
-                    send_source=lambda a, h, s=sends: s.get((a, h)))
-                state = subchain.replay(frag, ctx, initial=state,
-                                        verify=None)
-                state = subchain.mark_confirmed(state, rec.tip_height)
-        return state
-
-    def _rebuild_hosted(self) -> None:
-        """Reorg path: recompute every hosted keyspace from the new
-        canonical chain."""
-        old_pending = self.store.pending
-        old_txs = self.store.txs
-        store = NodeStore()
-        store.seen = self.store.seen
-        store.frag_archive = self.store.frag_archive
-        self.store = store
-        for bh in self.view.canonical[1:]:
-            block = self.view.blocks[bh]
-            deltas = {}
-            for rec in block.confirmations:
-                if not self.hosts(rec.address):
-                    continue
-                frag = store.frag_archive.get((bh, rec.address))
-                if frag is None:
-                    raise PartialFetch("fragment missing during rebuild")
-                state = self._branch_state(bh, rec.address)
-                deltas[rec.address] = (None, state, frag)
-            self._apply_canonical_deltas(block, deltas)
-        # re-admit surviving tails: orphaned formerly-confirmed txs first,
-        # then the old pending tail, stopping at the first break
-        candidates: Dict[bytes, List[SubchainTx]] = {}
-        for (address, height), tx in sorted(old_txs.items(),
-                                            key=lambda kv: kv[0][1]):
-            candidates.setdefault(address, []).append(tx)
-        for address, tail in old_pending.items():
-            candidates.setdefault(address, []).extend(tail)
-        for address, tail in candidates.items():
-            state = self.confirmed_state(address)
-            ctx = self.claim_context()
-            for tx in tail:
-                if tx.height != state.tip_height + 1 \
-                        or tx.parent_hash != state.tip_hash:
-                    continue
-                try:
-                    state = subchain.apply_tx(state, tx, ctx)
-                except Exception:
-                    break
-                self.store.pending.setdefault(address, []).append(tx)
 
     # -- serving -------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import ADDR_LEN
-from .errors import MaxDepth
+from .errors import DecodeError, MaxDepth
 
 MAX_PREFIX_BITS = ADDR_LEN * 8
 
@@ -37,9 +37,19 @@ class ShardAssignment:
 
 
 def decode_assignment(data: bytes) -> ShardAssignment:
+    if not data:
+        raise DecodeError("empty assignment")
     depth = data[0]
-    bits = "".join(format(b, "08b") for b in data[1:])[:depth]
-    return ShardAssignment(prefix_bits=bits)
+    if depth > MAX_PREFIX_BITS:
+        raise DecodeError("prefix of %d bits exceeds %d"
+                          % (depth, MAX_PREFIX_BITS))
+    if len(data) != 1 + (depth + 7) // 8:
+        raise DecodeError("a %d-bit prefix takes %d bytes, got %d"
+                          % (depth, 1 + (depth + 7) // 8, len(data)))
+    bits = "".join(format(b, "08b") for b in data[1:])
+    if "1" in bits[depth:]:
+        raise DecodeError("nonzero padding after the prefix")
+    return ShardAssignment(prefix_bits=bits[:depth])
 
 
 def hosts(assignment: ShardAssignment, address: bytes) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubchainState:
     address: bytes
     tip_hash: bytes = NULL_HASH
@@ -233,6 +233,9 @@ def encode_fragment(frag: SubchainFragment) -> bytes:
 
 
 def decode_fragment(data: bytes) -> SubchainFragment:
+    if len(data) < _FRAG_HEADER.size:
+        raise codec.DecodeError("fragment shorter than its %d-byte header"
+                                % _FRAG_HEADER.size)
     address, from_height, count = _FRAG_HEADER.unpack_from(data, 0)
     offset = _FRAG_HEADER.size
     txs = []

@@ -1,10 +1,18 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from shardchain import codec, mainchain, subchain
 from shardchain.codec import NULL_HASH, SendTx, ReceiveTx
 from shardchain.sim import derived_key
+
+# Property tests draw the same examples on every run, so a failure
+# reproduces, and a bounded number of them, so the suite's time stays
+# flat; a test may still ask for more with its own @settings.
+settings.register_profile("shardchain", derandomize=True, deadline=None,
+                          max_examples=50)
+settings.load_profile("shardchain")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from shardchain.errors import NoHost, ParentFull, Timeout, UnknownParent
+from shardchain.errors import DecodeError, NoHost, ParentFull, Timeout, \
+    UnknownParent
 from shardchain.network import (
     Envelope,
     FloodRouter,
@@ -41,7 +42,7 @@ class TestEnvelope:
     def test_corrupt_id_rejected(self):
         data = bytearray(Envelope(MsgKind.Hello, b"payload").encode())
         data[6] ^= 0x01
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             decode_envelope(bytes(data))
 
 

@@ -1,0 +1,316 @@
+"""Reorgs along the fork path: a node that follows a random fork tree
+must hold what a fresh node that saw only the canonical chain holds, at
+a cost that does not grow with the chain's length."""
+
+from hypothesis import given, settings, strategies as st
+
+from shardchain import subchain
+from shardchain.codec import NULL_HASH
+from shardchain.errors import ShardChainError
+from shardchain.mainchain import (
+    EASY_BITS,
+    BlockHeader,
+    ChainParams,
+    ChainView,
+    ConfirmationRecord,
+    MainBlock,
+    confirmations_root,
+    make_genesis,
+    seal,
+)
+from shardchain.node import Node
+from shardchain.sharding import ShardAssignment, address_bits
+from shardchain.sim import derived_key
+from shardchain.subchain import SubchainFragment
+
+from conftest import make_receive, make_send
+
+MINER = b"\x4d" * 20
+SENDERS = [derived_key(b"reorg-oracle:sender:%d" % i) for i in range(2)]
+BALANCE = 1000
+
+
+def mine(parent, height, records, timestamp):
+    records = tuple(sorted(records, key=lambda r: r.address))
+    header = BlockHeader(parent, height, timestamp, MINER,
+                         confirmations_root(records), EASY_BITS)
+    return seal(MainBlock(header, records))
+
+
+class ForkTree:
+    """Valid blocks on a random tree of branches, with each account's
+    subchain one linear history shared by every branch. Senders only
+    send; each send has its own recipient, whose one claim names the
+    block that first confirmed the send on the branch that claims it."""
+
+    def __init__(self, maturity):
+        self.maturity = maturity
+        self.genesis = make_genesis({k.address: BALANCE for k in SENDERS})
+        g = self.genesis.block_hash
+        self.height = {g: 0}
+        self.parent = {}
+        self.blocks = {}
+        self.order = []                 # creation order
+        self.ancestors = {g: frozenset([g])}
+        self.confirmed = {g: {}}        # block -> {address: tip height}
+        self.sent_in = {g: {}}          # block -> {send hash: block}
+        self.history = {k.address: [] for k in SENDERS}
+        self.claims = {}                # send hash -> claim
+        self.recipient = {}             # send hash -> recipient key
+        self.best = g
+        self.clock = 0
+
+    def fragment(self, address, lo, hi):
+        return SubchainFragment(address=address, from_height=lo,
+                                txs=tuple(self.history[address][lo:hi]))
+
+    def _send(self, key):
+        chain = self.history[key.address]
+        rcpt = derived_key(b"reorg-oracle:rcpt:%d" % len(self.recipient))
+        tx = make_send(key, parent=chain[-1].tx_hash if chain else NULL_HASH,
+                       height=len(chain) + 1, recipient=rcpt.address,
+                       amount=1 + len(chain) % 3)
+        chain.append(tx)
+        self.recipient[tx.tx_hash] = rcpt
+        return tx
+
+    def add_block(self, parent, draw_bool):
+        height = self.height[parent] + 1
+        confirmed = dict(self.confirmed[parent])
+        sent_in = dict(self.sent_in[parent])
+        records = []
+        self.clock += 1
+        for key in SENDERS:
+            if not draw_bool():
+                continue
+            h = confirmed.get(key.address, 0) + 1
+            chain = self.history[key.address]
+            tx = chain[h - 1] if h <= len(chain) else self._send(key)
+            confirmed[key.address] = h
+            records.append(ConfirmationRecord(key.address, tx.tx_hash, h))
+        ancestors = self.ancestors[parent]
+        for send_hash, at in sorted(sent_in.items()):
+            rcpt = self.recipient[send_hash]
+            if confirmed.get(rcpt.address) or not draw_bool():
+                continue
+            claim = self.claims.get(send_hash)
+            if claim is None:
+                if self.height[parent] - self.height[at] + 1 < self.maturity:
+                    continue
+                send = next(tx for txs in self.history.values()
+                            for tx in txs if tx.tx_hash == send_hash)
+                claim = make_receive(rcpt, NULL_HASH, 1, send.current_address,
+                                     send_hash, at, send.amount)
+                self.claims[send_hash] = claim
+                self.history[rcpt.address] = [claim]
+            at = claim.main_block_hash
+            if at not in ancestors or \
+                    self.height[parent] - self.height[at] + 1 < self.maturity:
+                continue
+            confirmed[rcpt.address] = 1
+            records.append(ConfirmationRecord(rcpt.address, claim.tx_hash, 1))
+        block = mine(parent, height, records, self.clock)
+        bh = block.block_hash
+        for rec in records:
+            for tx in self.history[rec.address][:rec.tip_height]:
+                if tx.tx_hash in self.recipient:
+                    sent_in.setdefault(tx.tx_hash, bh)
+        self.height[bh] = height
+        self.parent[bh] = parent
+        self.blocks[bh] = block
+        self.order.append(bh)
+        self.ancestors[bh] = ancestors | {bh}
+        self.confirmed[bh] = confirmed
+        self.sent_in[bh] = sent_in
+        if height > self.height[self.best]:
+            self.best = bh
+        return bh
+
+    def txs_of(self, block):
+        """The subchain txs a block's records cover, oldest first."""
+        return [tx for rec in block.confirmations
+                for tx in self.history[rec.address][:rec.tip_height]]
+
+
+def full_node(tree, params):
+    return Node(b"\x00" * 8, ShardAssignment(""), tree.genesis, params,
+                fetch=tree.fragment)
+
+
+def assert_matches_fresh(node, tree, params):
+    view = node.view
+    assert view.canonical == view.branch(view.tip)
+    assert view.confirmations == view.confirmations_at(view.tip)
+    fresh = full_node(tree, params)
+    for bh in view.canonical[1:]:
+        fresh.ingest_block(view.blocks[bh])
+    assert fresh.view.tip == view.tip
+    for name in ("confirmed", "txs", "send_index", "inflows"):
+        assert getattr(node.store, name) == getattr(fresh.store, name), name
+    # every surviving pending tail still applies on the canonical state
+    ctx = node.claim_context()
+    for address, tail in node.store.pending.items():
+        subchain.replay(tail, ctx, initial=node.confirmed_state(address),
+                        verify=None)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_reorg_matches_fresh_canonical_node(data):
+    maturity = data.draw(st.integers(min_value=1, max_value=2))
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=maturity)
+    tree = ForkTree(maturity)
+    draw_bool = lambda: data.draw(st.booleans())
+    # a trunk, then forks that each leave the best tip ``depth`` blocks
+    # back and run ``depth + extra`` blocks: a tie when extra is 0
+    forks = data.draw(st.lists(st.tuples(st.integers(1, 8),
+                                         st.integers(0, 2)),
+                               min_size=1, max_size=3))
+    base = tree.best
+    for _ in range(max(d for d, _ in forks) + data.draw(st.integers(0, 2))):
+        base = tree.add_block(base, draw_bool)
+    for depth, extra in forks:
+        base = tree.best
+        for _ in range(depth):
+            base = tree.parent[base]
+        for _ in range(depth + extra):
+            base = tree.add_block(base, draw_bool)
+
+    node = full_node(tree, params)
+    rng = data.draw(st.randoms(use_true_random=False))
+    arrived = {tree.genesis.block_hash}
+    waiting = list(tree.order)
+    while waiting:
+        ready = [bh for bh in waiting if tree.parent[bh] in arrived]
+        bh = ready[rng.randrange(len(ready))]
+        waiting.remove(bh)
+        block = tree.blocks[bh]
+        # the block's txs, and every claim the tree holds, so that pending
+        # claims meet reorgs that orphan the block they name
+        for tx in tree.txs_of(block) + list(tree.claims.values()):
+            try:
+                node.accept_pending_tx(tx)
+            except ShardChainError:
+                pass
+        node.ingest_block(block)
+        arrived.add(bh)
+        assert_matches_fresh(node, tree, params)
+
+
+# -- cost ---------------------------------------------------------------
+
+def chain_node(length):
+    """A full node whose canonical chain confirms one send per block."""
+    key = SENDERS[0]
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=2)
+    node = Node(b"\x00" * 8, ShardAssignment(""),
+                make_genesis({key.address: 10 * length}), params)
+    tip = (NULL_HASH, 0)
+    for i in range(length):
+        tx = make_send(key, parent=tip[0], height=tip[1] + 1,
+                       recipient=b"\x07" * 20, timestamp=i)
+        node.accept_pending_tx(tx)
+        node.ingest_block(mine(node.view.tip, i + 1, [ConfirmationRecord(
+            key.address, tx.tx_hash, tx.height)], i))
+        tip = (tx.tx_hash, tx.height)
+    return node, tip
+
+
+class Calls:
+    def __init__(self, monkeypatch):
+        self.counts = {}
+        for owner, name in [(subchain, "apply_tx"),
+                            (subchain, "verify_fragment"),
+                            (ChainView, "branch")]:
+            monkeypatch.setattr(owner, name,
+                                self._counted(name, getattr(owner, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.counts[name] = self.counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def take(self):
+        counts, self.counts = self.counts, {}
+        return counts
+
+
+def reorg_costs(length, monkeypatch):
+    node, (parent_hash, height) = chain_node(length)
+    calls = Calls(monkeypatch)
+    key = SENDERS[0]
+    tx = make_send(key, parent=parent_hash, height=height + 1,
+                   recipient=b"\x07" * 20, timestamp=length)
+    node.accept_pending_tx(tx)
+    accept = calls.take()
+    tip = mine(node.view.tip, length + 1, [ConfirmationRecord(
+        key.address, tx.tx_hash, tx.height)], length)
+    node.ingest_block(tip)
+    fast = calls.take()
+    # depth 1: a sibling of the tip confirming the same record, then a
+    # child that makes the sibling's branch heavier
+    rival = mine(tip.header.parent_block_hash, length + 1,
+                 tip.confirmations, length + 100)
+    node.ingest_block(rival)
+    node.ingest_block(mine(rival.block_hash, length + 2, [], length + 101))
+    reorg = calls.take()
+    monkeypatch.undo()
+    assert node.view.canonical[-2] == rival.block_hash
+    assert node.confirmed_state(key.address).tip_hash == tx.tx_hash
+    return accept, fast, reorg
+
+
+def test_reorg_cost_flat_in_chain_length(monkeypatch):
+    short = reorg_costs(20, monkeypatch)
+    long = reorg_costs(200, monkeypatch)
+    assert short == long
+    accept, fast, reorg = long
+    assert "branch" not in accept and "branch" not in fast \
+        and "branch" not in reorg
+    assert reorg == {"apply_tx": 1, "verify_fragment": 1}
+
+
+# -- half node ------------------------------------------------------------
+
+def test_half_node_follows_branch_with_claim_of_foreign_send():
+    """A half node switches to a rival branch that confirms a hosted
+    claim of a send by an account it does not host, and accepts the
+    block after it."""
+    rcpt = derived_key(b"half-node:rcpt")
+    prefix = address_bits(rcpt.address, 1)
+    sender = next(k for k in (derived_key(b"half-node:sender:%d" % i)
+                              for i in range(64))
+                  if address_bits(k.address, 1) != prefix)
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=1)
+    half = Node(b"\x01" * 8, ShardAssignment(prefix),
+                make_genesis({sender.address: 100}), params)
+    send = make_send(sender, amount=30, recipient=rcpt.address)
+    half.remote_send_lookup = \
+        lambda a, h: send if (a, h) == (send.current_address,
+                                        send.tx_hash) else None
+    g = half.genesis.block_hash
+    a1 = mine(g, 1, [ConfirmationRecord(sender.address, send.tx_hash, 1)], 1)
+    half.ingest_block(a1)
+    claim = make_receive(rcpt, NULL_HASH, 1, sender.address, send.tx_hash,
+                         a1.block_hash, 30)
+    half.accept_pending_tx(claim)
+    claim_record = ConfirmationRecord(rcpt.address, claim.tx_hash, 1)
+    half.ingest_block(mine(a1.block_hash, 2, [claim_record], 2))
+    b2 = mine(a1.block_hash, 2, [claim_record], 20)
+    half.ingest_block(b2)
+    b3 = mine(b2.block_hash, 3, [], 21)
+    half.ingest_block(b3)
+    assert half.view.tip == b3.block_hash
+    assert half.confirmed_state(rcpt.address).balance == 30
+    spend = make_send(rcpt, parent=claim.tx_hash, height=2, amount=5)
+    half.accept_pending_tx(spend)
+    b4 = mine(b3.block_hash, 4, [ConfirmationRecord(
+        rcpt.address, spend.tx_hash, 2)], 22)
+    half.ingest_block(b4)
+    assert half.view.tip == b4.block_hash
+    state = half.confirmed_state(rcpt.address)
+    assert (state.tip_height, state.balance) == (2, 25)
