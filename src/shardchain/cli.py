@@ -35,7 +35,6 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--latency", default="1:5",
                    help="per-link latency range MIN:MAX in ms")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--maturity", type=int, default=6)
     p.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
                    default=mainchain.EASY_BITS)
@@ -60,7 +59,7 @@ def _sim_config(args) -> SimConfig:
         latency_min_ms=float(lat_min), latency_max_ms=float(lat_max or
                                                             lat_min),
         difficulty_bits=args.difficulty_bits, maturity=args.maturity,
-        workers=args.workers, initial_balance=args.initial_balance,
+        initial_balance=args.initial_balance,
         claim_inflows=not args.no_claims)
 
 
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=lambda s: int(s, 0),
                    default=mainchain.EASY_BITS)
     p.add_argument("--block-size", type=int, default=1 << 20)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--blocks", type=int, default=1,
                    help="number of blocks to mine (0 = forever)")
     p.set_defaults(func=cmd_miner)

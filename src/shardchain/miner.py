@@ -1,26 +1,20 @@
-"""The miner role: pool pending subchain tails, assemble confirmation
-records, run PoW and publish blocks.
+"""The miner role: assemble confirmation records from the attached
+node's pending tails, run PoW and publish blocks.
 
 One confirmation record covers an address's whole pending tail, so block
 space scales with the number of active accounts, never with per-account
-transaction counts.
+transaction counts. The node's pending tails therefore are the miner's
+pool; a miner attached to a partial node sees only its hosted tails.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from . import codec, mainchain, subchain
-from .errors import (
-    Aborted,
-    BadLink,
-    ConfirmedFrozen,
-    DuplicateHashConflict,
-    InvalidSignature,
-    TailConflict,
-)
+from . import codec, mainchain
+from .errors import Aborted
 from .mainchain import (
     BlockHeader,
     ConfirmationRecord,
@@ -29,8 +23,6 @@ from .mainchain import (
     confirmations_root,
 )
 from .node import Node
-
-DEFAULT_POOL_CAPACITY = 100_000
 
 
 @dataclass(frozen=True)
@@ -46,41 +38,12 @@ class BlockTemplate:
             + mainchain.RECORD_LEN * len(self.records)
 
 
-class TxPool:
-    """Per-address pending tails, oldest-first eviction order."""
-
-    def __init__(self, capacity_addresses: int = DEFAULT_POOL_CAPACITY):
-        self.capacity_addresses = capacity_addresses
-        self.tails: Dict[bytes, List[codec.SubchainTx]] = {}
-        self.arrival: Dict[bytes, int] = {}
-        self._seq = 0
-
-    def __len__(self):
-        return len(self.tails)
-
-    def touch(self, address: bytes) -> None:
-        if address not in self.arrival:
-            self._seq += 1
-            self.arrival[address] = self._seq
-
-    def evict_oldest(self) -> Optional[bytes]:
-        if not self.tails:
-            return None
-        oldest = min(self.tails, key=lambda a: self.arrival[a])
-        del self.tails[oldest]
-        del self.arrival[oldest]
-        return oldest
-
-
 class Miner:
     """Builds blocks on top of the chain view of its attached node."""
 
-    def __init__(self, address: bytes, node: Node,
-                 pool_capacity: int = DEFAULT_POOL_CAPACITY):
+    def __init__(self, address: bytes, node: Node):
         self.address = address
         self.node = node
-        self.pool = TxPool(pool_capacity)
-        self.seen: Dict[bytes, bytes] = {}
 
     @property
     def view(self):
@@ -88,108 +51,29 @@ class Miner:
 
     # -- pool ----------------------------------------------------------
 
-    def _tail_state(self, address: bytes,
-                    tail: Sequence[codec.SubchainTx]):
-        state = self.node.confirmed_state(address)
-        if tail:
-            state = subchain.replay(tail, self.node.claim_context(),
-                                    initial=state, verify=None)
-        return state
-
     def pool_insert(self, tx: codec.SubchainTx) -> bool:
-        """Full miner-side verification, then append to the address tail."""
-        wire = codec.encode_tx(tx)
-        stored = self.seen.get(tx.tx_hash)
-        if stored is not None:
-            if stored == wire:
-                return True
-            raise DuplicateHashConflict(
-                "different transaction with the same hash")
-        if not codec.verify_tx(tx):
-            raise InvalidSignature("transaction failed verification")
-        address = tx.current_address
-        tail = self.pool.tails.get(address, [])
-        state = self._tail_state(address, tail)
-        if tx.height == state.tip_height + 1:
-            subchain.apply_tx(state, tx, self.node.claim_context())
-        elif tx.height <= state.tip_height:
-            if tx.height - 1 < state.confirmed_height:
-                raise ConfirmedFrozen("fork below the confirmed height")
-            raise TailConflict("replacement tail does not win")
-        else:
-            raise BadLink("gap above the current tip", height=tx.height)
-        if address not in self.pool.tails \
-                and len(self.pool.tails) >= self.pool.capacity_addresses:
-            self.pool.evict_oldest()
-        self.pool.tails.setdefault(address, []).append(tx)
-        self.pool.touch(address)
-        self.seen[tx.tx_hash] = wire
-        return True
-
-    def replace_tail(self, fork_height: int,
-                     new_tail: subchain.SubchainFragment) -> None:
-        """Owner fork of a pooled tail; accepted only when the new tip is
-        strictly higher."""
-        address = new_tail.address
-        old = self.pool.tails.get(address, [])
-        state = self._tail_state(address, old)
-        if new_tail.to_height <= state.tip_height:
-            raise TailConflict("replacement tail does not win")
-        confirmed = self.node.confirmed_state(address)
-        if fork_height < confirmed.confirmed_height:
-            raise ConfirmedFrozen("fork below the confirmed height")
-        prefix = [t for t in old if t.height <= fork_height]
-        prefix_state = self._tail_state(address, prefix)
-        if prefix_state.tip_height != fork_height:
-            raise TailConflict("fork point not present in the pool")
-        subchain.verify_fragment(prefix_state, new_tail,
-                                 self.node.claim_context())
-        self.pool.tails[address] = prefix + list(new_tail.txs)
-        self.pool.touch(address)
-        for tx in new_tail.txs:
-            self.seen[tx.tx_hash] = codec.encode_tx(tx)
+        """Pool a transaction at the attached node."""
+        return self.node.accept_pending_tx(tx)
 
     def refresh_pool(self) -> None:
-        """Drop confirmed prefixes and revalidate every remaining tail
-        against the (possibly reorged) canonical state."""
-        ctx = self.node.claim_context()
-        for address in list(self.pool.tails):
-            confirmed = self.node.confirmed_state(address)
-            tail = [t for t in self.pool.tails[address]
-                    if t.height > confirmed.tip_height]
-            kept = []
-            state = confirmed
-            for tx in tail:
-                if tx.height != state.tip_height + 1 \
-                        or tx.parent_hash != state.tip_hash:
-                    break
-                try:
-                    state = subchain.apply_tx(state, tx, ctx)
-                except Exception:
-                    break
-                kept.append(tx)
-            if kept:
-                self.pool.tails[address] = kept
-            else:
-                del self.pool.tails[address]
-                self.pool.arrival.pop(address, None)
+        """Nothing left to do: the node trims its tails as blocks connect."""
 
     # -- block building ------------------------------------------------
 
     def build_template(self, limit_bytes: Optional[int] = None
                        ) -> BlockTemplate:
-        """Select up to capacity addresses, longest tail first (ties by
-        arrival); one record per address at its tail tip."""
+        """Select up to capacity addresses, longest tail first (ties in
+        the pool's insertion order); one record per address at its tail
+        tip."""
         params = self.node.params
         limit = limit_bytes if limit_bytes is not None \
             else params.block_limit
         cap = capacity(limit)
-        order = sorted(self.pool.tails,
-                       key=lambda a: (-len(self.pool.tails[a]),
-                                      self.pool.arrival[a]))
+        pending = self.node.store.pending
+        order = sorted(pending, key=lambda a: -len(pending[a]))  # stable
         records = []
         for address in order[:cap]:
-            tail = self.pool.tails[address]
+            tail = pending[address]
             records.append(ConfirmationRecord(
                 address=address, tip_hash=tail[-1].tx_hash,
                 tip_height=tail[-1].height))

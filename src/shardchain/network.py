@@ -39,7 +39,6 @@ ENVELOPE_HEADER = _ENVELOPE.size      # 37
 class Envelope:
     kind: MsgKind
     payload: bytes
-    hop_count: int = 0
 
     @property
     def msg_id(self) -> bytes:
@@ -189,7 +188,6 @@ class SimTransport:
         self.alive: Dict[NodeId, bool] = {}
         self.now = 0.0
         self._seq = 0
-        self.log: List[Tuple[float, bytes, bytes, bytes]] = []
 
     def register(self, node: NodeId,
                  handler: Callable[[NodeId, Envelope], None]) -> None:
@@ -222,7 +220,6 @@ class SimTransport:
             self.now = max(self.now, at)
             if not self.is_alive(dest):
                 continue
-            self.log.append((at, sender, dest, env.msg_id))
             handler = self.handlers.get(dest)
             if handler is not None:
                 handler(sender, env)
@@ -270,18 +267,18 @@ class FloodRouter:
         if env.msg_id in self.seen.setdefault(node, set()):
             return
         self.seen[node].add(env.msg_id)
-        self.hops.setdefault(env.msg_id, {})[node] = env.hop_count + 1
+        hops = self.hops[env.msg_id]
+        hops[node] = hops[sender] + 1
         if self.on_deliver is not None:
             self.on_deliver(node, env)
         self._forward(node, sender, env)
 
     def _forward(self, node: NodeId, came_from: Optional[NodeId],
                  env: Envelope) -> None:
-        fwd = Envelope(env.kind, env.payload, hop_count=self.hops[env.msg_id][node])
         for link in self.topology.links(node):
             if link == came_from:
                 continue
-            self.transport.send(node, link, fwd)
+            self.transport.send(node, link, env)
 
 
 def broadcast(origin: NodeId, env: Envelope, topology: TreeTopology,

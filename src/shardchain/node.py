@@ -9,7 +9,7 @@ asymmetry is the whole storage/compute saving of sharding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import codec, mainchain, subchain
@@ -62,6 +62,8 @@ class NodeStore:
     def __init__(self):
         self.confirmed: Dict[bytes, SubchainState] = {}
         self.pending: Dict[bytes, List[SubchainTx]] = {}
+        # the state each pending tail reaches from the confirmed state
+        self.tail_states: Dict[bytes, SubchainState] = {}
         self.txs: Dict[Tuple[bytes, int], SubchainTx] = {}
         self.send_index: Dict[Tuple[bytes, bytes], SendTx] = {}
         self.seen: Dict[bytes, bytes] = {}      # tx_hash -> wire bytes
@@ -108,12 +110,8 @@ class Node:
 
     def full_state(self, address: bytes) -> SubchainState:
         """Confirmed state extended by the pending tail."""
-        state = self.confirmed_state(address)
-        tail = self.store.pending.get(address)
-        if tail:
-            state = subchain.replay(tail, self.claim_context(),
-                                    initial=state, verify=None)
-        return state
+        state = self.store.tail_states.get(address)
+        return self.confirmed_state(address) if state is None else state
 
     def claim_context(self, branch_tip: Optional[bytes] = None
                       ) -> ViewClaimContext:
@@ -160,7 +158,8 @@ class Node:
         if self.hosts(address):
             state = self.full_state(address)
             if tx.height == state.tip_height + 1:
-                subchain.apply_tx(state, tx, self.claim_context())
+                self.store.tail_states[address] = subchain.apply_tx(
+                    state, tx, self.claim_context())
                 self.store.pending.setdefault(address, []).append(tx)
             elif tx.height <= state.tip_height:
                 # single-transaction fork: new tip would not be higher
@@ -188,6 +187,7 @@ class Node:
         kept = [t for t in self.store.pending.get(address, [])
                 if t.height <= fork_height]
         self.store.pending[address] = kept + list(new_tail.txs)
+        self.store.tail_states[address] = new_state
         for tx in new_tail.txs:
             self.store.seen[tx.tx_hash] = codec.encode_tx(tx)
         assert new_state.tip_height == confirmed.tip_height \
@@ -347,8 +347,7 @@ class Node:
         touched.update(address for address, tail in self.store.pending.items()
                        if any(isinstance(tx, ReceiveTx)
                               and tx.main_block_hash in gone for tx in tail))
-        tails = {address: self.store.pending.pop(address, [])
-                 for address in touched}
+        tails = {address: self._pop_tail(address) for address in touched}
         for address in orphaned:
             entry = self.view.confirmations.get(address)
             if entry is None:
@@ -361,6 +360,7 @@ class Node:
         ctx = self.claim_context()
         for address in sorted(touched):
             state = self.confirmed_state(address)
+            tail = []
             for tx in orphaned.get(address, []) + tails[address]:
                 if tx.height != state.tip_height + 1 \
                         or tx.parent_hash != state.tip_hash:
@@ -369,7 +369,10 @@ class Node:
                     state = subchain.apply_tx(state, tx, ctx)
                 except ShardChainError:
                     break
-                self.store.pending.setdefault(address, []).append(tx)
+                tail.append(tx)
+            if tail:
+                self.store.pending[address] = tail
+                self.store.tail_states[address] = state
 
     def _put_inflow(self, undo: List[tuple], address: bytes, key: bytes,
                     flow: Optional[Inflow]) -> None:
@@ -415,9 +418,17 @@ class Node:
                      or kept[0].height != confirmed.tip_height + 1):
             kept = []   # tail no longer links: drop it
         if kept:
+            # the hash chain fixes every state field but confirmed_height
             self.store.pending[address] = kept
+            self.store.tail_states[address] = replace(
+                self.store.tail_states[address],
+                confirmed_height=confirmed.confirmed_height)
         else:
-            self.store.pending.pop(address, None)
+            self._pop_tail(address)
+
+    def _pop_tail(self, address: bytes) -> List[SubchainTx]:
+        self.store.tail_states.pop(address, None)
+        return self.store.pending.pop(address, [])
 
     # -- serving -------------------------------------------------------
 
@@ -462,7 +473,7 @@ class Node:
             del self.store.txs[key]
             removed += 1
         for addr in [a for a in self.store.pending if not self.hosts(a)]:
-            removed += len(self.store.pending.pop(addr))
+            removed += len(self._pop_tail(addr))
         for addr in [a for a in self.store.confirmed
                      if not self.hosts(a)]:
             del self.store.confirmed[addr]

@@ -39,7 +39,6 @@ class SimConfig:
     latency_max_ms: float = 5.0
     difficulty_bits: int = EASY_BITS
     maturity: int = 6
-    workers: int = 1
     neighbor_count: int = 2
     initial_balance: int = 1_000_000
     send_amount: int = 1
@@ -49,7 +48,7 @@ class SimConfig:
     def validate(self) -> None:
         positive = ["accounts", "avg_txs", "block_limit", "block_interval",
                     "blocks", "node_count", "initial_balance",
-                    "send_amount", "workers"]
+                    "send_amount"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigInvalid("%s must be positive" % name)
@@ -187,7 +186,6 @@ class Simulation:
         eligible = self._eligible()
         senders = self.rng.sample(eligible,
                                   min(cfg.width, len(eligible)))
-        txs = []
         for address in senders:
             view = wallet.account_view(self.root, address)
             if not cfg.claim_inflows:
@@ -197,15 +195,12 @@ class Simulation:
             batch = wallet.batch_settle(view, sends,
                                         self.key_of[address],
                                         timestamp=self.now)
-            txs.extend(batch)
             self.active.add(address)
             frag = subchain.SubchainFragment(
                 address=address, from_height=batch[0].height - 1,
                 txs=tuple(batch))
             self.broadcast(MsgKind.NewTx, subchain.encode_fragment(frag))
         self.transport.run()
-        for tx in txs:
-            self.miner.pool_insert(tx)
 
         block = mainchain.seal(
             self.miner.assemble(self.miner.build_template(), self.now))

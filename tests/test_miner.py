@@ -4,7 +4,6 @@ import os
 import pytest
 
 from shardchain import codec, mainchain, subchain
-from shardchain.codec import NULL_HASH
 from shardchain.errors import (
     BadLink,
     DuplicateHashConflict,
@@ -23,7 +22,6 @@ from shardchain.miner import Miner, verify_batch
 from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.sim import derived_key
-from shardchain.subchain import SubchainFragment
 
 from conftest import build_chain, make_send
 
@@ -40,11 +38,11 @@ def fresh_miner(alloc, params=PARAMS):
 class TestPool:
     def test_insert_and_duplicate(self, keys):
         key = keys[0]
-        miner, _ = fresh_miner({key.address: 100})
+        miner, node = fresh_miner({key.address: 100})
         tx = make_send(key, amount=5)
         assert miner.pool_insert(tx)
         assert miner.pool_insert(tx)
-        assert miner.pool.tails[key.address] == [tx]
+        assert node.store.pending[key.address] == [tx]
 
     def test_bad_signature(self, keys):
         key = keys[0]
@@ -73,49 +71,6 @@ class TestPool:
         with pytest.raises(BadLink):
             miner.pool_insert(make_send(key, parent=b"\x01" * 32,
                                         height=9, amount=1))
-
-    def test_eviction_oldest_address(self, keys):
-        a, b, c = keys[0], keys[1], keys[2]
-        miner, _ = fresh_miner({k.address: 100 for k in (a, b, c)})
-        miner.pool.capacity_addresses = 2
-        miner.pool_insert(make_send(a, amount=1))
-        miner.pool_insert(make_send(b, amount=1))
-        miner.pool_insert(make_send(c, amount=1))
-        assert a.address not in miner.pool.tails
-        assert set(miner.pool.tails) == {b.address, c.address}
-
-    def test_replace_tail_higher_wins(self, keys):
-        key = keys[0]
-        miner, _ = fresh_miner({key.address: 1000})
-        chain = build_chain(key, 3, start_balance=1000)
-        for tx in chain:
-            miner.pool_insert(tx)
-        new = make_tail(key, chain, fork=1, length=3)
-        miner.replace_tail(1, new)
-        assert [t.height for t in miner.pool.tails[key.address]] == \
-            [1, 2, 3, 4]
-
-    def test_replace_tail_shorter_rejected(self, keys):
-        key = keys[0]
-        miner, _ = fresh_miner({key.address: 1000})
-        chain = build_chain(key, 3, start_balance=1000)
-        for tx in chain:
-            miner.pool_insert(tx)
-        new = make_tail(key, chain, fork=1, length=1)
-        with pytest.raises(TailConflict):
-            miner.replace_tail(1, new)
-
-
-def make_tail(key, chain, fork, length):
-    parent = chain[fork - 1].tx_hash if fork else NULL_HASH
-    txs = []
-    for i in range(length):
-        tx = make_send(key, parent=parent, height=fork + i + 1,
-                       recipient=b"\x31" * 20, amount=1, timestamp=500 + i)
-        txs.append(tx)
-        parent = tx.tx_hash
-    return SubchainFragment(address=key.address, from_height=fork,
-                            txs=tuple(txs))
 
 
 class TestTemplate:
@@ -156,6 +111,14 @@ class TestTemplate:
         assert len(template.records) == 1
         assert template.records[0].address == b.address
 
+    def test_tie_goes_to_first_pooled(self, keys):
+        miner, _ = fresh_miner({k.address: 100 for k in keys})
+        for k in reversed(keys):
+            miner.pool_insert(make_send(k, amount=1))
+        limit = BLOCK_OVERHEAD + RECORD_LEN
+        template = miner.build_template(limit_bytes=limit)
+        assert [r.address for r in template.records] == [keys[-1].address]
+
     def test_records_sorted(self, keys):
         miner, _ = fresh_miner({k.address: 100 for k in keys})
         for k in keys:
@@ -178,7 +141,7 @@ class TestMining:
         assert node.view.tip == block.block_hash
         assert node.confirmed_state(key.address).confirmed_height == 3
         miner.refresh_pool()
-        assert key.address not in miner.pool.tails
+        assert key.address not in node.store.pending
 
     def test_mine_loop_heartbeats(self, keys):
         miner, node = fresh_miner({})

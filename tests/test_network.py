@@ -124,10 +124,20 @@ class TestBroadcast:
         def trace():
             topo, ids = full_tree(15)
             transport = SimTransport(seed=42)
+            router = FloodRouter(topo, transport)
+            router.attach_all()
+            log = []
+            for dest, handler in list(transport.handlers.items()):
+                def logged(sender, env, dest=dest, handler=handler):
+                    log.append((transport.now, sender, dest, env.msg_id))
+                    handler(sender, env)
+                transport.register(dest, logged)
             broadcast(ids[0], Envelope(MsgKind.NewBlock, b"t"), topo,
-                      transport)
-            return transport.log
-        assert trace() == trace()
+                      transport, router)
+            return log
+        first = trace()
+        assert len(first) > 14      # every node, plus duplicate receipts
+        assert first == trace()
 
     def test_dead_origin_silent(self):
         topo, ids = full_tree(3)

@@ -2,6 +2,9 @@
 must hold what a fresh node that saw only the canonical chain holds, at
 a cost that does not grow with the chain's length."""
 
+import os
+import sys
+
 from hypothesis import given, settings, strategies as st
 
 from shardchain import subchain
@@ -20,7 +23,7 @@ from shardchain.mainchain import (
 )
 from shardchain.node import Node
 from shardchain.sharding import ShardAssignment, address_bits
-from shardchain.sim import derived_key
+from shardchain.sim import SimConfig, Simulation, derived_key
 from shardchain.subchain import SubchainFragment
 
 from conftest import make_receive, make_send
@@ -147,11 +150,13 @@ def assert_matches_fresh(node, tree, params):
     assert fresh.view.tip == view.tip
     for name in ("confirmed", "txs", "send_index", "inflows"):
         assert getattr(node.store, name) == getattr(fresh.store, name), name
-    # every surviving pending tail still applies on the canonical state
+    # every surviving pending tail still applies on the canonical state,
+    # and reaches the state the node keeps for it
     ctx = node.claim_context()
+    assert set(node.store.tail_states) == set(node.store.pending)
     for address, tail in node.store.pending.items():
-        subchain.replay(tail, ctx, initial=node.confirmed_state(address),
-                        verify=None)
+        assert node.store.tail_states[address] == subchain.replay(
+            tail, ctx, initial=node.confirmed_state(address), verify=None)
 
 
 @settings(max_examples=60)
@@ -219,8 +224,12 @@ def chain_node(length):
 
 
 class Calls:
+    """Counts calls per function name, and per (name, module of the first
+    caller outside subchain.py) in ``sites``."""
+
     def __init__(self, monkeypatch):
         self.counts = {}
+        self.sites = {}
         for owner, name in [(subchain, "apply_tx"),
                             (subchain, "verify_fragment"),
                             (ChainView, "branch")]:
@@ -230,12 +239,51 @@ class Calls:
     def _counted(self, name, fn):
         def counted(*args, **kwargs):
             self.counts[name] = self.counts.get(name, 0) + 1
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == subchain.__file__:
+                frame = frame.f_back
+            site = (name, os.path.basename(frame.f_code.co_filename))
+            self.sites[site] = self.sites.get(site, 0) + 1
             return fn(*args, **kwargs)
         return counted
 
     def take(self):
-        counts, self.counts = self.counts, {}
+        counts, self.counts, self.sites = self.counts, {}, {}
         return counts
+
+
+def test_accept_applies_each_tx_once(monkeypatch):
+    """A k-tx chain accepted at a full node costs k apply_tx calls (the
+    pending tail's state is kept, not replayed per tx)."""
+    key = SENDERS[0]
+    node = Node(b"\x00" * 8, ShardAssignment(""),
+                make_genesis({key.address: BALANCE}),
+                ChainParams(difficulty_bits=EASY_BITS, block_limit=4096))
+    calls = Calls(monkeypatch)
+    tip = (NULL_HASH, 0)
+    for i in range(8):
+        tx = make_send(key, parent=tip[0], height=tip[1] + 1, timestamp=i)
+        node.accept_pending_tx(tx)
+        node.full_state(key.address)
+        tip = (tx.tx_hash, tx.height)
+    assert calls.take() == {"apply_tx": 8}
+
+
+def test_sim_interval_applies_nothing_in_miner(monkeypatch):
+    """The miner builds from the node's tails: one sim interval runs the
+    STF only in the nodes (each tx once per hosting node, on accept and
+    on validation), never in miner.py."""
+    sim = Simulation(SimConfig(seed=7, accounts=30, width=6, avg_txs=2,
+                               block_limit=2048, blocks=3, node_count=3,
+                               maturity=1, initial_balance=1000))
+    sim.run_interval()
+    calls = Calls(monkeypatch)
+    row = sim.run_interval()
+    hosting = 2     # the full node and one half node host each address
+    assert row["txs_covered"] > 0
+    assert ("apply_tx", "miner.py") not in calls.sites
+    assert calls.sites[("apply_tx", "node.py")] == \
+        hosting * row["txs_covered"]
 
 
 def reorg_costs(length, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -24,7 +25,7 @@ def small_cfg(**overrides):
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("accounts", 0), ("blocks", 0), ("block_interval", 0),
-        ("node_count", 0), ("workers", 0), ("send_amount", 0),
+        ("node_count", 0), ("send_amount", 0),
     ])
     def test_positive_fields(self, field, value):
         with pytest.raises(ConfigInvalid):
@@ -97,6 +98,25 @@ class TestRuns:
         report = run_sim(small_cfg(claim_inflows=True, maturity=2,
                                    blocks=8, initial_balance=4))
         assert report["conservation"]["ok"]
+
+    @pytest.mark.parametrize("cfg,digest", [
+        # the criterion-9 config
+        (SimConfig(seed=91, accounts=50, width=8, avg_txs=2,
+                   block_limit=2048, block_interval=15, blocks=6,
+                   node_count=3, maturity=3, initial_balance=1000),
+         "bb5e6799d2a847ddc0194903491636429ba80de4f858d34ed3ed4135231af790"),
+        # width 20 over capacity 10, claims on: tail lengths and ties
+        # decide which addresses each block confirms
+        (SimConfig(seed=5, accounts=40, width=20, avg_txs=2,
+                   block_limit=716, block_interval=15, blocks=8,
+                   node_count=3, maturity=2, initial_balance=1000),
+         "68c8111f7b90f5859683cb4044411aac5f1cba64fa58f7fd80f341c434595882"),
+    ])
+    def test_reports_pinned(self, cfg, digest):
+        """Reports are byte-identical across builds, not only across runs:
+        a change that alters one must say why and re-pin it."""
+        report = json.dumps(run_sim(cfg), sort_keys=True).encode()
+        assert hashlib.sha256(report).hexdigest() == digest
 
     def test_errors_surface(self):
         sim = Simulation(small_cfg(blocks=2))
