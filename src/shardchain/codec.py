@@ -214,37 +214,40 @@ def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
                    signature=_compact_signature(der))
 
 
-# Verification results memoized on exact bytes: a transaction is immutable
-# once signed, so every node/miner re-check of the same bytes is free.
-_verify_cache: dict[bytes, bool] = {}
+# Verification results memoized on the transaction itself: it is frozen
+# and hashable, and equals another exactly when every field does, so every
+# node/miner re-check of the same transaction is free without re-encoding
+# it. A transaction with an unhashable field is checked, never cached.
+_verify_cache: dict[SubchainTx, bool] = {}
 _VERIFY_CACHE_MAX = 1 << 18
 
 
 def verify_tx(tx: SubchainTx) -> bool:
     """Local check only: hash matches preimage, signature matches address."""
     try:
-        wire = encode_tx(tx)
-    except (struct.error, TypeError):
-        return False
-    cached = _verify_cache.get(wire)
-    if cached is not None:
-        return cached
-    ok = _verify_uncached(tx)
-    if len(_verify_cache) < _VERIFY_CACHE_MAX:
-        _verify_cache[wire] = ok
-    return ok
+        cached = _verify_cache.get(tx)
+    except TypeError:
+        return _verify_uncached(tx)
+    if cached is None:
+        cached = _verify_uncached(tx)
+        if len(_verify_cache) < _VERIFY_CACHE_MAX:
+            _verify_cache[tx] = cached
+    return cached
 
 
 def _verify_uncached(tx: SubchainTx) -> bool:
-    pre = tx_preimage(tx)
-    if tx.tx_hash != sha256(pre):
-        return False
-    if address_from_public(tx.public_key) != tx.current_address:
-        return False
-    if len(tx.signature) != SIG_LEN:
-        return False
-    r = int.from_bytes(tx.signature[:32], "big")
-    s = int.from_bytes(tx.signature[32:], "big")
+    try:
+        pre = tx_preimage(tx)
+        if tx.tx_hash != sha256(pre):
+            return False
+        if address_from_public(tx.public_key) != tx.current_address:
+            return False
+        if len(tx.signature) != SIG_LEN:
+            return False
+        r = int.from_bytes(tx.signature[:32], "big")
+        s = int.from_bytes(tx.signature[32:], "big")
+    except (struct.error, TypeError, ValueError):
+        return False        # a field of the wrong type or size
     if not (0 < r < CURVE_ORDER and 0 < s <= CURVE_ORDER // 2):
         return False
     try:

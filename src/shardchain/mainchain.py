@@ -8,9 +8,11 @@ first-seen tie-break.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from collections import ChainMap
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import codec, subchain
@@ -407,10 +409,12 @@ class ViewClaimContext(subchain.ClaimContext):
         block = self.view.blocks.get(main_block_hash)
         if block is None:
             return None
-        rec = next((r for r in block.confirmations
-                    if r.address == sender_address), None)
-        if rec is None:
+        # validate_block admits only strictly increasing addresses
+        records = block.confirmations
+        i = bisect_left(records, sender_address, key=attrgetter("address"))
+        if i == len(records) or records[i].address != sender_address:
             return None
+        rec = records[i]
         send = self.send_source(sender_address, sender_tx_hash)
         if send is None or not isinstance(send, codec.SendTx):
             return None
@@ -456,9 +460,10 @@ def validate_block(block: MainBlock, view: ChainView,
         raise BadPoW("unexpected difficulty bits")
     if block.header.height != view.height[parent] + 1:
         raise BadPoW("wrong block height")
-    if len(block.encode()) > view.params.block_limit:
-        raise Oversize("block exceeds %d bytes" % view.params.block_limit)
     records = block.confirmations
+    # the length of block.encode(), without encoding the block
+    if BLOCK_OVERHEAD + RECORD_LEN * len(records) > view.params.block_limit:
+        raise Oversize("block exceeds %d bytes" % view.params.block_limit)
     addresses = [r.address for r in records]
     if any(a >= b for a, b in zip(addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")

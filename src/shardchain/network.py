@@ -39,10 +39,13 @@ ENVELOPE_HEADER = _ENVELOPE.size      # 37
 class Envelope:
     kind: MsgKind
     payload: bytes
+    # digest of kind and payload, computed once: the flood router reads
+    # it on every receipt
+    msg_id: bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def msg_id(self) -> bytes:
-        return sha256(bytes([self.kind]) + self.payload)
+    def __post_init__(self):
+        object.__setattr__(self, "msg_id",
+                           sha256(bytes([self.kind]) + self.payload))
 
     def encode(self) -> bytes:
         # 4-byte length, 1-byte kind, 32-byte msg_id, payload

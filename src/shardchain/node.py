@@ -9,7 +9,7 @@ asymmetry is the whole storage/compute saving of sharding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import codec, mainchain, subchain
@@ -221,10 +221,13 @@ class Node:
             raise mainchain.UnknownParent("parent block unknown")
         ctx = self.claim_context(parent)
         index = self.view.branch_confirmations(parent)
+        tips = {rec.address: rec.tip_hash for rec in block.confirmations}
         deltas = mainchain.validate_block(
             block, self.view,
             lambda address: self._state_after(index.get(address), address),
-            self._shard_oracle, ctx, stf_filter=self.hosts)
+            lambda address, lo, hi: self._shard_oracle(address, lo, hi,
+                                                       tips[address]),
+            ctx, stf_filter=self.hosts)
         for address, (_, new_state, txs) in deltas.items():
             key = (bh, address)
             self.store.frag_archive[key] = tuple(txs)
@@ -246,11 +249,15 @@ class Node:
             return self.base_state(address)
         return self.store.post_states[(entry[0], address)]
 
-    def _shard_oracle(self, address: bytes, lo: int, hi: int
-                      ) -> SubchainFragment:
-        """Fragment (lo, hi] from the local pending tail, else remote."""
+    def _shard_oracle(self, address: bytes, lo: int, hi: int,
+                      tip_hash: bytes) -> SubchainFragment:
+        """Fragment (lo, hi] ending at ``tip_hash``: the local one (the
+        canonical txs, then the pending tail) when it ends there or no
+        remote source exists, else remote; a side block may confirm
+        another version of the chain than the local one."""
         local = self._local_fragment(address, lo, hi)
-        if local is not None:
+        if local is not None and (local.txs[-1].tx_hash == tip_hash
+                                  or self.fetch is None):
             return local
         if self.fetch is None:
             raise PartialFetch("no local data and no fetch source for "
@@ -261,14 +268,16 @@ class Node:
         return frag
 
     def _local_fragment(self, address, lo, hi):
+        tail = self.store.pending.get(address, ())
+        # a tail is contiguous, so height h sits at h - tail[0].height
+        first = tail[0].height if tail else 0
         txs = []
         for h in range(lo + 1, hi + 1):
             tx = self.store.txs.get((address, h))
             if tx is None:
-                tx = next((t for t in self.store.pending.get(address, [])
-                           if t.height == h), None)
-            if tx is None:
-                return None
+                if not 0 <= h - first < len(tail):
+                    return None
+                tx = tail[h - first]
             txs.append(tx)
         return SubchainFragment(address=address, from_height=lo,
                                 txs=tuple(txs))
@@ -288,7 +297,8 @@ class Node:
             self.store.confirmed[address] = new_state
             for tx in self.store.frag_archive[key]:
                 self.store.txs[(address, tx.height)] = tx
-                self.store.seen.setdefault(tx.tx_hash, codec.encode_tx(tx))
+                if tx.tx_hash not in self.store.seen:
+                    self.store.seen[tx.tx_hash] = codec.encode_tx(tx)
                 if isinstance(tx, SendTx):
                     self.store.send_index[(address, tx.tx_hash)] = tx
                 self._index_tx(tx, block_hash, height, undo)
@@ -420,9 +430,11 @@ class Node:
         if kept:
             # the hash chain fixes every state field but confirmed_height
             self.store.pending[address] = kept
-            self.store.tail_states[address] = replace(
-                self.store.tail_states[address],
-                confirmed_height=confirmed.confirmed_height)
+            s = self.store.tail_states[address]
+            self.store.tail_states[address] = SubchainState(
+                s.address, s.tip_hash, s.tip_height, s.balance,
+                s.claimed_sends, s.claimed_coinbases,
+                confirmed.confirmed_height)
         else:
             self._pop_tail(address)
 

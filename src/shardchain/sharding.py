@@ -7,7 +7,7 @@ match it (depth 0 = full node, hosting everything).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .codec import ADDR_LEN
 from .errors import DecodeError, MaxDepth
@@ -23,6 +23,15 @@ def address_bits(address: bytes, count: int) -> str:
 @dataclass(frozen=True)
 class ShardAssignment:
     prefix_bits: str = ""   # '0'/'1' string, MSB-first
+    # the prefix as an integer, and the shift that brings an address's
+    # leading bits down to it: hosts() is one shift and one compare
+    prefix: int = field(init=False, repr=False, compare=False)
+    shift: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", int(self.prefix_bits or "0", 2))
+        object.__setattr__(self, "shift",
+                           MAX_PREFIX_BITS - len(self.prefix_bits))
 
     @property
     def depth(self) -> int:
@@ -53,7 +62,9 @@ def decode_assignment(data: bytes) -> ShardAssignment:
 
 
 def hosts(assignment: ShardAssignment, address: bytes) -> bool:
-    return address_bits(address, assignment.depth) == assignment.prefix_bits
+    """Whether the address's leading bits are the assignment's prefix."""
+    return int.from_bytes(address, "big") >> assignment.shift \
+        == assignment.prefix
 
 
 def split(assignment: ShardAssignment):

@@ -52,25 +52,22 @@ def account_view(node, address: bytes, maturity: int = None) -> AccountView:
                        claimables=claimables, maturity=maturity)
 
 
-def _advance(view: AccountView, tx) -> None:
-    ctx = subchain.StaticClaimContext()
-    if isinstance(tx, SendTx):
-        view.state = subchain.apply_tx(view.state, tx, ctx)
-    else:
-        # claims were validated against the view's claimable list; apply
-        # the balance/tip effect directly
-        from dataclasses import replace
-        claimed_s = view.state.claimed_sends
-        claimed_c = view.state.claimed_coinbases
-        if tx.is_coinbase:
-            claimed_c = claimed_c | {tx.main_block_hash}
-        else:
-            claimed_s = claimed_s | {tx.sender_tx_hash}
-        view.state = replace(view.state, tip_hash=tx.tx_hash,
-                             tip_height=tx.height,
-                             balance=view.state.balance + tx.amount,
-                             claimed_sends=claimed_s,
-                             claimed_coinbases=claimed_c)
+def _advance(view: AccountView, tx, inflow: Inflow | None = None) -> None:
+    """Apply ``tx`` to the view's state through the STF; a claim is
+    answered from ``inflow``, the mature claimable it names, as the send
+    or coinbase that inflow records."""
+    sends, coinbases = {}, {}
+    if inflow is not None and inflow.coinbase:
+        coinbases[inflow.block_hash] = (view.address, inflow.amount)
+    elif inflow is not None:
+        sends[(inflow.sender_address, inflow.sender_tx_hash,
+               inflow.block_hash)] = SendTx(
+            parent_hash=NULL_HASH, height=0,
+            current_address=inflow.sender_address,
+            recipient_address=view.address, amount=inflow.amount,
+            timestamp=0, tx_hash=inflow.sender_tx_hash)
+    view.state = subchain.apply_tx(
+        view.state, tx, subchain.StaticClaimContext(sends, coinbases))
 
 
 def build_send(view: AccountView, recipient: bytes, amount: int,
@@ -114,7 +111,7 @@ def build_claim(view: AccountView, inflow: Inflow, key: KeyPair,
                    main_block_hash=inflow.block_hash,
                    amount=inflow.amount, timestamp=timestamp)
     tx = codec.sign_tx(tx, key)
-    _advance(view, tx)
+    _advance(view, tx, inflow)
     return tx
 
 

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -78,3 +80,34 @@ def build_chain(key, length, start_balance, ctx=None, rng=None):
         txs.append(tx)
         parent, height, balance = tx.tx_hash, tx.height, balance - amount
     return txs
+
+
+class Calls:
+    """Counts calls per function name, and per (name, module of the first
+    caller outside subchain.py) in ``sites``. Counts ``apply_tx``,
+    ``verify_fragment`` and ``ChainView.branch`` unless given other
+    ``(owner, name)`` targets."""
+
+    def __init__(self, monkeypatch, targets=None):
+        self.counts = {}
+        self.sites = {}
+        for owner, name in targets or [(subchain, "apply_tx"),
+                                       (subchain, "verify_fragment"),
+                                       (mainchain.ChainView, "branch")]:
+            monkeypatch.setattr(owner, name,
+                                self._counted(name, getattr(owner, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.counts[name] = self.counts.get(name, 0) + 1
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == subchain.__file__:
+                frame = frame.f_back
+            site = (name, os.path.basename(frame.f_code.co_filename))
+            self.sites[site] = self.sites.get(site, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def take(self):
+        counts, self.counts, self.sites = self.counts, {}, {}
+        return counts

@@ -166,3 +166,64 @@ class TestSignatures:
         tx = make_coinbase_claim(keys[4], NULL_HASH, 1, b"\xaa" * 32, 50)
         assert tx.is_coinbase
         assert codec.verify_tx(tx)
+
+
+class TestVerifyCache:
+    """The verify cache is keyed by the transaction itself: an equal
+    transaction is a hit, any changed field a fresh check."""
+
+    def counted(self, monkeypatch):
+        checked = []
+        uncached = codec._verify_uncached
+
+        def counted(tx):
+            checked.append(tx)
+            return uncached(tx)
+        monkeypatch.setattr(codec, "_verify_uncached", counted)
+        return checked
+
+    def test_field_copy_hits(self, keys, monkeypatch):
+        tx = make_send(keys[5], amount=3, timestamp=11)
+        assert codec.verify_tx(tx)
+        copy = SendTx(**{f.name: bytes(bytearray(v))
+                         if isinstance(v, bytes) else v
+                         for f in dataclasses.fields(tx)
+                         for v in [getattr(tx, f.name)]})
+        assert copy is not tx and copy.signature is not tx.signature
+        checked = self.counted(monkeypatch)
+        assert codec.verify_tx(copy)
+        assert checked == []
+
+    @pytest.mark.parametrize("name", ["signature", "amount", "public_key"])
+    def test_changed_field_is_checked(self, keys, monkeypatch, name):
+        tx = make_send(keys[5], amount=3, timestamp=12)
+        assert codec.verify_tx(tx)
+        value = {"signature": tx.signature[:-1]
+                 + bytes([tx.signature[-1] ^ 1]),
+                 "amount": 4, "public_key": keys[6].public}[name]
+        changed = dataclasses.replace(tx, **{name: value})
+        checked = self.counted(monkeypatch)
+        assert codec.verify_tx(changed) is False
+        assert checked == [changed]
+
+    @pytest.mark.parametrize("flip", [0, 1])
+    def test_unhashable_tx_gets_uncached_verdict(self, keys, monkeypatch,
+                                                 flip):
+        tx = make_send(keys[7], amount=5)
+        sig = bytearray(tx.signature)
+        sig[-1] ^= flip
+        odd = dataclasses.replace(tx, signature=sig)
+        with pytest.raises(TypeError):
+            hash(odd)
+        size = len(codec._verify_cache)
+        checked = self.counted(monkeypatch)
+        assert codec.verify_tx(odd) is codec.verify_tx(odd) is (flip == 0)
+        assert len(checked) == 2 and len(codec._verify_cache) == size
+
+    @pytest.mark.parametrize("name, value", [
+        ("public_key", b"\x02" * 32), ("public_key", "k" * 33),
+        ("signature", 7), ("height", -1)],
+        ids=["short-key", "str-key", "int-signature", "negative-height"])
+    def test_malformed_field_is_false(self, keys, name, value):
+        tx = dataclasses.replace(make_send(keys[8]), **{name: value})
+        assert codec.verify_tx(tx) is False

@@ -30,7 +30,7 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment, initial_state, replay
 
-from conftest import build_chain, make_receive, make_send
+from conftest import Calls, build_chain, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      block_interval=15, maturity=2)
@@ -248,6 +248,31 @@ class TestIngest:
         node.ingest_block(block)
         inflow = node.store.inflows[MINER][block.block_hash]
         assert inflow.coinbase and inflow.amount == PARAMS.subsidy
+
+
+    def test_ingest_of_accepted_txs_encodes_and_verifies_nothing(
+            self, keys, monkeypatch):
+        """A block whose txs the node already accepted is ingested without
+        encoding a tx or running a signature check: the verify cache is
+        keyed by the tx itself, and store.seen already holds each wire."""
+        sender, rcpt = keys[0], keys[1]
+        node = make_node(make_genesis({sender.address: 100,
+                                       rcpt.address: 100}))
+        records = []
+        for key in (sender, rcpt):
+            chain = build_chain(key, 3, start_balance=100)
+            for tx in chain:
+                node.accept_pending_tx(tx)
+            records.append(ConfirmationRecord(key.address,
+                                              chain[-1].tx_hash, 3))
+        block = confirm_block(node, sorted(records,
+                                           key=lambda r: r.address))
+        calls = Calls(monkeypatch, [(codec, "encode_tx"),
+                                    (codec, "_verify_uncached")])
+        deltas = node.ingest_block(block)
+        assert calls.take() == {}
+        assert sorted(len(d[2]) for d in deltas.values()) == [3, 3]
+        assert node.view.tip == block.block_hash
 
 
 class TestEndToEndTransfer:

@@ -2,9 +2,6 @@
 must hold what a fresh node that saw only the canonical chain holds, at
 a cost that does not grow with the chain's length."""
 
-import os
-import sys
-
 from hypothesis import given, settings, strategies as st
 
 from shardchain import subchain
@@ -14,7 +11,6 @@ from shardchain.mainchain import (
     EASY_BITS,
     BlockHeader,
     ChainParams,
-    ChainView,
     ConfirmationRecord,
     MainBlock,
     confirmations_root,
@@ -26,7 +22,7 @@ from shardchain.sharding import ShardAssignment, address_bits
 from shardchain.sim import SimConfig, Simulation, derived_key
 from shardchain.subchain import SubchainFragment
 
-from conftest import make_receive, make_send
+from conftest import Calls, make_receive, make_send
 
 MINER = b"\x4d" * 20
 SENDERS = [derived_key(b"reorg-oracle:sender:%d" % i) for i in range(2)]
@@ -223,35 +219,6 @@ def chain_node(length):
     return node, tip
 
 
-class Calls:
-    """Counts calls per function name, and per (name, module of the first
-    caller outside subchain.py) in ``sites``."""
-
-    def __init__(self, monkeypatch):
-        self.counts = {}
-        self.sites = {}
-        for owner, name in [(subchain, "apply_tx"),
-                            (subchain, "verify_fragment"),
-                            (ChainView, "branch")]:
-            monkeypatch.setattr(owner, name,
-                                self._counted(name, getattr(owner, name)))
-
-    def _counted(self, name, fn):
-        def counted(*args, **kwargs):
-            self.counts[name] = self.counts.get(name, 0) + 1
-            frame = sys._getframe(1)
-            while frame.f_code.co_filename == subchain.__file__:
-                frame = frame.f_back
-            site = (name, os.path.basename(frame.f_code.co_filename))
-            self.sites[site] = self.sites.get(site, 0) + 1
-            return fn(*args, **kwargs)
-        return counted
-
-    def take(self):
-        counts, self.counts, self.sites = self.counts, {}, {}
-        return counts
-
-
 def test_accept_applies_each_tx_once(monkeypatch):
     """A k-tx chain accepted at a full node costs k apply_tx calls (the
     pending tail's state is kept, not replayed per tx)."""
@@ -362,3 +329,37 @@ def test_half_node_follows_branch_with_claim_of_foreign_send():
     assert half.view.tip == b4.block_hash
     state = half.confirmed_state(rcpt.address)
     assert (state.tip_height, state.balance) == (2, 25)
+
+
+def test_side_block_confirming_another_version_is_followed():
+    """A sibling of the tip may confirm another version of a hosted
+    subchain than the canonical block did (send B where the canonical
+    block confirmed send A, both at height 1). The node fetches B instead
+    of checking the record against its own A, and follows the sibling's
+    branch once it wins."""
+    key = SENDERS[0]
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=2)
+    a = make_send(key, recipient=b"\x07" * 20, amount=1)
+    b = make_send(key, recipient=b"\x08" * 20, amount=2)
+    fetched = []
+
+    def fetch(address, lo, hi):
+        fetched.append((address, lo, hi))
+        return SubchainFragment(address=address, from_height=lo, txs=(b,))
+
+    node = Node(b"\x00" * 8, ShardAssignment(""),
+                make_genesis({key.address: BALANCE}), params, fetch=fetch)
+    genesis = node.view.tip
+    node.accept_pending_tx(a)
+    node.ingest_block(mine(genesis, 1, [ConfirmationRecord(
+        key.address, a.tx_hash, 1)], 1))
+    assert fetched == []
+    side = mine(genesis, 1, [ConfirmationRecord(key.address, b.tx_hash, 1)],
+                2)
+    node.ingest_block(side)
+    assert fetched == [(key.address, 0, 1)]
+    node.ingest_block(mine(side.block_hash, 2, [], 3))
+    assert node.view.canonical[1] == side.block_hash
+    assert node.store.txs[(key.address, 1)] == b
+    assert node.confirmed_state(key.address).balance == BALANCE - 2

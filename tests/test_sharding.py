@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shardchain import sharding
 from shardchain.errors import MaxDepth, ParentFull
@@ -47,6 +48,19 @@ class TestAssignment:
                 addr = bytes([top]) + b"\x00" * 19
                 expected = format(top, "08b")[:2] == bits
                 assert hosts(a, addr) == expected
+
+    @given(address=st.binary(min_size=20, max_size=20),
+           other=st.binary(min_size=20, max_size=20))
+    def test_hosts_is_the_bit_string_compare(self, address, other):
+        """At every depth, hosts() answers as comparing the address's
+        leading bits with the prefix: for the address's own prefix, the
+        same prefix with its last bit flipped, and another's prefix."""
+        for depth in range(MAX_PREFIX_BITS + 1):
+            own = address_bits(address, depth)
+            flipped = own[:-1] + "10"[int(own[-1])] if depth else own
+            for bits in (own, flipped, address_bits(other, depth)):
+                assert hosts(ShardAssignment(bits), address) == \
+                    (address_bits(address, depth) == bits)
 
     def test_split_partitions(self):
         rng = random.Random(5)
