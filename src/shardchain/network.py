@@ -3,7 +3,9 @@
 The transport is an abstraction; the in-process deterministic simulation
 is the primary implementation. Every node forwards a first-seen message
 to its parent, children and nearby-neighbor links, so a single dead node
-never partitions the broadcast.
+never partitions the broadcast. A message scoped to one address goes
+only over links to nodes that host it, so it reaches just that address's
+hosting path (the neighbor links lead around a dead node on it).
 """
 
 from __future__ import annotations
@@ -237,14 +239,23 @@ class DeliveryReport:
 class FloodRouter:
     """Per-node first-receipt forwarding over parent/children/neighbor
     links. Duplicate msg_ids are dropped; ``on_deliver`` fires once per
-    node per message."""
+    node per message.
+
+    ``scope`` reads from a message the address it concerns, or None. A
+    message with an address is forwarded only to links whose assignment
+    hosts it, so from a hosting origin it reaches the alive nodes on that
+    address's ``sharding.nodes_path`` and no other node; any other
+    message floods every node."""
 
     def __init__(self, topology: TreeTopology, transport: SimTransport,
                  on_deliver: Optional[Callable[[NodeId, Envelope],
-                                               None]] = None):
+                                               None]] = None,
+                 scope: Optional[Callable[[Envelope],
+                                          Optional[bytes]]] = None):
         self.topology = topology
         self.transport = transport
         self.on_deliver = on_deliver
+        self.scope = scope
         self.seen: Dict[NodeId, Set[bytes]] = {}
         self.hops: Dict[bytes, Dict[NodeId, int]] = {}
 
@@ -278,8 +289,12 @@ class FloodRouter:
 
     def _forward(self, node: NodeId, came_from: Optional[NodeId],
                  env: Envelope) -> None:
+        address = self.scope(env) if self.scope is not None else None
         for link in self.topology.links(node):
             if link == came_from:
+                continue
+            if address is not None and not sharding.hosts(
+                    self.topology.assignment(link), address):
                 continue
             self.transport.send(node, link, env)
 

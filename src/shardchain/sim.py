@@ -48,10 +48,12 @@ class SimConfig:
     def validate(self) -> None:
         positive = ["accounts", "avg_txs", "block_limit", "block_interval",
                     "blocks", "node_count", "initial_balance",
-                    "send_amount"]
+                    "send_amount", "maturity"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigInvalid("%s must be positive" % name)
+        if self.neighbor_count < 0:
+            raise ConfigInvalid("neighbor_count must not be negative")
         if self.width < 0 or self.width > self.accounts:
             raise ConfigInvalid("width must be in [0, accounts]")
         if capacity(self.block_limit) < 1:
@@ -116,7 +118,8 @@ class Simulation:
             self.nodes[nid] = n
         self.root = self.nodes[root_id]
         self.router = FloodRouter(self.topology, self.transport,
-                                  on_deliver=self._deliver)
+                                  on_deliver=self._deliver,
+                                  scope=self._scope)
         self.router.attach_all()
         self.miner = miner_mod.Miner(self.miner_key.address, self.root)
         self.active: set = set()
@@ -145,11 +148,19 @@ class Simulation:
             return None
         return lookup
 
+    @staticmethod
+    def _scope(env: Envelope) -> Optional[bytes]:
+        # an account batch goes only to the nodes that host its account;
+        # a block goes to every node
+        if env.kind == MsgKind.NewTx:
+            return subchain.fragment_address(env.payload)
+        return None
+
     def _deliver(self, nid, env: Envelope):
         n = self.nodes[nid]
         if env.kind == MsgKind.NewTx:
             # one envelope per account batch: fragment framing keeps the
-            # intra-subchain order across redundant flood paths
+            # batch's order whichever link brings it to a node first
             try:
                 for tx in subchain.decode_fragment(env.payload).txs:
                     n.accept_pending_tx(tx)
@@ -162,6 +173,7 @@ class Simulation:
                 self.errors.append("block@%s: %r" % (nid.hex(), err))
 
     def broadcast(self, kind: MsgKind, payload: bytes) -> None:
+        # from the root, which hosts every address a batch can be scoped to
         self.router.originate(self.root.node_id, Envelope(kind, payload))
 
     # -- workload ------------------------------------------------------

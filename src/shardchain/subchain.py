@@ -239,6 +239,14 @@ def encode_fragment(frag: SubchainFragment) -> bytes:
     return b"".join(parts)
 
 
+def fragment_address(data: bytes) -> bytes:
+    """The address of an encoded fragment, read from its header alone."""
+    if len(data) < _FRAG_HEADER.size:
+        raise codec.DecodeError("fragment shorter than its %d-byte header"
+                                % _FRAG_HEADER.size)
+    return data[:codec.ADDR_LEN]
+
+
 def decode_fragment(data: bytes) -> SubchainFragment:
     if len(data) < _FRAG_HEADER.size:
         raise codec.DecodeError("fragment shorter than its %d-byte header"

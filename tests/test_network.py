@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from shardchain.network import (
     decode_envelope,
     request_fragment,
 )
+from shardchain.sharding import nodes_path
 
 
 def full_tree(nodes, neighbor_count=2):
@@ -26,6 +28,16 @@ def full_tree(nodes, neighbor_count=2):
         nid, _ = topo.join(parent)
         ids.append(nid)
     return topo, ids
+
+
+def tx_address(env):
+    """Scope of the test messages: a NewTx payload starts with the
+    address it is for; other kinds have none."""
+    return env.payload[:20] if env.kind == MsgKind.NewTx else None
+
+
+# one address per 5-bit prefix: every path of a 31-node tree, each twice
+SPREAD = [bytes([i << 3]) + b"\x5a" * 19 for i in range(32)]
 
 
 class TestEnvelope:
@@ -104,6 +116,20 @@ class TestBroadcast:
         router.originate(ids[0], env)
         transport.run()
         assert sorted(delivered) == sorted(ids)   # exactly once per node
+        # scoped: once per host of the 01 prefix (ids 0, 1 and 4) and
+        # nowhere else, while a message the scope gives no address floods
+        delivered = Counter()
+        router = FloodRouter(
+            topo, transport, scope=tx_address,
+            on_deliver=lambda n, e: delivered.update([(e.kind, n)]))
+        router.attach_all()
+        payload = b"\x40" * 20 + b"once"
+        router.originate(ids[0], Envelope(MsgKind.NewTx, payload))
+        router.originate(ids[0], Envelope(MsgKind.NewBlock, payload))
+        transport.run()
+        assert delivered == Counter(
+            [(MsgKind.NewTx, n) for n in (ids[0], ids[1], ids[4])]
+            + [(MsgKind.NewBlock, n) for n in ids])
 
     def test_single_failure_everyone_else_reached(self):
         """With neighbor_count=2, killing any single non-origin node never
@@ -147,6 +173,38 @@ class TestBroadcast:
         report = broadcast(ids[0], Envelope(MsgKind.NewTx, b"z"), topo,
                            transport)
         assert report.reached == {}
+        router = FloodRouter(topo, transport, scope=tx_address)
+        router.attach_all()
+        report = broadcast(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
+                           topo, transport, router)
+        assert report.reached == {}
+
+    def test_scoped_reaches_exactly_the_alive_hosts(self):
+        """For every tree size, no or any one dead node, every alive
+        origin on the address's hosting path and a spread of addresses,
+        each alive host gets the message once and no other node gets it:
+        the neighbor links carry it around a dead host."""
+        for size in (7, 15, 31):
+            topo, ids = full_tree(size)
+            for dead in [None] + ids:
+                for address in SPREAD:
+                    hosts = [n for n in nodes_path(topo, address)
+                             if n != dead]
+                    for origin in hosts:
+                        transport = SimTransport(seed=5)
+                        for n in ids:
+                            transport.alive[n] = n != dead
+                        delivered = Counter()
+                        router = FloodRouter(
+                            topo, transport, scope=tx_address,
+                            on_deliver=lambda n, e: delivered.update([n]))
+                        router.attach_all()
+                        router.originate(origin, Envelope(
+                            MsgKind.NewTx, address + origin))
+                        transport.run()
+                        assert delivered == Counter(hosts), \
+                            "size %d, dead %r, origin %r, address %s" \
+                            % (size, dead, origin, address.hex())
 
 
 class TestRequestFragment:

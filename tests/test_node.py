@@ -404,6 +404,24 @@ class TestStorage:
         assert report.main_chain_bytes == \
             len(node.genesis.encode()) + len(block.encode())
 
+    def test_report_encodes_no_tx(self, keys, monkeypatch):
+        """Stored and pending txs of both kinds are counted at their wire
+        widths without encoding one."""
+        sender, rcpt = keys[0], keys[1]
+        node = make_node(make_genesis({sender.address: 100}))
+        send = make_send(sender, amount=30, recipient=rcpt.address)
+        block, _ = ingest_chain(node, sender, [send])
+        node.ingest_block(confirm_block(node, []))      # maturity 2
+        claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
+                             send.tx_hash, block.block_hash, 30)
+        node.accept_pending_tx(claim)
+        wire = len(codec.encode_tx(send)) + len(codec.encode_tx(claim))
+        calls = Calls(monkeypatch, [(codec, "encode_tx")])
+        report = node.storage_report()
+        assert calls.take() == {}
+        assert report.tx_count == 2 and report.shard_count == 2
+        assert report.subchain_bytes == wire
+
     def test_compact_drops_foreign_shards(self, keys):
         key = keys[0]
         node = make_node(make_genesis({key.address: 1000}))

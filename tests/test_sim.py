@@ -1,8 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from shardchain import network, node
 from shardchain.errors import ConfigInvalid, InvariantViolation
 from shardchain.mainchain import capacity
 from shardchain.sim import (
@@ -25,7 +27,8 @@ def small_cfg(**overrides):
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("accounts", 0), ("blocks", 0), ("block_interval", 0),
-        ("node_count", 0), ("send_amount", 0),
+        ("node_count", 0), ("send_amount", 0), ("maturity", 0),
+        ("maturity", -3), ("neighbor_count", -1),
     ])
     def test_positive_fields(self, field, value):
         with pytest.raises(ConfigInvalid):
@@ -111,12 +114,52 @@ class TestRuns:
                    block_limit=716, block_interval=15, blocks=8,
                    node_count=3, maturity=2, initial_balance=1000),
          "68c8111f7b90f5859683cb4044411aac5f1cba64fa58f7fd80f341c434595882"),
+        # the depth-2 tree, claims on: batches reach only their hosts
+        (SimConfig(seed=7, accounts=40, width=10, avg_txs=2,
+                   block_limit=2048, block_interval=15, blocks=8,
+                   node_count=7, maturity=2, initial_balance=1000),
+         "c6e39f786116a4341be6fc9dbab0eb32e1e5845c20634f580d8c020b972bfae3"),
     ])
     def test_reports_pinned(self, cfg, digest):
         """Reports are byte-identical across builds, not only across runs:
         a change that alters one must say why and re-pin it."""
         report = json.dumps(run_sim(cfg), sort_keys=True).encode()
         assert hashlib.sha256(report).hexdigest() == digest
+
+    def test_batches_reach_only_their_hosts(self, monkeypatch):
+        """On the depth-2 tree a node is handed only the txs of accounts
+        it hosts, and an account batch costs a few link messages, not a
+        flood of every link."""
+        sim = Simulation(small_cfg(node_count=7, claim_inflows=True,
+                                   maturity=2, blocks=6))
+        accepted = Counter()
+        links = Counter()
+        batches = Counter()
+        accept = node.Node.accept_pending_tx
+        send = network.SimTransport.send
+        originate = network.FloodRouter.originate
+
+        def noted_accept(self, tx):
+            accepted[self.hosts(tx.current_address)] += 1
+            return accept(self, tx)
+
+        def noted_send(self, sender, dest, env):
+            links[env.kind] += 1
+            return send(self, sender, dest, env)
+
+        def noted_originate(self, origin, env):
+            batches[env.kind] += 1
+            return originate(self, origin, env)
+
+        monkeypatch.setattr(node.Node, "accept_pending_tx", noted_accept)
+        monkeypatch.setattr(network.SimTransport, "send", noted_send)
+        monkeypatch.setattr(network.FloodRouter, "originate",
+                            noted_originate)
+        sim.run()
+        new_tx = network.MsgKind.NewTx
+        assert accepted[True] > 0 and accepted[False] == 0
+        assert batches[new_tx] > 0
+        assert links[new_tx] <= 5 * batches[new_tx]
 
     def test_errors_surface(self):
         sim = Simulation(small_cfg(blocks=2))
