@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
@@ -71,6 +71,9 @@ def address_from_public(public: bytes) -> bytes:
 class KeyPair:
     secret: bytes   # 32-byte scalar, big-endian
     public: bytes   # 33-byte compressed point
+    # the key object keygen derives from ``secret``, kept for signing
+    signing_key: ec.EllipticCurvePrivateKey = field(compare=False,
+                                                    repr=False)
 
     @property
     def address(self) -> bytes:
@@ -92,7 +95,7 @@ def keygen(seed: bytes | None = None) -> KeyPair:
     public = priv.public_key().public_bytes(
         Encoding.X962, PublicFormat.CompressedPoint
     )
-    return KeyPair(secret=seed, public=public)
+    return KeyPair(secret=seed, public=public, signing_key=priv)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,11 +190,6 @@ def decode_tx(data: bytes) -> SubchainTx:
     raise DecodeError("unknown transaction tag 0x%02x" % tag)
 
 
-@lru_cache(maxsize=4096)
-def _private_key(secret: bytes):
-    return ec.derive_private_key(int.from_bytes(secret, "big"), ec.SECP256K1())
-
-
 @lru_cache(maxsize=65536)
 def _public_key(public: bytes):
     return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), public)
@@ -209,7 +207,7 @@ def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
     if key.address != tx.current_address:
         raise KeyMismatch("key does not control the subchain address")
     pre = tx_preimage(tx)
-    der = _private_key(key.secret).sign(pre, ec.ECDSA(hashes.SHA256()))
+    der = key.signing_key.sign(pre, ec.ECDSA(hashes.SHA256()))
     return replace(tx, tx_hash=sha256(pre), public_key=key.public,
                    signature=_compact_signature(der))
 

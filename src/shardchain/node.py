@@ -10,7 +10,7 @@ asymmetry is the whole storage/compute saving of sharding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import codec, mainchain, subchain
 from .codec import ReceiveTx, SendTx, SubchainTx
@@ -66,7 +66,7 @@ class NodeStore:
         self.tail_states: Dict[bytes, SubchainState] = {}
         self.txs: Dict[Tuple[bytes, int], SubchainTx] = {}
         self.send_index: Dict[Tuple[bytes, bytes], SendTx] = {}
-        self.seen: Dict[bytes, bytes] = {}      # tx_hash -> wire bytes
+        self.seen: Dict[bytes, SubchainTx] = {}     # tx_hash -> tx
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
         # every hosted fragment any accepted block confirmed, per (block,
         # address), and the validated state it led to: the confirmed state
@@ -145,10 +145,9 @@ class Node:
         Returns True when accepted (idempotently for exact duplicates);
         raises on rejection.
         """
-        wire = codec.encode_tx(tx)
         stored = self.store.seen.get(tx.tx_hash)
         if stored is not None:
-            if stored == wire:
+            if stored == tx:        # every field, the signature too
                 return True
             raise DuplicateHashConflict(
                 "different transaction with the same hash")
@@ -168,7 +167,7 @@ class Node:
                 raise TailConflict("replacement tail does not win")
             else:
                 raise BadLink("gap above the current tip", height=tx.height)
-        self.store.seen[tx.tx_hash] = wire
+        self.store.seen[tx.tx_hash] = tx
         return True
 
     def replace_pending_tail(self, fork_height: int,
@@ -189,7 +188,7 @@ class Node:
         self.store.pending[address] = kept + list(new_tail.txs)
         self.store.tail_states[address] = new_state
         for tx in new_tail.txs:
-            self.store.seen[tx.tx_hash] = codec.encode_tx(tx)
+            self.store.seen[tx.tx_hash] = tx
         assert new_state.tip_height == confirmed.tip_height \
             + len(self.store.pending[address])
 
@@ -221,13 +220,18 @@ class Node:
             raise mainchain.UnknownParent("parent block unknown")
         ctx = self.claim_context(parent)
         index = self.view.branch_confirmations(parent)
+        pooled = self._pooled_deltas(block, index) \
+            if parent == self.view.tip else {}
         tips = {rec.address: rec.tip_hash for rec in block.confirmations}
-        deltas = mainchain.validate_block(
+        checked = mainchain.validate_block(
             block, self.view,
             lambda address: self._state_after(index.get(address), address),
             lambda address, lo, hi: self._shard_oracle(address, lo, hi,
                                                        tips[address]),
-            ctx, stf_filter=self.hosts)
+            ctx, stf_filter=lambda address: (address not in pooled
+                                             and self.hosts(address)))
+        deltas = {a: pooled[a] if a in pooled else checked[a] for a in tips
+                  if a in pooled or a in checked}
         for address, (_, new_state, txs) in deltas.items():
             key = (bh, address)
             self.store.frag_archive[key] = tuple(txs)
@@ -239,6 +243,30 @@ class Node:
             self._reorg(disconnect, ctx.side + [bh])
         else:
             self._connect(bh)
+        return deltas
+
+    def _pooled_deltas(self, block: MainBlock,
+                       index: Mapping[bytes, tuple]) -> Dict[bytes, tuple]:
+        """Deltas of the records in a block on the tip that confirm a whole
+        pending tail: the tail ends at the record's tip and starts right
+        above the address's confirmed height. The tail's state, kept since
+        the tail was pooled, equals its replay under the tip's claim
+        context, which is this block's, so the record needs no STF run."""
+        deltas = {}
+        for rec in block.confirmations:
+            # only hosted addresses have pending tails
+            tail = self.store.pending.get(rec.address)
+            if not tail or tail[-1].tx_hash != rec.tip_hash \
+                    or tail[-1].height != rec.tip_height:
+                continue
+            entry = index.get(rec.address)
+            if tail[0].height != (entry[2] if entry else 0) + 1:
+                continue
+            deltas[rec.address] = (
+                self._state_after(entry, rec.address),
+                subchain.mark_confirmed(self.store.tail_states[rec.address],
+                                        rec.tip_height),
+                tuple(tail))
         return deltas
 
     def _state_after(self, entry: Optional[tuple],
@@ -297,8 +325,7 @@ class Node:
             self.store.confirmed[address] = new_state
             for tx in self.store.frag_archive[key]:
                 self.store.txs[(address, tx.height)] = tx
-                if tx.tx_hash not in self.store.seen:
-                    self.store.seen[tx.tx_hash] = codec.encode_tx(tx)
+                self.store.seen.setdefault(tx.tx_hash, tx)
                 if isinstance(tx, SendTx):
                     self.store.send_index[(address, tx.tx_hash)] = tx
                 self._index_tx(tx, block_hash, height, undo)
@@ -459,8 +486,11 @@ class Node:
         return frag
 
     def storage_report(self) -> StorageReport:
+        # a block's encoding is its overhead plus fixed-width records
         main_bytes = len(self.genesis.encode()) + sum(
-            len(b.encode()) for b in self.view.blocks.values())
+            mainchain.BLOCK_OVERHEAD
+            + mainchain.RECORD_LEN * len(b.confirmations)
+            for b in self.view.blocks.values())
         # every stored tx passed verify_tx, so its fields have the sizes
         # the fixed wire widths assume
         wire_len = {SendTx: codec.SEND_WIRE_LEN,

@@ -53,6 +53,23 @@ class TestKeygen:
         key = codec.keygen(b"\x02" * 32)
         assert key.address == hashlib.sha256(key.public).digest()[-20:]
 
+    def test_signing_derives_no_key(self, monkeypatch):
+        """A KeyPair carries the key object keygen derived: signing
+        derives none, and the object takes no part in equality or repr."""
+        key = codec.keygen(b"\x03" * 32)
+        again = codec.keygen(b"\x03" * 32)
+        assert key == again and key.signing_key is not again.signing_key
+        assert "signing_key" not in repr(key)
+        derived = []
+        derive = codec.ec.derive_private_key
+        monkeypatch.setattr(codec.ec, "derive_private_key",
+                            lambda *a: derived.append(a) or derive(*a))
+        tx = SendTx(parent_hash=NULL_HASH, height=1,
+                    current_address=key.address,
+                    recipient_address=b"\x07" * 20, amount=1, timestamp=0)
+        assert codec.verify_tx(codec.sign_tx(tx, key))
+        assert derived == []
+
 
 class TestEncoding:
     def test_zero_send_layout(self):

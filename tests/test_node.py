@@ -88,7 +88,7 @@ class TestPendingAcceptance:
     def test_duplicate_hash_forgery(self, keys):
         """Two different transactions claiming the same hash: the second
         one is rejected outright. The forged hash is planted via the
-        stored-wire index, since finding a real collision is infeasible."""
+        stored-tx index, since finding a real collision is infeasible."""
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=1)
@@ -97,6 +97,30 @@ class TestPendingAcceptance:
                                      tx_hash=tx.tx_hash)
         with pytest.raises(DuplicateHashConflict):
             node.accept_pending_tx(forged)
+
+    def test_resigned_duplicate_conflicts(self, keys):
+        """Re-signing a tx keeps its hash (the preimage leaves out the
+        signature) but not its signature: store.seen compares every
+        field, so the second copy is a conflict, not a duplicate."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        tx = make_send(key, amount=1)
+        again = make_send(key, amount=1)
+        assert again.tx_hash == tx.tx_hash and again != tx
+        node.accept_pending_tx(tx)
+        with pytest.raises(DuplicateHashConflict):
+            node.accept_pending_tx(again)
+
+    @pytest.mark.parametrize("name, value", [("height", -1),
+                                             ("amount", "5")])
+    def test_wrong_typed_field_is_invalid_signature(self, keys, name,
+                                                   value):
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        tx = dataclasses.replace(make_send(key, amount=5), **{name: value})
+        with pytest.raises(InvalidSignature):
+            node.accept_pending_tx(tx)
+        assert tx.tx_hash not in node.store.seen
 
     def test_non_hosted_tx_only_pooled_in_seen(self, keys):
         key = keys[0]
@@ -252,9 +276,11 @@ class TestIngest:
 
     def test_ingest_of_accepted_txs_encodes_and_verifies_nothing(
             self, keys, monkeypatch):
-        """A block whose txs the node already accepted is ingested without
-        encoding a tx or running a signature check: the verify cache is
-        keyed by the tx itself, and store.seen already holds each wire."""
+        """A block on the tip that confirms two whole pending tails takes
+        each tail's post-state from the pool: it is ingested without an
+        STF step, a fragment check, a signature check or an encoded tx,
+        and its deltas equal a check of each fragment from the prior
+        state."""
         sender, rcpt = keys[0], keys[1]
         node = make_node(make_genesis({sender.address: 100,
                                        rcpt.address: 100}))
@@ -267,12 +293,92 @@ class TestIngest:
                                               chain[-1].tx_hash, 3))
         block = confirm_block(node, sorted(records,
                                            key=lambda r: r.address))
+        ctx = node.claim_context()
         calls = Calls(monkeypatch, [(codec, "encode_tx"),
-                                    (codec, "_verify_uncached")])
+                                    (codec, "_verify_uncached"),
+                                    (subchain, "apply_tx"),
+                                    (subchain, "verify_fragment")])
         deltas = node.ingest_block(block)
         assert calls.take() == {}
+        monkeypatch.undo()
         assert sorted(len(d[2]) for d in deltas.values()) == [3, 3]
         assert node.view.tip == block.block_hash
+        assert list(deltas) == [r.address for r in block.confirmations]
+        for address, (old, new, txs) in deltas.items():
+            assert old == initial_state(address, 100)
+            checked = subchain.verify_fragment(old, SubchainFragment(
+                address=address, from_height=0, txs=txs), ctx)
+            assert new == subchain.mark_confirmed(checked, 3)
+            assert new.confirmed_height == 3
+
+
+class TestIngestFallback:
+    """Records that do not confirm a whole pending tail in a block on the
+    tip are checked by replay against the fragment they name."""
+
+    def test_prefix_of_tail_replays(self, keys, monkeypatch):
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 1000}))
+        chain = build_chain(key, 4, start_balance=1000)
+        for tx in chain:
+            node.accept_pending_tx(tx)
+        calls = Calls(monkeypatch)
+        deltas = node.ingest_block(confirm_block(node, [
+            ConfirmationRecord(key.address, chain[1].tx_hash, 2)]))
+        counts = calls.take()
+        assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 2)
+        assert deltas[key.address][2] == tuple(chain[:2])
+        assert node.store.pending[key.address] == chain[2:]
+
+    def test_side_block_confirming_tail_replays(self, keys, monkeypatch):
+        """A sibling of the tip confirms the whole pending tail: its claim
+        context is not the tip's, so the tail is replayed, and stays
+        pending on the canonical chain."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 1000}))
+        genesis = node.view.tip
+        node.ingest_block(confirm_block(node, []))
+        chain = build_chain(key, 2, start_balance=1000)
+        for tx in chain:
+            node.accept_pending_tx(tx)
+        side = confirm_block(node, [ConfirmationRecord(
+            key.address, chain[-1].tx_hash, 2)], parent=genesis, timestamp=99)
+        calls = Calls(monkeypatch)
+        deltas = node.ingest_block(side)
+        counts = calls.take()
+        assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 2)
+        assert node.view.tip != side.block_hash
+        assert deltas[key.address][1] == node.store.post_states[
+            (side.block_hash, key.address)]
+        assert node.store.pending[key.address] == chain
+        assert node.confirmed_state(key.address).tip_height == 0
+
+    def test_other_version_at_tail_tip_is_fetched(self, keys):
+        """A block on the tip confirms send B at the height of the pending
+        tail's last tx, send A (an owner rewrite this node never saw):
+        the record matches the tail's height but not its hash, so B is
+        fetched and checked, and the tail that no longer links is
+        dropped."""
+        key = keys[0]
+        a = make_send(key, recipient=b"\x07" * 20, amount=1)
+        b = make_send(key, recipient=b"\x08" * 20, amount=2)
+        fetched = []
+
+        def fetch(address, lo, hi):
+            fetched.append((address, lo, hi))
+            return SubchainFragment(address=address, from_height=lo,
+                                    txs=(b,))
+
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({key.address: 1000}), PARAMS, fetch=fetch)
+        node.accept_pending_tx(a)
+        deltas = node.ingest_block(confirm_block(node, [
+            ConfirmationRecord(key.address, b.tx_hash, 1)]))
+        assert fetched == [(key.address, 0, 1)]
+        assert deltas[key.address][2] == (b,)
+        state = node.confirmed_state(key.address)
+        assert (state.tip_hash, state.balance) == (b.tx_hash, 998)
+        assert key.address not in node.store.pending
 
 
 class TestEndToEndTransfer:
@@ -406,7 +512,8 @@ class TestStorage:
 
     def test_report_encodes_no_tx(self, keys, monkeypatch):
         """Stored and pending txs of both kinds are counted at their wire
-        widths without encoding one."""
+        widths without encoding one, and blocks from their record counts
+        without encoding one."""
         sender, rcpt = keys[0], keys[1]
         node = make_node(make_genesis({sender.address: 100}))
         send = make_send(sender, amount=30, recipient=rcpt.address)
@@ -416,11 +523,15 @@ class TestStorage:
                              send.tx_hash, block.block_hash, 30)
         node.accept_pending_tx(claim)
         wire = len(codec.encode_tx(send)) + len(codec.encode_tx(claim))
-        calls = Calls(monkeypatch, [(codec, "encode_tx")])
+        main = len(node.genesis.encode()) + sum(
+            len(b.encode()) for b in node.view.blocks.values())
+        calls = Calls(monkeypatch, [(codec, "encode_tx"),
+                                    (MainBlock, "encode")])
         report = node.storage_report()
         assert calls.take() == {}
         assert report.tx_count == 2 and report.shard_count == 2
         assert report.subchain_bytes == wire
+        assert report.main_chain_bytes == main
 
     def test_compact_drops_foreign_shards(self, keys):
         key = keys[0]

@@ -146,6 +146,13 @@ def assert_matches_fresh(node, tree, params):
     assert fresh.view.tip == view.tip
     for name in ("confirmed", "txs", "send_index", "inflows"):
         assert getattr(node.store, name) == getattr(fresh.store, name), name
+    # the fresh node has no pending tails, so it replays every record: the
+    # node's states taken from its pool must equal those replays
+    for bh in view.canonical[1:]:
+        for rec in view.blocks[bh].confirmations:
+            key = (bh, rec.address)
+            assert node.store.post_states[key] == \
+                fresh.store.post_states[key], key
     # every surviving pending tail still applies on the canonical state,
     # and reaches the state the node keeps for it
     ctx = node.claim_context()
