@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -155,9 +156,11 @@ def cmd_miner(args) -> int:
 
 def cmd_compact(args) -> int:
     node = live.load_node(args.data_dir)
-    removed = node.compact()
+    path = os.path.join(args.data_dir, live.LOG_FILE)
+    before = os.path.getsize(path)
     live.save_node(node, args.data_dir)
-    print("removed %d out-of-prefix transactions" % removed)
+    print("rewrote %s as a snapshot: %d -> %d bytes"
+          % (live.LOG_FILE, before, os.path.getsize(path)))
     return 0
 
 
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_miner)
 
     p = sub.add_parser("compact",
-                       help="drop stored data outside the node's prefix")
+                       help="rewrite the data dir's log as a snapshot")
     p.add_argument("--data-dir", required=True)
     p.set_defaults(func=cmd_compact)
     return parser

@@ -152,10 +152,6 @@ class PartialFetch(ShardChainError):
     pass
 
 
-class PoolFull(ShardChainError):
-    pass
-
-
 # --- wallet ---
 
 class Immature(ShardChainError):

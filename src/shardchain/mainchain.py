@@ -237,8 +237,6 @@ class ChainView:
         self.blocks: Dict[bytes, MainBlock] = {}
         self.work: Dict[bytes, int] = {genesis.block_hash: 0}
         self.height: Dict[bytes, int] = {genesis.block_hash: 0}
-        self.arrival: Dict[bytes, int] = {genesis.block_hash: 0}
-        self._seq = 0
         self.tip: bytes = genesis.block_hash
         # canonical indexes
         self.canonical: List[bytes] = [genesis.block_hash]
@@ -253,9 +251,6 @@ class ChainView:
     def tip_height(self) -> int:
         return self.height[self.tip]
 
-    def block(self, block_hash: bytes) -> MainBlock:
-        return self.blocks[block_hash]
-
     def is_canonical(self, block_hash: bytes) -> bool:
         h = self.height.get(block_hash)
         return h is not None and h < len(self.canonical) \
@@ -266,10 +261,6 @@ class ChainView:
         if not self.is_canonical(block_hash):
             return 0
         return self.tip_height - self.height[block_hash] + 1
-
-    def confirmed_height_of(self, address: bytes) -> int:
-        entry = self.confirmations.get(address)
-        return entry[2] if entry else 0
 
     def fork_path(self, branch_tip: bytes) -> List[bytes]:
         """The blocks of ``branch_tip``'s branch above its last canonical
@@ -342,8 +333,6 @@ class ChainView:
         self.height[bh] = self.height[parent] + 1
         self.work[bh] = self.work[parent] \
             + block_work(block.header.difficulty_bits)
-        self._seq += 1
-        self.arrival[bh] = self._seq
         if self.work[bh] <= self.work[self.tip]:
             return False
         connect = self.fork_path(bh)

@@ -199,9 +199,6 @@ class SimTransport:
         self.handlers[node] = handler
         self.alive.setdefault(node, True)
 
-    def set_alive(self, node: NodeId, alive: bool) -> None:
-        self.alive[node] = alive
-
     def is_alive(self, node: NodeId) -> bool:
         return self.alive.get(node, False)
 
@@ -238,8 +235,11 @@ class DeliveryReport:
 
 class FloodRouter:
     """Per-node first-receipt forwarding over parent/children/neighbor
-    links. Duplicate msg_ids are dropped; ``on_deliver`` fires once per
-    node per message.
+    links. A node that already has a hop count for a message drops
+    further copies, so ``on_deliver`` fires once per node per flood. An
+    origination into an empty queue forgets every earlier flood: no copy
+    of any message is in flight then, so the router holds state only for
+    the floods still draining and the last one.
 
     ``scope`` reads from a message the address it concerns, or None. A
     message with an address is forwarded only to links whose assignment
@@ -256,11 +256,10 @@ class FloodRouter:
         self.transport = transport
         self.on_deliver = on_deliver
         self.scope = scope
-        self.seen: Dict[NodeId, Set[bytes]] = {}
+        # msg_id -> the nodes it reached -> hop count
         self.hops: Dict[bytes, Dict[NodeId, int]] = {}
 
     def attach(self, node: NodeId) -> None:
-        self.seen.setdefault(node, set())
         self.transport.register(
             node, lambda sender, env, n=node: self._receive(n, sender, env))
 
@@ -271,17 +270,17 @@ class FloodRouter:
     def originate(self, origin: NodeId, env: Envelope) -> None:
         if not self.transport.is_alive(origin):
             return
-        self.seen.setdefault(origin, set()).add(env.msg_id)
+        if not self.transport.queue:
+            self.hops.clear()
         self.hops.setdefault(env.msg_id, {})[origin] = 0
         if self.on_deliver is not None:
             self.on_deliver(origin, env)
         self._forward(origin, None, env)
 
     def _receive(self, node: NodeId, sender: NodeId, env: Envelope) -> None:
-        if env.msg_id in self.seen.setdefault(node, set()):
-            return
-        self.seen[node].add(env.msg_id)
         hops = self.hops[env.msg_id]
+        if node in hops:
+            return
         hops[node] = hops[sender] + 1
         if self.on_deliver is not None:
             self.on_deliver(node, env)

@@ -66,7 +66,6 @@ class NodeStore:
         self.tail_states: Dict[bytes, SubchainState] = {}
         self.txs: Dict[Tuple[bytes, int], SubchainTx] = {}
         self.send_index: Dict[Tuple[bytes, bytes], SendTx] = {}
-        self.seen: Dict[bytes, SubchainTx] = {}     # tx_hash -> tx
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
         # every hosted fragment any accepted block confirmed, per (block,
         # address), and the validated state it led to: the confirmed state
@@ -106,7 +105,8 @@ class Node:
                                       self.genesis.balance_of(address))
 
     def confirmed_state(self, address: bytes) -> SubchainState:
-        return self.store.confirmed.get(address, self.base_state(address))
+        state = self.store.confirmed.get(address)
+        return self.base_state(address) if state is None else state
 
     def full_state(self, address: bytes) -> SubchainState:
         """Confirmed state extended by the pending tail."""
@@ -140,34 +140,40 @@ class Node:
     # -- pending transactions -----------------------------------------
 
     def accept_pending_tx(self, tx: SubchainTx) -> bool:
-        """Verify and pool a broadcast transaction.
+        """Verify and pool a broadcast transaction for a hosted address.
 
-        Returns True when accepted (idempotently for exact duplicates);
-        raises on rejection.
+        Returns True when accepted, and for an exact duplicate of the tx
+        this node holds at that height (confirmed or pending); raises on
+        rejection. A tx for an address outside the prefix is refused
+        before any signature check and leaves nothing behind.
         """
-        stored = self.store.seen.get(tx.tx_hash)
-        if stored is not None:
-            if stored == tx:        # every field, the signature too
+        address = tx.current_address
+        try:
+            if not self.hosts(address):
+                raise NotHosted("address outside this node's prefix")
+            held = self._local_fragment(address, tx.height - 1, tx.height)
+        except TypeError:       # a field of the wrong type, as verify_tx
+            raise InvalidSignature("transaction failed local "
+                                   "verification") from None
+        if held is not None and held.txs[0].tx_hash == tx.tx_hash:
+            if held.txs[0] == tx:       # every field, the signature too
                 return True
             raise DuplicateHashConflict(
                 "different transaction with the same hash")
         if not codec.verify_tx(tx):
             raise InvalidSignature("transaction failed local verification")
-        address = tx.current_address
-        if self.hosts(address):
-            state = self.full_state(address)
-            if tx.height == state.tip_height + 1:
-                self.store.tail_states[address] = subchain.apply_tx(
-                    state, tx, self.claim_context())
-                self.store.pending.setdefault(address, []).append(tx)
-            elif tx.height <= state.tip_height:
-                # single-transaction fork: new tip would not be higher
-                if tx.height - 1 < state.confirmed_height:
-                    raise ConfirmedFrozen("fork below the confirmed height")
-                raise TailConflict("replacement tail does not win")
-            else:
-                raise BadLink("gap above the current tip", height=tx.height)
-        self.store.seen[tx.tx_hash] = tx
+        state = self.full_state(address)
+        if tx.height == state.tip_height + 1:
+            self.store.tail_states[address] = subchain.apply_tx(
+                state, tx, self.claim_context())
+            self.store.pending.setdefault(address, []).append(tx)
+        elif tx.height <= state.tip_height:
+            # single-transaction fork: new tip would not be higher
+            if tx.height - 1 < state.confirmed_height:
+                raise ConfirmedFrozen("fork below the confirmed height")
+            raise TailConflict("replacement tail does not win")
+        else:
+            raise BadLink("gap above the current tip", height=tx.height)
         return True
 
     def replace_pending_tail(self, fork_height: int,
@@ -187,19 +193,19 @@ class Node:
                 if t.height <= fork_height]
         self.store.pending[address] = kept + list(new_tail.txs)
         self.store.tail_states[address] = new_state
-        for tx in new_tail.txs:
-            self.store.seen[tx.tx_hash] = tx
         assert new_state.tip_height == confirmed.tip_height \
             + len(self.store.pending[address])
 
     def _state_at(self, address: bytes, height: int) -> SubchainState:
-        state = self.confirmed_state(address)
-        if height < state.tip_height:
+        confirmed = self.confirmed_state(address)
+        if height < confirmed.tip_height:
             raise ConfirmedFrozen("cannot rewind below confirmed state")
-        for tx in self.store.pending.get(address, []):
-            if tx.height > height:
-                break
-            state = subchain.apply_tx(state, tx, self.claim_context())
+        # the tail starts right above the confirmed tip; its txs were
+        # verified when they were pooled
+        kept = self.store.pending.get(address, [])[
+            :height - confirmed.tip_height]
+        state = subchain.replay(kept, self.claim_context(),
+                                initial=confirmed, verify=None)
         if state.tip_height != height:
             raise RangeUnavailable("no state at height %d" % height)
         return state
@@ -325,7 +331,6 @@ class Node:
             self.store.confirmed[address] = new_state
             for tx in self.store.frag_archive[key]:
                 self.store.txs[(address, tx.height)] = tx
-                self.store.seen.setdefault(tx.tx_hash, tx)
                 if isinstance(tx, SendTx):
                     self.store.send_index[(address, tx.tx_hash)] = tx
                 self._index_tx(tx, block_hash, height, undo)
@@ -510,17 +515,3 @@ class Node:
         return StorageReport(main_chain_bytes=main_bytes,
                              subchain_bytes=sub_bytes,
                              shard_count=len(shards), tx_count=count)
-
-    def compact(self) -> int:
-        """Drop stored subchain data outside the node's prefix; returns
-        the number of transactions removed."""
-        removed = 0
-        for key in [k for k in self.store.txs if not self.hosts(k[0])]:
-            del self.store.txs[key]
-            removed += 1
-        for addr in [a for a in self.store.pending if not self.hosts(a)]:
-            removed += len(self._pop_tail(addr))
-        for addr in [a for a in self.store.confirmed
-                     if not self.hosts(a)]:
-            del self.store.confirmed[addr]
-        return removed

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -173,6 +174,14 @@ class TestCompactCommand:
         node = live.init_data_dir(data_dir, {keys[0].address: 100}, params)
         node.accept_pending_tx(make_send(keys[0], amount=1))
         live.save_node(node, data_dir)
+        log = os.path.join(data_dir, live.LOG_FILE)
+        before = os.path.getsize(log)
         res = run_cli(["compact", "--data-dir", data_dir])
         assert res.returncode == 0, res.stderr
-        assert "removed 0" in res.stdout   # full node keeps everything
+        assert res.stdout == "rewrote log.bin as a snapshot: %d -> %d " \
+            "bytes\n" % (before, os.path.getsize(log))
+        compacted = live.load_node(data_dir)
+        assert (compacted.view.tip, compacted.store.confirmed,
+                compacted.store.pending, compacted.store.tail_states) == \
+            (node.view.tip, node.store.confirmed, node.store.pending,
+             node.store.tail_states)

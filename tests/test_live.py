@@ -195,6 +195,21 @@ class TestHostileInput:
             assert tip_height == 0
             assert os.path.getsize(log_path(data_dir)) == size
 
+    def test_foreign_tx_refused_unjournaled(self, tmp_path, keys):
+        """A partial node answers a NewTx for an address outside its
+        prefix with an error reply, and journals and keeps nothing."""
+        key = keys[0]
+        bit = "1" if key.address[0] < 0x80 else "0"
+        path = str(tmp_path / "partial")
+        live.init_data_dir(path, {key.address: 1000}, PARAMS, prefix=bit)
+        with serving(path) as (server, client):
+            size = os.path.getsize(log_path(path))
+            with pytest.raises(ShardChainError) as exc:
+                client.submit_tx(make_send(key, amount=7))
+            assert "NotHosted" in str(exc.value)
+            assert os.path.getsize(log_path(path)) == size
+            assert server.node.store.pending == {}
+
     def test_oversized_frame_refused_unread(self, data_dir):
         with serving(data_dir) as (server, _):
             assert server.max_frame == PARAMS.block_limit \

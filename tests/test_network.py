@@ -131,6 +131,29 @@ class TestBroadcast:
             [(MsgKind.NewTx, n) for n in (ids[0], ids[1], ids[4])]
             + [(MsgKind.NewBlock, n) for n in ids])
 
+    def test_drained_floods_are_forgotten(self):
+        """An origination into an empty queue forgets the floods before
+        it, so several drained floods through one router leave state for
+        the last one only; each broadcast still reports every node."""
+        topo, ids = full_tree(7)
+        transport = SimTransport(seed=3)
+        router = FloodRouter(topo, transport)
+        router.attach_all()
+        for i in range(4):
+            env = Envelope(MsgKind.NewBlock, b"flood %d" % i)
+            report = broadcast(ids[i], env, topo, transport, router)
+            assert set(report.reached) == set(ids)
+            assert report.reached[ids[i]] == 0
+        assert list(router.hops) == [env.msg_id]
+        # a flood started while another's copies are in flight keeps both
+        first = Envelope(MsgKind.NewBlock, b"first")
+        second = Envelope(MsgKind.NewBlock, b"second")
+        router.originate(ids[0], first)
+        router.originate(ids[1], second)
+        transport.run()
+        assert list(router.hops) == [first.msg_id, second.msg_id]
+        assert all(set(router.hops[m]) == set(ids) for m in router.hops)
+
     def test_single_failure_everyone_else_reached(self):
         """With neighbor_count=2, killing any single non-origin node never
         prevents the rest from hearing a broadcast."""

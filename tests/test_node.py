@@ -87,8 +87,8 @@ class TestPendingAcceptance:
 
     def test_duplicate_hash_forgery(self, keys):
         """Two different transactions claiming the same hash: the second
-        one is rejected outright. The forged hash is planted via the
-        stored-tx index, since finding a real collision is infeasible."""
+        one is rejected outright. The forged copy keeps the held tx's
+        height, since finding a real collision is infeasible."""
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=1)
@@ -100,8 +100,9 @@ class TestPendingAcceptance:
 
     def test_resigned_duplicate_conflicts(self, keys):
         """Re-signing a tx keeps its hash (the preimage leaves out the
-        signature) but not its signature: store.seen compares every
-        field, so the second copy is a conflict, not a duplicate."""
+        signature) but not its signature: the held tx is compared in
+        every field, so the second copy is a conflict, not a
+        duplicate."""
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=1)
@@ -111,8 +112,9 @@ class TestPendingAcceptance:
         with pytest.raises(DuplicateHashConflict):
             node.accept_pending_tx(again)
 
-    @pytest.mark.parametrize("name, value", [("height", -1),
-                                             ("amount", "5")])
+    @pytest.mark.parametrize("name, value", [
+        ("height", -1), ("amount", "5"), ("height", "1"),
+        ("current_address", "ab" * 10)])
     def test_wrong_typed_field_is_invalid_signature(self, keys, name,
                                                    value):
         key = keys[0]
@@ -120,16 +122,36 @@ class TestPendingAcceptance:
         tx = dataclasses.replace(make_send(key, amount=5), **{name: value})
         with pytest.raises(InvalidSignature):
             node.accept_pending_tx(tx)
-        assert tx.tx_hash not in node.store.seen
+        assert node.store.pending == {} and node.store.tail_states == {}
 
-    def test_non_hosted_tx_only_pooled_in_seen(self, keys):
+    def test_non_hosted_tx_refused_unverified(self, keys, monkeypatch):
+        """A tx for an address outside the prefix is refused before its
+        signature is checked, and the node keeps nothing of it."""
         key = keys[0]
         bit = "1" if key.address[0] < 0x80 else "0"
         node = make_node(make_genesis({key.address: 100}), assignment=bit)
         tx = make_send(key, amount=5)
-        assert node.accept_pending_tx(tx)
-        assert key.address not in node.store.pending
-        assert tx.tx_hash in node.store.seen
+        calls = Calls(monkeypatch, [(codec, "_verify_uncached")])
+        with pytest.raises(NotHosted):
+            node.accept_pending_tx(tx)
+        assert calls.take() == {}
+        assert (node.store.pending, node.store.tail_states,
+                node.store.txs) == ({}, {}, {})
+
+    def test_resubmitted_replaced_tx_conflicts(self, keys):
+        """A tx that an owner rewrite replaced is no longer held, so a
+        resubmission is checked against the new tail, not accepted as a
+        duplicate."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 1000}))
+        chain = build_chain(key, 3, start_balance=1000)
+        for tx in chain:
+            node.accept_pending_tx(tx)
+        new = make_tail(key, chain, fork=1, length=3)
+        node.replace_pending_tail(1, new)
+        with pytest.raises(TailConflict):
+            node.accept_pending_tx(chain[1])
+        assert node.store.pending[key.address] == chain[:1] + list(new.txs)
 
 
 def make_tail(key, chain, fork, length):
@@ -353,13 +375,11 @@ class TestIngestFallback:
         assert node.store.pending[key.address] == chain
         assert node.confirmed_state(key.address).tip_height == 0
 
-    def test_other_version_at_tail_tip_is_fetched(self, keys):
-        """A block on the tip confirms send B at the height of the pending
-        tail's last tx, send A (an owner rewrite this node never saw):
-        the record matches the tail's height but not its hash, so B is
-        fetched and checked, and the tail that no longer links is
-        dropped."""
-        key = keys[0]
+    @staticmethod
+    def confirm_other_version(key):
+        """Pool send A, then ingest a block on the tip that confirms send
+        B at A's height. Returns the node, A, B, the deltas and the
+        fetches made."""
         a = make_send(key, recipient=b"\x07" * 20, amount=1)
         b = make_send(key, recipient=b"\x08" * 20, amount=2)
         fetched = []
@@ -374,10 +394,29 @@ class TestIngestFallback:
         node.accept_pending_tx(a)
         deltas = node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, b.tx_hash, 1)]))
+        return node, a, b, deltas, fetched
+
+    def test_other_version_at_tail_tip_is_fetched(self, keys):
+        """A block on the tip confirms send B at the height of the pending
+        tail's last tx, send A (an owner rewrite this node never saw):
+        the record matches the tail's height but not its hash, so B is
+        fetched and checked, and the tail that no longer links is
+        dropped."""
+        key = keys[0]
+        node, _, b, deltas, fetched = self.confirm_other_version(key)
         assert fetched == [(key.address, 0, 1)]
         assert deltas[key.address][2] == (b,)
         state = node.confirmed_state(key.address)
         assert (state.tip_hash, state.balance) == (b.tx_hash, 998)
+        assert key.address not in node.store.pending
+
+    def test_dropped_tail_tx_resubmitted_is_rejected(self, keys):
+        """The tail tx dropped for the confirmed other version is not held
+        any more: resubmitted, it forks below the confirmed height."""
+        key = keys[0]
+        node, a, _, _, _ = self.confirm_other_version(key)
+        with pytest.raises(ConfirmedFrozen):
+            node.accept_pending_tx(a)
         assert key.address not in node.store.pending
 
 
@@ -532,17 +571,3 @@ class TestStorage:
         assert report.tx_count == 2 and report.shard_count == 2
         assert report.subchain_bytes == wire
         assert report.main_chain_bytes == main
-
-    def test_compact_drops_foreign_shards(self, keys):
-        key = keys[0]
-        node = make_node(make_genesis({key.address: 1000}))
-        chain = build_chain(key, 3, start_balance=1000)
-        ingest_chain(node, key, chain)
-        # narrow the node to a prefix that excludes the key
-        bit = "1" if key.address[0] < 0x80 else "0"
-        node.assignment = ShardAssignment(bit)
-        removed = node.compact()
-        assert removed == 3
-        assert node.storage_report().tx_count == 0
-        # the main chain itself is kept
-        assert node.view.tip_height == 1
