@@ -16,7 +16,7 @@ import socketserver
 import struct
 import threading
 import time
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import codec, mainchain, sharding, subchain
 from .errors import DecodeError, ShardChainError
@@ -32,8 +32,8 @@ ERR = b"\x01"
 # -- data directory persistence ---------------------------------------
 #
 # A data dir holds meta.json (chain parameters and genesis) and log.bin,
-# one [kind u8][len u32][payload] record per NewTx/NewBlock request the
-# node accepted, the payload being the request's wire bytes. Loading
+# one [kind u8][len u32][payload] record per NewTx/NewBlock request that
+# changed the node, the payload being the request's wire bytes. Loading
 # replays the log through the calls the server makes for those requests.
 
 META_FILE = "meta.json"
@@ -45,14 +45,18 @@ def _log_record(kind: int, payload: bytes) -> bytes:
     return _LOG_HEAD.pack(kind, len(payload)) + payload
 
 
-def _apply_request(node: Node, kind: int, payload: bytes) -> None:
-    """The one state transition for a persisted request."""
+def _apply_request(node: Node, kind: int, payload: bytes) -> bool:
+    """The one state transition for a persisted request; False when the
+    request changed nothing (an exact duplicate tx, a known block)."""
     if kind == MsgKind.NewTx:
-        node.accept_pending_tx(codec.decode_tx(payload))
-    elif kind == MsgKind.NewBlock:
-        node.ingest_block(mainchain.decode_block(payload))
-    else:
-        raise DecodeError("unknown log record kind %d" % kind)
+        return node.accept_pending_tx(codec.decode_tx(payload))
+    if kind == MsgKind.NewBlock:
+        block = mainchain.decode_block(payload)
+        if block.block_hash in node.view.blocks:
+            return False
+        node.ingest_block(block)
+        return True
+    raise DecodeError("unknown log record kind %d" % kind)
 
 
 def _read_log(path: str) -> Iterator[Tuple[int, int, bytes]]:
@@ -178,7 +182,10 @@ def _error_reply(err: ShardChainError) -> Envelope:
 # -- node server ------------------------------------------------------
 
 _PENDING_SUMMARY = struct.Struct(">20s32sQQ")
-_FRAGMENT_REQUEST = struct.Struct(">20sQQ")
+# a FragmentRequest is one or more ranges; the reply holds each fragment
+# behind its length, in request order
+_FRAGMENT_RANGE = struct.Struct(">20sQQ")
+_FRAGMENT_LEN = struct.Struct(">I")
 
 
 class NodeServer:
@@ -244,18 +251,23 @@ class NodeServer:
                     confirmed.tip_height))
             return Envelope(MsgKind.Hello, OK + b"".join(body))
         if env.kind in (MsgKind.NewTx, MsgKind.NewBlock):
-            _apply_request(node, env.kind, env.payload)
-            self.log.write(_log_record(env.kind, env.payload))
-            self.log.flush()
+            if _apply_request(node, env.kind, env.payload):
+                self.log.write(_log_record(env.kind, env.payload))
+                self.log.flush()
             return Envelope(MsgKind.Hello, OK)
         if env.kind == MsgKind.FragmentRequest:
-            if len(env.payload) != _FRAGMENT_REQUEST.size:
-                raise DecodeError("FragmentRequest payload must be %d "
-                                  "bytes" % _FRAGMENT_REQUEST.size)
-            address, lo, hi = _FRAGMENT_REQUEST.unpack(env.payload)
-            frag = node.serve_fragment(address, lo, hi)
-            return Envelope(MsgKind.FragmentResponse,
-                            OK + subchain.encode_fragment(frag))
+            if not env.payload or len(env.payload) % _FRAGMENT_RANGE.size:
+                raise DecodeError("FragmentRequest payload must be a "
+                                  "positive multiple of %d bytes"
+                                  % _FRAGMENT_RANGE.size)
+            # every range is served before anything is sent: one that
+            # fails fails the whole request
+            body = [OK]
+            for address, lo, hi in _FRAGMENT_RANGE.iter_unpack(env.payload):
+                wire = subchain.encode_fragment(
+                    node.serve_fragment(address, lo, hi))
+                body += [_FRAGMENT_LEN.pack(len(wire)), wire]
+            return Envelope(MsgKind.FragmentResponse, b"".join(body))
         return Envelope(MsgKind.Hello, ERR + b"unsupported kind")
 
 
@@ -295,10 +307,28 @@ class NodeClient:
             pending.append((address, tip_hash, height, confirmed))
         return assignment, tip, tip_height, pending
 
-    def fetch_fragment(self, address: bytes, lo: int, hi: int):
-        body = self.call(Envelope(MsgKind.FragmentRequest,
-                                  _FRAGMENT_REQUEST.pack(address, lo, hi)))
-        return subchain.decode_fragment(body)
+    def fetch_fragments(self, ranges: Sequence[Tuple[bytes, int, int]]
+                        ) -> List[subchain.SubchainFragment]:
+        """The fragment (lo, hi] of each (address, lo, hi) range, in
+        order, from one request."""
+        body = self.call(Envelope(MsgKind.FragmentRequest, b"".join(
+            _FRAGMENT_RANGE.pack(*r) for r in ranges)))
+        frags = []
+        offset = 0
+        for _ in ranges:
+            start = offset + _FRAGMENT_LEN.size
+            if start > len(body):
+                raise DecodeError("FragmentResponse ends early")
+            (length,) = _FRAGMENT_LEN.unpack_from(body, offset)
+            offset = start + length
+            frags.append(subchain.decode_fragment(body[start:offset]))
+        if offset != len(body):
+            raise DecodeError("FragmentResponse has trailing bytes")
+        return frags
+
+    def fetch_fragment(self, address: bytes, lo: int, hi: int
+                       ) -> subchain.SubchainFragment:
+        return self.fetch_fragments([(address, lo, hi)])[0]
 
     def submit_tx(self, tx) -> None:
         self.call(Envelope(MsgKind.NewTx, codec.encode_tx(tx)))
@@ -309,13 +339,16 @@ class NodeClient:
 
 def mine_once(client: NodeClient, miner_address: bytes, params: ChainParams,
               timestamp: Optional[int] = None) -> MainBlock:
-    """Build one block from the node's pending tails, verify fragment
-    link-validity and signatures, seal and submit it."""
+    """Build one block from the node's pending tails, fetched in one
+    request; verify fragment link-validity and signatures, seal and
+    submit it."""
     _, tip, tip_height, pending = client.hello()
-    cap = mainchain.capacity(params.block_limit)
+    pending = pending[:mainchain.capacity(params.block_limit)]
+    frags = client.fetch_fragments(
+        [(address, confirmed, height)
+         for address, _, height, confirmed in pending]) if pending else []
     records = []
-    for address, tip_hash, height, confirmed in pending[:cap]:
-        frag = client.fetch_fragment(address, confirmed, height)
+    for (address, tip_hash, height, _), frag in zip(pending, frags):
         prev = None
         for i, tx in enumerate(frag.txs):
             if not codec.verify_tx(tx):

@@ -52,7 +52,8 @@ class Miner:
     # -- pool ----------------------------------------------------------
 
     def pool_insert(self, tx: codec.SubchainTx) -> bool:
-        """Pool a transaction at the attached node."""
+        """Pool a transaction at the attached node; False for an exact
+        duplicate of one it holds."""
         return self.node.accept_pending_tx(tx)
 
     def refresh_pool(self) -> None:

@@ -142,10 +142,11 @@ class Node:
     def accept_pending_tx(self, tx: SubchainTx) -> bool:
         """Verify and pool a broadcast transaction for a hosted address.
 
-        Returns True when accepted, and for an exact duplicate of the tx
-        this node holds at that height (confirmed or pending); raises on
-        rejection. A tx for an address outside the prefix is refused
-        before any signature check and leaves nothing behind.
+        Returns True when pooled, and False for an exact duplicate of the
+        tx this node holds at that height (confirmed or pending), which
+        changes nothing; raises on rejection. A tx for an address outside
+        the prefix is refused before any signature check and leaves
+        nothing behind.
         """
         address = tx.current_address
         try:
@@ -157,7 +158,7 @@ class Node:
                                    "verification") from None
         if held is not None and held.txs[0].tx_hash == tx.tx_hash:
             if held.txs[0] == tx:       # every field, the signature too
-                return True
+                return False
             raise DuplicateHashConflict(
                 "different transaction with the same hash")
         if not codec.verify_tx(tx):

@@ -184,6 +184,11 @@ class Simulation:
         for address in self.addresses:
             if self.root.store.pending.get(address):
                 continue
+            # inflows only add to the balance: a view is needed only
+            # when the balance alone falls short
+            if self.root.full_state(address).balance >= need:
+                out.append(address)
+                continue
             view = wallet.account_view(self.root, address)
             budget = view.spendable
             if self.cfg.claim_inflows:

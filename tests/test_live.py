@@ -1,6 +1,7 @@
 """Data-dir journal, restart recovery and hostile input on the live node."""
 
 import contextlib
+import dataclasses
 import os
 import socket
 import struct
@@ -9,7 +10,7 @@ import threading
 
 import pytest
 
-from shardchain import cli, codec, live, mainchain
+from shardchain import cli, codec, live, mainchain, subchain
 from shardchain.errors import DecodeError, ShardChainError
 from shardchain.mainchain import ChainParams, EASY_BITS
 from shardchain.network import Envelope, MsgKind
@@ -157,23 +158,46 @@ class TestJournal:
         with pytest.raises(DecodeError):
             live.load_node(data_dir)
 
+    def test_noop_request_not_journaled(self, data_dir, keys):
+        """An exact-duplicate NewTx and a known NewBlock are answered OK
+        and leave the log as it was."""
+        send, pooled = make_send(keys[0], amount=7), make_send(keys[1])
+        with serving(data_dir) as (server, client):
+            client.submit_tx(send)
+            block = live.mine_once(client, MINER, PARAMS, timestamp=15)
+            client.submit_tx(pooled)
+            state = node_state(server.node)
+            size = os.path.getsize(log_path(data_dir))
+            client.submit_tx(send)          # held confirmed
+            client.submit_tx(pooled)        # held pending
+            client.submit_block(block)
+            assert os.path.getsize(log_path(data_dir)) == size
+            assert node_state(server.node) == state
+        assert node_state(live.load_node(data_dir)) == state
+
     def test_compact_rewrites_log(self, data_dir, keys):
         send = make_send(keys[0], amount=7, recipient=keys[1].address)
         with serving(data_dir) as (server, client):
-            for _ in range(3):
-                client.submit_tx(send)   # exact duplicates are accepted
+            genesis = server.node.view.tip
+            client.submit_tx(send)
             block = live.mine_once(client, MINER, PARAMS, timestamp=15)
+            # journaled, but a snapshot keeps canonical blocks only
+            side = side_block(genesis, 1, 16)
+            client.submit_block(side)
             client.submit_tx(make_receive(keys[1], codec.NULL_HASH, 1,
                                           keys[0].address, send.tx_hash,
                                           block.block_hash, 7))
             live.mine_once(client, MINER, PARAMS, timestamp=30)
             client.submit_tx(make_send(keys[2], amount=3))
             live_state = node_state(server.node)
-        assert live_state[2][keys[1].address].balance == 1007
+        tip, blocks, confirmed, pending = live_state
+        assert confirmed[keys[1].address].balance == 1007
+        assert side.block_hash in blocks and tip != side.block_hash
         size = os.path.getsize(log_path(data_dir))
         assert cli.main(["compact", "--data-dir", data_dir]) == 0
         assert os.path.getsize(log_path(data_dir)) < size
-        assert node_state(live.load_node(data_dir)) == live_state
+        assert node_state(live.load_node(data_dir)) \
+            == (tip, blocks - {side.block_hash}, confirmed, pending)
         assert sorted(os.listdir(data_dir)) == [live.LOG_FILE,
                                                 live.META_FILE]
 
@@ -184,6 +208,8 @@ class TestHostileInput:
         Envelope(MsgKind.NewBlock, b"\x00" * (mainchain.BLOCK_OVERHEAD + 7)),
         Envelope(MsgKind.FragmentRequest, b"\x00" * 35),
         Envelope(MsgKind.NewTx, b""),
+        Envelope(MsgKind.FragmentRequest, b""),
+        Envelope(MsgKind.FragmentRequest, b"\x00" * 37),
     ])
     def test_malformed_request_gets_error(self, data_dir, env):
         with serving(data_dir) as (_, client):
@@ -232,3 +258,143 @@ class TestHostileInput:
             assert live.read_envelope(right, max_frame=57) == env
             with pytest.raises(DecodeError):
                 live.read_envelope(right, max_frame=56)
+
+
+def first_bit(bit, keys):
+    """A key whose address starts with the bit ``bit``."""
+    return next(k for k in keys if k.address[0] >> 7 == bit)
+
+
+class TestBatchedFragments:
+    def test_fragments_in_request_order(self, data_dir, keys):
+        first = make_send(keys[0], amount=7)
+        second = make_send(keys[0], parent=first.tx_hash, height=2)
+        other = make_send(keys[1], amount=3)
+        last = make_send(keys[2], amount=9)
+        with serving(data_dir) as (_, client):
+            for tx in (first, second, other, last):
+                client.submit_tx(tx)
+            a0, a1, a2 = (k.address for k in keys[:3])
+            frags = client.fetch_fragments(
+                [(a2, 0, 1), (a0, 1, 2), (a1, 0, 1), (a0, 0, 2)])
+        assert [(f.address, f.from_height, f.txs) for f in frags] == [
+            (a2, 0, (last,)), (a0, 1, (second,)), (a1, 0, (other,)),
+            (a0, 0, (first, second))]
+
+    def test_full_capacity_batch_served(self, data_dir, keys):
+        txs = [make_send(k, amount=5) for k in keys[:3]]
+        cap = mainchain.capacity(PARAMS.block_limit)
+        assert cap == 66
+        ranges = [(txs[i % 3].current_address, 0, 1) for i in range(cap)]
+        with serving(data_dir) as (_, client):
+            for tx in txs:
+                client.submit_tx(tx)
+            frags = client.fetch_fragments(ranges)
+        assert [f.txs for f in frags] == [(txs[i % 3],) for i in range(cap)]
+
+    def test_unavailable_range_fails_whole_request(self, data_dir, keys):
+        with serving(data_dir) as (_, client):
+            client.submit_tx(make_send(keys[0], amount=7))
+            size = os.path.getsize(log_path(data_dir))
+            with pytest.raises(ShardChainError) as exc:
+                client.fetch_fragments([(keys[0].address, 0, 1),
+                                        (keys[0].address, 0, 2)])
+            assert "RangeUnavailable" in str(exc.value)
+            assert os.path.getsize(log_path(data_dir)) == size
+            # the connection still serves the good range alone
+            assert len(client.fetch_fragment(keys[0].address, 0, 1).txs) \
+                == 1
+
+    def test_unhosted_range_fails_whole_request(self, tmp_path, keys):
+        hosted, foreign = first_bit(1, keys), first_bit(0, keys)
+        path = str(tmp_path / "partial")
+        live.init_data_dir(path, {hosted.address: 1000}, PARAMS, prefix="1")
+        with serving(path) as (_, client):
+            client.submit_tx(make_send(hosted, amount=7))
+            size = os.path.getsize(log_path(path))
+            with pytest.raises(ShardChainError) as exc:
+                client.fetch_fragments([(hosted.address, 0, 1),
+                                        (foreign.address, 0, 1)])
+            assert "NotHosted" in str(exc.value)
+            assert os.path.getsize(log_path(path)) == size
+
+    def test_mine_once_makes_three_requests(self, tmp_path, keys):
+        path = str(tmp_path / "ten")
+        live.init_data_dir(path, {k.address: 1000 for k in keys[:10]},
+                           PARAMS)
+        with serving(path) as (server, client):
+            for key in keys[:10]:
+                client.submit_tx(make_send(key, amount=7))
+            kinds = []
+            call = client.call
+
+            def counted(env):
+                kinds.append(env.kind)
+                return call(env)
+
+            client.call = counted
+            block = live.mine_once(client, MINER, PARAMS, timestamp=15)
+            assert len(block.confirmations) == 10
+            assert kinds == [MsgKind.Hello, MsgKind.FragmentRequest,
+                             MsgKind.NewBlock]
+            assert server.node.view.tip == block.block_hash
+            # an empty pool fetches nothing
+            kinds.clear()
+            live.mine_once(client, MINER, PARAMS, timestamp=30)
+            assert kinds == [MsgKind.Hello, MsgKind.NewBlock]
+
+
+def fragment(*txs):
+    return subchain.SubchainFragment(address=txs[0].current_address,
+                                     from_height=txs[0].height - 1,
+                                     txs=tuple(txs))
+
+
+class LyingNode:
+    """A stub client that serves fixed fragments for its pending tails."""
+
+    def __init__(self, frags):
+        self.frags = frags
+        self.submitted = []
+
+    def hello(self):
+        pending = [(f.address, f.txs[-1].tx_hash, f.to_height, f.from_height)
+                   for f in self.frags]
+        return None, b"\x00" * 32, 0, pending
+
+    def fetch_fragments(self, ranges):
+        assert ranges == [(f.address, f.from_height, f.to_height)
+                          for f in self.frags]
+        return self.frags
+
+    def submit_block(self, block):
+        self.submitted.append(block)
+
+
+class TestMinerChecks:
+    def test_honest_fragments_mined(self, keys):
+        first = make_send(keys[0], amount=7)
+        second = make_send(keys[0], parent=first.tx_hash, height=2)
+        node = LyingNode([fragment(first, second),
+                          fragment(make_send(keys[1]))])
+        block = live.mine_once(node, MINER, PARAMS, timestamp=15)
+        assert node.submitted == [block]
+        assert len(block.confirmations) == 2
+
+    @pytest.mark.parametrize("lie", ["signature", "parent link"])
+    def test_lying_node_refused(self, keys, lie):
+        first = make_send(keys[0], amount=7)
+        if lie == "signature":
+            sig = first.signature
+            bad = fragment(dataclasses.replace(
+                first, signature=sig[:10] + bytes([sig[10] ^ 1]) + sig[11:]))
+        else:
+            bad = fragment(first, make_send(keys[0], parent=b"\x0f" * 32,
+                                            height=2))
+        node = LyingNode([fragment(make_send(keys[1])), bad])
+        with pytest.raises(ShardChainError) as exc:
+            live.mine_once(node, MINER, PARAMS, timestamp=15)
+        assert ("signature" if lie == "signature" else "link-valid") \
+            in str(exc.value)
+        assert node.submitted == []
+

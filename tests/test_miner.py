@@ -40,8 +40,8 @@ class TestPool:
         key = keys[0]
         miner, node = fresh_miner({key.address: 100})
         tx = make_send(key, amount=5)
-        assert miner.pool_insert(tx)
-        assert miner.pool_insert(tx)
+        assert miner.pool_insert(tx) is True
+        assert miner.pool_insert(tx) is False    # exact duplicate: no-op
         assert node.store.pending[key.address] == [tx]
 
     def test_bad_signature(self, keys):

@@ -55,8 +55,8 @@ class TestPendingAcceptance:
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=5)
-        assert node.accept_pending_tx(tx)
-        assert node.accept_pending_tx(tx)   # exact duplicate is fine
+        assert node.accept_pending_tx(tx) is True
+        assert node.accept_pending_tx(tx) is False  # exact duplicate: no-op
         assert node.store.pending[key.address] == [tx]
         assert node.full_state(key.address).balance == 95
 
