@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per-account subchain sharding with a PoW main chain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="generate a secp256k1 keypair")
+    p = sub.add_parser("keygen", help="generate a signing keypair")
     p.add_argument("--seed", help="32-byte hex seed for determinism")
     p.set_defaults(func=cmd_keygen)
 

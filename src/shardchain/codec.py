@@ -40,8 +40,10 @@ NULL_ADDRESS = b"\x00" * ADDR_LEN
 TAG_SEND = 0x01
 TAG_RECEIVE = 0x02
 
-# secp256k1 group order, used for seed validation and low-s normalization.
-CURVE_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+# The one signature curve: NIST P-256 (secp256r1, FIPS 186-4), and its
+# group order n, used for seed validation and low-s normalization.
+CURVE = ec.SECP256R1()
+CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 # Signing preimage: tag byte plus every field except tx_hash, public_key
 # and signature, in table order.
@@ -81,7 +83,7 @@ class KeyPair:
 
 
 def keygen(seed: bytes | None = None) -> KeyPair:
-    """Derive a secp256k1 keypair, deterministically when seeded."""
+    """Derive a P-256 keypair, deterministically when seeded."""
     if seed is None:
         seed = os.urandom(32)
         while not 0 < int.from_bytes(seed, "big") < CURVE_ORDER:
@@ -91,7 +93,7 @@ def keygen(seed: bytes | None = None) -> KeyPair:
     scalar = int.from_bytes(seed, "big")
     if not 0 < scalar < CURVE_ORDER:
         raise InvalidSeed("seed is not a valid nonzero scalar")
-    priv = ec.derive_private_key(scalar, ec.SECP256K1())
+    priv = ec.derive_private_key(scalar, CURVE)
     public = priv.public_key().public_bytes(
         Encoding.X962, PublicFormat.CompressedPoint
     )
@@ -192,7 +194,7 @@ def decode_tx(data: bytes) -> SubchainTx:
 
 @lru_cache(maxsize=65536)
 def _public_key(public: bytes):
-    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), public)
+    return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, public)
 
 
 def _compact_signature(der: bytes) -> bytes:

@@ -340,17 +340,25 @@ class NodeClient:
 def mine_once(client: NodeClient, miner_address: bytes, params: ChainParams,
               timestamp: Optional[int] = None) -> MainBlock:
     """Build one block from the node's pending tails, fetched in one
-    request; verify fragment link-validity and signatures, seal and
-    submit it."""
+    request; check that each fragment is the tail its summary names and
+    is signed and link-valid, then seal and submit the block."""
     _, tip, tip_height, pending = client.hello()
     pending = pending[:mainchain.capacity(params.block_limit)]
     frags = client.fetch_fragments(
         [(address, confirmed, height)
          for address, _, height, confirmed in pending]) if pending else []
     records = []
-    for (address, tip_hash, height, _), frag in zip(pending, frags):
+    for (address, tip_hash, height, confirmed), frag in zip(pending, frags,
+                                                          strict=True):
+        if (frag.address != address or frag.from_height != confirmed
+                or frag.to_height != height or not frag.txs
+                or frag.txs[-1].tx_hash != tip_hash
+                or any(tx.current_address != address
+                       or tx.height != confirmed + 1 + i
+                       for i, tx in enumerate(frag.txs))):
+            raise ShardChainError("served fragment is not the requested tail")
         prev = None
-        for i, tx in enumerate(frag.txs):
+        for tx in frag.txs:
             if not codec.verify_tx(tx):
                 raise ShardChainError("bad signature in served fragment")
             if prev is not None and tx.parent_hash != prev.tx_hash:

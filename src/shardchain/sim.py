@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from . import codec, mainchain, miner as miner_mod, network, node as node_mod
 from . import sharding, subchain, wallet
 from .codec import KeyPair, SendTx, sha256
-from .errors import ConfigInvalid, InvariantViolation
+from .errors import ConfigInvalid, InvalidSeed, InvariantViolation
 from .mainchain import ChainParams, EASY_BITS, Genesis, capacity, \
     coinbase_amount, make_genesis
 from .network import Envelope, FloodRouter, MsgKind, SimTransport, \
@@ -71,9 +71,12 @@ def derived_key(label: bytes) -> KeyPair:
     key = _key_cache.get(label)
     if key is None:
         seed = sha256(label)
-        while not 0 < int.from_bytes(seed, "big") < codec.CURVE_ORDER:
-            seed = sha256(seed)
-        key = codec.keygen(seed)
+        while True:
+            try:
+                key = codec.keygen(seed)
+                break
+            except InvalidSeed:
+                seed = sha256(seed)
         _key_cache[label] = key
     return key
 

@@ -3,6 +3,16 @@ import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    decode_dss_signature,
+    encode_dss_signature,
+)
+from cryptography.hazmat.primitives.serialization import (
+    Encoding,
+    PublicFormat,
+)
 from hypothesis import given, settings, strategies as st
 
 from shardchain import codec
@@ -24,6 +34,9 @@ ZERO_SEND_DIGEST = bytes.fromhex(
 ZERO_RECV_DIGEST = bytes.fromhex(
     "0639da134c95274c57fc1ce1899e31e5ebc7531040b4bae4f54ca29d9f797c1d")
 
+SECP256K1_ORDER = int("FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFE"
+                      "BAAEDCE6AF48A03BBFD25E8CD0364141", 16)
+
 
 def zero_send():
     return SendTx(parent_hash=NULL_HASH, height=0,
@@ -37,6 +50,11 @@ class TestKeygen:
         b = codec.keygen(b"\x01" * 32)
         assert a.address == b.address
         assert len(a.public) == 33 and len(a.address) == 20
+
+    def test_known_answer(self):
+        """P-256 public key of the scalar 0x0101...01, compressed."""
+        assert codec.keygen(b"\x01" * 32).public.hex() == (
+            "026ff03b949241ce1dadd43519e6960e0a85b41a69a05c328103aa2bce1594ca16")
 
     def test_zero_seed_rejected(self):
         with pytest.raises(InvalidSeed):
@@ -177,6 +195,50 @@ class TestSignatures:
         high = (codec.CURVE_ORDER - s).to_bytes(32, "big")
         assert not codec.verify_tx(dataclasses.replace(
             tx, signature=r + high))
+
+    def test_high_s_twin_is_p256_valid_but_refused(self, keys):
+        """(r, n - s) verifies under plain P-256 ECDSA, so CURVE_ORDER is
+        the curve's order n; verify_tx still refuses it as high-s."""
+        tx = make_send(keys[3])
+        r = int.from_bytes(tx.signature[:32], "big")
+        s = int.from_bytes(tx.signature[32:], "big")
+        high = codec.CURVE_ORDER - s
+        pub = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(),
+                                                           tx.public_key)
+        pub.verify(encode_dss_signature(r, high), codec.tx_preimage(tx),
+                   ec.ECDSA(hashes.SHA256()))
+        assert not codec.verify_tx(dataclasses.replace(
+            tx, signature=tx.signature[:32] + high.to_bytes(32, "big")))
+
+    # secp256k1 scalars whose compressed public key is, as a P-256 point,
+    # off the curve (7919) or on it (2 * 7919)
+    @pytest.mark.parametrize("scalar,on_p256", [(7919, False),
+                                                (2 * 7919, True)])
+    def test_secp256k1_tx_refused(self, scalar, on_p256):
+        priv = ec.derive_private_key(scalar, ec.SECP256K1())
+        public = priv.public_key().public_bytes(Encoding.X962,
+                                                PublicFormat.CompressedPoint)
+        tx = SendTx(parent_hash=NULL_HASH, height=1,
+                    current_address=codec.address_from_public(public),
+                    recipient_address=b"\x07" * 20, amount=5, timestamp=1)
+        pre = codec.tx_preimage(tx)
+        r, s = decode_dss_signature(priv.sign(pre, ec.ECDSA(hashes.SHA256())))
+        s = min(s, SECP256K1_ORDER - s)
+        # in range and low-s for P-256 too: only the curve can refuse it
+        assert 0 < r < codec.CURVE_ORDER and s <= codec.CURVE_ORDER // 2
+        priv.public_key().verify(encode_dss_signature(r, s), pre,
+                                 ec.ECDSA(hashes.SHA256()))
+        try:
+            ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(),
+                                                         public)
+        except ValueError:
+            assert not on_p256
+        else:
+            assert on_p256
+        tx = dataclasses.replace(
+            tx, tx_hash=codec.sha256(pre), public_key=public,
+            signature=r.to_bytes(32, "big") + s.to_bytes(32, "big"))
+        assert codec.verify_tx(tx) is False
 
     def test_coinbase_claim_by_claimant(self, keys):
         from conftest import make_coinbase_claim

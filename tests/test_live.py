@@ -350,21 +350,27 @@ def fragment(*txs):
                                      txs=tuple(txs))
 
 
-class LyingNode:
-    """A stub client that serves fixed fragments for its pending tails."""
+def summary(frag):
+    """The Hello summary (address, tip, height, confirmed) of a fragment."""
+    return (frag.address, frag.txs[-1].tx_hash, frag.to_height,
+            frag.from_height)
 
-    def __init__(self, frags):
+
+class LyingNode:
+    """A stub client that serves fixed fragments for its pending tails,
+    summarised as ``pending`` (by default, as the fragments themselves)."""
+
+    def __init__(self, frags, pending=None):
         self.frags = frags
+        self.pending = pending or [summary(f) for f in frags]
         self.submitted = []
 
     def hello(self):
-        pending = [(f.address, f.txs[-1].tx_hash, f.to_height, f.from_height)
-                   for f in self.frags]
-        return None, b"\x00" * 32, 0, pending
+        return None, b"\x00" * 32, 0, self.pending
 
     def fetch_fragments(self, ranges):
-        assert ranges == [(f.address, f.from_height, f.to_height)
-                          for f in self.frags]
+        assert ranges == [(address, confirmed, height)
+                          for address, _, height, confirmed in self.pending]
         return self.frags
 
     def submit_block(self, block):
@@ -398,3 +404,33 @@ class TestMinerChecks:
             in str(exc.value)
         assert node.submitted == []
 
+    @pytest.mark.parametrize("lie", [
+        "other account", "one tx short", "other last hash", "no first tx",
+        "relabelled", "mislabelled", "height skew", "start skew", "empty"])
+    def test_wrong_tail_refused(self, keys, lie):
+        """A served fragment must be the tail its summary names: its
+        address, heights and tip hash. Past the first, each lie is
+        caught by one of those checks alone."""
+        a, b = keys[0].address, keys[1].address
+        first = make_send(keys[0], amount=7)
+        second = make_send(keys[0], parent=first.tx_hash, height=2)
+        theirs = make_send(keys[1])
+        frag = subchain.SubchainFragment
+        asked, served = {
+            # B's validly signed send, served for A's height-1 tail
+            "other account": ((a, first.tx_hash, 1, 0), fragment(theirs)),
+            "one tx short": ((a, first.tx_hash, 2, 0), fragment(first)),
+            "other last hash": ((a, second.tx_hash, 1, 0), fragment(first)),
+            "no first tx": ((a, second.tx_hash, 2, 0), fragment(second)),
+            # B's send, labelled as A's fragment and announced as A's tip
+            "relabelled": ((a, theirs.tx_hash, 1, 0), frag(a, 0, (theirs,))),
+            "mislabelled": ((a, first.tx_hash, 1, 0), frag(b, 0, (first,))),
+            "height skew": ((a, second.tx_hash, 1, 0), frag(a, 0, (second,))),
+            "start skew": ((a, first.tx_hash, 2, 0), frag(a, 1, (first,))),
+            "empty": ((a, first.tx_hash, 0, 0), frag(a, 0, ())),
+        }[lie]
+        node = LyingNode([served], pending=[asked])
+        with pytest.raises(ShardChainError) as exc:
+            live.mine_once(node, MINER, PARAMS, timestamp=15)
+        assert "requested tail" in str(exc.value)
+        assert node.submitted == []

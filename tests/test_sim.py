@@ -107,18 +107,18 @@ class TestRuns:
         (SimConfig(seed=91, accounts=50, width=8, avg_txs=2,
                    block_limit=2048, block_interval=15, blocks=6,
                    node_count=3, maturity=3, initial_balance=1000),
-         "bb5e6799d2a847ddc0194903491636429ba80de4f858d34ed3ed4135231af790"),
+         "64a0178aa532715e86e4362614d1ab2b63fc6fe0b794b74ddb87de4669d7084a"),
         # width 20 over capacity 10, claims on: tail lengths and ties
         # decide which addresses each block confirms
         (SimConfig(seed=5, accounts=40, width=20, avg_txs=2,
                    block_limit=716, block_interval=15, blocks=8,
                    node_count=3, maturity=2, initial_balance=1000),
-         "68c8111f7b90f5859683cb4044411aac5f1cba64fa58f7fd80f341c434595882"),
+         "6311954bbe1df0c64299ac32a53146b089af3e56115dd6a10cae9e130ed120b9"),
         # the depth-2 tree, claims on: batches reach only their hosts
         (SimConfig(seed=7, accounts=40, width=10, avg_txs=2,
                    block_limit=2048, block_interval=15, blocks=8,
                    node_count=7, maturity=2, initial_balance=1000),
-         "c6e39f786116a4341be6fc9dbab0eb32e1e5845c20634f580d8c020b972bfae3"),
+         "196993c73a563382c00d8757df0b9d4b90b7381fa9d51afa599ec03640f155a3"),
     ])
     def test_reports_pinned(self, cfg, digest):
         """Reports are byte-identical across builds, not only across runs:
