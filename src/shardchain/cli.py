@@ -1,20 +1,20 @@
 """Operator command line: key generation, simulations, benchmarks, and
-the persistent node/miner processes."""
+the persistent node/miner processes.
+
+Only the sim and bench-* commands import the simulator, inside the
+functions that run them, so that a node, miner, keygen or compact process
+starts without loading it (a node pays its start-up on every restart)."""
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import codec, live, mainchain
 from .errors import ShardChainError
 from .mainchain import ChainParams
-from .sim import SimConfig, bench_storage, bench_verify, run_sim
 
 PROFILES = {
     # (block size limit bytes, block interval seconds)
@@ -47,7 +47,9 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=["json", "csv"], default="json")
 
 
-def _sim_config(args) -> SimConfig:
+def _sim_config(args):
+    from .sim import SimConfig
+
     block_size, interval = args.block_size, args.interval
     if args.profile:
         block_size, interval = PROFILES[args.profile]
@@ -66,6 +68,8 @@ def _sim_config(args) -> SimConfig:
 
 def _emit(rows, columns, out_format: str) -> None:
     if out_format == "csv":
+        import csv
+
         writer = csv.DictWriter(sys.stdout, fieldnames=columns)
         writer.writeheader()
         for row in rows:
@@ -84,6 +88,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .sim import run_sim
+
     report = run_sim(_sim_config(args))
     if args.out == "csv":
         _emit(report["blocks"],
@@ -97,6 +103,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_bench_verify(args) -> int:
+    from .sim import bench_verify
+
     workers = [int(w) for w in args.workers.split(",")]
     rows = bench_verify(args.txs, workers, seed=args.seed)
     _emit(rows, ["workers", "seconds", "txs", "all_valid"], args.out)
@@ -104,6 +112,8 @@ def cmd_bench_verify(args) -> int:
 
 
 def cmd_bench_storage(args) -> int:
+    from .sim import bench_storage
+
     rows = bench_storage(_sim_config(args))
     _emit(rows, ["node", "depth", "main_chain_bytes", "subchain_bytes",
                  "shard_count"], args.out)
@@ -127,11 +137,11 @@ def cmd_node(args) -> int:
             return 0
     host, _, port = args.listen.partition(":")
     server = live.NodeServer(args.data_dir, (host, int(port)))
-    print("node listening on %s" % args.listen, flush=True)
     try:
+        print("node listening on %s" % args.listen, flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
-        server.shutdown()
+        server.close()
     return 0
 
 

@@ -22,10 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature,
     encode_dss_signature,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 from .errors import DecodeError, InvalidSeed, KeyMismatch
 
@@ -94,9 +90,9 @@ def keygen(seed: bytes | None = None) -> KeyPair:
     if not 0 < scalar < CURVE_ORDER:
         raise InvalidSeed("seed is not a valid nonzero scalar")
     priv = ec.derive_private_key(scalar, CURVE)
-    public = priv.public_key().public_bytes(
-        Encoding.X962, PublicFormat.CompressedPoint
-    )
+    # SEC1 compressed point: 0x02 or 0x03 for the parity of y, then x
+    point = priv.public_key().public_numbers()
+    public = bytes([2 | (point.y & 1)]) + point.x.to_bytes(32, "big")
     return KeyPair(secret=seed, public=public, signing_key=priv)
 
 

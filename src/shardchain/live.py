@@ -181,7 +181,9 @@ def _error_reply(err: ShardChainError) -> Envelope:
 
 # -- node server ------------------------------------------------------
 
-_PENDING_SUMMARY = struct.Struct(">20s32sQQ")
+# a Hello reply summarises each pending tail as (address, tip hash, tip
+# height, confirmed height, confirmed tip hash)
+_PENDING_SUMMARY = struct.Struct(">20s32sQQ32s")
 # a FragmentRequest is one or more ranges; the reply holds each fragment
 # behind its length, in request order
 _FRAGMENT_RANGE = struct.Struct(">20sQQ")
@@ -224,7 +226,13 @@ class NodeServer:
         self.server.serve_forever()
 
     def shutdown(self):
+        """Stop ``serve_forever`` running in another thread, then close."""
         self.server.shutdown()
+        self.close()
+
+    def close(self):
+        """Close the listening socket and the log; ``serve_forever`` must
+        not be running (it never started, or it has returned)."""
         self.server.server_close()
         with self.lock:
             self.log.close()
@@ -248,7 +256,7 @@ class NodeServer:
                 confirmed = node.confirmed_state(address)
                 body.append(_PENDING_SUMMARY.pack(
                     address, tail[-1].tx_hash, tail[-1].height,
-                    confirmed.tip_height))
+                    confirmed.tip_height, confirmed.tip_hash))
             return Envelope(MsgKind.Hello, OK + b"".join(body))
         if env.kind in (MsgKind.NewTx, MsgKind.NewBlock):
             if _apply_request(node, env.kind, env.payload):
@@ -301,10 +309,8 @@ class NodeClient:
         offset = alen + 44
         pending = []
         for _ in range(count):
-            address, tip_hash, height, confirmed = \
-                _PENDING_SUMMARY.unpack_from(body, offset)
+            pending.append(_PENDING_SUMMARY.unpack_from(body, offset))
             offset += _PENDING_SUMMARY.size
-            pending.append((address, tip_hash, height, confirmed))
         return assignment, tip, tip_height, pending
 
     def fetch_fragments(self, ranges: Sequence[Tuple[bytes, int, int]]
@@ -340,18 +346,20 @@ class NodeClient:
 def mine_once(client: NodeClient, miner_address: bytes, params: ChainParams,
               timestamp: Optional[int] = None) -> MainBlock:
     """Build one block from the node's pending tails, fetched in one
-    request; check that each fragment is the tail its summary names and
-    is signed and link-valid, then seal and submit the block."""
+    request; check that each fragment is the tail its summary names, from
+    the confirmed tip on, and is signed and link-valid, then seal and
+    submit the block."""
     _, tip, tip_height, pending = client.hello()
     pending = pending[:mainchain.capacity(params.block_limit)]
     frags = client.fetch_fragments(
         [(address, confirmed, height)
-         for address, _, height, confirmed in pending]) if pending else []
+         for address, _, height, confirmed, _ in pending]) if pending else []
     records = []
-    for (address, tip_hash, height, confirmed), frag in zip(pending, frags,
-                                                          strict=True):
+    for (address, tip_hash, height, confirmed, confirmed_hash), frag in zip(
+            pending, frags, strict=True):
         if (frag.address != address or frag.from_height != confirmed
                 or frag.to_height != height or not frag.txs
+                or frag.txs[0].parent_hash != confirmed_hash
                 or frag.txs[-1].tx_hash != tip_hash
                 or any(tx.current_address != address
                        or tx.height != confirmed + 1 + i

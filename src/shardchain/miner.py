@@ -9,7 +9,6 @@ pool; a miner attached to a partial node sees only its hosted tails.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -155,6 +154,8 @@ def verify_batch(txs: Sequence[codec.SubchainTx],
         return _verify_wire_chunk(wires)
     chunk = (len(wires) + workers - 1) // workers
     chunks = [wires[i:i + chunk] for i in range(0, len(wires), chunk)]
+    import multiprocessing   # only this branch starts worker processes
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         results = pool.map(_verify_wire_chunk, chunks)

@@ -167,6 +167,37 @@ class TestLiveNode:
             client.close()
 
 
+class TestNodeCommand:
+    def test_interrupt_at_listening_line_closes_log(self, tmp_path, keys,
+                                                    monkeypatch):
+        """A SIGINT that lands on the "node listening" print still shuts
+        the server down: the command returns 0 and the log is closed."""
+        data_dir = str(tmp_path / "node")
+        live.init_data_dir(data_dir, {keys[0].address: 100},
+                           ChainParams(difficulty_bits=EASY_BITS))
+        servers = []
+
+        class Recorded(live.NodeServer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                servers.append(self)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(live, "NodeServer", Recorded)
+        monkeypatch.setattr(cli, "print", interrupt, raising=False)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(cli.main(
+            ["node", "--data-dir", data_dir, "--listen", "127.0.0.1:0"])),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert codes == [0]
+        assert len(servers) == 1 and servers[0].log.closed
+
+
 class TestCompactCommand:
     def test_compact_data_dir(self, tmp_path, keys):
         params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)

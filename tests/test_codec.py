@@ -56,6 +56,18 @@ class TestKeygen:
         assert codec.keygen(b"\x01" * 32).public.hex() == (
             "026ff03b949241ce1dadd43519e6960e0a85b41a69a05c328103aa2bce1594ca16")
 
+    @pytest.mark.parametrize("seed, prefix", [
+        (b"\x01" * 32, 0x02),    # even y
+        (b"\x05" * 32, 0x03),    # odd y
+    ])
+    def test_compressed_point_matches_x962(self, seed, prefix):
+        """keygen builds the compressed point from the public numbers; it
+        equals cryptography's own X9.62 compressed encoding."""
+        key = codec.keygen(seed)
+        assert key.public[0] == prefix
+        assert key.public == key.signing_key.public_key().public_bytes(
+            Encoding.X962, PublicFormat.CompressedPoint)
+
     def test_zero_seed_rejected(self):
         with pytest.raises(InvalidSeed):
             codec.keygen(b"\x00" * 32)

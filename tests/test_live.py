@@ -351,9 +351,10 @@ def fragment(*txs):
 
 
 def summary(frag):
-    """The Hello summary (address, tip, height, confirmed) of a fragment."""
+    """The Hello summary (address, tip, height, confirmed, confirmed hash)
+    of a fragment."""
     return (frag.address, frag.txs[-1].tx_hash, frag.to_height,
-            frag.from_height)
+            frag.from_height, frag.txs[0].parent_hash)
 
 
 class LyingNode:
@@ -370,11 +371,29 @@ class LyingNode:
 
     def fetch_fragments(self, ranges):
         assert ranges == [(address, confirmed, height)
-                          for address, _, height, confirmed in self.pending]
+                          for address, _, height, confirmed, _
+                          in self.pending]
         return self.frags
 
     def submit_block(self, block):
         self.submitted.append(block)
+
+
+class TestHello:
+    def test_summary_names_confirmed_tip(self, data_dir, keys):
+        first = make_send(keys[0], amount=7)
+        second = make_send(keys[0], parent=first.tx_hash, height=2)
+        other = make_send(keys[1], amount=3)
+        with serving(data_dir) as (_, client):
+            client.submit_tx(first)
+            live.mine_once(client, MINER, PARAMS, timestamp=15)
+            client.submit_tx(second)
+            client.submit_tx(other)
+            _, _, tip_height, pending = client.hello()
+        assert tip_height == 1
+        assert sorted(pending) == sorted([
+            (keys[0].address, second.tx_hash, 2, 1, first.tx_hash),
+            (keys[1].address, other.tx_hash, 1, 0, codec.NULL_HASH)])
 
 
 class TestMinerChecks:
@@ -406,14 +425,18 @@ class TestMinerChecks:
 
     @pytest.mark.parametrize("lie", [
         "other account", "one tx short", "other last hash", "no first tx",
-        "relabelled", "mislabelled", "height skew", "start skew", "empty"])
+        "relabelled", "mislabelled", "height skew", "start skew", "empty",
+        "unlinked start"])
     def test_wrong_tail_refused(self, keys, lie):
         """A served fragment must be the tail its summary names: its
-        address, heights and tip hash. Past the first, each lie is
-        caught by one of those checks alone."""
+        address, heights and tip hash, starting on the confirmed tip.
+        Each of those checks, removed alone, lets one of these lies
+        through."""
         a, b = keys[0].address, keys[1].address
         first = make_send(keys[0], amount=7)
         second = make_send(keys[0], parent=first.tx_hash, height=2)
+        skewed = make_send(keys[0], height=2)   # parent: the null hash
+        unlinked = make_send(keys[0], parent=b"\x0f" * 32)
         theirs = make_send(keys[1])
         frag = subchain.SubchainFragment
         asked, served = {
@@ -425,11 +448,15 @@ class TestMinerChecks:
             # B's send, labelled as A's fragment and announced as A's tip
             "relabelled": ((a, theirs.tx_hash, 1, 0), frag(a, 0, (theirs,))),
             "mislabelled": ((a, first.tx_hash, 1, 0), frag(b, 0, (first,))),
-            "height skew": ((a, second.tx_hash, 1, 0), frag(a, 0, (second,))),
+            "height skew": ((a, skewed.tx_hash, 1, 0), frag(a, 0, (skewed,))),
             "start skew": ((a, first.tx_hash, 2, 0), frag(a, 1, (first,))),
             "empty": ((a, first.tx_hash, 0, 0), frag(a, 0, ())),
+            # A's height-1 send on a parent other than the empty subchain
+            "unlinked start": ((a, unlinked.tx_hash, 1, 0),
+                               fragment(unlinked)),
         }[lie]
-        node = LyingNode([served], pending=[asked])
+        # every summary announces A's confirmed tip as the empty subchain
+        node = LyingNode([served], pending=[asked + (codec.NULL_HASH,)])
         with pytest.raises(ShardChainError) as exc:
             live.mine_once(node, MINER, PARAMS, timestamp=15)
         assert "requested tail" in str(exc.value)
