@@ -108,10 +108,6 @@ class UnknownParent(MainChainError):
     pass
 
 
-class Aborted(MainChainError):
-    """PoW search cancelled before a solution was found."""
-
-
 # --- sharding / network ---
 
 class MaxDepth(ShardChainError):

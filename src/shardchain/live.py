@@ -182,12 +182,41 @@ def _error_reply(err: ShardChainError) -> Envelope:
 # -- node server ------------------------------------------------------
 
 # a Hello reply summarises each pending tail as (address, tip hash, tip
-# height, confirmed height, confirmed tip hash)
+# height, confirmed height, confirmed tip hash), after the node's shard
+# assignment, its tip hash and the (tip height, summary count) pair
 _PENDING_SUMMARY = struct.Struct(">20s32sQQ32s")
+_HELLO_COUNTS = struct.Struct(">QI")
 # a FragmentRequest is one or more ranges; the reply holds each fragment
 # behind its length, in request order
 _FRAGMENT_RANGE = struct.Struct(">20sQQ")
 _FRAGMENT_LEN = struct.Struct(">I")
+
+
+def encode_hello(assignment: ShardAssignment, tip: bytes, tip_height: int,
+                 pending: Sequence[tuple]) -> bytes:
+    """The body of an ok Hello reply, after its status byte."""
+    return b"".join([assignment.encode(), tip,
+                     _HELLO_COUNTS.pack(tip_height, len(pending))]
+                    + [_PENDING_SUMMARY.pack(*entry) for entry in pending])
+
+
+def decode_hello(body: bytes):
+    """(assignment, tip hash, tip height, pending summaries) of a Hello
+    reply body."""
+    if not body:
+        raise DecodeError("empty Hello reply")
+    alen = 1 + (body[0] + 7) // 8
+    head = alen + 32 + _HELLO_COUNTS.size
+    if len(body) < head:
+        raise DecodeError("Hello reply shorter than %d bytes" % head)
+    assignment = sharding.decode_assignment(body[:alen])
+    tip_height, count = _HELLO_COUNTS.unpack_from(body, alen + 32)
+    if len(body) != head + count * _PENDING_SUMMARY.size:
+        raise DecodeError("Hello reply of %d summaries must be %d bytes, "
+                          "got %d" % (count, head + count
+                                      * _PENDING_SUMMARY.size, len(body)))
+    return (assignment, body[alen:alen + 32], tip_height,
+            list(_PENDING_SUMMARY.iter_unpack(body[head:])))
 
 
 class NodeServer:
@@ -247,17 +276,15 @@ class NodeServer:
     def _dispatch(self, env: Envelope) -> Envelope:
         node = self.node
         if env.kind == MsgKind.Hello:
-            body = [node.assignment.encode(),
-                    node.view.tip,
-                    struct.pack(">Q", node.view.tip_height),
-                    struct.pack(">I", len(node.store.pending))]
-            for address in sorted(node.store.pending):
+            pending = []
+            for address in node.block_order():
                 tail = node.store.pending[address]
                 confirmed = node.confirmed_state(address)
-                body.append(_PENDING_SUMMARY.pack(
-                    address, tail[-1].tx_hash, tail[-1].height,
-                    confirmed.tip_height, confirmed.tip_hash))
-            return Envelope(MsgKind.Hello, OK + b"".join(body))
+                pending.append((address, tail[-1].tx_hash, tail[-1].height,
+                                confirmed.tip_height, confirmed.tip_hash))
+            return Envelope(MsgKind.Hello, OK + encode_hello(
+                node.assignment, node.view.tip, node.view.tip_height,
+                pending))
         if env.kind in (MsgKind.NewTx, MsgKind.NewBlock):
             if _apply_request(node, env.kind, env.payload):
                 self.log.write(_log_record(env.kind, env.payload))
@@ -299,19 +326,7 @@ class NodeClient:
         return reply.payload[1:]
 
     def hello(self):
-        body = self.call(Envelope(MsgKind.Hello, b""))
-        depth = body[0]
-        alen = 1 + (depth + 7) // 8
-        assignment = sharding.decode_assignment(body[:alen])
-        tip = body[alen:alen + 32]
-        (tip_height,) = struct.unpack_from(">Q", body, alen + 32)
-        (count,) = struct.unpack_from(">I", body, alen + 40)
-        offset = alen + 44
-        pending = []
-        for _ in range(count):
-            pending.append(_PENDING_SUMMARY.unpack_from(body, offset))
-            offset += _PENDING_SUMMARY.size
-        return assignment, tip, tip_height, pending
+        return decode_hello(self.call(Envelope(MsgKind.Hello, b"")))
 
     def fetch_fragments(self, ranges: Sequence[Tuple[bytes, int, int]]
                         ) -> List[subchain.SubchainFragment]:
@@ -345,10 +360,11 @@ class NodeClient:
 
 def mine_once(client: NodeClient, miner_address: bytes, params: ChainParams,
               timestamp: Optional[int] = None) -> MainBlock:
-    """Build one block from the node's pending tails, fetched in one
-    request; check that each fragment is the tail its summary names, from
-    the confirmed tip on, and is signed and link-valid, then seal and
-    submit the block."""
+    """Build one block from the first capacity tails of the node's Hello
+    (which lists them in its block order), fetched in one request; check
+    that each fragment is the tail its summary names, from the confirmed
+    tip on, and is signed and link-valid, then seal and submit the
+    block."""
     _, tip, tip_height, pending = client.hello()
     pending = pending[:mainchain.capacity(params.block_limit)]
     frags = client.fetch_fragments(
@@ -374,13 +390,9 @@ def mine_once(client: NodeClient, miner_address: bytes, params: ChainParams,
             prev = tx
         records.append(mainchain.ConfirmationRecord(
             address=address, tip_hash=tip_hash, tip_height=height))
-    records.sort(key=lambda r: r.address)
-    header = mainchain.BlockHeader(
-        parent_block_hash=tip, height=tip_height + 1,
-        timestamp=int(time.time()) if timestamp is None else timestamp,
-        miner_address=miner_address,
-        confirmations_root=mainchain.confirmations_root(records),
-        difficulty_bits=params.difficulty_bits, nonce=0)
-    block = mainchain.seal(MainBlock(header, tuple(records)))
+    block = mainchain.new_block(
+        tip, tip_height + 1,
+        int(time.time()) if timestamp is None else timestamp,
+        miner_address, records, params.difficulty_bits)
     client.submit_block(block)
     return block

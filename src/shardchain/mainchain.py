@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from . import codec, subchain
 from .codec import sha256, sha256d
 from .errors import (
-    Aborted,
     BadPoW,
     ConfirmationMismatch,
     MalformedBits,
@@ -152,39 +151,40 @@ def meets_target(block_hash: bytes, difficulty_bits: int) -> bool:
     return int.from_bytes(block_hash, "big") <= target(difficulty_bits)
 
 
-def seal(block: MainBlock, abort: Optional[Callable[[], bool]] = None,
-         batch: int = 256) -> MainBlock:
-    """Iterate the nonce (then the timestamp) until the hash meets target.
-
-    ``abort`` is polled between nonce batches; raising Aborted leaves no
-    partial result.
-    """
+def seal(block: MainBlock) -> MainBlock:
+    """Iterate the nonce (then the timestamp) until the hash meets target."""
     goal = target(block.header.difficulty_bits)
     header = block.header
     while True:
         base = header.encode()[:-8]
         nonce = header.nonce
         while True:
-            for _ in range(batch):
-                h = sha256d(base + struct.pack(">Q", nonce))
-                if int.from_bytes(h, "big") <= goal:
-                    sealed = BlockHeader(
-                        header.parent_block_hash, header.height,
-                        header.timestamp, header.miner_address,
-                        header.confirmations_root, header.difficulty_bits,
-                        nonce)
-                    return MainBlock(sealed, block.confirmations)
-                nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
-                if nonce == header.nonce:
-                    break
-            if abort is not None and abort():
-                raise Aborted("new tip arrived during PoW search")
+            h = sha256d(base + struct.pack(">Q", nonce))
+            if int.from_bytes(h, "big") <= goal:
+                sealed = BlockHeader(
+                    header.parent_block_hash, header.height,
+                    header.timestamp, header.miner_address,
+                    header.confirmations_root, header.difficulty_bits,
+                    nonce)
+                return MainBlock(sealed, block.confirmations)
+            nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
             if nonce == header.nonce:   # nonce space exhausted
                 break
         header = BlockHeader(header.parent_block_hash, header.height,
                              header.timestamp + 1, header.miner_address,
                              header.confirmations_root,
                              header.difficulty_bits, 0)
+
+
+def new_block(parent: bytes, height: int, timestamp: int,
+              miner_address: bytes, records, difficulty_bits: int
+              ) -> MainBlock:
+    """The sealed block on ``parent`` confirming ``records``, which it
+    sorts by address."""
+    records = tuple(sorted(records, key=attrgetter("address")))
+    header = BlockHeader(parent, height, timestamp, miner_address,
+                         confirmations_root(records), difficulty_bits, 0)
+    return seal(MainBlock(header, records))
 
 
 def coinbase_amount(height: int, params: ChainParams = ChainParams()) -> int:

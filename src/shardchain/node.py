@@ -177,6 +177,13 @@ class Node:
             raise BadLink("gap above the current tip", height=tx.height)
         return True
 
+    def block_order(self) -> List[bytes]:
+        """The addresses with a pending tail in the order a block confirms
+        them: longest tail first, ties in the order the tails entered
+        ``pending``."""
+        pending = self.store.pending
+        return sorted(pending, key=lambda a: -len(pending[a]))  # stable
+
     def replace_pending_tail(self, fork_height: int,
                              new_tail: SubchainFragment) -> None:
         """Owner rewrite of an unconfirmed tail; higher tip wins."""

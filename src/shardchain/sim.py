@@ -63,22 +63,14 @@ class SimConfig:
             raise ConfigInvalid("bad latency range")
 
 
-_key_cache: Dict[bytes, KeyPair] = {}
-
-
 def derived_key(label: bytes) -> KeyPair:
     """Deterministic keypair from a label (retries on invalid scalars)."""
-    key = _key_cache.get(label)
-    if key is None:
-        seed = sha256(label)
-        while True:
-            try:
-                key = codec.keygen(seed)
-                break
-            except InvalidSeed:
-                seed = sha256(seed)
-        _key_cache[label] = key
-    return key
+    seed = sha256(label)
+    while True:
+        try:
+            return codec.keygen(seed)
+        except InvalidSeed:
+            seed = sha256(seed)
 
 
 class Simulation:
@@ -222,8 +214,7 @@ class Simulation:
             self.broadcast(MsgKind.NewTx, subchain.encode_fragment(frag))
         self.transport.run()
 
-        block = mainchain.seal(
-            self.miner.assemble(self.miner.build_template(), self.now))
+        block = self.miner.build_template(self.now)
         deltas = self.root.ingest_block(block)
         self.broadcast(MsgKind.NewBlock, block.encode())
         self.transport.run()

@@ -4,7 +4,7 @@ DecodeError, and a valid encoding cut short or extended is refused."""
 import pytest
 from hypothesis import given, strategies as st
 
-from shardchain import codec, mainchain, network, sharding, subchain
+from shardchain import codec, live, mainchain, network, sharding, subchain
 from shardchain.codec import ReceiveTx, SendTx
 from shardchain.errors import DecodeError
 
@@ -40,6 +40,8 @@ assignments = st.builds(sharding.ShardAssignment, prefix_bits=st.text(
 fragments = st.builds(subchain.SubchainFragment, address=addresses,
                       from_height=u64,
                       txs=st.lists(txs, max_size=3).map(tuple))
+hellos = st.tuples(assignments, hashes, u64, st.lists(
+    st.tuples(addresses, hashes, u64, u64, hashes), max_size=3))
 
 # decoder, strategy for the values it decodes, their encoder
 DECODERS = {
@@ -51,6 +53,7 @@ DECODERS = {
                    lambda a: a.encode()),
     "fragment": (subchain.decode_fragment, fragments,
                  subchain.encode_fragment),
+    "hello": (live.decode_hello, hellos, lambda h: live.encode_hello(*h)),
 }
 
 

@@ -13,9 +13,12 @@ import pytest
 from shardchain import cli, codec, live, mainchain, subchain
 from shardchain.errors import DecodeError, ShardChainError
 from shardchain.mainchain import ChainParams, EASY_BITS
+from shardchain.miner import Miner
 from shardchain.network import Envelope, MsgKind
+from shardchain.node import Node
+from shardchain.sharding import ShardAssignment
 
-from conftest import make_receive, make_send
+from conftest import build_chain, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      block_interval=15, maturity=1)
@@ -394,6 +397,67 @@ class TestHello:
         assert sorted(pending) == sorted([
             (keys[0].address, second.tx_hash, 2, 1, first.tx_hash),
             (keys[1].address, other.tx_hash, 1, 0, codec.NULL_HASH)])
+
+    @pytest.mark.parametrize("body", [
+        b"",
+        b"\x00",                             # a prefix, then nothing
+        b"\x00" * 11,
+        # two summaries announced, none sent
+        ShardAssignment().encode() + b"\x11" * 32
+        + struct.pack(">QI", 3, 2),
+        # a whole reply with a byte after it
+        live.encode_hello(ShardAssignment("1"), b"\x11" * 32, 3, [])
+        + b"\x00",
+    ])
+    def test_malformed_reply_refused(self, body):
+        with pytest.raises(DecodeError):
+            CannedReply(body).hello()
+
+
+class CannedReply(live.NodeClient):
+    """A client that gets ``body`` as the ok reply to every request."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def call(self, env):
+        return self.body
+
+
+class TestBlockOrder:
+    def test_live_miner_confirms_the_sim_miners_tails(self, tmp_path, keys):
+        """A pool over capacity whose address order is not its block
+        order: tails of 1, 2 and 3 txs, with ties, pooled out of address
+        order. Hello lists the tails in the node's block order, and
+        mine_once over TCP seals the very block that the sim's miner
+        builds from the same pool."""
+        limit = mainchain.BLOCK_OVERHEAD + 4 * mainchain.RECORD_LEN
+        params = dataclasses.replace(PARAMS, block_limit=limit)
+        by_address = sorted(keys[:7], key=lambda k: k.address)
+        lengths = [1, 1, 2, 3, 2, 3, 2]     # of each tail, by address
+        arrival = [6, 3, 4, 0, 5, 2, 1]     # the order the tails are pooled
+        txs = [tx for i in arrival for tx in build_chain(
+            by_address[i], lengths[i], start_balance=1000)]
+        order = [by_address[i].address for i in (3, 5, 6, 4, 2, 0, 1)]
+        alloc = {k.address: 1000 for k in by_address}
+        path = str(tmp_path / "node")
+        live.init_data_dir(path, alloc, params)
+
+        node = Node(b"\x00" * 8, ShardAssignment(),
+                    mainchain.make_genesis(alloc), params)
+        for tx in txs:
+            node.accept_pending_tx(tx)
+        assert node.block_order() == order
+        sim_block = Miner(MINER, node).build_template(15)
+
+        with serving(path) as (_, client):
+            for tx in txs:
+                client.submit_tx(tx)
+            _, _, _, pending = client.hello()
+            assert [entry[0] for entry in pending] == order
+            block = live.mine_once(client, MINER, params, timestamp=15)
+        assert block == sim_block
+        assert [r.address for r in block.confirmations] == sorted(order[:4])
 
 
 class TestMinerChecks:

@@ -6,7 +6,6 @@ import pytest
 from shardchain import codec, mainchain, subchain
 from shardchain.codec import NULL_HASH
 from shardchain.errors import (
-    Aborted,
     BadPoW,
     ConfirmationMismatch,
     DecodeError,
@@ -118,12 +117,6 @@ class TestSeal:
         assert meets_target(block.block_hash, EASY_BITS)
         # sealing only touches nonce/timestamp
         assert block.header.parent_block_hash == genesis.block_hash
-
-    def test_abort(self):
-        header = BlockHeader(NULL_HASH, 1, 0, MINER, NULL_HASH,
-                             0x03000001)   # astronomically hard
-        with pytest.raises(Aborted):
-            seal(MainBlock(header), abort=lambda: True, batch=16)
 
     def test_deterministic_for_fixed_header(self):
         genesis = make_genesis({})

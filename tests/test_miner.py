@@ -73,15 +73,19 @@ class TestPool:
                                         height=9, amount=1))
 
 
+def limited(limit):
+    return dataclasses.replace(PARAMS, block_limit=limit)
+
+
 class TestTemplate:
     def test_one_record_per_address(self, keys):
         key = keys[0]
         miner, _ = fresh_miner({key.address: 1000})
         for tx in build_chain(key, 5, start_balance=1000):
             miner.pool_insert(tx)
-        template = miner.build_template()
-        assert len(template.records) == 1
-        rec = template.records[0]
+        block = miner.build_template(15)
+        assert len(block.confirmations) == 1
+        rec = block.confirmations[0]
         assert rec.tip_height == 5
 
     def test_capacity_selection_arithmetic(self):
@@ -91,40 +95,40 @@ class TestTemplate:
         alloc = {k.address: 1000 for k in sim_keys}
         limit = BLOCK_OVERHEAD + 4 * RECORD_LEN
         assert capacity(limit) == 4
-        miner, _ = fresh_miner(alloc)
+        miner, _ = fresh_miner(alloc, limited(limit))
         for k in sim_keys:
             for tx in build_chain(k, 5, start_balance=1000):
                 miner.pool_insert(tx)
-        template = miner.build_template(limit_bytes=limit)
-        assert len(template.records) == 4
-        assert sum(r.tip_height for r in template.records) == 20
-        assert template.encoded_size() <= limit
+        block = miner.build_template(15)
+        assert len(block.confirmations) == 4
+        assert sum(r.tip_height for r in block.confirmations) == 20
+        assert len(block.encode()) <= limit
 
     def test_longest_tail_preferred(self, keys):
         a, b = keys[0], keys[1]
-        miner, _ = fresh_miner({a.address: 100, b.address: 100})
+        miner, _ = fresh_miner({a.address: 100, b.address: 100},
+                               limited(BLOCK_OVERHEAD + RECORD_LEN))
         miner.pool_insert(make_send(a, amount=1))
         for tx in build_chain(b, 3, start_balance=100):
             miner.pool_insert(tx)
-        limit = BLOCK_OVERHEAD + RECORD_LEN
-        template = miner.build_template(limit_bytes=limit)
-        assert len(template.records) == 1
-        assert template.records[0].address == b.address
+        block = miner.build_template(15)
+        assert len(block.confirmations) == 1
+        assert block.confirmations[0].address == b.address
 
     def test_tie_goes_to_first_pooled(self, keys):
-        miner, _ = fresh_miner({k.address: 100 for k in keys})
+        miner, _ = fresh_miner({k.address: 100 for k in keys},
+                               limited(BLOCK_OVERHEAD + RECORD_LEN))
         for k in reversed(keys):
             miner.pool_insert(make_send(k, amount=1))
-        limit = BLOCK_OVERHEAD + RECORD_LEN
-        template = miner.build_template(limit_bytes=limit)
-        assert [r.address for r in template.records] == [keys[-1].address]
+        block = miner.build_template(15)
+        assert [r.address for r in block.confirmations] == [keys[-1].address]
 
     def test_records_sorted(self, keys):
         miner, _ = fresh_miner({k.address: 100 for k in keys})
         for k in keys:
             miner.pool_insert(make_send(k, amount=1))
-        template = miner.build_template()
-        addrs = [r.address for r in template.records]
+        block = miner.build_template(15)
+        addrs = [r.address for r in block.confirmations]
         assert addrs == sorted(addrs)
 
 
@@ -136,29 +140,12 @@ class TestMining:
         for tx in chain:
             node.accept_pending_tx(tx)
             miner.pool_insert(tx)
-        block = miner.mine_block(timestamp=15)
+        block = miner.build_template(15)
         node.ingest_block(block)
         assert node.view.tip == block.block_hash
         assert node.confirmed_state(key.address).confirmed_height == 3
         miner.refresh_pool()
         assert key.address not in node.store.pending
-
-    def test_mine_loop_heartbeats(self, keys):
-        miner, node = fresh_miner({})
-        published = miner.mine_loop(
-            [15, 30, 45], publish=node.ingest_block)
-        assert len(published) == 3
-        assert node.view.tip_height == 3
-        assert all(b.confirmations == () for b in published)
-
-    def test_mine_loop_abort(self, keys):
-        miner, node = fresh_miner({})
-        # astronomically hard bits force the abort poll to fire
-        miner.node.params = ChainParams(difficulty_bits=0x03000001,
-                                        block_limit=4096)
-        published = miner.mine_loop([15], publish=node.ingest_block,
-                                    abort=lambda: True)
-        assert published == []
 
 
 class TestVerifyBatch:

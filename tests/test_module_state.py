@@ -14,7 +14,6 @@ KNOWN = {
     "cli.PROFILES",         # a constant table of named chain profiles
     "codec._verify_cache",  # tx -> verdict, shared by every node
     "codec._public_key",    # lru_cache: public key bytes -> key object
-    "sim._key_cache",       # label -> KeyPair of derived_key
 }
 
 

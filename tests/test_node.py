@@ -181,9 +181,9 @@ class TestReplaceTail:
             tail, node.claim_context(),
             initial=node.confirmed_state(key.address))
         # the miner's next template confirms the rewritten tip
-        template = Miner(MINER, node).build_template()
+        block = Miner(MINER, node).build_template(15)
         assert [(r.address, r.tip_hash, r.tip_height)
-                for r in template.records] == \
+                for r in block.confirmations] == \
             [(key.address, new.txs[-1].tx_hash, 4)]
         # and a transaction extending the new tip is accepted
         node.accept_pending_tx(make_send(key, parent=new.txs[-1].tx_hash,
