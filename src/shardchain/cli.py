@@ -23,6 +23,40 @@ PROFILES = {
 }
 
 
+# Flag types: argparse turns the ValueError of a malformed value into a
+# usage error (exit 2) before any command runs or writes a data dir.
+
+def hex_address(text: str) -> bytes:
+    """A 20-byte address written as 40 hex digits."""
+    address = bytes.fromhex(text)
+    if len(text) != 2 * codec.ADDR_LEN or len(address) != codec.ADDR_LEN:
+        raise ValueError(text)
+    return address
+
+
+def allocation(text: str):
+    """ADDRHEX=AMOUNT, the amount in 0..2^64-1."""
+    addr, _, amount = text.partition("=")
+    amount = int(amount)
+    if not 0 <= amount < 1 << 64:
+        raise ValueError(text)
+    return hex_address(addr), amount
+
+
+def host_port(text: str):
+    """HOST:PORT, the port an integer in 0..65535."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not 0 <= int(port) <= 0xFFFF:
+        raise ValueError(text)
+    return host, int(port)
+
+
+def latency_range(text: str):
+    """MIN[:MAX] in ms; MAX defaults to MIN."""
+    lo, _, hi = text.partition(":")
+    return float(lo), float(hi or lo)
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--accounts", type=int, default=100)
@@ -34,7 +68,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="block interval in simulated seconds")
     p.add_argument("--blocks", type=int, default=10)
     p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--latency", default="1:5",
+    p.add_argument("--latency", type=latency_range, default="1:5",
                    help="per-link latency range MIN:MAX in ms")
     p.add_argument("--maturity", type=int, default=6)
     p.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
@@ -53,14 +87,12 @@ def _sim_config(args):
     block_size, interval = args.block_size, args.interval
     if args.profile:
         block_size, interval = PROFILES[args.profile]
-    lat_min, _, lat_max = args.latency.partition(":")
     return SimConfig(
         seed=args.seed, accounts=args.accounts, width=args.width,
         avg_txs=args.avg_txs, block_limit=block_size,
         block_interval=interval, blocks=args.blocks,
         node_count=args.nodes,
-        latency_min_ms=float(lat_min), latency_max_ms=float(lat_max or
-                                                            lat_min),
+        latency_min_ms=args.latency[0], latency_max_ms=args.latency[1],
         difficulty_bits=args.difficulty_bits, maturity=args.maturity,
         initial_balance=args.initial_balance,
         claim_inflows=not args.no_claims)
@@ -122,11 +154,7 @@ def cmd_bench_storage(args) -> int:
 
 def cmd_node(args) -> int:
     if args.init:
-        allocations = {}
-        if args.alloc:
-            for item in args.alloc:
-                addr, _, amount = item.partition("=")
-                allocations[bytes.fromhex(addr)] = int(amount)
+        allocations = dict(args.alloc or ())
         params = ChainParams(difficulty_bits=args.difficulty_bits,
                              block_limit=args.block_size,
                              block_interval=args.interval)
@@ -135,10 +163,9 @@ def cmd_node(args) -> int:
         print("initialized data dir %s" % args.data_dir)
         if not args.listen:
             return 0
-    host, _, port = args.listen.partition(":")
-    server = live.NodeServer(args.data_dir, (host, int(port)))
+    server = live.NodeServer(args.data_dir, args.listen)
     try:
-        print("node listening on %s" % args.listen, flush=True)
+        print("node listening on %s:%d" % args.listen, flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         server.close()
@@ -146,15 +173,13 @@ def cmd_node(args) -> int:
 
 
 def cmd_miner(args) -> int:
-    host, _, port = args.node.partition(":")
-    client = live.NodeClient(host, int(port))
+    client = live.NodeClient(*args.node)
     params = ChainParams(difficulty_bits=args.bits,
                          block_limit=args.block_size)
-    address = bytes.fromhex(args.address)
     mined = 0
     try:
         while args.blocks == 0 or mined < args.blocks:
-            block = live.mine_once(client, address, params)
+            block = live.mine_once(client, args.address, params)
             mined += 1
             print("mined block %d %s (%d records)"
                   % (block.header.height, block.block_hash.hex()[:16],
@@ -204,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("node", help="run a persistent node")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--listen", help="HOST:PORT to serve on")
+    p.add_argument("--listen", type=host_port, help="HOST:PORT to serve on")
     p.add_argument("--init", action="store_true",
                    help="create the data directory first")
     p.add_argument("--prefix", default="",
                    help="hosted shard prefix bits, e.g. '01'")
-    p.add_argument("--alloc", action="append",
+    p.add_argument("--alloc", type=allocation, action="append",
                    help="genesis allocation ADDRHEX=AMOUNT (repeatable)")
     p.add_argument("--block-size", type=int, default=1 << 20)
     p.add_argument("--interval", type=int, default=600)
@@ -218,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_node)
 
     p = sub.add_parser("miner", help="mine against a running node")
-    p.add_argument("--node", required=True, help="HOST:PORT of a node")
-    p.add_argument("--address", required=True,
+    p.add_argument("--node", type=host_port, required=True,
+                   help="HOST:PORT of a node")
+    p.add_argument("--address", type=hex_address, required=True,
                    help="miner reward address, hex")
     p.add_argument("--bits", type=lambda s: int(s, 0),
                    default=mainchain.EASY_BITS)

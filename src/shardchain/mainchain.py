@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -187,11 +187,6 @@ def new_block(parent: bytes, height: int, timestamp: int,
     return seal(MainBlock(header, records))
 
 
-def coinbase_amount(height: int, params: ChainParams = ChainParams()) -> int:
-    """Constant per-block subsidy; no halving schedule."""
-    return params.subsidy
-
-
 @dataclass(frozen=True)
 class Genesis:
     """Height-0 anchor: allocations are pre-confirmed subchain balances."""
@@ -366,21 +361,21 @@ class ChainView:
 class ViewClaimContext(subchain.ClaimContext):
     """ClaimContext bound to one branch of a ChainView.
 
-    ``send_source`` maps (sender_address, height) -> SendTx for confirmed
-    transactions, typically a node store lookup or fragment fetch. A
-    block is on the branch when it is canonical at or below the fork
-    point or one of the side blocks above it, so the answers hold until
-    the view's canonical chain next changes.
+    ``send_source`` maps (sender_address, sender_tx_hash) -> SendTx for
+    confirmed transactions, typically a node store lookup or fragment
+    fetch. A block is on the branch when it is canonical at or below the
+    fork point or one of the side blocks above it, so the answers hold
+    until the view's canonical chain next changes.
     """
 
     def __init__(self, view: ChainView, branch_tip: bytes,
-                 send_source: Callable[[bytes, bytes], Optional[codec.SendTx]],
-                 maturity: Optional[int] = None):
+                 send_source: Callable[[bytes, bytes],
+                                       Optional[codec.SendTx]]):
         self.view = view
         self.branch_tip = branch_tip
         self.branch_height = view.height[branch_tip]
         self.send_source = send_source
-        self.maturity = view.params.maturity if maturity is None else maturity
+        self.maturity = view.params.maturity
         self.side = view.fork_path(branch_tip)
         self.fork_height = self.branch_height - len(self.side)
         self._side_set = set(self.side)
@@ -418,9 +413,8 @@ class ViewClaimContext(subchain.ClaimContext):
             return None
         if main_block_hash == self.view.genesis.block_hash:
             return None
-        block = self.view.blocks[main_block_hash]
-        subsidy = coinbase_amount(block.header.height, self.view.params)
-        return (block.header.miner_address, subsidy)
+        return (self.view.blocks[main_block_hash].header.miner_address,
+                self.view.params.subsidy)
 
 
 def validate_block(block: MainBlock, view: ChainView,
@@ -428,7 +422,6 @@ def validate_block(block: MainBlock, view: ChainView,
                    shard_oracle: Callable[[bytes, int, int],
                                           SubchainFragment],
                    ctx: subchain.ClaimContext,
-                   verify=codec.verify_tx,
                    stf_filter: Optional[Callable[[bytes], bool]] = None,
                    ) -> Dict[bytes, Tuple[SubchainState, SubchainState,
                                           tuple]]:
@@ -472,8 +465,7 @@ def validate_block(block: MainBlock, view: ChainView,
         old_state = state_provider(rec.address)
         frag = shard_oracle(rec.address, prev_height, rec.tip_height)
         try:
-            new_state = subchain.verify_fragment(old_state, frag, ctx,
-                                                 verify=verify)
+            new_state = subchain.verify_fragment(old_state, frag, ctx)
         except SubchainError as err:
             err.address = rec.address
             raise

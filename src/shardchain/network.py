@@ -213,11 +213,9 @@ class SimTransport:
         at = self.now + self.sample_latency()
         heapq.heappush(self.queue, (at, self._seq, sender, dest, env))
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self) -> None:
         """Deliver queued messages in time order until quiescent."""
         while self.queue:
-            if until is not None and self.queue[0][0] > until:
-                break
             at, _, sender, dest, env = heapq.heappop(self.queue)
             self.now = max(self.now, at)
             if not self.is_alive(dest):

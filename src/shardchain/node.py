@@ -184,40 +184,6 @@ class Node:
         pending = self.store.pending
         return sorted(pending, key=lambda a: -len(pending[a]))  # stable
 
-    def replace_pending_tail(self, fork_height: int,
-                             new_tail: SubchainFragment) -> None:
-        """Owner rewrite of an unconfirmed tail; higher tip wins."""
-        address = new_tail.address
-        if not self.hosts(address):
-            raise NotHosted("address outside this node's prefix")
-        state = self.full_state(address)
-        if new_tail.to_height <= state.tip_height:
-            raise TailConflict("replacement tail does not win")
-        new_state = subchain.try_replace_tail(
-            state, fork_height, new_tail, self.claim_context(),
-            state_at=lambda h: self._state_at(address, h))
-        confirmed = self.confirmed_state(address)
-        kept = [t for t in self.store.pending.get(address, [])
-                if t.height <= fork_height]
-        self.store.pending[address] = kept + list(new_tail.txs)
-        self.store.tail_states[address] = new_state
-        assert new_state.tip_height == confirmed.tip_height \
-            + len(self.store.pending[address])
-
-    def _state_at(self, address: bytes, height: int) -> SubchainState:
-        confirmed = self.confirmed_state(address)
-        if height < confirmed.tip_height:
-            raise ConfirmedFrozen("cannot rewind below confirmed state")
-        # the tail starts right above the confirmed tip; its txs were
-        # verified when they were pooled
-        kept = self.store.pending.get(address, [])[
-            :height - confirmed.tip_height]
-        state = subchain.replay(kept, self.claim_context(),
-                                initial=confirmed, verify=None)
-        if state.tip_height != height:
-            raise RangeUnavailable("no state at height %d" % height)
-        return state
-
     # -- block ingest --------------------------------------------------
 
     def ingest_block(self, block: MainBlock) -> Dict[bytes, tuple]:
@@ -348,7 +314,7 @@ class Node:
             self._put_inflow(undo, miner, block_hash, Inflow(
                 sender_address=codec.NULL_ADDRESS,
                 sender_tx_hash=codec.NULL_HASH,
-                amount=mainchain.coinbase_amount(height, self.params),
+                amount=self.params.subsidy,
                 block_hash=block_hash, block_height=height, coinbase=True))
 
     def _disconnect(self, block_hash: bytes) -> Dict[bytes, tuple]:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import codec, mainchain, miner as miner_mod, network, node as node_mod
+from . import codec, mainchain, miner as miner_mod, network
 from . import sharding, subchain, wallet
 from .codec import KeyPair, SendTx, sha256
 from .errors import ConfigInvalid, InvalidSeed, InvariantViolation
-from .mainchain import ChainParams, EASY_BITS, Genesis, capacity, \
-    coinbase_amount, make_genesis
+from .mainchain import ChainParams, EASY_BITS, capacity, make_genesis
 from .network import Envelope, FloodRouter, MsgKind, SimTransport, \
     TreeTopology
 from .node import Node
@@ -247,12 +246,9 @@ class Simulation:
             block = view.blocks[bh]
             miner_state = root.confirmed_state(block.header.miner_address)
             if bh not in miner_state.claimed_coinbases:
-                unclaimed_coinbase += coinbase_amount(
-                    block.header.height, self.params)
+                unclaimed_coinbase += self.params.subsidy
         genesis_total = sum(b for _, b in self.genesis.allocations)
-        subsidies = sum(coinbase_amount(view.blocks[bh].header.height,
-                                        self.params)
-                        for bh in view.canonical[1:])
+        subsidies = self.params.subsidy * (len(view.canonical) - 1)
         lhs = balances + unclaimed_sends + unclaimed_coinbase
         rhs = genesis_total + subsidies
         return {"balances": balances, "unclaimed_sends": unclaimed_sends,

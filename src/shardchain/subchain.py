@@ -2,23 +2,22 @@
 
 A subchain is the totally ordered transaction history of one account.
 All functions here are pure state -> state transforms; the full-chain
-``replay`` is the brute-force oracle that every incremental path
-(``verify_fragment``, ``try_replace_tail``) must agree with exactly.
+``replay`` is the brute-force oracle that the incremental path
+``verify_fragment`` must agree with exactly.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import codec
-from .codec import NULL_HASH, ReceiveTx, SendTx, SubchainTx
+from .codec import NULL_HASH, SendTx, SubchainTx
 from .errors import (
     AmountMismatch,
     BadLink,
     ConfirmAheadOfTip,
-    ConfirmedFrozen,
     DoubleClaim,
     FragmentMisaligned,
     InsufficientBalance,
@@ -181,8 +180,7 @@ class SubchainFragment:
 
 
 def verify_fragment(state: SubchainState, frag: SubchainFragment,
-                    ctx: ClaimContext,
-                    verify=codec.verify_tx) -> SubchainState:
+                    ctx: ClaimContext) -> SubchainState:
     """Extend a verified state by a fragment; equals replay of the whole."""
     if frag.address != state.address:
         raise FragmentMisaligned("fragment is for a different address")
@@ -192,28 +190,7 @@ def verify_fragment(state: SubchainState, frag: SubchainFragment,
             % (frag.from_height, state.tip_height))
     if frag.txs and frag.txs[0].parent_hash != state.tip_hash:
         raise FragmentMisaligned("fragment does not link to the tip hash")
-    return replay(frag.txs, ctx, initial=state, verify=verify)
-
-
-def try_replace_tail(state: SubchainState, fork_height: int,
-                     new_tail: SubchainFragment, ctx: ClaimContext,
-                     state_at: Callable[[int], SubchainState],
-                     verify=codec.verify_tx) -> SubchainState:
-    """Owner fork: rewrite everything above fork_height with a new tail.
-
-    Allowed only at or above the confirmed height; the confirmed prefix
-    is frozen by main-chain security.
-    """
-    if fork_height < state.confirmed_height:
-        raise ConfirmedFrozen("fork at %d below confirmed height %d"
-                              % (fork_height, state.confirmed_height))
-    if fork_height > state.tip_height:
-        raise FragmentMisaligned("fork point above current tip")
-    prefix = state_at(fork_height)
-    if prefix.tip_height != fork_height:
-        raise FragmentMisaligned("state_at returned wrong height")
-    new_state = verify_fragment(prefix, new_tail, ctx, verify=verify)
-    return replace(new_state, confirmed_height=state.confirmed_height)
+    return replay(frag.txs, ctx, initial=state)
 
 
 def mark_confirmed(state: SubchainState, height: int) -> SubchainState:

@@ -36,10 +36,9 @@ class AccountView:
         return flows
 
 
-def account_view(node, address: bytes, maturity: int = None) -> AccountView:
+def account_view(node, address: bytes) -> AccountView:
     """Build an AccountView from a (full) node's indexes."""
     state = node.full_state(address)
-    maturity = node.params.maturity if maturity is None else maturity
     claimables = []
     for key, flow in node.store.inflows.get(address, {}).items():
         if flow.coinbase:
@@ -49,7 +48,7 @@ def account_view(node, address: bytes, maturity: int = None) -> AccountView:
             continue
         claimables.append((flow, node.view.depth(flow.block_hash)))
     return AccountView(address=address, state=state,
-                       claimables=claimables, maturity=maturity)
+                       claimables=claimables, maturity=node.params.maturity)
 
 
 def _advance(view: AccountView, tx, inflow: Inflow | None = None) -> None:

@@ -100,6 +100,38 @@ class TestBenchCommands:
         assert sorted(r["depth"] for r in rows) == [0, 1, 1, 2, 2, 2, 2]
 
 
+ADDR = "ab" * 20
+
+# per flag, argument lists that each give it one malformed value
+MALFORMED = {
+    "--alloc": [["node", "--init", "--alloc", v] for v in (
+        "00=5", ADDR + "=-7", ADDR + "=%d" % (1 << 64), ADDR + "=x", ADDR)],
+    "--address": [["miner", "--node", "127.0.0.1:1", "--address", v]
+                  for v in ("zz", "00", ADDR + "00", " " + ADDR[1:])],
+    "--listen": [["node", "--init", "--listen", v] for v in (
+        "127.0.0.1", "127.0.0.1:x", "127.0.0.1:65536", "127.0.0.1:-1")],
+    "--node": [["miner", "--address", ADDR, "--node", v]
+               for v in ("localhost", "localhost:", "localhost:http")],
+    "--latency": [["sim", "--latency", v] for v in ("a:b", "1:x", "")],
+}
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize("flag", sorted(MALFORMED))
+    def test_usage_error_before_any_work(self, flag, tmp_path, capsys):
+        """A malformed value is refused while parsing: exit 2 with a usage
+        error naming the flag, no exception, and no data dir written."""
+        data_dir = str(tmp_path / "node")
+        for argv in MALFORMED[flag]:
+            if argv[0] == "node":
+                argv = argv + ["--data-dir", data_dir]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+            assert "error: argument %s" % flag in capsys.readouterr().err
+            assert not os.path.exists(data_dir), argv
+
+
 def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))

@@ -25,7 +25,6 @@ from shardchain.mainchain import (
     make_genesis,
     seal,
 )
-from shardchain.miner import Miner
 from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment, initial_state, replay
@@ -137,87 +136,6 @@ class TestPendingAcceptance:
         assert calls.take() == {}
         assert (node.store.pending, node.store.tail_states,
                 node.store.txs) == ({}, {}, {})
-
-    def test_resubmitted_replaced_tx_conflicts(self, keys):
-        """A tx that an owner rewrite replaced is no longer held, so a
-        resubmission is checked against the new tail, not accepted as a
-        duplicate."""
-        key = keys[0]
-        node = make_node(make_genesis({key.address: 1000}))
-        chain = build_chain(key, 3, start_balance=1000)
-        for tx in chain:
-            node.accept_pending_tx(tx)
-        new = make_tail(key, chain, fork=1, length=3)
-        node.replace_pending_tail(1, new)
-        with pytest.raises(TailConflict):
-            node.accept_pending_tx(chain[1])
-        assert node.store.pending[key.address] == chain[:1] + list(new.txs)
-
-
-def make_tail(key, chain, fork, length):
-    parent = chain[fork - 1].tx_hash if fork else NULL_HASH
-    txs = []
-    for i in range(length):
-        tx = make_send(key, parent=parent, height=fork + i + 1,
-                       recipient=b"\x31" * 20, amount=1, timestamp=500 + i)
-        txs.append(tx)
-        parent = tx.tx_hash
-    return SubchainFragment(address=key.address, from_height=fork,
-                            txs=tuple(txs))
-
-
-class TestReplaceTail:
-    def test_replace_tail_higher_wins(self, keys):
-        key = keys[0]
-        node = make_node(make_genesis({key.address: 1000}))
-        chain = build_chain(key, 3, start_balance=1000)
-        for tx in chain:
-            node.accept_pending_tx(tx)
-        new = make_tail(key, chain, fork=1, length=3)
-        node.replace_pending_tail(1, new)
-        tail = node.store.pending[key.address]
-        assert tail == chain[:1] + list(new.txs)
-        assert node.full_state(key.address) == replay(
-            tail, node.claim_context(),
-            initial=node.confirmed_state(key.address))
-        # the miner's next template confirms the rewritten tip
-        block = Miner(MINER, node).build_template(15)
-        assert [(r.address, r.tip_hash, r.tip_height)
-                for r in block.confirmations] == \
-            [(key.address, new.txs[-1].tx_hash, 4)]
-        # and a transaction extending the new tip is accepted
-        node.accept_pending_tx(make_send(key, parent=new.txs[-1].tx_hash,
-                                         height=5, amount=1))
-        assert node.full_state(key.address).tip_height == 5
-
-    def test_replace_tail_shorter_rejected(self, keys):
-        key = keys[0]
-        node = make_node(make_genesis({key.address: 1000}))
-        chain = build_chain(key, 3, start_balance=1000)
-        for tx in chain:
-            node.accept_pending_tx(tx)
-        new = make_tail(key, chain, fork=1, length=1)
-        with pytest.raises(TailConflict):
-            node.replace_pending_tail(1, new)
-        assert node.store.pending[key.address] == chain
-
-    def test_replace_below_confirmed_frozen(self, keys):
-        key = keys[0]
-        node = make_node(make_genesis({key.address: 1000}))
-        chain = build_chain(key, 3, start_balance=1000)
-        ingest_chain(node, key, chain[:2])
-        node.accept_pending_tx(chain[2])
-        with pytest.raises(ConfirmedFrozen):
-            node.replace_pending_tail(1, make_tail(key, chain, fork=1,
-                                                   length=4))
-
-    def test_replace_not_hosted(self, keys):
-        key = keys[0]
-        bit = "1" if key.address[0] < 0x80 else "0"
-        node = make_node(make_genesis({key.address: 1000}), assignment=bit)
-        with pytest.raises(NotHosted):
-            node.replace_pending_tail(0, make_tail(key, [], fork=0,
-                                                   length=1))
 
 
 def ingest_chain(node, key, txs):

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -167,6 +167,60 @@ class TestRuns:
         sim.errors.append("synthetic failure")
         with pytest.raises(InvariantViolation):
             sim.report()
+
+
+# the sim-7node-shaped run, and a depth-3 tree of 15 nodes
+SHARD_RUNS = [
+    SimConfig(seed=1001, accounts=400, width=40, avg_txs=2, blocks=24,
+              node_count=7),
+    SimConfig(seed=3, accounts=120, width=15, avg_txs=2, blocks=16,
+              node_count=15),
+]
+
+
+@pytest.fixture(scope="module", params=SHARD_RUNS,
+                ids=lambda cfg: "%dnodes" % cfg.node_count)
+def finished_sim(request):
+    sim = Simulation(request.param)
+    sim.run()       # the report raises on any sim error
+    return sim
+
+
+def by_address(store, names):
+    """The named keyspaces of a node store, grouped by the address each
+    entry belongs to (an empty inflow pool counts as none)."""
+    out = defaultdict(dict)
+    for name in names:
+        for key, value in getattr(store, name).items():
+            if isinstance(key, tuple):
+                out[key[0]].setdefault(name, {})[key[1]] = value
+            elif value or name != "inflows":
+                out[key][name] = value
+    return out
+
+
+def assert_shards_match_root(sim, names):
+    """Each non-root node holds, for every address it hosts, exactly what
+    the full root node holds, and nothing for any other address."""
+    assert sim.root.assignment.depth == 0
+    full = by_address(sim.root.store, names)
+    for node_ in sim.nodes.values():
+        if node_ is sim.root:
+            continue
+        held = by_address(node_.store, names)
+        assert dict(held) == {a: entries for a, entries in full.items()
+                              if node_.hosts(a)}, node_.assignment
+
+
+class TestShardEquivalence:
+    def test_nodes_agree_shard_by_shard(self, finished_sim):
+        assert_shards_match_root(finished_sim, [
+            "confirmed", "pending", "tail_states", "txs", "send_index"])
+
+    @pytest.mark.xfail(reason="a partial node indexes no inflow from a "
+                       "sender it does not host (ROADMAP item 2)")
+    def test_hosted_inflows_agree(self, finished_sim):
+        assert_shards_match_root(finished_sim, ["inflows"])
 
 
 class TestBench:

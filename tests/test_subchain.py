@@ -8,7 +8,6 @@ from shardchain.errors import (
     AmountMismatch,
     BadLink,
     ConfirmAheadOfTip,
-    ConfirmedFrozen,
     DoubleClaim,
     FragmentMisaligned,
     InsufficientBalance,
@@ -22,7 +21,6 @@ from shardchain.subchain import (
     apply_tx,
     mark_confirmed,
     replay,
-    try_replace_tail,
     verify_fragment,
 )
 
@@ -177,51 +175,6 @@ class TestFragments:
                                 txs=tuple(chain))
         again = subchain.decode_fragment(subchain.encode_fragment(frag))
         assert again == frag
-
-
-class TestReplaceTail:
-    def _setup(self, keys, confirmed=5):
-        key = keys[5]
-        chain = build_chain(key, 10, start_balance=1000)
-        init = initial_state(key.address, 1000)
-        state = replay(chain, EMPTY_CTX, initial=init)
-        state = mark_confirmed(state, confirmed)
-
-        def state_at(h):
-            return replay(chain[:h], EMPTY_CTX, initial=init)
-        return key, chain, state, state_at
-
-    def test_fork_above_confirmed(self, keys):
-        key, chain, state, state_at = self._setup(keys)
-        new = build_tail(key, chain, fork=7, length=5)
-        out = try_replace_tail(state, 7, new, EMPTY_CTX, state_at)
-        assert out.tip_height == 12
-        assert out.confirmed_height == 5
-
-    def test_fork_below_confirmed(self, keys):
-        key, chain, state, state_at = self._setup(keys)
-        new = build_tail(key, chain, fork=3, length=5)
-        with pytest.raises(ConfirmedFrozen):
-            try_replace_tail(state, 3, new, EMPTY_CTX, state_at)
-
-    def test_fork_at_boundary(self, keys):
-        key, chain, state, state_at = self._setup(keys)
-        new = build_tail(key, chain, fork=5, length=7)
-        out = try_replace_tail(state, 5, new, EMPTY_CTX, state_at)
-        assert out.tip_height == 12 and out.confirmed_height == 5
-
-
-def build_tail(key, chain, fork, length):
-    parent = chain[fork - 1].tx_hash if fork else NULL_HASH
-    txs = []
-    height = fork
-    for i in range(length):
-        tx = make_send(key, parent=parent, height=height + 1,
-                       recipient=b"\x33" * 20, amount=1, timestamp=777 + i)
-        txs.append(tx)
-        parent, height = tx.tx_hash, tx.height
-    return SubchainFragment(address=key.address, from_height=fork,
-                            txs=tuple(txs))
 
 
 class TestMarkConfirmed:
