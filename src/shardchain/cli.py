@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
-from . import codec, live, mainchain
+from . import codec, live, mainchain, sharding
 from .errors import ShardChainError
 from .mainchain import ChainParams
 
@@ -26,12 +27,28 @@ PROFILES = {
 # Flag types: argparse turns the ValueError of a malformed value into a
 # usage error (exit 2) before any command runs or writes a data dir.
 
+def _hex(text: str, size: int) -> bytes:
+    value = bytes.fromhex(text)
+    if len(text) != 2 * size or len(value) != size:
+        raise ValueError(text)
+    return value
+
+
 def hex_address(text: str) -> bytes:
     """A 20-byte address written as 40 hex digits."""
-    address = bytes.fromhex(text)
-    if len(text) != 2 * codec.ADDR_LEN or len(address) != codec.ADDR_LEN:
+    return _hex(text, codec.ADDR_LEN)
+
+
+def hex_seed(text: str) -> bytes:
+    """A 32-byte keygen seed written as 64 hex digits."""
+    return _hex(text, 32)
+
+
+def prefix_bits(text: str) -> str:
+    """A shard prefix: at most MAX_PREFIX_BITS '0'/'1' characters."""
+    if len(text) > sharding.MAX_PREFIX_BITS or set(text) - {"0", "1"}:
         raise ValueError(text)
-    return address
+    return text
 
 
 def allocation(text: str):
@@ -111,8 +128,7 @@ def _emit(rows, columns, out_format: str) -> None:
 
 
 def cmd_keygen(args) -> int:
-    seed = bytes.fromhex(args.seed) if args.seed else None
-    key = codec.keygen(seed)
+    key = codec.keygen(args.seed)
     print(json.dumps({"secret": key.secret.hex(),
                       "public": key.public.hex(),
                       "address": key.address.hex()}, sort_keys=True))
@@ -156,13 +172,16 @@ def cmd_node(args) -> int:
     if args.init:
         allocations = dict(args.alloc or ())
         params = ChainParams(difficulty_bits=args.difficulty_bits,
-                             block_limit=args.block_size,
-                             block_interval=args.interval)
+                             block_limit=args.block_size)
         live.init_data_dir(args.data_dir, allocations, params,
                            prefix=args.prefix)
         print("initialized data dir %s" % args.data_dir)
         if not args.listen:
             return 0
+    if signal.getsignal(signal.SIGINT) == signal.SIG_IGN:
+        # inherited, as by a background job of a non-interactive shell:
+        # without this no SIGINT could stop the server
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     server = live.NodeServer(args.data_dir, args.listen)
     try:
         print("node listening on %s:%d" % args.listen, flush=True)
@@ -206,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a signing keypair")
-    p.add_argument("--seed", help="32-byte hex seed for determinism")
+    p.add_argument("--seed", type=hex_seed,
+                   help="32-byte seed as 64 hex digits, for determinism")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("sim", help="run a deterministic simulation")
@@ -232,12 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", type=host_port, help="HOST:PORT to serve on")
     p.add_argument("--init", action="store_true",
                    help="create the data directory first")
-    p.add_argument("--prefix", default="",
+    p.add_argument("--prefix", type=prefix_bits, default="",
                    help="hosted shard prefix bits, e.g. '01'")
     p.add_argument("--alloc", type=allocation, action="append",
                    help="genesis allocation ADDRHEX=AMOUNT (repeatable)")
     p.add_argument("--block-size", type=int, default=1 << 20)
-    p.add_argument("--interval", type=int, default=600)
     p.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
                    default=mainchain.EASY_BITS)
     p.set_defaults(func=cmd_node)

@@ -104,7 +104,6 @@ def save_node(node: Node, data_dir: str) -> None:
         "prefix": node.assignment.prefix_bits,
         "difficulty_bits": node.params.difficulty_bits,
         "block_limit": node.params.block_limit,
-        "block_interval": node.params.block_interval,
         "subsidy": node.params.subsidy,
         "maturity": node.params.maturity,
         "allocations": {a.hex(): b for a, b in node.genesis.allocations},
@@ -119,7 +118,6 @@ def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
         meta = json.load(fh)
     params = ChainParams(difficulty_bits=meta["difficulty_bits"],
                          block_limit=meta["block_limit"],
-                         block_interval=meta["block_interval"],
                          subsidy=meta["subsidy"],
                          maturity=meta["maturity"])
     genesis = make_genesis({bytes.fromhex(a): b

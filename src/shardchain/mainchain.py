@@ -19,16 +19,13 @@ from . import codec, subchain
 from .codec import sha256, sha256d
 from .errors import (
     BadPoW,
-    ConfirmationMismatch,
     MalformedBits,
     Oversize,
     RootMismatch,
     StaleConfirmation,
-    SubchainError,
     UnknownParent,
     UnsortedRecords,
 )
-from .subchain import SubchainFragment, SubchainState
 
 RECORD_LEN = 60          # 20-byte address + 32-byte tip hash + 8-byte height
 HEADER_LEN = 112
@@ -50,7 +47,6 @@ def capacity(block_limit: int) -> int:
 class ChainParams:
     difficulty_bits: int = EASY_BITS
     block_limit: int = 1 << 20
-    block_interval: int = 600          # seconds, simulated
     subsidy: int = DEFAULT_SUBSIDY
     maturity: int = 6
 
@@ -417,21 +413,13 @@ class ViewClaimContext(subchain.ClaimContext):
                 self.view.params.subsidy)
 
 
-def validate_block(block: MainBlock, view: ChainView,
-                   state_provider: Callable[[bytes], SubchainState],
-                   shard_oracle: Callable[[bytes, int, int],
-                                          SubchainFragment],
-                   ctx: subchain.ClaimContext,
-                   stf_filter: Optional[Callable[[bytes], bool]] = None,
-                   ) -> Dict[bytes, Tuple[SubchainState, SubchainState,
-                                          tuple]]:
-    """Full validation of one block against its parent branch.
-
-    ``state_provider`` returns the confirmed SubchainState of an address
-    as of the parent block; ``shard_oracle(addr, lo, hi)`` fetches the
-    fragment (lo, hi]. ``stf_filter`` restricts full STF verification to
-    hosted addresses (non-hosted records still pass the structural
-    checks). Returns per-address (old_state, new_state, fragment_txs).
+def validate_block(block: MainBlock, view: ChainView
+                   ) -> Mapping[bytes, Optional[tuple]]:
+    """The main chain's checks of one block against its parent branch:
+    known parent, PoW, difficulty bits, height, size, record order, root,
+    and that each record advances its address. Whether a record's fragment
+    is a valid state transition is for the nodes that host the address to
+    check. Returns the parent branch's confirmation index.
     """
     parent = block.header.parent_block_hash
     if parent not in view.work:
@@ -452,27 +440,11 @@ def validate_block(block: MainBlock, view: ChainView,
     if block.header.confirmations_root != confirmations_root(records):
         raise RootMismatch("confirmations root does not match records")
 
-    prev_index = view.branch_confirmations(parent)
-    deltas: Dict[bytes, Tuple[SubchainState, SubchainState, tuple]] = {}
+    index = view.branch_confirmations(parent)
     for rec in records:
-        entry = prev_index.get(rec.address)
+        entry = index.get(rec.address)
         prev_height = entry[2] if entry else 0
         if rec.tip_height <= prev_height:
             raise StaleConfirmation(
                 "record does not advance beyond height %d" % prev_height)
-        if stf_filter is not None and not stf_filter(rec.address):
-            continue
-        old_state = state_provider(rec.address)
-        frag = shard_oracle(rec.address, prev_height, rec.tip_height)
-        try:
-            new_state = subchain.verify_fragment(old_state, frag, ctx)
-        except SubchainError as err:
-            err.address = rec.address
-            raise
-        if new_state.tip_hash != rec.tip_hash \
-                or new_state.tip_height != rec.tip_height:
-            raise ConfirmationMismatch(
-                "fragment tip does not match the record")
-        new_state = subchain.mark_confirmed(new_state, rec.tip_height)
-        deltas[rec.address] = (old_state, new_state, frag.txs)
-    return deltas
+    return index

@@ -1,21 +1,22 @@
 """The node role: host shards, keep the full main chain, validate blocks
 incrementally for hosted addresses and serve subchain fragments.
 
-A node runs full STF verification only for the shards it hosts;
-non-hosted confirmation records get the structural checks (PoW, sorting,
-root, stale-advance) and are otherwise the hosting nodes' duty. That
-asymmetry is the whole storage/compute saving of sharding.
+A node checks the state transitions only of the shards it hosts;
+non-hosted confirmation records get only the main chain's checks
+(``mainchain.validate_block``) and are otherwise the hosting nodes' duty.
+That asymmetry is the whole storage/compute saving of sharding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import codec, mainchain, subchain
 from .codec import ReceiveTx, SendTx, SubchainTx
 from .errors import (
     BadLink,
+    ConfirmationMismatch,
     ConfirmedFrozen,
     DuplicateHashConflict,
     InvalidSignature,
@@ -23,6 +24,7 @@ from .errors import (
     PartialFetch,
     RangeUnavailable,
     ShardChainError,
+    SubchainError,
     TailConflict,
 )
 from .mainchain import ChainParams, ChainView, Genesis, MainBlock, \
@@ -189,32 +191,52 @@ class Node:
     def ingest_block(self, block: MainBlock) -> Dict[bytes, tuple]:
         """Validate and apply one main block; idempotent.
 
-        Returns the per-address state deltas for hosted shards (empty on
-        duplicate ingest).
+        Returns the per-address (old_state, new_state, txs) deltas for
+        hosted shards (empty on duplicate ingest).
         """
         bh = block.block_hash
         if bh in self.view.blocks:
             return {}
+        index = mainchain.validate_block(block, self.view)
         parent = block.header.parent_block_hash
-        if parent not in self.view.work:
-            raise mainchain.UnknownParent("parent block unknown")
         ctx = self.claim_context(parent)
-        index = self.view.branch_confirmations(parent)
-        pooled = self._pooled_deltas(block, index) \
-            if parent == self.view.tip else {}
-        tips = {rec.address: rec.tip_hash for rec in block.confirmations}
-        checked = mainchain.validate_block(
-            block, self.view,
-            lambda address: self._state_after(index.get(address), address),
-            lambda address, lo, hi: self._shard_oracle(address, lo, hi,
-                                                       tips[address]),
-            ctx, stf_filter=lambda address: (address not in pooled
-                                             and self.hosts(address)))
-        deltas = {a: pooled[a] if a in pooled else checked[a] for a in tips
-                  if a in pooled or a in checked}
+        pending = self.store.pending if parent == self.view.tip else {}
+        deltas = {}
+        for rec in block.confirmations:
+            address = rec.address
+            entry = index.get(address)
+            lo = entry[2] if entry else 0
+            # a record on the tip that confirms a whole pending tail takes
+            # the tail's kept state: its replay under the tip's claim
+            # context, which is this block's. Only hosted addresses have
+            # tails; any other hosted record is replayed.
+            tail = pending.get(address)
+            pooled = tail and tail[0].height == lo + 1 \
+                and tail[-1].tx_hash == rec.tip_hash \
+                and tail[-1].height == rec.tip_height
+            if not pooled and not self.hosts(address):
+                continue
+            old_state = self._state_after(entry, address)
+            if pooled:
+                new_state, txs = self.store.tail_states[address], tuple(tail)
+            else:
+                frag = self._shard_oracle(address, lo, rec.tip_height,
+                                          rec.tip_hash)
+                try:
+                    new_state = subchain.verify_fragment(old_state, frag, ctx)
+                except SubchainError as err:
+                    err.address = address
+                    raise
+                if new_state.tip_hash != rec.tip_hash \
+                        or new_state.tip_height != rec.tip_height:
+                    raise ConfirmationMismatch(
+                        "fragment tip does not match the record")
+                txs = frag.txs
+            deltas[address] = (old_state, subchain.mark_confirmed(
+                new_state, rec.tip_height), txs)
         for address, (_, new_state, txs) in deltas.items():
             key = (bh, address)
-            self.store.frag_archive[key] = tuple(txs)
+            self.store.frag_archive[key] = txs
             self.store.post_states[key] = new_state
         disconnect = self.view.canonical[ctx.fork_height + 1:]
         if not self.view.extend(block):
@@ -223,30 +245,6 @@ class Node:
             self._reorg(disconnect, ctx.side + [bh])
         else:
             self._connect(bh)
-        return deltas
-
-    def _pooled_deltas(self, block: MainBlock,
-                       index: Mapping[bytes, tuple]) -> Dict[bytes, tuple]:
-        """Deltas of the records in a block on the tip that confirm a whole
-        pending tail: the tail ends at the record's tip and starts right
-        above the address's confirmed height. The tail's state, kept since
-        the tail was pooled, equals its replay under the tip's claim
-        context, which is this block's, so the record needs no STF run."""
-        deltas = {}
-        for rec in block.confirmations:
-            # only hosted addresses have pending tails
-            tail = self.store.pending.get(rec.address)
-            if not tail or tail[-1].tx_hash != rec.tip_hash \
-                    or tail[-1].height != rec.tip_height:
-                continue
-            entry = index.get(rec.address)
-            if tail[0].height != (entry[2] if entry else 0) + 1:
-                continue
-            deltas[rec.address] = (
-                self._state_after(entry, rec.address),
-                subchain.mark_confirmed(self.store.tail_states[rec.address],
-                                        rec.tip_height),
-                tuple(tail))
         return deltas
 
     def _state_after(self, entry: Optional[tuple],

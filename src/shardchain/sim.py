@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import codec, mainchain, miner as miner_mod, network
+from . import codec, mainchain, miner as miner_mod
 from . import sharding, subchain, wallet
 from .codec import KeyPair, SendTx, sha256
 from .errors import ConfigInvalid, InvalidSeed, InvariantViolation
@@ -82,7 +82,6 @@ class Simulation:
         self.rng = random.Random(cfg.seed)
         self.params = ChainParams(difficulty_bits=cfg.difficulty_bits,
                                   block_limit=cfg.block_limit,
-                                  block_interval=cfg.block_interval,
                                   subsidy=cfg.subsidy,
                                   maturity=cfg.maturity)
         self.keys = [derived_key(b"account:%d:%d" % (cfg.seed, i))
@@ -107,7 +106,6 @@ class Simulation:
         for nid in ids:
             n = Node(nid, self.topology.assignments[nid], self.genesis,
                      self.params)
-            n.fetch = self._fetcher(nid)
             n.remote_send_lookup = self._send_lookup(nid)
             self.nodes[nid] = n
         self.root = self.nodes[root_id]
@@ -122,14 +120,6 @@ class Simulation:
         self.now = 0
 
     # -- network plumbing ---------------------------------------------
-
-    def _fetcher(self, nid):
-        def fetch(address, lo, hi):
-            return network.request_fragment(
-                nid, address, lo, hi, self.topology, self.transport,
-                serve=lambda target, a, l, h:
-                    self.nodes[target].serve_fragment(a, l, h))
-        return fetch
 
     def _send_lookup(self, nid):
         def lookup(address, tx_hash):

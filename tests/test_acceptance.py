@@ -152,7 +152,7 @@ def test_criterion_2_oracle_equivalence(announce):
 
 def _pow_node(alloc, maturity=1):
     params = ChainParams(difficulty_bits=EASY_BITS, block_limit=2048,
-                         block_interval=15, maturity=maturity)
+                         maturity=maturity)
     return Node(b"\x00" * 8, ShardAssignment(), make_genesis(alloc), params)
 
 
@@ -265,12 +265,8 @@ def test_criterion_3_safety_rejections(announce):
         fat = _sealed(tiny, recs)
         ok = _sealed(tiny, recs[:1])
         case("oversize block", Oversize,
-             lambda: validate_block(fat, tiny.view, tiny.confirmed_state,
-                                    None, tiny.claim_context(),
-                                    stf_filter=lambda addr: False),
-             lambda: validate_block(ok, tiny.view, tiny.confirmed_state,
-                                    None, tiny.claim_context(),
-                                    stf_filter=lambda addr: False))
+             lambda: validate_block(fat, tiny.view),
+             lambda: validate_block(ok, tiny.view))
 
         # bad PoW: sealed under easy bits, validated under hard bits
         hard = _pow_node({})
@@ -279,8 +275,7 @@ def test_criterion_3_safety_rejections(announce):
                                   block_limit=2048)
         hard.view.params = hard.params
         case("bad PoW", BadPoW,
-             lambda: validate_block(weak, hard.view, hard.confirmed_state,
-                                    None, hard.claim_context()),
+             lambda: validate_block(weak, hard.view),
              lambda: None)
 
         # stale confirmation

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -113,6 +114,10 @@ MALFORMED = {
     "--node": [["miner", "--address", ADDR, "--node", v]
                for v in ("localhost", "localhost:", "localhost:http")],
     "--latency": [["sim", "--latency", v] for v in ("a:b", "1:x", "")],
+    "--seed": [["keygen", "--seed", v] for v in (
+        "zz", "11" * 31, "11" * 33, " " + "11" * 32)],
+    "--prefix": [["node", "--init", "--prefix", v] for v in (
+        "2", "0_1", " 01", "0" * 161)],
 }
 
 
@@ -141,7 +146,7 @@ def free_port():
 @pytest.fixture
 def live_node(tmp_path, keys):
     params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
-                         block_interval=15, maturity=1)
+                         maturity=1)
     alloc = {keys[0].address: 1000}
     data_dir = str(tmp_path / "node")
     live.init_data_dir(data_dir, alloc, params)
@@ -228,6 +233,27 @@ class TestNodeCommand:
         assert not thread.is_alive()
         assert codes == [0]
         assert len(servers) == 1 and servers[0].log.closed
+
+    def test_sigint_stops_node_started_with_it_ignored(self, tmp_path,
+                                                       keys):
+        """A node inherits an ignored SIGINT when it runs as a background
+        job of a non-interactive shell; SIGINT still stops it."""
+        data_dir = str(tmp_path / "node")
+        live.init_data_dir(data_dir, {keys[0].address: 100},
+                           ChainParams(difficulty_bits=EASY_BITS))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shardchain.cli", "node", "--data-dir",
+             data_dir, "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        try:
+            assert proc.stdout.readline().startswith("node listening")
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestCompactCommand:

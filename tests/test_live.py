@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import json
 import os
 import socket
 import struct
@@ -21,7 +22,7 @@ from shardchain.sharding import ShardAssignment
 from conftest import build_chain, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
-                     block_interval=15, maturity=1)
+                     maturity=1)
 MINER = b"\x4d" * 20
 
 
@@ -203,6 +204,25 @@ class TestJournal:
             == (tip, blocks - {side.block_hash}, confirmed, pending)
         assert sorted(os.listdir(data_dir)) == [live.LOG_FILE,
                                                 live.META_FILE]
+
+    def test_meta_with_block_interval_loads(self, data_dir, keys):
+        """A data dir written while the chain parameters still held a block
+        interval loads, and its next save drops the key."""
+        node = live.load_node(data_dir)
+        node.accept_pending_tx(make_send(keys[0], amount=7))
+        live.save_node(node, data_dir)
+        meta_path = os.path.join(data_dir, live.META_FILE)
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["block_interval"] = 600
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        loaded = live.load_node(data_dir)
+        assert (node_state(loaded), loaded.params) \
+            == (node_state(node), node.params)
+        live.save_node(loaded, data_dir)
+        with open(meta_path) as fh:
+            assert "block_interval" not in json.load(fh)
 
 
 class TestHostileInput:

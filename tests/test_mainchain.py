@@ -3,11 +3,10 @@ import struct
 
 import pytest
 
-from shardchain import codec, mainchain, subchain
+from shardchain import codec, mainchain
 from shardchain.codec import NULL_HASH
 from shardchain.errors import (
     BadPoW,
-    ConfirmationMismatch,
     DecodeError,
     MalformedBits,
     Oversize,
@@ -38,12 +37,10 @@ from shardchain.mainchain import (
     target,
     validate_block,
 )
-from shardchain.subchain import initial_state, replay
 
 from conftest import build_chain, make_send
 
-PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=2048,
-                     block_interval=15)
+PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=2048)
 MINER = b"\x4d" * 20
 
 
@@ -238,99 +235,77 @@ class TestChainView:
 
 def hosted_setup(keys, n_txs=4):
     key = keys[0]
-    genesis = make_genesis({key.address: 1000})
-    view = ChainView(genesis, PARAMS)
+    view = ChainView(make_genesis({key.address: 1000}), PARAMS)
     chain = build_chain(key, n_txs, start_balance=1000)
-    init = initial_state(key.address, 1000)
-    states = {key.address: init}
-    frag = subchain.SubchainFragment(address=key.address, from_height=0,
-                                     txs=tuple(chain))
-
-    def provider(addr):
-        return states[addr]
-
-    def oracle(addr, lo, hi):
-        return subchain.SubchainFragment(
-            address=addr, from_height=lo, txs=tuple(chain[lo:hi]))
-
-    ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
-    return key, view, chain, provider, oracle, ctx
+    return key, view, chain
 
 
 class TestValidateBlock:
-    def test_valid_block_deltas(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
+    def test_returns_parent_branch_index(self, keys):
+        key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        deltas = validate_block(block, view, provider, oracle, ctx)
-        old, new, txs = deltas[key.address]
-        assert old.tip_height == 0
-        assert new.tip_height == 4 and new.confirmed_height == 4
-        assert txs == tuple(chain)
+        assert validate_block(block, view) is view.confirmations
+        view.extend(block)
+        assert validate_block(mk_block(view), view)[key.address] \
+            == (block.block_hash, chain[-1].tx_hash, 4)
+        side = mk_block(view, [], parent=view.genesis.block_hash,
+                        timestamp=99)
+        assert validate_block(side, view).get(key.address) is None
+
+    def test_unknown_parent(self, keys):
+        key, view, chain = hosted_setup(keys)
+        header = BlockHeader(b"\x01" * 32, 1, 0, MINER,
+                             confirmations_root(()), EASY_BITS)
+        with pytest.raises(UnknownParent):
+            validate_block(seal(MainBlock(header, ())), view)
 
     def test_bad_pow(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
+        key, view, chain = hosted_setup(keys)
         block = mk_block(view)
         hard = ChainParams(difficulty_bits=0x03000001, block_limit=2048)
         hard_view = ChainView(view.genesis, hard)
         with pytest.raises(BadPoW):
-            validate_block(block, hard_view, provider, oracle, ctx)
+            validate_block(block, hard_view)
 
     def test_oversize(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
+        key, view, chain = hosted_setup(keys)
         tiny = ChainView(view.genesis,
                          ChainParams(block_limit=BLOCK_OVERHEAD + RECORD_LEN))
         recs = sorted([ConfirmationRecord(bytes([i]) * 20, NULL_HASH, 1)
                        for i in range(1, 3)], key=lambda r: r.address)
         block = mk_block(tiny, recs)
         with pytest.raises(Oversize):
-            validate_block(block, tiny, provider, oracle, ctx,
-                           stf_filter=lambda a: False)
+            validate_block(block, tiny)
 
     def test_unsorted_records(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
+        key, view, chain = hosted_setup(keys)
         recs = [ConfirmationRecord(b"\x02" * 20, NULL_HASH, 1),
                 ConfirmationRecord(b"\x01" * 20, NULL_HASH, 1)]
         header = BlockHeader(view.tip, 1, 0, MINER,
                              confirmations_root(recs), EASY_BITS)
         block = seal(MainBlock(header, tuple(recs)))
         with pytest.raises(UnsortedRecords):
-            validate_block(block, view, provider, oracle, ctx)
+            validate_block(block, view)
 
     def test_root_mismatch(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
+        key, view, chain = hosted_setup(keys)
         recs = (ConfirmationRecord(key.address, chain[-1].tx_hash, 4),)
         header = BlockHeader(view.tip, 1, 0, MINER, NULL_HASH, EASY_BITS)
         block = seal(MainBlock(header, recs))
         with pytest.raises(RootMismatch):
-            validate_block(block, view, provider, oracle, ctx)
+            validate_block(block, view)
 
     def test_stale_confirmation(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
+        key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        validate_block(block, view, provider, oracle, ctx)
+        validate_block(block, view)
         view.extend(block)
         # second block repeats the same height: must be rejected
         stale = mk_block(view, [rec], timestamp=99)
-        ctx2 = ViewClaimContext(view, view.tip, lambda a, h: None)
         with pytest.raises(StaleConfirmation):
-            validate_block(stale, view, provider, oracle, ctx2)
-
-    def test_confirmation_mismatch(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
-        rec = ConfirmationRecord(key.address, b"\x66" * 32, 4)
-        block = mk_block(view, [rec])
-        with pytest.raises(ConfirmationMismatch):
-            validate_block(block, view, provider, oracle, ctx)
-
-    def test_stf_filter_skips_foreign(self, keys):
-        key, view, chain, provider, oracle, ctx = hosted_setup(keys)
-        rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
-        block = mk_block(view, [rec])
-        deltas = validate_block(block, view, provider, oracle, ctx,
-                                stf_filter=lambda a: False)
-        assert deltas == {}
+            validate_block(stale, view)
 
 
 class TestViewClaimContext:

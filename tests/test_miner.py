@@ -25,8 +25,7 @@ from shardchain.sim import derived_key
 
 from conftest import build_chain, make_send
 
-PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
-                     block_interval=15)
+PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)
 MINER_ADDR = b"\x4d" * 20
 
 

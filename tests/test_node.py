@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from shardchain import codec, mainchain, subchain
+from shardchain import codec, mainchain, sharding, subchain
 from shardchain.codec import NULL_HASH
 from shardchain.errors import (
     BadLink,
@@ -32,7 +32,7 @@ from shardchain.subchain import SubchainFragment, initial_state, replay
 from conftest import Calls, build_chain, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
-                     block_interval=15, maturity=2)
+                     maturity=2)
 MINER = b"\x4d" * 20
 
 
@@ -192,6 +192,54 @@ class TestIngest:
         rec = ConfirmationRecord(key.address, b"\x13" * 32, 2)
         with pytest.raises(ConfirmationMismatch):
             node.ingest_block(confirm_block(node, [rec]))
+
+    def test_replayed_record_delta(self, keys):
+        """A record the node holds no pool for is replayed from the
+        fragment it names: the delta is the prior state, the replayed
+        state marked confirmed, and the fragment's txs."""
+        key = keys[0]
+        chain = build_chain(key, 4, start_balance=1000)
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({key.address: 1000}), PARAMS,
+                    fetch=lambda address, lo, hi: SubchainFragment(
+                        address=address, from_height=lo,
+                        txs=tuple(chain[lo:hi])))
+        ctx = node.claim_context()
+        deltas = node.ingest_block(confirm_block(node, [
+            ConfirmationRecord(key.address, chain[-1].tx_hash, 4)]))
+        old, new, txs = deltas[key.address]
+        assert old == initial_state(key.address, 1000)
+        assert new == subchain.mark_confirmed(replay(chain, ctx, initial=old),
+                                              4)
+        assert new.tip_height == 4 and new.confirmed_height == 4
+        assert txs == tuple(chain)
+
+    def test_foreign_record_skipped(self, keys, monkeypatch):
+        """A partial node checks no record of an address it does not host:
+        no fragment check, no STF step, no delta."""
+        key = keys[0]
+        chain = build_chain(key, 2, start_balance=1000)
+        other = "1" if sharding.address_bits(key.address, 1) == "0" else "0"
+        node = make_node(make_genesis({key.address: 1000}), other)
+        block = confirm_block(node, [
+            ConfirmationRecord(key.address, chain[-1].tx_hash, 2)])
+        calls = Calls(monkeypatch, [(subchain, "apply_tx"),
+                                    (subchain, "verify_fragment")])
+        assert node.ingest_block(block) == {}
+        assert calls.take() == {}
+        assert node.view.tip == block.block_hash
+
+    def test_side_block_walks_branch_index_once(self, keys, monkeypatch):
+        """The main chain's checks hand the parent branch's index to the
+        record loop, so a side block's index is built once."""
+        node = make_node(make_genesis({}))
+        genesis = node.view.tip
+        node.ingest_block(confirm_block(node, []))
+        side = confirm_block(node, [], parent=genesis, timestamp=99)
+        calls = Calls(monkeypatch, [(mainchain.ChainView,
+                                     "branch_confirmations")])
+        node.ingest_block(side)
+        assert calls.take() == {"branch_confirmations": 1}
 
     def test_send_inflow_indexed_for_recipient(self, keys):
         sender, rcpt = keys[0], keys[1]

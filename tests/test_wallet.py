@@ -30,7 +30,7 @@ from shardchain.wallet import (
 )
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
-                     block_interval=15, maturity=2)
+                     maturity=2)
 MINER = b"\x4d" * 20
 
 
