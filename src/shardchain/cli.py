@@ -168,13 +168,19 @@ def cmd_bench_storage(args) -> int:
     return 0
 
 
+# node flags that only shape the data dir --init creates
+NODE_INIT_FLAGS = ("alloc", "prefix", "block_size", "difficulty_bits")
+
+
 def cmd_node(args) -> int:
     if args.init:
-        allocations = dict(args.alloc or ())
-        params = ChainParams(difficulty_bits=args.difficulty_bits,
-                             block_limit=args.block_size)
-        live.init_data_dir(args.data_dir, allocations, params,
-                           prefix=args.prefix)
+        # an unset flag keeps the ChainParams default
+        given = {"difficulty_bits": args.difficulty_bits,
+                 "block_limit": args.block_size}
+        params = ChainParams(**{k: v for k, v in given.items()
+                                if v is not None})
+        live.init_data_dir(args.data_dir, dict(args.alloc or ()), params,
+                           prefix=args.prefix or "")
         print("initialized data dir %s" % args.data_dir)
         if not args.listen:
             return 0
@@ -251,14 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--listen", type=host_port, help="HOST:PORT to serve on")
     p.add_argument("--init", action="store_true",
-                   help="create the data directory first")
-    p.add_argument("--prefix", type=prefix_bits, default="",
+                   help="create the data directory first; it must not "
+                   "hold a node yet")
+    g = p.add_argument_group("the new data dir's chain (only with --init)")
+    g.add_argument("--prefix", type=prefix_bits,
                    help="hosted shard prefix bits, e.g. '01'")
-    p.add_argument("--alloc", type=allocation, action="append",
+    g.add_argument("--alloc", type=allocation, action="append",
                    help="genesis allocation ADDRHEX=AMOUNT (repeatable)")
-    p.add_argument("--block-size", type=int, default=1 << 20)
-    p.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
-                   default=mainchain.EASY_BITS)
+    g.add_argument("--block-size", type=int,
+                   help="main block size limit (default 1 MiB)")
+    g.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
+                   help="compact PoW target (default: the easy target)")
     p.set_defaults(func=cmd_node)
 
     p = sub.add_parser("miner", help="mine against a running node")
@@ -283,6 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "node" and not args.init:
+        # refuse a node that would serve nowhere or ignore a flag
+        if args.listen is None:
+            parser.error("node: --listen is required without --init")
+        for name in NODE_INIT_FLAGS:
+            if getattr(args, name) is not None:
+                parser.error("node: --%s applies only with --init"
+                             % name.replace("_", "-"))
     try:
         return args.func(args)
     except ShardChainError as err:

@@ -66,10 +66,6 @@ class ConfirmedFrozen(SubchainError):
     pass
 
 
-class ConfirmAheadOfTip(SubchainError):
-    pass
-
-
 # --- main chain ---
 
 class MainChainError(ShardChainError):

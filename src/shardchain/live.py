@@ -19,9 +19,9 @@ import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import codec, mainchain, sharding, subchain
-from .errors import DecodeError, ShardChainError
+from .codec import ENVELOPE_HEADER, Envelope, MsgKind, decode_envelope
+from .errors import ConfigInvalid, DecodeError, ShardChainError
 from .mainchain import ChainParams, MainBlock, make_genesis
-from .network import ENVELOPE_HEADER, Envelope, MsgKind, decode_envelope
 from .node import Node
 from .sharding import ShardAssignment
 
@@ -131,6 +131,9 @@ def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
 
 def init_data_dir(data_dir: str, allocations, params: ChainParams,
                   prefix: str = "") -> Node:
+    # a dir that holds a node already is left as it was
+    if os.path.exists(os.path.join(data_dir, META_FILE)):
+        raise ConfigInvalid("data dir %s already holds a node" % data_dir)
     genesis = make_genesis(allocations)
     node = Node(b"\x00" * 8, ShardAssignment(prefix), genesis, params)
     save_node(node, data_dir)

@@ -14,64 +14,14 @@ import heapq
 import random
 import struct
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import sharding
-from .codec import sha256
-from .errors import DecodeError, NoHost, ParentFull, Timeout, UnknownParent
+from .codec import Envelope, MsgKind  # noqa: F401  (MsgKind re-exported)
+from .errors import NoHost, ParentFull, Timeout, UnknownParent
 from .sharding import ShardAssignment
 
 NodeId = bytes   # opaque 8-byte identifier
-
-
-class MsgKind(IntEnum):
-    NewTx = 1
-    NewBlock = 2
-    FragmentRequest = 3
-    FragmentResponse = 4
-    Hello = 5
-
-
-_ENVELOPE = struct.Struct(">IB32s")   # payload length, kind, msg_id
-ENVELOPE_HEADER = _ENVELOPE.size      # 37
-
-
-@dataclass(frozen=True)
-class Envelope:
-    kind: MsgKind
-    payload: bytes
-    # digest of kind and payload, computed once: the flood router reads
-    # it on every receipt
-    msg_id: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "msg_id",
-                           sha256(bytes([self.kind]) + self.payload))
-
-    def encode(self) -> bytes:
-        # 4-byte length, 1-byte kind, 32-byte msg_id, payload
-        return _ENVELOPE.pack(len(self.payload), self.kind,
-                              self.msg_id) + self.payload
-
-
-def decode_envelope(data: bytes) -> Envelope:
-    if len(data) < ENVELOPE_HEADER:
-        raise DecodeError("envelope shorter than its %d-byte header"
-                          % ENVELOPE_HEADER)
-    length, kind, msg_id = _ENVELOPE.unpack_from(data, 0)
-    if len(data) != ENVELOPE_HEADER + length:
-        raise DecodeError("envelope of a %d-byte payload must be %d bytes, "
-                          "got %d" % (length, ENVELOPE_HEADER + length,
-                                      len(data)))
-    try:
-        kind = MsgKind(kind)
-    except ValueError:
-        raise DecodeError("unknown message kind %d" % kind) from None
-    env = Envelope(kind=kind, payload=bytes(data[ENVELOPE_HEADER:]))
-    if env.msg_id != msg_id:
-        raise DecodeError("envelope msg_id does not match payload")
-    return env
 
 
 class TreeTopology:

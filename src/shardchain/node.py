@@ -172,7 +172,7 @@ class Node:
             self.store.pending.setdefault(address, []).append(tx)
         elif tx.height <= state.tip_height:
             # single-transaction fork: new tip would not be higher
-            if tx.height - 1 < state.confirmed_height:
+            if tx.height <= self.confirmed_state(address).tip_height:
                 raise ConfirmedFrozen("fork below the confirmed height")
             raise TailConflict("replacement tail does not win")
         else:
@@ -232,8 +232,7 @@ class Node:
                     raise ConfirmationMismatch(
                         "fragment tip does not match the record")
                 txs = frag.txs
-            deltas[address] = (old_state, subchain.mark_confirmed(
-                new_state, rec.tip_height), txs)
+            deltas[address] = (old_state, new_state, txs)
         for address, (_, new_state, txs) in deltas.items():
             key = (bh, address)
             self.store.frag_archive[key] = txs
@@ -428,19 +427,12 @@ class Node:
         if not tail:
             return
         kept = [t for t in tail if t.height > confirmed.tip_height]
-        if kept and (kept[0].parent_hash != confirmed.tip_hash
-                     or kept[0].height != confirmed.tip_height + 1):
-            kept = []   # tail no longer links: drop it
-        if kept:
-            # the hash chain fixes every state field but confirmed_height
+        if kept and kept[0].parent_hash == confirmed.tip_hash \
+                and kept[0].height == confirmed.tip_height + 1:
+            # the hash chain fixes the kept suffix's state: it stays
             self.store.pending[address] = kept
-            s = self.store.tail_states[address]
-            self.store.tail_states[address] = SubchainState(
-                s.address, s.tip_hash, s.tip_height, s.balance,
-                s.claimed_sends, s.claimed_coinbases,
-                confirmed.confirmed_height)
         else:
-            self._pop_tail(address)
+            self._pop_tail(address)     # all confirmed, or no longer links
 
     def _pop_tail(self, address: bytes) -> List[SubchainTx]:
         self.store.tail_states.pop(address, None)

@@ -3,7 +3,8 @@
 A subchain is the totally ordered transaction history of one account.
 All functions here are pure state -> state transforms; the full-chain
 ``replay`` is the brute-force oracle that the incremental path
-``verify_fragment`` must agree with exactly.
+``verify_fragment`` must agree with exactly. A state is only what replay
+gives; how far an account is confirmed is the main chain's record.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .codec import NULL_HASH, SendTx, SubchainTx
 from .errors import (
     AmountMismatch,
     BadLink,
-    ConfirmAheadOfTip,
     DoubleClaim,
     FragmentMisaligned,
     InsufficientBalance,
@@ -37,7 +37,6 @@ class SubchainState:
     balance: int = 0
     claimed_sends: frozenset = frozenset()
     claimed_coinbases: frozenset = frozenset()
-    confirmed_height: int = 0
 
 
 def initial_state(address: bytes, balance: int = 0) -> SubchainState:
@@ -100,7 +99,7 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
                 height=tx.height, address=state.address)
         return SubchainState(state.address, tx.tx_hash, tx.height,
                              state.balance - tx.amount, state.claimed_sends,
-                             state.claimed_coinbases, state.confirmed_height)
+                             state.claimed_coinbases)
 
     if tx.is_coinbase:
         if tx.main_block_hash in state.claimed_coinbases:
@@ -121,8 +120,7 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
         return SubchainState(
             state.address, tx.tx_hash, tx.height, state.balance + tx.amount,
             state.claimed_sends,
-            state.claimed_coinbases | {tx.main_block_hash},
-            state.confirmed_height)
+            state.claimed_coinbases | {tx.main_block_hash})
 
     if tx.sender_tx_hash in state.claimed_sends:
         raise DoubleClaim("send already claimed",
@@ -142,7 +140,7 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
     return SubchainState(state.address, tx.tx_hash, tx.height,
                          state.balance + tx.amount,
                          state.claimed_sends | {tx.sender_tx_hash},
-                         state.claimed_coinbases, state.confirmed_height)
+                         state.claimed_coinbases)
 
 
 def replay(txs: Sequence[SubchainTx], ctx: ClaimContext,
@@ -191,17 +189,6 @@ def verify_fragment(state: SubchainState, frag: SubchainFragment,
     if frag.txs and frag.txs[0].parent_hash != state.tip_hash:
         raise FragmentMisaligned("fragment does not link to the tip hash")
     return replay(frag.txs, ctx, initial=state)
-
-
-def mark_confirmed(state: SubchainState, height: int) -> SubchainState:
-    if height > state.tip_height:
-        raise ConfirmAheadOfTip("confirm %d beyond tip %d"
-                                % (height, state.tip_height))
-    if height <= state.confirmed_height:
-        return state
-    return SubchainState(state.address, state.tip_hash, state.tip_height,
-                         state.balance, state.claimed_sends,
-                         state.claimed_coinbases, height)
 
 
 # --- fragment binary framing (shared with network and storage) ---

@@ -82,6 +82,17 @@ def build_chain(key, length, start_balance, ctx=None, rng=None):
     return txs
 
 
+def assert_confirmed_are_replays(node):
+    """Each confirmed state of ``node`` is, field for field, the replay of
+    the account's canonical txs from its genesis state."""
+    ctx = node.claim_context()
+    for address, state in node.store.confirmed.items():
+        txs = [node.store.txs[(address, h)]
+               for h in range(1, state.tip_height + 1)]
+        assert state == subchain.replay(
+            txs, ctx, initial=node.base_state(address), verify=None), address
+
+
 class Calls:
     """Counts calls per function name, and per (name, module of the first
     caller outside subchain.py) in ``sites``. Counts ``apply_tx``,

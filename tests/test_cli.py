@@ -137,6 +137,33 @@ class TestMalformedFlags:
             assert not os.path.exists(data_dir), argv
 
 
+# argument lists, without --data-dir, of node commands that would serve
+# nowhere or ignore a flag
+UNUSABLE_NODE = {
+    "--listen": ["node"],
+    "--alloc": ["node", "--listen", "127.0.0.1:0", "--alloc", ADDR + "=5"],
+    "--prefix": ["node", "--listen", "127.0.0.1:0", "--prefix", "01"],
+    "--block-size": ["node", "--listen", "127.0.0.1:0",
+                     "--block-size", "5000"],
+    "--difficulty-bits": ["node", "--listen", "127.0.0.1:0",
+                          "--difficulty-bits", "0x207fffff"],
+}
+
+
+class TestNodeFlagUsage:
+    @pytest.mark.parametrize("flag", sorted(UNUSABLE_NODE))
+    def test_usage_error_before_any_file(self, flag, tmp_path, capsys):
+        """Without --init, a node needs --listen and takes no flag that
+        only --init uses: exit 2 naming the flag, no file opened."""
+        data_dir = str(tmp_path / "node")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(UNUSABLE_NODE[flag] + ["--data-dir", data_dir])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: node: %s " % flag in err
+        assert not os.path.exists(data_dir)
+
+
 def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -254,6 +281,30 @@ class TestNodeCommand:
             proc.kill()
             proc.wait()
             proc.stdout.close()
+
+
+    def test_init_refuses_existing_data_dir(self, tmp_path, keys, capsys):
+        """--init on a data dir that holds a node exits 1 and leaves both
+        of its files byte for byte as they were."""
+        data_dir = str(tmp_path / "node")
+        node = live.init_data_dir(data_dir, {keys[0].address: 100},
+                                  ChainParams(difficulty_bits=EASY_BITS))
+        node.accept_pending_tx(make_send(keys[0], amount=1))
+        live.save_node(node, data_dir)
+
+        def files():
+            out = {}
+            for name in (live.META_FILE, live.LOG_FILE):
+                with open(os.path.join(data_dir, name), "rb") as fh:
+                    out[name] = fh.read()
+            return out
+
+        before = files()
+        assert before[live.LOG_FILE]
+        assert cli.main(["node", "--data-dir", data_dir, "--init",
+                         "--alloc", ADDR + "=5"]) == 1
+        assert "already holds a node" in capsys.readouterr().err
+        assert files() == before
 
 
 class TestCompactCommand:

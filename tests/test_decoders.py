@@ -4,7 +4,7 @@ DecodeError, and a valid encoding cut short or extended is refused."""
 import pytest
 from hypothesis import given, strategies as st
 
-from shardchain import codec, live, mainchain, network, sharding, subchain
+from shardchain import codec, live, mainchain, sharding, subchain
 from shardchain.codec import ReceiveTx, SendTx
 from shardchain.errors import DecodeError
 
@@ -33,7 +33,7 @@ headers = st.builds(mainchain.BlockHeader, parent_block_hash=hashes,
                     nonce=u64)
 blocks = st.builds(mainchain.MainBlock, header=headers,
                    confirmations=st.lists(records, max_size=3).map(tuple))
-envelopes = st.builds(network.Envelope, kind=st.sampled_from(network.MsgKind),
+envelopes = st.builds(codec.Envelope, kind=st.sampled_from(codec.MsgKind),
                       payload=st.binary(max_size=80))
 assignments = st.builds(sharding.ShardAssignment, prefix_bits=st.text(
     alphabet="01", max_size=sharding.MAX_PREFIX_BITS))
@@ -48,7 +48,7 @@ DECODERS = {
     "tx": (codec.decode_tx, txs, codec.encode_tx),
     "record": (mainchain.decode_record, records, lambda r: r.encode()),
     "block": (mainchain.decode_block, blocks, lambda b: b.encode()),
-    "envelope": (network.decode_envelope, envelopes, lambda e: e.encode()),
+    "envelope": (codec.decode_envelope, envelopes, lambda e: e.encode()),
     "assignment": (sharding.decode_assignment, assignments,
                    lambda a: a.encode()),
     "fragment": (subchain.decode_fragment, fragments,

@@ -2,7 +2,7 @@
 
 A node process pays its imports on every start and restart, so the
 modules a node runs must not pull in the simulator, the miner's worker
-pool or cryptography's key-serialization loaders."""
+pool, the flood overlay or cryptography's key-serialization loaders."""
 
 import json
 import os
@@ -13,7 +13,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 NOT_FOR_A_NODE = ["multiprocessing", "shardchain.sim", "shardchain.miner",
-                  "shardchain.wallet",
+                  "shardchain.wallet", "shardchain.network",
                   "cryptography.hazmat.primitives.serialization"]
 
 

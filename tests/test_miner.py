@@ -142,7 +142,7 @@ class TestMining:
         block = miner.build_template(15)
         node.ingest_block(block)
         assert node.view.tip == block.block_hash
-        assert node.confirmed_state(key.address).confirmed_height == 3
+        assert node.confirmed_state(key.address).tip_height == 3
         miner.refresh_pool()
         assert key.address not in node.store.pending
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from shardchain.codec import decode_envelope
 from shardchain.errors import DecodeError, NoHost, ParentFull, Timeout, \
     UnknownParent
 from shardchain.network import (
@@ -12,7 +13,6 @@ from shardchain.network import (
     SimTransport,
     TreeTopology,
     broadcast,
-    decode_envelope,
     request_fragment,
 )
 from shardchain.sharding import nodes_path

@@ -153,13 +153,11 @@ class TestIngest:
         chain = build_chain(key, 3, start_balance=1000)
         block, deltas = ingest_chain(node, key, chain)
         state = node.confirmed_state(key.address)
-        assert state.tip_height == 3 and state.confirmed_height == 3
+        assert state.tip_height == 3
         assert key.address not in node.store.pending
         # oracle: from-scratch replay agrees
-        oracle = replay(chain, node.claim_context(),
-                        initial=initial_state(key.address, 1000))
-        oracle = subchain.mark_confirmed(oracle, 3)
-        assert state == oracle
+        assert state == replay(chain, node.claim_context(),
+                               initial=initial_state(key.address, 1000))
 
     def test_ingest_idempotent(self, keys):
         key = keys[0]
@@ -196,7 +194,7 @@ class TestIngest:
     def test_replayed_record_delta(self, keys):
         """A record the node holds no pool for is replayed from the
         fragment it names: the delta is the prior state, the replayed
-        state marked confirmed, and the fragment's txs."""
+        state and the fragment's txs."""
         key = keys[0]
         chain = build_chain(key, 4, start_balance=1000)
         node = Node(b"\x00" * 8, ShardAssignment(""),
@@ -209,9 +207,8 @@ class TestIngest:
             ConfirmationRecord(key.address, chain[-1].tx_hash, 4)]))
         old, new, txs = deltas[key.address]
         assert old == initial_state(key.address, 1000)
-        assert new == subchain.mark_confirmed(replay(chain, ctx, initial=old),
-                                              4)
-        assert new.tip_height == 4 and new.confirmed_height == 4
+        assert new == replay(chain, ctx, initial=old)
+        assert node.confirmed_state(key.address).tip_height == 4
         assert txs == tuple(chain)
 
     def test_foreign_record_skipped(self, keys, monkeypatch):
@@ -294,10 +291,9 @@ class TestIngest:
         assert list(deltas) == [r.address for r in block.confirmations]
         for address, (old, new, txs) in deltas.items():
             assert old == initial_state(address, 100)
-            checked = subchain.verify_fragment(old, SubchainFragment(
+            assert new == subchain.verify_fragment(old, SubchainFragment(
                 address=address, from_height=0, txs=txs), ctx)
-            assert new == subchain.mark_confirmed(checked, 3)
-            assert new.confirmed_height == 3
+            assert node.confirmed_state(address).tip_height == 3
 
 
 class TestIngestFallback:
@@ -443,7 +439,7 @@ class TestReorg:
         node.ingest_block(b2)          # heavier: reorg to branch b
         assert node.view.tip == b2.block_hash
         state = node.confirmed_state(key.address)
-        assert state.tip_height == 2 and state.confirmed_height == 2
+        assert state.tip_height == 2
         # index equals a from-scratch branch scan
         assert node.view.confirmations == \
             node.view.confirmations_at(node.view.tip)

@@ -22,7 +22,8 @@ from shardchain.sharding import ShardAssignment, address_bits
 from shardchain.sim import SimConfig, Simulation, derived_key
 from shardchain.subchain import SubchainFragment
 
-from conftest import Calls, make_receive, make_send
+from conftest import Calls, assert_confirmed_are_replays, make_receive, \
+    make_send
 
 MINER = b"\x4d" * 20
 SENDERS = [derived_key(b"reorg-oracle:sender:%d" % i) for i in range(2)]
@@ -153,6 +154,7 @@ def assert_matches_fresh(node, tree, params):
             key = (bh, rec.address)
             assert node.store.post_states[key] == \
                 fresh.store.post_states[key], key
+    assert_confirmed_are_replays(node)
     # every surviving pending tail still applies on the canonical state,
     # and reaches the state the node keeps for it
     ctx = node.claim_context()

@@ -15,6 +15,8 @@ from shardchain.sim import (
     run_sim,
 )
 
+from conftest import assert_confirmed_are_replays
+
 
 def small_cfg(**overrides):
     base = dict(seed=3, accounts=30, width=6, avg_txs=2, block_limit=2048,
@@ -216,6 +218,9 @@ class TestShardEquivalence:
     def test_nodes_agree_shard_by_shard(self, finished_sim):
         assert_shards_match_root(finished_sim, [
             "confirmed", "pending", "tail_states", "txs", "send_index"])
+
+    def test_root_states_are_replays(self, finished_sim):
+        assert_confirmed_are_replays(finished_sim.root)
 
     @pytest.mark.xfail(reason="a partial node indexes no inflow from a "
                        "sender it does not host (ROADMAP item 2)")

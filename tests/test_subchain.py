@@ -7,7 +7,6 @@ from shardchain.codec import NULL_HASH
 from shardchain.errors import (
     AmountMismatch,
     BadLink,
-    ConfirmAheadOfTip,
     DoubleClaim,
     FragmentMisaligned,
     InsufficientBalance,
@@ -19,7 +18,6 @@ from shardchain.subchain import (
     SubchainFragment,
     initial_state,
     apply_tx,
-    mark_confirmed,
     replay,
     verify_fragment,
 )
@@ -175,28 +173,6 @@ class TestFragments:
                                 txs=tuple(chain))
         again = subchain.decode_fragment(subchain.encode_fragment(frag))
         assert again == frag
-
-
-class TestMarkConfirmed:
-    def test_confirm_zero_noop(self, keys):
-        state = initial_state(keys[0].address)
-        assert mark_confirmed(state, 0) == state
-
-    def test_monotone(self, keys):
-        chain = build_chain(keys[6], 6, start_balance=100)
-        state = replay(chain, EMPTY_CTX,
-                       initial=initial_state(keys[6].address, 100))
-        state = mark_confirmed(state, 3)
-        state = mark_confirmed(state, 5)
-        assert state.confirmed_height == 5
-        assert mark_confirmed(state, 3).confirmed_height == 5
-
-    def test_ahead_of_tip(self, keys):
-        chain = build_chain(keys[6], 7, start_balance=100)
-        state = replay(chain, EMPTY_CTX,
-                       initial=initial_state(keys[6].address, 100))
-        with pytest.raises(ConfirmAheadOfTip):
-            mark_confirmed(state, 9)
 
 
 def test_oracle_equivalence_random_splits(keys):
