@@ -74,17 +74,24 @@ def latency_range(text: str):
     return float(lo), float(hi or lo)
 
 
+def worker_counts(text: str):
+    """Comma-separated worker counts, each an integer >= 1."""
+    counts = [int(w) for w in text.split(",")]
+    if min(counts) < 1:
+        raise ValueError(text)
+    return counts
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--accounts", type=int, default=100)
     p.add_argument("--width", type=int, default=10)
     p.add_argument("--avg-txs", type=int, default=1)
-    p.add_argument("--block-size", type=int, default=4096,
-                   help="main block size limit in bytes")
-    p.add_argument("--interval", type=int, default=15,
-                   help="block interval in simulated seconds")
+    p.add_argument("--block-size", type=int,
+                   help="main block size limit in bytes (default 4096)")
+    p.add_argument("--interval", type=int,
+                   help="block interval in simulated seconds (default 15)")
     p.add_argument("--blocks", type=int, default=10)
-    p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--latency", type=latency_range, default="1:5",
                    help="per-link latency range MIN:MAX in ms")
     p.add_argument("--maturity", type=int, default=6)
@@ -94,25 +101,26 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-claims", action="store_true",
                    help="senders spend genesis balance only")
     p.add_argument("--profile", choices=sorted(PROFILES),
-                   help="preset for --block-size/--interval")
+                   help="preset for --block-size/--interval, which it "
+                   "excludes")
     p.add_argument("--out", choices=["json", "csv"], default="json")
 
 
-def _sim_config(args):
+def _sim_config(args, node_count: int):
     from .sim import SimConfig
 
-    block_size, interval = args.block_size, args.interval
-    if args.profile:
-        block_size, interval = PROFILES[args.profile]
+    sizes = PROFILES[args.profile] if args.profile \
+        else (args.block_size, args.interval)
+    # an unset flag keeps the SimConfig default
+    given = {k: v for k, v in zip(("block_limit", "block_interval"), sizes)
+             if v is not None}
     return SimConfig(
         seed=args.seed, accounts=args.accounts, width=args.width,
-        avg_txs=args.avg_txs, block_limit=block_size,
-        block_interval=interval, blocks=args.blocks,
-        node_count=args.nodes,
+        avg_txs=args.avg_txs, blocks=args.blocks, node_count=node_count,
         latency_min_ms=args.latency[0], latency_max_ms=args.latency[1],
         difficulty_bits=args.difficulty_bits, maturity=args.maturity,
         initial_balance=args.initial_balance,
-        claim_inflows=not args.no_claims)
+        claim_inflows=not args.no_claims, **given)
 
 
 def _emit(rows, columns, out_format: str) -> None:
@@ -138,7 +146,7 @@ def cmd_keygen(args) -> int:
 def cmd_sim(args) -> int:
     from .sim import run_sim
 
-    report = run_sim(_sim_config(args))
+    report = run_sim(_sim_config(args, node_count=args.nodes))
     if args.out == "csv":
         _emit(report["blocks"],
               ["height", "records", "txs_covered", "bytes"], "csv")
@@ -153,8 +161,7 @@ def cmd_sim(args) -> int:
 def cmd_bench_verify(args) -> int:
     from .sim import bench_verify
 
-    workers = [int(w) for w in args.workers.split(",")]
-    rows = bench_verify(args.txs, workers, seed=args.seed)
+    rows = bench_verify(args.txs, args.workers, seed=args.seed)
     _emit(rows, ["workers", "seconds", "txs", "all_valid"], args.out)
     return 0
 
@@ -162,7 +169,7 @@ def cmd_bench_verify(args) -> int:
 def cmd_bench_storage(args) -> int:
     from .sim import bench_storage
 
-    rows = bench_storage(_sim_config(args))
+    rows = bench_storage(_sim_config(args, node_count=7))
     _emit(rows, ["node", "depth", "main_chain_bytes", "subchain_bytes",
                  "shard_count"], args.out)
     return 0
@@ -237,19 +244,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run a deterministic simulation")
     _add_sim_flags(p)
+    p.add_argument("--nodes", type=int, default=1)
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("bench-verify",
                        help="parallel signature verification benchmark")
     p.add_argument("--txs", type=int, default=10_000)
-    p.add_argument("--workers", default="1,2,4,8",
+    p.add_argument("--workers", type=worker_counts, default="1,2,4,8",
                    help="comma-separated worker counts")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", choices=["json", "csv"], default="csv")
     p.set_defaults(func=cmd_bench_verify)
 
     p = sub.add_parser("bench-storage",
-                       help="full vs half vs quarter node storage")
+                       help="full vs half vs quarter node storage, "
+                       "over a 7-node tree")
     _add_sim_flags(p)
     p.set_defaults(func=cmd_bench_storage)
 
@@ -292,6 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "profile", None) and (args.block_size is not None
+                                           or args.interval is not None):
+        parser.error("--profile sets --block-size and --interval; give "
+                     "either the profile or the flags")
     if args.command == "node" and not args.init:
         # refuse a node that would serve nowhere or ignore a flag
         if args.listen is None:

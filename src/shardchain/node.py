@@ -35,7 +35,8 @@ from .subchain import SubchainFragment, SubchainState
 
 @dataclass(frozen=True, slots=True)
 class Inflow:
-    """A confirmed, not-yet-claimed transfer toward an account."""
+    """A canonical transfer toward an account; the recipient's
+    ``claimed_sends``/``claimed_coinbases`` tell whether it is spent."""
     sender_address: bytes
     sender_tx_hash: bytes
     amount: int
@@ -75,9 +76,6 @@ class NodeStore:
         # confirmation there, so no branch is ever replayed
         self.frag_archive: Dict[Tuple[bytes, bytes], tuple] = {}
         self.post_states: Dict[Tuple[bytes, bytes], SubchainState] = {}
-        # canonical block -> the inflow writes it made, each (address, key,
-        # prior value), a None key marking a pool it created
-        self.undo: Dict[bytes, List[tuple]] = {}
 
     def find_send(self, address: bytes, tx_hash: bytes) -> Optional[SendTx]:
         return self.send_index.get((address, tx_hash))
@@ -289,10 +287,8 @@ class Node:
 
     def _connect(self, block_hash: bytes) -> None:
         """Apply a block's archived hosted deltas to the canonical
-        keyspaces, noting its inflow writes for a later disconnect."""
+        keyspaces and index the inflows it makes."""
         block = self.view.blocks[block_hash]
-        height = block.header.height
-        undo = self.store.undo[block_hash] = []
         for rec in block.confirmations:
             address = rec.address
             key = (block_hash, address)
@@ -304,28 +300,14 @@ class Node:
                 self.store.txs[(address, tx.height)] = tx
                 if isinstance(tx, SendTx):
                     self.store.send_index[(address, tx.tx_hash)] = tx
-                self._index_tx(tx, block_hash, height, undo)
             self._trim_pending(address, new_state)
-        miner = block.header.miner_address
-        if self.hosts(miner):
-            self._put_inflow(undo, miner, block_hash, Inflow(
-                sender_address=codec.NULL_ADDRESS,
-                sender_tx_hash=codec.NULL_HASH,
-                amount=self.params.subsidy,
-                block_hash=block_hash, block_height=height, coinbase=True))
+        for address, key, flow in self._inflows(block_hash):
+            self.store.inflows.setdefault(address, {})[key] = flow
 
     def _disconnect(self, block_hash: bytes) -> Dict[bytes, tuple]:
-        """Remove a formerly canonical block's txs, send_index entries and
-        inflow writes; returns the txs it had confirmed, per address. The
-        caller resets the confirmed states from the new canonical index."""
-        inflows = self.store.inflows
-        for address, key, prior in reversed(self.store.undo.pop(block_hash)):
-            if key is None:
-                del inflows[address]
-            elif prior is None:
-                del inflows[address][key]
-            else:
-                inflows[address][key] = prior
+        """Remove the keys ``_connect`` added for a formerly canonical
+        block; returns the txs it had confirmed, per address. The caller
+        resets the confirmed states from the new canonical index."""
         orphaned = {}
         for rec in self.view.blocks[block_hash].confirmations:
             txs = self.store.frag_archive.get((block_hash, rec.address))
@@ -336,7 +318,32 @@ class Node:
                 del self.store.txs[(rec.address, tx.height)]
                 if isinstance(tx, SendTx):
                     del self.store.send_index[(rec.address, tx.tx_hash)]
+        for address, key, _ in self._inflows(block_hash):
+            pool = self.store.inflows[address]
+            del pool[key]
+            if not pool:
+                del self.store.inflows[address]
         return orphaned
+
+    def _inflows(self, bh: bytes):
+        """The inflows a canonical block makes, as (recipient, key,
+        inflow): each archived send to a hosted recipient, keyed by send
+        hash, and a hosted miner's coinbase, keyed by block hash."""
+        block = self.view.blocks[bh]
+        height = block.header.height
+        for rec in block.confirmations:
+            for tx in self.store.frag_archive.get((bh, rec.address), ()):
+                if isinstance(tx, SendTx) \
+                        and self.hosts(tx.recipient_address):
+                    yield tx.recipient_address, tx.tx_hash, Inflow(
+                        sender_address=rec.address, sender_tx_hash=tx.tx_hash,
+                        amount=tx.amount, block_hash=bh, block_height=height)
+        miner = block.header.miner_address
+        if self.hosts(miner):
+            yield miner, bh, Inflow(
+                sender_address=codec.NULL_ADDRESS,
+                sender_tx_hash=codec.NULL_HASH, amount=self.params.subsidy,
+                block_hash=bh, block_height=height, coinbase=True)
 
     def _reorg(self, disconnect: List[bytes], connect: List[bytes]) -> None:
         """Switch the hosted keyspaces from the old canonical blocks
@@ -386,40 +393,6 @@ class Node:
             if tail:
                 self.store.pending[address] = tail
                 self.store.tail_states[address] = state
-
-    def _put_inflow(self, undo: List[tuple], address: bytes, key: bytes,
-                    flow: Optional[Inflow]) -> None:
-        """Set one inflow, or remove it when ``flow`` is None, noting the
-        prior value in ``undo``."""
-        pool = self.store.inflows.get(address)
-        if pool is None:
-            if flow is None:
-                return
-            pool = self.store.inflows[address] = {}
-            undo.append((address, None, None))
-        prior = pool.get(key)
-        if flow is not None:
-            pool[key] = flow
-        elif prior is not None:
-            del pool[key]
-        else:
-            return
-        undo.append((address, key, prior))
-
-    def _index_tx(self, tx: SubchainTx, block_hash: bytes,
-                  block_height: int, undo: List[tuple]) -> None:
-        if isinstance(tx, SendTx):
-            if self.hosts(tx.recipient_address):
-                self._put_inflow(undo, tx.recipient_address, tx.tx_hash,
-                                 Inflow(sender_address=tx.current_address,
-                                        sender_tx_hash=tx.tx_hash,
-                                        amount=tx.amount,
-                                        block_hash=block_hash,
-                                        block_height=block_height))
-        elif isinstance(tx, ReceiveTx):
-            key = tx.main_block_hash if tx.is_coinbase \
-                else tx.sender_tx_hash
-            self._put_inflow(undo, tx.current_address, key, None)
 
     def _trim_pending(self, address: bytes,
                       confirmed: SubchainState) -> None:

@@ -329,18 +329,13 @@ def bench_verify(n_txs: int, worker_counts: List[int],
 
 
 def bench_storage(cfg: SimConfig) -> List[dict]:
-    """Run one simulation over a depth-2 tree (full, half, quarter nodes)
-    and report per-node storage."""
+    """Run one simulation over a 7-node depth-2 tree (full, half, quarter
+    nodes) and report per-node storage."""
     if cfg.node_count != 7:
-        cfg = SimConfig(**{**asdict(cfg), "node_count": 7})
-    sim = Simulation(cfg)
-    sim.run()
-    rows = []
-    for nid in sorted(sim.nodes):
-        n = sim.nodes[nid]
-        rep = n.storage_report()
-        rows.append({"node": nid.hex(), "depth": n.assignment.depth,
-                     "main_chain_bytes": rep.main_chain_bytes,
-                     "subchain_bytes": rep.subchain_bytes,
-                     "shard_count": rep.shard_count})
-    return rows
+        raise ConfigInvalid("bench_storage runs a 7-node tree")
+    storage = run_sim(cfg)["storage"]
+    return [{"node": nid, "depth": entry["depth"],
+             "main_chain_bytes": entry["main_chain_bytes"],
+             "subchain_bytes": entry["subchain_bytes"],
+             "shard_count": entry["shard_count"]}
+            for nid, entry in sorted(storage.items())]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 from shardchain import codec, mainchain, subchain
-from shardchain.codec import NULL_HASH, SendTx, ReceiveTx
+from shardchain.codec import NULL_ADDRESS, NULL_HASH, SendTx, ReceiveTx
+from shardchain.node import Inflow
 from shardchain.sim import derived_key
 
 # Property tests draw the same examples on every run, so a failure
@@ -91,6 +92,30 @@ def assert_confirmed_are_replays(node):
                for h in range(1, state.tip_height + 1)]
         assert state == subchain.replay(
             txs, ctx, initial=node.base_state(address), verify=None), address
+
+
+def assert_inflows_are_an_index(node):
+    """``node.store.inflows`` is what a scan of the canonical blocks
+    gives: each archived send to a hosted recipient, and the coinbase of
+    each block a hosted address mined, with its block hash and height,
+    claimed or not."""
+    expected = {}
+    for bh in node.view.canonical[1:]:
+        block = node.view.blocks[bh]
+        height = block.header.height
+        for rec in block.confirmations:
+            for tx in node.store.frag_archive.get((bh, rec.address), ()):
+                if isinstance(tx, SendTx) \
+                        and node.hosts(tx.recipient_address):
+                    expected.setdefault(tx.recipient_address, {})[
+                        tx.tx_hash] = Inflow(tx.current_address, tx.tx_hash,
+                                             tx.amount, bh, height)
+        miner = block.header.miner_address
+        if node.hosts(miner):
+            expected.setdefault(miner, {})[bh] = Inflow(
+                NULL_ADDRESS, NULL_HASH, node.params.subsidy, bh, height,
+                coinbase=True)
+    assert node.store.inflows == expected
 
 
 class Calls:

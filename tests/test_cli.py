@@ -69,6 +69,18 @@ class TestSim:
         assert report["config"]["block_limit"] == 40 * 1024
         assert report["config"]["block_interval"] == 15
 
+    @pytest.mark.parametrize("flag,value", [("--block-size", "2048"),
+                                            ("--interval", "99")])
+    def test_profile_excludes_size_flags(self, flag, value, capsys):
+        """--profile sets the block size and interval, so an explicit
+        flag for either is a usage error, not silently overridden."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sim", "--accounts", "20", "--width", "3", "--blocks",
+                      "2", "--no-claims", "--profile", "ethereum-like",
+                      flag, value])
+        assert exc.value.code == 2
+        assert "error: --profile " in capsys.readouterr().err
+
     def test_config_error_json(self):
         res = run_cli(["sim", "--width", "200", "--accounts", "10"])
         assert res.returncode == 1
@@ -100,6 +112,16 @@ class TestBenchCommands:
         assert len(rows) == 7
         assert sorted(r["depth"] for r in rows) == [0, 1, 1, 2, 2, 2, 2]
 
+    def test_bench_storage_takes_no_node_count(self, capsys):
+        """bench-storage always runs the 7-node tree: --nodes is not one
+        of its flags, so it is refused rather than ignored."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench-storage", "--accounts", "20", "--width", "3",
+                      "--blocks", "2", "--no-claims", "--nodes", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --nodes 3" \
+            in capsys.readouterr().err
+
 
 ADDR = "ab" * 20
 
@@ -118,6 +140,9 @@ MALFORMED = {
         "zz", "11" * 31, "11" * 33, " " + "11" * 32)],
     "--prefix": [["node", "--init", "--prefix", v] for v in (
         "2", "0_1", " 01", "0" * 161)],
+    # each refused while parsing, before any worker process starts
+    "--workers": [["bench-verify", "--txs", "1", "--workers", v]
+                  for v in ("1,x", "", "0", "2,0")],
 }
 
 

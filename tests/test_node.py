@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from shardchain import codec, mainchain, sharding, subchain
+from shardchain import codec, mainchain, sharding, subchain, wallet
 from shardchain.codec import NULL_HASH
 from shardchain.errors import (
     BadLink,
@@ -400,8 +400,10 @@ class TestEndToEndTransfer:
         rec2 = ConfirmationRecord(rcpt.address, claim.tx_hash, 1)
         node.ingest_block(confirm_block(node, [rec2]))
         assert node.confirmed_state(rcpt.address).balance == 30
-        # inflow consumed
-        assert node.store.inflows[rcpt.address] == {}
+        # the claim hides the inflow, which stays indexed
+        assert wallet.account_view(node, rcpt.address).claimables == []
+        assert node.store.inflows[rcpt.address][send.tx_hash].block_hash \
+            == block.block_hash
 
     def test_immature_claim_rejected(self, keys):
         sender, rcpt = keys[0], keys[1]

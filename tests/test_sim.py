@@ -15,7 +15,8 @@ from shardchain.sim import (
     run_sim,
 )
 
-from conftest import assert_confirmed_are_replays
+from conftest import assert_confirmed_are_replays, \
+    assert_inflows_are_an_index
 
 
 def small_cfg(**overrides):
@@ -222,6 +223,10 @@ class TestShardEquivalence:
     def test_root_states_are_replays(self, finished_sim):
         assert_confirmed_are_replays(finished_sim.root)
 
+    def test_inflows_are_an_index(self, finished_sim):
+        for node_ in finished_sim.nodes.values():
+            assert_inflows_are_an_index(node_)
+
     @pytest.mark.xfail(reason="a partial node indexes no inflow from a "
                        "sender it does not host (ROADMAP item 2)")
     def test_hosted_inflows_agree(self, finished_sim):
@@ -239,8 +244,13 @@ class TestBench:
         with pytest.raises(ConfigInvalid):
             bench_verify(0, [1])
 
+    def test_bench_storage_refuses_other_node_counts(self):
+        with pytest.raises(ConfigInvalid):
+            bench_storage(small_cfg(node_count=3))
+
     def test_bench_storage_tree_shape(self):
-        rows = bench_storage(small_cfg(blocks=4, accounts=40, width=8))
+        rows = bench_storage(small_cfg(blocks=4, accounts=40, width=8,
+                                       node_count=7))
         assert len(rows) == 7
         assert sorted(r["depth"] for r in rows) == [0, 1, 1, 2, 2, 2, 2]
         # identical main chain everywhere
