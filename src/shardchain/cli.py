@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -69,9 +70,12 @@ def host_port(text: str):
 
 
 def latency_range(text: str):
-    """MIN[:MAX] in ms; MAX defaults to MIN."""
+    """MIN[:MAX] in ms, each finite; MAX defaults to MIN."""
     lo, _, hi = text.partition(":")
-    return float(lo), float(hi or lo)
+    bounds = float(lo), float(hi or lo)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(text)
+    return bounds
 
 
 def worker_counts(text: str):

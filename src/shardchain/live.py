@@ -91,8 +91,8 @@ def save_node(node: Node, data_dir: str) -> None:
     records = []
     for bh in node.view.canonical[1:]:
         block = node.view.blocks[bh]
-        for rec in block.confirmations:
-            for tx in node.store.frag_archive.get((bh, rec.address), ()):
+        for txs, _ in node.store.archive[bh].values():
+            for tx in txs:
                 records.append(_log_record(MsgKind.NewTx,
                                            codec.encode_tx(tx)))
         records.append(_log_record(MsgKind.NewBlock, block.encode()))

@@ -13,7 +13,8 @@ from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
+    Tuple
 
 from . import codec, subchain
 from .codec import sha256, sha256d
@@ -51,8 +52,7 @@ class ChainParams:
     maturity: int = 6
 
 
-@dataclass(frozen=True, slots=True)
-class ConfirmationRecord:
+class ConfirmationRecord(NamedTuple):
     address: bytes
     tip_hash: bytes
     tip_height: int
@@ -65,8 +65,7 @@ def decode_record(data: bytes) -> ConfirmationRecord:
     if len(data) != RECORD_LEN:
         raise codec.DecodeError("record must be %d bytes, got %d"
                                 % (RECORD_LEN, len(data)))
-    address, tip_hash, tip_height = _RECORD.unpack(data)
-    return ConfirmationRecord(address, tip_hash, tip_height)
+    return ConfirmationRecord._make(_RECORD.unpack(data))
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,10 @@ class BlockHeader:
                             self.confirmations_root, self.difficulty_bits,
                             self.nonce)
 
-    @property
+    @cached_property
     def block_hash(self) -> bytes:
+        # cached: the header is immutable, and ingest reads the hash of
+        # each block several times
         return sha256d(self.encode())
 
 
@@ -120,8 +121,8 @@ def decode_block(data: bytes) -> MainBlock:
         raise codec.DecodeError("block of %d records must be %d bytes, "
                                 "got %d" % (count, BLOCK_OVERHEAD
                                             + count * RECORD_LEN, len(data)))
-    records = tuple(ConfirmationRecord(*fields) for fields
-                    in _RECORD.iter_unpack(data[BLOCK_OVERHEAD:]))
+    records = tuple(map(ConfirmationRecord._make,
+                        _RECORD.iter_unpack(data[BLOCK_OVERHEAD:])))
     return MainBlock(header=header, confirmations=records)
 
 

@@ -10,7 +10,7 @@ That asymmetry is the whole storage/compute saving of sharding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, subchain
 from .codec import ReceiveTx, SendTx, SubchainTx
@@ -33,8 +33,7 @@ from .sharding import ShardAssignment, hosts
 from .subchain import SubchainFragment, SubchainState
 
 
-@dataclass(frozen=True, slots=True)
-class Inflow:
+class Inflow(NamedTuple):
     """A canonical transfer toward an account; the recipient's
     ``claimed_sends``/``claimed_coinbases`` tell whether it is spent."""
     sender_address: bytes
@@ -70,12 +69,13 @@ class NodeStore:
         self.txs: Dict[Tuple[bytes, int], SubchainTx] = {}
         self.send_index: Dict[Tuple[bytes, bytes], SendTx] = {}
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
-        # every hosted fragment any accepted block confirmed, per (block,
-        # address), and the validated state it led to: the confirmed state
-        # of an address on any branch is the post-state of its latest
+        # every accepted block, main or side, mapped to the hosted
+        # addresses it confirmed, in record order, each with its fragment
+        # txs and the validated state they led to: the confirmed state of
+        # an address on any branch is the post-state of its latest
         # confirmation there, so no branch is ever replayed
-        self.frag_archive: Dict[Tuple[bytes, bytes], tuple] = {}
-        self.post_states: Dict[Tuple[bytes, bytes], SubchainState] = {}
+        self.archive: Dict[bytes, Dict[bytes,
+                                       Tuple[tuple, SubchainState]]] = {}
 
     def find_send(self, address: bytes, tx_hash: bytes) -> Optional[SendTx]:
         return self.send_index.get((address, tx_hash))
@@ -122,10 +122,8 @@ class Node:
             # confirms the sends archived for its side blocks
             sends = {(tx.current_address, tx.tx_hash): tx
                      for bh in ctx.side
-                     for rec in self.view.blocks[bh].confirmations
-                     for tx in self.store.frag_archive.get((bh, rec.address),
-                                                           ())
-                     if isinstance(tx, SendTx)}
+                     for txs, _ in self.store.archive[bh].values()
+                     for tx in txs if isinstance(tx, SendTx)}
             ctx.send_source = lambda a, h: sends.get((a, h)) \
                 or self._send_source(a, h)
         return ctx
@@ -231,10 +229,8 @@ class Node:
                         "fragment tip does not match the record")
                 txs = frag.txs
             deltas[address] = (old_state, new_state, txs)
-        for address, (_, new_state, txs) in deltas.items():
-            key = (bh, address)
-            self.store.frag_archive[key] = txs
-            self.store.post_states[key] = new_state
+        self.store.archive[bh] = {address: (txs, new_state) for address,
+                                  (_, new_state, txs) in deltas.items()}
         disconnect = self.view.canonical[ctx.fork_height + 1:]
         if not self.view.extend(block):
             return deltas
@@ -250,7 +246,7 @@ class Node:
         confirmation entry on some branch (None if it has none there)."""
         if entry is None:
             return self.base_state(address)
-        return self.store.post_states[(entry[0], address)]
+        return self.store.archive[entry[0]][address][1]
 
     def _shard_oracle(self, address: bytes, lo: int, hi: int,
                       tip_hash: bytes) -> SubchainFragment:
@@ -288,15 +284,10 @@ class Node:
     def _connect(self, block_hash: bytes) -> None:
         """Apply a block's archived hosted deltas to the canonical
         keyspaces and index the inflows it makes."""
-        block = self.view.blocks[block_hash]
-        for rec in block.confirmations:
-            address = rec.address
-            key = (block_hash, address)
-            new_state = self.store.post_states.get(key)
-            if new_state is None:
-                continue        # not hosted
+        for address, (txs, new_state) in \
+                self.store.archive[block_hash].items():
             self.store.confirmed[address] = new_state
-            for tx in self.store.frag_archive[key]:
+            for tx in txs:
                 self.store.txs[(address, tx.height)] = tx
                 if isinstance(tx, SendTx):
                     self.store.send_index[(address, tx.tx_hash)] = tx
@@ -309,15 +300,12 @@ class Node:
         block; returns the txs it had confirmed, per address. The caller
         resets the confirmed states from the new canonical index."""
         orphaned = {}
-        for rec in self.view.blocks[block_hash].confirmations:
-            txs = self.store.frag_archive.get((block_hash, rec.address))
-            if txs is None:
-                continue        # not hosted
-            orphaned[rec.address] = txs
+        for address, (txs, _) in self.store.archive[block_hash].items():
+            orphaned[address] = txs
             for tx in txs:
-                del self.store.txs[(rec.address, tx.height)]
+                del self.store.txs[(address, tx.height)]
                 if isinstance(tx, SendTx):
-                    del self.store.send_index[(rec.address, tx.tx_hash)]
+                    del self.store.send_index[(address, tx.tx_hash)]
         for address, key, _ in self._inflows(block_hash):
             pool = self.store.inflows[address]
             del pool[key]
@@ -329,21 +317,18 @@ class Node:
         """The inflows a canonical block makes, as (recipient, key,
         inflow): each archived send to a hosted recipient, keyed by send
         hash, and a hosted miner's coinbase, keyed by block hash."""
-        block = self.view.blocks[bh]
-        height = block.header.height
-        for rec in block.confirmations:
-            for tx in self.store.frag_archive.get((bh, rec.address), ()):
+        header = self.view.blocks[bh].header
+        height = header.height
+        for address, (txs, _) in self.store.archive[bh].items():
+            for tx in txs:
                 if isinstance(tx, SendTx) \
                         and self.hosts(tx.recipient_address):
                     yield tx.recipient_address, tx.tx_hash, Inflow(
-                        sender_address=rec.address, sender_tx_hash=tx.tx_hash,
-                        amount=tx.amount, block_hash=bh, block_height=height)
-        miner = block.header.miner_address
-        if self.hosts(miner):
-            yield miner, bh, Inflow(
-                sender_address=codec.NULL_ADDRESS,
-                sender_tx_hash=codec.NULL_HASH, amount=self.params.subsidy,
-                block_hash=bh, block_height=height, coinbase=True)
+                        address, tx.tx_hash, tx.amount, bh, height)
+        if self.hosts(header.miner_address):
+            yield header.miner_address, bh, Inflow(
+                codec.NULL_ADDRESS, codec.NULL_HASH, self.params.subsidy, bh,
+                height, True)
 
     def _reorg(self, disconnect: List[bytes], connect: List[bytes]) -> None:
         """Switch the hosted keyspaces from the old canonical blocks
@@ -360,9 +345,7 @@ class Node:
                 orphaned.setdefault(address, []).extend(txs)
         touched = set(orphaned)
         for h in connect:
-            touched.update(rec.address
-                           for rec in self.view.blocks[h].confirmations
-                           if (h, rec.address) in self.store.post_states)
+            touched.update(self.store.archive[h])
         gone = set(disconnect)
         touched.update(address for address, tail in self.store.pending.items()
                        if any(isinstance(tx, ReceiveTx)
@@ -399,13 +382,14 @@ class Node:
         tail = self.store.pending.get(address)
         if not tail:
             return
-        kept = [t for t in tail if t.height > confirmed.tip_height]
-        if kept and kept[0].parent_hash == confirmed.tip_hash \
-                and kept[0].height == confirmed.tip_height + 1:
-            # the hash chain fixes the kept suffix's state: it stays
-            self.store.pending[address] = kept
-        else:
-            self._pop_tail(address)     # all confirmed, or no longer links
+        if tail[-1].height > confirmed.tip_height:
+            kept = [t for t in tail if t.height > confirmed.tip_height]
+            if kept[0].parent_hash == confirmed.tip_hash \
+                    and kept[0].height == confirmed.tip_height + 1:
+                # the hash chain fixes the kept suffix's state: it stays
+                self.store.pending[address] = kept
+                return
+        self._pop_tail(address)     # all confirmed, or no longer links
 
     def _pop_tail(self, address: bytes) -> List[SubchainTx]:
         self.store.tail_states.pop(address, None)

@@ -9,6 +9,7 @@ milliseconds.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -57,7 +58,9 @@ class SimConfig:
             raise ConfigInvalid("width must be in [0, accounts]")
         if capacity(self.block_limit) < 1:
             raise ConfigInvalid("block limit below one record")
-        if self.latency_min_ms < 0 \
+        if not math.isfinite(self.latency_min_ms) \
+                or not math.isfinite(self.latency_max_ms) \
+                or self.latency_min_ms < 0 \
                 or self.latency_max_ms < self.latency_min_ms:
             raise ConfigInvalid("bad latency range")
 

@@ -103,8 +103,9 @@ def assert_inflows_are_an_index(node):
     for bh in node.view.canonical[1:]:
         block = node.view.blocks[bh]
         height = block.header.height
+        archived = node.store.archive[bh]
         for rec in block.confirmations:
-            for tx in node.store.frag_archive.get((bh, rec.address), ()):
+            for tx in archived.get(rec.address, ((), None))[0]:
                 if isinstance(tx, SendTx) \
                         and node.hosts(tx.recipient_address):
                     expected.setdefault(tx.recipient_address, {})[
@@ -116,6 +117,9 @@ def assert_inflows_are_an_index(node):
                 NULL_ADDRESS, NULL_HASH, node.params.subsidy, bh, height,
                 coinbase=True)
     assert node.store.inflows == expected
+    # an Inflow equals a bare tuple of its values, so check the type too
+    assert all(type(flow) is Inflow for pool in node.store.inflows.values()
+               for flow in pool.values())
 
 
 class Calls:

@@ -135,7 +135,8 @@ MALFORMED = {
         "127.0.0.1", "127.0.0.1:x", "127.0.0.1:65536", "127.0.0.1:-1")],
     "--node": [["miner", "--address", ADDR, "--node", v]
                for v in ("localhost", "localhost:", "localhost:http")],
-    "--latency": [["sim", "--latency", v] for v in ("a:b", "1:x", "")],
+    "--latency": [["sim", "--latency", v] for v in (
+        "a:b", "1:x", "", "nan", "1:inf", "nan:5", "inf")],
     "--seed": [["keygen", "--seed", v] for v in (
         "zz", "11" * 31, "11" * 33, " " + "11" * 32)],
     "--prefix": [["node", "--init", "--prefix", v] for v in (

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 import struct
 
 import pytest
 
 from shardchain import codec, mainchain
-from shardchain.codec import NULL_HASH
+from shardchain.codec import NULL_HASH, sha256d
 from shardchain.errors import (
     BadPoW,
     DecodeError,
@@ -129,7 +130,30 @@ class TestBlockCodec:
         view = ChainView(genesis, PARAMS)
         recs = [ConfirmationRecord(b"\x01" * 20, b"\x02" * 32, 9)]
         block = mk_block(view, recs)
-        assert decode_block(block.encode()) == block
+        decoded = decode_block(block.encode())
+        assert decoded == block
+        # records, not bare tuples, which would compare equal too
+        assert type(decoded.confirmations[0]) is ConfirmationRecord
+
+    def test_record_fields_are_read_only(self):
+        rec = ConfirmationRecord(b"\x01" * 20, b"\x02" * 32, 9)
+        for name in ("address", "tip_hash", "tip_height"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+        assert rec == ConfirmationRecord(address=b"\x01" * 20,
+                                         tip_hash=b"\x02" * 32, tip_height=9)
+
+    def test_header_hash_is_per_object(self):
+        """Each header caches the hash of its own encoding: a decoded
+        header and a copy with another nonce each hash what they hold."""
+        view = ChainView(make_genesis({}), PARAMS)
+        block = mk_block(view)
+        header = decode_block(block.encode()).header
+        assert header.block_hash == sha256d(header.encode()) \
+            == block.block_hash
+        copy = dataclasses.replace(header, nonce=header.nonce + 1)
+        assert copy.block_hash == sha256d(copy.encode())
+        assert copy.block_hash != header.block_hash
 
     def test_trailing_bytes_rejected(self):
         genesis = make_genesis({})

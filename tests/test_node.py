@@ -332,8 +332,8 @@ class TestIngestFallback:
         counts = calls.take()
         assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 2)
         assert node.view.tip != side.block_hash
-        assert deltas[key.address][1] == node.store.post_states[
-            (side.block_hash, key.address)]
+        assert node.store.archive[side.block_hash] == {
+            key.address: (tuple(chain), deltas[key.address][1])}
         assert node.store.pending[key.address] == chain
         assert node.confirmed_state(key.address).tip_height == 0
 

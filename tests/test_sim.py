@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter, defaultdict
 
 import pytest
@@ -49,6 +50,15 @@ class TestConfig:
     def test_latency_range(self):
         with pytest.raises(ConfigInvalid):
             small_cfg(latency_min_ms=5.0, latency_max_ms=1.0).validate()
+
+    @pytest.mark.parametrize("lo,hi", [
+        (math.nan, math.nan), (math.nan, 5.0), (1.0, math.nan),
+        (1.0, math.inf), (math.inf, math.inf)])
+    def test_latency_must_be_finite(self, lo, hi):
+        """A NaN or infinite latency would leave the event heap's order
+        undefined and the report's config outside JSON."""
+        with pytest.raises(ConfigInvalid):
+            small_cfg(latency_min_ms=lo, latency_max_ms=hi).validate()
 
 
 class TestRuns:
@@ -222,6 +232,17 @@ class TestShardEquivalence:
 
     def test_root_states_are_replays(self, finished_sim):
         assert_confirmed_are_replays(finished_sim.root)
+
+    def test_archive_holds_hosted_records(self, finished_sim):
+        """Every node archives each block it accepted, and in each entry
+        exactly the block's records it hosts, in record order."""
+        for node_ in finished_sim.nodes.values():
+            blocks = node_.view.blocks
+            assert set(node_.store.archive) == set(blocks)
+            for bh, entry in node_.store.archive.items():
+                assert list(entry) == [
+                    rec.address for rec in blocks[bh].confirmations
+                    if node_.hosts(rec.address)], (node_.assignment, bh)
 
     def test_inflows_are_an_index(self, finished_sim):
         for node_ in finished_sim.nodes.values():

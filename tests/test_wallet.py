@@ -91,6 +91,15 @@ def flow(sender, tx_hash, amount, block, height, coinbase=False):
                   coinbase=coinbase)
 
 
+def test_inflow_fields_are_read_only():
+    f = flow(b"\x09" * 20, b"\x0a" * 32, 25, b"\x0b" * 32, 1)
+    for name in ("sender_address", "sender_tx_hash", "amount", "block_hash",
+                 "block_height", "coinbase"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, getattr(f, name))
+    assert f.coinbase is False
+
+
 class TestBuildClaim:
     def test_claim_mature(self, keys):
         key = keys[0]
