@@ -15,7 +15,7 @@ import signal
 import sys
 
 from . import codec, live, mainchain, sharding
-from .errors import ShardChainError
+from .errors import MalformedBits, ShardChainError
 from .mainchain import ChainParams
 
 PROFILES = {
@@ -86,12 +86,35 @@ def worker_counts(text: str):
     return counts
 
 
+def block_size(text: str) -> int:
+    """A block size limit in bytes with room for at least one record."""
+    if mainchain.capacity(int(text)) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def difficulty_bits(text: str) -> int:
+    """Compact PoW bits, any integer literal, that encode a valid target."""
+    try:
+        mainchain.target(int(text, 0))
+    except MalformedBits:
+        raise ValueError(text) from None
+    return int(text, 0)
+
+
+def block_count(text: str) -> int:
+    """A number of blocks, an integer >= 0."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--accounts", type=int, default=100)
     p.add_argument("--width", type=int, default=10)
     p.add_argument("--avg-txs", type=int, default=1)
-    p.add_argument("--block-size", type=int,
+    p.add_argument("--block-size", type=block_size,
                    help="main block size limit in bytes (default 4096)")
     p.add_argument("--interval", type=int,
                    help="block interval in simulated seconds (default 15)")
@@ -99,7 +122,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--latency", type=latency_range, default="1:5",
                    help="per-link latency range MIN:MAX in ms")
     p.add_argument("--maturity", type=int, default=6)
-    p.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
+    p.add_argument("--difficulty-bits", type=difficulty_bits,
                    default=mainchain.EASY_BITS)
     p.add_argument("--initial-balance", type=int, default=1_000_000)
     p.add_argument("--no-claims", action="store_true",
@@ -277,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hosted shard prefix bits, e.g. '01'")
     g.add_argument("--alloc", type=allocation, action="append",
                    help="genesis allocation ADDRHEX=AMOUNT (repeatable)")
-    g.add_argument("--block-size", type=int,
+    g.add_argument("--block-size", type=block_size,
                    help="main block size limit (default 1 MiB)")
-    g.add_argument("--difficulty-bits", type=lambda s: int(s, 0),
+    g.add_argument("--difficulty-bits", type=difficulty_bits,
                    help="compact PoW target (default: the easy target)")
     p.set_defaults(func=cmd_node)
 
@@ -288,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="HOST:PORT of a node")
     p.add_argument("--address", type=hex_address, required=True,
                    help="miner reward address, hex")
-    p.add_argument("--bits", type=lambda s: int(s, 0),
+    p.add_argument("--bits", type=difficulty_bits,
                    default=mainchain.EASY_BITS)
-    p.add_argument("--block-size", type=int, default=1 << 20)
-    p.add_argument("--blocks", type=int, default=1,
+    p.add_argument("--block-size", type=block_size, default=1 << 20)
+    p.add_argument("--blocks", type=block_count, default=1,
                    help="number of blocks to mine (0 = forever)")
     p.set_defaults(func=cmd_miner)
 

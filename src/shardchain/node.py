@@ -118,14 +118,17 @@ class Node:
         ctx = ViewClaimContext(self.view, branch_tip or self.view.tip,
                                send_source=self._send_source)
         if ctx.side:
-            # send_index holds canonical sends only; a side branch also
-            # confirms the sends archived for its side blocks
-            sends = {(tx.current_address, tx.tx_hash): tx
-                     for bh in ctx.side
+            # send_index holds the canonical sends: a side branch confirms
+            # the sends archived for its side blocks instead of those of
+            # the canonical blocks above its fork point
+            above = self.view.canonical[ctx.fork_height + 1:]
+            sends = {(tx.current_address, tx.tx_hash):
+                     tx if bh in ctx.side else None
+                     for bh in above + ctx.side
                      for txs, _ in self.store.archive[bh].values()
                      for tx in txs if isinstance(tx, SendTx)}
-            ctx.send_source = lambda a, h: sends.get((a, h)) \
-                or self._send_source(a, h)
+            ctx.send_source = lambda a, h: sends[a, h] \
+                if (a, h) in sends else self._send_source(a, h)
         return ctx
 
     def _send_source(self, address: bytes, tx_hash: bytes):
@@ -295,13 +298,17 @@ class Node:
         for address, key, flow in self._inflows(block_hash):
             self.store.inflows.setdefault(address, {})[key] = flow
 
-    def _disconnect(self, block_hash: bytes) -> Dict[bytes, tuple]:
+    def _disconnect(self, block_hash: bytes) -> None:
         """Remove the keys ``_connect`` added for a formerly canonical
-        block; returns the txs it had confirmed, per address. The caller
-        resets the confirmed states from the new canonical index."""
-        orphaned = {}
+        block, and reset each confirmed state it set from the view's new
+        canonical index, which has switched already."""
         for address, (txs, _) in self.store.archive[block_hash].items():
-            orphaned[address] = txs
+            entry = self.view.confirmations.get(address)
+            if entry is not None:
+                self.store.confirmed[address] = \
+                    self._state_after(entry, address)
+            else:       # another disconnected block may have dropped it
+                self.store.confirmed.pop(address, None)
             for tx in txs:
                 del self.store.txs[(address, tx.height)]
                 if isinstance(tx, SendTx):
@@ -311,7 +318,6 @@ class Node:
             del pool[key]
             if not pool:
                 del self.store.inflows[address]
-        return orphaned
 
     def _inflows(self, bh: bytes):
         """The inflows a canonical block makes, as (recipient, key,
@@ -333,49 +339,27 @@ class Node:
     def _reorg(self, disconnect: List[bytes], connect: List[bytes]) -> None:
         """Switch the hosted keyspaces from the old canonical blocks
         ``disconnect`` to the new ones ``connect`` (both oldest first;
-        the view has switched already), then re-admit tails only for the
-        addresses this can change: the ones either side confirmed, and
-        the ones whose pending tail claims from a disconnected block.
-        Each tail is the orphaned formerly confirmed txs, then the old
-        pending txs, stopping at the first that no longer applies."""
-        orphaned: Dict[bytes, List[SubchainTx]] = {}
-        for undone in reversed([self._disconnect(h)
-                                for h in reversed(disconnect)]):
-            for address, txs in undone.items():
-                orphaned.setdefault(address, []).extend(txs)
-        touched = set(orphaned)
-        for h in connect:
-            touched.update(self.store.archive[h])
-        gone = set(disconnect)
-        touched.update(address for address, tail in self.store.pending.items()
-                       if any(isinstance(tx, ReceiveTx)
-                              and tx.main_block_hash in gone for tx in tail))
-        tails = {address: self._pop_tail(address) for address in touched}
-        for address in orphaned:
-            entry = self.view.confirmations.get(address)
-            if entry is None:
-                del self.store.confirmed[address]
-            else:
-                self.store.confirmed[address] = \
-                    self._state_after(entry, address)
+        the view has switched already), then resubmit, address by address
+        in address order, the orphaned formerly confirmed txs and then the
+        old pending tail through ``accept_pending_tx``, stopping each
+        address at the first tx it refuses."""
+        resubmit: Dict[bytes, List[SubchainTx]] = {}
+        for h in disconnect:
+            self._disconnect(h)
+            for address, (txs, _) in self.store.archive[h].items():
+                resubmit.setdefault(address, []).extend(txs)
+        for address, tail in self.store.pending.items():
+            resubmit.setdefault(address, []).extend(tail)
+        self.store.pending.clear()
+        self.store.tail_states.clear()
         for h in connect:
             self._connect(h)
-        ctx = self.claim_context()
-        for address in sorted(touched):
-            state = self.confirmed_state(address)
-            tail = []
-            for tx in orphaned.get(address, []) + tails[address]:
-                if tx.height != state.tip_height + 1 \
-                        or tx.parent_hash != state.tip_hash:
-                    continue
+        for address in sorted(resubmit):
+            for tx in resubmit[address]:
                 try:
-                    state = subchain.apply_tx(state, tx, ctx)
+                    self.accept_pending_tx(tx)
                 except ShardChainError:
                     break
-                tail.append(tx)
-            if tail:
-                self.store.pending[address] = tail
-                self.store.tail_states[address] = state
 
     def _trim_pending(self, address: bytes,
                       confirmed: SubchainState) -> None:
@@ -389,11 +373,8 @@ class Node:
                 # the hash chain fixes the kept suffix's state: it stays
                 self.store.pending[address] = kept
                 return
-        self._pop_tail(address)     # all confirmed, or no longer links
-
-    def _pop_tail(self, address: bytes) -> List[SubchainTx]:
-        self.store.tail_states.pop(address, None)
-        return self.store.pending.pop(address, [])
+        # all confirmed, or no longer links
+        del self.store.pending[address], self.store.tail_states[address]
 
     # -- serving -------------------------------------------------------
 
@@ -421,18 +402,12 @@ class Node:
         # the fixed wire widths assume
         wire_len = {SendTx: codec.SEND_WIRE_LEN,
                     ReceiveTx: codec.RECV_WIRE_LEN}
-        sub_bytes = 0
-        shards = set()
-        count = 0
-        for (address, _), tx in self.store.txs.items():
-            sub_bytes += wire_len[type(tx)]
-            shards.add(address)
-            count += 1
-        for address, tail in self.store.pending.items():
-            for tx in tail:
-                sub_bytes += wire_len[type(tx)]
-                count += 1
-            shards.add(address)
-        return StorageReport(main_chain_bytes=main_bytes,
-                             subchain_bytes=sub_bytes,
-                             shard_count=len(shards), tx_count=count)
+        txs = list(self.store.txs.values())
+        for tail in self.store.pending.values():
+            txs.extend(tail)
+        shards = {address for address, _ in self.store.txs}
+        return StorageReport(
+            main_chain_bytes=main_bytes,
+            subchain_bytes=sum(wire_len[type(tx)] for tx in txs),
+            shard_count=len(shards.union(self.store.pending)),
+            tx_count=len(txs))

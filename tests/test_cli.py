@@ -125,6 +125,9 @@ class TestBenchCommands:
 
 ADDR = "ab" * 20
 
+MINER = ["miner", "--node", "127.0.0.1:1", "--address", ADDR]
+BAD_BITS = ("0", "0x01000000", "0x2100ffff")
+
 # per flag, argument lists that each give it one malformed value
 MALFORMED = {
     "--alloc": [["node", "--init", "--alloc", v] for v in (
@@ -141,6 +144,18 @@ MALFORMED = {
         "zz", "11" * 31, "11" * 33, " " + "11" * 32)],
     "--prefix": [["node", "--init", "--prefix", v] for v in (
         "2", "0_1", " 01", "0" * 161)],
+    # chain parameters no block could meet, refused before a data dir
+    # or a miner connection exists
+    "--block-size": [cmd + ["--block-size", v]
+                     for cmd in (["sim"], ["bench-storage"],
+                                 ["node", "--init"], MINER)
+                     for v in ("0", "175", "x")],
+    "--difficulty-bits": [cmd + ["--difficulty-bits", v]
+                          for cmd in (["sim"], ["bench-storage"],
+                                      ["node", "--init"])
+                          for v in BAD_BITS],
+    "--bits": [MINER + ["--bits", v] for v in BAD_BITS],
+    "--blocks": [MINER + ["--blocks", "-1"]],
     # each refused while parsing, before any worker process starts
     "--workers": [["bench-verify", "--txs", "1", "--workers", v]
                   for v in ("1,x", "", "0", "2,0")],

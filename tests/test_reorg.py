@@ -2,11 +2,12 @@
 must hold what a fresh node that saw only the canonical chain holds, at
 a cost that does not grow with the chain's length."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardchain import subchain
 from shardchain.codec import NULL_HASH
-from shardchain.errors import ShardChainError
+from shardchain.errors import ShardChainError, UnconfirmedSend
 from shardchain.mainchain import (
     EASY_BITS,
     BlockHeader,
@@ -387,3 +388,101 @@ def test_side_block_confirming_another_version_is_followed():
     assert node.view.canonical[1] == side.block_hash
     assert node.store.txs[(key.address, 1)] == b
     assert node.confirmed_state(key.address).balance == BALANCE - 2
+
+
+# -- resubmission ---------------------------------------------------------
+
+def tails_then_rival():
+    """A full node at a1, which confirms B1; A then pools a 2-tx tail and
+    B pools B2. Returns the node, A, B and the two blocks of an empty
+    rival branch on genesis, whose second block makes it win. B's address
+    sorts below A's."""
+    b, a = sorted(SENDERS, key=lambda k: k.address)
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=1)
+    node = Node(b"\x00" * 8, ShardAssignment(""),
+                make_genesis({k.address: BALANCE for k in SENDERS}), params)
+    g = node.view.tip
+    b1 = make_send(b, amount=1)
+    node.accept_pending_tx(b1)
+    node.ingest_block(mine(g, 1, [ConfirmationRecord(
+        b.address, b1.tx_hash, 1)], 1))
+    a1 = make_send(a, amount=2)
+    for tx in (a1, make_send(a, parent=a1.tx_hash, height=2, amount=3),
+               make_send(b, parent=b1.tx_hash, height=2, amount=4)):
+        node.accept_pending_tx(tx)
+    r1 = mine(g, 1, [], 10)
+    return node, a, b, (r1, mine(r1.block_hash, 2, [], 11))
+
+
+def test_reorg_resubmits_through_accept_pending_tx(monkeypatch):
+    """Every tx a reorg leaves in a pending tail, the orphaned B1 and the
+    untouched tail of A too, entered it through accept_pending_tx."""
+    node, _, b, (r1, r2) = tails_then_rival()
+    node.ingest_block(r1)
+    offered = []
+    accept = node.accept_pending_tx
+
+    def recording(tx):
+        offered.append(tx)
+        return accept(tx)
+
+    monkeypatch.setattr(node, "accept_pending_tx", recording)
+    node.ingest_block(r2)
+    assert node.view.tip == r2.block_hash
+    pooled = [tx for tail in node.store.pending.values() for tx in tail]
+    assert [tx.height for tx in node.store.pending[b.address]] == [1, 2]
+    assert len(pooled) == 4
+    assert all(tx in offered for tx in pooled)
+
+
+def test_tails_reenter_in_address_order():
+    """After a reorg the tails enter ``pending`` in address order, so
+    equal-length tails confirm in address order, as after ``compact``."""
+    node, a, b, rival = tails_then_rival()
+    assert node.block_order() == [a.address, b.address]
+    for block in rival:
+        node.ingest_block(block)
+    assert node.block_order() == [b.address, a.address]
+
+
+def test_side_branch_does_not_see_canonical_sends_above_its_fork():
+    """A side branch's claim context hides the sends the canonical blocks
+    above its fork point confirmed. Canonical X1-X3 confirms A's send S
+    to R; side block Y1 confirms another version S2 of A's height 1, so
+    Y2's claim of S naming Y1 claims a send its branch never confirmed.
+    The node refuses it, as a fresh node that saw only Y1 does."""
+    key, rcpt = SENDERS[0], derived_key(b"side-claim:rcpt")
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=1)
+    genesis = make_genesis({key.address: 100})
+    send = make_send(key, recipient=rcpt.address, amount=30)
+    other = make_send(key, recipient=rcpt.address, amount=30, timestamp=1)
+    y1 = mine(genesis.block_hash, 1, [ConfirmationRecord(
+        key.address, other.tx_hash, 1)], 10)
+    claim = make_receive(rcpt, NULL_HASH, 1, key.address, send.tx_hash,
+                         y1.block_hash, 30)
+    y2 = mine(y1.block_hash, 2, [ConfirmationRecord(
+        rcpt.address, claim.tx_hash, 1)], 11)
+    branch_y = {key.address: (other,), rcpt.address: (claim,)}
+
+    def fetch(address, lo, hi):
+        return SubchainFragment(address=address, from_height=lo,
+                                txs=branch_y[address][lo:hi])
+
+    node, fresh = (Node(b"\x00" * 8, ShardAssignment(""), genesis, params,
+                        fetch=fetch) for _ in range(2))
+    node.accept_pending_tx(send)
+    tip = genesis.block_hash
+    for height in (1, 2, 3):
+        records = [ConfirmationRecord(key.address, send.tx_hash, 1)] \
+            if height == 1 else []
+        block = mine(tip, height, records, height)
+        node.ingest_block(block)
+        tip = block.block_hash
+    assert node.store.find_send(key.address, send.tx_hash) == send
+    for n in (node, fresh):
+        n.ingest_block(y1)
+        with pytest.raises(UnconfirmedSend):
+            n.ingest_block(y2)
+    assert y2.block_hash not in node.view.blocks
