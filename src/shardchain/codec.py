@@ -41,6 +41,9 @@ TAG_RECEIVE = 0x02
 # group order n, used for seed validation and low-s normalization.
 CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+# The one signature algorithm, ECDSA over SHA-256: an immutable object
+# that signing and verification share instead of building one per call.
+_ECDSA = ec.ECDSA(hashes.SHA256())
 
 # Signing preimage: tag byte plus every field except tx_hash, public_key
 # and signature, in table order.
@@ -206,7 +209,7 @@ def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
     if key.address != tx.current_address:
         raise KeyMismatch("key does not control the subchain address")
     pre = tx_preimage(tx)
-    der = key.signing_key.sign(pre, ec.ECDSA(hashes.SHA256()))
+    der = key.signing_key.sign(pre, _ECDSA)
     return replace(tx, tx_hash=sha256(pre), public_key=key.public,
                    signature=_compact_signature(der))
 
@@ -249,7 +252,7 @@ def _verify_uncached(tx: SubchainTx) -> bool:
         return False
     try:
         pub = _public_key(tx.public_key)
-        pub.verify(encode_dss_signature(r, s), pre, ec.ECDSA(hashes.SHA256()))
+        pub.verify(encode_dss_signature(r, s), pre, _ECDSA)
     except (_CryptoBadSig, ValueError):
         return False
     return True

@@ -12,6 +12,7 @@ from bisect import bisect_left
 from collections import ChainMap
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
     Tuple
@@ -104,11 +105,23 @@ class MainBlock:
     def block_hash(self) -> bytes:
         return self.header.block_hash
 
+    @cached_property
+    def records_root(self) -> bytes:
+        """The root of the records as they are: what ``validate_block``
+        compares with the header's. ``decode_block`` and ``new_block``
+        seed it with the root of the bytes they already hold."""
+        return confirmations_root(self.confirmations)
+
     def encode(self) -> bytes:
         parts = [self.header.encode(),
                  struct.pack(">I", len(self.confirmations))]
         parts.extend(r.encode() for r in self.confirmations)
         return b"".join(parts)
+
+
+def _with_root(block: MainBlock, root: bytes) -> MainBlock:
+    block.__dict__["records_root"] = root   # the cached_property's slot
+    return block
 
 
 def decode_block(data: bytes) -> MainBlock:
@@ -121,9 +134,14 @@ def decode_block(data: bytes) -> MainBlock:
         raise codec.DecodeError("block of %d records must be %d bytes, "
                                 "got %d" % (count, BLOCK_OVERHEAD
                                             + count * RECORD_LEN, len(data)))
-    records = tuple(map(ConfirmationRecord._make,
-                        _RECORD.iter_unpack(data[BLOCK_OVERHEAD:])))
-    return MainBlock(header=header, confirmations=records)
+    body = data[BLOCK_OVERHEAD:]
+    # each record is built in C from its unpacked fields: the same
+    # read-only NamedTuple that _make gives, without a Python call
+    records = tuple(map(tuple.__new__, repeat(ConfirmationRecord),
+                        _RECORD.iter_unpack(body)))
+    # the records re-encode to exactly the bytes they were unpacked from
+    return _with_root(MainBlock(header=header, confirmations=records),
+                      sha256(body))
 
 
 def target(difficulty_bits: int) -> int:
@@ -179,9 +197,10 @@ def new_block(parent: bytes, height: int, timestamp: int,
     """The sealed block on ``parent`` confirming ``records``, which it
     sorts by address."""
     records = tuple(sorted(records, key=attrgetter("address")))
-    header = BlockHeader(parent, height, timestamp, miner_address,
-                         confirmations_root(records), difficulty_bits, 0)
-    return seal(MainBlock(header, records))
+    root = confirmations_root(records)
+    header = BlockHeader(parent, height, timestamp, miner_address, root,
+                         difficulty_bits, 0)
+    return _with_root(seal(MainBlock(header, records)), root)
 
 
 @dataclass(frozen=True)
@@ -438,7 +457,7 @@ def validate_block(block: MainBlock, view: ChainView
     addresses = [r.address for r in records]
     if any(a >= b for a, b in zip(addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")
-    if block.header.confirmations_root != confirmations_root(records):
+    if block.header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
 
     index = view.branch_confirmations(parent)

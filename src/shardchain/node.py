@@ -29,7 +29,7 @@ from .errors import (
 )
 from .mainchain import ChainParams, ChainView, Genesis, MainBlock, \
     ViewClaimContext
-from .sharding import ShardAssignment, hosts
+from .sharding import ShardAssignment, hosted_slice, hosts
 from .subchain import SubchainFragment, SubchainState
 
 
@@ -94,6 +94,8 @@ class Node:
         self.store = NodeStore()
         self.fetch = fetch
         self.remote_send_lookup: Optional[Callable] = None
+        # the tip's claim context, replaced when the tip moves
+        self._tip_context: Optional[ViewClaimContext] = None
 
     # -- shard plumbing ------------------------------------------------
 
@@ -115,7 +117,17 @@ class Node:
 
     def claim_context(self, branch_tip: Optional[bytes] = None
                       ) -> ViewClaimContext:
-        ctx = ViewClaimContext(self.view, branch_tip or self.view.tip,
+        """The claim context of ``branch_tip``'s branch (the tip's by
+        default). The tip's is built once per tip: its answers hold until
+        the canonical chain changes, which moves the tip."""
+        tip = self.view.tip
+        if branch_tip is None or branch_tip == tip:
+            ctx = self._tip_context
+            if ctx is None or ctx.branch_tip != tip:
+                ctx = self._tip_context = ViewClaimContext(
+                    self.view, tip, send_source=self._send_source)
+            return ctx
+        ctx = ViewClaimContext(self.view, branch_tip,
                                send_source=self._send_source)
         if ctx.side:
             # send_index holds the canonical sends: a side branch confirms
@@ -201,20 +213,17 @@ class Node:
         ctx = self.claim_context(parent)
         pending = self.store.pending if parent == self.view.tip else {}
         deltas = {}
-        for rec in block.confirmations:
+        for rec in hosted_slice(self.assignment, block.confirmations):
             address = rec.address
             entry = index.get(address)
             lo = entry[2] if entry else 0
             # a record on the tip that confirms a whole pending tail takes
             # the tail's kept state: its replay under the tip's claim
-            # context, which is this block's. Only hosted addresses have
-            # tails; any other hosted record is replayed.
+            # context, which is this block's. Any other record is replayed.
             tail = pending.get(address)
             pooled = tail and tail[0].height == lo + 1 \
                 and tail[-1].tx_hash == rec.tip_hash \
                 and tail[-1].height == rec.tip_height
-            if not pooled and not self.hosts(address):
-                continue
             old_state = self._state_after(entry, address)
             if pooled:
                 new_state, txs = self.store.tail_states[address], tuple(tail)
@@ -286,55 +295,59 @@ class Node:
 
     def _connect(self, block_hash: bytes) -> None:
         """Apply a block's archived hosted deltas to the canonical
-        keyspaces and index the inflows it makes."""
-        for address, (txs, new_state) in \
-                self.store.archive[block_hash].items():
-            self.store.confirmed[address] = new_state
+        keyspaces and index the inflows it makes: each archived send to
+        a hosted recipient, keyed by send hash, and a hosted miner's
+        coinbase, keyed by block hash."""
+        store = self.store
+        # hosts()'s range test, written inline below
+        low, high = self.assignment.low, self.assignment.high
+        header = self.view.blocks[block_hash].header
+        height = header.height
+        for address, (txs, new_state) in store.archive[block_hash].items():
+            store.confirmed[address] = new_state
             for tx in txs:
-                self.store.txs[(address, tx.height)] = tx
+                store.txs[(address, tx.height)] = tx
                 if isinstance(tx, SendTx):
-                    self.store.send_index[(address, tx.tx_hash)] = tx
+                    store.send_index[(address, tx.tx_hash)] = tx
+                    if low <= tx.recipient_address <= high:
+                        store.inflows.setdefault(tx.recipient_address, {})[
+                            tx.tx_hash] = Inflow(address, tx.tx_hash,
+                                                 tx.amount, block_hash,
+                                                 height)
             self._trim_pending(address, new_state)
-        for address, key, flow in self._inflows(block_hash):
-            self.store.inflows.setdefault(address, {})[key] = flow
+        if low <= header.miner_address <= high:
+            store.inflows.setdefault(header.miner_address, {})[
+                block_hash] = Inflow(codec.NULL_ADDRESS, codec.NULL_HASH,
+                                     self.params.subsidy, block_hash,
+                                     height, True)
 
     def _disconnect(self, block_hash: bytes) -> None:
         """Remove the keys ``_connect`` added for a formerly canonical
         block, and reset each confirmed state it set from the view's new
         canonical index, which has switched already."""
-        for address, (txs, _) in self.store.archive[block_hash].items():
+        store = self.store
+        low, high = self.assignment.low, self.assignment.high
+        for address, (txs, _) in store.archive[block_hash].items():
             entry = self.view.confirmations.get(address)
             if entry is not None:
-                self.store.confirmed[address] = \
-                    self._state_after(entry, address)
+                store.confirmed[address] = self._state_after(entry, address)
             else:       # another disconnected block may have dropped it
-                self.store.confirmed.pop(address, None)
+                store.confirmed.pop(address, None)
             for tx in txs:
-                del self.store.txs[(address, tx.height)]
+                del store.txs[(address, tx.height)]
                 if isinstance(tx, SendTx):
-                    del self.store.send_index[(address, tx.tx_hash)]
-        for address, key, _ in self._inflows(block_hash):
-            pool = self.store.inflows[address]
-            del pool[key]
-            if not pool:
-                del self.store.inflows[address]
+                    del store.send_index[(address, tx.tx_hash)]
+                    if low <= tx.recipient_address <= high:
+                        self._drop_inflow(tx.recipient_address, tx.tx_hash)
+        miner = self.view.blocks[block_hash].header.miner_address
+        if low <= miner <= high:
+            self._drop_inflow(miner, block_hash)
 
-    def _inflows(self, bh: bytes):
-        """The inflows a canonical block makes, as (recipient, key,
-        inflow): each archived send to a hosted recipient, keyed by send
-        hash, and a hosted miner's coinbase, keyed by block hash."""
-        header = self.view.blocks[bh].header
-        height = header.height
-        for address, (txs, _) in self.store.archive[bh].items():
-            for tx in txs:
-                if isinstance(tx, SendTx) \
-                        and self.hosts(tx.recipient_address):
-                    yield tx.recipient_address, tx.tx_hash, Inflow(
-                        address, tx.tx_hash, tx.amount, bh, height)
-        if self.hosts(header.miner_address):
-            yield header.miner_address, bh, Inflow(
-                codec.NULL_ADDRESS, codec.NULL_HASH, self.params.subsidy, bh,
-                height, True)
+    def _drop_inflow(self, address: bytes, key: bytes) -> None:
+        pool = self.store.inflows[address]
+        del pool[key]
+        if not pool:
+            del self.store.inflows[address]
 
     def _reorg(self, disconnect: List[bytes], connect: List[bytes]) -> None:
         """Switch the hosted keyspaces from the old canonical blocks

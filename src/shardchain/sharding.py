@@ -7,7 +7,9 @@ match it (depth 0 = full node, hosting everything).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .codec import ADDR_LEN
 from .errors import DecodeError, MaxDepth
@@ -23,15 +25,18 @@ def address_bits(address: bytes, count: int) -> str:
 @dataclass(frozen=True)
 class ShardAssignment:
     prefix_bits: str = ""   # '0'/'1' string, MSB-first
-    # the prefix as an integer, and the shift that brings an address's
-    # leading bits down to it: hosts() is one shift and one compare
-    prefix: int = field(init=False, repr=False, compare=False)
-    shift: int = field(init=False, repr=False, compare=False)
+    # the first and the last hosted address: the prefix followed by zero
+    # bits, and by one bits. hosts() is the range test low <= a <= high.
+    low: bytes = field(init=False, repr=False, compare=False)
+    high: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", int(self.prefix_bits or "0", 2))
-        object.__setattr__(self, "shift",
-                           MAX_PREFIX_BITS - len(self.prefix_bits))
+        prefix = int(self.prefix_bits or "0", 2)
+        shift = MAX_PREFIX_BITS - len(self.prefix_bits)
+        object.__setattr__(self, "low", (prefix << shift).to_bytes(
+            ADDR_LEN, "big"))
+        object.__setattr__(self, "high", (((prefix + 1) << shift) - 1)
+                           .to_bytes(ADDR_LEN, "big"))
 
     @property
     def depth(self) -> int:
@@ -62,9 +67,22 @@ def decode_assignment(data: bytes) -> ShardAssignment:
 
 
 def hosts(assignment: ShardAssignment, address: bytes) -> bool:
-    """Whether the address's leading bits are the assignment's prefix."""
-    return int.from_bytes(address, "big") >> assignment.shift \
-        == assignment.prefix
+    """Whether the address lies in the assignment's [low, high] range: for
+    a 20-byte address, whether its leading bits are the prefix."""
+    return assignment.low <= address <= assignment.high
+
+
+_ADDRESS = attrgetter("address")
+
+
+def hosted_slice(assignment: ShardAssignment, records) -> tuple:
+    """The records whose address the assignment hosts, found by bisecting
+    to its [low, high] range. It relies only on the records being strictly
+    sorted by address, as ``mainchain.validate_block`` checks: the slice
+    is then the records ``hosts()`` keeps, since both are the same range
+    test on the addresses' byte order."""
+    return records[bisect_left(records, assignment.low, key=_ADDRESS):
+                   bisect_right(records, assignment.high, key=_ADDRESS)]
 
 
 def split(assignment: ShardAssignment):

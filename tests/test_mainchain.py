@@ -39,7 +39,7 @@ from shardchain.mainchain import (
     validate_block,
 )
 
-from conftest import build_chain, make_send
+from conftest import Calls, build_chain, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=2048)
 MINER = b"\x4d" * 20
@@ -155,6 +155,20 @@ class TestBlockCodec:
         assert copy.block_hash == sha256d(copy.encode())
         assert copy.block_hash != header.block_hash
 
+    def test_decoded_records_are_read_only_records(self):
+        view = ChainView(make_genesis({}), PARAMS)
+        recs = [ConfirmationRecord(bytes([i]) * 20, bytes([i]) * 32, i + 1)
+                for i in range(3)]
+        decoded = decode_block(mk_block(view, recs).encode())
+        assert decoded.confirmations == tuple(recs)
+        for rec in decoded.confirmations + (decode_record(recs[0].encode()),):
+            assert type(rec) is ConfirmationRecord
+            assert rec._asdict() == dict(zip(
+                ("address", "tip_hash", "tip_height"), rec))
+            for name in ConfirmationRecord._fields:
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, getattr(rec, name))
+
     def test_trailing_bytes_rejected(self):
         genesis = make_genesis({})
         view = ChainView(genesis, PARAMS)
@@ -172,6 +186,60 @@ class TestBlockCodec:
                 decode_block(data[:cut])
         with pytest.raises(DecodeError):
             decode_record(recs[0].encode()[:-1])
+
+
+ROOT_RECORDS = [ConfirmationRecord(bytes([2 * i]) * 20, bytes([i]) * 32,
+                                   i + 1) for i in range(4)]
+
+
+class TestRecordsRoot:
+    """``validate_block`` compares the header's root with the block's
+    ``records_root``: ``decode_block`` seeds it with the hash of the
+    record bytes it unpacked, ``new_block`` with the root it wrote into
+    the header, and any other block computes it from its records."""
+
+    def test_seeded_roots_are_the_records_root(self, monkeypatch):
+        view = ChainView(make_genesis({}), PARAMS)
+        built = mainchain.new_block(view.tip, 1, 0, MINER,
+                                    reversed(ROOT_RECORDS), EASY_BITS)
+        decoded = decode_block(built.encode())
+        calls = Calls(monkeypatch, [(mainchain, "confirmations_root")])
+        for block in (built, decoded):
+            assert "records_root" in vars(block)     # seeded, not computed
+            validate_block(block, view)
+        assert calls.take() == {}
+        monkeypatch.undo()
+        for block in (built, decoded):
+            assert block.records_root \
+                == confirmations_root(block.confirmations) \
+                == confirmations_root(ROOT_RECORDS)
+
+    @pytest.mark.parametrize("offset", [19, 20, RECORD_LEN - 1],
+                             ids=["address", "tip_hash", "tip_height"])
+    def test_altered_record_bytes_refused(self, offset):
+        """One record byte changed after sealing, in each field, keeping
+        the records sorted and advancing: the decoded block's root is the
+        hash of the bytes it holds, so only the root check refuses it."""
+        view = ChainView(make_genesis({}), PARAMS)
+        data = bytearray(mk_block(view, ROOT_RECORDS).encode())
+        data[BLOCK_OVERHEAD + RECORD_LEN + offset] ^= 1
+        block = decode_block(bytes(data))
+        assert block.records_root == confirmations_root(block.confirmations)
+        with pytest.raises(RootMismatch):
+            validate_block(block, view)
+
+    def test_hand_built_block_computes_its_root(self):
+        view = ChainView(make_genesis({}), PARAMS)
+        decoded = decode_block(mk_block(view, ROOT_RECORDS).encode())
+        for records in (ROOT_RECORDS[1:], ROOT_RECORDS[:1]):
+            for block in (MainBlock(decoded.header, tuple(records)),
+                          dataclasses.replace(decoded,
+                                              confirmations=tuple(records))):
+                assert "records_root" not in vars(block)
+                assert block.records_root == confirmations_root(records)
+                with pytest.raises(RootMismatch):
+                    validate_block(block, view)
+        validate_block(MainBlock(decoded.header, tuple(ROOT_RECORDS)), view)
 
 
 class TestChainView:

@@ -14,6 +14,7 @@ from shardchain.errors import (
     NotHosted,
     RangeUnavailable,
     TailConflict,
+    UnconfirmedSend,
 )
 from shardchain.mainchain import (
     EASY_BITS,
@@ -474,6 +475,68 @@ class TestReorg:
         assert node.full_state(rcpt.address).balance == 0
         # the sender's pending send survives and can be re-confirmed
         assert node.store.pending[sender.address] == [send]
+
+
+class TestTipClaimContext:
+    """The node builds one claim context per tip and never reuses it
+    once the tip has moved."""
+
+    def test_one_context_per_tip(self, keys):
+        node = make_node(make_genesis({}))
+        first = node.claim_context()
+        assert node.claim_context() is first
+        assert node.claim_context(node.view.tip) is first
+        node.ingest_block(confirm_block(node, []))
+        assert node.claim_context() is not first
+        assert node.claim_context().branch_tip == node.view.tip
+
+    def test_claim_matures_with_the_next_block(self, keys):
+        """Maturity 2: a claim of a send one block deep is refused, and
+        the same claim is pooled once the next block is on the tip."""
+        sender, rcpt = keys[0], keys[1]
+        node = make_node(make_genesis({sender.address: 100}))
+        send = make_send(sender, amount=30, recipient=rcpt.address)
+        node.accept_pending_tx(send)
+        block = confirm_block(node, [ConfirmationRecord(
+            sender.address, send.tx_hash, 1)])
+        node.ingest_block(block)
+        claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
+                             send.tx_hash, block.block_hash, 30)
+        with pytest.raises(UnconfirmedSend):
+            node.accept_pending_tx(claim)
+        node.ingest_block(confirm_block(node, []))
+        assert node.accept_pending_tx(claim) is True
+        assert node.full_state(rcpt.address).balance == 30
+
+    def test_reorg_resubmits_under_the_new_tip(self, keys):
+        """A claim confirmed on the losing branch is resubmitted after
+        the reorg and checked under the new tip's context: its send, two
+        blocks below the fork, is mature there, so it is pooled again."""
+        sender, rcpt = keys[0], keys[1]
+        node = make_node(make_genesis({sender.address: 100}))
+        send = make_send(sender, amount=30, recipient=rcpt.address)
+        node.accept_pending_tx(send)
+        a1 = confirm_block(node, [ConfirmationRecord(
+            sender.address, send.tx_hash, 1)])
+        node.ingest_block(a1)
+        a2 = confirm_block(node, [])
+        node.ingest_block(a2)
+        claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
+                             send.tx_hash, a1.block_hash, 30)
+        node.accept_pending_tx(claim)
+        node.ingest_block(confirm_block(node, [ConfirmationRecord(
+            rcpt.address, claim.tx_hash, 1)]))
+        old = node.claim_context()
+        b3 = confirm_block(node, [], timestamp=99, parent=a2.block_hash)
+        node.ingest_block(b3)
+        b4 = confirm_block(node, [], parent=b3.block_hash)
+        node.ingest_block(b4)
+        assert node.view.tip == b4.block_hash
+        assert node.store.pending[rcpt.address] == [claim]
+        assert node.full_state(rcpt.address).balance == 30
+        assert node.confirmed_state(rcpt.address).tip_height == 0
+        ctx = node.claim_context()
+        assert ctx is not old and ctx.branch_tip == b4.block_hash
 
 
 class TestServing:

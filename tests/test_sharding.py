@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from shardchain import sharding
 from shardchain.errors import MaxDepth, ParentFull
+from shardchain.mainchain import ConfirmationRecord
 from shardchain.network import TreeTopology
 from shardchain.sharding import (
     MAX_PREFIX_BITS,
@@ -13,6 +14,7 @@ from shardchain.sharding import (
     address_bits,
     child_assignment,
     decode_assignment,
+    hosted_slice,
     hosts,
     nodes_path,
     split,
@@ -96,6 +98,43 @@ class TestAssignment:
     def test_encode_roundtrip(self, bits):
         a = ShardAssignment(bits)
         assert decode_assignment(a.encode()) == a
+
+
+PREFIXES = st.one_of(
+    st.just(""),
+    st.integers(1, MAX_PREFIX_BITS).map(lambda k: "0" * k),
+    st.integers(1, MAX_PREFIX_BITS).map(lambda k: "1" * k),
+    st.text(alphabet="01", max_size=MAX_PREFIX_BITS))
+
+
+class TestHostedSlice:
+    @given(bits=PREFIXES,
+           others=st.lists(st.binary(min_size=20, max_size=20),
+                           max_size=12),
+           odd=st.lists(st.binary(max_size=24), max_size=4))
+    def test_slice_is_the_hosts_filter(self, bits, others, odd):
+        """Bisecting sorted records to the prefix range keeps exactly the
+        records hosts() keeps. The records hold each bound of the range
+        and the address just below it: the first hosted address, the
+        upper bound (one past the last hosted address) where it has a
+        20-byte form, which for a prefix of ones, 2^160, it has not. A few
+        addresses of other lengths show that the slice needs only the
+        order, not the width."""
+        a = ShardAssignment(bits)
+        shift = MAX_PREFIX_BITS - len(bits)
+        first = int(bits or "0", 2) << shift
+        bound = first + (1 << shift)
+        assert a.low == first.to_bytes(20, "big")
+        assert a.high == (bound - 1).to_bytes(20, "big")
+        edges = [n.to_bytes(20, "big") for n in (first - 1, first,
+                                                  bound - 1, bound)
+                 if 0 <= n < 1 << MAX_PREFIX_BITS]
+        addresses = sorted(set(edges + others + odd))
+        records = tuple(ConfirmationRecord(address, b"\x00" * 32, 1)
+                        for address in addresses)
+        kept = hosted_slice(a, records)
+        assert kept == tuple(r for r in records if hosts(a, r.address))
+        assert all(type(r) is ConfirmationRecord for r in kept)
 
 
 class TestNodesPath:
