@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Union
 
 from cryptography.exceptions import InvalidSignature as _CryptoBadSig
@@ -24,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     encode_dss_signature,
 )
 
-from .errors import DecodeError, InvalidSeed, KeyMismatch
+from .errors import DecodeError, InvalidSeed, InvalidSignature, KeyMismatch
 
 HASH_LEN = 32
 ADDR_LEN = 20
@@ -150,8 +151,25 @@ def tx_preimage(tx: SubchainTx) -> bytes:
     )
 
 
-def tx_digest(tx: SubchainTx) -> bytes:
-    return sha256(tx_preimage(tx))
+# Each bytes field and its wire width. ``struct`` pads a short value and
+# truncates a long one, so a tx whose fields are not exactly these widths
+# would hash and sign other bytes than it holds.
+_SEND_FIELDS = attrgetter("parent_hash", "current_address",
+                          "recipient_address", "tx_hash", "public_key",
+                          "signature")
+_SEND_WIDTHS = (HASH_LEN, ADDR_LEN, ADDR_LEN, HASH_LEN, PUBKEY_LEN, SIG_LEN)
+_RECV_FIELDS = attrgetter("parent_hash", "current_address", "sender_address",
+                          "sender_tx_hash", "main_block_hash", "tx_hash",
+                          "public_key", "signature")
+_RECV_WIDTHS = (HASH_LEN, ADDR_LEN, ADDR_LEN, HASH_LEN, HASH_LEN, HASH_LEN,
+                PUBKEY_LEN, SIG_LEN)
+
+
+def _wire_exact(tx: SubchainTx) -> bool:
+    """Whether every bytes field of ``tx`` has its wire width."""
+    if isinstance(tx, SendTx):
+        return tuple(map(len, _SEND_FIELDS(tx))) == _SEND_WIDTHS
+    return tuple(map(len, _RECV_FIELDS(tx))) == _RECV_WIDTHS
 
 
 def encode_tx(tx: SubchainTx) -> bytes:
@@ -206,6 +224,8 @@ def _compact_signature(der: bytes) -> bytes:
 
 def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
     """Fill tx_hash, public_key and signature; key must own current_address."""
+    if not _wire_exact(tx):
+        raise InvalidSignature("a bytes field is not its wire width")
     if key.address != tx.current_address:
         raise KeyMismatch("key does not control the subchain address")
     pre = tx_preimage(tx)
@@ -237,17 +257,17 @@ def verify_tx(tx: SubchainTx) -> bool:
 
 def _verify_uncached(tx: SubchainTx) -> bool:
     try:
+        if not _wire_exact(tx):
+            return False
         pre = tx_preimage(tx)
         if tx.tx_hash != sha256(pre):
             return False
         if address_from_public(tx.public_key) != tx.current_address:
             return False
-        if len(tx.signature) != SIG_LEN:
-            return False
         r = int.from_bytes(tx.signature[:32], "big")
         s = int.from_bytes(tx.signature[32:], "big")
-    except (struct.error, TypeError, ValueError):
-        return False        # a field of the wrong type or size
+    except (struct.error, TypeError):
+        return False        # a field of the wrong type or range
     if not (0 < r < CURVE_ORDER and 0 < s <= CURVE_ORDER // 2):
         return False
     try:

@@ -182,10 +182,9 @@ def _error_reply(err: ShardChainError) -> Envelope:
 
 # -- node server ------------------------------------------------------
 
-# a Hello reply summarises each pending tail as (address, tip hash, tip
-# height, confirmed height, confirmed tip hash), after the node's shard
-# assignment, its tip hash and the (tip height, summary count) pair
-_PENDING_SUMMARY = struct.Struct(">20s32sQQ32s")
+# a Hello reply is the node's shard assignment, its tip hash, the (tip
+# height, summary count) pair, then one confirmation record per pending
+# tail: the record that confirms the whole tail
 _HELLO_COUNTS = struct.Struct(">QI")
 # a FragmentRequest is one or more ranges; the reply holds each fragment
 # behind its length, in request order
@@ -194,16 +193,17 @@ _FRAGMENT_LEN = struct.Struct(">I")
 
 
 def encode_hello(assignment: ShardAssignment, tip: bytes, tip_height: int,
-                 pending: Sequence[tuple]) -> bytes:
+                 pending: Sequence[mainchain.ConfirmationRecord]
+                 ) -> bytes:
     """The body of an ok Hello reply, after its status byte."""
     return b"".join([assignment.encode(), tip,
                      _HELLO_COUNTS.pack(tip_height, len(pending))]
-                    + [_PENDING_SUMMARY.pack(*entry) for entry in pending])
+                    + [record.encode() for record in pending])
 
 
 def decode_hello(body: bytes):
-    """(assignment, tip hash, tip height, pending summaries) of a Hello
-    reply body."""
+    """(assignment, tip hash, tip height, pending tails' records) of a
+    Hello reply body."""
     if not body:
         raise DecodeError("empty Hello reply")
     alen = 1 + (body[0] + 7) // 8
@@ -212,12 +212,8 @@ def decode_hello(body: bytes):
         raise DecodeError("Hello reply shorter than %d bytes" % head)
     assignment = sharding.decode_assignment(body[:alen])
     tip_height, count = _HELLO_COUNTS.unpack_from(body, alen + 32)
-    if len(body) != head + count * _PENDING_SUMMARY.size:
-        raise DecodeError("Hello reply of %d summaries must be %d bytes, "
-                          "got %d" % (count, head + count
-                                      * _PENDING_SUMMARY.size, len(body)))
     return (assignment, body[alen:alen + 32], tip_height,
-            list(_PENDING_SUMMARY.iter_unpack(body[head:])))
+            list(mainchain.decode_records(body[head:], count)))
 
 
 class NodeServer:
@@ -277,15 +273,11 @@ class NodeServer:
     def _dispatch(self, env: Envelope) -> Envelope:
         node = self.node
         if env.kind == MsgKind.Hello:
-            pending = []
-            for address in node.block_order():
-                tail = node.store.pending[address]
-                confirmed = node.confirmed_state(address)
-                pending.append((address, tail[-1].tx_hash, tail[-1].height,
-                                confirmed.tip_height, confirmed.tip_hash))
+            tips = [node.store.pending[a][-1] for a in node.block_order()]
             return Envelope(MsgKind.Hello, OK + encode_hello(
                 node.assignment, node.view.tip, node.view.tip_height,
-                pending))
+                [mainchain.ConfirmationRecord(tx.current_address, tx.tx_hash,
+                                              tx.height) for tx in tips]))
         if env.kind in (MsgKind.NewTx, MsgKind.NewBlock):
             if _apply_request(node, env.kind, env.payload):
                 self.log.write(_log_record(env.kind, env.payload))
@@ -361,39 +353,19 @@ class NodeClient:
 
 def mine_once(client: NodeClient, miner_address: bytes, params: ChainParams,
               timestamp: Optional[int] = None) -> MainBlock:
-    """Build one block from the first capacity tails of the node's Hello
-    (which lists them in its block order), fetched in one request; check
-    that each fragment is the tail its summary names, from the confirmed
-    tip on, and is signed and link-valid, then seal and submit the
-    block."""
+    """Seal a block of the first capacity records of the node's Hello
+    (which lists its pending tails in its block order) and submit it.
+
+    The miner trusts its node, as a pool trusts the template of the node
+    it mines for (BIP 22/23): checking the tail behind each record is the
+    hosting nodes' duty, and each of them refuses a block that confirms a
+    tail it does not hold, so a lying node wastes only its own miner's
+    work."""
     _, tip, tip_height, pending = client.hello()
-    pending = pending[:mainchain.capacity(params.block_limit)]
-    frags = client.fetch_fragments(
-        [(address, confirmed, height)
-         for address, _, height, confirmed, _ in pending]) if pending else []
-    records = []
-    for (address, tip_hash, height, confirmed, confirmed_hash), frag in zip(
-            pending, frags, strict=True):
-        if (frag.address != address or frag.from_height != confirmed
-                or frag.to_height != height or not frag.txs
-                or frag.txs[0].parent_hash != confirmed_hash
-                or frag.txs[-1].tx_hash != tip_hash
-                or any(tx.current_address != address
-                       or tx.height != confirmed + 1 + i
-                       for i, tx in enumerate(frag.txs))):
-            raise ShardChainError("served fragment is not the requested tail")
-        prev = None
-        for tx in frag.txs:
-            if not codec.verify_tx(tx):
-                raise ShardChainError("bad signature in served fragment")
-            if prev is not None and tx.parent_hash != prev.tx_hash:
-                raise ShardChainError("served fragment is not link-valid")
-            prev = tx
-        records.append(mainchain.ConfirmationRecord(
-            address=address, tip_hash=tip_hash, tip_height=height))
     block = mainchain.new_block(
         tip, tip_height + 1,
         int(time.time()) if timestamp is None else timestamp,
-        miner_address, records, params.difficulty_bits)
+        miner_address, pending[:mainchain.capacity(params.block_limit)],
+        params.difficulty_bits)
     client.submit_block(block)
     return block

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
     Tuple
 
 from . import codec, subchain
-from .codec import sha256, sha256d
+from .codec import ADDR_LEN, sha256, sha256d
 from .errors import (
     BadPoW,
     MalformedBits,
@@ -62,11 +62,17 @@ class ConfirmationRecord(NamedTuple):
         return _RECORD.pack(self.address, self.tip_hash, self.tip_height)
 
 
-def decode_record(data: bytes) -> ConfirmationRecord:
-    if len(data) != RECORD_LEN:
-        raise codec.DecodeError("record must be %d bytes, got %d"
-                                % (RECORD_LEN, len(data)))
-    return ConfirmationRecord._make(_RECORD.unpack(data))
+def decode_records(data: bytes, count: int
+                   ) -> Tuple[ConfirmationRecord, ...]:
+    """The ``count`` records packed back to back in ``data``, which they
+    must fill exactly: a block's body, or a Hello reply's summaries."""
+    if len(data) != count * RECORD_LEN:
+        raise codec.DecodeError("%d records must be %d bytes, got %d"
+                                % (count, count * RECORD_LEN, len(data)))
+    # each record is built in C from its unpacked fields: the same
+    # read-only NamedTuple that _make gives, without a Python call
+    return tuple(map(tuple.__new__, repeat(ConfirmationRecord),
+                     _RECORD.iter_unpack(data)))
 
 
 @dataclass(frozen=True)
@@ -130,15 +136,8 @@ def decode_block(data: bytes) -> MainBlock:
                                 % BLOCK_OVERHEAD)
     header = BlockHeader(*_HEADER.unpack_from(data, 0))
     (count,) = struct.unpack_from(">I", data, HEADER_LEN)
-    if len(data) != BLOCK_OVERHEAD + count * RECORD_LEN:
-        raise codec.DecodeError("block of %d records must be %d bytes, "
-                                "got %d" % (count, BLOCK_OVERHEAD
-                                            + count * RECORD_LEN, len(data)))
     body = data[BLOCK_OVERHEAD:]
-    # each record is built in C from its unpacked fields: the same
-    # read-only NamedTuple that _make gives, without a Python call
-    records = tuple(map(tuple.__new__, repeat(ConfirmationRecord),
-                        _RECORD.iter_unpack(body)))
+    records = decode_records(body, count)
     # the records re-encode to exactly the bytes they were unpacked from
     return _with_root(MainBlock(header=header, confirmations=records),
                       sha256(body))
@@ -455,6 +454,9 @@ def validate_block(block: MainBlock, view: ChainView
     if BLOCK_OVERHEAD + RECORD_LEN * len(records) > view.params.block_limit:
         raise Oversize("block exceeds %d bytes" % view.params.block_limit)
     addresses = [r.address for r in records]
+    # hosted_slice and hosts() order addresses as 20-byte strings
+    if set(map(len, addresses)) - {ADDR_LEN}:
+        raise UnsortedRecords("record addresses must be %d bytes" % ADDR_LEN)
     if any(a >= b for a, b in zip(addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")
     if block.header.confirmations_root != block.records_root:

@@ -23,9 +23,9 @@ from shardchain.codec import (
     ReceiveTx,
     SendTx,
 )
-from shardchain.errors import InvalidSeed, KeyMismatch
+from shardchain.errors import InvalidSeed, InvalidSignature, KeyMismatch
 
-from conftest import make_send, random_tx
+from conftest import make_receive, make_send, random_tx
 
 # SHA-256 of the all-zero SendTx preimage (tag 0x01 + 96 zero bytes),
 # computed independently with hashlib over a hand-built byte string.
@@ -121,7 +121,8 @@ class TestEncoding:
             assert codec.decode_tx(codec.encode_tx(tx)) == tx
 
     def test_zero_send_digest_pinned(self):
-        assert codec.tx_digest(zero_send()) == ZERO_SEND_DIGEST
+        assert codec.sha256(codec.tx_preimage(zero_send())) \
+            == ZERO_SEND_DIGEST
 
     def test_zero_receive_digest_pinned(self):
         tx = ReceiveTx(parent_hash=NULL_HASH, height=0,
@@ -129,17 +130,19 @@ class TestEncoding:
                        sender_address=b"\x00" * 20,
                        sender_tx_hash=NULL_HASH,
                        main_block_hash=NULL_HASH, amount=0, timestamp=0)
-        assert codec.tx_digest(tx) == ZERO_RECV_DIGEST
+        assert codec.sha256(codec.tx_preimage(tx)) == ZERO_RECV_DIGEST
 
     def test_digest_differs_on_amount(self, keys):
         a = make_send(keys[0], amount=1, sign=False)
         b = make_send(keys[0], amount=2, sign=False)
-        assert codec.tx_digest(a) != codec.tx_digest(b)
+        assert codec.sha256(codec.tx_preimage(a)) \
+            != codec.sha256(codec.tx_preimage(b))
 
     def test_digest_invariant_under_reencode(self, keys):
         tx = make_send(keys[0])
         again = codec.decode_tx(codec.encode_tx(tx))
-        assert codec.tx_digest(again) == codec.tx_digest(tx)
+        assert codec.sha256(codec.tx_preimage(again)) \
+            == codec.sha256(codec.tx_preimage(tx))
 
 
 @settings(max_examples=200, deadline=None)
@@ -164,7 +167,7 @@ def test_preimage_sensitivity(keys):
     """Flipping any single preimage byte changes the digest."""
     tx = make_send(keys[0], amount=9, timestamp=5)
     pre = codec.tx_preimage(tx)
-    base = codec.tx_digest(tx)
+    base = codec.sha256(codec.tx_preimage(tx))
     for i in range(len(pre)):
         mutated = bytearray(pre)
         mutated[i] ^= 0x01
@@ -185,6 +188,42 @@ class TestSignatures:
         tx = make_send(keys[0])
         bad = dataclasses.replace(tx, recipient_address=b"\x09" * 20)
         assert not codec.verify_tx(bad)
+
+    def test_extended_recipient_refused(self, keys):
+        """``struct`` truncates a long field, so a send signed to 07 x 20
+        has the preimage of the same send to 07 x 20 + 99."""
+        tx = make_send(keys[0], recipient=b"\x07" * 20)
+        longer = dataclasses.replace(
+            tx, recipient_address=b"\x07" * 20 + b"\x99")
+        assert codec.tx_preimage(longer) == codec.tx_preimage(tx)
+        assert not codec.verify_tx(longer)
+
+    def test_short_recipient_refused(self, keys):
+        """``struct`` pads a short field with zeros, so a 19-byte
+        recipient has the preimage of its zero-padded twin: such a send
+        cannot be signed, and the twin's signature does not verify it."""
+        short = b"\x07" * 19
+        with pytest.raises(InvalidSignature):
+            make_send(keys[0], recipient=short)
+        padded = make_send(keys[0], recipient=short + b"\x00")
+        tx = dataclasses.replace(padded, recipient_address=short)
+        assert codec.tx_preimage(tx) == codec.tx_preimage(padded)
+        assert not codec.verify_tx(tx)
+
+    @pytest.mark.parametrize("field", [
+        "parent_hash", "current_address", "sender_address", "sender_tx_hash",
+        "main_block_hash", "tx_hash", "public_key", "signature"])
+    def test_every_field_wire_width(self, keys, field):
+        """A claim with any bytes field one byte longer or shorter than
+        its wire width neither verifies nor signs."""
+        tx = make_receive(keys[0], NULL_HASH, 1, b"\x03" * 20, b"\x04" * 32,
+                          b"\x05" * 32, 7)
+        value = getattr(tx, field)
+        for wrong in (value + b"\x00", value[:-1]):
+            bad = dataclasses.replace(tx, **{field: wrong})
+            assert not codec.verify_tx(bad)
+            with pytest.raises((InvalidSignature, KeyMismatch)):
+                codec.sign_tx(bad, keys[0])
 
     def test_bit_flip_fuzz(self, keys):
         tx = make_send(keys[2], amount=17)

@@ -40,13 +40,13 @@ assignments = st.builds(sharding.ShardAssignment, prefix_bits=st.text(
 fragments = st.builds(subchain.SubchainFragment, address=addresses,
                       from_height=u64,
                       txs=st.lists(txs, max_size=3).map(tuple))
-hellos = st.tuples(assignments, hashes, u64, st.lists(
-    st.tuples(addresses, hashes, u64, u64, hashes), max_size=3))
+hellos = st.tuples(assignments, hashes, u64, st.lists(records, max_size=3))
 
 # decoder, strategy for the values it decodes, their encoder
 DECODERS = {
     "tx": (codec.decode_tx, txs, codec.encode_tx),
-    "record": (mainchain.decode_record, records, lambda r: r.encode()),
+    "record": (lambda data: mainchain.decode_records(data, 1),
+               st.tuples(records), lambda rs: rs[0].encode()),
     "block": (mainchain.decode_block, blocks, lambda b: b.encode()),
     "envelope": (codec.decode_envelope, envelopes, lambda e: e.encode()),
     "assignment": (sharding.decode_assignment, assignments,

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from shardchain import cli, codec, live, mainchain, subchain
+from shardchain import cli, codec, live, mainchain
 from shardchain.errors import DecodeError, ShardChainError, \
     UnconfirmedSend
 from shardchain.mainchain import ChainParams, EASY_BITS
@@ -342,65 +342,21 @@ class TestBatchedFragments:
             assert "NotHosted" in str(exc.value)
             assert os.path.getsize(log_path(path)) == size
 
-    def test_mine_once_makes_three_requests(self, tmp_path, keys):
-        path = str(tmp_path / "ten")
-        live.init_data_dir(path, {k.address: 1000 for k in keys[:10]},
-                           PARAMS)
-        with serving(path) as (server, client):
-            for key in keys[:10]:
-                client.submit_tx(make_send(key, amount=7))
-            kinds = []
-            call = client.call
-
-            def counted(env):
-                kinds.append(env.kind)
-                return call(env)
-
-            client.call = counted
-            block = live.mine_once(client, MINER, PARAMS, timestamp=15)
-            assert len(block.confirmations) == 10
-            assert kinds == [MsgKind.Hello, MsgKind.FragmentRequest,
-                             MsgKind.NewBlock]
-            assert server.node.view.tip == block.block_hash
-            # an empty pool fetches nothing
-            kinds.clear()
-            live.mine_once(client, MINER, PARAMS, timestamp=30)
-            assert kinds == [MsgKind.Hello, MsgKind.NewBlock]
-
-
-def fragment(*txs):
-    return subchain.SubchainFragment(address=txs[0].current_address,
-                                     from_height=txs[0].height - 1,
-                                     txs=tuple(txs))
-
-
-def summary(frag):
-    """The Hello summary (address, tip, height, confirmed, confirmed hash)
-    of a fragment."""
-    return (frag.address, frag.txs[-1].tx_hash, frag.to_height,
-            frag.from_height, frag.txs[0].parent_hash)
-
 
 class LyingNode:
-    """A stub client that serves fixed fragments for its pending tails,
-    summarised as ``pending`` (by default, as the fragments themselves)."""
+    """A client that forwards to ``client`` but answers Hello with
+    ``records`` as the pending tails' summaries."""
 
-    def __init__(self, frags, pending=None):
-        self.frags = frags
-        self.pending = pending or [summary(f) for f in frags]
-        self.submitted = []
+    def __init__(self, client, records):
+        self.client = client
+        self.records = records
 
     def hello(self):
-        return None, b"\x00" * 32, 0, self.pending
-
-    def fetch_fragments(self, ranges):
-        assert ranges == [(address, confirmed, height)
-                          for address, _, height, confirmed, _
-                          in self.pending]
-        return self.frags
+        assignment, tip, tip_height, _ = self.client.hello()
+        return assignment, tip, tip_height, self.records
 
     def submit_block(self, block):
-        self.submitted.append(block)
+        self.client.submit_block(block)
 
 
 class TestHello:
@@ -415,9 +371,11 @@ class TestHello:
             client.submit_tx(other)
             _, _, tip_height, pending = client.hello()
         assert tip_height == 1
+        # each summary is the record that confirms the whole tail
         assert sorted(pending) == sorted([
-            (keys[0].address, second.tx_hash, 2, 1, first.tx_hash),
-            (keys[1].address, other.tx_hash, 1, 0, codec.NULL_HASH)])
+            mainchain.ConfirmationRecord(keys[0].address, second.tx_hash, 2),
+            mainchain.ConfirmationRecord(keys[1].address, other.tx_hash, 1)])
+        assert all(type(r) is mainchain.ConfirmationRecord for r in pending)
 
     @pytest.mark.parametrize("body", [
         b"",
@@ -481,71 +439,73 @@ class TestBlockOrder:
         assert [r.address for r in block.confirmations] == sorted(order[:4])
 
 
-class TestMinerChecks:
-    def test_honest_fragments_mined(self, keys):
+class TestMineOnce:
+    def test_mine_once_makes_two_requests(self, tmp_path, keys):
+        """One Hello and one NewBlock round trip, for a full pool and an
+        empty one: no fragment is fetched."""
+        path = str(tmp_path / "ten")
+        live.init_data_dir(path, {k.address: 1000 for k in keys[:10]},
+                           PARAMS)
+        with serving(path) as (server, client):
+            for key in keys[:10]:
+                client.submit_tx(make_send(key, amount=7))
+            kinds = []
+            call = client.call
+
+            def counted(env):
+                kinds.append(env.kind)
+                return call(env)
+
+            client.call = counted
+            block = live.mine_once(client, MINER, PARAMS, timestamp=15)
+            assert len(block.confirmations) == 10
+            assert kinds == [MsgKind.Hello, MsgKind.NewBlock]
+            assert server.node.view.tip == block.block_hash
+            kinds.clear()
+            live.mine_once(client, MINER, PARAMS, timestamp=30)
+            assert kinds == [MsgKind.Hello, MsgKind.NewBlock]
+
+    def test_hello_records_mined_unchanged(self, data_dir, keys):
+        """The block confirms the Hello's records as they are, sorted."""
         first = make_send(keys[0], amount=7)
         second = make_send(keys[0], parent=first.tx_hash, height=2)
-        node = LyingNode([fragment(first, second),
-                          fragment(make_send(keys[1]))])
-        block = live.mine_once(node, MINER, PARAMS, timestamp=15)
-        assert node.submitted == [block]
-        assert len(block.confirmations) == 2
+        with serving(data_dir) as (server, client):
+            for tx in (first, second, make_send(keys[1])):
+                client.submit_tx(tx)
+            _, _, _, pending = client.hello()
+            block = live.mine_once(client, MINER, PARAMS, timestamp=15)
+            assert server.node.view.tip == block.block_hash
+        assert block.confirmations == tuple(
+            sorted(pending, key=lambda r: r.address))
+        assert (keys[0].address, second.tx_hash, 2) in block.confirmations
 
-    @pytest.mark.parametrize("lie", ["signature", "parent link"])
-    def test_lying_node_refused(self, keys, lie):
+    @pytest.mark.parametrize("lie,error", [
+        ("tip not held", "ConfirmationMismatch"),
+        ("height skipped", "PartialFetch"),
+        ("no tail", "PartialFetch")])
+    def test_lying_hello_refused_by_node(self, data_dir, keys, lie, error):
+        """A node that lies in its Hello costs its miner the block: the
+        honest node refuses it with an error reply, its tip stays and
+        nothing is journaled; its own Hello is then mined as usual."""
         first = make_send(keys[0], amount=7)
-        if lie == "signature":
-            sig = first.signature
-            bad = fragment(dataclasses.replace(
-                first, signature=sig[:10] + bytes([sig[10] ^ 1]) + sig[11:]))
-        else:
-            bad = fragment(first, make_send(keys[0], parent=b"\x0f" * 32,
-                                            height=2))
-        node = LyingNode([fragment(make_send(keys[1])), bad])
-        with pytest.raises(ShardChainError) as exc:
-            live.mine_once(node, MINER, PARAMS, timestamp=15)
-        assert ("signature" if lie == "signature" else "link-valid") \
-            in str(exc.value)
-        assert node.submitted == []
-
-    @pytest.mark.parametrize("lie", [
-        "other account", "one tx short", "other last hash", "no first tx",
-        "relabelled", "mislabelled", "height skew", "start skew", "empty",
-        "unlinked start"])
-    def test_wrong_tail_refused(self, keys, lie):
-        """A served fragment must be the tail its summary names: its
-        address, heights and tip hash, starting on the confirmed tip.
-        Each of those checks, removed alone, lets one of these lies
-        through."""
         a, b = keys[0].address, keys[1].address
-        first = make_send(keys[0], amount=7)
-        second = make_send(keys[0], parent=first.tx_hash, height=2)
-        skewed = make_send(keys[0], height=2)   # parent: the null hash
-        unlinked = make_send(keys[0], parent=b"\x0f" * 32)
-        theirs = make_send(keys[1])
-        frag = subchain.SubchainFragment
-        asked, served = {
-            # B's validly signed send, served for A's height-1 tail
-            "other account": ((a, first.tx_hash, 1, 0), fragment(theirs)),
-            "one tx short": ((a, first.tx_hash, 2, 0), fragment(first)),
-            "other last hash": ((a, second.tx_hash, 1, 0), fragment(first)),
-            "no first tx": ((a, second.tx_hash, 2, 0), fragment(second)),
-            # B's send, labelled as A's fragment and announced as A's tip
-            "relabelled": ((a, theirs.tx_hash, 1, 0), frag(a, 0, (theirs,))),
-            "mislabelled": ((a, first.tx_hash, 1, 0), frag(b, 0, (first,))),
-            "height skew": ((a, skewed.tx_hash, 1, 0), frag(a, 0, (skewed,))),
-            "start skew": ((a, first.tx_hash, 2, 0), frag(a, 1, (first,))),
-            "empty": ((a, first.tx_hash, 0, 0), frag(a, 0, ())),
-            # A's height-1 send on a parent other than the empty subchain
-            "unlinked start": ((a, unlinked.tx_hash, 1, 0),
-                               fragment(unlinked)),
-        }[lie]
-        # every summary announces A's confirmed tip as the empty subchain
-        node = LyingNode([served], pending=[asked + (codec.NULL_HASH,)])
-        with pytest.raises(ShardChainError) as exc:
-            live.mine_once(node, MINER, PARAMS, timestamp=15)
-        assert "requested tail" in str(exc.value)
-        assert node.submitted == []
+        record = mainchain.ConfirmationRecord(*{
+            "tip not held": (a, b"\x0f" * 32, 1),
+            "height skipped": (a, first.tx_hash, 2),
+            "no tail": (b, b"\x0f" * 32, 1)}[lie])
+        with serving(data_dir) as (server, client):
+            client.submit_tx(first)
+            tip = server.node.view.tip
+            size = os.path.getsize(log_path(data_dir))
+            with pytest.raises(ShardChainError) as exc:
+                live.mine_once(LyingNode(client, [record]), MINER, PARAMS,
+                               timestamp=15)
+            assert str(exc.value).startswith(error + ": ")
+            assert server.node.view.tip == tip
+            assert os.path.getsize(log_path(data_dir)) == size
+            block = live.mine_once(client, MINER, PARAMS, timestamp=15)
+            assert block.confirmations == ((a, first.tx_hash, 1),)
+            assert server.node.view.tip == block.block_hash
 
 
 # -- partial nodes of a sim --------------------------------------------

@@ -31,7 +31,7 @@ from shardchain.mainchain import (
     capacity,
     confirmations_root,
     decode_block,
-    decode_record,
+    decode_records,
     make_genesis,
     meets_target,
     seal,
@@ -161,7 +161,7 @@ class TestBlockCodec:
                 for i in range(3)]
         decoded = decode_block(mk_block(view, recs).encode())
         assert decoded.confirmations == tuple(recs)
-        for rec in decoded.confirmations + (decode_record(recs[0].encode()),):
+        for rec in decoded.confirmations + decode_records(recs[0].encode(), 1):
             assert type(rec) is ConfirmationRecord
             assert rec._asdict() == dict(zip(
                 ("address", "tip_hash", "tip_height"), rec))
@@ -185,7 +185,7 @@ class TestBlockCodec:
             with pytest.raises(DecodeError):
                 decode_block(data[:cut])
         with pytest.raises(DecodeError):
-            decode_record(recs[0].encode()[:-1])
+            decode_records(recs[0].encode()[:-1], 1)
 
 
 ROOT_RECORDS = [ConfirmationRecord(bytes([2 * i]) * 20, bytes([i]) * 32,
@@ -379,6 +379,16 @@ class TestValidateBlock:
         block = seal(MainBlock(header, tuple(recs)))
         with pytest.raises(UnsortedRecords):
             validate_block(block, view)
+
+    @pytest.mark.parametrize("width", [19, 21])
+    def test_record_address_width(self, keys, width):
+        """A record address of another width than 20 bytes: ``struct``
+        would pad or truncate it into the root and ``hosted_slice`` would
+        place it by byte order."""
+        key, view, chain = hosted_setup(keys)
+        rec = ConfirmationRecord(b"\x01" * width, NULL_HASH, 1)
+        with pytest.raises(UnsortedRecords):
+            validate_block(mk_block(view, [rec]), view)
 
     def test_root_mismatch(self, keys):
         key, view, chain = hosted_setup(keys)
