@@ -11,11 +11,11 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from cryptography.exceptions import InvalidSignature as _CryptoBadSig
 from cryptography.hazmat.primitives import hashes
@@ -50,9 +50,12 @@ _ECDSA = ec.ECDSA(hashes.SHA256())
 # and signature, in table order.
 _SEND_PREIMAGE = struct.Struct(">B32sQ20s20sQQ")
 _RECV_PREIMAGE = struct.Struct(">B32sQ20s20s32s32sQQ")
+# Wire layout: tag, tx_hash, preimage body, public_key, signature.
+_SEND_WIRE = struct.Struct(">B32s32sQ20s20sQQ33s64s")
+_RECV_WIRE = struct.Struct(">B32s32sQ20s20s32s32sQQ33s64s")
 
-SEND_WIRE_LEN = 1 + HASH_LEN + (_SEND_PREIMAGE.size - 1) + PUBKEY_LEN + SIG_LEN
-RECV_WIRE_LEN = 1 + HASH_LEN + (_RECV_PREIMAGE.size - 1) + PUBKEY_LEN + SIG_LEN
+SEND_WIRE_LEN = _SEND_WIRE.size
+RECV_WIRE_LEN = _RECV_WIRE.size
 
 
 def sha256(data: bytes) -> bytes:
@@ -101,8 +104,10 @@ def keygen(seed: bytes | None = None) -> KeyPair:
     return KeyPair(secret=seed, public=public, signing_key=priv)
 
 
-@dataclass(frozen=True, slots=True)
-class SendTx:
+# Txs are NamedTuples, so their hash and equality run in C, and
+# decode_tx builds them with tuple.__new__ over their fields, without a
+# Python call. The preimage fields lead, in preimage order.
+class SendTx(NamedTuple):
     parent_hash: bytes
     height: int
     current_address: bytes
@@ -114,8 +119,7 @@ class SendTx:
     signature: bytes = b"\x00" * SIG_LEN
 
 
-@dataclass(frozen=True, slots=True)
-class ReceiveTx:
+class ReceiveTx(NamedTuple):
     parent_hash: bytes
     height: int
     current_address: bytes
@@ -135,20 +139,15 @@ class ReceiveTx:
 
 
 SubchainTx = Union[SendTx, ReceiveTx]
+_TX_TYPES = (SendTx, ReceiveTx)
+_new = tuple.__new__
 
 
 def tx_preimage(tx: SubchainTx) -> bytes:
     """Bytes that tx_hash and the signature commit to."""
     if isinstance(tx, SendTx):
-        return _SEND_PREIMAGE.pack(
-            TAG_SEND, tx.parent_hash, tx.height, tx.current_address,
-            tx.recipient_address, tx.amount, tx.timestamp,
-        )
-    return _RECV_PREIMAGE.pack(
-        TAG_RECEIVE, tx.parent_hash, tx.height, tx.current_address,
-        tx.sender_address, tx.sender_tx_hash, tx.main_block_hash,
-        tx.amount, tx.timestamp,
-    )
+        return _SEND_PREIMAGE.pack(TAG_SEND, *tx[:6])
+    return _RECV_PREIMAGE.pack(TAG_RECEIVE, *tx[:8])
 
 
 # Each bytes field and its wire width. ``struct`` pads a short value and
@@ -166,10 +165,14 @@ _RECV_WIDTHS = (HASH_LEN, ADDR_LEN, ADDR_LEN, HASH_LEN, HASH_LEN, HASH_LEN,
 
 
 def _wire_exact(tx: SubchainTx) -> bool:
-    """Whether every bytes field of ``tx`` has its wire width."""
+    """Whether every bytes field of ``tx`` has its wire width; raises
+    TypeError for one that is not bytes-like."""
     if isinstance(tx, SendTx):
-        return tuple(map(len, _SEND_FIELDS(tx))) == _SEND_WIDTHS
-    return tuple(map(len, _RECV_FIELDS(tx))) == _RECV_WIDTHS
+        fields, widths = _SEND_FIELDS(tx), _SEND_WIDTHS
+    else:
+        fields, widths = _RECV_FIELDS(tx), _RECV_WIDTHS
+    b"".join(fields)        # the type check: join takes only bytes-likes
+    return tuple(map(len, fields)) == widths
 
 
 def encode_tx(tx: SubchainTx) -> bytes:
@@ -185,28 +188,17 @@ def decode_tx(data: bytes) -> SubchainTx:
     if tag == TAG_SEND:
         if len(data) != SEND_WIRE_LEN:
             raise DecodeError("bad SendTx length %d" % len(data))
-        tx_hash = data[1:33]
-        body = data[:1] + data[33:33 + _SEND_PREIMAGE.size - 1]
-        _, parent, height, cur, rcpt, amount, ts = _SEND_PREIMAGE.unpack(body)
-        rest = data[33 + _SEND_PREIMAGE.size - 1:]
-        return SendTx(parent_hash=parent, height=height, current_address=cur,
-                      recipient_address=rcpt, amount=amount, timestamp=ts,
-                      tx_hash=tx_hash, public_key=rest[:PUBKEY_LEN],
-                      signature=rest[PUBKEY_LEN:])
+        (_, tx_hash, parent, height, cur, rcpt, amount, ts, public,
+         sig) = _SEND_WIRE.unpack(data)
+        return _new(SendTx, (parent, height, cur, rcpt, amount, ts, tx_hash,
+                             public, sig))
     if tag == TAG_RECEIVE:
         if len(data) != RECV_WIRE_LEN:
             raise DecodeError("bad ReceiveTx length %d" % len(data))
-        tx_hash = data[1:33]
-        body = data[:1] + data[33:33 + _RECV_PREIMAGE.size - 1]
-        (_, parent, height, cur, sender, sender_tx, block_hash,
-         amount, ts) = _RECV_PREIMAGE.unpack(body)
-        rest = data[33 + _RECV_PREIMAGE.size - 1:]
-        return ReceiveTx(parent_hash=parent, height=height,
-                         current_address=cur, sender_address=sender,
-                         sender_tx_hash=sender_tx, main_block_hash=block_hash,
-                         amount=amount, timestamp=ts, tx_hash=tx_hash,
-                         public_key=rest[:PUBKEY_LEN],
-                         signature=rest[PUBKEY_LEN:])
+        (_, tx_hash, parent, height, cur, sender, sender_tx, block_hash,
+         amount, ts, public, sig) = _RECV_WIRE.unpack(data)
+        return _new(ReceiveTx, (parent, height, cur, sender, sender_tx,
+                                block_hash, amount, ts, tx_hash, public, sig))
     raise DecodeError("unknown transaction tag 0x%02x" % tag)
 
 
@@ -223,27 +215,38 @@ def _compact_signature(der: bytes) -> bytes:
 
 
 def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
-    """Fill tx_hash, public_key and signature; key must own current_address."""
-    if not _wire_exact(tx):
-        raise InvalidSignature("a bytes field is not its wire width")
+    """Fill tx_hash, public_key and signature; key must own current_address.
+
+    A tx with a field off its wire type, width or range is refused first,
+    with InvalidSignature: it has no wire form to sign."""
+    try:
+        exact = _wire_exact(tx)
+        pre = tx_preimage(tx)
+    except (struct.error, TypeError):
+        exact = False
+    if not exact:
+        raise InvalidSignature("a field is not of its wire type and width")
     if key.address != tx.current_address:
         raise KeyMismatch("key does not control the subchain address")
-    pre = tx_preimage(tx)
     der = key.signing_key.sign(pre, _ECDSA)
-    return replace(tx, tx_hash=sha256(pre), public_key=key.public,
-                   signature=_compact_signature(der))
+    return tx._replace(tx_hash=sha256(pre), public_key=key.public,
+                       signature=_compact_signature(der))
 
 
-# Verification results memoized on the transaction itself: it is frozen
-# and hashable, and equals another exactly when every field does, so every
-# node/miner re-check of the same transaction is free without re-encoding
-# it. A transaction with an unhashable field is checked, never cached.
+# Verification results memoized on the transaction tuple itself, behind
+# the type check: tuple equality ignores the type, so only a SendTx or a
+# ReceiveTx may read it. A tx equals another exactly when every field
+# does, and its hash and equality run in C, so every node/miner re-check
+# of the same transaction is free without re-encoding it. A transaction
+# with an unhashable field is checked, never cached.
 _verify_cache: dict[SubchainTx, bool] = {}
 _VERIFY_CACHE_MAX = 1 << 18
 
 
 def verify_tx(tx: SubchainTx) -> bool:
     """Local check only: hash matches preimage, signature matches address."""
+    if type(tx) not in _TX_TYPES:
+        return False
     try:
         cached = _verify_cache.get(tx)
     except TypeError:

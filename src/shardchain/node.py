@@ -9,6 +9,7 @@ That asymmetry is the whole storage/compute saving of sharding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -31,6 +32,8 @@ from .mainchain import ChainParams, ChainView, Genesis, MainBlock, \
     ViewClaimContext
 from .sharding import ShardAssignment, hosted_slice, hosts
 from .subchain import SubchainFragment, SubchainState
+
+_new = tuple.__new__
 
 
 class Inflow(NamedTuple):
@@ -165,12 +168,12 @@ class Node:
         try:
             if not self.hosts(address):
                 raise NotHosted("address outside this node's prefix")
-            held = self._local_fragment(address, tx.height - 1, tx.height)
+            held = self._held_tx(address, operator.index(tx.height))
         except TypeError:       # a field of the wrong type, as verify_tx
             raise InvalidSignature("transaction failed local "
                                    "verification") from None
-        if held is not None and held.txs[0].tx_hash == tx.tx_hash:
-            if held.txs[0] == tx:       # every field, the signature too
+        if held is not None and held.tx_hash == tx.tx_hash:
+            if held == tx:      # every field, the signature too
                 return False
             raise DuplicateHashConflict(
                 "different transaction with the same hash")
@@ -278,20 +281,27 @@ class Node:
             raise PartialFetch("remote fragment unavailable")
         return frag
 
+    def _held_tx(self, address: bytes, height: int) -> Optional[SubchainTx]:
+        """The tx this node holds at ``height``: the canonical one, else
+        the pending tail's, else None."""
+        tx = self.store.txs.get((address, height))
+        if tx is None:
+            tail = self.store.pending.get(address)
+            # a tail is contiguous, so height h sits at h - tail[0].height
+            if tail and 0 <= height - tail[0].height < len(tail):
+                tx = tail[height - tail[0].height]
+        return tx
+
     def _local_fragment(self, address, lo, hi):
-        tail = self.store.pending.get(address, ())
-        # a tail is contiguous, so height h sits at h - tail[0].height
-        first = tail[0].height if tail else 0
+        # ``hi`` comes from a block's record: stop at the first height not
+        # held, before any work in proportion to it
         txs = []
         for h in range(lo + 1, hi + 1):
-            tx = self.store.txs.get((address, h))
+            tx = self._held_tx(address, h)
             if tx is None:
-                if not 0 <= h - first < len(tail):
-                    return None
-                tx = tail[h - first]
+                return None
             txs.append(tx)
-        return SubchainFragment(address=address, from_height=lo,
-                                txs=tuple(txs))
+        return SubchainFragment(address, lo, tuple(txs))
 
     def _connect(self, block_hash: bytes) -> None:
         """Apply a block's archived hosted deltas to the canonical
@@ -311,15 +321,16 @@ class Node:
                     store.send_index[(address, tx.tx_hash)] = tx
                     if low <= tx.recipient_address <= high:
                         store.inflows.setdefault(tx.recipient_address, {})[
-                            tx.tx_hash] = Inflow(address, tx.tx_hash,
-                                                 tx.amount, block_hash,
-                                                 height)
+                            tx.tx_hash] = _new(Inflow, (
+                                address, tx.tx_hash, tx.amount, block_hash,
+                                height, False))
             self._trim_pending(address, new_state)
         if low <= header.miner_address <= high:
             store.inflows.setdefault(header.miner_address, {})[
-                block_hash] = Inflow(codec.NULL_ADDRESS, codec.NULL_HASH,
-                                     self.params.subsidy, block_hash,
-                                     height, True)
+                block_hash] = _new(Inflow, (codec.NULL_ADDRESS,
+                                            codec.NULL_HASH,
+                                            self.params.subsidy, block_hash,
+                                            height, True))
 
     def _disconnect(self, block_hash: bytes) -> None:
         """Remove the keys ``_connect`` added for a formerly canonical

@@ -17,11 +17,6 @@ from .errors import DecodeError, MaxDepth
 MAX_PREFIX_BITS = ADDR_LEN * 8
 
 
-def address_bits(address: bytes, count: int) -> str:
-    """First ``count`` bits of an address, most-significant bit first."""
-    return bin(int.from_bytes(address, "big"))[2:].zfill(MAX_PREFIX_BITS)[:count]
-
-
 @dataclass(frozen=True)
 class ShardAssignment:
     prefix_bits: str = ""   # '0'/'1' string, MSB-first

@@ -10,8 +10,7 @@ gives; how far an account is confirmed is the main chain's record.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import codec
 from .codec import NULL_HASH, SendTx, SubchainTx
@@ -26,11 +25,13 @@ from .errors import (
     WrongRecipient,
 )
 
+_new = tuple.__new__
 
-# The STF steps build states positionally, in this field order: on the
-# ingest path that is cheaper than dataclasses.replace.
-@dataclass(frozen=True, slots=True)
-class SubchainState:
+
+# States, like txs and fragments, are NamedTuples. The STF steps build
+# them by position, in this field order, with tuple.__new__: that calls
+# no Python constructor on the ingest path.
+class SubchainState(NamedTuple):
     address: bytes
     tip_hash: bytes = NULL_HASH
     tip_height: int = 0
@@ -41,7 +42,7 @@ class SubchainState:
 
 def initial_state(address: bytes, balance: int = 0) -> SubchainState:
     """Empty chain; a nonzero balance represents a genesis allocation."""
-    return SubchainState(address=address, balance=balance)
+    return SubchainState(address, balance=balance)
 
 
 class ClaimContext:
@@ -97,9 +98,10 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
             raise InsufficientBalance(
                 "send of %d exceeds balance %d" % (tx.amount, state.balance),
                 height=tx.height, address=state.address)
-        return SubchainState(state.address, tx.tx_hash, tx.height,
-                             state.balance - tx.amount, state.claimed_sends,
-                             state.claimed_coinbases)
+        return _new(SubchainState, (state.address, tx.tx_hash, tx.height,
+                                    state.balance - tx.amount,
+                                    state.claimed_sends,
+                                    state.claimed_coinbases))
 
     if tx.is_coinbase:
         if tx.main_block_hash in state.claimed_coinbases:
@@ -117,10 +119,10 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
             raise AmountMismatch("claimed %d, subsidy is %d"
                                  % (tx.amount, subsidy),
                                  height=tx.height, address=state.address)
-        return SubchainState(
+        return _new(SubchainState, (
             state.address, tx.tx_hash, tx.height, state.balance + tx.amount,
             state.claimed_sends,
-            state.claimed_coinbases | {tx.main_block_hash})
+            state.claimed_coinbases | {tx.main_block_hash}))
 
     if tx.sender_tx_hash in state.claimed_sends:
         raise DoubleClaim("send already claimed",
@@ -137,10 +139,10 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
         raise AmountMismatch("claim of %d against send of %d"
                              % (tx.amount, send.amount),
                              height=tx.height, address=state.address)
-    return SubchainState(state.address, tx.tx_hash, tx.height,
-                         state.balance + tx.amount,
-                         state.claimed_sends | {tx.sender_tx_hash},
-                         state.claimed_coinbases)
+    return _new(SubchainState, (state.address, tx.tx_hash, tx.height,
+                                state.balance + tx.amount,
+                                state.claimed_sends | {tx.sender_tx_hash},
+                                state.claimed_coinbases))
 
 
 def replay(txs: Sequence[SubchainTx], ctx: ClaimContext,
@@ -165,8 +167,7 @@ def replay(txs: Sequence[SubchainTx], ctx: ClaimContext,
     return state
 
 
-@dataclass(frozen=True)
-class SubchainFragment:
+class SubchainFragment(NamedTuple):
     """Consecutive hash-linked slice of a subchain, above ``from_height``."""
     address: bytes
     from_height: int            # exclusive lower bound
@@ -232,5 +233,4 @@ def decode_fragment(data: bytes) -> SubchainFragment:
         offset = end
     if offset != len(data):
         raise codec.DecodeError("trailing bytes in fragment")
-    return SubchainFragment(address=address, from_height=from_height,
-                            txs=tuple(txs))
+    return _new(SubchainFragment, (address, from_height, tuple(txs)))

@@ -6,7 +6,6 @@ table. Criteria tied to multi-core hardware are skipped with an explicit
 message on smaller hosts.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -248,8 +247,8 @@ def test_criterion_3_safety_rejections(announce):
         # forged duplicate hash
         dup = _pow_node({a.address: 100})
         legit = make_send(a, amount=1)
-        forged = dataclasses.replace(make_send(a, amount=2, timestamp=7),
-                                     tx_hash=legit.tx_hash)
+        forged = make_send(a, amount=2, timestamp=7)._replace(
+            tx_hash=legit.tx_hash)
         case("forged duplicate hash", DuplicateHashConflict,
              lambda: dup.accept_pending_tx(forged),
              lambda: dup.accept_pending_tx(legit))

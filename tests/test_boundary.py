@@ -1,0 +1,191 @@
+"""Only wire-exact values get in. Any in-process tx or fragment either
+comes back from its own encoding as an equal value of the same type, or
+the boundary check refuses it; and a tx is never mistaken for a plain
+tuple or for a tx of the other kind."""
+
+import struct
+
+import pytest
+from hypothesis import given, strategies as st
+
+from shardchain import codec, subchain
+from shardchain.codec import (
+    ADDR_LEN,
+    HASH_LEN,
+    NULL_HASH,
+    PUBKEY_LEN,
+    RECV_WIRE_LEN,
+    SEND_WIRE_LEN,
+    SIG_LEN,
+    ReceiveTx,
+    SendTx,
+)
+from shardchain.errors import (
+    DecodeError,
+    FragmentMisaligned,
+    InvalidSignature,
+    ShardChainError,
+)
+from shardchain.mainchain import EASY_BITS, ChainParams, make_genesis
+from shardchain.node import Node
+from shardchain.sharding import ShardAssignment
+from shardchain.sim import derived_key
+from shardchain.subchain import SubchainFragment
+
+from conftest import make_receive, make_send
+
+KEY = derived_key(b"boundary")
+BALANCE = 1000
+PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)
+WIRE_LEN = {SendTx: SEND_WIRE_LEN, ReceiveTx: RECV_WIRE_LEN}
+ENCODING_ERRORS = (struct.error, TypeError, DecodeError)
+
+wrong_types = st.one_of(st.none(), st.text(max_size=3),
+                        st.floats(allow_nan=False),
+                        st.lists(st.integers(), max_size=1))
+
+
+def bytes_field(width, *usual):
+    """(wire-valid, broken) strategies of a bytes field: the valid one is
+    ``width`` bytes or any of ``usual``; the broken one draws every width
+    from 0 to ``width`` + 2, a same-width bytearray or str, or a wrong
+    type."""
+    exact = st.binary(min_size=width, max_size=width)
+    valid = st.one_of(st.sampled_from(usual), exact) if usual else exact
+    return valid, st.one_of(st.binary(max_size=width + 2),
+                            exact.map(bytearray),
+                            st.text(min_size=width, max_size=width),
+                            wrong_types)
+
+
+def int_field(*usual):
+    """(wire-valid, broken) strategies of a u64 field: a u64 or any of
+    ``usual``; a bool, one just outside the range, or a wrong type."""
+    u64 = st.integers(min_value=0, max_value=2**64 - 1)
+    valid = st.one_of(st.sampled_from(usual), u64) if usual else u64
+    return valid, st.one_of(st.sampled_from([True, -1, 2**64]),
+                            wrong_types)
+
+
+def drawn(cls, **fields):
+    """Values of ``cls`` whose fields are wire-valid but for at most two,
+    drawn broken."""
+    def build(broken):
+        return st.builds(cls, **{name: pair[name in broken]
+                                 for name, pair in fields.items()})
+    return st.sets(st.sampled_from(sorted(fields)), max_size=2).flatmap(build)
+
+
+# the first tx of KEY's chain is drawn often enough to be pooled
+common = dict(parent_hash=bytes_field(HASH_LEN, NULL_HASH),
+              height=int_field(1),
+              current_address=bytes_field(ADDR_LEN, KEY.address),
+              amount=int_field(1, BALANCE), timestamp=int_field(),
+              tx_hash=bytes_field(HASH_LEN),
+              public_key=bytes_field(PUBKEY_LEN, KEY.public),
+              signature=bytes_field(SIG_LEN))
+sends = drawn(SendTx, recipient_address=bytes_field(ADDR_LEN), **common)
+receives = drawn(ReceiveTx, sender_address=bytes_field(ADDR_LEN),
+                 sender_tx_hash=bytes_field(HASH_LEN),
+                 main_block_hash=bytes_field(HASH_LEN), **common)
+txs = st.one_of(sends, receives)
+fragments = drawn(SubchainFragment,
+                  address=bytes_field(ADDR_LEN, KEY.address),
+                  from_height=int_field(0),
+                  txs=(st.lists(txs, max_size=3).map(tuple),) * 2)
+
+
+def signed_or_not(tx, sign):
+    if sign:
+        try:
+            return codec.sign_tx(tx, KEY)
+        except ShardChainError:
+            pass
+    return tx
+
+
+def round_trips(value, encode, decode) -> bool:
+    try:
+        back = decode(encode(value))
+    except ENCODING_ERRORS:
+        return False
+    return type(back) is type(value) and back == value
+
+
+def tx_round_trips(tx) -> bool:
+    return round_trips(tx, codec.encode_tx, codec.decode_tx)
+
+
+def assert_tx_refused(tx):
+    assert codec.verify_tx(tx) is False
+    with pytest.raises(InvalidSignature):
+        codec.sign_tx(tx, KEY)
+
+
+@given(drawn=st.lists(st.tuples(txs, st.booleans()), max_size=4))
+def test_tx_round_trips_or_is_refused(drawn):
+    """Every drawn tx, signed by KEY when it can be, round-trips or is
+    refused; a node pools only such txs, so every tx its storage report
+    counts has its wire width, as the report assumes."""
+    node = Node(b"\x00" * 8, ShardAssignment(),
+                make_genesis({KEY.address: BALANCE}), PARAMS)
+    for tx, sign in drawn:
+        tx = signed_or_not(tx, sign)
+        if not tx_round_trips(tx):
+            assert_tx_refused(tx)
+        try:
+            node.accept_pending_tx(tx)
+        except ShardChainError:
+            pass
+    held = list(node.store.txs.values())
+    for tail in node.store.pending.values():
+        held.extend(tail)
+    for tx in held:
+        assert tx_round_trips(tx)
+        assert len(codec.encode_tx(tx)) == WIRE_LEN[type(tx)]
+    report = node.storage_report()
+    assert report.tx_count == len(held)
+    assert report.subchain_bytes == sum(len(codec.encode_tx(tx))
+                                        for tx in held)
+
+
+@given(frag=fragments)
+def test_fragment_round_trips_or_is_refused(frag):
+    """A fragment that does not round-trip holds a refused tx, has no
+    wire form, or has an address off its wire width, which no state has:
+    verify_fragment refuses it even against the state of the address its
+    encoding names."""
+    if round_trips(frag, subchain.encode_fragment, subchain.decode_fragment):
+        return
+    bad = [tx for tx in frag.txs if not tx_round_trips(tx)]
+    for tx in bad:
+        assert_tx_refused(tx)
+    if bad:
+        return
+    try:
+        data = subchain.encode_fragment(frag)
+    except (struct.error, TypeError):
+        return
+    assert len(frag.address) != ADDR_LEN
+    state = subchain.initial_state(subchain.fragment_address(data))
+    with pytest.raises(FragmentMisaligned):
+        subchain.verify_fragment(state, frag,
+                                 subchain.StaticClaimContext())
+
+
+class TestTypeGuard:
+    def test_plain_tuple_misses_the_verify_cache(self, keys):
+        tx = make_send(keys[0], amount=3)
+        assert codec.verify_tx(tx)
+        assert tuple(tx) == tx
+        assert codec.verify_tx(tuple(tx)) is False
+
+    def test_decode_keeps_the_kind(self, keys):
+        for tx in (make_send(keys[0], amount=3),
+                   make_receive(keys[1], NULL_HASH, 1, keys[0].address,
+                                b"\x04" * 32, b"\x05" * 32, 3)):
+            assert type(codec.decode_tx(codec.encode_tx(tx))) is type(tx)
+
+    @given(send=sends, receive=receives)
+    def test_kinds_never_equal(self, send, receive):
+        assert send != receive and receive != send

@@ -251,9 +251,8 @@ class TestLiveNode:
         _, port, _ = live_node
         client = live.NodeClient("127.0.0.1", port)
         try:
-            import dataclasses
-            bad = dataclasses.replace(make_send(keys[0], amount=7),
-                                      signature=b"\x01" * 64)
+            bad = make_send(keys[0], amount=7)._replace(
+                signature=b"\x01" * 64)
             with pytest.raises(Exception) as exc:
                 client.submit_tx(bad)
             assert "InvalidSignature" in str(exc.value)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -186,15 +185,14 @@ class TestSignatures:
 
     def test_tampered_recipient(self, keys):
         tx = make_send(keys[0])
-        bad = dataclasses.replace(tx, recipient_address=b"\x09" * 20)
+        bad = tx._replace(recipient_address=b"\x09" * 20)
         assert not codec.verify_tx(bad)
 
     def test_extended_recipient_refused(self, keys):
         """``struct`` truncates a long field, so a send signed to 07 x 20
         has the preimage of the same send to 07 x 20 + 99."""
         tx = make_send(keys[0], recipient=b"\x07" * 20)
-        longer = dataclasses.replace(
-            tx, recipient_address=b"\x07" * 20 + b"\x99")
+        longer = tx._replace(recipient_address=b"\x07" * 20 + b"\x99")
         assert codec.tx_preimage(longer) == codec.tx_preimage(tx)
         assert not codec.verify_tx(longer)
 
@@ -206,7 +204,7 @@ class TestSignatures:
         with pytest.raises(InvalidSignature):
             make_send(keys[0], recipient=short)
         padded = make_send(keys[0], recipient=short + b"\x00")
-        tx = dataclasses.replace(padded, recipient_address=short)
+        tx = padded._replace(recipient_address=short)
         assert codec.tx_preimage(tx) == codec.tx_preimage(padded)
         assert not codec.verify_tx(tx)
 
@@ -220,7 +218,7 @@ class TestSignatures:
                           b"\x05" * 32, 7)
         value = getattr(tx, field)
         for wrong in (value + b"\x00", value[:-1]):
-            bad = dataclasses.replace(tx, **{field: wrong})
+            bad = tx._replace(**{field: wrong})
             assert not codec.verify_tx(bad)
             with pytest.raises((InvalidSignature, KeyMismatch)):
                 codec.sign_tx(bad, keys[0])
@@ -244,8 +242,7 @@ class TestSignatures:
         r = tx.signature[:32]
         s = int.from_bytes(tx.signature[32:], "big")
         high = (codec.CURVE_ORDER - s).to_bytes(32, "big")
-        assert not codec.verify_tx(dataclasses.replace(
-            tx, signature=r + high))
+        assert not codec.verify_tx(tx._replace(signature=r + high))
 
     def test_high_s_twin_is_p256_valid_but_refused(self, keys):
         """(r, n - s) verifies under plain P-256 ECDSA, so CURVE_ORDER is
@@ -258,8 +255,8 @@ class TestSignatures:
                                                            tx.public_key)
         pub.verify(encode_dss_signature(r, high), codec.tx_preimage(tx),
                    ec.ECDSA(hashes.SHA256()))
-        assert not codec.verify_tx(dataclasses.replace(
-            tx, signature=tx.signature[:32] + high.to_bytes(32, "big")))
+        assert not codec.verify_tx(tx._replace(
+            signature=tx.signature[:32] + high.to_bytes(32, "big")))
 
     # secp256k1 scalars whose compressed public key is, as a P-256 point,
     # off the curve (7919) or on it (2 * 7919)
@@ -286,8 +283,8 @@ class TestSignatures:
             assert not on_p256
         else:
             assert on_p256
-        tx = dataclasses.replace(
-            tx, tx_hash=codec.sha256(pre), public_key=public,
+        tx = tx._replace(
+            tx_hash=codec.sha256(pre), public_key=public,
             signature=r.to_bytes(32, "big") + s.to_bytes(32, "big"))
         assert codec.verify_tx(tx) is False
 
@@ -315,10 +312,9 @@ class TestVerifyCache:
     def test_field_copy_hits(self, keys, monkeypatch):
         tx = make_send(keys[5], amount=3, timestamp=11)
         assert codec.verify_tx(tx)
-        copy = SendTx(**{f.name: bytes(bytearray(v))
+        copy = SendTx(**{name: bytes(bytearray(v))
                          if isinstance(v, bytes) else v
-                         for f in dataclasses.fields(tx)
-                         for v in [getattr(tx, f.name)]})
+                         for name, v in tx._asdict().items()})
         assert copy is not tx and copy.signature is not tx.signature
         checked = self.counted(monkeypatch)
         assert codec.verify_tx(copy)
@@ -331,7 +327,7 @@ class TestVerifyCache:
         value = {"signature": tx.signature[:-1]
                  + bytes([tx.signature[-1] ^ 1]),
                  "amount": 4, "public_key": keys[6].public}[name]
-        changed = dataclasses.replace(tx, **{name: value})
+        changed = tx._replace(**{name: value})
         checked = self.counted(monkeypatch)
         assert codec.verify_tx(changed) is False
         assert checked == [changed]
@@ -342,7 +338,7 @@ class TestVerifyCache:
         tx = make_send(keys[7], amount=5)
         sig = bytearray(tx.signature)
         sig[-1] ^= flip
-        odd = dataclasses.replace(tx, signature=sig)
+        odd = tx._replace(signature=sig)
         with pytest.raises(TypeError):
             hash(odd)
         size = len(codec._verify_cache)
@@ -355,5 +351,5 @@ class TestVerifyCache:
         ("signature", 7), ("height", -1)],
         ids=["short-key", "str-key", "int-signature", "negative-height"])
     def test_malformed_field_is_false(self, keys, name, value):
-        tx = dataclasses.replace(make_send(keys[8]), **{name: value})
+        tx = make_send(keys[8])._replace(**{name: value})
         assert codec.verify_tx(tx) is False

@@ -38,7 +38,7 @@ def test_node_entry_points_load_no_simulator():
 
 def test_worker_pool_loaded_only_when_used():
     out = run_fresh(
-        "import dataclasses, json, sys\n"
+        "import json, sys\n"
         "import shardchain.sim\n"
         "from shardchain import codec\n"
         "from shardchain.miner import verify_batch\n"
@@ -48,7 +48,7 @@ def test_worker_pool_loaded_only_when_used():
         "    parent_hash=codec.NULL_HASH, height=1,\n"
         "    current_address=key.address, recipient_address=b'\\x07' * 20,\n"
         "    amount=n, timestamp=0), key) for n in range(1, 7)]\n"
-        "txs[3] = dataclasses.replace(txs[3], amount=99)\n"
+        "txs[3] = txs[3]._replace(amount=99)\n"
         "print(json.dumps([unloaded, verify_batch(txs, workers=1),\n"
         "                  verify_batch(txs, workers=2)]))\n")
     unloaded, serial, parallel = out

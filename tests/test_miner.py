@@ -46,8 +46,7 @@ class TestPool:
     def test_bad_signature(self, keys):
         key = keys[0]
         miner, _ = fresh_miner({key.address: 100})
-        tx = dataclasses.replace(make_send(key, amount=5),
-                                 signature=b"\x02" * 64)
+        tx = make_send(key, amount=5)._replace(signature=b"\x02" * 64)
         with pytest.raises(InvalidSignature):
             miner.pool_insert(tx)
 
@@ -56,8 +55,8 @@ class TestPool:
         miner, _ = fresh_miner({key.address: 100})
         tx = make_send(key, amount=1)
         miner.pool_insert(tx)
-        forged = dataclasses.replace(make_send(key, amount=2, timestamp=5),
-                                     tx_hash=tx.tx_hash)
+        forged = make_send(key, amount=2, timestamp=5)._replace(
+            tx_hash=tx.tx_hash)
         with pytest.raises(DuplicateHashConflict):
             miner.pool_insert(forged)
 
@@ -153,7 +152,7 @@ class TestVerifyBatch:
         for i in range(n):
             tx = make_send(keys[i % len(keys)], amount=1, timestamp=i)
             if i in corrupt:
-                tx = dataclasses.replace(tx, signature=b"\x05" * 64)
+                tx = tx._replace(signature=b"\x05" * 64)
             txs.append(tx)
         return txs
 

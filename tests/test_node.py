@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -12,6 +11,7 @@ from shardchain.errors import (
     DuplicateHashConflict,
     InvalidSignature,
     NotHosted,
+    PartialFetch,
     RangeUnavailable,
     TailConflict,
     UnconfirmedSend,
@@ -64,7 +64,7 @@ class TestPendingAcceptance:
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=5)
-        bad = dataclasses.replace(tx, signature=b"\x01" * 64)
+        bad = tx._replace(signature=b"\x01" * 64)
         with pytest.raises(InvalidSignature):
             node.accept_pending_tx(bad)
 
@@ -93,8 +93,8 @@ class TestPendingAcceptance:
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=1)
         node.accept_pending_tx(tx)
-        forged = dataclasses.replace(make_send(key, amount=2, timestamp=9),
-                                     tx_hash=tx.tx_hash)
+        forged = make_send(key, amount=2, timestamp=9)._replace(
+            tx_hash=tx.tx_hash)
         with pytest.raises(DuplicateHashConflict):
             node.accept_pending_tx(forged)
 
@@ -119,7 +119,7 @@ class TestPendingAcceptance:
                                                    value):
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
-        tx = dataclasses.replace(make_send(key, amount=5), **{name: value})
+        tx = make_send(key, amount=5)._replace(**{name: value})
         with pytest.raises(InvalidSignature):
             node.accept_pending_tx(tx)
         assert node.store.pending == {} and node.store.tail_states == {}
@@ -217,7 +217,8 @@ class TestIngest:
         no fragment check, no STF step, no delta."""
         key = keys[0]
         chain = build_chain(key, 2, start_balance=1000)
-        other = "1" if sharding.address_bits(key.address, 1) == "0" else "0"
+        other = "1" if sharding.hosts(ShardAssignment("0"), key.address) \
+            else "0"
         node = make_node(make_genesis({key.address: 1000}), other)
         block = confirm_block(node, [
             ConfirmationRecord(key.address, chain[-1].tx_hash, 2)])
@@ -337,6 +338,34 @@ class TestIngestFallback:
             key.address: (tuple(chain), deltas[key.address][1])}
         assert node.store.pending[key.address] == chain
         assert node.confirmed_state(key.address).tip_height == 0
+
+    def test_huge_record_height_stops_at_first_gap(self, keys, monkeypatch):
+        """A record may name any u64 tip height. The local fragment stops
+        at the first height the node does not hold, so with no fetch
+        source the block is refused at once, whether it is a side block
+        or on the tip."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 1000}))
+        genesis = node.view.tip
+        node.ingest_block(confirm_block(node, []))
+        node.accept_pending_tx(make_send(key, amount=5))
+        looked = []
+        held_tx = Node._held_tx
+
+        def counted(self, address, height):
+            looked.append(height)
+            assert len(looked) <= 8, "local fragment walks past a gap"
+            return held_tx(self, address, height)
+
+        monkeypatch.setattr(Node, "_held_tx", counted)
+        rec = ConfirmationRecord(key.address, b"\x13" * 32, 2 ** 63)
+        for parent, ts in ((genesis, 99), (node.view.tip, None)):
+            looked.clear()
+            with pytest.raises(PartialFetch):
+                node.ingest_block(confirm_block(node, [rec], parent=parent,
+                                                timestamp=ts))
+            assert looked == [1, 2]
+        assert node.view.tip_height == 1
 
     @staticmethod
     def confirm_other_version(key):

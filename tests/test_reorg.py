@@ -19,7 +19,7 @@ from shardchain.mainchain import (
     seal,
 )
 from shardchain.node import Node, NodeStore
-from shardchain.sharding import ShardAssignment, address_bits
+from shardchain.sharding import ShardAssignment, hosts
 from shardchain.sim import SimConfig, Simulation, derived_key
 from shardchain.subchain import SubchainFragment
 
@@ -320,10 +320,11 @@ def test_half_node_follows_branch_with_claim_of_foreign_send():
     claim of a send by an account it does not host, and accepts the
     block after it."""
     rcpt = derived_key(b"half-node:rcpt")
-    prefix = address_bits(rcpt.address, 1)
+    prefix = next(bit for bit in "01"
+                  if hosts(ShardAssignment(bit), rcpt.address))
     sender = next(k for k in (derived_key(b"half-node:sender:%d" % i)
                               for i in range(64))
-                  if address_bits(k.address, 1) != prefix)
+                  if not hosts(ShardAssignment(prefix), k.address))
     params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                          maturity=1)
     half = Node(b"\x01" * 8, ShardAssignment(prefix),

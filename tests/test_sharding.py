@@ -11,7 +11,6 @@ from shardchain.network import TreeTopology
 from shardchain.sharding import (
     MAX_PREFIX_BITS,
     ShardAssignment,
-    address_bits,
     child_assignment,
     decode_assignment,
     hosted_slice,
@@ -21,18 +20,32 @@ from shardchain.sharding import (
 )
 
 
+def address_bits(address: bytes, count: int) -> str:
+    """First ``count`` bits of an address, most-significant bit first:
+    the bit-string oracle that hosts() is checked against."""
+    return format(int.from_bytes(address, "big"),
+                  "0%db" % MAX_PREFIX_BITS)[:count]
+
+
 class TestAddressBits:
+    """An assignment's range bounds are its prefix, most-significant
+    bit first, followed by zero bits (low) and by one bits (high)."""
+
     def test_msb_first(self):
         addr = b"\x80" + b"\x00" * 19
-        assert address_bits(addr, 1) == "1"
-        assert address_bits(addr, 8) == "10000000"
+        assert hosts(ShardAssignment("1"), addr)
+        assert not hosts(ShardAssignment("0"), addr)
+        assert ShardAssignment("10000000").low == addr
 
     def test_zero_count(self):
-        assert address_bits(b"\xff" * 20, 0) == ""
+        root = ShardAssignment("")
+        assert root.low == b"\x00" * 20 and root.high == b"\xff" * 20
+        assert hosts(root, b"\xff" * 20)
 
     def test_full_width(self):
         addr = b"\xff" * 20
-        assert address_bits(addr, MAX_PREFIX_BITS) == "1" * 160
+        leaf = ShardAssignment("1" * MAX_PREFIX_BITS)
+        assert leaf.low == leaf.high == addr
 
 
 class TestAssignment:
