@@ -13,6 +13,7 @@ import math
 import os
 import signal
 import sys
+import threading
 
 from . import codec, live, mainchain, sharding
 from .errors import MalformedBits, ShardChainError
@@ -218,13 +219,15 @@ def cmd_node(args) -> int:
         print("initialized data dir %s" % args.data_dir)
         if not args.listen:
             return 0
-    if signal.getsignal(signal.SIGINT) == signal.SIG_IGN:
+    if signal.getsignal(signal.SIGINT) == signal.SIG_IGN \
+            and threading.current_thread() is threading.main_thread():
         # inherited, as by a background job of a non-interactive shell:
         # without this no SIGINT could stop the server
         signal.signal(signal.SIGINT, signal.default_int_handler)
     server = live.NodeServer(args.data_dir, args.listen)
     try:
-        print("node listening on %s:%d" % args.listen, flush=True)
+        print("node listening on %s:%d" % server.server.server_address[:2],
+              flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         server.close()

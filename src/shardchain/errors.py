@@ -80,6 +80,10 @@ class BadPoW(MainChainError):
     pass
 
 
+class MalformedBlock(MainChainError):
+    """A header or record field off its wire width or range."""
+
+
 class Oversize(MainChainError):
     pass
 

@@ -18,7 +18,7 @@ import threading
 import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from . import codec, mainchain, sharding, subchain
+from . import mainchain, sharding, subchain
 from .codec import ENVELOPE_HEADER, Envelope, MsgKind, decode_envelope
 from .errors import ConfigInvalid, DecodeError, ShardChainError
 from .mainchain import ChainParams, MainBlock, make_genesis
@@ -32,9 +32,9 @@ ERR = b"\x01"
 # -- data directory persistence ---------------------------------------
 #
 # A data dir holds meta.json (chain parameters and genesis) and log.bin,
-# one [kind u8][len u32][payload] record per NewTx/NewBlock request that
-# changed the node, the payload being the request's wire bytes. Loading
-# replays the log through the calls the server makes for those requests.
+# one [kind u8][len u32][payload] record per change a NewTx/NewBlock
+# request made, its payload the request's (or its pooled prefix's) wire
+# bytes. Loading replays the log through Node.apply_request.
 
 META_FILE = "meta.json"
 LOG_FILE = "log.bin"
@@ -45,24 +45,9 @@ def _log_record(kind: int, payload: bytes) -> bytes:
     return _LOG_HEAD.pack(kind, len(payload)) + payload
 
 
-def _apply_request(node: Node, kind: int, payload: bytes) -> bool:
-    """The one state transition for a persisted request; False when the
-    request changed nothing (an exact duplicate tx, a known block)."""
-    if kind == MsgKind.NewTx:
-        return node.accept_pending_tx(codec.decode_tx(payload))
-    if kind == MsgKind.NewBlock:
-        block = mainchain.decode_block(payload)
-        if block.block_hash in node.view.blocks:
-            return False
-        node.ingest_block(block)
-        return True
-    raise DecodeError("unknown log record kind %d" % kind)
-
-
-def _read_log(path: str) -> Iterator[Tuple[int, int, bytes]]:
-    """Yield (end offset, kind, payload) for each complete record. A
-    record cut short by a crash mid-append ends the log."""
-    end = 0
+def _read_log(path: str) -> Iterator[Tuple[int, bytes]]:
+    """Yield (kind, payload) for each complete record. A record cut short
+    by a crash mid-append ends the log."""
     with open(path, "rb") as fh:
         while True:
             head = fh.read(_LOG_HEAD.size)
@@ -72,8 +57,7 @@ def _read_log(path: str) -> Iterator[Tuple[int, int, bytes]]:
             payload = fh.read(length)
             if len(payload) < length:
                 return
-            end += _LOG_HEAD.size + length
-            yield end, kind, payload
+            yield kind, payload
 
 
 def _replace_file(path: str, data: bytes) -> None:
@@ -85,20 +69,18 @@ def _replace_file(path: str, data: bytes) -> None:
 
 def save_node(node: Node, data_dir: str) -> None:
     """Write a snapshot of the node: meta.json, and a log holding each
-    canonical block preceded by the fragment txs it confirmed, then the
-    pending tails. Each file is replaced atomically."""
+    canonical block preceded by one fragment per address it confirmed,
+    then one fragment per pending tail. Each file is replaced
+    atomically."""
     os.makedirs(data_dir, exist_ok=True)
     records = []
     for bh in node.view.canonical[1:]:
-        block = node.view.blocks[bh]
-        for txs, _ in node.store.archive[bh].values():
-            for tx in txs:
-                records.append(_log_record(MsgKind.NewTx,
-                                           codec.encode_tx(tx)))
-        records.append(_log_record(MsgKind.NewBlock, block.encode()))
-    for address in sorted(node.store.pending):
-        for tx in node.store.pending[address]:
-            records.append(_log_record(MsgKind.NewTx, codec.encode_tx(tx)))
+        records += [_log_record(MsgKind.NewTx, subchain.encode_batch(txs))
+                    for txs, _ in node.store.archive[bh].values()]
+        records.append(_log_record(MsgKind.NewBlock,
+                                   node.view.blocks[bh].encode()))
+    records += [_log_record(MsgKind.NewTx, subchain.encode_batch(tail))
+                for _, tail in sorted(node.store.pending.items())]
     _replace_file(os.path.join(data_dir, LOG_FILE), b"".join(records))
     meta = {
         "prefix": node.assignment.prefix_bits,
@@ -124,8 +106,8 @@ def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
                             for a, b in meta["allocations"].items()},
                            timestamp=meta["genesis_timestamp"])
     node = Node(node_id, ShardAssignment(meta["prefix"]), genesis, params)
-    for _, kind, payload in _read_log(os.path.join(data_dir, LOG_FILE)):
-        _apply_request(node, kind, payload)
+    for kind, payload in _read_log(os.path.join(data_dir, LOG_FILE)):
+        node.apply_request(kind, payload)
     return node
 
 
@@ -171,13 +153,13 @@ def _recv_into(sock, view: memoryview) -> bool:
     return True
 
 
-def send_envelope(sock, env: Envelope) -> None:
-    sock.sendall(env.encode())
-
-
-def _error_reply(err: ShardChainError) -> Envelope:
+def _error_reply(err: ShardChainError) -> bytes:
     return Envelope(MsgKind.Hello, ERR + type(err).__name__.encode()
-                    + b": " + str(err).encode())
+                    + b": " + str(err).encode()).encode()
+
+
+# the reply frame to a request that succeeds with nothing to say
+OK_FRAME = Envelope(MsgKind.Hello, OK).encode()
 
 
 # -- node server ------------------------------------------------------
@@ -222,7 +204,6 @@ class NodeServer:
         self.node = load_node(data_dir)
         self.max_frame = self.node.params.block_limit + ENVELOPE_HEADER
         self.lock = threading.Lock()
-        self.listen = listen
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -232,19 +213,17 @@ class NodeServer:
                         env = read_envelope(self.request, outer.max_frame)
                     except DecodeError as err:
                         # the stream cannot be resynchronised: reply, close
-                        send_envelope(self.request, _error_reply(err))
+                        self.request.sendall(_error_reply(err))
                         return
                     if env is None:
                         return
-                    send_envelope(self.request, outer.handle(env))
+                    self.request.sendall(outer.handle(env))
 
         self.server = socketserver.ThreadingTCPServer(listen, Handler)
         self.server.daemon_threads = True
         # drop a torn final record, then append after the last whole one
         path = os.path.join(data_dir, LOG_FILE)
-        end = 0
-        for end, _, _ in _read_log(path):
-            pass
+        end = sum(_LOG_HEAD.size + len(p) for _, p in _read_log(path))
         self.log = open(path, "ab")
         self.log.truncate(end)
 
@@ -263,26 +242,27 @@ class NodeServer:
         with self.lock:
             self.log.close()
 
-    def handle(self, env: Envelope) -> Envelope:
+    def _journal(self, kind: int, payload: bytes) -> None:
+        self.log.write(_log_record(kind, payload))
+        self.log.flush()
+
+    def handle(self, env: Envelope) -> bytes:
+        """The reply frame to one request."""
         with self.lock:
             try:
                 return self._dispatch(env)
             except ShardChainError as err:
                 return _error_reply(err)
 
-    def _dispatch(self, env: Envelope) -> Envelope:
+    def _dispatch(self, env: Envelope) -> bytes:
         node = self.node
         if env.kind == MsgKind.Hello:
-            tips = [node.store.pending[a][-1] for a in node.block_order()]
             return Envelope(MsgKind.Hello, OK + encode_hello(
                 node.assignment, node.view.tip, node.view.tip_height,
-                [mainchain.ConfirmationRecord(tx.current_address, tx.tx_hash,
-                                              tx.height) for tx in tips]))
+                node.pending_records())).encode()
         if env.kind in (MsgKind.NewTx, MsgKind.NewBlock):
-            if _apply_request(node, env.kind, env.payload):
-                self.log.write(_log_record(env.kind, env.payload))
-                self.log.flush()
-            return Envelope(MsgKind.Hello, OK)
+            node.apply_request(env.kind, env.payload, self._journal)
+            return OK_FRAME
         if env.kind == MsgKind.FragmentRequest:
             if not env.payload or len(env.payload) % _FRAGMENT_RANGE.size:
                 raise DecodeError("FragmentRequest payload must be a "
@@ -295,8 +275,9 @@ class NodeServer:
                 wire = subchain.encode_fragment(
                     node.serve_fragment(address, lo, hi))
                 body += [_FRAGMENT_LEN.pack(len(wire)), wire]
-            return Envelope(MsgKind.FragmentResponse, b"".join(body))
-        return Envelope(MsgKind.Hello, ERR + b"unsupported kind")
+            return Envelope(MsgKind.FragmentResponse,
+                            b"".join(body)).encode()
+        return Envelope(MsgKind.Hello, ERR + b"unsupported kind").encode()
 
 
 # -- miner client -----------------------------------------------------
@@ -309,7 +290,7 @@ class NodeClient:
         self.sock.close()
 
     def call(self, env: Envelope) -> bytes:
-        send_envelope(self.sock, env)
+        self.sock.sendall(env.encode())
         reply = read_envelope(self.sock)
         if reply is None:
             raise ConnectionError("node closed the connection")
@@ -345,7 +326,8 @@ class NodeClient:
         return self.fetch_fragments([(address, lo, hi)])[0]
 
     def submit_tx(self, tx) -> None:
-        self.call(Envelope(MsgKind.NewTx, codec.encode_tx(tx)))
+        """Submit ``tx`` alone: a one-tx fragment, the one NewTx payload."""
+        self.call(Envelope(MsgKind.NewTx, subchain.encode_batch((tx,))))
 
     def submit_block(self, block: MainBlock) -> None:
         self.call(Envelope(MsgKind.NewBlock, block.encode()))

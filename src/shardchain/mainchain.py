@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from collections import ChainMap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
@@ -18,10 +18,11 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
     Tuple
 
 from . import codec, subchain
-from .codec import ADDR_LEN, sha256, sha256d
+from .codec import ADDR_LEN, HASH_LEN, sha256, sha256d
 from .errors import (
     BadPoW,
     MalformedBits,
+    MalformedBlock,
     Oversize,
     RootMismatch,
     StaleConfirmation,
@@ -35,6 +36,7 @@ BLOCK_OVERHEAD = HEADER_LEN + 4   # header plus the 4-byte record count
 
 _RECORD = struct.Struct(">20s32sQ")
 _HEADER = struct.Struct(">32sQQ20s32sIQ")
+_U64 = 1 << 64
 
 DEFAULT_SUBSIDY = 50 * 10**8
 EASY_BITS = 0x207FFFFF   # top byte 0x7f: ~1/2 success per attempt
@@ -99,6 +101,10 @@ class BlockHeader:
 
 
 def confirmations_root(records) -> bytes:
+    # struct would pad or cut a tip hash and refuse a height off u64; only
+    # in-process records come here (a decoded block hashed its bytes)
+    if not all(len(h) == HASH_LEN and 0 <= n < _U64 for _, h, n in records):
+        raise MalformedBlock("a record field is off its wire width or range")
     return sha256(b"".join(r.encode() for r in records))
 
 
@@ -175,19 +181,12 @@ def seal(block: MainBlock) -> MainBlock:
         while True:
             h = sha256d(base + struct.pack(">Q", nonce))
             if int.from_bytes(h, "big") <= goal:
-                sealed = BlockHeader(
-                    header.parent_block_hash, header.height,
-                    header.timestamp, header.miner_address,
-                    header.confirmations_root, header.difficulty_bits,
-                    nonce)
-                return MainBlock(sealed, block.confirmations)
+                return MainBlock(replace(header, nonce=nonce),
+                                 block.confirmations)
             nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
             if nonce == header.nonce:   # nonce space exhausted
                 break
-        header = BlockHeader(header.parent_block_hash, header.height,
-                             header.timestamp + 1, header.miner_address,
-                             header.confirmations_root,
-                             header.difficulty_bits, 0)
+        header = replace(header, timestamp=header.timestamp + 1, nonce=0)
 
 
 def new_block(parent: bytes, height: int, timestamp: int,
@@ -300,9 +299,7 @@ class ChainView:
         """Latest confirmation per address along an arbitrary branch,
         scanned from genesis: the oracle for ``branch_confirmations``."""
         index: Dict[bytes, Tuple[bytes, bytes, int]] = {}
-        for bh in self.branch(branch_tip):
-            if bh == self.genesis.block_hash:
-                continue
+        for bh in self.branch(branch_tip)[1:]:     # after genesis
             for rec in self.blocks[bh].confirmations:
                 index[rec.address] = (bh, rec.tip_hash, rec.tip_height)
         return index
@@ -435,31 +432,40 @@ class ViewClaimContext(subchain.ClaimContext):
 def validate_block(block: MainBlock, view: ChainView
                    ) -> Mapping[bytes, Optional[tuple]]:
     """The main chain's checks of one block against its parent branch:
-    known parent, PoW, difficulty bits, height, size, record order, root,
-    and that each record advances its address. Whether a record's fragment
-    is a valid state transition is for the nodes that host the address to
-    check. Returns the parent branch's confirmation index.
+    known parent, difficulty bits, height, size, header fields at their
+    wire widths and ranges, PoW, record order, root (whose computation
+    refuses in-process records off theirs), and that each record advances
+    its address. Whether a record's fragment is a valid state transition
+    is for the nodes that host the address to check. Returns the parent
+    branch's confirmation index.
     """
-    parent = block.header.parent_block_hash
+    header = block.header
+    parent = header.parent_block_hash
     if parent not in view.work:
         raise UnknownParent("parent block unknown")
-    if not meets_target(block.block_hash, block.header.difficulty_bits):
-        raise BadPoW("block hash above target")
-    if block.header.difficulty_bits != view.params.difficulty_bits:
+    if header.difficulty_bits != view.params.difficulty_bits:
         raise BadPoW("unexpected difficulty bits")
-    if block.header.height != view.height[parent] + 1:
+    if header.height != view.height[parent] + 1:
         raise BadPoW("wrong block height")
     records = block.confirmations
     # the length of block.encode(), without encoding the block
     if BLOCK_OVERHEAD + RECORD_LEN * len(records) > view.params.block_limit:
         raise Oversize("block exceeds %d bytes" % view.params.block_limit)
+    # struct pads or cuts a bytes field and refuses an integer off its
+    # range, so the hash would cover other bytes than the header holds
+    if len(header.miner_address) != ADDR_LEN \
+            or not 0 <= header.timestamp < _U64 \
+            or not 0 <= header.nonce < _U64:
+        raise MalformedBlock("a header field is off its wire width or range")
+    if not meets_target(block.block_hash, header.difficulty_bits):
+        raise BadPoW("block hash above target")
     addresses = [r.address for r in records]
     # hosted_slice and hosts() order addresses as 20-byte strings
     if set(map(len, addresses)) - {ADDR_LEN}:
         raise UnsortedRecords("record addresses must be %d bytes" % ADDR_LEN)
     if any(a >= b for a, b in zip(addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")
-    if block.header.confirmations_root != block.records_root:
+    if header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
 
     index = view.branch_confirmations(parent)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from . import codec, mainchain
-from .mainchain import ConfirmationRecord, MainBlock, capacity
+from .mainchain import MainBlock, capacity
 from .node import Node
 
 
@@ -40,14 +40,10 @@ class Miner:
         """The sealed block on the node's tip: one record at the tail tip
         of each of the first capacity addresses in the block order."""
         node = self.node
-        pending = node.store.pending
-        records = [ConfirmationRecord(address, pending[address][-1].tx_hash,
-                                      pending[address][-1].height)
-                   for address in node.block_order()[
-                       :capacity(node.params.block_limit)]]
         return mainchain.new_block(
-            node.view.tip, node.view.tip_height + 1, timestamp,
-            self.address, records, node.params.difficulty_bits)
+            node.view.tip, node.view.tip_height + 1, timestamp, self.address,
+            node.pending_records()[:capacity(node.params.block_limit)],
+            node.params.difficulty_bits)
 
 
 # -- parallel verification --------------------------------------------

@@ -64,8 +64,7 @@ class TreeTopology:
         if len(siblings) >= 2:
             raise ParentFull("parent already has two children")
         nid = self._new_id()
-        assignment = sharding.child_assignment(self.assignments[parent],
-                                               len(siblings))
+        assignment = sharding.split(self.assignments[parent])[len(siblings)]
         self.parent[nid] = parent
         siblings.append(nid)
         self.child_map[nid] = []
@@ -117,9 +116,6 @@ class TreeTopology:
             for m in nbrs:
                 chosen[m].add(node)
         self.neighbor_map = chosen
-
-    def neighbors(self, node: NodeId) -> Set[NodeId]:
-        return self.neighbor_map[node]
 
     def links(self, node: NodeId) -> List[NodeId]:
         """All broadcast links: parent, children, then neighbors."""
@@ -207,13 +203,10 @@ class FloodRouter:
         # msg_id -> the nodes it reached -> hop count
         self.hops: Dict[bytes, Dict[NodeId, int]] = {}
 
-    def attach(self, node: NodeId) -> None:
-        self.transport.register(
-            node, lambda sender, env, n=node: self._receive(n, sender, env))
-
     def attach_all(self) -> None:
         for node in self.topology.nodes():
-            self.attach(node)
+            self.transport.register(node, lambda sender, env, n=node:
+                                    self._receive(n, sender, env))
 
     def originate(self, origin: NodeId, env: Envelope) -> None:
         if not self.transport.is_alive(origin):

@@ -10,15 +10,15 @@ That asymmetry is the whole storage/compute saving of sharding.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, subchain
-from .codec import ReceiveTx, SendTx, SubchainTx
+from .codec import MsgKind, ReceiveTx, SendTx, SubchainTx
 from .errors import (
     BadLink,
     ConfirmationMismatch,
     ConfirmedFrozen,
+    DecodeError,
     DuplicateHashConflict,
     InvalidSignature,
     NotHosted,
@@ -47,18 +47,11 @@ class Inflow(NamedTuple):
     coinbase: bool = False
 
 
-@dataclass
-class StorageReport:
-    main_chain_bytes: int = 0
-    subchain_bytes: int = 0
-    shard_count: int = 0
-    tx_count: int = 0
-
-    def as_dict(self) -> dict:
-        return {"main_chain_bytes": self.main_chain_bytes,
-                "subchain_bytes": self.subchain_bytes,
-                "shard_count": self.shard_count,
-                "tx_count": self.tx_count}
+class StorageReport(NamedTuple):
+    main_chain_bytes: int
+    subchain_bytes: int
+    shard_count: int
+    tx_count: int
 
 
 class NodeStore:
@@ -153,6 +146,40 @@ class Node:
             send = self.remote_send_lookup(address, tx_hash)
         return send
 
+    # -- messages ------------------------------------------------------
+
+    def apply_request(self, kind: int, payload: bytes,
+                      journal: Callable[[int, bytes], None]
+                      = lambda kind, payload: None) -> None:
+        """The one handler of a NewTx or NewBlock payload, in the sim, on a
+        live node and for its journal, which ``journal`` extends by the
+        record of each change. A NewTx fragment's txs are pooled in order;
+        a refusal leaves the txs before it pooled, and its text counts
+        them. A known NewBlock changes nothing, any other is ingested."""
+        if kind == MsgKind.NewBlock:
+            block = mainchain.decode_block(payload)
+            if block.block_hash in self.view.blocks:
+                return
+            self.ingest_block(block)
+        elif kind == MsgKind.NewTx:
+            frag = subchain.decode_fragment(payload)
+            changed, pooled = False, 0
+            try:
+                for tx in frag.txs:
+                    changed = self.accept_pending_tx(tx) or changed
+                    pooled += 1
+            except ShardChainError as err:
+                if pooled:
+                    err.args = ("%s (%d pooled)" % (err, pooled),)
+                if changed:
+                    journal(kind, subchain.encode_batch(frag.txs[:pooled]))
+                raise
+            if not changed:
+                return
+        else:
+            raise DecodeError("unknown request kind %d" % kind)
+        journal(kind, payload)
+
     # -- pending transactions -----------------------------------------
 
     def accept_pending_tx(self, tx: SubchainTx) -> bool:
@@ -192,6 +219,13 @@ class Node:
         else:
             raise BadLink("gap above the current tip", height=tx.height)
         return True
+
+    def pending_records(self) -> List[mainchain.ConfirmationRecord]:
+        """The record that confirms each pending tail, in block order."""
+        pending = self.store.pending
+        return [_new(mainchain.ConfirmationRecord, (
+            a, pending[a][-1].tx_hash, pending[a][-1].height))
+            for a in self.block_order()]
 
     def block_order(self) -> List[bytes]:
         """The addresses with a pending tail in the order a block confirms
@@ -406,14 +440,12 @@ class Node:
                        to_height: int) -> SubchainFragment:
         if not self.hosts(address):
             raise NotHosted("address outside this node's prefix")
-        tip = self.confirmed_state(address).tip_height \
-            + len(self.store.pending.get(address, []))
-        if to_height > tip or from_height < 0 or from_height > to_height:
-            raise RangeUnavailable("have tip %d, asked (%d, %d]"
-                                   % (tip, from_height, to_height))
-        frag = self._local_fragment(address, from_height, to_height)
+        # _local_fragment stops at the first height not held: None past tip
+        frag = self._local_fragment(address, from_height, to_height) \
+            if 0 <= from_height <= to_height else None
         if frag is None:
-            raise RangeUnavailable("range not contiguous locally")
+            raise RangeUnavailable("heights (%d, %d] not held"
+                                   % (from_height, to_height))
         return frag
 
     def storage_report(self) -> StorageReport:

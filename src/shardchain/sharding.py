@@ -39,10 +39,9 @@ class ShardAssignment:
 
     def encode(self) -> bytes:
         """(length byte, packed bits) as used in node-hello messages."""
-        padded = self.prefix_bits.ljust((self.depth + 7) // 8 * 8, "0")
-        packed = bytes(int(padded[i:i + 8], 2)
-                       for i in range(0, len(padded), 8))
-        return bytes([self.depth]) + packed
+        size = (self.depth + 7) // 8
+        packed = int(self.prefix_bits.ljust(8 * size, "0") or "0", 2)
+        return bytes([self.depth]) + packed.to_bytes(size, "big")
 
 
 def decode_assignment(data: bytes) -> ShardAssignment:
@@ -88,11 +87,6 @@ def split(assignment: ShardAssignment):
             ShardAssignment(assignment.prefix_bits + "1"))
 
 
-def child_assignment(parent: ShardAssignment, side: int) -> ShardAssignment:
-    """Assignment for a new leaf joining under ``parent`` (0 left, 1 right)."""
-    return split(parent)[side]
-
-
 def nodes_path(tree, address: bytes) -> list:
     """Root-to-deepest chain of tree nodes whose prefixes match ``address``.
 
@@ -101,14 +95,9 @@ def nodes_path(tree, address: bytes) -> list:
     deeper the node, the fewer shards it keeps.
     """
     path = [tree.root]
-    current = tree.root
     while True:
-        step = None
-        for child in tree.children(current):
-            if hosts(tree.assignment(child), address):
-                step = child
-                break
+        step = next((child for child in tree.children(path[-1])
+                     if hosts(tree.assignment(child), address)), None)
         if step is None:
             return path
         path.append(step)
-        current = step

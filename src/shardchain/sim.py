@@ -144,20 +144,14 @@ class Simulation:
         return None
 
     def _deliver(self, nid, env: Envelope):
-        n = self.nodes[nid]
-        if env.kind == MsgKind.NewTx:
-            # one envelope per account batch: fragment framing keeps the
-            # batch's order whichever link brings it to a node first
-            try:
-                for tx in subchain.decode_fragment(env.payload).txs:
-                    n.accept_pending_tx(tx)
-            except Exception as err:
-                self.errors.append("tx@%s: %r" % (nid.hex(), err))
-        elif env.kind == MsgKind.NewBlock:
-            try:
-                n.ingest_block(mainchain.decode_block(env.payload))
-            except Exception as err:
-                self.errors.append("block@%s: %r" % (nid.hex(), err))
+        # a NewTx is one account's batch, as a fragment: its framing keeps
+        # the batch's order whichever link brings it to a node first
+        try:
+            self.nodes[nid].apply_request(env.kind, env.payload)
+        except Exception as err:
+            self.errors.append("%s@%s: %r" % (
+                "tx" if env.kind == MsgKind.NewTx else "block", nid.hex(),
+                err))
 
     def broadcast(self, kind: MsgKind, payload: bytes) -> None:
         # from the root, which hosts every address a batch can be scoped to
@@ -200,21 +194,19 @@ class Simulation:
                                         self.key_of[address],
                                         timestamp=self.now)
             self.active.add(address)
-            frag = subchain.SubchainFragment(
-                address=address, from_height=batch[0].height - 1,
-                txs=tuple(batch))
-            self.broadcast(MsgKind.NewTx, subchain.encode_fragment(frag))
+            self.broadcast(MsgKind.NewTx, subchain.encode_batch(batch))
         self.transport.run()
 
+        # the root applies its own block as every node does, on delivery
         block = self.miner.build_template(self.now)
-        deltas = self.root.ingest_block(block)
         self.broadcast(MsgKind.NewBlock, block.encode())
         self.transport.run()
         self.miner.refresh_pool()
 
+        archived = self.root.store.archive.get(block.block_hash, {})
         row = {"height": block.header.height,
                "records": len(block.confirmations),
-               "txs_covered": sum(len(d[2]) for d in deltas.values()),
+               "txs_covered": sum(len(txs) for txs, _ in archived.values()),
                "bytes": len(block.encode())}
         self.block_rows.append(row)
         return row
@@ -271,7 +263,7 @@ class Simulation:
         storage = {}
         for nid in sorted(self.nodes):
             n = self.nodes[nid]
-            entry = n.storage_report().as_dict()
+            entry = n.storage_report()._asdict()
             entry["depth"] = n.assignment.depth
             storage[nid.hex()] = entry
         return {

@@ -173,10 +173,6 @@ class SubchainFragment(NamedTuple):
     from_height: int            # exclusive lower bound
     txs: tuple = ()
 
-    @property
-    def to_height(self) -> int:
-        return self.from_height + len(self.txs)
-
 
 def verify_fragment(state: SubchainState, frag: SubchainFragment,
                     ctx: ClaimContext) -> SubchainState:
@@ -202,6 +198,12 @@ def encode_fragment(frag: SubchainFragment) -> bytes:
                                len(frag.txs))]
     parts.extend(codec.encode_tx(tx) for tx in frag.txs)
     return b"".join(parts)
+
+
+def encode_batch(txs: Sequence[SubchainTx]) -> bytes:
+    """The NewTx payload of one account's consecutive txs: their fragment."""
+    return encode_fragment(_new(SubchainFragment, (
+        txs[0].current_address, txs[0].height - 1, tuple(txs))))
 
 
 def fragment_address(data: bytes) -> bytes:

@@ -1,12 +1,12 @@
-"""Only wire-exact values get in. Any in-process tx or fragment either
-comes back from its own encoding as an equal value of the same type, or
-the boundary check refuses it; and a tx is never mistaken for a plain
-tuple or for a tx of the other kind."""
+"""Only wire-exact values get in. Any in-process tx, fragment or block
+either comes back from its own encoding as an equal value of the same
+type, or the boundary check refuses it; and a tx is never mistaken for a
+plain tuple or for a tx of the other kind."""
 
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shardchain import codec, subchain
 from shardchain.codec import (
@@ -19,6 +19,7 @@ from shardchain.codec import (
     SIG_LEN,
     ReceiveTx,
     SendTx,
+    sha256,
 )
 from shardchain.errors import (
     DecodeError,
@@ -26,7 +27,18 @@ from shardchain.errors import (
     InvalidSignature,
     ShardChainError,
 )
-from shardchain.mainchain import EASY_BITS, ChainParams, make_genesis
+from shardchain.mainchain import (
+    EASY_BITS,
+    BlockHeader,
+    ChainParams,
+    ChainView,
+    ConfirmationRecord,
+    MainBlock,
+    decode_block,
+    make_genesis,
+    seal,
+    validate_block,
+)
 from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.sim import derived_key
@@ -67,13 +79,15 @@ def int_field(*usual):
                             wrong_types)
 
 
-def drawn(cls, **fields):
+def drawn(cls, broken=None, **fields):
     """Values of ``cls`` whose fields are wire-valid but for at most two,
-    drawn broken."""
+    drawn broken (or for those ``broken`` draws)."""
     def build(broken):
         return st.builds(cls, **{name: pair[name in broken]
                                  for name, pair in fields.items()})
-    return st.sets(st.sampled_from(sorted(fields)), max_size=2).flatmap(build)
+    if broken is None:
+        broken = st.sets(st.sampled_from(sorted(fields)), max_size=2)
+    return broken.flatmap(build)
 
 
 # the first tx of KEY's chain is drawn often enough to be pooled
@@ -171,6 +185,88 @@ def test_fragment_round_trips_or_is_refused(frag):
     with pytest.raises(FragmentMisaligned):
         subchain.verify_fragment(state, frag,
                                  subchain.StaticClaimContext())
+
+
+# blocks: each header field and the record list are drawn valid, or for
+# at most two of them broken (a bytes field at any width from 0 to its
+# width + 2, an integer just outside its range, records with such fields);
+# a valid root is the hash of the records as struct packs them, so a
+# broken record gets its padded or cut twin's root
+GENESIS = make_genesis({KEY.address: BALANCE})
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+OFF_U64 = st.sampled_from([-1, 2**64, 2**65 + 7])
+
+
+def sized(width):
+    return st.binary(min_size=width, max_size=width)
+
+
+valid_heights = st.integers(min_value=1, max_value=2**64 - 1)
+RECORD_FIELDS = dict(address=(sized(ADDR_LEN),
+                              st.binary(min_size=ADDR_LEN - 1,
+                                        max_size=ADDR_LEN + 1)),
+                     tip_hash=(sized(HASH_LEN),
+                               st.binary(max_size=HASH_LEN + 2)),
+                     tip_height=(valid_heights, OFF_U64))
+# one broken record among valid ones, with one field broken
+broken_records = st.builds(
+    lambda valid, broken: valid + [broken],
+    st.lists(drawn(ConfirmationRecord, st.just(()), **RECORD_FIELDS),
+             max_size=2),
+    drawn(ConfirmationRecord, st.sampled_from(sorted(RECORD_FIELDS)).map(
+        lambda name: {name}), **RECORD_FIELDS))
+
+
+BLOCK_FIELDS = dict(
+    parent_block_hash=(st.just(GENESIS.block_hash),
+                       st.binary(max_size=HASH_LEN + 2)),
+    height=(st.just(1), OFF_U64),
+    timestamp=(U64, OFF_U64),
+    miner_address=(sized(ADDR_LEN), st.binary(max_size=ADDR_LEN + 2)),
+    confirmations_root=(st.none(), st.binary(max_size=HASH_LEN + 2)),
+    difficulty_bits=(st.just(EASY_BITS),
+                     st.sampled_from([-1, 2**32 + EASY_BITS])),
+    nonce=(U64, OFF_U64),
+    records=(st.lists(drawn(ConfirmationRecord, st.just(()),
+                            **RECORD_FIELDS), max_size=3),
+             broken_records))
+
+
+@st.composite
+def blocks(draw):
+    names = st.sampled_from(sorted(BLOCK_FIELDS))
+    broken = draw(st.one_of(st.just(()), names.map(lambda name: {name}),
+                            st.sets(names, min_size=2, max_size=2)))
+    fields = {name: draw(pair[name in broken])
+              for name, pair in BLOCK_FIELDS.items()}
+    recs = tuple(sorted(fields.pop("records"), key=lambda r: r.address))
+    if fields["confirmations_root"] is None:
+        try:
+            fields["confirmations_root"] = sha256(
+                b"".join(r.encode() for r in recs))
+        except struct.error:
+            fields["confirmations_root"] = NULL_HASH
+    block = MainBlock(BlockHeader(**fields), recs)
+    try:
+        return seal(block)
+    except (struct.error, ShardChainError):
+        return block
+
+
+@settings(max_examples=300)
+@given(block=blocks())
+def test_block_round_trips_or_is_refused(block):
+    """An in-process block that ``validate_block`` accepts is the block its
+    own encoding decodes to, field for field: its hash covers exactly the
+    bytes it holds. Any other block is refused with a ShardChainError."""
+    try:
+        validate_block(block, ChainView(GENESIS, PARAMS))
+    except ShardChainError:
+        return
+    back = decode_block(block.encode())
+    assert back.header == block.header
+    assert back.confirmations == block.confirmations
+    assert back.block_hash == block.block_hash
 
 
 class TestTypeGuard:

@@ -301,6 +301,29 @@ class TestNodeCommand:
         assert codes == [0]
         assert len(servers) == 1 and servers[0].log.closed
 
+    def test_off_main_thread_with_sigint_ignored(self, tmp_path, keys,
+                                                 monkeypatch):
+        """Off the main thread, where no SIGINT handler can be installed,
+        a node that inherits an ignored SIGINT starts its server and stops
+        at an interrupt as usual."""
+        data_dir = str(tmp_path / "node")
+        live.init_data_dir(data_dir, {keys[0].address: 100},
+                           ChainParams(difficulty_bits=EASY_BITS))
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(signal, "getsignal", lambda _: signal.SIG_IGN)
+        monkeypatch.setattr(cli, "print", interrupt, raising=False)
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(cli.main(
+            ["node", "--data-dir", data_dir, "--listen", "127.0.0.1:0"])),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert codes == [0]
+
     def test_sigint_stops_node_started_with_it_ignored(self, tmp_path,
                                                        keys):
         """A node inherits an ignored SIGINT when it runs as a background

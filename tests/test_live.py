@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from shardchain import cli, codec, live, mainchain
+from shardchain import cli, codec, live, mainchain, subchain
 from shardchain.errors import DecodeError, ShardChainError, \
     UnconfirmedSend
 from shardchain.mainchain import ChainParams, EASY_BITS
@@ -19,6 +19,7 @@ from shardchain.miner import Miner
 from shardchain.network import Envelope, MsgKind
 from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
+from shardchain.subchain import SubchainFragment
 
 from conftest import build_chain, make_receive, make_send
 
@@ -50,6 +51,12 @@ def node_state(node):
 
 def log_path(data_dir):
     return os.path.join(data_dir, live.LOG_FILE)
+
+
+def one_tx(tx):
+    """The NewTx payload of ``tx`` alone: a one-tx fragment."""
+    return subchain.encode_fragment(
+        SubchainFragment(tx.current_address, tx.height - 1, (tx,)))
 
 
 @pytest.fixture
@@ -145,8 +152,7 @@ class TestJournal:
             client.submit_tx(late)
             after = node_state(server.node)
         assert os.path.getsize(log_path(data_dir)) \
-            == whole + len(live._log_record(MsgKind.NewTx,
-                                            codec.encode_tx(late)))
+            == whole + len(live._log_record(MsgKind.NewTx, one_tx(late)))
         for _ in range(2):
             reloaded = live.load_node(data_dir)
             assert node_state(reloaded) == after
@@ -205,6 +211,43 @@ class TestJournal:
             == (tip, blocks - {side.block_hash}, confirmed, pending)
         assert sorted(os.listdir(data_dir)) == [live.LOG_FILE,
                                                 live.META_FILE]
+
+    @pytest.mark.parametrize("first_held", [False, True])
+    def test_refused_batch_keeps_pooled_prefix(self, data_dir, keys,
+                                               first_held):
+        """A two-tx NewTx whose second tx is refused: the reply names the
+        one tx pooled, and the log gains that tx as a one-tx fragment, or
+        nothing when the node held it already; a reload gives the server's
+        node back."""
+        first = make_send(keys[0], amount=7)
+        second = make_send(keys[0], parent=first.tx_hash, height=2,
+                           amount=5)._replace(signature=b"\x01" * 64)
+        batch = subchain.encode_fragment(
+            SubchainFragment(keys[0].address, 0, (first, second)))
+        with serving(data_dir) as (server, client):
+            if first_held:
+                client.submit_tx(first)
+            size = os.path.getsize(log_path(data_dir))
+            with pytest.raises(ShardChainError) as exc:
+                client.call(Envelope(MsgKind.NewTx, batch))
+            assert str(exc.value).startswith("InvalidSignature: ")
+            assert str(exc.value).endswith(" (1 pooled)")
+            assert server.node.store.pending == {keys[0].address: [first]}
+            state = node_state(server.node)
+        with open(log_path(data_dir), "rb") as fh:
+            added = fh.read()[size:]
+        assert added == (b"" if first_held else
+                         live._log_record(MsgKind.NewTx, one_tx(first)))
+        assert node_state(live.load_node(data_dir)) == state
+
+    def test_earlier_build_tx_record_refused(self, data_dir, keys):
+        """A NewTx record of an earlier build, one bare tx, is not a
+        fragment: the data dir is refused."""
+        with open(log_path(data_dir), "ab") as fh:
+            fh.write(live._log_record(MsgKind.NewTx, codec.encode_tx(
+                make_send(keys[0], amount=7))))
+        with pytest.raises(DecodeError):
+            live.load_node(data_dir)
 
     def test_meta_with_block_interval_loads(self, data_dir, keys):
         """A data dir written while the chain parameters still held a block
@@ -506,6 +549,45 @@ class TestMineOnce:
             block = live.mine_once(client, MINER, PARAMS, timestamp=15)
             assert block.confirmations == ((a, first.tx_hash, 1),)
             assert server.node.view.tip == block.block_hash
+
+
+def test_sim_root_and_live_node_apply_the_same_envelopes(tmp_path):
+    """Every envelope a 3-node sim delivers to its root, handed to a fresh
+    live node's handler, leaves that node where the root is; so does a
+    reload of the node's journal."""
+    from shardchain.sim import SimConfig, Simulation
+
+    # blocks of 4 records, so that tails stay pending at the end
+    sim = Simulation(SimConfig(seed=5, accounts=40, width=8, avg_txs=2,
+                               blocks=8, node_count=3, block_limit=400))
+    delivered = []
+    deliver = sim.router.on_deliver
+
+    def noted(nid, env):
+        if nid == sim.root.node_id:
+            delivered.append(env)
+        deliver(nid, env)
+
+    sim.router.on_deliver = noted
+    sim.run()
+    assert {env.kind for env in delivered} == {MsgKind.NewTx,
+                                               MsgKind.NewBlock}
+    path = str(tmp_path / "root")
+    live.init_data_dir(path, dict(sim.genesis.allocations), sim.params)
+    server = live.NodeServer(path, ("127.0.0.1", 0))
+    try:
+        assert all(server.handle(env) == live.OK_FRAME for env in delivered)
+    finally:
+        server.close()
+
+    def held(node):
+        return (node.view.tip, node.store.confirmed, node.store.pending,
+                node.store.tail_states, node.store.inflows)
+
+    root = sim.root
+    assert root.view.tip_height == 8 and root.store.pending
+    assert held(server.node) == held(root)
+    assert held(live.load_node(path)) == held(root)
 
 
 # -- partial nodes of a sim --------------------------------------------

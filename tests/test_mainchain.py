@@ -5,10 +5,11 @@ import struct
 import pytest
 
 from shardchain import codec, mainchain
-from shardchain.codec import NULL_HASH, sha256d
+from shardchain.codec import NULL_HASH, sha256, sha256d
 from shardchain.errors import (
     BadPoW,
     DecodeError,
+    MainChainError,
     MalformedBits,
     Oversize,
     RootMismatch,
@@ -389,6 +390,53 @@ class TestValidateBlock:
         rec = ConfirmationRecord(b"\x01" * width, NULL_HASH, 1)
         with pytest.raises(UnsortedRecords):
             validate_block(mk_block(view, [rec]), view)
+
+    @pytest.mark.parametrize("width", [0, 19, 21])
+    def test_miner_address_width(self, keys, width):
+        """A miner address off 20 bytes: ``struct`` pads or cuts it into
+        the header, so a 19-byte one would hash as, and decode to, its
+        zero-padded twin, whose coinbase is another address's."""
+        key, view, chain = hosted_setup(keys)
+        block = mk_block(view, miner=b"\x07" * width)
+        twin = decode_block(block.encode())
+        assert twin.block_hash == block.block_hash
+        assert twin.header.miner_address != block.header.miner_address
+        with pytest.raises(MainChainError):
+            validate_block(block, view)
+        validate_block(twin, view)
+
+    @pytest.mark.parametrize("field,value", [
+        ("timestamp", 2**64), ("timestamp", -1),
+        ("nonce", 2**64), ("nonce", -1)])
+    def test_header_integer_off_u64(self, keys, field, value):
+        """A header integer outside u64 has no wire form: it is refused
+        with a MainChainError before the header is hashed."""
+        key, view, chain = hosted_setup(keys)
+        block = mk_block(view)
+        header = dataclasses.replace(block.header, **{field: value})
+        with pytest.raises(struct.error):
+            header.encode()
+        with pytest.raises(MainChainError):
+            validate_block(MainBlock(header, block.confirmations), view)
+
+    @pytest.mark.parametrize("width,tip_height", [
+        (31, 1), (33, 1), (32, 2**64), (32, -1)])
+    def test_record_field_off_wire(self, keys, width, tip_height):
+        """A record's tip hash off 32 bytes would hash into the root as its
+        padded or cut twin; a height off u64 has no wire form. Neither
+        has a root, so neither builds a block nor validates in one whose
+        header holds its twin's root."""
+        key, view, chain = hosted_setup(keys)
+        rec = ConfirmationRecord(key.address, b"\x02" * width, tip_height)
+        try:
+            root = sha256(rec.encode())         # the twin's, struct's root
+        except struct.error:
+            root = NULL_HASH
+        header = BlockHeader(view.tip, 1, 0, MINER, root, EASY_BITS)
+        with pytest.raises(MainChainError):
+            validate_block(seal(MainBlock(header, (rec,))), view)
+        with pytest.raises(MainChainError):
+            confirmations_root((rec,))
 
     def test_root_mismatch(self, keys):
         key, view, chain = hosted_setup(keys)

@@ -84,8 +84,8 @@ class TestTopology:
     def test_neighbors_symmetric(self):
         topo, ids = full_tree(15)
         for n in topo.nodes():
-            for m in topo.neighbors(n):
-                assert n in topo.neighbors(m)
+            for m in topo.neighbor_map[n]:
+                assert n in topo.neighbor_map[m]
                 assert m not in topo.tree_links(n)
 
     def test_links_superset_of_tree(self):

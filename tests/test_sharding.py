@@ -11,7 +11,6 @@ from shardchain.network import TreeTopology
 from shardchain.sharding import (
     MAX_PREFIX_BITS,
     ShardAssignment,
-    child_assignment,
     decode_assignment,
     hosted_slice,
     hosts,
@@ -103,8 +102,8 @@ class TestAssignment:
 
     def test_child_sides(self):
         parent = ShardAssignment("1")
-        assert child_assignment(parent, 0).prefix_bits == "10"
-        assert child_assignment(parent, 1).prefix_bits == "11"
+        assert split(parent)[0].prefix_bits == "10"
+        assert split(parent)[1].prefix_bits == "11"
 
     @pytest.mark.parametrize("bits", ["", "0", "1", "10110", "0" * 17,
                                       "1" * 160])
