@@ -21,6 +21,7 @@ from cryptography.exceptions import InvalidSignature as _CryptoBadSig
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
     decode_dss_signature,
     encode_dss_signature,
 )
@@ -44,7 +45,9 @@ CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 # The one signature algorithm, ECDSA over SHA-256: an immutable object
 # that signing and verification share instead of building one per call.
-_ECDSA = ec.ECDSA(hashes.SHA256())
+# Both pass it the SHA-256 of the preimage, which is the tx_hash too, so
+# the preimage is hashed once.
+_ECDSA = ec.ECDSA(Prehashed(hashes.SHA256()))
 
 # Signing preimage: tag byte plus every field except tx_hash, public_key
 # and signature, in table order.
@@ -228,8 +231,9 @@ def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
         raise InvalidSignature("a field is not of its wire type and width")
     if key.address != tx.current_address:
         raise KeyMismatch("key does not control the subchain address")
-    der = key.signing_key.sign(pre, _ECDSA)
-    return tx._replace(tx_hash=sha256(pre), public_key=key.public,
+    digest = sha256(pre)
+    der = key.signing_key.sign(digest, _ECDSA)
+    return tx._replace(tx_hash=digest, public_key=key.public,
                        signature=_compact_signature(der))
 
 
@@ -262,8 +266,8 @@ def _verify_uncached(tx: SubchainTx) -> bool:
     try:
         if not _wire_exact(tx):
             return False
-        pre = tx_preimage(tx)
-        if tx.tx_hash != sha256(pre):
+        digest = sha256(tx_preimage(tx))
+        if tx.tx_hash != digest:
             return False
         if address_from_public(tx.public_key) != tx.current_address:
             return False
@@ -275,7 +279,7 @@ def _verify_uncached(tx: SubchainTx) -> bool:
         return False
     try:
         pub = _public_key(tx.public_key)
-        pub.verify(encode_dss_signature(r, s), pre, _ECDSA)
+        pub.verify(encode_dss_signature(r, s), digest, _ECDSA)
     except (_CryptoBadSig, ValueError):
         return False
     return True

@@ -128,6 +128,11 @@ class Timeout(ShardChainError):
 
 # --- node / pool ---
 
+class MalformedBatch(ShardChainError):
+    """A NewTx batch no fragment can carry: no tx, or a first tx below
+    height 1."""
+
+
 class NotHosted(ShardChainError):
     pass
 

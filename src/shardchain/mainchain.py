@@ -13,7 +13,7 @@ from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, ge, itemgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
     Tuple
 
@@ -37,6 +37,11 @@ BLOCK_OVERHEAD = HEADER_LEN + 4   # header plus the 4-byte record count
 _RECORD = struct.Struct(">20s32sQ")
 _HEADER = struct.Struct(">32sQQ20s32sIQ")
 _U64 = 1 << 64
+# a record's fields by position: whole-record passes map these over a
+# block's records instead of reading NamedTuple fields one by one
+_ADDRESS = itemgetter(0)
+_TIP_HASH = itemgetter(1)
+_TIP_HEIGHT = itemgetter(2)
 
 DEFAULT_SUBSIDY = 50 * 10**8
 EASY_BITS = 0x207FFFFF   # top byte 0x7f: ~1/2 success per attempt
@@ -96,7 +101,8 @@ class BlockHeader:
     @cached_property
     def block_hash(self) -> bytes:
         # cached: the header is immutable, and ingest reads the hash of
-        # each block several times
+        # each block several times. decode_block seeds it with the hash of
+        # the wire bytes it unpacked.
         return sha256d(self.encode())
 
 
@@ -131,9 +137,11 @@ class MainBlock:
         return b"".join(parts)
 
 
-def _with_root(block: MainBlock, root: bytes) -> MainBlock:
-    block.__dict__["records_root"] = root   # the cached_property's slot
-    return block
+def _seed(obj, **cached):
+    """``obj`` with the slots of its cached properties ``cached`` filled
+    by values already known."""
+    vars(obj).update(cached)
+    return obj
 
 
 def decode_block(data: bytes) -> MainBlock:
@@ -144,9 +152,10 @@ def decode_block(data: bytes) -> MainBlock:
     (count,) = struct.unpack_from(">I", data, HEADER_LEN)
     body = data[BLOCK_OVERHEAD:]
     records = decode_records(body, count)
-    # the records re-encode to exactly the bytes they were unpacked from
-    return _with_root(MainBlock(header=header, confirmations=records),
-                      sha256(body))
+    # the header and the records re-encode to exactly the bytes they were
+    # unpacked from
+    return _seed(MainBlock(header=_seed(header, block_hash=sha256d(
+        data[:HEADER_LEN])), confirmations=records), records_root=sha256(body))
 
 
 def target(difficulty_bits: int) -> int:
@@ -164,7 +173,11 @@ def target(difficulty_bits: int) -> int:
 
 
 def block_work(difficulty_bits: int) -> int:
-    return (1 << 256) // (target(difficulty_bits) + 1)
+    return _work(target(difficulty_bits))
+
+
+def _work(goal: int) -> int:
+    return (1 << 256) // (goal + 1)
 
 
 def meets_target(block_hash: bytes, difficulty_bits: int) -> bool:
@@ -198,7 +211,7 @@ def new_block(parent: bytes, height: int, timestamp: int,
     root = confirmations_root(records)
     header = BlockHeader(parent, height, timestamp, miner_address, root,
                          difficulty_bits, 0)
-    return _with_root(seal(MainBlock(header, records)), root)
+    return _seed(seal(MainBlock(header, records)), records_root=root)
 
 
 @dataclass(frozen=True)
@@ -316,49 +329,51 @@ class ChainView:
         fork_height = self.height[branch_tip] - len(side)
         overlay: Dict[bytes, Optional[tuple]] = {}
         for bh in reversed(self.canonical[fork_height + 1:]):
-            overlay.update(zip((r.address for r in
-                                self.blocks[bh].confirmations),
+            overlay.update(zip(map(_ADDRESS, self.blocks[bh].confirmations),
                                self.undo[bh]))
         for bh in side:
-            for rec in self.blocks[bh].confirmations:
-                overlay[rec.address] = (bh, rec.tip_hash, rec.tip_height)
+            _confirm(overlay, bh, self.blocks[bh].confirmations)
         return ChainMap(overlay, self.confirmations)
 
     # -- mutation ------------------------------------------------------
 
-    def extend(self, block: MainBlock) -> bool:
-        """Insert a validated block. Returns True if the canonical tip
-        changed (possibly a reorg)."""
+    def extend(self, block: MainBlock,
+               prior: Optional[Tuple[Optional[tuple], ...]] = None) -> bool:
+        """Insert a validated block. ``prior``, when given, is what
+        ``validate_block`` returned for it: its records' entries on the
+        parent branch, which are its undo record once it is canonical.
+        Returns True if the canonical tip changed (possibly a reorg)."""
         parent = block.header.parent_block_hash
         if parent not in self.work:
             raise UnknownParent("parent block unknown")
         bh = block.block_hash
         if bh in self.blocks:
             return False
-        assert meets_target(bh, block.header.difficulty_bits)
+        goal = target(block.header.difficulty_bits)
+        assert int.from_bytes(bh, "big") <= goal
         self.blocks[bh] = block
         self.height[bh] = self.height[parent] + 1
-        self.work[bh] = self.work[parent] \
-            + block_work(block.header.difficulty_bits)
-        if self.work[bh] <= self.work[self.tip]:
+        work = self.work[bh] = self.work[parent] + _work(goal)
+        if work <= self.work[self.tip]:
             return False
         connect = self.fork_path(bh)
         fork_height = self.height[bh] - len(connect)
+        confirmations = self.confirmations
         while len(self.canonical) > fork_height + 1:
             h = self.canonical.pop()
-            for rec, entry in zip(self.blocks[h].confirmations,
-                                  self.undo.pop(h)):
+            for address, entry in zip(map(_ADDRESS,
+                                          self.blocks[h].confirmations),
+                                      self.undo.pop(h)):
                 if entry is None:
-                    del self.confirmations[rec.address]
+                    del confirmations[address]
                 else:
-                    self.confirmations[rec.address] = entry
+                    confirmations[address] = entry
         for h in connect:
             records = self.blocks[h].confirmations
-            self.undo[h] = tuple(self.confirmations.get(r.address)
-                                 for r in records)
-            for rec in records:
-                self.confirmations[rec.address] = (h, rec.tip_hash,
-                                                   rec.tip_height)
+            # before h is connected, the index is its parent branch's
+            self.undo[h] = prior if h == bh and prior is not None else \
+                tuple(map(confirmations.get, map(_ADDRESS, records)))
+            _confirm(confirmations, h, records)
             self.canonical.append(h)
         self.tip = bh
         return True
@@ -368,6 +383,14 @@ class ChainView:
         indexes must equal."""
         self.canonical = self.branch(self.tip)
         self.confirmations = self.confirmations_at(self.tip)
+
+
+def _confirm(index: dict, block_hash: bytes, records) -> None:
+    """Set each record's address in ``index`` to its entry in block
+    ``block_hash``: (block hash, tip hash, tip height)."""
+    index.update(zip(map(_ADDRESS, records), zip(
+        repeat(block_hash), map(_TIP_HASH, records),
+        map(_TIP_HEIGHT, records))))
 
 
 class ViewClaimContext(subchain.ClaimContext):
@@ -430,14 +453,16 @@ class ViewClaimContext(subchain.ClaimContext):
 
 
 def validate_block(block: MainBlock, view: ChainView
-                   ) -> Mapping[bytes, Optional[tuple]]:
+                   ) -> Tuple[Optional[tuple], ...]:
     """The main chain's checks of one block against its parent branch:
     known parent, difficulty bits, height, size, header fields at their
     wire widths and ranges, PoW, record order, root (whose computation
     refuses in-process records off theirs), and that each record advances
     its address. Whether a record's fragment is a valid state transition
-    is for the nodes that host the address to check. Returns the parent
-    branch's confirmation index.
+    is for the nodes that host the address to check. Returns each
+    record's latest confirmation entry on the parent branch, in record
+    order: (block hash, tip hash, tip height), or None for an address the
+    branch never confirmed.
     """
     header = block.header
     parent = header.parent_block_hash
@@ -459,20 +484,22 @@ def validate_block(block: MainBlock, view: ChainView
         raise MalformedBlock("a header field is off its wire width or range")
     if not meets_target(block.block_hash, header.difficulty_bits):
         raise BadPoW("block hash above target")
-    addresses = [r.address for r in records]
+    addresses = list(map(_ADDRESS, records))
     # hosted_slice and hosts() order addresses as 20-byte strings
     if set(map(len, addresses)) - {ADDR_LEN}:
         raise UnsortedRecords("record addresses must be %d bytes" % ADDR_LEN)
-    if any(a >= b for a, b in zip(addresses, addresses[1:])):
+    if any(map(ge, addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")
     if header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
 
-    index = view.branch_confirmations(parent)
-    for rec in records:
-        entry = index.get(rec.address)
+    # a side branch's index maps an address that only canonical blocks
+    # above the fork point confirmed to None: get() reads that None, not
+    # the canonical entry behind it
+    prior = tuple(map(view.branch_confirmations(parent).get, addresses))
+    for tip_height, entry in zip(map(_TIP_HEIGHT, records), prior):
         prev_height = entry[2] if entry else 0
-        if rec.tip_height <= prev_height:
+        if tip_height <= prev_height:
             raise StaleConfirmation(
                 "record does not advance beyond height %d" % prev_height)
-    return index
+    return prior

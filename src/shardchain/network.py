@@ -38,6 +38,10 @@ class TreeTopology:
         self.child_map: Dict[NodeId, List[NodeId]] = {}
         self.assignments: Dict[NodeId, ShardAssignment] = {}
         self.neighbor_map: Dict[NodeId, Set[NodeId]] = {}
+        # each node's links() with the [low, high] range of each link's
+        # assignment, rebuilt with the neighbours: the flood router's table
+        self.link_ranges: Dict[NodeId, Tuple[Tuple[NodeId, bytes, bytes],
+                                             ...]] = {}
         self.root: Optional[NodeId] = None
         self._next = 0
 
@@ -52,7 +56,7 @@ class TreeTopology:
         self.parent[nid] = None
         self.child_map[nid] = []
         self.assignments[nid] = ShardAssignment()
-        self.neighbor_map[nid] = set()
+        self.recompute_neighbors()
         return nid
 
     def join(self, parent: NodeId) -> Tuple[NodeId, ShardAssignment]:
@@ -116,6 +120,11 @@ class TreeTopology:
             for m in nbrs:
                 chosen[m].add(node)
         self.neighbor_map = chosen
+        self.link_ranges = {
+            node: tuple((link, self.assignments[link].low,
+                         self.assignments[link].high)
+                        for link in self.links(node))
+            for node in self.parent}
 
     def links(self, node: NodeId) -> List[NodeId]:
         """All broadcast links: parent, children, then neighbors."""
@@ -230,13 +239,12 @@ class FloodRouter:
     def _forward(self, node: NodeId, came_from: Optional[NodeId],
                  env: Envelope) -> None:
         address = self.scope(env) if self.scope is not None else None
-        for link in self.topology.links(node):
-            if link == came_from:
-                continue
-            if address is not None and not sharding.hosts(
-                    self.topology.assignment(link), address):
-                continue
-            self.transport.send(node, link, env)
+        # a link hosts the address when it lies in the link's range, as
+        # sharding.hosts tests it
+        for link, low, high in self.topology.link_ranges[node]:
+            if link != came_from and (address is None
+                                      or low <= address <= high):
+                self.transport.send(node, link, env)
 
 
 def broadcast(origin: NodeId, env: Envelope, topology: TreeTopology,

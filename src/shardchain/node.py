@@ -236,58 +236,60 @@ class Node:
 
     # -- block ingest --------------------------------------------------
 
-    def ingest_block(self, block: MainBlock) -> Dict[bytes, tuple]:
+    def ingest_block(self, block: MainBlock
+                     ) -> Dict[bytes, Tuple[tuple, SubchainState]]:
         """Validate and apply one main block; idempotent.
 
-        Returns the per-address (old_state, new_state, txs) deltas for
-        hosted shards (empty on duplicate ingest).
+        Returns the archive entry it stores for the block: each hosted
+        address the block confirms, in record order, mapped to its
+        fragment's txs and the state they lead to (empty on duplicate
+        ingest).
         """
         bh = block.block_hash
         if bh in self.view.blocks:
             return {}
-        index = mainchain.validate_block(block, self.view)
+        # each record's entry on the parent branch, read once: the height
+        # its fragment starts from here, and the block's undo record
+        prior = mainchain.validate_block(block, self.view)
         parent = block.header.parent_block_hash
         ctx = self.claim_context(parent)
         pending = self.store.pending if parent == self.view.tip else {}
-        deltas = {}
-        for rec in hosted_slice(self.assignment, block.confirmations):
-            address = rec.address
-            entry = index.get(address)
-            lo = entry[2] if entry else 0
+        tail_states = self.store.tail_states
+        entry = {}
+        span = hosted_slice(self.assignment, block.confirmations)
+        for (address, tip_hash, tip_height), last in zip(
+                block.confirmations[span], prior[span]):
+            lo = last[2] if last else 0
             # a record on the tip that confirms a whole pending tail takes
             # the tail's kept state: its replay under the tip's claim
-            # context, which is this block's. Any other record is replayed.
+            # context, which is this block's. Any other record is replayed
+            # from the state of its address's last confirmation.
             tail = pending.get(address)
-            pooled = tail and tail[0].height == lo + 1 \
-                and tail[-1].tx_hash == rec.tip_hash \
-                and tail[-1].height == rec.tip_height
-            old_state = self._state_after(entry, address)
-            if pooled:
-                new_state, txs = self.store.tail_states[address], tuple(tail)
-            else:
-                frag = self._shard_oracle(address, lo, rec.tip_height,
-                                          rec.tip_hash)
-                try:
-                    new_state = subchain.verify_fragment(old_state, frag, ctx)
-                except SubchainError as err:
-                    err.address = address
-                    raise
-                if new_state.tip_hash != rec.tip_hash \
-                        or new_state.tip_height != rec.tip_height:
-                    raise ConfirmationMismatch(
-                        "fragment tip does not match the record")
-                txs = frag.txs
-            deltas[address] = (old_state, new_state, txs)
-        self.store.archive[bh] = {address: (txs, new_state) for address,
-                                  (_, new_state, txs) in deltas.items()}
+            if tail and tail[0].height == lo + 1 \
+                    and tail[-1].tx_hash == tip_hash \
+                    and tail[-1].height == tip_height:
+                entry[address] = (tuple(tail), tail_states[address])
+                continue
+            frag = self._shard_oracle(address, lo, tip_height, tip_hash)
+            try:
+                new_state = subchain.verify_fragment(
+                    self._state_after(last, address), frag, ctx)
+            except SubchainError as err:
+                err.address = address
+                raise
+            if new_state.tip_hash != tip_hash \
+                    or new_state.tip_height != tip_height:
+                raise ConfirmationMismatch(
+                    "fragment tip does not match the record")
+            entry[address] = (frag.txs, new_state)
+        self.store.archive[bh] = entry
         disconnect = self.view.canonical[ctx.fork_height + 1:]
-        if not self.view.extend(block):
-            return deltas
-        if disconnect:
-            self._reorg(disconnect, ctx.side + [bh])
-        else:
-            self._connect(bh)
-        return deltas
+        if self.view.extend(block, prior):
+            if disconnect:
+                self._reorg(disconnect, ctx.side + [bh])
+            else:
+                self._connect(bh)
+        return entry
 
     def _state_after(self, entry: Optional[tuple],
                      address: bytes) -> SubchainState:
@@ -338,29 +340,34 @@ class Node:
         return SubchainFragment(address, lo, tuple(txs))
 
     def _connect(self, block_hash: bytes) -> None:
-        """Apply a block's archived hosted deltas to the canonical
+        """Apply a block's archived hosted entry to the canonical
         keyspaces and index the inflows it makes: each archived send to
         a hosted recipient, keyed by send hash, and a hosted miner's
         coinbase, keyed by block hash."""
         store = self.store
+        confirmed, held, sends, inflows, pending = (
+            store.confirmed, store.txs, store.send_index, store.inflows,
+            store.pending)
         # hosts()'s range test, written inline below
         low, high = self.assignment.low, self.assignment.high
         header = self.view.blocks[block_hash].header
         height = header.height
         for address, (txs, new_state) in store.archive[block_hash].items():
-            store.confirmed[address] = new_state
+            confirmed[address] = new_state
             for tx in txs:
-                store.txs[(address, tx.height)] = tx
+                held[address, tx[1]] = tx                   # height
                 if isinstance(tx, SendTx):
-                    store.send_index[(address, tx.tx_hash)] = tx
-                    if low <= tx.recipient_address <= high:
-                        store.inflows.setdefault(tx.recipient_address, {})[
-                            tx.tx_hash] = _new(Inflow, (
-                                address, tx.tx_hash, tx.amount, block_hash,
-                                height, False))
-            self._trim_pending(address, new_state)
+                    # recipient_address, amount, timestamp, tx_hash
+                    recipient, amount, _, tx_hash = tx[3:7]
+                    sends[address, tx_hash] = tx
+                    if low <= recipient <= high:
+                        inflows.setdefault(recipient, {})[tx_hash] = _new(
+                            Inflow, (address, tx_hash, amount, block_hash,
+                                     height, False))
+            if address in pending:
+                self._trim_pending(address, new_state)
         if low <= header.miner_address <= high:
-            store.inflows.setdefault(header.miner_address, {})[
+            inflows.setdefault(header.miner_address, {})[
                 block_hash] = _new(Inflow, (codec.NULL_ADDRESS,
                                             codec.NULL_HASH,
                                             self.params.subsidy, block_hash,
@@ -421,9 +428,9 @@ class Node:
 
     def _trim_pending(self, address: bytes,
                       confirmed: SubchainState) -> None:
-        tail = self.store.pending.get(address)
-        if not tail:
-            return
+        """Keep the part of ``address``'s pending tail above the
+        ``confirmed`` state if it links to it, else drop the tail."""
+        tail = self.store.pending[address]
         if tail[-1].height > confirmed.tip_height:
             kept = [t for t in tail if t.height > confirmed.tip_height]
             if kept[0].parent_hash == confirmed.tip_hash \

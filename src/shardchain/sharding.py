@@ -69,14 +69,15 @@ def hosts(assignment: ShardAssignment, address: bytes) -> bool:
 _ADDRESS = attrgetter("address")
 
 
-def hosted_slice(assignment: ShardAssignment, records) -> tuple:
-    """The records whose address the assignment hosts, found by bisecting
-    to its [low, high] range. It relies only on the records being strictly
-    sorted by address, as ``mainchain.validate_block`` checks: the slice
-    is then the records ``hosts()`` keeps, since both are the same range
-    test on the addresses' byte order."""
-    return records[bisect_left(records, assignment.low, key=_ADDRESS):
-                   bisect_right(records, assignment.high, key=_ADDRESS)]
+def hosted_slice(assignment: ShardAssignment, records) -> slice:
+    """The slice of ``records`` whose addresses the assignment hosts,
+    found by bisecting to its [low, high] range; it also cuts any
+    sequence aligned with the records. It relies only on the records
+    being strictly sorted by address, as ``mainchain.validate_block``
+    checks: the slice then holds the records ``hosts()`` keeps, since
+    both are the same range test on the addresses' byte order."""
+    return slice(bisect_left(records, assignment.low, key=_ADDRESS),
+                 bisect_right(records, assignment.high, key=_ADDRESS))
 
 
 def split(assignment: ShardAssignment):

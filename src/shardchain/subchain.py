@@ -21,6 +21,7 @@ from .errors import (
     FragmentMisaligned,
     InsufficientBalance,
     InvalidSignature,
+    MalformedBatch,
     UnconfirmedSend,
     WrongRecipient,
 )
@@ -201,7 +202,14 @@ def encode_fragment(frag: SubchainFragment) -> bytes:
 
 
 def encode_batch(txs: Sequence[SubchainTx]) -> bytes:
-    """The NewTx payload of one account's consecutive txs: their fragment."""
+    """The NewTx payload of one account's consecutive txs: their fragment,
+    which starts just below the first tx's height. A batch with no tx or
+    a first tx below height 1 is refused before anything is packed."""
+    if not txs:
+        raise MalformedBatch("a batch holds at least one transaction")
+    if txs[0].height < 1:
+        raise MalformedBatch("a batch starts at height 1 or above, not %d"
+                             % txs[0].height)
     return encode_fragment(_new(SubchainFragment, (
         txs[0].current_address, txs[0].height - 1, tuple(txs))))
 

@@ -12,8 +12,8 @@ import threading
 import pytest
 
 from shardchain import cli, codec, live, mainchain, subchain
-from shardchain.errors import DecodeError, ShardChainError, \
-    UnconfirmedSend
+from shardchain.errors import DecodeError, MalformedBatch, \
+    ShardChainError, UnconfirmedSend
 from shardchain.mainchain import ChainParams, EASY_BITS
 from shardchain.miner import Miner
 from shardchain.network import Envelope, MsgKind
@@ -301,6 +301,18 @@ class TestHostileInput:
                 client.submit_tx(make_send(key, amount=7))
             assert "NotHosted" in str(exc.value)
             assert os.path.getsize(log_path(path)) == size
+            assert server.node.store.pending == {}
+
+    def test_height_zero_tx_refused_unsent(self, data_dir, keys):
+        """submit_tx of a height-0 tx raises MalformedBatch before sending:
+        the next reply on the connection is the Hello's."""
+        with serving(data_dir) as (server, client):
+            size = os.path.getsize(log_path(data_dir))
+            with pytest.raises(MalformedBatch):
+                client.submit_tx(make_send(keys[0], height=0, amount=7))
+            _, _, tip_height, pending = client.hello()
+            assert (tip_height, pending) == (0, [])
+            assert os.path.getsize(log_path(data_dir)) == size
             assert server.node.store.pending == {}
 
     def test_oversized_frame_refused_unread(self, data_dir):

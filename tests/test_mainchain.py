@@ -146,10 +146,12 @@ class TestBlockCodec:
 
     def test_header_hash_is_per_object(self):
         """Each header caches the hash of its own encoding: a decoded
-        header and a copy with another nonce each hash what they hold."""
+        header, seeded with the hash of the wire bytes it was unpacked
+        from, and a copy with another nonce each hash what they hold."""
         view = ChainView(make_genesis({}), PARAMS)
         block = mk_block(view)
         header = decode_block(block.encode()).header
+        assert "block_hash" in vars(header)     # seeded, not computed
         assert header.block_hash == sha256d(header.encode()) \
             == block.block_hash
         copy = dataclasses.replace(header, nonce=header.nonce + 1)
@@ -261,6 +263,14 @@ class TestChainView:
         assert not view.extend(block)
         assert view.tip_height == 1
 
+    def test_extend_computes_target_once(self, monkeypatch):
+        """The block's target serves both its PoW assert and its work."""
+        view = ChainView(make_genesis({}), PARAMS)
+        block = mk_block(view)
+        calls = Calls(monkeypatch, [(mainchain, "target")])
+        assert view.extend(block)
+        assert calls.take() == {"target": 1}
+
     def test_unknown_parent(self):
         view = ChainView(make_genesis({}), PARAMS)
         header = BlockHeader(b"\x99" * 32, 1, 0, MINER,
@@ -335,16 +345,21 @@ def hosted_setup(keys, n_txs=4):
 
 class TestValidateBlock:
     def test_returns_parent_branch_index(self, keys):
+        """The parent branch's index entry of each record, in record
+        order. A side branch's index maps an address that only blocks
+        above its fork point confirmed to None: a record of it there is
+        fresh, not stale against the canonical entry."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        assert validate_block(block, view) is view.confirmations
+        assert validate_block(block, view) == (None,)
         view.extend(block)
-        assert validate_block(mk_block(view), view)[key.address] \
-            == (block.block_hash, chain[-1].tx_hash, 4)
-        side = mk_block(view, [], parent=view.genesis.block_hash,
+        again = ConfirmationRecord(key.address, chain[-1].tx_hash, 5)
+        assert validate_block(mk_block(view, [again]), view) \
+            == ((block.block_hash, chain[-1].tx_hash, 4),)
+        side = mk_block(view, [rec], parent=view.genesis.block_hash,
                         timestamp=99)
-        assert validate_block(side, view).get(key.address) is None
+        assert validate_block(side, view) == (None,)
 
     def test_unknown_parent(self, keys):
         key, view, chain = hosted_setup(keys)

@@ -154,6 +154,31 @@ class TestBroadcast:
         assert list(router.hops) == [first.msg_id, second.msg_id]
         assert all(set(router.hops[m]) == set(ids) for m in router.hops)
 
+    def test_join_after_a_flood_changes_the_next(self):
+        """A node joined after one flood is reached by the next one, over
+        the links the join recomputed: each node's link table is its
+        links(), each with the range of the link's assignment."""
+        topo, ids = full_tree(3)
+        transport = SimTransport(seed=2)
+        router = FloodRouter(topo, transport, scope=tx_address)
+        router.attach_all()
+        before = broadcast(ids[0], Envelope(MsgKind.NewBlock, b"before"),
+                           topo, transport, router)
+        assert set(before.reached) == set(ids)
+        nid, assignment = topo.join(ids[1])
+        assert assignment.prefix_bits == "00"
+        router.attach_all()
+        after = broadcast(ids[0], Envelope(MsgKind.NewBlock, b"after"),
+                          topo, transport, router)
+        assert set(after.reached) == set(ids) | {nid}
+        scoped = broadcast(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
+                           topo, transport, router)
+        assert set(scoped.reached) == {ids[0], ids[1], nid}
+        for n in topo.nodes():
+            assert topo.link_ranges[n] == tuple(
+                (m, topo.assignment(m).low, topo.assignment(m).high)
+                for m in topo.links(n))
+
     def test_single_failure_everyone_else_reached(self):
         """With neighbor_count=2, killing any single non-origin node never
         prevents the rest from hearing a broadcast."""

@@ -152,9 +152,11 @@ class TestIngest:
         key = keys[0]
         node = make_node(make_genesis({key.address: 1000}))
         chain = build_chain(key, 3, start_balance=1000)
-        block, deltas = ingest_chain(node, key, chain)
+        block, entry = ingest_chain(node, key, chain)
         state = node.confirmed_state(key.address)
         assert state.tip_height == 3
+        assert entry == node.store.archive[block.block_hash] \
+            == {key.address: (tuple(chain), state)}
         assert key.address not in node.store.pending
         # oracle: from-scratch replay agrees
         assert state == replay(chain, node.claim_context(),
@@ -194,8 +196,8 @@ class TestIngest:
 
     def test_replayed_record_delta(self, keys):
         """A record the node holds no pool for is replayed from the
-        fragment it names: the delta is the prior state, the replayed
-        state and the fragment's txs."""
+        fragment it names, from the prior state: the block's entry holds
+        the fragment's txs and the replayed state."""
         key = keys[0]
         chain = build_chain(key, 4, start_balance=1000)
         node = Node(b"\x00" * 8, ShardAssignment(""),
@@ -204,9 +206,10 @@ class TestIngest:
                         address=address, from_height=lo,
                         txs=tuple(chain[lo:hi])))
         ctx = node.claim_context()
-        deltas = node.ingest_block(confirm_block(node, [
+        old = node.confirmed_state(key.address)
+        entry = node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, chain[-1].tx_hash, 4)]))
-        old, new, txs = deltas[key.address]
+        txs, new = entry[key.address]
         assert old == initial_state(key.address, 1000)
         assert new == replay(chain, ctx, initial=old)
         assert node.confirmed_state(key.address).tip_height == 4
@@ -214,7 +217,7 @@ class TestIngest:
 
     def test_foreign_record_skipped(self, keys, monkeypatch):
         """A partial node checks no record of an address it does not host:
-        no fragment check, no STF step, no delta."""
+        no fragment check, no STF step, an empty entry."""
         key = keys[0]
         chain = build_chain(key, 2, start_balance=1000)
         other = "1" if sharding.hosts(ShardAssignment("0"), key.address) \
@@ -265,9 +268,9 @@ class TestIngest:
             self, keys, monkeypatch):
         """A block on the tip that confirms two whole pending tails takes
         each tail's post-state from the pool: it is ingested without an
-        STF step, a fragment check, a signature check or an encoded tx,
-        and its deltas equal a check of each fragment from the prior
-        state."""
+        STF step, a fragment check, a signature check, an encoded tx or a
+        read of a prior state, and its entry equals a check of each
+        fragment from the prior state."""
         sender, rcpt = keys[0], keys[1]
         node = make_node(make_genesis({sender.address: 100,
                                        rcpt.address: 100}))
@@ -281,20 +284,23 @@ class TestIngest:
         block = confirm_block(node, sorted(records,
                                            key=lambda r: r.address))
         ctx = node.claim_context()
+        old = {r.address: node.confirmed_state(r.address) for r in records}
         calls = Calls(monkeypatch, [(codec, "encode_tx"),
                                     (codec, "_verify_uncached"),
                                     (subchain, "apply_tx"),
-                                    (subchain, "verify_fragment")])
-        deltas = node.ingest_block(block)
+                                    (subchain, "verify_fragment"),
+                                    (Node, "_state_after")])
+        entry = node.ingest_block(block)
         assert calls.take() == {}
         monkeypatch.undo()
-        assert sorted(len(d[2]) for d in deltas.values()) == [3, 3]
+        assert sorted(len(txs) for txs, _ in entry.values()) == [3, 3]
         assert node.view.tip == block.block_hash
-        assert list(deltas) == [r.address for r in block.confirmations]
-        for address, (old, new, txs) in deltas.items():
-            assert old == initial_state(address, 100)
-            assert new == subchain.verify_fragment(old, SubchainFragment(
-                address=address, from_height=0, txs=txs), ctx)
+        assert list(entry) == [r.address for r in block.confirmations]
+        for address, (txs, new) in entry.items():
+            assert old[address] == initial_state(address, 100)
+            assert new == subchain.verify_fragment(
+                old[address], SubchainFragment(
+                    address=address, from_height=0, txs=txs), ctx)
             assert node.confirmed_state(address).tip_height == 3
 
 
@@ -309,11 +315,11 @@ class TestIngestFallback:
         for tx in chain:
             node.accept_pending_tx(tx)
         calls = Calls(monkeypatch)
-        deltas = node.ingest_block(confirm_block(node, [
+        entry = node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, chain[1].tx_hash, 2)]))
         counts = calls.take()
         assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 2)
-        assert deltas[key.address][2] == tuple(chain[:2])
+        assert entry[key.address][0] == tuple(chain[:2])
         assert node.store.pending[key.address] == chain[2:]
 
     def test_side_block_confirming_tail_replays(self, keys, monkeypatch):
@@ -329,13 +335,16 @@ class TestIngestFallback:
             node.accept_pending_tx(tx)
         side = confirm_block(node, [ConfirmationRecord(
             key.address, chain[-1].tx_hash, 2)], parent=genesis, timestamp=99)
+        old = node.confirmed_state(key.address)
         calls = Calls(monkeypatch)
-        deltas = node.ingest_block(side)
+        entry = node.ingest_block(side)
         counts = calls.take()
         assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 2)
         assert node.view.tip != side.block_hash
-        assert node.store.archive[side.block_hash] == {
-            key.address: (tuple(chain), deltas[key.address][1])}
+        assert node.store.archive[side.block_hash] == entry == {
+            key.address: (tuple(chain), entry[key.address][1])}
+        assert entry[key.address][1] == replay(
+            chain, node.claim_context(side.block_hash), initial=old)
         assert node.store.pending[key.address] == chain
         assert node.confirmed_state(key.address).tip_height == 0
 
@@ -370,7 +379,7 @@ class TestIngestFallback:
     @staticmethod
     def confirm_other_version(key):
         """Pool send A, then ingest a block on the tip that confirms send
-        B at A's height. Returns the node, A, B, the deltas and the
+        B at A's height. Returns the node, A, B, the block's entry and the
         fetches made."""
         a = make_send(key, recipient=b"\x07" * 20, amount=1)
         b = make_send(key, recipient=b"\x08" * 20, amount=2)
@@ -384,9 +393,9 @@ class TestIngestFallback:
         node = Node(b"\x00" * 8, ShardAssignment(""),
                     make_genesis({key.address: 1000}), PARAMS, fetch=fetch)
         node.accept_pending_tx(a)
-        deltas = node.ingest_block(confirm_block(node, [
+        entry = node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, b.tx_hash, 1)]))
-        return node, a, b, deltas, fetched
+        return node, a, b, entry, fetched
 
     def test_other_version_at_tail_tip_is_fetched(self, keys):
         """A block on the tip confirms send B at the height of the pending
@@ -395,9 +404,9 @@ class TestIngestFallback:
         fetched and checked, and the tail that no longer links is
         dropped."""
         key = keys[0]
-        node, _, b, deltas, fetched = self.confirm_other_version(key)
+        node, _, b, entry, fetched = self.confirm_other_version(key)
         assert fetched == [(key.address, 0, 1)]
-        assert deltas[key.address][2] == (b,)
+        assert entry[key.address][0] == (b,)
         state = node.confirmed_state(key.address)
         assert (state.tip_hash, state.balance) == (b.tx_hash, 998)
         assert key.address not in node.store.pending

@@ -159,6 +159,13 @@ def assert_matches_fresh(node, tree, params):
     view = node.view
     assert view.canonical == view.branch(view.tip)
     assert view.confirmations == view.confirmations_at(view.tip)
+    # each canonical block's undo record, whether read from the index or
+    # handed over by validate_block, is its parent branch's scan
+    for bh in view.canonical[1:]:
+        block = view.blocks[bh]
+        index = view.confirmations_at(block.header.parent_block_hash)
+        assert view.undo[bh] == tuple(index.get(r.address)
+                                      for r in block.confirmations), bh
     fresh = full_node(tree, params)
     for bh in view.canonical[1:]:
         fresh.ingest_block(view.blocks[bh])

@@ -144,7 +144,7 @@ class TestHostedSlice:
         addresses = sorted(set(edges + others + odd))
         records = tuple(ConfirmationRecord(address, b"\x00" * 32, 1)
                         for address in addresses)
-        kept = hosted_slice(a, records)
+        kept = records[hosted_slice(a, records)]
         assert kept == tuple(r for r in records if hosts(a, r.address))
         assert all(type(r) is ConfirmationRecord for r in kept)
 

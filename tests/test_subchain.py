@@ -10,6 +10,7 @@ from shardchain.errors import (
     DoubleClaim,
     FragmentMisaligned,
     InsufficientBalance,
+    MalformedBatch,
     UnconfirmedSend,
     WrongRecipient,
 )
@@ -166,6 +167,13 @@ class TestFragments:
                                 txs=tuple(chain[3:]))
         with pytest.raises(FragmentMisaligned):
             verify_fragment(prefix, frag, EMPTY_CTX)
+
+    def test_batch_without_fragment_refused(self, keys):
+        """An empty batch, or one whose first tx is at height 0, has no
+        fragment: encode_batch refuses it before packing anything."""
+        for txs in ((), (make_send(keys[0], height=0, amount=5),)):
+            with pytest.raises(MalformedBatch):
+                subchain.encode_batch(txs)
 
     def test_framing_roundtrip(self, keys):
         chain = build_chain(keys[2], 6, start_balance=50)
