@@ -26,7 +26,8 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
     encode_dss_signature,
 )
 
-from .errors import DecodeError, InvalidSeed, InvalidSignature, KeyMismatch
+from .errors import DecodeError, InvalidSeed, InvalidSignature, \
+    KeyMismatch, MalformedEnvelope
 
 HASH_LEN = 32
 ADDR_LEN = 20
@@ -293,11 +294,13 @@ class MsgKind(IntEnum):
     Hello = 5
 
 
-_ENVELOPE = struct.Struct(">IB32s")   # payload length, kind, msg_id
-ENVELOPE_HEADER = _ENVELOPE.size      # 37
+# the member of each kind byte, None for a byte that names none
+_KIND_OF = tuple(map({kind.value: kind for kind in MsgKind}.get, range(256)))
+ENVELOPE = struct.Struct(">IB32s")    # payload length, kind, msg_id
+ENVELOPE_HEADER = ENVELOPE.size       # 37
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Envelope:
     kind: MsgKind
     payload: bytes
@@ -305,30 +308,48 @@ class Envelope:
     # it on every receipt
     msg_id: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "msg_id",
-                           sha256(bytes([self.kind]) + self.payload))
+    def __init__(self, kind: MsgKind, payload: bytes):
+        # any other kind or payload type has no frame that decodes to it
+        if type(kind) is not MsgKind or type(payload) is not bytes:
+            raise MalformedEnvelope("an envelope takes a MsgKind and bytes, "
+                                    "not %s and %s" % (type(kind).__name__,
+                                                       type(payload).__name__))
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_msg_id(self, sha256(bytes((kind,)) + payload))
 
     def encode(self) -> bytes:
         # 4-byte length, 1-byte kind, 32-byte msg_id, payload
-        return _ENVELOPE.pack(len(self.payload), self.kind,
-                              self.msg_id) + self.payload
+        return ENVELOPE.pack(len(self.payload), self.kind,
+                             self.msg_id) + self.payload
+
+
+# each slot is written once, through its descriptor: the frozen class's
+# __setattr__ refuses every write
+_set_kind, _set_payload, _set_msg_id = (
+    Envelope.kind.__set__, Envelope.payload.__set__, Envelope.msg_id.__set__)
+
+
+def envelope_of(kind: int, payload: bytes, msg_id: bytes) -> Envelope:
+    """The envelope of a frame's kind byte, payload and msg_id; DecodeError
+    for an unknown kind or a msg_id that is not the digest of kind and
+    payload."""
+    member = _KIND_OF[kind]
+    if member is None:
+        raise DecodeError("unknown message kind %d" % kind)
+    env = Envelope(member, payload)
+    if env.msg_id != msg_id:
+        raise DecodeError("envelope msg_id does not match payload")
+    return env
 
 
 def decode_envelope(data: bytes) -> Envelope:
     if len(data) < ENVELOPE_HEADER:
         raise DecodeError("envelope shorter than its %d-byte header"
                           % ENVELOPE_HEADER)
-    length, kind, msg_id = _ENVELOPE.unpack_from(data, 0)
+    length, kind, msg_id = ENVELOPE.unpack_from(data, 0)
     if len(data) != ENVELOPE_HEADER + length:
         raise DecodeError("envelope of a %d-byte payload must be %d bytes, "
                           "got %d" % (length, ENVELOPE_HEADER + length,
                                       len(data)))
-    try:
-        kind = MsgKind(kind)
-    except ValueError:
-        raise DecodeError("unknown message kind %d" % kind) from None
-    env = Envelope(kind=kind, payload=bytes(data[ENVELOPE_HEADER:]))
-    if env.msg_id != msg_id:
-        raise DecodeError("envelope msg_id does not match payload")
-    return env
+    return envelope_of(kind, bytes(data[ENVELOPE_HEADER:]), msg_id)

@@ -23,6 +23,11 @@ class DecodeError(ShardChainError):
     pass
 
 
+class MalformedEnvelope(ShardChainError):
+    """An envelope whose kind is not a MsgKind member or whose payload is
+    not bytes."""
+
+
 # --- subchain STF ---
 
 class SubchainError(ShardChainError):

@@ -19,7 +19,7 @@ import time
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import mainchain, sharding, subchain
-from .codec import ENVELOPE_HEADER, Envelope, MsgKind, decode_envelope
+from .codec import ENVELOPE, ENVELOPE_HEADER, Envelope, MsgKind, envelope_of
 from .errors import ConfigInvalid, DecodeError, ShardChainError
 from .mainchain import ChainParams, MainBlock, make_genesis
 from .node import Node
@@ -124,33 +124,29 @@ def init_data_dir(data_dir: str, allocations, params: ChainParams,
 
 # -- framing helpers --------------------------------------------------
 
-def read_envelope(sock, max_frame: Optional[int] = None
-                  ) -> Optional[Envelope]:
-    """Read one envelope; None when the peer closes the connection. A
-    frame longer than ``max_frame`` bytes is refused with DecodeError
-    before its payload is read."""
-    head = bytearray(ENVELOPE_HEADER)
-    if not _recv_into(sock, memoryview(head)):
+def _read_frame(rfile, max_frame: Optional[int] = None
+                ) -> Optional[Tuple[int, bytes, bytes]]:
+    """(kind byte, payload, msg_id) of one frame from a buffered binary
+    reader; None when the peer closes the connection first. A frame
+    longer than ``max_frame`` bytes is refused with DecodeError before
+    its payload is read."""
+    head = rfile.read(ENVELOPE_HEADER)
+    if len(head) < ENVELOPE_HEADER:
         return None
-    (length,) = struct.unpack_from(">I", head)
+    length, kind, msg_id = ENVELOPE.unpack(head)
     if max_frame is not None and ENVELOPE_HEADER + length > max_frame:
         raise DecodeError("frame of %d bytes exceeds the %d-byte cap"
                           % (ENVELOPE_HEADER + length, max_frame))
-    frame = bytearray(ENVELOPE_HEADER + length)
-    frame[:ENVELOPE_HEADER] = head
-    if not _recv_into(sock, memoryview(frame)[ENVELOPE_HEADER:]):
-        return None
-    return decode_envelope(bytes(frame))
+    payload = rfile.read(length)
+    return (kind, payload, msg_id) if len(payload) == length else None
 
 
-def _recv_into(sock, view: memoryview) -> bool:
-    """Fill ``view`` from the socket; False if the peer closes first."""
-    while view:
-        got = sock.recv_into(view)
-        if not got:
-            return False
-        view = view[got:]
-    return True
+def read_envelope(rfile, max_frame: Optional[int] = None
+                  ) -> Optional[Envelope]:
+    """One envelope, read by ``_read_frame`` from a buffered binary reader
+    such as a socket's ``makefile("rb")``."""
+    frame = _read_frame(rfile, max_frame)
+    return frame and envelope_of(*frame)
 
 
 def _error_reply(err: ShardChainError) -> bytes:
@@ -158,8 +154,10 @@ def _error_reply(err: ShardChainError) -> bytes:
                     + b": " + str(err).encode()).encode()
 
 
-# the reply frame to a request that succeeds with nothing to say
+# the reply frame to a request that succeeds with nothing to say, and
+# the (kind byte, payload, msg_id) that _read_frame gives for it
 OK_FRAME = Envelope(MsgKind.Hello, OK).encode()
+_OK_FIELDS = (MsgKind.Hello, OK, ENVELOPE.unpack_from(OK_FRAME)[2])
 
 
 # -- node server ------------------------------------------------------
@@ -210,7 +208,7 @@ class NodeServer:
             def handle(self):
                 while True:
                     try:
-                        env = read_envelope(self.request, outer.max_frame)
+                        env = read_envelope(self.rfile, outer.max_frame)
                     except DecodeError as err:
                         # the stream cannot be resynchronised: reply, close
                         self.request.sendall(_error_reply(err))
@@ -285,15 +283,21 @@ class NodeServer:
 class NodeClient:
     def __init__(self, host: str, port: int):
         self.sock = socket.create_connection((host, port))
+        self.rfile = self.sock.makefile("rb")
 
     def close(self):
+        self.rfile.close()
         self.sock.close()
 
     def call(self, env: Envelope) -> bytes:
         self.sock.sendall(env.encode())
-        reply = read_envelope(self.sock)
-        if reply is None:
+        frame = _read_frame(self.rfile)
+        if frame is None:
             raise ConnectionError("node closed the connection")
+        # an exact match with the ok frame proves its msg_id too
+        if frame == _OK_FIELDS:
+            return b""
+        reply = envelope_of(*frame)
         if not reply.payload.startswith(OK):
             raise ShardChainError(reply.payload[1:].decode("utf-8",
                                                            "replace"))

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, ge, itemgetter
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, \
-    Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, subchain
 from .codec import ADDR_LEN, HASH_LEN, sha256, sha256d
@@ -244,6 +242,19 @@ def make_genesis(allocations: Dict[bytes, int], timestamp: int = 0) -> Genesis:
                    allocations=tuple(sorted(allocations.items())))
 
 
+class _SideIndex(NamedTuple):
+    """A side branch's entries (None where it confirmed nothing) over the
+    canonical index. ``get`` reads the overlay first, so an overlay None
+    hides the canonical entry behind it."""
+    overlay: Dict[bytes, Optional[tuple]]
+    canonical: Dict[bytes, tuple]
+
+    def get(self, address: bytes) -> Optional[tuple]:
+        if address in self.overlay:
+            return self.overlay[address]
+        return self.canonical.get(address)
+
+
 class ChainView:
     """Block DAG index: canonical tip by cumulative work, plus the
     per-address latest-confirmation map for the canonical chain only.
@@ -318,11 +329,11 @@ class ChainView:
         return index
 
     def branch_confirmations(self, branch_tip: bytes
-                             ) -> Mapping[bytes, Optional[tuple]]:
+                             ) -> Dict[bytes, tuple] | _SideIndex:
         """Latest confirmation per address along ``branch_tip``'s branch,
-        None for an address the branch never confirmed. The canonical
-        index itself at the tip; elsewhere the index rolled back to the
-        fork point and overlaid with the side blocks."""
+        read with ``get``: None for an address the branch never confirmed.
+        The canonical index itself at the tip; elsewhere the index rolled
+        back to the fork point and overlaid with the side blocks."""
         if branch_tip == self.tip:
             return self.confirmations
         side = self.fork_path(branch_tip)
@@ -333,7 +344,7 @@ class ChainView:
                                self.undo[bh]))
         for bh in side:
             _confirm(overlay, bh, self.blocks[bh].confirmations)
-        return ChainMap(overlay, self.confirmations)
+        return _SideIndex(overlay, self.confirmations)
 
     # -- mutation ------------------------------------------------------
 

@@ -195,10 +195,9 @@ _FRAG_HEADER = struct.Struct(">20sQI")
 
 
 def encode_fragment(frag: SubchainFragment) -> bytes:
-    parts = [_FRAG_HEADER.pack(frag.address, frag.from_height,
-                               len(frag.txs))]
-    parts.extend(codec.encode_tx(tx) for tx in frag.txs)
-    return b"".join(parts)
+    return b"".join([_FRAG_HEADER.pack(frag.address, frag.from_height,
+                                       len(frag.txs)),
+                     *map(codec.encode_tx, frag.txs)])
 
 
 def encode_batch(txs: Sequence[SubchainTx]) -> bytes:

@@ -1,6 +1,6 @@
-"""Only wire-exact values get in. Any in-process tx, fragment or block
-either comes back from its own encoding as an equal value of the same
-type, or the boundary check refuses it; and a tx is never mistaken for a
+"""Only wire-exact values get in. Any in-process tx, fragment, block or
+envelope either comes back from its own encoding as an equal value of the
+same type, or the boundary check refuses it; and a tx is never mistaken for a
 plain tuple or for a tx of the other kind."""
 
 import struct
@@ -17,6 +17,8 @@ from shardchain.codec import (
     RECV_WIRE_LEN,
     SEND_WIRE_LEN,
     SIG_LEN,
+    Envelope,
+    MsgKind,
     ReceiveTx,
     SendTx,
     sha256,
@@ -25,6 +27,7 @@ from shardchain.errors import (
     DecodeError,
     FragmentMisaligned,
     InvalidSignature,
+    MalformedEnvelope,
     ShardChainError,
 )
 from shardchain.mainchain import (
@@ -267,6 +270,24 @@ def test_block_round_trips_or_is_refused(block):
     assert back.header == block.header
     assert back.confirmations == block.confirmations
     assert back.block_hash == block.block_hash
+
+
+@given(kind=st.one_of(st.integers(min_value=0, max_value=7),
+                     st.sampled_from(MsgKind), st.booleans(), wrong_types),
+       payload=st.one_of(st.binary(max_size=40), bytes_field(3)[1]))
+def test_envelope_round_trips_or_is_refused(kind, payload):
+    """An envelope that builds decodes from its own frame to an equal one
+    whose kind is the same member and whose payload is bytes; only a kind
+    that is not a MsgKind member or a payload that is not bytes is
+    refused, with MalformedEnvelope."""
+    try:
+        env = Envelope(kind, payload)
+    except MalformedEnvelope:
+        assert type(kind) is not MsgKind or type(payload) is not bytes
+        return
+    back = codec.decode_envelope(env.encode())
+    assert back == env and back.msg_id == env.msg_id
+    assert back.kind is env.kind and type(back.payload) is bytes
 
 
 class TestTypeGuard:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import io
 import json
 import os
 import socket
@@ -320,23 +321,117 @@ class TestHostileInput:
             assert server.max_frame == PARAMS.block_limit \
                 + live.ENVELOPE_HEADER
             with socket.create_connection(server.server.server_address) \
-                    as sock:
+                    as sock, sock.makefile("rb") as rfile:
                 # a forged header only: no payload follows it
                 sock.sendall(struct.pack(">IB32s", 0xFFFFFFFF,
                                          MsgKind.NewBlock, b"\x00" * 32))
-                reply = live.read_envelope(sock)
+                reply = live.read_envelope(rfile)
                 assert reply.payload.startswith(live.ERR)
                 assert b"exceeds" in reply.payload
-                assert sock.recv(1) == b""      # then the node hangs up
+                assert rfile.read(1) == b""     # then the node hangs up
 
     def test_read_envelope_cap(self):
         left, right = socket.socketpair()
-        with left, right:
+        with left, right, right.makefile("rb") as rfile:
             env = Envelope(MsgKind.NewTx, b"\x07" * 20)
             left.sendall(env.encode() + env.encode())
-            assert live.read_envelope(right, max_frame=57) == env
+            assert live.read_envelope(rfile, max_frame=57) == env
             with pytest.raises(DecodeError):
-                live.read_envelope(right, max_frame=56)
+                live.read_envelope(rfile, max_frame=56)
+
+
+class Segmented(io.RawIOBase):
+    """A raw stream that gives one of ``segments`` per read, as a socket
+    gives what has arrived so far."""
+
+    def __init__(self, segments):
+        self.segments = list(segments)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if not self.segments:
+            return 0
+        segment = self.segments.pop(0)
+        got = min(len(buf), len(segment))
+        buf[:got] = segment[:got]
+        if got < len(segment):
+            self.segments.insert(0, segment[got:])
+        return got
+
+
+@contextlib.contextmanager
+def replying(frame):
+    """A NodeClient whose peer answers its first request with ``frame``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                live.read_envelope(rfile)
+                conn.sendall(frame)
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        client = live.NodeClient(*listener.getsockname())
+        try:
+            yield client
+        finally:
+            client.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestFraming:
+    ENV = Envelope(MsgKind.NewTx, bytes(range(9)))
+
+    def test_split_at_every_boundary_read_whole(self):
+        """A frame in two segments, cut at every byte of its header and
+        of its payload, reads as the one envelope."""
+        frame = self.ENV.encode()
+        for cut in range(1, len(frame)):
+            rfile = io.BufferedReader(Segmented([frame[:cut], frame[cut:]]))
+            assert live.read_envelope(rfile) == self.ENV, cut
+            assert live.read_envelope(rfile) is None
+
+    def test_two_frames_in_one_send(self):
+        second = Envelope(MsgKind.NewBlock, b"\x02" * 50)
+        left, right = socket.socketpair()
+        with left, right, right.makefile("rb") as rfile:
+            left.sendall(self.ENV.encode() + second.encode())
+            left.shutdown(socket.SHUT_WR)
+            assert [live.read_envelope(rfile) for _ in range(3)] \
+                == [self.ENV, second, None]
+
+    @pytest.mark.parametrize("cut", [1, live.ENVELOPE_HEADER - 1,
+                                     live.ENVELOPE_HEADER,
+                                     live.ENVELOPE_HEADER + 8])
+    def test_peer_closing_mid_frame_gives_none(self, cut):
+        left, right = socket.socketpair()
+        with right, right.makefile("rb") as rfile:
+            with left:
+                left.sendall(self.ENV.encode()[:cut])
+            assert live.read_envelope(rfile) is None
+
+    @pytest.mark.parametrize("index", [5, live.ENVELOPE_HEADER - 1])
+    def test_ok_frame_with_other_msg_id_refused(self, index):
+        """A reply that is the ok frame but for one msg_id byte is not
+        taken for it: decoding it finds the msg_id wrong."""
+        frame = bytearray(live.OK_FRAME)
+        frame[index] ^= 0x01
+        with replying(bytes(frame)) as client:
+            with pytest.raises(DecodeError, match="msg_id"):
+                client.call(Envelope(MsgKind.Hello, b""))
+
+    def test_error_reply_raises_node_text(self):
+        text = b"NotHosted: address outside prefix 1"
+        with replying(Envelope(MsgKind.Hello, live.ERR + text).encode()) \
+                as client:
+            with pytest.raises(ShardChainError) as exc:
+                client.call(Envelope(MsgKind.Hello, b""))
+        assert type(exc.value) is ShardChainError
+        assert str(exc.value) == text.decode()
 
 
 def first_bit(bit, keys):

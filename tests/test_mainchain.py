@@ -325,6 +325,43 @@ class TestChainView:
         assert view.confirmations == view.confirmations_at(view.tip)
         assert view.confirmations[addr] == (b2.block_hash, b"\x03" * 32, 3)
 
+    def test_side_branch_index_matches_scan(self):
+        """Along a depth-6 rival branch that stays a side branch, and
+        along the canonical chain below its tip, the index's get of every
+        record address is the from-genesis scan's: an address that only
+        canonical blocks above the fork point confirmed reads None."""
+        view = ChainView(make_genesis({}), PARAMS)
+        addrs = [bytes([i]) * 20 for i in range(1, 7)]
+
+        def record(i, height):
+            return ConfirmationRecord(addrs[i], bytes([height]) * 32, height)
+
+        canonical = {1: [0, 4], 2: [2], 5: [1], 7: [2, 3], 9: [0]}
+        for height in range(1, 11):
+            view.extend(mk_block(view, [record(i, height) for i in
+                                        canonical.get(height, [])]))
+        fork = view.canonical[3]
+        side = {4: [5], 5: [0], 6: [3], 8: [2, 5]}
+        parent = fork
+        branch = []
+        for height in range(4, 10):
+            block = mk_block(view, [record(i, height) for i in
+                                    side.get(height, [])],
+                             timestamp=1000 + height, parent=parent)
+            assert not view.extend(block)
+            parent = block.block_hash
+            branch.append(parent)
+        assert len(branch) == 6 and view.tip == view.canonical[10]
+        for bh in branch + view.canonical[:-1]:
+            index, scan = view.branch_confirmations(bh), \
+                view.confirmations_at(bh)
+            assert [index.get(a) for a in addrs] \
+                == [scan.get(a) for a in addrs], bh.hex()
+        # at a side block above the fork, address 1 (only in canonical
+        # block 5) reads None though the canonical index holds it
+        assert view.branch_confirmations(branch[-1]).get(addrs[1]) is None
+        assert view.confirmations[addrs[1]] is not None
+
     def test_depth(self):
         view = ChainView(make_genesis({}), PARAMS)
         b1 = mk_block(view)
