@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from operator import attrgetter
@@ -77,13 +76,63 @@ def address_from_public(public: bytes) -> bytes:
     return sha256(public)[-ADDR_LEN:]
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    secret: bytes   # 32-byte scalar, big-endian
-    public: bytes   # 33-byte compressed point
-    # the key object keygen derives from ``secret``, kept for signing
-    signing_key: ec.EllipticCurvePrivateKey = field(compare=False,
-                                                    repr=False)
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the slotted value classes. A subclass names in ``_fields``
+    the fields that its equality, hash, repr and ``_replace`` read, and
+    its constructor writes each slot once, through ``object.__setattr__``
+    or the slot's descriptor; any later write raises AttributeError.
+    Defining a subclass generates and compiles no code."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an immutable %s"
+                             % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an immutable %s"
+                             % (name, type(self).__name__))
+
+    def _replace(self, **changes):
+        """A new object with ``changes`` over these ``_fields``, for a
+        class whose constructor takes exactly its ``_fields``."""
+        return type(self)(**{name: changes.pop(name, getattr(self, name))
+                             for name in self._fields}, **changes)
+
+
+class KeyPair(Frozen):
+    """A secret scalar (32 bytes, big-endian) and its compressed public
+    point (33 bytes). Equal keypairs have equal secret and public; the
+    key object keygen derives from ``secret`` is kept for signing and
+    left out of equality."""
+
+    __slots__ = ("secret", "public", "signing_key")
+    _fields = ("secret", "public")
+
+    def __init__(self, secret: bytes, public: bytes,
+                 signing_key: ec.EllipticCurvePrivateKey):
+        _set(self, "secret", secret)
+        _set(self, "public", public)
+        _set(self, "signing_key", signing_key)
 
     @property
     def address(self) -> bytes:
@@ -300,13 +349,13 @@ ENVELOPE = struct.Struct(">IB32s")    # payload length, kind, msg_id
 ENVELOPE_HEADER = ENVELOPE.size       # 37
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Envelope:
-    kind: MsgKind
-    payload: bytes
-    # digest of kind and payload, computed once: the flood router reads
-    # it on every receipt
-    msg_id: bytes = field(init=False, repr=False, compare=False)
+class Envelope(Frozen):
+    """A message: its kind, its payload and ``msg_id``, the digest of kind
+    and payload, computed once: the flood router reads it on every
+    receipt."""
+
+    __slots__ = ("kind", "payload", "msg_id")
+    _fields = ("kind", "payload")
 
     def __init__(self, kind: MsgKind, payload: bytes):
         # any other kind or payload type has no frame that decodes to it
@@ -324,8 +373,8 @@ class Envelope:
                              self.msg_id) + self.payload
 
 
-# each slot is written once, through its descriptor: the frozen class's
-# __setattr__ refuses every write
+# each slot is written once, through its descriptor: Frozen.__setattr__
+# refuses every write
 _set_kind, _set_payload, _set_msg_id = (
     Envelope.kind.__set__, Envelope.payload.__set__, Envelope.msg_id.__set__)
 

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, ge, itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, subchain
-from .codec import ADDR_LEN, HASH_LEN, sha256, sha256d
+from .codec import ADDR_LEN, HASH_LEN, Frozen, sha256, sha256d
 from .errors import (
     BadPoW,
     MalformedBits,
@@ -50,8 +48,7 @@ def capacity(block_limit: int) -> int:
     return (block_limit - BLOCK_OVERHEAD) // RECORD_LEN
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(NamedTuple):
     difficulty_bits: int = EASY_BITS
     block_limit: int = 1 << 20
     subsidy: int = DEFAULT_SUBSIDY
@@ -80,15 +77,26 @@ def decode_records(data: bytes, count: int
                      _RECORD.iter_unpack(data)))
 
 
-@dataclass(frozen=True)
-class BlockHeader:
-    parent_block_hash: bytes
-    height: int
-    timestamp: int
-    miner_address: bytes
-    confirmations_root: bytes
-    difficulty_bits: int
-    nonce: int = 0
+_set = object.__setattr__
+
+
+class BlockHeader(Frozen):
+    __slots__ = ("parent_block_hash", "height", "timestamp",
+                 "miner_address", "confirmations_root", "difficulty_bits",
+                 "nonce", "_block_hash")
+    _fields = __slots__[:-1]
+
+    def __init__(self, parent_block_hash: bytes, height: int,
+                 timestamp: int, miner_address: bytes,
+                 confirmations_root: bytes, difficulty_bits: int,
+                 nonce: int = 0):
+        _set(self, "parent_block_hash", parent_block_hash)
+        _set(self, "height", height)
+        _set(self, "timestamp", timestamp)
+        _set(self, "miner_address", miner_address)
+        _set(self, "confirmations_root", confirmations_root)
+        _set(self, "difficulty_bits", difficulty_bits)
+        _set(self, "nonce", nonce)
 
     def encode(self) -> bytes:
         return _HEADER.pack(self.parent_block_hash, self.height,
@@ -96,12 +104,16 @@ class BlockHeader:
                             self.confirmations_root, self.difficulty_bits,
                             self.nonce)
 
-    @cached_property
+    @property
     def block_hash(self) -> bytes:
         # cached: the header is immutable, and ingest reads the hash of
         # each block several times. decode_block seeds it with the hash of
         # the wire bytes it unpacked.
-        return sha256d(self.encode())
+        try:
+            return self._block_hash
+        except AttributeError:
+            _set(self, "_block_hash", sha256d(self.encode()))
+            return self._block_hash
 
 
 def confirmations_root(records) -> bytes:
@@ -112,34 +124,36 @@ def confirmations_root(records) -> bytes:
     return sha256(b"".join(r.encode() for r in records))
 
 
-@dataclass(frozen=True)
-class MainBlock:
-    header: BlockHeader
-    confirmations: tuple = ()
+class MainBlock(Frozen):
+    __slots__ = ("header", "confirmations", "_records_root")
+    _fields = ("header", "confirmations")
+
+    def __init__(self, header: BlockHeader, confirmations: tuple = ()):
+        _set(self, "header", header)
+        _set(self, "confirmations", confirmations)
 
     @property
     def block_hash(self) -> bytes:
         return self.header.block_hash
 
-    @cached_property
+    @property
     def records_root(self) -> bytes:
         """The root of the records as they are: what ``validate_block``
-        compares with the header's. ``decode_block`` and ``new_block``
-        seed it with the root of the bytes they already hold."""
-        return confirmations_root(self.confirmations)
+        compares with the header's, computed once. ``decode_block`` and
+        ``new_block`` seed it with the root of the bytes they already
+        hold."""
+        try:
+            return self._records_root
+        except AttributeError:
+            _set(self, "_records_root", confirmations_root(
+                self.confirmations))
+            return self._records_root
 
     def encode(self) -> bytes:
         parts = [self.header.encode(),
                  struct.pack(">I", len(self.confirmations))]
         parts.extend(r.encode() for r in self.confirmations)
         return b"".join(parts)
-
-
-def _seed(obj, **cached):
-    """``obj`` with the slots of its cached properties ``cached`` filled
-    by values already known."""
-    vars(obj).update(cached)
-    return obj
 
 
 def decode_block(data: bytes) -> MainBlock:
@@ -149,11 +163,12 @@ def decode_block(data: bytes) -> MainBlock:
     header = BlockHeader(*_HEADER.unpack_from(data, 0))
     (count,) = struct.unpack_from(">I", data, HEADER_LEN)
     body = data[BLOCK_OVERHEAD:]
-    records = decode_records(body, count)
+    block = MainBlock(header, decode_records(body, count))
     # the header and the records re-encode to exactly the bytes they were
     # unpacked from
-    return _seed(MainBlock(header=_seed(header, block_hash=sha256d(
-        data[:HEADER_LEN])), confirmations=records), records_root=sha256(body))
+    _set(header, "_block_hash", sha256d(data[:HEADER_LEN]))
+    _set(block, "_records_root", sha256(body))
+    return block
 
 
 def target(difficulty_bits: int) -> int:
@@ -192,12 +207,12 @@ def seal(block: MainBlock) -> MainBlock:
         while True:
             h = sha256d(base + struct.pack(">Q", nonce))
             if int.from_bytes(h, "big") <= goal:
-                return MainBlock(replace(header, nonce=nonce),
+                return MainBlock(header._replace(nonce=nonce),
                                  block.confirmations)
             nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
             if nonce == header.nonce:   # nonce space exhausted
                 break
-        header = replace(header, timestamp=header.timestamp + 1, nonce=0)
+        header = header._replace(timestamp=header.timestamp + 1, nonce=0)
 
 
 def new_block(parent: bytes, height: int, timestamp: int,
@@ -209,29 +224,30 @@ def new_block(parent: bytes, height: int, timestamp: int,
     root = confirmations_root(records)
     header = BlockHeader(parent, height, timestamp, miner_address, root,
                          difficulty_bits, 0)
-    return _seed(seal(MainBlock(header, records)), records_root=root)
+    block = seal(MainBlock(header, records))
+    _set(block, "_records_root", root)
+    return block
 
 
-@dataclass(frozen=True)
-class Genesis:
+class Genesis(Frozen):
     """Height-0 anchor: allocations are pre-confirmed subchain balances."""
-    timestamp: int = 0
-    allocations: tuple = ()   # sorted tuple of (address, balance)
+    __slots__ = ("timestamp", "allocations", "block_hash", "_alloc_map")
+    _fields = ("timestamp", "allocations")
+
+    def __init__(self, timestamp: int = 0, allocations: tuple = ()):
+        _set(self, "timestamp", timestamp)
+        # sorted tuple of (address, balance)
+        _set(self, "allocations", allocations)
+        # every view reads the hash at once and walks parent links
+        # against it constantly
+        _set(self, "block_hash", sha256d(self.encode()))
+        _set(self, "_alloc_map", dict(allocations))
 
     def encode(self) -> bytes:
         parts = [struct.pack(">QI", self.timestamp, len(self.allocations))]
         for address, balance in self.allocations:
             parts.append(struct.pack(">20sQ", address, balance))
         return b"".join(parts)
-
-    @cached_property
-    def block_hash(self) -> bytes:
-        # cached: the view walks parent links against this hash constantly
-        return sha256d(self.encode())
-
-    @cached_property
-    def _alloc_map(self) -> Dict[bytes, int]:
-        return dict(self.allocations)
 
     def balance_of(self, address: bytes) -> int:
         return self._alloc_map.get(address, 0)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import sharding
 from .codec import Envelope, MsgKind  # noqa: F401  (MsgKind re-exported)
@@ -180,10 +179,9 @@ class SimTransport:
                 handler(sender, env)
 
 
-@dataclass
-class DeliveryReport:
+class DeliveryReport(NamedTuple):
     origin: NodeId
-    reached: Dict[NodeId, int] = field(default_factory=dict)  # node -> hops
+    reached: Dict[NodeId, int]   # node -> hops
 
 
 class FloodRouter:

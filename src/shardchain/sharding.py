@@ -8,26 +8,26 @@ match it (depth 0 = full node, hosting everything).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .codec import ADDR_LEN
+from .codec import ADDR_LEN, Frozen
 from .errors import DecodeError, MaxDepth
 
 MAX_PREFIX_BITS = ADDR_LEN * 8
 
 
-@dataclass(frozen=True)
-class ShardAssignment:
-    prefix_bits: str = ""   # '0'/'1' string, MSB-first
-    # the first and the last hosted address: the prefix followed by zero
-    # bits, and by one bits. hosts() is the range test low <= a <= high.
-    low: bytes = field(init=False, repr=False, compare=False)
-    high: bytes = field(init=False, repr=False, compare=False)
+class ShardAssignment(Frozen):
+    """A '0'/'1' prefix string, MSB-first, and the first and the last
+    address it hosts, ``low`` and ``high``: the prefix followed by zero
+    bits, and by one bits. hosts() is the range test low <= a <= high."""
 
-    def __post_init__(self):
-        prefix = int(self.prefix_bits or "0", 2)
-        shift = MAX_PREFIX_BITS - len(self.prefix_bits)
+    __slots__ = ("prefix_bits", "low", "high")
+    _fields = ("prefix_bits",)
+
+    def __init__(self, prefix_bits: str = ""):
+        prefix = int(prefix_bits or "0", 2)
+        shift = MAX_PREFIX_BITS - len(prefix_bits)
+        object.__setattr__(self, "prefix_bits", prefix_bits)
         object.__setattr__(self, "low", (prefix << shift).to_bytes(
             ADDR_LEN, "big"))
         object.__setattr__(self, "high", (((prefix + 1) << shift) - 1)

@@ -1,10 +1,10 @@
 """Deterministic multi-node simulation harness.
 
 Drives a simulated node tree plus one miner through a configured number
-of block intervals, measures confirmed-transaction throughput and
-storage, and checks exact value conservation at the end. Block pacing
-uses the discrete-event clock, so a 600-second interval simulates in
-milliseconds.
+of block intervals, reports confirmed transactions per simulated second
+and storage, and checks exact value conservation at the end. Block
+pacing uses the discrete-event clock, so a 600-second interval
+simulates in milliseconds.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, miner as miner_mod
 from . import sharding, subchain, wallet
@@ -25,8 +24,7 @@ from .network import Envelope, FloodRouter, MsgKind, SimTransport, \
 from .node import Node
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     seed: int = 1
     accounts: int = 100
     width: int = 10
@@ -242,6 +240,11 @@ class Simulation:
                 "ok": lhs == rhs}
 
     def report(self) -> dict:
+        """The run's report, after its conservation and shard-count checks.
+        ``tps`` is confirmed transactions per simulated second (the total
+        over ``blocks`` times ``block_interval``): a model output of the
+        configured interval, not a measured speed; ``perfbench/`` measures
+        speed."""
         cfg = self.cfg
         if self.errors:
             raise InvariantViolation(
@@ -267,7 +270,7 @@ class Simulation:
             entry["depth"] = n.assignment.depth
             storage[nid.hex()] = entry
         return {
-            "config": asdict(cfg),
+            "config": cfg._asdict(),
             "capacity": capacity(cfg.block_limit),
             "blocks": self.block_rows,
             "total_txs_confirmed": total,

@@ -6,7 +6,6 @@ appends the sends, so one confirmation record covers the whole batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from . import codec, subchain
@@ -15,14 +14,20 @@ from .errors import AlreadyClaimed, Immature, InsufficientBalance, KeyMismatch
 from .node import Inflow
 
 
-@dataclass
 class AccountView:
     """Snapshot of one account: full-chain state (confirmed plus pending
-    tail effects) and the claimable inflow list with canonical depths."""
-    address: bytes
-    state: subchain.SubchainState
-    claimables: List[Tuple[Inflow, int]] = field(default_factory=list)
-    maturity: int = 6
+    tail effects) and the claimable inflow list with canonical depths.
+    The builders advance ``state`` past each tx they sign."""
+
+    __slots__ = ("address", "state", "claimables", "maturity")
+
+    def __init__(self, address: bytes, state: subchain.SubchainState,
+                 claimables: List[Tuple[Inflow, int]] | None = None,
+                 maturity: int = 6):
+        self.address = address
+        self.state = state
+        self.claimables = [] if claimables is None else claimables
+        self.maturity = maturity
 
     @property
     def spendable(self) -> int:

@@ -2,12 +2,20 @@
 
 A node process pays its imports on every start and restart, so the
 modules a node runs must not pull in the simulator, the miner's worker
-pool, the flood overlay or cryptography's key-serialization loaders."""
+pool, the flood overlay or cryptography's key-serialization loaders.
+
+Every process imports the package at each start, and compiles it too
+where no bytecode cache is written. So no entry
+point may load ``dataclasses``, or the ``inspect``, ``ast``, ``dis`` and
+``tokenize`` modules that it brings in: the package's value types are
+NamedTuples and slotted classes, whose definitions generate no code."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -15,6 +23,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 NOT_FOR_A_NODE = ["multiprocessing", "shardchain.sim", "shardchain.miner",
                   "shardchain.wallet", "shardchain.network",
                   "cryptography.hazmat.primitives.serialization"]
+
+ENTRY_POINTS = ["shardchain.cli", "shardchain.live", "shardchain.sim",
+                "shardchain.wallet", "shardchain.miner"]
+CODE_GENERATION = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
 
 
 def run_fresh(code):
@@ -33,6 +45,16 @@ def test_node_entry_points_load_no_simulator():
         "import shardchain.cli, shardchain.live\n"
         "print(json.dumps([m for m in %r if m in sys.modules]))\n"
         % NOT_FOR_A_NODE)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_loads_no_code_generation(entry):
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import %s\n"
+        "print(json.dumps([m for m in %r if m in sys.modules]))\n"
+        % (entry, CODE_GENERATION))
     assert loaded == []
 
 

@@ -1,7 +1,6 @@
 """Data-dir journal, restart recovery and hostile input on the live node."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -561,7 +560,7 @@ class TestBlockOrder:
         mine_once over TCP seals the very block that the sim's miner
         builds from the same pool."""
         limit = mainchain.BLOCK_OVERHEAD + 4 * mainchain.RECORD_LEN
-        params = dataclasses.replace(PARAMS, block_limit=limit)
+        params = PARAMS._replace(block_limit=limit)
         by_address = sorted(keys[:7], key=lambda k: k.address)
         lengths = [1, 1, 2, 3, 2, 3, 2]     # of each tail, by address
         arrival = [6, 3, 4, 0, 5, 2, 1]     # the order the tails are pooled

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 
 import pytest
@@ -72,7 +71,7 @@ class TestPool:
 
 
 def limited(limit):
-    return dataclasses.replace(PARAMS, block_limit=limit)
+    return PARAMS._replace(block_limit=limit)
 
 
 class TestTemplate:
