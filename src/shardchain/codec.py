@@ -391,14 +391,3 @@ def envelope_of(kind: int, payload: bytes, msg_id: bytes) -> Envelope:
         raise DecodeError("envelope msg_id does not match payload")
     return env
 
-
-def decode_envelope(data: bytes) -> Envelope:
-    if len(data) < ENVELOPE_HEADER:
-        raise DecodeError("envelope shorter than its %d-byte header"
-                          % ENVELOPE_HEADER)
-    length, kind, msg_id = ENVELOPE.unpack_from(data, 0)
-    if len(data) != ENVELOPE_HEADER + length:
-        raise DecodeError("envelope of a %d-byte payload must be %d bytes, "
-                          "got %d" % (length, ENVELOPE_HEADER + length,
-                                      len(data)))
-    return envelope_of(kind, bytes(data[ENVELOPE_HEADER:]), msg_id)

@@ -16,7 +16,7 @@ import socketserver
 import struct
 import threading
 import time
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from . import mainchain, sharding, subchain
 from .codec import ENVELOPE, ENVELOPE_HEADER, Envelope, MsgKind, envelope_of
@@ -166,10 +166,9 @@ _OK_FIELDS = (MsgKind.Hello, OK, ENVELOPE.unpack_from(OK_FRAME)[2])
 # height, summary count) pair, then one confirmation record per pending
 # tail: the record that confirms the whole tail
 _HELLO_COUNTS = struct.Struct(">QI")
-# a FragmentRequest is one or more ranges; the reply holds each fragment
-# behind its length, in request order
+# a FragmentRequest is one (address, lo, hi) range; the ok reply holds
+# its fragment
 _FRAGMENT_RANGE = struct.Struct(">20sQQ")
-_FRAGMENT_LEN = struct.Struct(">I")
 
 
 def encode_hello(assignment: ShardAssignment, tip: bytes, tip_height: int,
@@ -262,19 +261,13 @@ class NodeServer:
             node.apply_request(env.kind, env.payload, self._journal)
             return OK_FRAME
         if env.kind == MsgKind.FragmentRequest:
-            if not env.payload or len(env.payload) % _FRAGMENT_RANGE.size:
-                raise DecodeError("FragmentRequest payload must be a "
-                                  "positive multiple of %d bytes"
+            if len(env.payload) != _FRAGMENT_RANGE.size:
+                raise DecodeError("FragmentRequest payload must be %d bytes"
                                   % _FRAGMENT_RANGE.size)
-            # every range is served before anything is sent: one that
-            # fails fails the whole request
-            body = [OK]
-            for address, lo, hi in _FRAGMENT_RANGE.iter_unpack(env.payload):
-                wire = subchain.encode_fragment(
-                    node.serve_fragment(address, lo, hi))
-                body += [_FRAGMENT_LEN.pack(len(wire)), wire]
+            frag = node.serve_fragment(
+                *_FRAGMENT_RANGE.unpack(env.payload))
             return Envelope(MsgKind.FragmentResponse,
-                            b"".join(body)).encode()
+                            OK + subchain.encode_fragment(frag)).encode()
         return Envelope(MsgKind.Hello, ERR + b"unsupported kind").encode()
 
 
@@ -306,28 +299,11 @@ class NodeClient:
     def hello(self):
         return decode_hello(self.call(Envelope(MsgKind.Hello, b"")))
 
-    def fetch_fragments(self, ranges: Sequence[Tuple[bytes, int, int]]
-                        ) -> List[subchain.SubchainFragment]:
-        """The fragment (lo, hi] of each (address, lo, hi) range, in
-        order, from one request."""
-        body = self.call(Envelope(MsgKind.FragmentRequest, b"".join(
-            _FRAGMENT_RANGE.pack(*r) for r in ranges)))
-        frags = []
-        offset = 0
-        for _ in ranges:
-            start = offset + _FRAGMENT_LEN.size
-            if start > len(body):
-                raise DecodeError("FragmentResponse ends early")
-            (length,) = _FRAGMENT_LEN.unpack_from(body, offset)
-            offset = start + length
-            frags.append(subchain.decode_fragment(body[start:offset]))
-        if offset != len(body):
-            raise DecodeError("FragmentResponse has trailing bytes")
-        return frags
-
     def fetch_fragment(self, address: bytes, lo: int, hi: int
                        ) -> subchain.SubchainFragment:
-        return self.fetch_fragments([(address, lo, hi)])[0]
+        """The fragment (lo, hi] of ``address``'s subchain."""
+        return subchain.decode_fragment(self.call(Envelope(
+            MsgKind.FragmentRequest, _FRAGMENT_RANGE.pack(address, lo, hi))))
 
     def submit_tx(self, tx) -> None:
         """Submit ``tx`` alone: a one-tx fragment, the one NewTx payload."""

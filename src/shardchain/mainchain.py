@@ -185,10 +185,6 @@ def target(difficulty_bits: int) -> int:
     return value
 
 
-def block_work(difficulty_bits: int) -> int:
-    return _work(target(difficulty_bits))
-
-
 def _work(goal: int) -> int:
     return (1 << 256) // (goal + 1)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import random
 import struct
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import sharding
 from .codec import Envelope, MsgKind  # noqa: F401  (MsgKind re-exported)
@@ -179,11 +179,6 @@ class SimTransport:
                 handler(sender, env)
 
 
-class DeliveryReport(NamedTuple):
-    origin: NodeId
-    reached: Dict[NodeId, int]   # node -> hops
-
-
 class FloodRouter:
     """Per-node first-receipt forwarding over parent/children/neighbor
     links. A node that already has a hop count for a message drops
@@ -243,19 +238,6 @@ class FloodRouter:
             if link != came_from and (address is None
                                       or low <= address <= high):
                 self.transport.send(node, link, env)
-
-
-def broadcast(origin: NodeId, env: Envelope, topology: TreeTopology,
-              transport: SimTransport,
-              router: Optional[FloodRouter] = None) -> DeliveryReport:
-    """Flood ``env`` from ``origin``; returns reached nodes and hop counts."""
-    if router is None:
-        router = FloodRouter(topology, transport)
-        router.attach_all()
-    router.originate(origin, env)
-    transport.run()
-    return DeliveryReport(origin=origin,
-                          reached=dict(router.hops.get(env.msg_id, {})))
 
 
 def request_fragment(requester: NodeId, address: bytes, from_height: int,

@@ -45,11 +45,15 @@ class SimConfig(NamedTuple):
 
     def validate(self) -> None:
         positive = ["accounts", "avg_txs", "block_limit", "block_interval",
-                    "blocks", "node_count", "initial_balance",
-                    "send_amount", "maturity"]
+                    "blocks", "node_count", "maturity"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigInvalid("%s must be positive" % name)
+        # each is a u64 field of the genesis, a tx or a coinbase claim
+        for name, low in [("initial_balance", 1), ("send_amount", 1),
+                          ("subsidy", 0)]:
+            if not low <= getattr(self, name) < 1 << 64:
+                raise ConfigInvalid("%s must be in [%d, 2^64)" % (name, low))
         if self.neighbor_count < 0:
             raise ConfigInvalid("neighbor_count must not be negative")
         if self.width < 0 or self.width > self.accounts:

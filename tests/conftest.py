@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from shardchain import codec, mainchain, subchain
 from shardchain.codec import NULL_ADDRESS, NULL_HASH, SendTx, ReceiveTx
+from shardchain.network import FloodRouter
 from shardchain.node import Inflow
 from shardchain.sim import derived_key
 
@@ -46,6 +47,18 @@ def make_coinbase_claim(key, parent, height, block_hash, amount,
                         timestamp=0):
     return make_receive(key, parent, height, codec.NULL_ADDRESS,
                         NULL_HASH, block_hash, amount, timestamp)
+
+
+def flood(origin, env, topology, transport, router=None):
+    """{node: hop count} of the nodes that a flood of ``env`` from
+    ``origin`` reaches, through ``router`` or a fresh unscoped one, once
+    the transport drains."""
+    if router is None:
+        router = FloodRouter(topology, transport)
+        router.attach_all()
+    router.originate(origin, env)
+    transport.run()
+    return dict(router.hops.get(env.msg_id, {}))
 
 
 def random_tx(rng: random.Random, key):

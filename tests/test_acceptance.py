@@ -41,8 +41,7 @@ from shardchain.mainchain import (
     seal,
     validate_block,
 )
-from shardchain.network import Envelope, MsgKind, SimTransport, TreeTopology, \
-    broadcast
+from shardchain.network import Envelope, MsgKind, SimTransport, TreeTopology
 from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.sim import SimConfig, bench_storage, bench_verify, \
@@ -55,7 +54,7 @@ from shardchain.subchain import (
     verify_fragment,
 )
 
-from conftest import make_receive, make_send
+from conftest import flood, make_receive, make_send
 
 
 @pytest.fixture
@@ -415,8 +414,8 @@ def test_criterion_7_broadcast_resilience(announce):
                         transport.alive[n] = n != dead
                     env = Envelope(MsgKind.NewTx,
                                    b"probe:%s:%s" % (dead or b"-", origin))
-                    report = broadcast(origin, env, topo, transport)
-                    assert set(report.reached) == set(alive), \
+                    reached = flood(origin, env, topo, transport)
+                    assert set(reached) == set(alive), \
                         "partition: size %d, dead %r, origin %r" \
                         % (size, dead, origin)
                     checked += 1

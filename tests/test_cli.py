@@ -86,6 +86,13 @@ class TestSim:
         assert res.returncode == 1
         assert json.loads(res.stdout)["error"] == "ConfigInvalid"
 
+    def test_out_of_range_balance_error_json(self):
+        res = run_cli(["sim", "--accounts", "5", "--width", "1",
+                       "--blocks", "1", "--initial-balance", str(2**64)])
+        assert res.returncode == 1, res.stderr
+        assert json.loads(res.stdout)["error"] == "ConfigInvalid"
+        assert res.stderr == ""
+
     def test_unknown_flag_exit_2(self):
         res = run_cli(["sim", "--bogus-flag"])
         assert res.returncode == 2

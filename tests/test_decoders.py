@@ -1,5 +1,9 @@
 """Every decoder is total: on any input it returns a value or raises
-DecodeError, and a valid encoding cut short or extended is refused."""
+DecodeError, and a valid encoding cut short or extended is refused. The
+frame decoder reads a stream: a frame cut short gives None, and the bytes
+after a frame are left for the next read."""
+
+import io
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,13 +46,24 @@ fragments = st.builds(subchain.SubchainFragment, address=addresses,
                       txs=st.lists(txs, max_size=3).map(tuple))
 hellos = st.tuples(assignments, hashes, u64, st.lists(records, max_size=3))
 
+
+def read_one_frame(data):
+    """The envelope of ``data`` read as one whole frame by the stream
+    decoder: a frame cut short, or one with bytes after it, is refused."""
+    rfile = io.BytesIO(data)
+    env = live.read_envelope(rfile)
+    if env is None or rfile.read():
+        raise DecodeError("not one whole frame")
+    return env
+
+
 # decoder, strategy for the values it decodes, their encoder
 DECODERS = {
     "tx": (codec.decode_tx, txs, codec.encode_tx),
     "record": (lambda data: mainchain.decode_records(data, 1),
                st.tuples(records), lambda rs: rs[0].encode()),
     "block": (mainchain.decode_block, blocks, lambda b: b.encode()),
-    "envelope": (codec.decode_envelope, envelopes, lambda e: e.encode()),
+    "envelope": (read_one_frame, envelopes, lambda e: e.encode()),
     "assignment": (sharding.decode_assignment, assignments,
                    lambda a: a.encode()),
     "fragment": (subchain.decode_fragment, fragments,
@@ -93,3 +108,34 @@ def test_extended_encoding_refused(name, data):
     extra = data.draw(st.binary(min_size=1, max_size=16))
     with pytest.raises(DecodeError):
         decode(wire + extra)
+
+
+@given(data=st.binary(max_size=300))
+def test_read_envelope_random_bytes(data):
+    try:
+        env = live.read_envelope(io.BytesIO(data))
+    except DecodeError:
+        return
+    assert env is None or type(env) is codec.Envelope
+
+
+@given(env=envelopes)
+def test_read_envelope_round_trips_to_the_end(env):
+    rfile = io.BytesIO(env.encode())
+    back = live.read_envelope(rfile)
+    assert back == env and back.msg_id == env.msg_id
+    assert rfile.read() == b""
+
+
+@given(env=envelopes)
+def test_read_envelope_every_cut_gives_none(env):
+    frame = env.encode()
+    for cut in range(len(frame)):
+        assert live.read_envelope(io.BytesIO(frame[:cut])) is None, cut
+
+
+@given(env=envelopes, extra=st.binary(min_size=1, max_size=40))
+def test_read_envelope_leaves_extra_bytes_unread(env, extra):
+    rfile = io.BytesIO(env.encode() + extra)
+    assert live.read_envelope(rfile) == env
+    assert rfile.read() == extra

@@ -10,6 +10,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shardchain import cli, codec, live, mainchain, subchain
 from shardchain.errors import DecodeError, MalformedBatch, \
@@ -277,6 +278,9 @@ class TestHostileInput:
         Envelope(MsgKind.NewTx, b""),
         Envelope(MsgKind.FragmentRequest, b""),
         Envelope(MsgKind.FragmentRequest, b"\x00" * 37),
+        # two ranges the node can serve, as an earlier build's client
+        # sent them in one request
+        Envelope(MsgKind.FragmentRequest, b"\x00" * 72),
     ])
     def test_malformed_request_gets_error(self, data_dir, env):
         with serving(data_dir) as (_, client):
@@ -439,42 +443,18 @@ def first_bit(bit, keys):
 
 
 class TestBatchedFragments:
-    def test_fragments_in_request_order(self, data_dir, keys):
-        first = make_send(keys[0], amount=7)
-        second = make_send(keys[0], parent=first.tx_hash, height=2)
-        other = make_send(keys[1], amount=3)
-        last = make_send(keys[2], amount=9)
-        with serving(data_dir) as (_, client):
-            for tx in (first, second, other, last):
-                client.submit_tx(tx)
-            a0, a1, a2 = (k.address for k in keys[:3])
-            frags = client.fetch_fragments(
-                [(a2, 0, 1), (a0, 1, 2), (a1, 0, 1), (a0, 0, 2)])
-        assert [(f.address, f.from_height, f.txs) for f in frags] == [
-            (a2, 0, (last,)), (a0, 1, (second,)), (a1, 0, (other,)),
-            (a0, 0, (first, second))]
-
-    def test_full_capacity_batch_served(self, data_dir, keys):
-        txs = [make_send(k, amount=5) for k in keys[:3]]
-        cap = mainchain.capacity(PARAMS.block_limit)
-        assert cap == 66
-        ranges = [(txs[i % 3].current_address, 0, 1) for i in range(cap)]
-        with serving(data_dir) as (_, client):
-            for tx in txs:
-                client.submit_tx(tx)
-            frags = client.fetch_fragments(ranges)
-        assert [f.txs for f in frags] == [(txs[i % 3],) for i in range(cap)]
+    """A FragmentRequest asks for one range, and a range the node cannot
+    serve gets an error reply on a connection that still serves."""
 
     def test_unavailable_range_fails_whole_request(self, data_dir, keys):
         with serving(data_dir) as (_, client):
             client.submit_tx(make_send(keys[0], amount=7))
             size = os.path.getsize(log_path(data_dir))
             with pytest.raises(ShardChainError) as exc:
-                client.fetch_fragments([(keys[0].address, 0, 1),
-                                        (keys[0].address, 0, 2)])
+                client.fetch_fragment(keys[0].address, 0, 2)
             assert "RangeUnavailable" in str(exc.value)
             assert os.path.getsize(log_path(data_dir)) == size
-            # the connection still serves the good range alone
+            # the connection still serves the good range
             assert len(client.fetch_fragment(keys[0].address, 0, 1).txs) \
                 == 1
 
@@ -486,10 +466,70 @@ class TestBatchedFragments:
             client.submit_tx(make_send(hosted, amount=7))
             size = os.path.getsize(log_path(path))
             with pytest.raises(ShardChainError) as exc:
-                client.fetch_fragments([(hosted.address, 0, 1),
-                                        (foreign.address, 0, 1)])
+                client.fetch_fragment(foreign.address, 0, 1)
             assert "NotHosted" in str(exc.value)
             assert os.path.getsize(log_path(path)) == size
+            assert len(client.fetch_fragment(hosted.address, 0, 1).txs) == 1
+
+
+@pytest.fixture(scope="module")
+def fragment_server(tmp_path_factory, keys):
+    """A NodeServer, not listening for requests, of a prefix-1 node whose
+    hosted account has two confirmed txs and one pending; its requests go
+    straight to ``handle``."""
+    hosted = first_bit(1, keys)
+    path = str(tmp_path_factory.mktemp("fragments") / "node")
+    live.init_data_dir(path, {hosted.address: 1000}, PARAMS, prefix="1")
+    server = live.NodeServer(path, ("127.0.0.1", 0))
+    txs = build_chain(hosted, 3, 1000)
+    try:
+        for tx in txs[:2]:
+            assert server.handle(Envelope(MsgKind.NewTx, one_tx(tx))) \
+                == live.OK_FRAME
+        node = server.node
+        block = mainchain.new_block(node.view.tip, 1, 15, MINER,
+                                    node.pending_records(),
+                                    PARAMS.difficulty_bits)
+        for env in (Envelope(MsgKind.NewBlock, block.encode()),
+                    Envelope(MsgKind.NewTx, one_tx(txs[2]))):
+            assert server.handle(env) == live.OK_FRAME
+        yield server, hosted.address
+    finally:
+        server.close()
+
+
+_heights = st.integers(min_value=0, max_value=5) | st.integers(
+    min_value=0, max_value=2**64 - 1)
+
+
+@given(data=st.data())
+def test_hostile_fragment_request(fragment_server, keys, data):
+    """Any FragmentRequest payload gets the fragment that serve_fragment
+    gives for its one range, or an error reply; nothing raises and the
+    log does not grow."""
+    server, hosted = fragment_server
+    addresses = [hosted] + [k.address for k in keys[:4]] + [b"\x00" * 20]
+    payload = data.draw(st.binary(max_size=80) | st.builds(
+        struct.Struct(">20sQQ").pack, st.sampled_from(addresses)
+        | st.binary(min_size=20, max_size=20), _heights, _heights))
+    path = log_path(server.data_dir)
+    size = os.path.getsize(path)
+    reply = live.read_envelope(io.BytesIO(server.handle(
+        Envelope(MsgKind.FragmentRequest, payload))))
+    assert os.path.getsize(path) == size
+    try:
+        if len(payload) != 36:
+            raise DecodeError("not one range")
+        expected = server.node.serve_fragment(
+            *struct.unpack(">20sQQ", payload))
+    except ShardChainError as err:
+        assert reply.kind == MsgKind.Hello
+        assert reply.payload.startswith(
+            live.ERR + type(err).__name__.encode() + b": ")
+        return
+    assert reply.kind == MsgKind.FragmentResponse
+    assert reply.payload[:1] == live.OK
+    assert subchain.decode_fragment(reply.payload[1:]) == expected
 
 
 class LyingNode:

@@ -27,7 +27,7 @@ from shardchain.mainchain import (
     ConfirmationRecord,
     MainBlock,
     ViewClaimContext,
-    block_work,
+    _work,
     capacity,
     confirmations_root,
     decode_block,
@@ -101,6 +101,9 @@ class TestCompactBits:
             target(bits)
 
     def test_work_inverse_to_target(self):
+        def block_work(bits):
+            return _work(target(bits))
+
         assert block_work(0x20000001) > block_work(0x20000002)
         # halving the target roughly doubles the work
         lo, hi = block_work(0x20000002), block_work(0x20000001)

@@ -1,9 +1,8 @@
-import random
+import io
 from collections import Counter
 
 import pytest
 
-from shardchain.codec import decode_envelope
 from shardchain.errors import DecodeError, NoHost, ParentFull, Timeout, \
     UnknownParent
 from shardchain.network import (
@@ -12,10 +11,12 @@ from shardchain.network import (
     MsgKind,
     SimTransport,
     TreeTopology,
-    broadcast,
     request_fragment,
 )
+from shardchain.live import read_envelope
 from shardchain.sharding import nodes_path
+
+from conftest import flood
 
 
 def full_tree(nodes, neighbor_count=2):
@@ -43,8 +44,8 @@ SPREAD = [bytes([i << 3]) + b"\x5a" * 19 for i in range(32)]
 class TestEnvelope:
     def test_roundtrip(self):
         env = Envelope(MsgKind.NewTx, b"hello world")
-        assert decode_envelope(env.encode()) == Envelope(MsgKind.NewTx,
-                                                         b"hello world")
+        assert read_envelope(io.BytesIO(env.encode())) \
+            == Envelope(MsgKind.NewTx, b"hello world")
 
     def test_msg_id_binds_kind(self):
         a = Envelope(MsgKind.NewTx, b"x")
@@ -55,7 +56,7 @@ class TestEnvelope:
         data = bytearray(Envelope(MsgKind.Hello, b"payload").encode())
         data[6] ^= 0x01
         with pytest.raises(DecodeError):
-            decode_envelope(bytes(data))
+            read_envelope(io.BytesIO(bytes(data)))
 
 
 class TestTopology:
@@ -100,10 +101,10 @@ class TestBroadcast:
     def test_reaches_all(self):
         topo, ids = full_tree(15)
         transport = SimTransport(seed=1)
-        report = broadcast(ids[0], Envelope(MsgKind.NewTx, b"m"), topo,
-                           transport)
-        assert set(report.reached) == set(ids)
-        assert report.reached[ids[0]] == 0
+        reached = flood(ids[0], Envelope(MsgKind.NewTx, b"m"), topo,
+                        transport)
+        assert set(reached) == set(ids)
+        assert reached[ids[0]] == 0
 
     def test_duplicate_suppression(self):
         topo, ids = full_tree(7)
@@ -134,16 +135,16 @@ class TestBroadcast:
     def test_drained_floods_are_forgotten(self):
         """An origination into an empty queue forgets the floods before
         it, so several drained floods through one router leave state for
-        the last one only; each broadcast still reports every node."""
+        the last one only; each flood still reaches every node."""
         topo, ids = full_tree(7)
         transport = SimTransport(seed=3)
         router = FloodRouter(topo, transport)
         router.attach_all()
         for i in range(4):
             env = Envelope(MsgKind.NewBlock, b"flood %d" % i)
-            report = broadcast(ids[i], env, topo, transport, router)
-            assert set(report.reached) == set(ids)
-            assert report.reached[ids[i]] == 0
+            reached = flood(ids[i], env, topo, transport, router)
+            assert set(reached) == set(ids)
+            assert reached[ids[i]] == 0
         assert list(router.hops) == [env.msg_id]
         # a flood started while another's copies are in flight keeps both
         first = Envelope(MsgKind.NewBlock, b"first")
@@ -162,18 +163,18 @@ class TestBroadcast:
         transport = SimTransport(seed=2)
         router = FloodRouter(topo, transport, scope=tx_address)
         router.attach_all()
-        before = broadcast(ids[0], Envelope(MsgKind.NewBlock, b"before"),
-                           topo, transport, router)
-        assert set(before.reached) == set(ids)
+        before = flood(ids[0], Envelope(MsgKind.NewBlock, b"before"),
+                       topo, transport, router)
+        assert set(before) == set(ids)
         nid, assignment = topo.join(ids[1])
         assert assignment.prefix_bits == "00"
         router.attach_all()
-        after = broadcast(ids[0], Envelope(MsgKind.NewBlock, b"after"),
-                          topo, transport, router)
-        assert set(after.reached) == set(ids) | {nid}
-        scoped = broadcast(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
-                           topo, transport, router)
-        assert set(scoped.reached) == {ids[0], ids[1], nid}
+        after = flood(ids[0], Envelope(MsgKind.NewBlock, b"after"),
+                      topo, transport, router)
+        assert set(after) == set(ids) | {nid}
+        scoped = flood(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
+                       topo, transport, router)
+        assert set(scoped) == {ids[0], ids[1], nid}
         for n in topo.nodes():
             assert topo.link_ranges[n] == tuple(
                 (m, topo.assignment(m).low, topo.assignment(m).high)
@@ -188,10 +189,10 @@ class TestBroadcast:
                 transport = SimTransport(seed=2)
                 for n in ids:
                     transport.alive[n] = n != dead
-                report = broadcast(ids[0], Envelope(MsgKind.NewTx, b"f"),
-                                   topo, transport)
+                reached = flood(ids[0], Envelope(MsgKind.NewTx, b"f"),
+                                topo, transport)
                 expected = set(ids) - {dead}
-                assert set(report.reached) == expected, \
+                assert set(reached) == expected, \
                     "partition when %r is down" % dead
 
     def test_deterministic_trace(self):
@@ -206,8 +207,8 @@ class TestBroadcast:
                     log.append((transport.now, sender, dest, env.msg_id))
                     handler(sender, env)
                 transport.register(dest, logged)
-            broadcast(ids[0], Envelope(MsgKind.NewBlock, b"t"), topo,
-                      transport, router)
+            flood(ids[0], Envelope(MsgKind.NewBlock, b"t"), topo,
+                  transport, router)
             return log
         first = trace()
         assert len(first) > 14      # every node, plus duplicate receipts
@@ -218,14 +219,12 @@ class TestBroadcast:
         transport = SimTransport(seed=0)
         transport.alive = {n: True for n in ids}
         transport.alive[ids[0]] = False
-        report = broadcast(ids[0], Envelope(MsgKind.NewTx, b"z"), topo,
-                           transport)
-        assert report.reached == {}
+        assert flood(ids[0], Envelope(MsgKind.NewTx, b"z"), topo,
+                     transport) == {}
         router = FloodRouter(topo, transport, scope=tx_address)
         router.attach_all()
-        report = broadcast(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
-                           topo, transport, router)
-        assert report.reached == {}
+        assert flood(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
+                     topo, transport, router) == {}
 
     def test_scoped_reaches_exactly_the_alive_hosts(self):
         """For every tree size, no or any one dead node, every alive

@@ -38,6 +38,17 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             small_cfg(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("initial_balance", 2**64), ("initial_balance", -1),
+        ("send_amount", 2**64), ("subsidy", 2**64), ("subsidy", -1),
+    ])
+    def test_u64_fields(self, field, value):
+        """Each is a u64 on the wire: a value outside it is refused
+        before any genesis, tx or claim is encoded."""
+        with pytest.raises(ConfigInvalid):
+            small_cfg(**{field: value}).validate()
+        small_cfg(**{field: 2**64 - 1}).validate()
+
     def test_width_bounds(self):
         with pytest.raises(ConfigInvalid):
             small_cfg(width=31).validate()
