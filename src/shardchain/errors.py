@@ -25,7 +25,7 @@ class DecodeError(ShardChainError):
 
 class MalformedEnvelope(ShardChainError):
     """An envelope whose kind is not a MsgKind member or whose payload is
-    not bytes."""
+    not bytes, or a FragmentRequest range off its field widths."""
 
 
 # --- subchain STF ---

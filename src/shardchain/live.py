@@ -18,9 +18,10 @@ import threading
 import time
 from typing import Iterator, Optional, Sequence, Tuple
 
-from . import mainchain, sharding, subchain
+from . import codec, mainchain, sharding, subchain
 from .codec import ENVELOPE, ENVELOPE_HEADER, Envelope, MsgKind, envelope_of
-from .errors import ConfigInvalid, DecodeError, ShardChainError
+from .errors import ConfigInvalid, DecodeError, MalformedEnvelope, \
+    ShardChainError
 from .mainchain import ChainParams, MainBlock, make_genesis
 from .node import Node
 from .sharding import ShardAssignment
@@ -301,7 +302,13 @@ class NodeClient:
 
     def fetch_fragment(self, address: bytes, lo: int, hi: int
                        ) -> subchain.SubchainFragment:
-        """The fragment (lo, hi] of ``address``'s subchain."""
+        """The fragment (lo, hi] of ``address``'s subchain. An address
+        that is not 20 bytes or a height outside u64 is refused before
+        anything is packed."""
+        if not (isinstance(address, bytes) and len(address) == codec.ADDR_LEN
+                and 0 <= lo < 1 << 64 and 0 <= hi < 1 << 64):
+            raise MalformedEnvelope("a FragmentRequest takes a 20-byte "
+                                    "address and two u64 heights")
         return subchain.decode_fragment(self.call(Envelope(
             MsgKind.FragmentRequest, _FRAGMENT_RANGE.pack(address, lo, hi))))
 

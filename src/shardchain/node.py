@@ -10,6 +10,7 @@ That asymmetry is the whole storage/compute saving of sharding.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, subchain
@@ -62,8 +63,10 @@ class NodeStore:
         self.pending: Dict[bytes, List[SubchainTx]] = {}
         # the state each pending tail reaches from the confirmed state
         self.tail_states: Dict[bytes, SubchainState] = {}
-        self.txs: Dict[Tuple[bytes, int], SubchainTx] = {}
-        self.send_index: Dict[Tuple[bytes, bytes], SendTx] = {}
+        # each hosted address's canonical txs (height h at index h - 1)
+        self.chains: Dict[bytes, List[SubchainTx]] = {}
+        # the canonical sends by tx hash, which commits to the sender
+        self.send_index: Dict[bytes, SendTx] = {}
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
         # every accepted block, main or side, mapped to the hosted
         # addresses it confirmed, in record order, each with its fragment
@@ -73,8 +76,32 @@ class NodeStore:
         self.archive: Dict[bytes, Dict[bytes,
                                        Tuple[tuple, SubchainState]]] = {}
 
+    @property
+    def txs(self) -> Mapping:
+        """The canonical txs by ``(address, height)``: a read-only view."""
+        return _TxView(self.chains)
+
     def find_send(self, address: bytes, tx_hash: bytes) -> Optional[SendTx]:
-        return self.send_index.get((address, tx_hash))
+        send = self.send_index.get(tx_hash)
+        return send if send and send.current_address == address else None
+
+
+class _TxView(Mapping):
+    def __init__(self, chains):
+        self._chains = chains
+
+    def __getitem__(self, key):
+        chain = self._chains.get(key[0], ())
+        if not 0 < key[1] <= len(chain):
+            raise KeyError(key)
+        return chain[key[1] - 1]
+
+    def __iter__(self):
+        return ((a, h) for a, chain in self._chains.items()
+                for h in range(1, len(chain) + 1))
+
+    def __len__(self):
+        return sum(map(len, self._chains.values()))
 
 
 class Node:
@@ -320,24 +347,27 @@ class Node:
     def _held_tx(self, address: bytes, height: int) -> Optional[SubchainTx]:
         """The tx this node holds at ``height``: the canonical one, else
         the pending tail's, else None."""
-        tx = self.store.txs.get((address, height))
-        if tx is None:
-            tail = self.store.pending.get(address)
-            # a tail is contiguous, so height h sits at h - tail[0].height
-            if tail and 0 <= height - tail[0].height < len(tail):
-                tx = tail[height - tail[0].height]
-        return tx
+        chain = self.store.chains.get(address, ())
+        if 0 < height <= len(chain):
+            return chain[height - 1]
+        tail = self.store.pending.get(address)
+        # a tail is contiguous, so height h sits at h - tail[0].height
+        if tail and 0 <= height - tail[0].height < len(tail):
+            return tail[height - tail[0].height]
+        return None
 
     def _local_fragment(self, address, lo, hi):
-        # ``hi`` comes from a block's record: stop at the first height not
-        # held, before any work in proportion to it
-        txs = []
-        for h in range(lo + 1, hi + 1):
-            tx = self._held_tx(address, h)
-            if tx is None:
-                return None
-            txs.append(tx)
-        return SubchainFragment(address, lo, tuple(txs))
+        # the held txs at heights (lo, hi], else None, in no time in
+        # proportion to ``hi`` (from a block's record); the tail is above
+        # the canonical chain
+        chain = self.store.chains.get(address, ())
+        n = len(chain)
+        txs = (*chain[lo:hi],
+               *self.store.pending.get(address, ())[max(lo - n, 0):
+                                                    max(hi - n, 0)])
+        if len(txs) != hi - lo:
+            return None
+        return _new(SubchainFragment, (address, lo, txs))
 
     def _connect(self, block_hash: bytes) -> None:
         """Apply a block's archived hosted entry to the canonical
@@ -345,8 +375,8 @@ class Node:
         a hosted recipient, keyed by send hash, and a hosted miner's
         coinbase, keyed by block hash."""
         store = self.store
-        confirmed, held, sends, inflows, pending = (
-            store.confirmed, store.txs, store.send_index, store.inflows,
+        confirmed, chains, sends, inflows, pending = (
+            store.confirmed, store.chains, store.send_index, store.inflows,
             store.pending)
         # hosts()'s range test, written inline below
         low, high = self.assignment.low, self.assignment.high
@@ -354,12 +384,12 @@ class Node:
         height = header.height
         for address, (txs, new_state) in store.archive[block_hash].items():
             confirmed[address] = new_state
+            chains.setdefault(address, []).extend(txs)
             for tx in txs:
-                held[address, tx[1]] = tx                   # height
                 if isinstance(tx, SendTx):
                     # recipient_address, amount, timestamp, tx_hash
                     recipient, amount, _, tx_hash = tx[3:7]
-                    sends[address, tx_hash] = tx
+                    sends[tx_hash] = tx
                     if low <= recipient <= high:
                         inflows.setdefault(recipient, {})[tx_hash] = _new(
                             Inflow, (address, tx_hash, amount, block_hash,
@@ -374,9 +404,10 @@ class Node:
                                             height, True))
 
     def _disconnect(self, block_hash: bytes) -> None:
-        """Remove the keys ``_connect`` added for a formerly canonical
-        block, and reset each confirmed state it set from the view's new
-        canonical index, which has switched already."""
+        """Remove what ``_connect`` added for a formerly canonical block
+        (each chain is cut at its first height), and reset each confirmed
+        state it set from the view's new canonical index, which has
+        switched already."""
         store = self.store
         low, high = self.assignment.low, self.assignment.high
         for address, (txs, _) in store.archive[block_hash].items():
@@ -385,10 +416,13 @@ class Node:
                 store.confirmed[address] = self._state_after(entry, address)
             else:       # another disconnected block may have dropped it
                 store.confirmed.pop(address, None)
+            chain = store.chains.get(address, [])
+            del chain[txs[0].height - 1:]
+            if not chain:   # or its chain
+                store.chains.pop(address, None)
             for tx in txs:
-                del store.txs[(address, tx.height)]
                 if isinstance(tx, SendTx):
-                    del store.send_index[(address, tx.tx_hash)]
+                    del store.send_index[tx.tx_hash]
                     if low <= tx.recipient_address <= high:
                         self._drop_inflow(tx.recipient_address, tx.tx_hash)
         miner = self.view.blocks[block_hash].header.miner_address
@@ -447,7 +481,7 @@ class Node:
                        to_height: int) -> SubchainFragment:
         if not self.hosts(address):
             raise NotHosted("address outside this node's prefix")
-        # _local_fragment stops at the first height not held: None past tip
+        # _local_fragment is None for a range not wholly held
         frag = self._local_fragment(address, from_height, to_height) \
             if 0 <= from_height <= to_height else None
         if frag is None:
@@ -465,12 +499,11 @@ class Node:
         # the fixed wire widths assume
         wire_len = {SendTx: codec.SEND_WIRE_LEN,
                     ReceiveTx: codec.RECV_WIRE_LEN}
-        txs = list(self.store.txs.values())
-        for tail in self.store.pending.values():
-            txs.extend(tail)
-        shards = {address for address, _ in self.store.txs}
+        chains, pending = self.store.chains, self.store.pending
+        held = [*chains.values(), *pending.values()]
         return StorageReport(
             main_chain_bytes=main_bytes,
-            subchain_bytes=sum(wire_len[type(tx)] for tx in txs),
-            shard_count=len(shards.union(self.store.pending)),
-            tx_count=len(txs))
+            subchain_bytes=sum(wire_len[type(tx)]
+                               for txs in held for tx in txs),
+            shard_count=len(chains.keys() | pending.keys()),
+            tx_count=sum(map(len, held)))

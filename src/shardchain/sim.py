@@ -9,6 +9,7 @@ simulates in milliseconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -223,7 +224,7 @@ class Simulation:
         balances = sum(root.confirmed_state(a).balance for a in
                        sorted(touched))
         unclaimed_sends = 0
-        for (address, _h), tx in root.store.txs.items():
+        for tx in itertools.chain.from_iterable(root.store.chains.values()):
             if isinstance(tx, SendTx):
                 rcpt = root.confirmed_state(tx.recipient_address)
                 if tx.tx_hash not in rcpt.claimed_sends:

@@ -84,66 +84,71 @@ class StaticClaimContext(ClaimContext):
 def apply_tx(state: SubchainState, tx: SubchainTx,
              ctx: ClaimContext) -> SubchainState:
     """One STF step. Caller is responsible for verify_tx."""
-    if tx.current_address != state.address:
+    # each field read once: a NamedTuple field read by name is slow
+    address, tip_hash, tip_height, balance, claimed_sends, \
+        claimed_coinbases = state
+    parent_hash, height, current_address = tx[0], tx[1], tx[2]
+    amount = tx.amount
+    if current_address != address:
         raise BadLink("transaction belongs to a different subchain",
-                      height=tx.height, address=state.address)
-    if tx.height != state.tip_height + 1 or tx.parent_hash != state.tip_hash:
+                      height=height, address=address)
+    if height != tip_height + 1 or parent_hash != tip_hash:
         raise BadLink("height/parent does not extend the tip",
-                      height=tx.height, address=state.address)
-    if tx.amount < 1:
+                      height=height, address=address)
+    if amount < 1:
         raise BadLink("amount must be at least 1",
-                      height=tx.height, address=state.address)
+                      height=height, address=address)
 
     if isinstance(tx, SendTx):
-        if tx.amount > state.balance:
+        if amount > balance:
             raise InsufficientBalance(
-                "send of %d exceeds balance %d" % (tx.amount, state.balance),
-                height=tx.height, address=state.address)
-        return _new(SubchainState, (state.address, tx.tx_hash, tx.height,
-                                    state.balance - tx.amount,
-                                    state.claimed_sends,
-                                    state.claimed_coinbases))
+                "send of %d exceeds balance %d" % (amount, balance),
+                height=height, address=address)
+        return _new(SubchainState, (address, tx.tx_hash, height,
+                                    balance - amount, claimed_sends,
+                                    claimed_coinbases))
 
+    main_block_hash = tx.main_block_hash
     if tx.is_coinbase:
-        if tx.main_block_hash in state.claimed_coinbases:
+        if main_block_hash in claimed_coinbases:
             raise DoubleClaim("coinbase already claimed",
-                              height=tx.height, address=state.address)
-        info = ctx.lookup_coinbase(tx.main_block_hash)
+                              height=height, address=address)
+        info = ctx.lookup_coinbase(main_block_hash)
         if info is None:
             raise UnconfirmedSend("coinbase block not canonical or immature",
-                                  height=tx.height, address=state.address)
+                                  height=height, address=address)
         miner_address, subsidy = info
-        if miner_address != state.address:
+        if miner_address != address:
             raise WrongRecipient("coinbase belongs to another miner",
-                                 height=tx.height, address=state.address)
-        if tx.amount != subsidy:
+                                 height=height, address=address)
+        if amount != subsidy:
             raise AmountMismatch("claimed %d, subsidy is %d"
-                                 % (tx.amount, subsidy),
-                                 height=tx.height, address=state.address)
+                                 % (amount, subsidy),
+                                 height=height, address=address)
         return _new(SubchainState, (
-            state.address, tx.tx_hash, tx.height, state.balance + tx.amount,
-            state.claimed_sends,
-            state.claimed_coinbases | {tx.main_block_hash}))
+            address, tx.tx_hash, height, balance + amount, claimed_sends,
+            claimed_coinbases | {main_block_hash}))
 
-    if tx.sender_tx_hash in state.claimed_sends:
+    sender_tx_hash = tx.sender_tx_hash
+    if sender_tx_hash in claimed_sends:
         raise DoubleClaim("send already claimed",
-                          height=tx.height, address=state.address)
-    send = ctx.lookup_send(tx.sender_address, tx.sender_tx_hash,
-                           tx.main_block_hash)
+                          height=height, address=address)
+    send = ctx.lookup_send(tx.sender_address, sender_tx_hash,
+                           main_block_hash)
     if send is None:
         raise UnconfirmedSend("referenced send not confirmed at depth",
-                              height=tx.height, address=state.address)
-    if send.recipient_address != state.address:
+                              height=height, address=address)
+    if send.recipient_address != address:
         raise WrongRecipient("send addressed to someone else",
-                             height=tx.height, address=state.address)
-    if tx.amount != send.amount:
+                             height=height, address=address)
+    if amount != send.amount:
         raise AmountMismatch("claim of %d against send of %d"
-                             % (tx.amount, send.amount),
-                             height=tx.height, address=state.address)
-    return _new(SubchainState, (state.address, tx.tx_hash, tx.height,
-                                state.balance + tx.amount,
-                                state.claimed_sends | {tx.sender_tx_hash},
-                                state.claimed_coinbases))
+                             % (amount, send.amount),
+                             height=height, address=address)
+    return _new(SubchainState, (address, tx.tx_hash, height,
+                                balance + amount,
+                                claimed_sends | {sender_tx_hash},
+                                claimed_coinbases))
 
 
 def replay(txs: Sequence[SubchainTx], ctx: ClaimContext,

@@ -107,6 +107,61 @@ def assert_confirmed_are_replays(node):
             txs, ctx, initial=node.base_state(address), verify=None), address
 
 
+def assert_chains_are_canonical(node):
+    """Each hosted chain is its address's txs archived for the canonical
+    blocks, in block order, as long as its confirmed height and never
+    empty, and ``store.txs`` is them by (address, height);
+    ``send_index`` is every such send, by hash, and ``find_send`` finds
+    it under its sender alone."""
+    store = node.store
+    chains, sends = {}, {}
+    for bh in node.view.canonical[1:]:
+        for address, (txs, _) in store.archive[bh].items():
+            chains.setdefault(address, []).extend(txs)
+            sends.update((tx.tx_hash, tx) for tx in txs
+                         if isinstance(tx, SendTx))
+    assert store.chains == chains
+    assert all(store.chains.values())
+    assert {a: len(chain) for a, chain in store.chains.items()} == \
+        {a: state.tip_height for a, state in store.confirmed.items()}
+    # store.txs reads the lists by (address, height)
+    held = {(a, h): tx for a, chain in chains.items()
+            for h, tx in enumerate(chain, 1)}
+    assert dict(store.txs.items()) == held and store.txs == held
+    assert list(store.txs.values()) == list(held.values())
+    assert all(store.txs.get((a, h)) is None for a, chain in chains.items()
+               for h in (-1, 0, len(chain) + 1))
+    assert store.send_index == sends
+    for tx_hash, send in sends.items():
+        sender = send.current_address
+        assert store.find_send(sender, tx_hash) is send
+        other = bytes([sender[0] ^ 1]) + sender[1:]
+        assert store.find_send(other, tx_hash) is None
+
+
+def rival_branch(sim, depth, miner_address):
+    """Re-mine the records of the root's last ``depth`` canonical blocks
+    on a sibling branch, plus one more block so that the branch wins,
+    flooding each block from the root; yields after each flood."""
+    view = sim.root.view
+    canon = list(view.canonical)
+    tip = len(canon) - 1
+    parent = canon[tip - depth]
+    for height in range(tip - depth + 1, tip + 2):
+        records = view.blocks[canon[height]].confirmations \
+            if height <= tip else ()
+        header = mainchain.BlockHeader(
+            parent, height, sim.now, miner_address,
+            mainchain.confirmations_root(records),
+            sim.params.difficulty_bits, 0)
+        block = mainchain.seal(mainchain.MainBlock(header, tuple(records)))
+        parent = block.block_hash
+        sim.broadcast(codec.MsgKind.NewBlock, block.encode())
+        sim.transport.run()
+        yield block
+    sim.miner.refresh_pool()
+
+
 def assert_inflows_are_an_index(node):
     """``node.store.inflows`` is what a scan of the canonical blocks
     gives: each archived send to a hosted recipient, and the coinbase of

@@ -291,6 +291,45 @@ def test_envelope_round_trips_or_is_refused(kind, payload):
     assert back.kind is env.kind and type(back.payload) is bytes
 
 
+class RequestRecorder(live.NodeClient):
+    """A client with no connection: it keeps each request it would send
+    and stops the call there."""
+
+    class Sent(Exception):
+        pass
+
+    def __init__(self):
+        self.sent = []
+
+    def call(self, env):
+        self.sent.append(env)
+        raise self.Sent
+
+
+@given(address=st.integers(0, ADDR_LEN + 2).flatmap(
+           lambda n: st.binary(min_size=n, max_size=n)),
+       lo=st.integers(-1, 2**64), hi=st.integers(-1, 2**64))
+def test_fragment_request_packs_its_range_or_is_refused(address, lo, hi):
+    """A FragmentRequest carries exactly the address and heights asked
+    for, in 36 bytes; an address that is not 20 bytes or a height
+    outside u64 is refused, with MalformedEnvelope, and nothing is
+    sent."""
+    client = RequestRecorder()
+    fits = len(address) == ADDR_LEN and 0 <= lo < 2**64 and 0 <= hi < 2**64
+    try:
+        client.fetch_fragment(address, lo, hi)
+    except MalformedEnvelope:
+        assert not fits and client.sent == []
+        return
+    except RequestRecorder.Sent:
+        pass
+    [env] = client.sent
+    assert fits and env.kind is MsgKind.FragmentRequest
+    assert env.payload == address + lo.to_bytes(8, "big") \
+        + hi.to_bytes(8, "big")
+    assert len(env.payload) == 36
+
+
 class TestTypeGuard:
     def test_plain_tuple_misses_the_verify_cache(self, keys):
         tx = make_send(keys[0], amount=3)

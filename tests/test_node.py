@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -349,31 +350,34 @@ class TestIngestFallback:
         assert node.confirmed_state(key.address).tip_height == 0
 
     def test_huge_record_height_stops_at_first_gap(self, keys, monkeypatch):
-        """A record may name any u64 tip height. The local fragment stops
-        at the first height the node does not hold, so with no fetch
-        source the block is refused at once, whether it is a side block
-        or on the tip."""
+        """A record may name any u64 tip height. The local fragment does
+        no work in proportion to it: it is None past the first height the
+        node does not hold, so with no fetch source the block is refused
+        at once, whether it is a side block or on the tip."""
         key = keys[0]
         node = make_node(make_genesis({key.address: 1000}))
         genesis = node.view.tip
         node.ingest_block(confirm_block(node, []))
         node.accept_pending_tx(make_send(key, amount=5))
-        looked = []
-        held_tx = Node._held_tx
+        calls = []
+        local_fragment = Node._local_fragment
 
-        def counted(self, address, height):
-            looked.append(height)
-            assert len(looked) <= 8, "local fragment walks past a gap"
-            return held_tx(self, address, height)
+        def timed(self, address, lo, hi):
+            start = time.process_time()
+            frag = local_fragment(self, address, lo, hi)
+            calls.append((lo, hi, frag, time.process_time() - start))
+            return frag
 
-        monkeypatch.setattr(Node, "_held_tx", counted)
+        monkeypatch.setattr(Node, "_local_fragment", timed)
         rec = ConfirmationRecord(key.address, b"\x13" * 32, 2 ** 63)
         for parent, ts in ((genesis, 99), (node.view.tip, None)):
-            looked.clear()
+            calls.clear()
             with pytest.raises(PartialFetch):
                 node.ingest_block(confirm_block(node, [rec], parent=parent,
                                                 timestamp=ts))
-            assert looked == [1, 2]
+            [(lo, hi, frag, took)] = calls
+            assert (lo, hi, frag) == (0, 2 ** 63, None)
+            assert took < 0.5, "local fragment walks past a gap"
         assert node.view.tip_height == 1
 
     @staticmethod

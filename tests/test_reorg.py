@@ -23,8 +23,9 @@ from shardchain.sharding import ShardAssignment, hosts
 from shardchain.sim import SimConfig, Simulation, derived_key
 from shardchain.subchain import SubchainFragment
 
-from conftest import Calls, assert_confirmed_are_replays, \
-    assert_inflows_are_an_index, make_receive, make_send
+from conftest import Calls, assert_chains_are_canonical, \
+    assert_confirmed_are_replays, assert_inflows_are_an_index, \
+    make_receive, make_send
 
 MINER = b"\x4d" * 20
 SENDERS = [derived_key(b"reorg-oracle:sender:%d" % i) for i in range(2)]
@@ -140,7 +141,7 @@ def full_node(tree, params):
 
 # the NodeStore keyspaces assert_matches_fresh compares with a fresh node,
 # and each other one with the reason it is not compared
-FRESH_COMPARED = ("confirmed", "txs", "send_index", "inflows")
+FRESH_COMPARED = ("confirmed", "chains", "send_index", "inflows")
 NOT_COMPARED = {
     "pending": "a fresh node has no tails; each kept tail is replayed",
     "tail_states": "checked against the replay of its pending tail",
@@ -178,6 +179,7 @@ def assert_matches_fresh(node, tree, params):
         assert node.store.archive[bh] == fresh.store.archive[bh], bh
     assert_confirmed_are_replays(node)
     assert_inflows_are_an_index(node)
+    assert_chains_are_canonical(node)
     # every surviving pending tail still applies on the canonical state,
     # and reaches the state the node keeps for it
     ctx = node.claim_context()

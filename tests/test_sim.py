@@ -16,8 +16,8 @@ from shardchain.sim import (
     run_sim,
 )
 
-from conftest import assert_confirmed_are_replays, \
-    assert_inflows_are_an_index
+from conftest import assert_chains_are_canonical, \
+    assert_confirmed_are_replays, assert_inflows_are_an_index, rival_branch
 
 
 def small_cfg(**overrides):
@@ -212,12 +212,15 @@ def finished_sim(request):
 
 def by_address(store, names):
     """The named keyspaces of a node store, grouped by the address each
-    entry belongs to (an empty inflow pool counts as none)."""
+    entry belongs to: a send by its sender (an empty inflow pool counts
+    as none)."""
     out = defaultdict(dict)
     for name in names:
         for key, value in getattr(store, name).items():
             if isinstance(key, tuple):
                 out[key[0]].setdefault(name, {})[key[1]] = value
+            elif name == "send_index":
+                out[value.current_address].setdefault(name, {})[key] = value
             elif value or name != "inflows":
                 out[key][name] = value
     return out
@@ -263,6 +266,37 @@ class TestShardEquivalence:
                        "sender it does not host (ROADMAP item 2)")
     def test_hosted_inflows_agree(self, finished_sim):
         assert_shards_match_root(finished_sim, ["inflows"])
+
+
+class TestHostedChains:
+    """The hosted chains and the send index against the canonical
+    archive, at every node after every block."""
+
+    def test_sim_7node_run(self):
+        sim = Simulation(SHARD_RUNS[0])
+        for _ in range(sim.cfg.blocks):
+            sim.run_interval()
+            for node_ in sim.nodes.values():
+                assert_chains_are_canonical(node_)
+        assert not sim.errors
+
+    def test_reorg_3node_run(self):
+        """A full and two half nodes; every 10 blocks a rival branch of
+        depth 1 or 6, in turn, wins."""
+        sim = Simulation(SimConfig(seed=1, accounts=200, width=20,
+                                   avg_txs=1, blocks=60, node_count=3))
+        rival = b"\x5a" * 20
+        depths = iter([1, 6] * 3)
+        for i in range(1, sim.cfg.blocks + 1):
+            sim.run_interval()
+            for node_ in sim.nodes.values():
+                assert_chains_are_canonical(node_)
+            if i % 10:
+                continue
+            for block in rival_branch(sim, next(depths), rival):
+                for node_ in sim.nodes.values():
+                    assert_chains_are_canonical(node_)
+            assert sim.root.view.tip == block.block_hash
 
 
 class TestBench:
