@@ -445,34 +445,25 @@ class ViewClaimContext(subchain.ClaimContext):
             and height <= self.fork_height)
         return on_branch and self.branch_height - height + 1 >= self.maturity
 
-    def lookup_send(self, sender_address, sender_tx_hash, main_block_hash):
-        if not self._mature(main_block_hash):
-            return None
+    def lookup_inflow(self, sender_address, sender_tx_hash, main_block_hash):
+        # ``blocks`` holds no genesis entry: genesis is refused here too
         block = self.view.blocks.get(main_block_hash)
-        if block is None:
+        if block is None or not self._mature(main_block_hash):
             return None
+        if sender_tx_hash == codec.NULL_HASH \
+                and sender_address == codec.NULL_ADDRESS:
+            return block.header.miner_address, self.view.params.subsidy
         # validate_block admits only strictly increasing addresses
         records = block.confirmations
         i = bisect_left(records, sender_address, key=attrgetter("address"))
         if i == len(records) or records[i].address != sender_address:
             return None
-        rec = records[i]
         send = self.send_source(sender_address, sender_tx_hash)
-        if send is None or not isinstance(send, codec.SendTx):
+        if send is None or not isinstance(send, codec.SendTx) \
+                or send.tx_hash != sender_tx_hash \
+                or send.height > records[i].tip_height:
             return None
-        if send.tx_hash != sender_tx_hash:
-            return None
-        if send.height > rec.tip_height:
-            return None
-        return send
-
-    def lookup_coinbase(self, main_block_hash):
-        if not self._mature(main_block_hash):
-            return None
-        if main_block_hash == self.view.genesis.block_hash:
-            return None
-        return (self.view.blocks[main_block_hash].header.miner_address,
-                self.view.params.subsidy)
+        return send.recipient_address, send.amount
 
 
 def validate_block(block: MainBlock, view: ChainView

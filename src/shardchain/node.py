@@ -21,6 +21,7 @@ from .errors import (
     ConfirmedFrozen,
     DecodeError,
     DuplicateHashConflict,
+    FragmentMisaligned,
     InvalidSignature,
     NotHosted,
     PartialFetch,
@@ -38,8 +39,10 @@ _new = tuple.__new__
 
 
 class Inflow(NamedTuple):
-    """A canonical transfer toward an account; the recipient's
-    ``claimed_sends``/``claimed_coinbases`` tell whether it is spent."""
+    """A canonical transfer toward an account, a send or a coinbase (whose
+    sender fields are the null address and null hash, as its claim's);
+    it is spent when its ``NodeStore.inflows`` key, the send's tx hash or
+    the coinbase's block hash, is in the recipient's ``claimed`` set."""
     sender_address: bytes
     sender_tx_hash: bytes
     amount: int
@@ -180,26 +183,34 @@ class Node:
                       = lambda kind, payload: None) -> None:
         """The one handler of a NewTx or NewBlock payload, in the sim, on a
         live node and for its journal, which ``journal`` extends by the
-        record of each change. A NewTx fragment's txs are pooled in order;
-        a refusal leaves the txs before it pooled, and its text counts
-        them. A known NewBlock changes nothing, any other is ingested."""
+        record of each change. A NewTx fragment whose header does not name
+        its txs' address and first height is refused whole; otherwise its
+        txs are pooled in order, and a refusal leaves the txs before it
+        pooled, and its text counts them. A known NewBlock changes
+        nothing, any other is ingested."""
         if kind == MsgKind.NewBlock:
             block = mainchain.decode_block(payload)
             if block.block_hash in self.view.blocks:
                 return
             self.ingest_block(block)
         elif kind == MsgKind.NewTx:
-            frag = subchain.decode_fragment(payload)
+            address, from_height, txs = subchain.decode_fragment(payload)
+            # the header scopes the payload (routing, the journal), so it
+            # must name the txs it carries before any of them is pooled
+            if txs and (txs[0].height != from_height + 1 or any(
+                    tx.current_address != address for tx in txs)):
+                raise FragmentMisaligned("fragment header does not name "
+                                         "its transactions")
             changed, pooled = False, 0
             try:
-                for tx in frag.txs:
+                for tx in txs:
                     changed = self.accept_pending_tx(tx) or changed
                     pooled += 1
             except ShardChainError as err:
                 if pooled:
                     err.args = ("%s (%d pooled)" % (err, pooled),)
                 if changed:
-                    journal(kind, subchain.encode_batch(frag.txs[:pooled]))
+                    journal(kind, subchain.encode_batch(txs[:pooled]))
                 raise
             if not changed:
                 return

@@ -227,13 +227,13 @@ class Simulation:
         for tx in itertools.chain.from_iterable(root.store.chains.values()):
             if isinstance(tx, SendTx):
                 rcpt = root.confirmed_state(tx.recipient_address)
-                if tx.tx_hash not in rcpt.claimed_sends:
+                if tx.tx_hash not in rcpt.claimed:
                     unclaimed_sends += tx.amount
         unclaimed_coinbase = 0
         for bh in view.canonical[1:]:
             block = view.blocks[bh]
             miner_state = root.confirmed_state(block.header.miner_address)
-            if bh not in miner_state.claimed_coinbases:
+            if bh not in miner_state.claimed:
                 unclaimed_coinbase += self.params.subsidy
         genesis_total = sum(b for _, b in self.genesis.allocations)
         subsidies = self.params.subsidy * (len(view.canonical) - 1)

@@ -10,10 +10,10 @@ gives; how far an account is confirmed is the main chain's record.
 from __future__ import annotations
 
 import struct
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from . import codec
-from .codec import NULL_HASH, SendTx, SubchainTx
+from .codec import NULL_ADDRESS, NULL_HASH, SendTx, SubchainTx
 from .errors import (
     AmountMismatch,
     BadLink,
@@ -37,8 +37,9 @@ class SubchainState(NamedTuple):
     tip_hash: bytes = NULL_HASH
     tip_height: int = 0
     balance: int = 0
-    claimed_sends: frozenset = frozenset()
-    claimed_coinbases: frozenset = frozenset()
+    # the key of each inflow claimed: a send's tx hash, or the block hash
+    # of a coinbase, as ``NodeStore.inflows`` keys them
+    claimed: frozenset = frozenset()
 
 
 def initial_state(address: bytes, balance: int = 0) -> SubchainState:
@@ -49,44 +50,37 @@ def initial_state(address: bytes, balance: int = 0) -> SubchainState:
 class ClaimContext:
     """Read-only view of one immutable main-chain snapshot.
 
-    ``lookup_send`` returns the referenced SendTx only when the named main
-    block is canonical at sufficient depth (maturity) and confirms the
-    sender's subchain at or beyond the send's height. ``lookup_coinbase``
-    returns (miner_address, subsidy) under the same canonicity/maturity
-    conditions. Both return None otherwise.
+    ``lookup_inflow`` returns (recipient, amount) of the inflow a claim
+    cites: the send ``sender_tx_hash`` of ``sender_address``, or for the
+    null sender and null hash the coinbase of ``main_block_hash``. It
+    answers only when the named main block is canonical at sufficient
+    depth (maturity) and, for a send, confirms the sender's subchain at
+    or beyond the send's height; it returns None otherwise.
     """
 
-    def lookup_send(self, sender_address: bytes, sender_tx_hash: bytes,
-                    main_block_hash: bytes) -> Optional[SendTx]:
-        raise NotImplementedError
-
-    def lookup_coinbase(self, main_block_hash: bytes):
+    def lookup_inflow(self, sender_address: bytes, sender_tx_hash: bytes,
+                      main_block_hash: bytes) -> Optional[Tuple[bytes, int]]:
         raise NotImplementedError
 
 
 class StaticClaimContext(ClaimContext):
-    """Dict-backed context for tests and hand-built scenarios."""
+    """Dict-backed context for tests and hand-built scenarios:
+    {(sender_address, sender_tx_hash, main_block_hash): (recipient,
+    amount)}."""
 
-    def __init__(self, sends=None, coinbases=None):
-        # sends: {(sender_address, sender_tx_hash, main_block_hash): SendTx}
-        # coinbases: {main_block_hash: (miner_address, subsidy)}
-        self.sends = dict(sends or {})
-        self.coinbases = dict(coinbases or {})
+    def __init__(self, inflows=None):
+        self.inflows = dict(inflows or {})
 
-    def lookup_send(self, sender_address, sender_tx_hash, main_block_hash):
-        return self.sends.get((sender_address, sender_tx_hash,
-                               main_block_hash))
-
-    def lookup_coinbase(self, main_block_hash):
-        return self.coinbases.get(main_block_hash)
+    def lookup_inflow(self, sender_address, sender_tx_hash, main_block_hash):
+        return self.inflows.get((sender_address, sender_tx_hash,
+                                 main_block_hash))
 
 
 def apply_tx(state: SubchainState, tx: SubchainTx,
              ctx: ClaimContext) -> SubchainState:
     """One STF step. Caller is responsible for verify_tx."""
     # each field read once: a NamedTuple field read by name is slow
-    address, tip_hash, tip_height, balance, claimed_sends, \
-        claimed_coinbases = state
+    address, tip_hash, tip_height, balance, claimed = state
     parent_hash, height, current_address = tx[0], tx[1], tx[2]
     amount = tx.amount
     if current_address != address:
@@ -105,50 +99,30 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
                 "send of %d exceeds balance %d" % (amount, balance),
                 height=height, address=address)
         return _new(SubchainState, (address, tx.tx_hash, height,
-                                    balance - amount, claimed_sends,
-                                    claimed_coinbases))
+                                    balance - amount, claimed))
 
-    main_block_hash = tx.main_block_hash
-    if tx.is_coinbase:
-        if main_block_hash in claimed_coinbases:
-            raise DoubleClaim("coinbase already claimed",
-                              height=height, address=address)
-        info = ctx.lookup_coinbase(main_block_hash)
-        if info is None:
-            raise UnconfirmedSend("coinbase block not canonical or immature",
-                                  height=height, address=address)
-        miner_address, subsidy = info
-        if miner_address != address:
-            raise WrongRecipient("coinbase belongs to another miner",
-                                 height=height, address=address)
-        if amount != subsidy:
-            raise AmountMismatch("claimed %d, subsidy is %d"
-                                 % (amount, subsidy),
-                                 height=height, address=address)
-        return _new(SubchainState, (
-            address, tx.tx_hash, height, balance + amount, claimed_sends,
-            claimed_coinbases | {main_block_hash}))
-
-    sender_tx_hash = tx.sender_tx_hash
-    if sender_tx_hash in claimed_sends:
-        raise DoubleClaim("send already claimed",
+    sender_address, sender_tx_hash, main_block_hash = tx[3], tx[4], tx[5]
+    # a coinbase claim names the null sender and null hash
+    key = main_block_hash if sender_tx_hash == NULL_HASH \
+        and sender_address == NULL_ADDRESS else sender_tx_hash
+    if key in claimed:
+        raise DoubleClaim("inflow already claimed",
                           height=height, address=address)
-    send = ctx.lookup_send(tx.sender_address, sender_tx_hash,
-                           main_block_hash)
-    if send is None:
-        raise UnconfirmedSend("referenced send not confirmed at depth",
+    inflow = ctx.lookup_inflow(sender_address, sender_tx_hash,
+                               main_block_hash)
+    if inflow is None:
+        raise UnconfirmedSend("cited inflow not confirmed at depth",
                               height=height, address=address)
-    if send.recipient_address != address:
-        raise WrongRecipient("send addressed to someone else",
+    recipient, inflow_amount = inflow
+    if recipient != address:
+        raise WrongRecipient("inflow addressed to someone else",
                              height=height, address=address)
-    if amount != send.amount:
-        raise AmountMismatch("claim of %d against send of %d"
-                             % (amount, send.amount),
+    if amount != inflow_amount:
+        raise AmountMismatch("claim of %d against inflow of %d"
+                             % (amount, inflow_amount),
                              height=height, address=address)
     return _new(SubchainState, (address, tx.tx_hash, height,
-                                balance + amount,
-                                claimed_sends | {sender_tx_hash},
-                                claimed_coinbases))
+                                balance + amount, claimed | {key}))
 
 
 def replay(txs: Sequence[SubchainTx], ctx: ClaimContext,

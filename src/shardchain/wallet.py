@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from . import codec, subchain
-from .codec import KeyPair, NULL_ADDRESS, NULL_HASH, ReceiveTx, SendTx
+from .codec import KeyPair, ReceiveTx, SendTx
 from .errors import AlreadyClaimed, Immature, InsufficientBalance, KeyMismatch
 from .node import Inflow
 
@@ -44,34 +44,22 @@ class AccountView:
 def account_view(node, address: bytes) -> AccountView:
     """Build an AccountView from a (full) node's indexes."""
     state = node.full_state(address)
-    claimables = []
-    for key, flow in node.store.inflows.get(address, {}).items():
-        if flow.coinbase:
-            if flow.block_hash in state.claimed_coinbases:
-                continue
-        elif flow.sender_tx_hash in state.claimed_sends:
-            continue
-        claimables.append((flow, node.view.depth(flow.block_hash)))
+    claimed = state.claimed
+    claimables = [(flow, node.view.depth(flow.block_hash))
+                  for key, flow in node.store.inflows.get(address, {}).items()
+                  if key not in claimed]
     return AccountView(address=address, state=state,
                        claimables=claimables, maturity=node.params.maturity)
 
 
 def _advance(view: AccountView, tx, inflow: Inflow | None = None) -> None:
     """Apply ``tx`` to the view's state through the STF; a claim is
-    answered from ``inflow``, the mature claimable it names, as the send
-    or coinbase that inflow records."""
-    sends, coinbases = {}, {}
-    if inflow is not None and inflow.coinbase:
-        coinbases[inflow.block_hash] = (view.address, inflow.amount)
-    elif inflow is not None:
-        sends[(inflow.sender_address, inflow.sender_tx_hash,
-               inflow.block_hash)] = SendTx(
-            parent_hash=NULL_HASH, height=0,
-            current_address=inflow.sender_address,
-            recipient_address=view.address, amount=inflow.amount,
-            timestamp=0, tx_hash=inflow.sender_tx_hash)
-    view.state = subchain.apply_tx(
-        view.state, tx, subchain.StaticClaimContext(sends, coinbases))
+    answered from ``inflow``, the mature claimable it names."""
+    inflows = {} if inflow is None else {
+        (inflow.sender_address, inflow.sender_tx_hash, inflow.block_hash):
+        (view.address, inflow.amount)}
+    view.state = subchain.apply_tx(view.state, tx,
+                                   subchain.StaticClaimContext(inflows))
 
 
 def build_send(view: AccountView, recipient: bytes, amount: int,
@@ -96,22 +84,18 @@ def build_claim(view: AccountView, inflow: Inflow, key: KeyPair,
     if key.address != view.address:
         raise KeyMismatch("key does not control this account")
     depth = next((d for f, d in view.claimables if f == inflow), None)
-    if inflow.coinbase:
-        if inflow.block_hash in view.state.claimed_coinbases:
-            raise AlreadyClaimed("coinbase already claimed")
-    elif inflow.sender_tx_hash in view.state.claimed_sends:
-        raise AlreadyClaimed("send already claimed")
+    # the key NodeStore.inflows holds it under
+    if (inflow.block_hash if inflow.coinbase
+            else inflow.sender_tx_hash) in view.state.claimed:
+        raise AlreadyClaimed("inflow already claimed")
     if depth is None or depth < view.maturity:
         raise Immature("inflow depth %s below maturity %d"
                        % (depth, view.maturity))
-    if inflow.coinbase:
-        sender, sender_tx = NULL_ADDRESS, NULL_HASH
-    else:
-        sender, sender_tx = inflow.sender_address, inflow.sender_tx_hash
     tx = ReceiveTx(parent_hash=view.state.tip_hash,
                    height=view.state.tip_height + 1,
                    current_address=view.address,
-                   sender_address=sender, sender_tx_hash=sender_tx,
+                   sender_address=inflow.sender_address,
+                   sender_tx_hash=inflow.sender_tx_hash,
                    main_block_hash=inflow.block_hash,
                    amount=inflow.amount, timestamp=timestamp)
     tx = codec.sign_tx(tx, key)

@@ -188,7 +188,7 @@ def test_criterion_3_safety_rejections(announce):
         send = make_send(a, amount=5, recipient=b.address)
         block_hash = b"\xb7" * 32
         claim_ctx = StaticClaimContext(
-            sends={(a.address, send.tx_hash, block_hash): send})
+            {(a.address, send.tx_hash, block_hash): (b.address, 5)})
         claimed = subchain.apply_tx(
             initial_state(b.address),
             make_receive(b, NULL_HASH, 1, a.address, send.tx_hash,

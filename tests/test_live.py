@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shardchain import cli, codec, live, mainchain, subchain
-from shardchain.errors import DecodeError, MalformedBatch, \
-    ShardChainError, UnconfirmedSend
+from shardchain.errors import DecodeError, FragmentMisaligned, \
+    MalformedBatch, ShardChainError, UnconfirmedSend
 from shardchain.mainchain import ChainParams, EASY_BITS
 from shardchain.miner import Miner
 from shardchain.network import Envelope, MsgKind
@@ -306,6 +306,42 @@ class TestHostileInput:
             assert "NotHosted" in str(exc.value)
             assert os.path.getsize(log_path(path)) == size
             assert server.node.store.pending == {}
+
+    @staticmethod
+    def misaligned(case, keys):
+        """A NewTx fragment whose header does not name its txs: a foreign
+        header, a wrong ``from_height``, or two accounts' txs."""
+        a, b = keys[0].address, keys[1].address
+        b_send = make_send(keys[1], amount=7)
+        return subchain.encode_fragment({
+            "foreign header": SubchainFragment(a, 0, (b_send,)),
+            "wrong from_height": SubchainFragment(b, 7, (b_send,)),
+            "two accounts": SubchainFragment(
+                b, 0, (b_send, make_send(keys[0], amount=5))),
+        }[case])
+
+    @pytest.mark.parametrize("case", ["foreign header", "wrong from_height",
+                                      "two accounts"])
+    def test_misaligned_fragment_refused_whole(self, data_dir, keys, case):
+        """A fragment is checked against its header before any tx is
+        pooled: the refusal journals and keeps nothing, in the handler
+        and through the server's reply."""
+        payload = self.misaligned(case, keys)
+        node, journal = live.load_node(data_dir), []
+        with pytest.raises(FragmentMisaligned):
+            node.apply_request(MsgKind.NewTx, payload,
+                               lambda *record: journal.append(record))
+        assert journal == [] and node.store.pending == {}
+        server = live.NodeServer(data_dir, ("127.0.0.1", 0))
+        try:
+            size = os.path.getsize(log_path(data_dir))
+            reply = live.read_envelope(io.BytesIO(server.handle(
+                Envelope(MsgKind.NewTx, payload))))
+            assert reply.payload.startswith(live.ERR + b"FragmentMisaligned")
+            assert server.node.store.pending == {}
+            assert os.path.getsize(log_path(data_dir)) == size
+        finally:
+            server.close()
 
     def test_height_zero_tx_refused_unsent(self, data_dir, keys):
         """submit_tx of a height-0 tx raises MalformedBatch before sending:

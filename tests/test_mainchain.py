@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from shardchain import codec, mainchain
-from shardchain.codec import NULL_HASH, sha256, sha256d
+from shardchain.codec import NULL_ADDRESS, NULL_HASH, sha256, sha256d
 from shardchain.errors import (
     BadPoW,
     DecodeError,
@@ -524,12 +524,13 @@ class TestViewClaimContext:
         b1 = mk_block(view)
         view.extend(b1)
         ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
-        assert ctx.lookup_coinbase(b1.block_hash) is None   # depth 1 < 3
+        assert ctx.lookup_inflow(NULL_ADDRESS, NULL_HASH,
+                                 b1.block_hash) is None   # depth 1 < 3
         for _ in range(2):
             view.extend(mk_block(view))
         ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
-        assert ctx.lookup_coinbase(b1.block_hash) == \
-            (MINER, PARAMS.subsidy)
+        assert ctx.lookup_inflow(NULL_ADDRESS, NULL_HASH, b1.block_hash) \
+            == (MINER, PARAMS.subsidy)
 
     def test_send_lookup_requires_confirmation(self, keys):
         key = keys[0]
@@ -541,11 +542,12 @@ class TestViewClaimContext:
         view.extend(b1)
         ctx = ViewClaimContext(view, view.tip,
                                lambda a, h: send if h == send.tx_hash else None)
-        assert ctx.lookup_send(key.address, send.tx_hash,
-                               b1.block_hash) == send
+        assert ctx.lookup_inflow(key.address, send.tx_hash,
+                                 b1.block_hash) \
+            == (send.recipient_address, send.amount)
         # a block that never confirmed the sender yields nothing
-        assert ctx.lookup_send(b"\x55" * 20, send.tx_hash,
-                               b1.block_hash) is None
+        assert ctx.lookup_inflow(b"\x55" * 20, send.tx_hash,
+                                 b1.block_hash) is None
         # off-branch block hash yields nothing
-        assert ctx.lookup_send(key.address, send.tx_hash,
-                               b"\x44" * 32) is None
+        assert ctx.lookup_inflow(key.address, send.tx_hash,
+                                 b"\x44" * 32) is None

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from shardchain import codec, subchain
-from shardchain.codec import NULL_HASH
+from shardchain.codec import NULL_ADDRESS, NULL_HASH
 from shardchain.errors import (
     AmountMismatch,
     BadLink,
@@ -46,18 +46,22 @@ class TestApplyTx:
         sender, rcpt = keys[0], keys[1]
         send = make_send(sender, amount=40, recipient=rcpt.address)
         block = b"\xb0" * 32
+        # a later block whose record also covers the send
+        later = b"\xb9" * 32
         ctx = StaticClaimContext(
-            sends={(sender.address, send.tx_hash, block): send})
+            {(sender.address, send.tx_hash, bh): (rcpt.address, 40)
+             for bh in (block, later)})
         state = initial_state(rcpt.address)
         claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
                              send.tx_hash, block, 40)
         out = apply_tx(state, claim, ctx)
         assert out.balance == 40
-        assert send.tx_hash in out.claimed_sends
-        again = make_receive(rcpt, claim.tx_hash, 2, sender.address,
-                             send.tx_hash, block, 40)
-        with pytest.raises(DoubleClaim):
-            apply_tx(out, again, ctx)
+        assert send.tx_hash in out.claimed
+        for cited in (block, later):
+            again = make_receive(rcpt, claim.tx_hash, 2, sender.address,
+                                 send.tx_hash, cited, 40)
+            with pytest.raises(DoubleClaim):
+                apply_tx(out, again, ctx)
 
     def test_unconfirmed_claim(self, keys):
         rcpt = keys[1]
@@ -71,7 +75,7 @@ class TestApplyTx:
         send = make_send(sender, amount=7, recipient=rcpt.address)
         block = b"\xb1" * 32
         ctx = StaticClaimContext(
-            sends={(sender.address, send.tx_hash, block): send})
+            {(sender.address, send.tx_hash, block): (rcpt.address, 7)})
         claim = make_receive(thief, NULL_HASH, 1, sender.address,
                              send.tx_hash, block, 7)
         with pytest.raises(WrongRecipient):
@@ -82,7 +86,7 @@ class TestApplyTx:
         send = make_send(sender, amount=7, recipient=rcpt.address)
         block = b"\xb2" * 32
         ctx = StaticClaimContext(
-            sends={(sender.address, send.tx_hash, block): send})
+            {(sender.address, send.tx_hash, block): (rcpt.address, 7)})
         claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
                              send.tx_hash, block, 8)
         with pytest.raises(AmountMismatch):
@@ -98,13 +102,19 @@ class TestApplyTx:
         from conftest import make_coinbase_claim
         miner = keys[3]
         block = b"\xcc" * 32
-        ctx = StaticClaimContext(coinbases={block: (miner.address, 50)})
+        ctx = StaticClaimContext(
+            {(NULL_ADDRESS, NULL_HASH, block): (miner.address, 50)})
         claim = make_coinbase_claim(miner, NULL_HASH, 1, block, 50)
         out = apply_tx(initial_state(miner.address), claim, ctx)
         assert out.balance == 50
         again = make_coinbase_claim(miner, claim.tx_hash, 2, block, 50)
-        with pytest.raises(DoubleClaim):
-            apply_tx(out, again, ctx)
+        # a send claim citing the claimed block's hash as its send hash
+        # shares the key: refused as DoubleClaim (no send has that hash)
+        as_send = make_receive(miner, claim.tx_hash, 2, keys[0].address,
+                               block, b"\xce" * 32, 50)
+        for tx in (again, as_send):
+            with pytest.raises(DoubleClaim):
+                apply_tx(out, tx, ctx)
 
 
 class TestReplay:
@@ -121,7 +131,8 @@ class TestReplay:
         miner = keys[4]
         block = b"\xcd" * 32
         reward = 50 * 10**8
-        ctx = StaticClaimContext(coinbases={block: (miner.address, reward)})
+        ctx = StaticClaimContext(
+            {(NULL_ADDRESS, NULL_HASH, block): (miner.address, reward)})
         claim = make_coinbase_claim(miner, NULL_HASH, 1, block, reward)
         out = replay([claim], ctx, initial=initial_state(miner.address))
         assert out.balance == reward

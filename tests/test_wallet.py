@@ -4,6 +4,7 @@ from shardchain import codec, subchain, wallet
 from shardchain.codec import NULL_ADDRESS, NULL_HASH
 from shardchain.errors import (
     AlreadyClaimed,
+    DoubleClaim,
     Immature,
     InsufficientBalance,
     KeyMismatch,
@@ -28,6 +29,8 @@ from shardchain.wallet import (
     build_claim,
     build_send,
 )
+
+from conftest import make_coinbase_claim
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=2)
@@ -203,13 +206,35 @@ class TestAgainstNode:
         assert account_view(node, rcpt.address).claimables == []
 
     def test_miner_coinbase_claim(self, keys):
+        """A coinbase claim, end to end: pooled, confirmed, replayed on
+        ingest by a node that never pooled it, and spent once."""
         miner_key = keys[2]
         node = fresh_node({})
-        b1 = confirm(node, [], miner=miner_key.address)
-        confirm(node, [])
-        confirm(node, [])
+        blocks = [confirm(node, [], miner=miner_key.address),
+                  confirm(node, []), confirm(node, [])]
         mview = account_view(node, miner_key.address)
         assert [f.coinbase for f, _ in mview.claimables] == [True]
-        claim = build_claim(mview, mview.claimables[0][0], miner_key)
+        inflow = mview.claimables[0][0]
+        claim = build_claim(mview, inflow, miner_key)
         node.accept_pending_tx(claim)
         assert node.full_state(miner_key.address).balance == PARAMS.subsidy
+        blocks.append(confirm(node, [ConfirmationRecord(
+            miner_key.address, claim.tx_hash, 1)]))
+        state = node.confirmed_state(miner_key.address)
+        assert state.tip_hash == claim.tx_hash
+        assert state.claimed == {blocks[0].block_hash}
+        # a node that never pooled the claim fetches and replays it
+        peer = Node(b"\x01" * 8, ShardAssignment(), make_genesis({}),
+                    PARAMS, fetch=node.serve_fragment)
+        for block in blocks:
+            peer.ingest_block(block)
+        assert peer.confirmed_state(miner_key.address) == state
+        for holder in (node, peer):
+            assert account_view(holder, miner_key.address).claimables == []
+        with pytest.raises(AlreadyClaimed):
+            build_claim(account_view(node, miner_key.address), inflow,
+                        miner_key)
+        again = make_coinbase_claim(miner_key, claim.tx_hash, 2,
+                                    blocks[0].block_hash, PARAMS.subsidy)
+        with pytest.raises(DoubleClaim):
+            node.accept_pending_tx(again)
