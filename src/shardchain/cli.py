@@ -343,6 +343,9 @@ def main(argv=None) -> int:
             if getattr(args, name) is not None:
                 parser.error("node: --%s applies only with --init"
                              % name.replace("_", "-"))
+    addresses = [a for a, _ in getattr(args, "alloc", None) or ()]
+    if len(set(addresses)) < len(addresses):
+        parser.error("argument --alloc: an address is allocated twice")
     try:
         return args.func(args)
     except ShardChainError as err:

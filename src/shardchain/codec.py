@@ -185,11 +185,6 @@ class ReceiveTx(NamedTuple):
     public_key: bytes = b"\x00" * PUBKEY_LEN
     signature: bytes = b"\x00" * SIG_LEN
 
-    @property
-    def is_coinbase(self) -> bool:
-        return (self.sender_address == NULL_ADDRESS
-                and self.sender_tx_hash == NULL_HASH)
-
 
 SubchainTx = Union[SendTx, ReceiveTx]
 _TX_TYPES = (SendTx, ReceiveTx)

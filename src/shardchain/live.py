@@ -175,7 +175,12 @@ _FRAGMENT_RANGE = struct.Struct(">20sQQ")
 def encode_hello(assignment: ShardAssignment, tip: bytes, tip_height: int,
                  pending: Sequence[mainchain.ConfirmationRecord]
                  ) -> bytes:
-    """The body of an ok Hello reply, after its status byte."""
+    """The body of an ok Hello reply, after its status byte. Fields off
+    their wire widths or ranges are refused before anything is packed."""
+    if len(tip) != codec.HASH_LEN or not 0 <= tip_height < 1 << 64 \
+            or not mainchain.records_fit(pending):
+        raise MalformedEnvelope("a Hello field is off its wire width or "
+                                "range")
     return b"".join([assignment.encode(), tip,
                      _HELLO_COUNTS.pack(tip_height, len(pending))]
                     + [record.encode() for record in pending])

@@ -116,10 +116,16 @@ class BlockHeader(Frozen):
             return self._block_hash
 
 
+def records_fit(records) -> bool:
+    """Whether every record's fields are at their wire widths and ranges:
+    struct would pad or cut a bytes field and refuse a height off u64."""
+    return all(len(a) == ADDR_LEN and len(h) == HASH_LEN and 0 <= n < _U64
+               for a, h, n in records)
+
+
 def confirmations_root(records) -> bytes:
-    # struct would pad or cut a tip hash and refuse a height off u64; only
-    # in-process records come here (a decoded block hashed its bytes)
-    if not all(len(h) == HASH_LEN and 0 <= n < _U64 for _, h, n in records):
+    # only in-process records come here (a decoded block hashed its bytes)
+    if not records_fit(records):
         raise MalformedBlock("a record field is off its wire width or range")
     return sha256(b"".join(r.encode() for r in records))
 
@@ -416,8 +422,8 @@ def _confirm(index: dict, block_hash: bytes, records) -> None:
         map(_TIP_HEIGHT, records))))
 
 
-class ViewClaimContext(subchain.ClaimContext):
-    """ClaimContext bound to one branch of a ChainView.
+class ViewClaimContext:
+    """The claim context (see ``subchain``) of one branch of a ChainView.
 
     ``send_source`` maps (sender_address, sender_tx_hash) -> SendTx for
     confirmed transactions, typically a node store lookup or fragment
@@ -445,13 +451,16 @@ class ViewClaimContext(subchain.ClaimContext):
             and height <= self.fork_height)
         return on_branch and self.branch_height - height + 1 >= self.maturity
 
-    def lookup_inflow(self, sender_address, sender_tx_hash, main_block_hash):
+    def get(self, citation):
+        """(recipient, amount) of the cited send or coinbase when the
+        cited block is mature on this branch and, for a send, confirms
+        the sender's subchain at or beyond the send's height; else None."""
+        sender_address, sender_tx_hash, main_block_hash = citation
         # ``blocks`` holds no genesis entry: genesis is refused here too
         block = self.view.blocks.get(main_block_hash)
         if block is None or not self._mature(main_block_hash):
             return None
-        if sender_tx_hash == codec.NULL_HASH \
-                and sender_address == codec.NULL_ADDRESS:
+        if citation[:2] == subchain.COINBASE:
             return block.header.miner_address, self.view.params.subsidy
         # validate_block admits only strictly increasing addresses
         records = block.confirmations

@@ -33,22 +33,21 @@ from .errors import (
 from .mainchain import ChainParams, ChainView, Genesis, MainBlock, \
     ViewClaimContext
 from .sharding import ShardAssignment, hosted_slice, hosts
-from .subchain import SubchainFragment, SubchainState
+from .subchain import COINBASE, SubchainFragment, SubchainState
 
 _new = tuple.__new__
 
 
 class Inflow(NamedTuple):
-    """A canonical transfer toward an account, a send or a coinbase (whose
-    sender fields are the null address and null hash, as its claim's);
-    it is spent when its ``NodeStore.inflows`` key, the send's tx hash or
-    the coinbase's block hash, is in the recipient's ``claimed`` set."""
+    """A canonical send or coinbase toward an account. Its first three
+    fields are what a claim of it cites; it is spent when its
+    ``NodeStore.inflows`` key, ``subchain.inflow_key(flow[:3])``, is in
+    the recipient's ``claimed`` set."""
     sender_address: bytes
     sender_tx_hash: bytes
-    amount: int
     block_hash: bytes
+    amount: int
     block_height: int
-    coinbase: bool = False
 
 
 class StorageReport(NamedTuple):
@@ -403,16 +402,14 @@ class Node:
                     sends[tx_hash] = tx
                     if low <= recipient <= high:
                         inflows.setdefault(recipient, {})[tx_hash] = _new(
-                            Inflow, (address, tx_hash, amount, block_hash,
-                                     height, False))
+                            Inflow, (address, tx_hash, block_hash, amount,
+                                     height))
             if address in pending:
                 self._trim_pending(address, new_state)
         if low <= header.miner_address <= high:
             inflows.setdefault(header.miner_address, {})[
-                block_hash] = _new(Inflow, (codec.NULL_ADDRESS,
-                                            codec.NULL_HASH,
-                                            self.params.subsidy, block_hash,
-                                            height, True))
+                block_hash] = _new(Inflow, (*COINBASE, block_hash,
+                                            self.params.subsidy, height))
 
     def _disconnect(self, block_hash: bytes) -> None:
         """Remove what ``_connect`` added for a formerly canonical block

@@ -47,37 +47,22 @@ def initial_state(address: bytes, balance: int = 0) -> SubchainState:
     return SubchainState(address, balance=balance)
 
 
-class ClaimContext:
-    """Read-only view of one immutable main-chain snapshot.
-
-    ``lookup_inflow`` returns (recipient, amount) of the inflow a claim
-    cites: the send ``sender_tx_hash`` of ``sender_address``, or for the
-    null sender and null hash the coinbase of ``main_block_hash``. It
-    answers only when the named main block is canonical at sufficient
-    depth (maturity) and, for a send, confirms the sender's subchain at
-    or beyond the send's height; it returns None otherwise.
-    """
-
-    def lookup_inflow(self, sender_address: bytes, sender_tx_hash: bytes,
-                      main_block_hash: bytes) -> Optional[Tuple[bytes, int]]:
-        raise NotImplementedError
+# A claim context is anything with ``get(citation)``: a receive cites its
+# ``tx[3:6]``, (sender_address, sender_tx_hash, main_block_hash), and
+# ``get`` answers the inflow's (recipient, amount), or None when it is not
+# confirmed at depth; a dict is the static context. A coinbase claim
+# cites the null sender and null hash.
+COINBASE = (NULL_ADDRESS, NULL_HASH)
 
 
-class StaticClaimContext(ClaimContext):
-    """Dict-backed context for tests and hand-built scenarios:
-    {(sender_address, sender_tx_hash, main_block_hash): (recipient,
-    amount)}."""
-
-    def __init__(self, inflows=None):
-        self.inflows = dict(inflows or {})
-
-    def lookup_inflow(self, sender_address, sender_tx_hash, main_block_hash):
-        return self.inflows.get((sender_address, sender_tx_hash,
-                                 main_block_hash))
+def inflow_key(citation: Tuple[bytes, bytes, bytes]) -> bytes:
+    """The key a state's ``claimed`` set and ``NodeStore.inflows`` hold a
+    cited inflow under: the cited block's hash for a coinbase, else the
+    send's tx hash."""
+    return citation[2] if citation[:2] == COINBASE else citation[1]
 
 
-def apply_tx(state: SubchainState, tx: SubchainTx,
-             ctx: ClaimContext) -> SubchainState:
+def apply_tx(state: SubchainState, tx: SubchainTx, ctx) -> SubchainState:
     """One STF step. Caller is responsible for verify_tx."""
     # each field read once: a NamedTuple field read by name is slow
     address, tip_hash, tip_height, balance, claimed = state
@@ -101,15 +86,12 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
         return _new(SubchainState, (address, tx.tx_hash, height,
                                     balance - amount, claimed))
 
-    sender_address, sender_tx_hash, main_block_hash = tx[3], tx[4], tx[5]
-    # a coinbase claim names the null sender and null hash
-    key = main_block_hash if sender_tx_hash == NULL_HASH \
-        and sender_address == NULL_ADDRESS else sender_tx_hash
+    citation = tx[3:6]
+    key = inflow_key(citation)
     if key in claimed:
         raise DoubleClaim("inflow already claimed",
                           height=height, address=address)
-    inflow = ctx.lookup_inflow(sender_address, sender_tx_hash,
-                               main_block_hash)
+    inflow = ctx.get(citation)
     if inflow is None:
         raise UnconfirmedSend("cited inflow not confirmed at depth",
                               height=height, address=address)
@@ -125,7 +107,7 @@ def apply_tx(state: SubchainState, tx: SubchainTx,
                                 balance + amount, claimed | {key}))
 
 
-def replay(txs: Sequence[SubchainTx], ctx: ClaimContext,
+def replay(txs: Sequence[SubchainTx], ctx,
            initial: Optional[SubchainState] = None,
            verify: Optional[Callable[[SubchainTx], bool]] = codec.verify_tx,
            ) -> SubchainState:
@@ -155,7 +137,7 @@ class SubchainFragment(NamedTuple):
 
 
 def verify_fragment(state: SubchainState, frag: SubchainFragment,
-                    ctx: ClaimContext) -> SubchainState:
+                    ctx) -> SubchainState:
     """Extend a verified state by a fragment; equals replay of the whole."""
     if frag.address != state.address:
         raise FragmentMisaligned("fragment is for a different address")

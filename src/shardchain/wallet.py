@@ -55,11 +55,9 @@ def account_view(node, address: bytes) -> AccountView:
 def _advance(view: AccountView, tx, inflow: Inflow | None = None) -> None:
     """Apply ``tx`` to the view's state through the STF; a claim is
     answered from ``inflow``, the mature claimable it names."""
-    inflows = {} if inflow is None else {
-        (inflow.sender_address, inflow.sender_tx_hash, inflow.block_hash):
-        (view.address, inflow.amount)}
-    view.state = subchain.apply_tx(view.state, tx,
-                                   subchain.StaticClaimContext(inflows))
+    ctx = {} if inflow is None else {
+        inflow[:3]: (view.address, inflow.amount)}
+    view.state = subchain.apply_tx(view.state, tx, ctx)
 
 
 def build_send(view: AccountView, recipient: bytes, amount: int,
@@ -84,9 +82,7 @@ def build_claim(view: AccountView, inflow: Inflow, key: KeyPair,
     if key.address != view.address:
         raise KeyMismatch("key does not control this account")
     depth = next((d for f, d in view.claimables if f == inflow), None)
-    # the key NodeStore.inflows holds it under
-    if (inflow.block_hash if inflow.coinbase
-            else inflow.sender_tx_hash) in view.state.claimed:
+    if subchain.inflow_key(inflow[:3]) in view.state.claimed:
         raise AlreadyClaimed("inflow already claimed")
     if depth is None or depth < view.maturity:
         raise Immature("inflow depth %s below maturity %d"

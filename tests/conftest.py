@@ -178,12 +178,11 @@ def assert_inflows_are_an_index(node):
                         and node.hosts(tx.recipient_address):
                     expected.setdefault(tx.recipient_address, {})[
                         tx.tx_hash] = Inflow(tx.current_address, tx.tx_hash,
-                                             tx.amount, bh, height)
+                                             bh, tx.amount, height)
         miner = block.header.miner_address
         if node.hosts(miner):
             expected.setdefault(miner, {})[bh] = Inflow(
-                NULL_ADDRESS, NULL_HASH, node.params.subsidy, bh, height,
-                coinbase=True)
+                NULL_ADDRESS, NULL_HASH, bh, node.params.subsidy, height)
     assert node.store.inflows == expected
     # an Inflow equals a bare tuple of its values, so check the type too
     assert all(type(flow) is Inflow for pool in node.store.inflows.values()

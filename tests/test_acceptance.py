@@ -47,7 +47,6 @@ from shardchain.sharding import ShardAssignment
 from shardchain.sim import SimConfig, bench_storage, bench_verify, \
     derived_key, run_sim
 from shardchain.subchain import (
-    StaticClaimContext,
     SubchainFragment,
     initial_state,
     replay,
@@ -118,7 +117,7 @@ def test_criterion_1_conservation(announce):
 def test_criterion_2_oracle_equivalence(announce):
     try:
         rng = random.Random(202)
-        ctx = StaticClaimContext()
+        ctx = {}
         pool = [derived_key(b"oracle:%d" % i) for i in range(10)]
         for case in range(100):
             key = pool[case % len(pool)]
@@ -176,7 +175,7 @@ def test_criterion_3_safety_rejections(announce):
         a = derived_key(b"adv:a")
         b = derived_key(b"adv:b")
         c = derived_key(b"adv:c")
-        ctx = StaticClaimContext()
+        ctx = {}
 
         # overspend
         state = initial_state(a.address, 10)
@@ -187,8 +186,7 @@ def test_criterion_3_safety_rejections(announce):
         # double claim / wrong recipient / amount mismatch
         send = make_send(a, amount=5, recipient=b.address)
         block_hash = b"\xb7" * 32
-        claim_ctx = StaticClaimContext(
-            {(a.address, send.tx_hash, block_hash): (b.address, 5)})
+        claim_ctx = {(a.address, send.tx_hash, block_hash): (b.address, 5)}
         claimed = subchain.apply_tx(
             initial_state(b.address),
             make_receive(b, NULL_HASH, 1, a.address, send.tx_hash,

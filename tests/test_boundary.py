@@ -28,6 +28,7 @@ from shardchain.errors import (
     DecodeError,
     FragmentMisaligned,
     InvalidSignature,
+    MalformedBlock,
     MalformedEnvelope,
     ShardChainError,
 )
@@ -38,13 +39,15 @@ from shardchain.mainchain import (
     ChainView,
     ConfirmationRecord,
     MainBlock,
+    confirmations_root,
     decode_block,
+    decode_records,
     make_genesis,
     seal,
     validate_block,
 )
 from shardchain.node import Node
-from shardchain.sharding import ShardAssignment
+from shardchain.sharding import MAX_PREFIX_BITS, ShardAssignment
 from shardchain.sim import derived_key
 from shardchain.subchain import SubchainFragment
 
@@ -134,6 +137,11 @@ def tx_round_trips(tx) -> bool:
     return round_trips(tx, codec.encode_tx, codec.decode_tx)
 
 
+def record_round_trips(record) -> bool:
+    return round_trips(record, ConfirmationRecord.encode,
+                       lambda data: decode_records(data, 1)[0])
+
+
 def assert_tx_refused(tx):
     assert codec.verify_tx(tx) is False
     with pytest.raises(InvalidSignature):
@@ -187,8 +195,7 @@ def test_fragment_round_trips_or_is_refused(frag):
     assert len(frag.address) != ADDR_LEN
     state = subchain.initial_state(subchain.fragment_address(data))
     with pytest.raises(FragmentMisaligned):
-        subchain.verify_fragment(state, frag,
-                                 subchain.StaticClaimContext())
+        subchain.verify_fragment(state, frag, {})
 
 
 # blocks: each header field and the record list are drawn valid, or for
@@ -219,6 +226,20 @@ broken_records = st.builds(
              max_size=2),
     drawn(ConfirmationRecord, st.sampled_from(sorted(RECORD_FIELDS)).map(
         lambda name: {name}), **RECORD_FIELDS))
+
+
+@given(records=broken_records)
+def test_records_round_trip_or_root_refuses(records):
+    """A record list whose root is computed holds only records that come
+    back from their own encoding as equal records: ``confirmations_root``
+    refuses, with MalformedBlock, any record struct would pad, cut or
+    refuse."""
+    try:
+        confirmations_root(records)
+    except MalformedBlock:
+        assert not all(map(record_round_trips, records))
+        return
+    assert all(map(record_round_trips, records))
 
 
 BLOCK_FIELDS = dict(
@@ -291,6 +312,37 @@ def test_envelope_round_trips_or_is_refused(kind, payload):
     assert back.kind is env.kind and type(back.payload) is bytes
 
 
+def widths(width):
+    """Bytes of every width from 0 to ``width`` + 2."""
+    return st.integers(0, width + 2).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n))
+
+
+hello_records = st.lists(st.builds(
+    ConfirmationRecord, widths(ADDR_LEN), widths(HASH_LEN),
+    st.integers(-1, 2**64)), max_size=3)
+
+
+@given(prefix=st.text("01", max_size=MAX_PREFIX_BITS),
+       tip=widths(HASH_LEN), tip_height=st.integers(-1, 2**64),
+       records=hello_records)
+def test_hello_round_trips_or_is_refused(prefix, tip, tip_height, records):
+    """A Hello reply body decodes to exactly the assignment, tip, tip
+    height and records it was packed from; a tip or record field off its
+    wire width or a height off u64 is refused, with MalformedEnvelope,
+    before anything is packed."""
+    assignment = ShardAssignment(prefix)
+    fits = len(tip) == HASH_LEN and 0 <= tip_height < 2**64 \
+        and all(map(record_round_trips, records))
+    try:
+        body = live.encode_hello(assignment, tip, tip_height, records)
+    except MalformedEnvelope:
+        assert not fits
+        return
+    assert fits
+    assert live.decode_hello(body) == (assignment, tip, tip_height, records)
+
+
 class RequestRecorder(live.NodeClient):
     """A client with no connection: it keeps each request it would send
     and stops the call there."""
@@ -306,9 +358,8 @@ class RequestRecorder(live.NodeClient):
         raise self.Sent
 
 
-@given(address=st.integers(0, ADDR_LEN + 2).flatmap(
-           lambda n: st.binary(min_size=n, max_size=n)),
-       lo=st.integers(-1, 2**64), hi=st.integers(-1, 2**64))
+@given(address=widths(ADDR_LEN), lo=st.integers(-1, 2**64),
+       hi=st.integers(-1, 2**64))
 def test_fragment_request_packs_its_range_or_is_refused(address, lo, hi):
     """A FragmentRequest carries exactly the address and heights asked
     for, in 36 bytes; an address that is not 20 bytes or a height

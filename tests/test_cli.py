@@ -138,7 +138,10 @@ BAD_BITS = ("0", "0x01000000", "0x2100ffff")
 # per flag, argument lists that each give it one malformed value
 MALFORMED = {
     "--alloc": [["node", "--init", "--alloc", v] for v in (
-        "00=5", ADDR + "=-7", ADDR + "=%d" % (1 << 64), ADDR + "=x", ADDR)],
+        "00=5", ADDR + "=-7", ADDR + "=%d" % (1 << 64), ADDR + "=x", ADDR)]
+    # one address allocated twice, in either hex case
+    + [["node", "--init", "--alloc", ADDR + "=5", "--alloc", a + "=7"]
+       for a in (ADDR, ADDR.upper())],
     "--address": [["miner", "--node", "127.0.0.1:1", "--address", v]
                   for v in ("zz", "00", ADDR + "00", " " + ADDR[1:])],
     "--listen": [["node", "--init", "--listen", v] for v in (

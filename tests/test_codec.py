@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardchain import codec
 from shardchain.codec import (
+    NULL_ADDRESS,
     NULL_HASH,
     RECV_WIRE_LEN,
     SEND_WIRE_LEN,
@@ -291,7 +292,7 @@ class TestSignatures:
     def test_coinbase_claim_by_claimant(self, keys):
         from conftest import make_coinbase_claim
         tx = make_coinbase_claim(keys[4], NULL_HASH, 1, b"\xaa" * 32, 50)
-        assert tx.is_coinbase
+        assert tx[3:5] == (NULL_ADDRESS, NULL_HASH)
         assert codec.verify_tx(tx)
 
 

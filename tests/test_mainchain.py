@@ -10,6 +10,7 @@ from shardchain.errors import (
     DecodeError,
     MainChainError,
     MalformedBits,
+    MalformedBlock,
     Oversize,
     RootMismatch,
     StaleConfirmation,
@@ -444,11 +445,16 @@ class TestValidateBlock:
     def test_record_address_width(self, keys, width):
         """A record address of another width than 20 bytes: ``struct``
         would pad or truncate it into the root and ``hosted_slice`` would
-        place it by byte order."""
+        place it by byte order. It has no root, so the block's header
+        holds its twin's."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(b"\x01" * width, NULL_HASH, 1)
+        header = BlockHeader(view.tip, 1, 0, MINER, sha256(rec.encode()),
+                             EASY_BITS)
         with pytest.raises(UnsortedRecords):
-            validate_block(mk_block(view, [rec]), view)
+            validate_block(seal(MainBlock(header, (rec,))), view)
+        with pytest.raises(MalformedBlock):
+            confirmations_root((rec,))
 
     @pytest.mark.parametrize("width", [0, 19, 21])
     def test_miner_address_width(self, keys, width):
@@ -524,12 +530,12 @@ class TestViewClaimContext:
         b1 = mk_block(view)
         view.extend(b1)
         ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
-        assert ctx.lookup_inflow(NULL_ADDRESS, NULL_HASH,
-                                 b1.block_hash) is None   # depth 1 < 3
+        assert ctx.get((NULL_ADDRESS, NULL_HASH,
+                        b1.block_hash)) is None   # depth 1 < 3
         for _ in range(2):
             view.extend(mk_block(view))
         ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
-        assert ctx.lookup_inflow(NULL_ADDRESS, NULL_HASH, b1.block_hash) \
+        assert ctx.get((NULL_ADDRESS, NULL_HASH, b1.block_hash)) \
             == (MINER, PARAMS.subsidy)
 
     def test_send_lookup_requires_confirmation(self, keys):
@@ -542,12 +548,11 @@ class TestViewClaimContext:
         view.extend(b1)
         ctx = ViewClaimContext(view, view.tip,
                                lambda a, h: send if h == send.tx_hash else None)
-        assert ctx.lookup_inflow(key.address, send.tx_hash,
-                                 b1.block_hash) \
+        assert ctx.get((key.address, send.tx_hash, b1.block_hash)) \
             == (send.recipient_address, send.amount)
         # a block that never confirmed the sender yields nothing
-        assert ctx.lookup_inflow(b"\x55" * 20, send.tx_hash,
-                                 b1.block_hash) is None
+        assert ctx.get((b"\x55" * 20, send.tx_hash,
+                        b1.block_hash)) is None
         # off-branch block hash yields nothing
-        assert ctx.lookup_inflow(key.address, send.tx_hash,
-                                 b"\x44" * 32) is None
+        assert ctx.get((key.address, send.tx_hash,
+                        b"\x44" * 32)) is None

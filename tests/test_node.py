@@ -4,7 +4,7 @@ import time
 import pytest
 
 from shardchain import codec, mainchain, sharding, subchain, wallet
-from shardchain.codec import NULL_HASH
+from shardchain.codec import NULL_ADDRESS, NULL_HASH
 from shardchain.errors import (
     BadLink,
     ConfirmationMismatch,
@@ -255,14 +255,15 @@ class TestIngest:
         inflow = node.store.inflows[rcpt.address][tx.tx_hash]
         assert inflow.amount == 30
         assert inflow.block_hash == block.block_hash
-        assert not inflow.coinbase
+        assert inflow[:2] != (NULL_ADDRESS, NULL_HASH)
 
     def test_coinbase_inflow_for_hosted_miner(self, keys):
         node = make_node(make_genesis({}))
         block = confirm_block(node, [])
         node.ingest_block(block)
         inflow = node.store.inflows[MINER][block.block_hash]
-        assert inflow.coinbase and inflow.amount == PARAMS.subsidy
+        assert inflow[:2] == (NULL_ADDRESS, NULL_HASH)
+        assert inflow.amount == PARAMS.subsidy
 
 
     def test_ingest_of_accepted_txs_encodes_and_verifies_nothing(

@@ -15,7 +15,6 @@ from shardchain.errors import (
     WrongRecipient,
 )
 from shardchain.subchain import (
-    StaticClaimContext,
     SubchainFragment,
     initial_state,
     apply_tx,
@@ -25,7 +24,7 @@ from shardchain.subchain import (
 
 from conftest import build_chain, make_receive, make_send
 
-EMPTY_CTX = StaticClaimContext()
+EMPTY_CTX = {}
 
 
 class TestApplyTx:
@@ -48,9 +47,8 @@ class TestApplyTx:
         block = b"\xb0" * 32
         # a later block whose record also covers the send
         later = b"\xb9" * 32
-        ctx = StaticClaimContext(
-            {(sender.address, send.tx_hash, bh): (rcpt.address, 40)
-             for bh in (block, later)})
+        ctx = {(sender.address, send.tx_hash, bh): (rcpt.address, 40)
+               for bh in (block, later)}
         state = initial_state(rcpt.address)
         claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
                              send.tx_hash, block, 40)
@@ -74,8 +72,7 @@ class TestApplyTx:
         sender, rcpt, thief = keys[0], keys[1], keys[2]
         send = make_send(sender, amount=7, recipient=rcpt.address)
         block = b"\xb1" * 32
-        ctx = StaticClaimContext(
-            {(sender.address, send.tx_hash, block): (rcpt.address, 7)})
+        ctx = {(sender.address, send.tx_hash, block): (rcpt.address, 7)}
         claim = make_receive(thief, NULL_HASH, 1, sender.address,
                              send.tx_hash, block, 7)
         with pytest.raises(WrongRecipient):
@@ -85,8 +82,7 @@ class TestApplyTx:
         sender, rcpt = keys[0], keys[1]
         send = make_send(sender, amount=7, recipient=rcpt.address)
         block = b"\xb2" * 32
-        ctx = StaticClaimContext(
-            {(sender.address, send.tx_hash, block): (rcpt.address, 7)})
+        ctx = {(sender.address, send.tx_hash, block): (rcpt.address, 7)}
         claim = make_receive(rcpt, NULL_HASH, 1, sender.address,
                              send.tx_hash, block, 8)
         with pytest.raises(AmountMismatch):
@@ -102,8 +98,7 @@ class TestApplyTx:
         from conftest import make_coinbase_claim
         miner = keys[3]
         block = b"\xcc" * 32
-        ctx = StaticClaimContext(
-            {(NULL_ADDRESS, NULL_HASH, block): (miner.address, 50)})
+        ctx = {(NULL_ADDRESS, NULL_HASH, block): (miner.address, 50)}
         claim = make_coinbase_claim(miner, NULL_HASH, 1, block, 50)
         out = apply_tx(initial_state(miner.address), claim, ctx)
         assert out.balance == 50
@@ -131,8 +126,7 @@ class TestReplay:
         miner = keys[4]
         block = b"\xcd" * 32
         reward = 50 * 10**8
-        ctx = StaticClaimContext(
-            {(NULL_ADDRESS, NULL_HASH, block): (miner.address, reward)})
+        ctx = {(NULL_ADDRESS, NULL_HASH, block): (miner.address, reward)}
         claim = make_coinbase_claim(miner, NULL_HASH, 1, block, reward)
         out = replay([claim], ctx, initial=initial_state(miner.address))
         assert out.balance == reward

@@ -8,6 +8,7 @@ from shardchain.errors import (
     Immature,
     InsufficientBalance,
     KeyMismatch,
+    UnconfirmedSend,
 )
 from shardchain.mainchain import (
     EASY_BITS,
@@ -41,8 +42,8 @@ def fresh_node(alloc, params=PARAMS):
     return Node(b"\x00" * 8, ShardAssignment(), make_genesis(alloc), params)
 
 
-def confirm(node, records, timestamp=None, miner=MINER):
-    parent = node.view.tip
+def confirm(node, records, timestamp=None, miner=MINER, parent=None):
+    parent = node.view.tip if parent is None else parent
     ts = node.view.height[parent] * 15 if timestamp is None else timestamp
     header = BlockHeader(parent, node.view.height[parent] + 1, ts, miner,
                          confirmations_root(records),
@@ -88,19 +89,17 @@ class TestBuildSend:
         assert codec.verify_tx(tx)
 
 
-def flow(sender, tx_hash, amount, block, height, coinbase=False):
+def flow(sender, tx_hash, amount, block, height):
     return Inflow(sender_address=sender, sender_tx_hash=tx_hash,
-                  amount=amount, block_hash=block, block_height=height,
-                  coinbase=coinbase)
+                  amount=amount, block_hash=block, block_height=height)
 
 
 def test_inflow_fields_are_read_only():
     f = flow(b"\x09" * 20, b"\x0a" * 32, 25, b"\x0b" * 32, 1)
     for name in ("sender_address", "sender_tx_hash", "amount", "block_hash",
-                 "block_height", "coinbase"):
+                 "block_height"):
         with pytest.raises(AttributeError):
             setattr(f, name, getattr(f, name))
-    assert f.coinbase is False
 
 
 class TestBuildClaim:
@@ -110,7 +109,7 @@ class TestBuildClaim:
         view = plain_view(key, 0, claimables=[(f, 3)])
         tx = build_claim(view, f, key)
         assert tx.amount == 25 and view.spendable == 25
-        assert not tx.is_coinbase
+        assert tx[3:5] != (NULL_ADDRESS, NULL_HASH)
         assert codec.verify_tx(tx)
 
     def test_claim_immature(self, keys):
@@ -130,11 +129,10 @@ class TestBuildClaim:
 
     def test_coinbase_claim_fields(self, keys):
         key = keys[0]
-        f = flow(NULL_ADDRESS, NULL_HASH, 50, b"\x0c" * 32, 1,
-                 coinbase=True)
+        f = flow(NULL_ADDRESS, NULL_HASH, 50, b"\x0c" * 32, 1)
         view = plain_view(key, 0, claimables=[(f, 9)])
         tx = build_claim(view, f, key)
-        assert tx.is_coinbase
+        assert tx[3:5] == (NULL_ADDRESS, NULL_HASH)
         assert tx.sender_address == NULL_ADDRESS
         assert tx.main_block_hash == f.block_hash
 
@@ -213,7 +211,8 @@ class TestAgainstNode:
         blocks = [confirm(node, [], miner=miner_key.address),
                   confirm(node, []), confirm(node, [])]
         mview = account_view(node, miner_key.address)
-        assert [f.coinbase for f, _ in mview.claimables] == [True]
+        assert [f[:2] for f, _ in mview.claimables] == \
+            [(NULL_ADDRESS, NULL_HASH)]
         inflow = mview.claimables[0][0]
         claim = build_claim(mview, inflow, miner_key)
         node.accept_pending_tx(claim)
@@ -238,3 +237,30 @@ class TestAgainstNode:
                                     blocks[0].block_hash, PARAMS.subsidy)
         with pytest.raises(DoubleClaim):
             node.accept_pending_tx(again)
+
+    def test_coinbase_claim_across_a_reorg(self, keys):
+        """A pooled coinbase claim whose block a longer branch orphans
+        leaves nothing behind: no pending tail, no inflow, the miner's
+        base state; resubmitted, the claim cites no canonical block."""
+        miner_key = keys[2]
+        node = fresh_node({})
+        b1 = confirm(node, [], miner=miner_key.address)
+        confirm(node, [], miner=miner_key.address)
+        mview = account_view(node, miner_key.address)
+        # B1's coinbase is mature at depth 2, B2's is not yet
+        [inflow] = mview.mature_inflows()
+        assert inflow.block_hash == b1.block_hash
+        claim = build_claim(mview, inflow, miner_key)
+        node.accept_pending_tx(claim)
+        assert node.full_state(miner_key.address).balance == PARAMS.subsidy
+        # another miner's 3-block branch from genesis wins
+        parent = node.view.blocks[b1.block_hash].header.parent_block_hash
+        for _ in range(3):
+            parent = confirm(node, [], parent=parent).block_hash
+        assert node.view.tip == parent
+        assert miner_key.address not in node.store.pending
+        assert miner_key.address not in node.store.inflows
+        assert node.full_state(miner_key.address) == \
+            node.base_state(miner_key.address)
+        with pytest.raises(UnconfirmedSend):
+            node.accept_pending_tx(claim)
