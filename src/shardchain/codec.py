@@ -35,6 +35,10 @@ SIG_LEN = 64
 
 NULL_HASH = b"\x00" * HASH_LEN
 NULL_ADDRESS = b"\x00" * ADDR_LEN
+# An unsigned tx carries the null key and the null signature: the signed
+# tx above it in its batch authenticates it through its parent hash.
+NULL_KEY = b"\x00" * PUBKEY_LEN
+NULL_SIG = b"\x00" * SIG_LEN
 
 TAG_SEND = 0x01
 TAG_RECEIVE = 0x02
@@ -168,8 +172,8 @@ class SendTx(NamedTuple):
     amount: int
     timestamp: int
     tx_hash: bytes = NULL_HASH
-    public_key: bytes = b"\x00" * PUBKEY_LEN
-    signature: bytes = b"\x00" * SIG_LEN
+    public_key: bytes = NULL_KEY
+    signature: bytes = NULL_SIG
 
 
 class ReceiveTx(NamedTuple):
@@ -182,8 +186,8 @@ class ReceiveTx(NamedTuple):
     amount: int
     timestamp: int
     tx_hash: bytes = NULL_HASH
-    public_key: bytes = b"\x00" * PUBKEY_LEN
-    signature: bytes = b"\x00" * SIG_LEN
+    public_key: bytes = NULL_KEY
+    signature: bytes = NULL_SIG
 
 
 SubchainTx = Union[SendTx, ReceiveTx]
@@ -262,18 +266,31 @@ def _compact_signature(der: bytes) -> bytes:
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
+def _exact_preimage(tx: SubchainTx) -> bytes:
+    """The preimage of a tx whose every field has its wire type, width and
+    range; InvalidSignature for any other: it has no wire form to hash or
+    sign."""
+    try:
+        if _wire_exact(tx):
+            return tx_preimage(tx)
+    except (struct.error, TypeError):
+        pass
+    raise InvalidSignature("a field is not of its wire type and width")
+
+
+def hash_tx(tx: SubchainTx) -> SubchainTx:
+    """Fill tx_hash only: an unsigned tx, which the signed tx above it in
+    its batch authenticates (``verify_txs``). A tx with a field off its
+    wire type, width or range is refused with InvalidSignature."""
+    return tx._replace(tx_hash=sha256(_exact_preimage(tx)))
+
+
 def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
     """Fill tx_hash, public_key and signature; key must own current_address.
 
     A tx with a field off its wire type, width or range is refused first,
     with InvalidSignature: it has no wire form to sign."""
-    try:
-        exact = _wire_exact(tx)
-        pre = tx_preimage(tx)
-    except (struct.error, TypeError):
-        exact = False
-    if not exact:
-        raise InvalidSignature("a field is not of its wire type and width")
+    pre = _exact_preimage(tx)
     if key.address != tx.current_address:
         raise KeyMismatch("key does not control the subchain address")
     digest = sha256(pre)
@@ -328,6 +345,39 @@ def _verify_uncached(tx: SubchainTx) -> bool:
     except (_CryptoBadSig, ValueError):
         return False
     return True
+
+
+_NULL_AUTH = (NULL_KEY, NULL_SIG)
+
+
+def unsigned(tx) -> bool:
+    """Whether ``tx`` is a tx with the null key and the null signature."""
+    return type(tx) in _TX_TYPES and tx[-2:] == _NULL_AUTH
+
+
+def vouched(tx: SubchainTx, child) -> bool:
+    """Whether ``tx`` matches its hash and is the parent of ``child`` on
+    the same account: an authentic ``child`` then commits to every field
+    of ``tx`` through its parent hash, as a signed tree head commits to
+    its log (RFC 6962)."""
+    try:
+        return (type(child) in _TX_TYPES and _wire_exact(tx)
+                and tx.tx_hash == sha256(tx_preimage(tx))
+                and child.parent_hash == tx.tx_hash
+                and child.current_address == tx.current_address)
+    except (struct.error, TypeError):
+        return False        # a field of the wrong type or range
+
+
+def verify_txs(txs) -> bool:
+    """Whether one account's consecutive txs are authentic: each signed tx
+    passes ``verify_tx``, each unsigned tx is ``vouched`` for by the next
+    tx, and the last tx is signed. One signature thus authenticates a
+    whole batch."""
+    for tx, child in zip(txs, txs[1:]):
+        if not (vouched(tx, child) if unsigned(tx) else verify_tx(tx)):
+            return False
+    return not txs or verify_tx(txs[-1])
 
 
 class MsgKind(IntEnum):

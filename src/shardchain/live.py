@@ -34,8 +34,8 @@ ERR = b"\x01"
 #
 # A data dir holds meta.json (chain parameters and genesis) and log.bin,
 # one [kind u8][len u32][payload] record per change a NewTx/NewBlock
-# request made, its payload the request's (or its pooled prefix's) wire
-# bytes. Loading replays the log through Node.apply_request.
+# request made, its payload the request's wire bytes. Loading replays the
+# log through Node.apply_request.
 
 META_FILE = "meta.json"
 LOG_FILE = "log.bin"
@@ -176,11 +176,14 @@ def encode_hello(assignment: ShardAssignment, tip: bytes, tip_height: int,
                  pending: Sequence[mainchain.ConfirmationRecord]
                  ) -> bytes:
     """The body of an ok Hello reply, after its status byte. Fields off
-    their wire widths or ranges are refused before anything is packed."""
-    if len(tip) != codec.HASH_LEN or not 0 <= tip_height < 1 << 64 \
+    their wire types, widths or ranges are refused before anything is
+    packed."""
+    if not isinstance(tip, bytes) or len(tip) != codec.HASH_LEN \
+            or not isinstance(tip_height, int) \
+            or not 0 <= tip_height < 1 << 64 \
             or not mainchain.records_fit(pending):
-        raise MalformedEnvelope("a Hello field is off its wire width or "
-                                "range")
+        raise MalformedEnvelope("a Hello field is off its wire type, width "
+                                "or range")
     return b"".join([assignment.encode(), tip,
                      _HELLO_COUNTS.pack(tip_height, len(pending))]
                     + [record.encode() for record in pending])

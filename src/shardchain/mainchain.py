@@ -117,16 +117,20 @@ class BlockHeader(Frozen):
 
 
 def records_fit(records) -> bool:
-    """Whether every record's fields are at their wire widths and ranges:
-    struct would pad or cut a bytes field and refuse a height off u64."""
-    return all(len(a) == ADDR_LEN and len(h) == HASH_LEN and 0 <= n < _U64
+    """Whether every record's fields are of their wire types, widths and
+    ranges: struct would pad or cut a bytes field and refuse a height off
+    u64 or a field of another type."""
+    return all(isinstance(a, bytes) and len(a) == ADDR_LEN
+               and isinstance(h, bytes) and len(h) == HASH_LEN
+               and isinstance(n, int) and 0 <= n < _U64
                for a, h, n in records)
 
 
 def confirmations_root(records) -> bytes:
     # only in-process records come here (a decoded block hashed its bytes)
     if not records_fit(records):
-        raise MalformedBlock("a record field is off its wire width or range")
+        raise MalformedBlock("a record field is off its wire type, width or "
+                             "range")
     return sha256(b"".join(r.encode() for r in records))
 
 

@@ -49,14 +49,20 @@ class Miner:
 # -- parallel verification --------------------------------------------
 
 def _verify_wire_chunk(wires: List[bytes]) -> List[bool]:
+    # last first: an unsigned tx reads as its child, the next tx, does
     out = []
-    for wire in wires:
+    child, child_ok = None, False
+    for wire in reversed(wires):
         try:
             tx = codec.decode_tx(wire)
         except Exception:
-            out.append(False)
-            continue
-        out.append(codec._verify_uncached(tx))
+            tx, ok = None, False
+        else:
+            ok = (child_ok and codec.vouched(tx, child)
+                  if codec.unsigned(tx) else codec._verify_uncached(tx))
+        out.append(ok)
+        child, child_ok = tx, ok
+    out.reverse()
     return out
 
 
@@ -64,6 +70,8 @@ def verify_batch(txs: Sequence[codec.SubchainTx],
                  workers: int = 1) -> List[bool]:
     """Signature+digest verification sharded across worker processes.
 
+    An unsigned tx reads True when the next tx in the list is its valid
+    child (``codec.verify_txs``), so a chunk ends only after a signed tx.
     The verdict list is order-preserving and independent of the worker
     count.
     """
@@ -72,8 +80,14 @@ def verify_batch(txs: Sequence[codec.SubchainTx],
     wires = [codec.encode_tx(tx) for tx in txs]
     if workers == 1 or len(wires) < 2 * workers:
         return _verify_wire_chunk(wires)
-    chunk = (len(wires) + workers - 1) // workers
-    chunks = [wires[i:i + chunk] for i in range(0, len(wires), chunk)]
+    size = (len(wires) + workers - 1) // workers
+    chunks, start = [], 0
+    for end, tx in enumerate(txs, 1):
+        if end - start >= size and not codec.unsigned(tx):
+            chunks.append(wires[start:end])
+            start = end
+    if start < len(wires):
+        chunks.append(wires[start:])
     import multiprocessing   # only this branch starts worker processes
 
     ctx = multiprocessing.get_context("fork")

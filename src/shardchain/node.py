@@ -182,11 +182,10 @@ class Node:
                       = lambda kind, payload: None) -> None:
         """The one handler of a NewTx or NewBlock payload, in the sim, on a
         live node and for its journal, which ``journal`` extends by the
-        record of each change. A NewTx fragment whose header does not name
-        its txs' address and first height is refused whole; otherwise its
-        txs are pooled in order, and a refusal leaves the txs before it
-        pooled, and its text counts them. A known NewBlock changes
-        nothing, any other is ingested."""
+        record of each change. A NewTx fragment is pooled whole or not at
+        all, and one whose header does not name its txs' address and
+        first height is refused. A known NewBlock changes nothing, any
+        other is ingested."""
         if kind == MsgKind.NewBlock:
             block = mainchain.decode_block(payload)
             if block.block_hash in self.view.blocks:
@@ -200,18 +199,7 @@ class Node:
                     tx.current_address != address for tx in txs)):
                 raise FragmentMisaligned("fragment header does not name "
                                          "its transactions")
-            changed, pooled = False, 0
-            try:
-                for tx in txs:
-                    changed = self.accept_pending_tx(tx) or changed
-                    pooled += 1
-            except ShardChainError as err:
-                if pooled:
-                    err.args = ("%s (%d pooled)" % (err, pooled),)
-                if changed:
-                    journal(kind, subchain.encode_batch(txs[:pooled]))
-                raise
-            if not changed:
+            if not txs or not self.accept_pending_tx(*txs):
                 return
         else:
             raise DecodeError("unknown request kind %d" % kind)
@@ -219,42 +207,52 @@ class Node:
 
     # -- pending transactions -----------------------------------------
 
-    def accept_pending_tx(self, tx: SubchainTx) -> bool:
-        """Verify and pool a broadcast transaction for a hosted address.
+    def accept_pending_tx(self, *txs: SubchainTx) -> bool:
+        """Verify and pool one account's consecutive broadcast txs for a
+        hosted address, all or none of them.
 
-        Returns True when pooled, and False for an exact duplicate of the
-        tx this node holds at that height (confirmed or pending), which
-        changes nothing; raises on rejection. A tx for an address outside
-        the prefix is refused before any signature check and leaves
-        nothing behind.
+        Leading exact duplicates of the txs this node holds at their
+        heights (confirmed or pending) are skipped; returns False when
+        every tx is one, which changes nothing, and True when the rest
+        are pooled. The rest must pass ``codec.verify_txs`` before any
+        state changes, so a batch whose last tx alone is signed pools
+        whole; any refusal raises and pools nothing. Txs for an address
+        outside the prefix are refused before any signature check and
+        leave nothing behind.
         """
-        address = tx.current_address
+        address = txs[0].current_address
         try:
             if not self.hosts(address):
                 raise NotHosted("address outside this node's prefix")
-            held = self._held_tx(address, operator.index(tx.height))
+            for skip, tx in enumerate(txs):
+                held = self._held_tx(address, operator.index(tx.height))
+                if held is None or held.tx_hash != tx.tx_hash:
+                    break
+                if held != tx:      # every field, the signature too
+                    raise DuplicateHashConflict(
+                        "different transaction with the same hash")
+            else:
+                return False
         except TypeError:       # a field of the wrong type, as verify_tx
             raise InvalidSignature("transaction failed local "
                                    "verification") from None
-        if held is not None and held.tx_hash == tx.tx_hash:
-            if held == tx:      # every field, the signature too
-                return False
-            raise DuplicateHashConflict(
-                "different transaction with the same hash")
-        if not codec.verify_tx(tx):
+        txs = txs[skip:]
+        if not codec.verify_txs(txs):
             raise InvalidSignature("transaction failed local verification")
         state = self.full_state(address)
-        if tx.height == state.tip_height + 1:
-            self.store.tail_states[address] = subchain.apply_tx(
-                state, tx, self.claim_context())
-            self.store.pending.setdefault(address, []).append(tx)
-        elif tx.height <= state.tip_height:
-            # single-transaction fork: new tip would not be higher
-            if tx.height <= self.confirmed_state(address).tip_height:
-                raise ConfirmedFrozen("fork below the confirmed height")
-            raise TailConflict("replacement tail does not win")
-        else:
-            raise BadLink("gap above the current tip", height=tx.height)
+        ctx = self.claim_context()
+        for tx in txs:
+            if tx.height == state.tip_height + 1:
+                state = subchain.apply_tx(state, tx, ctx)
+            elif tx.height <= state.tip_height:
+                # single-transaction fork: new tip would not be higher
+                if tx.height <= self.confirmed_state(address).tip_height:
+                    raise ConfirmedFrozen("fork below the confirmed height")
+                raise TailConflict("replacement tail does not win")
+            else:
+                raise BadLink("gap above the current tip", height=tx.height)
+        self.store.tail_states[address] = state
+        self.store.pending.setdefault(address, []).extend(txs)
         return True
 
     def pending_records(self) -> List[mainchain.ConfirmationRecord]:
@@ -448,8 +446,9 @@ class Node:
         ``disconnect`` to the new ones ``connect`` (both oldest first;
         the view has switched already), then resubmit, address by address
         in address order, the orphaned formerly confirmed txs and then the
-        old pending tail through ``accept_pending_tx``, stopping each
-        address at the first tx it refuses."""
+        old pending tail through ``accept_pending_tx``, in segments that
+        each end at a signed tx, stopping each address at the first
+        segment it refuses."""
         resubmit: Dict[bytes, List[SubchainTx]] = {}
         for h in disconnect:
             self._disconnect(h)
@@ -462,11 +461,16 @@ class Node:
         for h in connect:
             self._connect(h)
         for address in sorted(resubmit):
+            segment = []
             for tx in resubmit[address]:
+                segment.append(tx)
+                if codec.unsigned(tx):
+                    continue
                 try:
-                    self.accept_pending_tx(tx)
+                    self.accept_pending_tx(*segment)
                 except ShardChainError:
                     break
+                segment = []
 
     def _trim_pending(self, address: bytes,
                       confirmed: SubchainState) -> None:

@@ -109,9 +109,11 @@ def apply_tx(state: SubchainState, tx: SubchainTx, ctx) -> SubchainState:
 
 def replay(txs: Sequence[SubchainTx], ctx,
            initial: Optional[SubchainState] = None,
-           verify: Optional[Callable[[SubchainTx], bool]] = codec.verify_tx,
+           verify: Optional[Callable[[Sequence[SubchainTx]], bool]]
+           = codec.verify_txs,
            ) -> SubchainState:
-    """Left-fold of apply_tx from the (genesis) initial state.
+    """Left-fold of apply_tx from the (genesis) initial state, after
+    ``verify`` accepts the whole sequence.
 
     This is the full-chain oracle; incremental verification paths must
     produce states equal to it field-for-field.
@@ -120,11 +122,11 @@ def replay(txs: Sequence[SubchainTx], ctx,
         if not txs:
             raise ValueError("replay of empty list needs an initial state")
         initial = initial_state(txs[0].current_address)
+    if verify is not None and not verify(txs):
+        raise InvalidSignature("invalid transaction among heights %d to %d"
+                               % (txs[0].height, txs[-1].height))
     state = initial
     for tx in txs:
-        if verify is not None and not verify(tx):
-            raise InvalidSignature("invalid transaction at height %d"
-                                   % tx.height)
         state = apply_tx(state, tx, ctx)
     return state
 

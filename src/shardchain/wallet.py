@@ -17,7 +17,7 @@ from .node import Inflow
 class AccountView:
     """Snapshot of one account: full-chain state (confirmed plus pending
     tail effects) and the claimable inflow list with canonical depths.
-    The builders advance ``state`` past each tx they sign."""
+    The builders advance ``state`` past each tx they build."""
 
     __slots__ = ("address", "state", "claimables", "maturity")
 
@@ -61,7 +61,8 @@ def _advance(view: AccountView, tx, inflow: Inflow | None = None) -> None:
 
 
 def build_send(view: AccountView, recipient: bytes, amount: int,
-               key: KeyPair, timestamp: int = 0) -> SendTx:
+               key: KeyPair, timestamp: int = 0,
+               signed: bool = True) -> SendTx:
     if key.address != view.address:
         raise KeyMismatch("key does not control this account")
     if amount > view.spendable:
@@ -72,13 +73,13 @@ def build_send(view: AccountView, recipient: bytes, amount: int,
                 current_address=view.address,
                 recipient_address=recipient,
                 amount=amount, timestamp=timestamp)
-    tx = codec.sign_tx(tx, key)
+    tx = codec.sign_tx(tx, key) if signed else codec.hash_tx(tx)
     _advance(view, tx)
     return tx
 
 
 def build_claim(view: AccountView, inflow: Inflow, key: KeyPair,
-                timestamp: int = 0) -> ReceiveTx:
+                timestamp: int = 0, signed: bool = True) -> ReceiveTx:
     if key.address != view.address:
         raise KeyMismatch("key does not control this account")
     depth = next((d for f, d in view.claimables if f == inflow), None)
@@ -94,7 +95,7 @@ def build_claim(view: AccountView, inflow: Inflow, key: KeyPair,
                    sender_tx_hash=inflow.sender_tx_hash,
                    main_block_hash=inflow.block_hash,
                    amount=inflow.amount, timestamp=timestamp)
-    tx = codec.sign_tx(tx, key)
+    tx = codec.sign_tx(tx, key) if signed else codec.hash_tx(tx)
     _advance(view, tx, inflow)
     return tx
 
@@ -103,15 +104,19 @@ def batch_settle(view: AccountView, sends: Sequence[Tuple[bytes, int]],
                  key: KeyPair, timestamp: int = 0) -> List:
     """Claim every mature inflow (oldest first), then emit the sends, as
     one contiguous tail extension. All-or-nothing planning: if the total
-    cannot be covered even after claiming, nothing is emitted."""
+    cannot be covered even after claiming, nothing is emitted. Only the
+    last tx is signed: its parent hash vouches for the ones below it
+    (``codec.verify_txs``)."""
     total = sum(amount for _, amount in sends)
     mature = view.mature_inflows()
     if total > view.spendable + sum(f.amount for f in mature):
         raise InsufficientBalance(
             "batch of %d exceeds spendable plus mature inflows" % total)
-    txs: List = []
-    for flow in mature:
-        txs.append(build_claim(view, flow, key, timestamp))
-    for recipient, amount in sends:
-        txs.append(build_send(view, recipient, amount, key, timestamp))
+    txs: List = [build_claim(view, flow, key, timestamp, signed=False)
+                 for flow in mature]
+    txs += [build_send(view, recipient, amount, key, timestamp, signed=False)
+            for recipient, amount in sends]
+    if txs:
+        # signing leaves tx_hash, and so the view's state, as it was
+        txs[-1] = codec.sign_tx(txs[-1], key)
     return txs

@@ -49,6 +49,66 @@ def make_coinbase_claim(key, parent, height, block_hash, amount,
                         NULL_HASH, block_hash, amount, timestamp)
 
 
+def chain_signed(key, signed, sends=None):
+    """``key``'s chain from height 1, one tx per entry of ``signed``: a
+    send of 1, or a claim where ``sends`` says False; signed where
+    ``signed`` says True, else hashed only, as a wallet's batch."""
+    txs, parent = [], NULL_HASH
+    for height, sign in enumerate(signed, 1):
+        if sends is None or sends[height - 1]:
+            tx = SendTx(parent, height, key.address, b"\x07" * 20, 1, 0)
+        else:
+            tx = ReceiveTx(parent, height, key.address, b"\x09" * 20,
+                           bytes([height]) * 32, b"\x0b" * 32, 1, 0)
+        tx = codec.sign_tx(tx, key) if sign else codec.hash_tx(tx)
+        txs.append(tx)
+        parent = tx.tx_hash
+    return txs
+
+
+# each way to forge a chain-signed batch that verify_txs must refuse
+FORGERIES = ["unsigned_field", "last_unsigned", "broken_link",
+             "foreign_child", "key_without_signature",
+             "bad_middle_signature"]
+
+
+def forge(txs, forgery, pick, key, other):
+    """A copy of ``txs``, a chain of ``key``'s account whose last tx is
+    signed, with one forgery of that name; ``pick`` chooses one of a
+    non-empty list: the position, and whether a changed unsigned tx is
+    hashed again. ``other`` is a key of another account."""
+    txs = list(txs)
+    unsigned = [i for i, tx in enumerate(txs) if codec.unsigned(tx)]
+    if forgery == "unsigned_field":
+        i = pick(unsigned)
+        changed = txs[i]._replace(timestamp=txs[i].timestamp + 1)
+        # hashed again, it no longer links to its child
+        txs[i] = codec.hash_tx(changed) if pick([False, True]) else changed
+    elif forgery == "last_unsigned":
+        txs[-1] = txs[-1]._replace(public_key=codec.NULL_KEY,
+                                   signature=codec.NULL_SIG)
+    elif forgery == "broken_link":
+        i = pick(unsigned) + 1
+        tx = txs[i]._replace(parent_hash=codec.sha256(b"elsewhere"))
+        txs[i] = codec.hash_tx(tx) if codec.unsigned(tx) \
+            else codec.sign_tx(tx, key)
+    elif forgery == "foreign_child":
+        i = pick(unsigned)
+        txs[i + 1:] = [codec.sign_tx(
+            txs[i + 1]._replace(current_address=other.address), other)]
+    elif forgery == "key_without_signature":
+        i = pick(list(range(len(txs))))
+        txs[i] = txs[i]._replace(public_key=key.public,
+                                 signature=codec.NULL_SIG)
+    elif forgery == "bad_middle_signature":
+        i = pick([i for i in range(len(txs) - 1) if i not in unsigned])
+        sig = txs[i].signature
+        txs[i] = txs[i]._replace(signature=bytes([sig[0] ^ 1]) + sig[1:])
+    else:
+        raise ValueError(forgery)
+    return txs
+
+
 def flood(origin, env, topology, transport, router=None):
     """{node: hop count} of the nodes that a flood of ``env`` from
     ``origin`` reaches, through ``router`` or a fresh unscoped one, once

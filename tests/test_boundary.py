@@ -219,21 +219,42 @@ RECORD_FIELDS = dict(address=(sized(ADDR_LEN),
                      tip_hash=(sized(HASH_LEN),
                                st.binary(max_size=HASH_LEN + 2)),
                      tip_height=(valid_heights, OFF_U64))
-# one broken record among valid ones, with one field broken
-broken_records = st.builds(
-    lambda valid, broken: valid + [broken],
-    st.lists(drawn(ConfirmationRecord, st.just(()), **RECORD_FIELDS),
-             max_size=2),
-    drawn(ConfirmationRecord, st.sampled_from(sorted(RECORD_FIELDS)).map(
-        lambda name: {name}), **RECORD_FIELDS))
 
 
-@given(records=broken_records)
+def mistyped(width):
+    """A field of another type than bytes: a str of ``width`` characters,
+    which a width test alone lets through, or None, a float or a list."""
+    return st.one_of(st.text(min_size=width, max_size=width), wrong_types)
+
+
+def broken_records_of(fields):
+    """One broken record among valid ones, with one field broken as
+    ``fields`` break it."""
+    return st.builds(
+        lambda valid, broken: valid + [broken],
+        st.lists(drawn(ConfirmationRecord, st.just(()), **RECORD_FIELDS),
+                 max_size=2),
+        drawn(ConfirmationRecord, st.sampled_from(sorted(fields)).map(
+            lambda name: {name}), **fields))
+
+
+broken_records = broken_records_of(RECORD_FIELDS)
+# each record field broken also to another type (a height to anything but
+# an int); blocks() sorts its records by address, so it draws
+# broken_records alone
+MISTYPED = dict(address=mistyped(ADDR_LEN), tip_hash=mistyped(HASH_LEN),
+                tip_height=wrong_types)
+mistyped_records = broken_records_of({
+    name: (valid, st.one_of(broken, MISTYPED[name]))
+    for name, (valid, broken) in RECORD_FIELDS.items()})
+
+
+@given(records=mistyped_records)
 def test_records_round_trip_or_root_refuses(records):
     """A record list whose root is computed holds only records that come
     back from their own encoding as equal records: ``confirmations_root``
     refuses, with MalformedBlock, any record struct would pad, cut or
-    refuse."""
+    refuse, a field of another type too."""
     try:
         confirmations_root(records)
     except MalformedBlock:
@@ -318,21 +339,25 @@ def widths(width):
         lambda n: st.binary(min_size=n, max_size=n))
 
 
+hello_heights = st.one_of(st.integers(-1, 2**64), wrong_types)
 hello_records = st.lists(st.builds(
-    ConfirmationRecord, widths(ADDR_LEN), widths(HASH_LEN),
-    st.integers(-1, 2**64)), max_size=3)
+    ConfirmationRecord,
+    st.one_of(widths(ADDR_LEN), mistyped(ADDR_LEN)),
+    st.one_of(widths(HASH_LEN), mistyped(HASH_LEN)), hello_heights),
+    max_size=3)
 
 
 @given(prefix=st.text("01", max_size=MAX_PREFIX_BITS),
-       tip=widths(HASH_LEN), tip_height=st.integers(-1, 2**64),
-       records=hello_records)
+       tip=st.one_of(widths(HASH_LEN), mistyped(HASH_LEN)),
+       tip_height=hello_heights, records=hello_records)
 def test_hello_round_trips_or_is_refused(prefix, tip, tip_height, records):
     """A Hello reply body decodes to exactly the assignment, tip, tip
     height and records it was packed from; a tip or record field off its
-    wire width or a height off u64 is refused, with MalformedEnvelope,
-    before anything is packed."""
+    wire type or width, or a height that is no int or is off u64, is
+    refused, with MalformedEnvelope, before anything is packed."""
     assignment = ShardAssignment(prefix)
-    fits = len(tip) == HASH_LEN and 0 <= tip_height < 2**64 \
+    fits = type(tip) is bytes and len(tip) == HASH_LEN \
+        and type(tip_height) is int and 0 <= tip_height < 2**64 \
         and all(map(record_round_trips, records))
     try:
         body = live.encode_hello(assignment, tip, tip_height, records)

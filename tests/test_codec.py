@@ -12,7 +12,7 @@ from cryptography.hazmat.primitives.serialization import (
     Encoding,
     PublicFormat,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shardchain import codec
 from shardchain.codec import (
@@ -25,7 +25,8 @@ from shardchain.codec import (
 )
 from shardchain.errors import InvalidSeed, InvalidSignature, KeyMismatch
 
-from conftest import make_receive, make_send, random_tx
+from conftest import FORGERIES, chain_signed, forge, make_receive, \
+    make_send, random_tx
 
 # SHA-256 of the all-zero SendTx preimage (tag 0x01 + 96 zero bytes),
 # computed independently with hashlib over a hand-built byte string.
@@ -354,3 +355,42 @@ class TestVerifyCache:
     def test_malformed_field_is_false(self, keys, name, value):
         tx = make_send(keys[8])._replace(**{name: value})
         assert codec.verify_tx(tx) is False
+
+
+class TestChainSigned:
+    """One signature per batch: the signed last tx authenticates the
+    unsigned txs below it through their parent-hash links."""
+
+    @pytest.mark.parametrize("forgery", FORGERIES)
+    @given(shape=st.lists(st.tuples(st.booleans(), st.booleans()),
+                          max_size=5),
+           data=st.data())
+    def test_chain_verifies_and_a_forgery_does_not(self, keys, forgery,
+                                                   shape, data):
+        """A 1-6-tx chain with its signed positions drawn and its last tx
+        signed verifies; each forgery of it does not."""
+        signed = [sign for sign, _ in shape] + [True]
+        sends = [send for _, send in shape] + [data.draw(st.booleans())]
+        txs = chain_signed(keys[0], signed, sends)
+        assert codec.verify_txs(txs) is True
+        for tx in txs:
+            assert codec.verify_tx(tx) is not codec.unsigned(tx)
+
+        def pick(options):
+            assume(options)
+            return data.draw(st.sampled_from(options))
+
+        forged = forge(txs, forgery, pick, keys[0], keys[1])
+        assert codec.verify_txs(forged) is False
+
+    def test_hash_tx_fills_only_the_hash(self, keys):
+        tx = make_send(keys[0], sign=False)
+        hashed = codec.hash_tx(tx)
+        assert hashed == tx._replace(tx_hash=codec.sign_tx(
+            tx, keys[0]).tx_hash)
+        assert codec.unsigned(hashed) and not codec.verify_tx(hashed)
+
+    def test_hash_tx_refuses_a_field_off_its_width(self, keys):
+        with pytest.raises(InvalidSignature):
+            codec.hash_tx(make_send(keys[0], sign=False)._replace(
+                current_address=b"\x01" * 19))

@@ -22,7 +22,7 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.sim import derived_key
 
-from conftest import build_chain, make_send
+from conftest import build_chain, chain_signed, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)
 MINER_ADDR = b"\x4d" * 20
@@ -169,6 +169,21 @@ class TestVerifyBatch:
         base = verify_batch(txs, workers=1)
         for workers in (2, 3):
             assert verify_batch(txs, workers=workers) == base
+
+    def test_chain_signed_chunks_end_at_signed_txs(self, keys):
+        """An unsigned tx reads as its child does, so two workers split
+        eight txs after the signed fifth, not after the unsigned fourth,
+        and agree with one worker: all True, and every tx below a bad
+        signature False."""
+        txs = chain_signed(keys[0], [False] * 4 + [True]) \
+            + chain_signed(keys[1], [False, True, True])
+        assert codec.unsigned(txs[3])
+        for workers in (1, 2):
+            assert verify_batch(txs, workers=workers) == [True] * 8
+        txs[6] = txs[6]._replace(signature=b"\x05" * 64)
+        for workers in (1, 2):
+            assert verify_batch(txs, workers=workers) \
+                == [True] * 5 + [False, False, True]
 
     def test_invalid_worker_count(self, keys):
         with pytest.raises(ValueError):

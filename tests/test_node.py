@@ -10,6 +10,7 @@ from shardchain.errors import (
     ConfirmationMismatch,
     ConfirmedFrozen,
     DuplicateHashConflict,
+    FragmentMisaligned,
     InvalidSignature,
     NotHosted,
     PartialFetch,
@@ -31,7 +32,8 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment, initial_state, replay
 
-from conftest import Calls, build_chain, make_receive, make_send
+from conftest import FORGERIES, Calls, build_chain, chain_signed, forge, \
+    make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=2)
@@ -125,6 +127,42 @@ class TestPendingAcceptance:
             node.accept_pending_tx(tx)
         assert node.store.pending == {} and node.store.tail_states == {}
 
+    def test_chain_signed_batch_pools_whole(self, keys):
+        """A batch whose last tx alone is signed pools whole, in one
+        call; sent again, it changes nothing."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        txs = chain_signed(key, [False, False, True])
+        assert node.accept_pending_tx(*txs) is True
+        assert node.store.pending == {key.address: txs}
+        assert node.full_state(key.address).balance == 97
+        assert node.accept_pending_tx(*txs) is False
+
+    @pytest.mark.parametrize("forgery", FORGERIES)
+    def test_forged_batch_pools_nothing(self, keys, forgery):
+        """Each forgery of a chain-signed NewTx is refused with
+        InvalidSignature (a child from another account is refused by the
+        fragment header first), and it leaves no pool entry and no journal
+        record."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        txs = chain_signed(key, [True, False, True, False, False, True])
+        held = txs[0]
+        node.accept_pending_tx(held)
+        forged = forge(txs, forgery, lambda options: options[-1], key,
+                       keys[1])
+        journal = []
+        with pytest.raises(FragmentMisaligned if forgery == "foreign_child"
+                           else InvalidSignature):
+            node.apply_request(codec.MsgKind.NewTx,
+                               subchain.encode_batch(forged),
+                               lambda *record: journal.append(record))
+        with pytest.raises(InvalidSignature):
+            node.accept_pending_tx(*forged)
+        assert journal == []
+        assert node.store.pending == {key.address: [held]}
+        assert node.full_state(key.address).balance == 99
+
     def test_non_hosted_tx_refused_unverified(self, keys, monkeypatch):
         """A tx for an address outside the prefix is refused before its
         signature is checked, and the node keeps nothing of it."""
@@ -194,6 +232,31 @@ class TestIngest:
         rec = ConfirmationRecord(key.address, b"\x13" * 32, 2)
         with pytest.raises(ConfirmationMismatch):
             node.ingest_block(confirm_block(node, [rec]))
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_record_naming_an_unsigned_tx_refused(self, keys, pooled):
+        """A record may confirm a batch only at its signed last tx: a block
+        whose record names an unsigned tx is refused with InvalidSignature,
+        from the node's own pool or a fetched fragment, and the node's
+        state is unchanged."""
+        key = keys[0]
+        txs = chain_signed(key, [False, False, True])
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({key.address: 1000}), PARAMS,
+                    fetch=lambda address, lo, hi: SubchainFragment(
+                        address, lo, tuple(txs[lo:hi])))
+        if pooled:
+            node.accept_pending_tx(*txs)
+        before = (node.view.tip, dict(node.store.pending),
+                  dict(node.store.tail_states), dict(node.store.archive))
+        block = confirm_block(node, [
+            ConfirmationRecord(key.address, txs[1].tx_hash, 2)])
+        with pytest.raises(InvalidSignature):
+            node.ingest_block(block)
+        assert block.block_hash not in node.view.blocks
+        assert (node.view.tip, node.store.pending, node.store.tail_states,
+                node.store.archive) == before
+        assert node.store.confirmed == {}
 
     def test_replayed_record_delta(self, keys):
         """A record the node holds no pool for is replayed from the

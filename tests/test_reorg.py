@@ -5,7 +5,7 @@ a cost that does not grow with the chain's length."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardchain import subchain
+from shardchain import codec, subchain, wallet
 from shardchain.codec import NULL_HASH
 from shardchain.errors import ShardChainError, UnconfirmedSend
 from shardchain.mainchain import (
@@ -433,9 +433,9 @@ def test_reorg_resubmits_through_accept_pending_tx(monkeypatch):
     offered = []
     accept = node.accept_pending_tx
 
-    def recording(tx):
-        offered.append(tx)
-        return accept(tx)
+    def recording(*txs):
+        offered.extend(txs)
+        return accept(*txs)
 
     monkeypatch.setattr(node, "accept_pending_tx", recording)
     node.ingest_block(r2)
@@ -444,6 +444,37 @@ def test_reorg_resubmits_through_accept_pending_tx(monkeypatch):
     assert [tx.height for tx in node.store.pending[b.address]] == [1, 2]
     assert len(pooled) == 4
     assert all(tx in offered for tx in pooled)
+
+
+def test_chain_signed_tails_survive_a_reorg():
+    """A wallet batch signs only its last tx. A reorg that orphans a
+    confirmed batch resubmits it and the pending batch above it in
+    segments that each end at a signed tx, so both come back whole as
+    one tail."""
+    b, a = sorted(SENDERS, key=lambda k: k.address)
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=1)
+    node = Node(b"\x00" * 8, ShardAssignment(""),
+                make_genesis({k.address: BALANCE for k in SENDERS}), params)
+    g = node.view.tip
+    first = wallet.batch_settle(wallet.account_view(node, a.address),
+                                [(b.address, 1), (b.address, 2)], a)
+    node.accept_pending_tx(*first)
+    node.ingest_block(mine(g, 1, [ConfirmationRecord(
+        a.address, first[-1].tx_hash, 2)], 1))
+    second = wallet.batch_settle(wallet.account_view(node, a.address),
+                                 [(b.address, 3)] * 3, a)
+    node.accept_pending_tx(*second)
+    tail = first + second
+    assert [codec.unsigned(tx) for tx in tail] == [True, False,
+                                                    True, True, False]
+    r1 = mine(g, 1, [], 10)
+    for block in (r1, mine(r1.block_hash, 2, [], 11)):
+        node.ingest_block(block)
+    assert node.view.canonical[1] == r1.block_hash
+    assert node.store.pending == {a.address: tail}
+    assert node.full_state(a.address) == subchain.replay(
+        tail, node.claim_context(), initial=node.base_state(a.address))
 
 
 def test_tails_reenter_in_address_order():

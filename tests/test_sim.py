@@ -163,9 +163,9 @@ class TestRuns:
         send = network.SimTransport.send
         originate = network.FloodRouter.originate
 
-        def noted_accept(self, tx):
-            accepted[self.hosts(tx.current_address)] += 1
-            return accept(self, tx)
+        def noted_accept(self, *txs):
+            accepted[self.hosts(txs[0].current_address)] += 1
+            return accept(self, *txs)
 
         def noted_send(self, sender, dest, env):
             links[env.kind] += 1

@@ -183,8 +183,7 @@ class TestAgainstNode:
         rview = account_view(node, rcpt.address)
         assert [f.amount for f, _ in rview.claimables] == [30]
         txs = batch_settle(rview, [(sender.address, 10)], rcpt)
-        for tx in txs:
-            node.accept_pending_tx(tx)
+        node.accept_pending_tx(*txs)
         assert node.full_state(rcpt.address).balance == 20
         assert node.full_state(sender.address).balance == 70
 
