@@ -211,32 +211,51 @@ class Node:
         """Verify and pool one account's consecutive broadcast txs for a
         hosted address, all or none of them.
 
-        Leading exact duplicates of the txs this node holds at their
-        heights (confirmed or pending) are skipped; returns False when
-        every tx is one, which changes nothing, and True when the rest
-        are pooled. The rest must pass ``codec.verify_txs`` before any
-        state changes, so a batch whose last tx alone is signed pools
-        whole; any refusal raises and pools nothing. Txs for an address
-        outside the prefix are refused before any signature check and
-        leave nothing behind.
+        Leading txs that this node holds at their heights (confirmed or
+        pending) are skipped: an exact copy, or an unsigned copy of a held
+        signed tx. A signed copy that verifies of a held unsigned tx
+        replaces it, so that the held chain can serve a fragment ending
+        there. Returns False when every tx is skipped and none replaces
+        one, which changes nothing, and True otherwise. The rest must pass
+        ``codec.verify_txs`` before any state changes, so a batch whose
+        last tx alone is signed pools whole; any refusal raises and
+        changes nothing. Txs for an address outside the prefix are refused
+        before any signature check and leave nothing behind.
         """
         address = txs[0].current_address
+        upgrades = []
         try:
             if not self.hosts(address):
                 raise NotHosted("address outside this node's prefix")
-            for skip, tx in enumerate(txs):
-                held = self._held_tx(address, operator.index(tx.height))
-                if held is None or held.tx_hash != tx.tx_hash:
+            skip = 0
+            for tx in txs:
+                at = self._held_at(address, operator.index(tx.height))
+                if at is None or at[0][at[1]].tx_hash != tx.tx_hash:
                     break
-                if held != tx:      # every field, the signature too
+                held = at[0][at[1]]
+                # key and signature aside, the same tx
+                same = held[:-2] == tx[:-2]
+                if codec.unsigned(held) and same and codec.verify_tx(tx):
+                    upgrades.append((*at, tx))
+                elif held != tx and not (same and codec.unsigned(tx)):
                     raise DuplicateHashConflict(
                         "different transaction with the same hash")
-            else:
-                return False
+                skip += 1
         except TypeError:       # a field of the wrong type, as verify_tx
             raise InvalidSignature("transaction failed local "
                                    "verification") from None
         txs = txs[skip:]
+        if txs:
+            self._pool(address, txs)
+        elif not upgrades:
+            return False
+        for held_txs, i, tx in upgrades:
+            held_txs[i] = tx
+        return True
+
+    def _pool(self, address: bytes, txs: Tuple[SubchainTx, ...]) -> None:
+        # verify all, then apply all to a running state: nothing changes
+        # on a refusal
         if not codec.verify_txs(txs):
             raise InvalidSignature("transaction failed local verification")
         state = self.full_state(address)
@@ -253,7 +272,6 @@ class Node:
                 raise BadLink("gap above the current tip", height=tx.height)
         self.store.tail_states[address] = state
         self.store.pending.setdefault(address, []).extend(txs)
-        return True
 
     def pending_records(self) -> List[mainchain.ConfirmationRecord]:
         """The record that confirms each pending tail, in block order."""
@@ -337,12 +355,15 @@ class Node:
     def _shard_oracle(self, address: bytes, lo: int, hi: int,
                       tip_hash: bytes) -> SubchainFragment:
         """Fragment (lo, hi] ending at ``tip_hash``: the local one (the
-        canonical txs, then the pending tail) when it ends there or no
-        remote source exists, else remote; a side block may confirm
-        another version of the chain than the local one."""
+        canonical txs, then the pending tail) when it ends there at a
+        signed tx or no remote source exists, else remote. A side block
+        may confirm another version of the chain than the local one, and
+        a local fragment that ends at an unsigned tx does not verify: the
+        record names a signed copy of it."""
         local = self._local_fragment(address, lo, hi)
-        if local is not None and (local.txs[-1].tx_hash == tip_hash
-                                  or self.fetch is None):
+        if local is not None and (self.fetch is None or (
+                local.txs[-1].tx_hash == tip_hash
+                and not codec.unsigned(local.txs[-1]))):
             return local
         if self.fetch is None:
             raise PartialFetch("no local data and no fetch source for "
@@ -352,16 +373,18 @@ class Node:
             raise PartialFetch("remote fragment unavailable")
         return frag
 
-    def _held_tx(self, address: bytes, height: int) -> Optional[SubchainTx]:
-        """The tx this node holds at ``height``: the canonical one, else
-        the pending tail's, else None."""
+    def _held_at(self, address: bytes, height: int
+                 ) -> Optional[Tuple[List[SubchainTx], int]]:
+        """Where this node holds its tx at ``height``: the canonical chain
+        and the index in it, else the pending tail and the index, else
+        None."""
         chain = self.store.chains.get(address, ())
         if 0 < height <= len(chain):
-            return chain[height - 1]
+            return chain, height - 1
         tail = self.store.pending.get(address)
         # a tail is contiguous, so height h sits at h - tail[0].height
         if tail and 0 <= height - tail[0].height < len(tail):
-            return tail[height - tail[0].height]
+            return tail, height - tail[0].height
         return None
 
     def _local_fragment(self, address, lo, hi):
@@ -493,12 +516,13 @@ class Node:
                        to_height: int) -> SubchainFragment:
         if not self.hosts(address):
             raise NotHosted("address outside this node's prefix")
-        # _local_fragment is None for a range not wholly held
+        # _local_fragment is None for a range not wholly held; one that
+        # ends at an unsigned tx would not verify, so it is not served
         frag = self._local_fragment(address, from_height, to_height) \
             if 0 <= from_height <= to_height else None
-        if frag is None:
-            raise RangeUnavailable("heights (%d, %d] not held"
-                                   % (from_height, to_height))
+        if frag is None or frag.txs and codec.unsigned(frag.txs[-1]):
+            raise RangeUnavailable("heights (%d, %d] not held up to a "
+                                   "signed tx" % (from_height, to_height))
         return frag
 
     def storage_report(self) -> StorageReport:
@@ -507,8 +531,8 @@ class Node:
             mainchain.BLOCK_OVERHEAD
             + mainchain.RECORD_LEN * len(b.confirmations)
             for b in self.view.blocks.values())
-        # every stored tx passed verify_tx, so its fields have the sizes
-        # the fixed wire widths assume
+        # every stored tx passed verify_tx or vouched, both of which check
+        # the fixed wire widths, so its fields have the sizes they assume
         wire_len = {SendTx: codec.SEND_WIRE_LEN,
                     ReceiveTx: codec.RECV_WIRE_LEN}
         chains, pending = self.store.chains, self.store.pending

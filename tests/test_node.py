@@ -138,6 +138,33 @@ class TestPendingAcceptance:
         assert node.full_state(key.address).balance == 97
         assert node.accept_pending_tx(*txs) is False
 
+    def test_signed_copy_replaces_held_unsigned(self, keys):
+        """A signed copy of a held unsigned tx, which keeps its hash,
+        replaces it and is journaled, so that the node can serve the
+        fragment ending there; an unsigned copy of a held signed tx is
+        skipped, and a signed copy that does not verify conflicts."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        u1, u2, s3 = chain_signed(key, [False, False, True])
+        node.accept_pending_tx(u1, u2, s3)
+        with pytest.raises(RangeUnavailable):
+            node.serve_fragment(key.address, 0, 2)
+        s2 = codec.sign_tx(u2, key)
+        assert s2.tx_hash == u2.tx_hash
+        with pytest.raises(DuplicateHashConflict):
+            node.accept_pending_tx(u1, s2._replace(signature=bytes(
+                [s2.signature[0] ^ 1]) + s2.signature[1:]))
+        journal = []
+        payload = subchain.encode_batch((u1, s2))
+        node.apply_request(codec.MsgKind.NewTx, payload,
+                           lambda *record: journal.append(record))
+        assert journal == [(codec.MsgKind.NewTx, payload)]
+        assert node.store.pending == {key.address: [u1, s2, s3]}
+        assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
+        assert node.accept_pending_tx(u1, u2) is False
+        assert node.accept_pending_tx(u1, s2, s3) is False
+        assert node.full_state(key.address).balance == 97
+
     @pytest.mark.parametrize("forgery", FORGERIES)
     def test_forged_batch_pools_nothing(self, keys, forgery):
         """Each forgery of a chain-signed NewTx is refused with
@@ -257,6 +284,27 @@ class TestIngest:
         assert (node.view.tip, node.store.pending, node.store.tail_states,
                 node.store.archive) == before
         assert node.store.confirmed == {}
+
+    def test_record_naming_a_signed_copy_is_fetched(self, keys):
+        """A node that pools [u1, u2, s3] holds u2 unsigned, so for a block
+        whose record names u2's hash it fetches the fragment, which ends at
+        a signed copy of u2. It accepts the block and keeps s3 pending."""
+        key = keys[0]
+        u1, u2, s3 = chain_signed(key, [False, False, True])
+        s2 = codec.sign_tx(u2, key)
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({key.address: 1000}), PARAMS,
+                    fetch=lambda address, lo, hi: SubchainFragment(
+                        address, lo, (u1, s2)[lo:hi]))
+        node.accept_pending_tx(u1, u2, s3)
+        block = confirm_block(node, [
+            ConfirmationRecord(key.address, s2.tx_hash, 2)])
+        node.ingest_block(block)
+        assert node.view.tip == block.block_hash
+        assert node.store.chains[key.address] == [u1, s2]
+        assert node.store.pending == {key.address: [s3]}
+        assert node.confirmed_state(key.address).tip_hash == s2.tx_hash
+        assert node.full_state(key.address).balance == 997
 
     def test_replayed_record_delta(self, keys):
         """A record the node holds no pool for is replayed from the
