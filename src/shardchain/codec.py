@@ -162,7 +162,7 @@ def keygen(seed: bytes | None = None) -> KeyPair:
 
 
 # Txs are NamedTuples, so their hash and equality run in C, and
-# decode_tx builds them with tuple.__new__ over their fields, without a
+# decode_txs builds them with tuple.__new__ over their fields, without a
 # Python call. The preimage fields lead, in preimage order.
 class SendTx(NamedTuple):
     parent_hash: bytes
@@ -234,24 +234,49 @@ def encode_tx(tx: SubchainTx) -> bytes:
 
 
 def decode_tx(data: bytes) -> SubchainTx:
-    if not data:
-        raise DecodeError("empty transaction bytes")
-    tag = data[0]
-    if tag == TAG_SEND:
-        if len(data) != SEND_WIRE_LEN:
-            raise DecodeError("bad SendTx length %d" % len(data))
-        (_, tx_hash, parent, height, cur, rcpt, amount, ts, public,
-         sig) = _SEND_WIRE.unpack(data)
-        return _new(SendTx, (parent, height, cur, rcpt, amount, ts, tx_hash,
-                             public, sig))
-    if tag == TAG_RECEIVE:
-        if len(data) != RECV_WIRE_LEN:
-            raise DecodeError("bad ReceiveTx length %d" % len(data))
-        (_, tx_hash, parent, height, cur, sender, sender_tx, block_hash,
-         amount, ts, public, sig) = _RECV_WIRE.unpack(data)
-        return _new(ReceiveTx, (parent, height, cur, sender, sender_tx,
-                                block_hash, amount, ts, tx_hash, public, sig))
-    raise DecodeError("unknown transaction tag 0x%02x" % tag)
+    return decode_txs(data, 0, 1)[0]
+
+
+def decode_txs(data: bytes, offset: int, count: int,
+               address: bytes = NULL_ADDRESS) -> tuple:
+    """The ``count`` txs packed back to back in ``data`` from ``offset``,
+    which they must fill exactly, each unpacked in place. Where equal, a
+    tx holds ``address`` as its current address, the previous tx's hash
+    (``NULL_HASH`` for the first) as its parent, ``NULL_KEY`` and
+    ``NULL_SIG``: a batch holds each repeated field once."""
+    txs, parent, size = [], NULL_HASH, len(data)
+    for _ in range(count):
+        tag = data[offset] if offset < size else None
+        # a branch per layout: a shared one over a field list is slower
+        if tag == TAG_SEND:
+            end = offset + SEND_WIRE_LEN
+            if end > size:
+                raise DecodeError("SendTx cut short at byte %d" % size)
+            (_, tx_hash, first, height, cur, rcpt, amount, ts, public,
+             sig) = _SEND_WIRE.unpack_from(data, offset)
+            txs.append(_new(SendTx, (
+                parent if first == parent else first, height,
+                address if cur == address else cur, rcpt, amount, ts,
+                tx_hash, NULL_KEY if public == NULL_KEY else public,
+                NULL_SIG if sig == NULL_SIG else sig)))
+        elif tag == TAG_RECEIVE:
+            end = offset + RECV_WIRE_LEN
+            if end > size:
+                raise DecodeError("ReceiveTx cut short at byte %d" % size)
+            (_, tx_hash, first, height, cur, sender, sender_tx, block_hash,
+             amount, ts, public, sig) = _RECV_WIRE.unpack_from(data, offset)
+            txs.append(_new(ReceiveTx, (
+                parent if first == parent else first, height,
+                address if cur == address else cur, sender, sender_tx,
+                block_hash, amount, ts, tx_hash,
+                NULL_KEY if public == NULL_KEY else public,
+                NULL_SIG if sig == NULL_SIG else sig)))
+        else:
+            raise DecodeError("no known tx tag at byte %d" % offset)
+        parent, offset = tx_hash, end
+    if offset != size:
+        raise DecodeError("%d bytes after the transactions" % (size - offset))
+    return tuple(txs)
 
 
 @lru_cache(maxsize=65536)

@@ -493,7 +493,8 @@ def validate_block(block: MainBlock, view: ChainView
     """
     header = block.header
     parent = header.parent_block_hash
-    if parent not in view.work:
+    # a parent that is not bytes names no block, and may not even hash
+    if not isinstance(parent, bytes) or parent not in view.work:
         raise UnknownParent("parent block unknown")
     if header.difficulty_bits != view.params.difficulty_bits:
         raise BadPoW("unexpected difficulty bits")
@@ -504,17 +505,19 @@ def validate_block(block: MainBlock, view: ChainView
     if BLOCK_OVERHEAD + RECORD_LEN * len(records) > view.params.block_limit:
         raise Oversize("block exceeds %d bytes" % view.params.block_limit)
     # struct pads or cuts a bytes field and refuses an integer off its
-    # range, so the hash would cover other bytes than the header holds
-    if len(header.miner_address) != ADDR_LEN \
-            or not 0 <= header.timestamp < _U64 \
-            or not 0 <= header.nonce < _U64:
-        raise MalformedBlock("a header field is off its wire width or range")
+    # range or a field of another type (records_fit's tests), so the hash
+    # would cover other bytes than the header holds, or fail
+    miner, ts, nonce = header.miner_address, header.timestamp, header.nonce
+    if not (isinstance(miner, bytes) and len(miner) == ADDR_LEN
+            and isinstance(header.confirmations_root, bytes)
+            and isinstance(header.height, int)
+            and isinstance(header.difficulty_bits, int)
+            and isinstance(ts, int) and 0 <= ts < _U64
+            and isinstance(nonce, int) and 0 <= nonce < _U64):
+        raise MalformedBlock("a header field is off its wire type or range")
     if not meets_target(block.block_hash, header.difficulty_bits):
         raise BadPoW("block hash above target")
     addresses = list(map(_ADDRESS, records))
-    # hosted_slice and hosts() order addresses as 20-byte strings
-    if set(map(len, addresses)) - {ADDR_LEN}:
-        raise UnsortedRecords("record addresses must be %d bytes" % ADDR_LEN)
     if any(map(ge, addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")
     if header.confirmations_root != block.records_root:

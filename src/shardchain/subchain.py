@@ -189,20 +189,5 @@ def decode_fragment(data: bytes) -> SubchainFragment:
         raise codec.DecodeError("fragment shorter than its %d-byte header"
                                 % _FRAG_HEADER.size)
     address, from_height, count = _FRAG_HEADER.unpack_from(data, 0)
-    offset = _FRAG_HEADER.size
-    txs = []
-    for _ in range(count):
-        if offset >= len(data):
-            raise codec.DecodeError("fragment truncated")
-        tag = data[offset]
-        if tag == codec.TAG_SEND:
-            end = offset + codec.SEND_WIRE_LEN
-        elif tag == codec.TAG_RECEIVE:
-            end = offset + codec.RECV_WIRE_LEN
-        else:
-            raise codec.DecodeError("unknown tag in fragment")
-        txs.append(codec.decode_tx(data[offset:end]))
-        offset = end
-    if offset != len(data):
-        raise codec.DecodeError("trailing bytes in fragment")
-    return _new(SubchainFragment, (address, from_height, tuple(txs)))
+    return _new(SubchainFragment, (address, from_height, codec.decode_txs(
+        data, _FRAG_HEADER.size, count, address)))

@@ -263,16 +263,24 @@ def test_records_round_trip_or_root_refuses(records):
     assert all(map(record_round_trips, records))
 
 
+# each header field is also drawn of another type: a str of its width, a
+# float equal to a valid integer (which passes an equality test), or any
+# of wrong_types; a None root stands for the records' own root
 BLOCK_FIELDS = dict(
     parent_block_hash=(st.just(GENESIS.block_hash),
-                       st.binary(max_size=HASH_LEN + 2)),
-    height=(st.just(1), OFF_U64),
-    timestamp=(U64, OFF_U64),
-    miner_address=(sized(ADDR_LEN), st.binary(max_size=ADDR_LEN + 2)),
-    confirmations_root=(st.none(), st.binary(max_size=HASH_LEN + 2)),
+                       st.one_of(st.binary(max_size=HASH_LEN + 2),
+                                 mistyped(HASH_LEN))),
+    height=(st.just(1), st.one_of(OFF_U64, st.just(1.0), wrong_types)),
+    timestamp=(U64, st.one_of(OFF_U64, wrong_types)),
+    miner_address=(sized(ADDR_LEN), st.one_of(
+        st.binary(max_size=ADDR_LEN + 2), mistyped(ADDR_LEN))),
+    confirmations_root=(st.none(), st.one_of(
+        st.binary(max_size=HASH_LEN + 2),
+        mistyped(HASH_LEN).filter(lambda root: root is not None))),
     difficulty_bits=(st.just(EASY_BITS),
-                     st.sampled_from([-1, 2**32 + EASY_BITS])),
-    nonce=(U64, OFF_U64),
+                     st.sampled_from([-1, 2**32 + EASY_BITS,
+                                      float(EASY_BITS)])),
+    nonce=(U64, st.one_of(OFF_U64, wrong_types)),
     records=(st.lists(drawn(ConfirmationRecord, st.just(()),
                             **RECORD_FIELDS), max_size=3),
              broken_records))
@@ -295,8 +303,8 @@ def blocks(draw):
     block = MainBlock(BlockHeader(**fields), recs)
     try:
         return seal(block)
-    except (struct.error, ShardChainError):
-        return block
+    except (struct.error, TypeError, ShardChainError):
+        return block        # a float difficulty_bits has no target
 
 
 @settings(max_examples=300)

@@ -8,9 +8,10 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from shardchain import codec, live, mainchain, sharding, subchain
-from shardchain.codec import ReceiveTx, SendTx
+from shardchain import codec, live, mainchain, sharding, subchain, wallet
+from shardchain.codec import NULL_HASH, ReceiveTx, SendTx
 from shardchain.errors import DecodeError
+from shardchain.node import Inflow
 
 hashes = st.binary(min_size=32, max_size=32)
 addresses = st.binary(min_size=20, max_size=20)
@@ -45,6 +46,25 @@ fragments = st.builds(subchain.SubchainFragment, address=addresses,
                       from_height=u64,
                       txs=st.lists(txs, max_size=3).map(tuple))
 hellos = st.tuples(assignments, hashes, u64, st.lists(records, max_size=3))
+
+
+@st.composite
+def linked_fragments(draw):
+    """Fragments whose txs repeat what a batch repeats where a drawn flag
+    says so: the header's address, the previous tx's hash (the null hash
+    for the first) as parent, the null key and the null signature."""
+    frag = draw(fragments)
+    txs, parent = [], NULL_HASH
+    for tx in frag.txs:
+        same = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        tx = tx._replace(**{name: value for name, value, flag in (
+            ("current_address", frag.address, same[0]),
+            ("parent_hash", parent, same[1]),
+            ("public_key", codec.NULL_KEY, same[2]),
+            ("signature", codec.NULL_SIG, same[2])) if flag})
+        txs.append(tx)
+        parent = tx.tx_hash
+    return frag._replace(txs=tuple(txs))
 
 
 def read_one_frame(data):
@@ -139,3 +159,52 @@ def test_read_envelope_leaves_extra_bytes_unread(env, extra):
     rfile = io.BytesIO(env.encode() + extra)
     assert live.read_envelope(rfile) == env
     assert rfile.read() == extra
+
+
+@given(frag=linked_fragments(), extra=st.binary(min_size=1, max_size=8))
+def test_fragment_decodes_as_its_txs_one_by_one(frag, extra):
+    """The one-pass fragment decoder gives what ``decode_tx`` gives for
+    each tx's own wire bytes, and every cut-short or extended payload is
+    refused with DecodeError."""
+    wire = subchain.encode_fragment(frag)
+    back = subchain.decode_fragment(wire)
+    # the txs follow the 32-byte header: address, from height, count
+    offset, one_by_one = 32, []
+    for tx in frag.txs:
+        size = len(codec.encode_tx(tx))
+        one_by_one.append(codec.decode_tx(wire[offset:offset + size]))
+        offset += size
+    assert back == frag and back.txs == tuple(one_by_one)
+    assert list(map(type, back.txs)) == list(map(type, one_by_one))
+    for data in [wire[:cut] for cut in range(len(wire))] + [wire + extra]:
+        with pytest.raises(DecodeError):
+            subchain.decode_fragment(data)
+
+
+def test_decoded_batch_shares_repeated_fields(keys):
+    """A decoded wallet batch holds each repeated field once: every tx's
+    address is the header's, each parent hash is the tx hash below it,
+    and an unsigned tx holds the one null key and null signature."""
+    key = keys[0]
+    inflows = [(Inflow(b"\x09" * 20, bytes([i]) * 32, b"\x0b" * 32, 5, i),
+                9) for i in (1, 2)]
+    view = wallet.AccountView(key.address,
+                              subchain.initial_state(key.address, 20),
+                              claimables=inflows)
+    batch = wallet.batch_settle(view, [(b"\x01" * 20, 7)] * 2, key)
+    frag = subchain.decode_fragment(subchain.encode_batch(batch))
+    txs = frag.txs
+    assert txs == tuple(batch) and not codec.unsigned(txs[-1])
+    assert [type(tx) for tx in txs] == [ReceiveTx] * 2 + [SendTx] * 2
+    assert txs[0].parent_hash is NULL_HASH
+    for tx, child in zip(txs, txs[1:]):
+        assert child.parent_hash is tx.tx_hash
+    for tx in txs:
+        assert tx.current_address is frag.address
+    for tx in txs[:-1]:
+        assert tx.public_key is codec.NULL_KEY
+        assert tx.signature is codec.NULL_SIG
+    alone = codec.decode_tx(codec.encode_tx(txs[0]))
+    assert alone.parent_hash is NULL_HASH
+    assert alone.public_key is codec.NULL_KEY
+    assert alone.signature is codec.NULL_SIG

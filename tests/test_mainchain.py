@@ -446,12 +446,13 @@ class TestValidateBlock:
         """A record address of another width than 20 bytes: ``struct``
         would pad or truncate it into the root and ``hosted_slice`` would
         place it by byte order. It has no root, so the block's header
-        holds its twin's."""
+        holds its twin's, and the root check refuses it as the root
+        computation does."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(b"\x01" * width, NULL_HASH, 1)
         header = BlockHeader(view.tip, 1, 0, MINER, sha256(rec.encode()),
                              EASY_BITS)
-        with pytest.raises(UnsortedRecords):
+        with pytest.raises(MalformedBlock):
             validate_block(seal(MainBlock(header, (rec,))), view)
         with pytest.raises(MalformedBlock):
             confirmations_root((rec,))
@@ -482,6 +483,35 @@ class TestValidateBlock:
         with pytest.raises(struct.error):
             header.encode()
         with pytest.raises(MainChainError):
+            validate_block(MainBlock(header, block.confirmations), view)
+
+    # each header field retyped: a str of its width, a float equal to it
+    RETYPED = {"miner_address": lambda v: "a" * len(v),
+               "confirmations_root": lambda v: "r" * len(v),
+               "timestamp": float, "height": float, "nonce": float,
+               "difficulty_bits": float}
+
+    @pytest.mark.parametrize("field", sorted(RETYPED))
+    def test_header_field_mistyped(self, keys, field):
+        """A header field of another type than its wire type, even one
+        equal to the valid value (a float height passes the height test),
+        is refused with MalformedBlock before the header is hashed."""
+        key, view, chain = hosted_setup(keys)
+        block = mk_block(view)
+        value = self.RETYPED[field](getattr(block.header, field))
+        header = block.header._replace(**{field: value})
+        with pytest.raises(struct.error):
+            header.encode()
+        with pytest.raises(MalformedBlock):
+            validate_block(MainBlock(header, block.confirmations), view)
+
+    def test_unhashable_parent_unknown(self, keys):
+        """A parent hash that is not bytes names no block, even a list
+        of the tip's bytes, which would not hash as a key."""
+        key, view, chain = hosted_setup(keys)
+        block = mk_block(view)
+        header = block.header._replace(parent_block_hash=list(view.tip))
+        with pytest.raises(UnknownParent):
             validate_block(MainBlock(header, block.confirmations), view)
 
     @pytest.mark.parametrize("width,tip_height", [
