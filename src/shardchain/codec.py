@@ -50,8 +50,9 @@ CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 # The one signature algorithm, ECDSA over SHA-256: an immutable object
 # that signing and verification share instead of building one per call.
 # Both pass it the SHA-256 of the preimage, which is the tx_hash too, so
-# the preimage is hashed once.
-_ECDSA = ec.ECDSA(Prehashed(hashes.SHA256()))
+# the preimage is hashed once. Nonces are RFC 6979's, so a key signs a tx
+# to the same bytes every time.
+_ECDSA = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
 
 # Signing preimage: tag byte plus every field except tx_hash, public_key
 # and signature, in table order.

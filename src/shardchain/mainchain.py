@@ -264,19 +264,6 @@ def make_genesis(allocations: Dict[bytes, int], timestamp: int = 0) -> Genesis:
                    allocations=tuple(sorted(allocations.items())))
 
 
-class _SideIndex(NamedTuple):
-    """A side branch's entries (None where it confirmed nothing) over the
-    canonical index. ``get`` reads the overlay first, so an overlay None
-    hides the canonical entry behind it."""
-    overlay: Dict[bytes, Optional[tuple]]
-    canonical: Dict[bytes, tuple]
-
-    def get(self, address: bytes) -> Optional[tuple]:
-        if address in self.overlay:
-            return self.overlay[address]
-        return self.canonical.get(address)
-
-
 class ChainView:
     """Block DAG index: canonical tip by cumulative work, plus the
     per-address latest-confirmation map for the canonical chain only.
@@ -343,30 +330,12 @@ class ChainView:
     def confirmations_at(self, branch_tip: bytes
                          ) -> Dict[bytes, Tuple[bytes, bytes, int]]:
         """Latest confirmation per address along an arbitrary branch,
-        scanned from genesis: the oracle for ``branch_confirmations``."""
+        scanned from genesis: the oracle for ``confirmations``."""
         index: Dict[bytes, Tuple[bytes, bytes, int]] = {}
         for bh in self.branch(branch_tip)[1:]:     # after genesis
             for rec in self.blocks[bh].confirmations:
                 index[rec.address] = (bh, rec.tip_hash, rec.tip_height)
         return index
-
-    def branch_confirmations(self, branch_tip: bytes
-                             ) -> Dict[bytes, tuple] | _SideIndex:
-        """Latest confirmation per address along ``branch_tip``'s branch,
-        read with ``get``: None for an address the branch never confirmed.
-        The canonical index itself at the tip; elsewhere the index rolled
-        back to the fork point and overlaid with the side blocks."""
-        if branch_tip == self.tip:
-            return self.confirmations
-        side = self.fork_path(branch_tip)
-        fork_height = self.height[branch_tip] - len(side)
-        overlay: Dict[bytes, Optional[tuple]] = {}
-        for bh in reversed(self.canonical[fork_height + 1:]):
-            overlay.update(zip(map(_ADDRESS, self.blocks[bh].confirmations),
-                               self.undo[bh]))
-        for bh in side:
-            _confirm(overlay, bh, self.blocks[bh].confirmations)
-        return _SideIndex(overlay, self.confirmations)
 
     # -- mutation ------------------------------------------------------
 
@@ -389,8 +358,17 @@ class ChainView:
         work = self.work[bh] = self.work[parent] + _work(goal)
         if work <= self.work[self.tip]:
             return False
-        connect = self.fork_path(bh)
-        fork_height = self.height[bh] - len(connect)
+        self.switch(bh, prior)
+        return True
+
+    def switch(self, tip: bytes,
+               prior: Optional[Tuple[Optional[tuple], ...]] = None) -> None:
+        """Make ``tip``'s branch the canonical one: disconnect the
+        canonical blocks above its fork point with their undo records,
+        then connect its blocks above it. ``prior``, when given, is
+        ``tip``'s undo record."""
+        connect = self.fork_path(tip)
+        fork_height = self.height[tip] - len(connect)
         confirmations = self.confirmations
         while len(self.canonical) > fork_height + 1:
             h = self.canonical.pop()
@@ -404,12 +382,11 @@ class ChainView:
         for h in connect:
             records = self.blocks[h].confirmations
             # before h is connected, the index is its parent branch's
-            self.undo[h] = prior if h == bh and prior is not None else \
+            self.undo[h] = prior if h == tip and prior is not None else \
                 tuple(map(confirmations.get, map(_ADDRESS, records)))
             _confirm(confirmations, h, records)
             self.canonical.append(h)
-        self.tip = bh
-        return True
+        self.tip = tip
 
     def rebuild_index(self) -> None:
         """From-scratch canonical scan: the oracle that the incremental
@@ -427,13 +404,14 @@ def _confirm(index: dict, block_hash: bytes, records) -> None:
 
 
 class ViewClaimContext:
-    """The claim context (see ``subchain``) of one branch of a ChainView.
+    """The claim context (see ``subchain``) of a ChainView's canonical
+    branch up to ``branch_tip``, the view's tip when it is built.
 
     ``send_source`` maps (sender_address, sender_tx_hash) -> SendTx for
     confirmed transactions, typically a node store lookup or fragment
-    fetch. A block is on the branch when it is canonical at or below the
-    fork point or one of the side blocks above it, so the answers hold
-    until the view's canonical chain next changes.
+    fetch. A block is on the branch when it is canonical at or below
+    ``branch_tip``'s height, so the answers hold until the view's
+    canonical chain next changes.
     """
 
     def __init__(self, view: ChainView, branch_tip: bytes,
@@ -444,16 +422,12 @@ class ViewClaimContext:
         self.branch_height = view.height[branch_tip]
         self.send_source = send_source
         self.maturity = view.params.maturity
-        self.side = view.fork_path(branch_tip)
-        self.fork_height = self.branch_height - len(self.side)
-        self._side_set = set(self.side)
 
     def _mature(self, block_hash: bytes) -> bool:
         height = self.view.height.get(block_hash)
-        on_branch = block_hash in self._side_set or (
-            self.view.is_canonical(block_hash)
-            and height <= self.fork_height)
-        return on_branch and self.branch_height - height + 1 >= self.maturity
+        return self.view.is_canonical(block_hash) \
+            and height <= self.branch_height \
+            and self.branch_height - height + 1 >= self.maturity
 
     def get(self, citation):
         """(recipient, amount) of the cited send or coinbase when the
@@ -481,24 +455,26 @@ class ViewClaimContext:
 
 def validate_block(block: MainBlock, view: ChainView
                    ) -> Tuple[Optional[tuple], ...]:
-    """The main chain's checks of one block against its parent branch:
-    known parent, difficulty bits, height, size, header fields at their
-    wire widths and ranges, PoW, record order, root (whose computation
-    refuses in-process records off theirs), and that each record advances
-    its address. Whether a record's fragment is a valid state transition
-    is for the nodes that host the address to check. Returns each
-    record's latest confirmation entry on the parent branch, in record
-    order: (block hash, tip hash, tip height), or None for an address the
-    branch never confirmed.
+    """The main chain's checks of one block on the view's tip (a block
+    off it is checked after ``view.switch`` to its parent): parent,
+    difficulty bits, height, size, header fields at their wire widths and
+    ranges, PoW, record order, root (whose computation refuses in-process
+    records off theirs), and that each record advances its address.
+    Whether a record's fragment is a valid state transition is for the
+    nodes that host the address to check. Returns each record's latest
+    confirmation entry on the parent branch, in record order: (block
+    hash, tip hash, tip height), or None for an address the branch never
+    confirmed.
     """
     header = block.header
     parent = header.parent_block_hash
-    # a parent that is not bytes names no block, and may not even hash
-    if not isinstance(parent, bytes) or parent not in view.work:
-        raise UnknownParent("parent block unknown")
+    # a parent that is not bytes names no block, even one equal to the
+    # tip's bytes; an unknown parent is not the tip either
+    if not isinstance(parent, bytes) or parent != view.tip:
+        raise UnknownParent("parent block is not the view's tip")
     if header.difficulty_bits != view.params.difficulty_bits:
         raise BadPoW("unexpected difficulty bits")
-    if header.height != view.height[parent] + 1:
+    if header.height != view.tip_height + 1:
         raise BadPoW("wrong block height")
     records = block.confirmations
     # the length of block.encode(), without encoding the block
@@ -523,10 +499,7 @@ def validate_block(block: MainBlock, view: ChainView
     if header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
 
-    # a side branch's index maps an address that only canonical blocks
-    # above the fork point confirmed to None: get() reads that None, not
-    # the canonical entry behind it
-    prior = tuple(map(view.branch_confirmations(parent).get, addresses))
+    prior = tuple(map(view.confirmations.get, addresses))
     for tip_height, entry in zip(map(_TIP_HEIGHT, records), prior):
         prev_height = entry[2] if entry else 0
         if tip_height <= prev_height:

@@ -140,32 +140,15 @@ class Node:
         state = self.store.tail_states.get(address)
         return self.confirmed_state(address) if state is None else state
 
-    def claim_context(self, branch_tip: Optional[bytes] = None
-                      ) -> ViewClaimContext:
-        """The claim context of ``branch_tip``'s branch (the tip's by
-        default). The tip's is built once per tip: its answers hold until
-        the canonical chain changes, which moves the tip."""
+    def claim_context(self) -> ViewClaimContext:
+        """The claim context of the view's tip, built once per tip: its
+        answers hold until the canonical chain changes, which moves the
+        tip."""
         tip = self.view.tip
-        if branch_tip is None or branch_tip == tip:
-            ctx = self._tip_context
-            if ctx is None or ctx.branch_tip != tip:
-                ctx = self._tip_context = ViewClaimContext(
-                    self.view, tip, send_source=self._send_source)
-            return ctx
-        ctx = ViewClaimContext(self.view, branch_tip,
-                               send_source=self._send_source)
-        if ctx.side:
-            # send_index holds the canonical sends: a side branch confirms
-            # the sends archived for its side blocks instead of those of
-            # the canonical blocks above its fork point
-            above = self.view.canonical[ctx.fork_height + 1:]
-            sends = {(tx.current_address, tx.tx_hash):
-                     tx if bh in ctx.side else None
-                     for bh in above + ctx.side
-                     for txs, _ in self.store.archive[bh].values()
-                     for tx in txs if isinstance(tx, SendTx)}
-            ctx.send_source = lambda a, h: sends[a, h] \
-                if (a, h) in sends else self._send_source(a, h)
+        ctx = self._tip_context
+        if ctx is None or ctx.branch_tip != tip:
+            ctx = self._tip_context = ViewClaimContext(
+                self.view, tip, send_source=self._send_source)
         return ctx
 
     def _send_source(self, address: bytes, tx_hash: bytes):
@@ -299,47 +282,74 @@ class Node:
         ingest).
         """
         bh = block.block_hash
-        if bh in self.view.blocks:
+        view = self.view
+        if bh in view.blocks:
             return {}
-        # each record's entry on the parent branch, read once: the height
-        # its fragment starts from here, and the block's undo record
-        prior = mainchain.validate_block(block, self.view)
+        tip = view.tip
         parent = block.header.parent_block_hash
-        ctx = self.claim_context(parent)
-        pending = self.store.pending if parent == self.view.tip else {}
-        tail_states = self.store.tail_states
-        entry = {}
-        span = hosted_slice(self.assignment, block.confirmations)
-        for (address, tip_hash, tip_height), last in zip(
-                block.confirmations[span], prior[span]):
-            lo = last[2] if last else 0
-            # a record on the tip that confirms a whole pending tail takes
-            # the tail's kept state: its replay under the tip's claim
-            # context, which is this block's. Any other record is replayed
-            # from the state of its address's last confirmation.
-            tail = pending.get(address)
-            if tail and tail[0].height == lo + 1 \
-                    and tail[-1].tx_hash == tip_hash \
-                    and tail[-1].height == tip_height:
-                entry[address] = (tuple(tail), tail_states[address])
-                continue
-            frag = self._shard_oracle(address, lo, tip_height, tip_hash)
-            try:
-                new_state = subchain.verify_fragment(
-                    self._state_after(last, address), frag, ctx)
-            except SubchainError as err:
-                err.address = address
-                raise
-            if new_state.tip_hash != tip_hash \
-                    or new_state.tip_height != tip_height:
-                raise ConfirmationMismatch(
-                    "fragment tip does not match the record")
-            entry[address] = (frag.txs, new_state)
+        # a block off the tip is checked as one on it, with the view
+        # switched to its parent and back
+        off_tip = parent != tip and isinstance(parent, bytes) \
+            and parent in view.work
+        side = view.fork_path(parent) if off_tip else []
+        disconnect = view.canonical[view.height[parent] - len(side) + 1:] \
+            if off_tip else []
+        if side:
+            # send_index stays at the tip: the branch confirms the sends
+            # archived for its side blocks, not those of the blocks above
+            # its fork point
+            sends = {(tx.current_address, tx.tx_hash):
+                     tx if h in side else None
+                     for h in disconnect + side
+                     for txs, _ in self.store.archive[h].values()
+                     for tx in txs if isinstance(tx, SendTx)}
+        if off_tip:
+            view.switch(parent)
+        try:
+            # each record's entry on the parent branch, read once: the
+            # height its fragment starts from here, and the block's undo
+            # record
+            prior = mainchain.validate_block(block, view)
+            ctx = self.claim_context() if not side else ViewClaimContext(
+                view, parent, send_source=lambda a, h: sends[a, h]
+                if (a, h) in sends else self._send_source(a, h))
+            pending = {} if off_tip else self.store.pending
+            tail_states = self.store.tail_states
+            entry = {}
+            span = hosted_slice(self.assignment, block.confirmations)
+            for (address, tip_hash, tip_height), last in zip(
+                    block.confirmations[span], prior[span]):
+                lo = last[2] if last else 0
+                # a record on the tip that confirms a whole pending tail
+                # takes the tail's kept state: its replay under the tip's
+                # claim context, which is this block's. Any other record
+                # is replayed from the state of its address's last
+                # confirmation.
+                tail = pending.get(address)
+                if tail and tail[0].height == lo + 1 \
+                        and tail[-1].tx_hash == tip_hash \
+                        and tail[-1].height == tip_height:
+                    entry[address] = (tuple(tail), tail_states[address])
+                    continue
+                frag = self._shard_oracle(address, lo, tip_height, tip_hash)
+                try:
+                    new_state = subchain.verify_fragment(
+                        self._state_after(last, address), frag, ctx)
+                except SubchainError as err:
+                    err.address = address
+                    raise
+                if new_state.tip_hash != tip_hash \
+                        or new_state.tip_height != tip_height:
+                    raise ConfirmationMismatch(
+                        "fragment tip does not match the record")
+                entry[address] = (frag.txs, new_state)
+        finally:
+            if off_tip:
+                view.switch(tip)
         self.store.archive[bh] = entry
-        disconnect = self.view.canonical[ctx.fork_height + 1:]
-        if self.view.extend(block, prior):
+        if view.extend(block, prior):
             if disconnect:
-                self._reorg(disconnect, ctx.side + [bh])
+                self._reorg(disconnect, side + [bh])
             else:
                 self._connect(bh)
         return entry

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import random
 
 import pytest
@@ -175,7 +176,57 @@ def test_preimage_sensitivity(keys):
         assert hashlib.sha256(bytes(mutated)).digest() != base
 
 
+def rfc6979_nonce(d: int, digest: bytes) -> int:
+    """RFC 6979 section 3.2's nonce for P-256 and SHA-256 (the order and
+    the hash are both 256 bits wide) from the secret scalar ``d`` and the
+    signed digest: an oracle written from the RFC, not from the code."""
+    n = codec.CURVE_ORDER
+    x = d.to_bytes(32, "big")
+    h = (int.from_bytes(digest, "big") % n).to_bytes(32, "big")
+    v, k = b"\x01" * 32, b"\x00" * 32
+    for sep in (b"\x00", b"\x01"):
+        k = hmac.new(k, v + sep + x + h, "sha256").digest()
+        v = hmac.new(k, v, "sha256").digest()
+    while True:
+        v = hmac.new(k, v, "sha256").digest()
+        t = int.from_bytes(v, "big")
+        if 1 <= t < n:
+            return t
+        k = hmac.new(k, v + b"\x00", "sha256").digest()
+        v = hmac.new(k, v, "sha256").digest()
+
+
 class TestSignatures:
+    def test_known_answer_signature(self):
+        """Signing takes RFC 6979's nonce, so the key of the scalar
+        0x0101...01 signs this send to these 64 bytes every time (the
+        known answer of docs/wire-format.md): r is the x coordinate of
+        the nonce's point and s the low-s normalized ECDSA s."""
+        key = codec.keygen(b"\x01" * 32)
+        tx = SendTx(parent_hash=NULL_HASH, height=1,
+                    current_address=key.address,
+                    recipient_address=b"\x07" * 20, amount=5, timestamp=0)
+        signed = codec.sign_tx(tx, key)
+        assert signed.tx_hash.hex() == (
+            "e97c612e8e2057a29429d9d97c87d4fc054f356c2fe7255c437b20f4512fd5d3")
+        assert signed.signature.hex() == (
+            "fcdeb62284a696b1419052491fd392a580c0bdd63da5eaf27bca17388de8b85a"
+            "648d3b3a9e04d61149768838d9ce558338649f200b06bf3fb4067f8b73f0550c")
+        assert codec.sign_tx(tx, key) == signed and codec.verify_tx(signed)
+        # the oracle gives the RFC's own P-256/SHA-256 nonce (A.2.5)
+        assert rfc6979_nonce(
+            0xC9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721,
+            hashlib.sha256(b"sample").digest()) == \
+            0xA6E3C57DD01ABE90086538398355DD4C3B17AA873382B0F24D6129493D8AAD60
+        n, d = codec.CURVE_ORDER, int.from_bytes(b"\x01" * 32, "big")
+        k = rfc6979_nonce(d, signed.tx_hash)
+        r = ec.derive_private_key(k, codec.CURVE).public_key() \
+            .public_numbers().x % n
+        s = pow(k, -1, n) * (int.from_bytes(signed.tx_hash, "big")
+                             + r * d) % n
+        assert signed.signature == r.to_bytes(32, "big") \
+            + min(s, n - s).to_bytes(32, "big")
+
     def test_sign_verify_roundtrip(self, keys):
         tx = make_send(keys[0])
         assert codec.verify_tx(tx)

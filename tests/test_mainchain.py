@@ -334,10 +334,12 @@ class TestChainView:
         assert view.confirmations[addr] == (b2.block_hash, b"\x03" * 32, 3)
 
     def test_side_branch_index_matches_scan(self):
-        """Along a depth-6 rival branch that stays a side branch, and
-        along the canonical chain below its tip, the index's get of every
-        record address is the from-genesis scan's: an address that only
-        canonical blocks above the fork point confirmed reads None."""
+        """Switched to any block of a depth-6 rival branch that stays a
+        side branch, or of the canonical chain below its tip, the view's
+        index and chain are the from-genesis scan's: an address that only
+        canonical blocks above the fork point confirmed is not indexed.
+        Switching back restores the index, the chain and every undo
+        record."""
         view = ChainView(make_genesis({}), PARAMS)
         addrs = [bytes([i]) * 20 for i in range(1, 7)]
 
@@ -359,15 +361,23 @@ class TestChainView:
             assert not view.extend(block)
             parent = block.block_hash
             branch.append(parent)
-        assert len(branch) == 6 and view.tip == view.canonical[10]
+        tip = view.tip
+        assert len(branch) == 6 and tip == view.canonical[10]
+        before = (list(view.canonical), dict(view.confirmations),
+                  dict(view.undo))
         for bh in branch + view.canonical[:-1]:
-            index, scan = view.branch_confirmations(bh), \
-                view.confirmations_at(bh)
-            assert [index.get(a) for a in addrs] \
-                == [scan.get(a) for a in addrs], bh.hex()
-        # at a side block above the fork, address 1 (only in canonical
-        # block 5) reads None though the canonical index holds it
-        assert view.branch_confirmations(branch[-1]).get(addrs[1]) is None
+            view.switch(bh)
+            assert view.tip == bh
+            assert view.confirmations == view.confirmations_at(bh), bh.hex()
+            assert view.canonical == view.branch(bh), bh.hex()
+            if bh == branch[-1]:
+                # at a side block above the fork, address 1 (only in
+                # canonical block 5) is not indexed
+                assert addrs[1] not in view.confirmations
+            view.switch(tip)
+            assert view.tip == tip
+            assert (view.canonical, view.confirmations, view.undo) \
+                == before, bh.hex()
         assert view.confirmations[addrs[1]] is not None
 
     def test_depth(self):
@@ -391,9 +401,10 @@ def hosted_setup(keys, n_txs=4):
 class TestValidateBlock:
     def test_returns_parent_branch_index(self, keys):
         """The parent branch's index entry of each record, in record
-        order. A side branch's index maps an address that only blocks
-        above its fork point confirmed to None: a record of it there is
-        fresh, not stale against the canonical entry."""
+        order. A block off the tip is refused until the view is switched
+        to its parent; there an address that only blocks above the fork
+        point confirmed has no entry: a record of it is fresh, not stale
+        against the old tip's entry."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
@@ -404,6 +415,9 @@ class TestValidateBlock:
             == ((block.block_hash, chain[-1].tx_hash, 4),)
         side = mk_block(view, [rec], parent=view.genesis.block_hash,
                         timestamp=99)
+        with pytest.raises(UnknownParent):
+            validate_block(side, view)
+        view.switch(view.genesis.block_hash)
         assert validate_block(side, view) == (None,)
 
     def test_unknown_parent(self, keys):
@@ -507,12 +521,14 @@ class TestValidateBlock:
 
     def test_unhashable_parent_unknown(self, keys):
         """A parent hash that is not bytes names no block, even a list
-        of the tip's bytes, which would not hash as a key."""
+        of the tip's bytes, which would not hash as a key, or a bytearray
+        that compares equal to the tip."""
         key, view, chain = hosted_setup(keys)
         block = mk_block(view)
-        header = block.header._replace(parent_block_hash=list(view.tip))
-        with pytest.raises(UnknownParent):
-            validate_block(MainBlock(header, block.confirmations), view)
+        for parent in (list(view.tip), bytearray(view.tip)):
+            header = block.header._replace(parent_block_hash=parent)
+            with pytest.raises(UnknownParent):
+                validate_block(MainBlock(header, block.confirmations), view)
 
     @pytest.mark.parametrize("width,tip_height", [
         (31, 1), (33, 1), (32, 2**64), (32, -1)])

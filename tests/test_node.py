@@ -1,7 +1,12 @@
+import copy
 import hashlib
 import time
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import \
+    decode_dss_signature
 
 from shardchain import codec, mainchain, sharding, subchain, wallet
 from shardchain.codec import NULL_ADDRESS, NULL_HASH
@@ -15,6 +20,7 @@ from shardchain.errors import (
     NotHosted,
     PartialFetch,
     RangeUnavailable,
+    StaleConfirmation,
     TailConflict,
     UnconfirmedSend,
 )
@@ -102,15 +108,20 @@ class TestPendingAcceptance:
             node.accept_pending_tx(forged)
 
     def test_resigned_duplicate_conflicts(self, keys):
-        """Re-signing a tx keeps its hash (the preimage leaves out the
-        signature) but not its signature: the held tx is compared in
-        every field, so the second copy is a conflict, not a
-        duplicate."""
+        """Re-signing a tx under another nonce than RFC 6979's keeps its
+        hash (the preimage leaves out the signature) but not its
+        signature: the held tx is compared in every field, so the second
+        copy is a conflict, not a duplicate."""
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))
         tx = make_send(key, amount=1)
-        again = make_send(key, amount=1)
+        # plain ECDSA draws a random nonce; s is normalized low as codec's
+        r, s = decode_dss_signature(key.signing_key.sign(
+            codec.tx_preimage(tx), ec.ECDSA(hashes.SHA256())))
+        again = tx._replace(signature=r.to_bytes(32, "big") + min(
+            s, codec.CURVE_ORDER - s).to_bytes(32, "big"))
         assert again.tx_hash == tx.tx_hash and again != tx
+        assert codec.verify_tx(again)
         node.accept_pending_tx(tx)
         with pytest.raises(DuplicateHashConflict):
             node.accept_pending_tx(again)
@@ -345,15 +356,15 @@ class TestIngest:
 
     def test_side_block_walks_branch_index_once(self, keys, monkeypatch):
         """The main chain's checks hand the parent branch's index to the
-        record loop, so a side block's index is built once."""
+        record loop, so a side block costs two view switches: to its
+        parent and back."""
         node = make_node(make_genesis({}))
         genesis = node.view.tip
         node.ingest_block(confirm_block(node, []))
         side = confirm_block(node, [], parent=genesis, timestamp=99)
-        calls = Calls(monkeypatch, [(mainchain.ChainView,
-                                     "branch_confirmations")])
+        calls = Calls(monkeypatch, [(mainchain.ChainView, "switch")])
         node.ingest_block(side)
-        assert calls.take() == {"branch_confirmations": 1}
+        assert calls.take() == {"switch": 2}
 
     def test_send_inflow_indexed_for_recipient(self, keys):
         sender, rcpt = keys[0], keys[1]
@@ -456,8 +467,11 @@ class TestIngestFallback:
         assert node.view.tip != side.block_hash
         assert node.store.archive[side.block_hash] == entry == {
             key.address: (tuple(chain), entry[key.address][1])}
-        assert entry[key.address][1] == replay(
-            chain, node.claim_context(side.block_hash), initial=old)
+        tip = node.view.tip
+        node.view.switch(side.block_hash)
+        oracle = replay(chain, node.claim_context(), initial=old)
+        node.view.switch(tip)
+        assert entry[key.address][1] == oracle
         assert node.store.pending[key.address] == chain
         assert node.confirmed_state(key.address).tip_height == 0
 
@@ -631,6 +645,92 @@ class TestReorg:
         assert node.store.pending[sender.address] == [send]
 
 
+class TestRefusedSideBlock:
+    """A side block is checked on the view switched to its parent and
+    back: one refused there leaves the node exactly as it was."""
+
+    @staticmethod
+    def setup(keys):
+        """Two nodes fed the same blocks: canonical b1 (S's send to R),
+        b2, b3 on genesis, and side blocks s1 (T's two sends) and s2 on
+        genesis; fragments come from ``chains`` by fetch. S has a
+        pending send on the tip."""
+        s_key, r_key, t_key = keys[:3]
+        genesis = make_genesis({s_key.address: 100, t_key.address: 100})
+        send = make_send(s_key, amount=30, recipient=r_key.address)
+        t_chain = build_chain(t_key, 2, start_balance=100)
+        chains = {s_key.address: [send], t_key.address: t_chain}
+
+        def fetch(address, lo, hi):
+            txs = chains.get(address, [])[lo:hi]
+            if len(txs) != hi - lo:
+                return None
+            return SubchainFragment(address, lo, tuple(txs))
+
+        nodes = [Node(b"\x00" * 8, ShardAssignment(""), genesis, PARAMS,
+                      fetch=fetch) for _ in range(2)]
+        node = nodes[0]
+
+        def add(records, **kw):
+            block = confirm_block(node, records, **kw)
+            for n in nodes:
+                n.ingest_block(block)
+            return block
+
+        b1 = add([ConfirmationRecord(s_key.address, send.tx_hash, 1)])
+        tip = add([]) and add([])
+        s1 = add([ConfirmationRecord(t_key.address, t_chain[-1].tx_hash, 2)],
+                 parent=genesis.block_hash, timestamp=99)
+        s2 = add([], parent=s1.block_hash)
+        pending = make_send(s_key, parent=send.tx_hash, height=2)
+        for n in nodes:
+            n.accept_pending_tx(pending)
+        assert node.view.tip == tip.block_hash
+        return nodes, chains, send, s2, b1
+
+    @staticmethod
+    def snapshot(node):
+        view = node.view
+        return copy.deepcopy((view.tip, view.canonical, view.confirmations,
+                              view.undo, vars(node.store)))
+
+    @pytest.mark.parametrize("refusal", [StaleConfirmation, UnconfirmedSend,
+                                         PartialFetch])
+    def test_refusal_changes_nothing(self, keys, refusal):
+        """A stale record on the side branch (T at s1's height, fresh on
+        the canonical chain), a claim of S's send that only canonical
+        block b1, above the fork, confirms (mature on the tip), and a
+        fragment no source holds are each refused. The node's view and
+        every keyspace then equal their copies from before, and the next
+        tip block pools and connects as at a node that never saw it."""
+        (node, twin), chains, send, s2, b1 = self.setup(keys)
+        s_key, r_key, t_key = keys[:3]
+        claim = make_receive(r_key, NULL_HASH, 1, s_key.address,
+                             send.tx_hash, b1.block_hash, 30)
+        record = {
+            StaleConfirmation: (t_key.address, chains[t_key.address][-1], 2),
+            UnconfirmedSend: (r_key.address, claim, 1),
+            PartialFetch: (t_key.address, b"\x0c" * 32, 3),
+        }[refusal]
+        chains[r_key.address] = [claim]
+        bad = confirm_block(node, [ConfirmationRecord(
+            record[0], getattr(record[1], "tx_hash", record[1]),
+            record[2])], parent=s2.block_hash)
+        before = self.snapshot(node)
+        with pytest.raises(refusal):
+            node.ingest_block(bad)
+        assert self.snapshot(node) == before
+        assert bad.block_hash not in node.view.blocks
+        for n in (node, twin):
+            assert n.accept_pending_tx(claim) is True
+        nxt = confirm_block(node, sorted(node.pending_records()))
+        for n in (node, twin):
+            n.ingest_block(nxt)
+        assert node.view.tip == nxt.block_hash
+        assert self.snapshot(node) == self.snapshot(twin)
+        assert node.confirmed_state(r_key.address).balance == 30
+
+
 class TestTipClaimContext:
     """The node builds one claim context per tip and never reuses it
     once the tip has moved."""
@@ -639,7 +739,6 @@ class TestTipClaimContext:
         node = make_node(make_genesis({}))
         first = node.claim_context()
         assert node.claim_context() is first
-        assert node.claim_context(node.view.tip) is first
         node.ingest_block(confirm_block(node, []))
         assert node.claim_context() is not first
         assert node.claim_context().branch_tip == node.view.tip

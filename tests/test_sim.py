@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from shardchain import network, node
+from shardchain import live, network, node
 from shardchain.errors import ConfigInvalid, InvariantViolation
 from shardchain.mainchain import capacity
 from shardchain.sim import (
@@ -107,6 +107,28 @@ class TestRuns:
         a = json.dumps(run_sim(small_cfg()), sort_keys=True)
         b = json.dumps(run_sim(small_cfg()), sort_keys=True)
         assert a == b
+
+    def test_deterministic_data_dirs(self, tmp_path):
+        """Signatures take RFC 6979 nonces, so two runs of one seeded
+        7-node sim write byte-identical data dirs at every node, not only
+        equal reports."""
+        cfg = SimConfig(seed=5, accounts=40, width=8, avg_txs=2,
+                        block_limit=2048, blocks=8, node_count=7)
+        runs = []
+        for run in "ab":
+            sim = Simulation(cfg)
+            sim.run()
+            files = {}
+            for nid, n in sim.nodes.items():
+                data_dir = tmp_path / run / nid.hex()
+                live.save_node(n, str(data_dir))
+                for name in (live.LOG_FILE, live.META_FILE):
+                    files[nid, name] = (data_dir / name).read_bytes()
+            runs.append(files)
+        assert len(runs[0]) == 2 * 7
+        assert all(len(runs[0][nid, live.LOG_FILE]) > 2 * 2048
+                   for nid in sim.nodes)
+        assert runs[0] == runs[1]
 
     def test_seed_changes_outcome(self):
         a = run_sim(small_cfg(seed=3))
