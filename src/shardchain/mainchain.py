@@ -304,18 +304,6 @@ class ChainView:
             return 0
         return self.tip_height - self.height[block_hash] + 1
 
-    def fork_path(self, branch_tip: bytes) -> List[bytes]:
-        """The blocks of ``branch_tip``'s branch above its last canonical
-        ancestor (the fork point), oldest first; empty when ``branch_tip``
-        is canonical."""
-        path = []
-        h = branch_tip
-        while not self.is_canonical(h):
-            path.append(h)
-            h = self.blocks[h].header.parent_block_hash
-        path.reverse()
-        return path
-
     def branch(self, tip_hash: bytes) -> List[bytes]:
         """Hashes from genesis to tip_hash along parent links."""
         chain = []
@@ -362,16 +350,25 @@ class ChainView:
         return True
 
     def switch(self, tip: bytes,
-               prior: Optional[Tuple[Optional[tuple], ...]] = None) -> None:
+               prior: Optional[Tuple[Optional[tuple], ...]] = None
+               ) -> Tuple[List[bytes], List[bytes]]:
         """Make ``tip``'s branch the canonical one: disconnect the
         canonical blocks above its fork point with their undo records,
         then connect its blocks above it. ``prior``, when given, is
-        ``tip``'s undo record."""
-        connect = self.fork_path(tip)
-        fork_height = self.height[tip] - len(connect)
+        ``tip``'s undo record. Returns the blocks disconnected and those
+        connected, each oldest first."""
+        # the blocks above the fork point, tip's last canonical ancestor
+        connect = []
+        h = tip
+        while not self.is_canonical(h):
+            connect.append(h)
+            h = self.blocks[h].header.parent_block_hash
+        connect.reverse()
+        fork_height = self.height[h]
+        disconnect = self.canonical[fork_height + 1:]
+        del self.canonical[fork_height + 1:]
         confirmations = self.confirmations
-        while len(self.canonical) > fork_height + 1:
-            h = self.canonical.pop()
+        for h in reversed(disconnect):
             for address, entry in zip(map(_ADDRESS,
                                           self.blocks[h].confirmations),
                                       self.undo.pop(h)):
@@ -384,23 +381,18 @@ class ChainView:
             # before h is connected, the index is its parent branch's
             self.undo[h] = prior if h == tip and prior is not None else \
                 tuple(map(confirmations.get, map(_ADDRESS, records)))
-            _confirm(confirmations, h, records)
+            confirmations.update(zip(map(_ADDRESS, records), zip(
+                repeat(h), map(_TIP_HASH, records),
+                map(_TIP_HEIGHT, records))))
             self.canonical.append(h)
         self.tip = tip
+        return disconnect, connect
 
     def rebuild_index(self) -> None:
         """From-scratch canonical scan: the oracle that the incremental
         indexes must equal."""
         self.canonical = self.branch(self.tip)
         self.confirmations = self.confirmations_at(self.tip)
-
-
-def _confirm(index: dict, block_hash: bytes, records) -> None:
-    """Set each record's address in ``index`` to its entry in block
-    ``block_hash``: (block hash, tip hash, tip height)."""
-    index.update(zip(map(_ADDRESS, records), zip(
-        repeat(block_hash), map(_TIP_HASH, records),
-        map(_TIP_HEIGHT, records))))
 
 
 class ViewClaimContext:
@@ -453,28 +445,20 @@ class ViewClaimContext:
         return send.recipient_address, send.amount
 
 
-def validate_block(block: MainBlock, view: ChainView
-                   ) -> Tuple[Optional[tuple], ...]:
-    """The main chain's checks of one block on the view's tip (a block
-    off it is checked after ``view.switch`` to its parent): parent,
+def check_header(block: MainBlock, view: ChainView) -> None:
+    """The checks of ``validate_block`` that read only the parent's place
+    in the view, none in time that grows with the chain: known parent,
     difficulty bits, height, size, header fields at their wire widths and
-    ranges, PoW, record order, root (whose computation refuses in-process
-    records off theirs), and that each record advances its address.
-    Whether a record's fragment is a valid state transition is for the
-    nodes that host the address to check. Returns each record's latest
-    confirmation entry on the parent branch, in record order: (block
-    hash, tip hash, tip height), or None for an address the branch never
-    confirmed.
-    """
+    ranges, PoW, record order, and root (whose computation refuses
+    in-process records off theirs)."""
     header = block.header
     parent = header.parent_block_hash
-    # a parent that is not bytes names no block, even one equal to the
-    # tip's bytes; an unknown parent is not the tip either
-    if not isinstance(parent, bytes) or parent != view.tip:
-        raise UnknownParent("parent block is not the view's tip")
+    # a parent that is not bytes names no block, and may not even hash
+    if not isinstance(parent, bytes) or parent not in view.work:
+        raise UnknownParent("parent block unknown")
     if header.difficulty_bits != view.params.difficulty_bits:
         raise BadPoW("unexpected difficulty bits")
-    if header.height != view.tip_height + 1:
+    if header.height != view.height[parent] + 1:
         raise BadPoW("wrong block height")
     records = block.confirmations
     # the length of block.encode(), without encoding the block
@@ -499,7 +483,21 @@ def validate_block(block: MainBlock, view: ChainView
     if header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
 
-    prior = tuple(map(view.confirmations.get, addresses))
+
+def validate_block(block: MainBlock, view: ChainView
+                   ) -> Tuple[Optional[tuple], ...]:
+    """The main chain's checks of one block on the view's tip (a block
+    off it is checked after ``view.switch`` to its parent):
+    ``check_header``, then that each record advances its address. Whether
+    a record's fragment is a valid state transition is for the nodes that
+    host the address to check. Returns each record's latest confirmation
+    entry on the parent branch, in record order: (block hash, tip hash,
+    tip height), or None for an address the branch never confirmed."""
+    check_header(block, view)
+    if block.header.parent_block_hash != view.tip:
+        raise UnknownParent("parent block is not the view's tip")
+    records = block.confirmations
+    prior = tuple(map(view.confirmations.get, map(_ADDRESS, records)))
     for tip_height, entry in zip(map(_TIP_HEIGHT, records), prior):
         prev_height = entry[2] if entry else 0
         if tip_height <= prev_height:

@@ -288,31 +288,32 @@ class Node:
         tip = view.tip
         parent = block.header.parent_block_hash
         # a block off the tip is checked as one on it, with the view
-        # switched to its parent and back
-        off_tip = parent != tip and isinstance(parent, bytes) \
-            and parent in view.work
-        side = view.fork_path(parent) if off_tip else []
-        disconnect = view.canonical[view.height[parent] - len(side) + 1:] \
-            if off_tip else []
-        if side:
-            # send_index stays at the tip: the branch confirms the sends
-            # archived for its side blocks, not those of the blocks above
-            # its fork point
-            sends = {(tx.current_address, tx.tx_hash):
-                     tx if h in side else None
-                     for h in disconnect + side
-                     for txs, _ in self.store.archive[h].values()
-                     for tx in txs if isinstance(tx, SendTx)}
+        # switched to its parent and back; its header first, whose checks
+        # cost nothing in the fork distance
+        off_tip = parent != tip
         if off_tip:
-            view.switch(parent)
+            mainchain.check_header(block, view)
+            disconnect, side = view.switch(parent)
         try:
             # each record's entry on the parent branch, read once: the
             # height its fragment starts from here, and the block's undo
             # record
             prior = mainchain.validate_block(block, view)
-            ctx = self.claim_context() if not side else ViewClaimContext(
-                view, parent, send_source=lambda a, h: sends[a, h]
-                if (a, h) in sends else self._send_source(a, h))
+            if off_tip:
+                # send_index stays at the tip: a side branch confirms the
+                # sends archived for its side blocks, not those of the
+                # blocks above its fork point
+                sends = {(tx.current_address, tx.tx_hash):
+                         tx if h in side else None
+                         for h in disconnect + side
+                         for txs, _ in self.store.archive[h].values()
+                         for tx in txs if isinstance(tx, SendTx)} \
+                    if side else {}
+                ctx = ViewClaimContext(
+                    view, parent, send_source=lambda a, h: sends[a, h]
+                    if (a, h) in sends else self._send_source(a, h))
+            else:
+                ctx = self.claim_context()
             pending = {} if off_tip else self.store.pending
             tail_states = self.store.tail_states
             entry = {}
@@ -348,7 +349,8 @@ class Node:
                 view.switch(tip)
         self.store.archive[bh] = entry
         if view.extend(block, prior):
-            if disconnect:
+            # a block off the tip that becomes the tip is a reorg
+            if off_tip:
                 self._reorg(disconnect, side + [bh])
             else:
                 self._connect(bh)

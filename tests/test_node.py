@@ -12,6 +12,7 @@ from shardchain import codec, mainchain, sharding, subchain, wallet
 from shardchain.codec import NULL_ADDRESS, NULL_HASH
 from shardchain.errors import (
     BadLink,
+    BadPoW,
     ConfirmationMismatch,
     ConfirmedFrozen,
     DuplicateHashConflict,
@@ -23,6 +24,7 @@ from shardchain.errors import (
     StaleConfirmation,
     TailConflict,
     UnconfirmedSend,
+    UnknownParent,
 )
 from shardchain.mainchain import (
     EASY_BITS,
@@ -365,6 +367,40 @@ class TestIngest:
         calls = Calls(monkeypatch, [(mainchain.ChainView, "switch")])
         node.ingest_block(side)
         assert calls.take() == {"switch": 2}
+
+    @pytest.mark.parametrize("fault", ["bits", "pow", "height", "parent"])
+    def test_side_header_refused_before_switch(self, monkeypatch, fault):
+        """A block on genesis, five blocks below the tip, that its header
+        alone refuses (wrong difficulty bits, hash above target, wrong
+        height, unknown parent) is refused with no view switch, so its
+        cost does not grow with the fork distance."""
+        node = make_node(make_genesis({}))
+        genesis = node.view.tip
+        for _ in range(5):
+            node.ingest_block(confirm_block(node, []))
+        fields = dict(parent_block_hash=genesis, height=1, timestamp=99,
+                      miner_address=MINER,
+                      confirmations_root=confirmations_root(()),
+                      difficulty_bits=EASY_BITS)
+        if fault == "bits":
+            fields["difficulty_bits"] = EASY_BITS - 1
+        elif fault == "height":
+            fields["height"] = 2
+        elif fault == "parent":
+            fields["parent_block_hash"] = b"\x07" * 32
+        block = seal(MainBlock(BlockHeader(**fields)))
+        if fault == "pow":
+            block = next(b for b in (MainBlock(BlockHeader(
+                **fields, nonce=n)) for n in range(64))
+                if not mainchain.meets_target(b.block_hash, EASY_BITS))
+        before = (node.view.tip, list(node.view.canonical),
+                  dict(node.view.confirmations), dict(node.view.undo))
+        calls = Calls(monkeypatch, [(mainchain.ChainView, "switch")])
+        with pytest.raises(UnknownParent if fault == "parent" else BadPoW):
+            node.ingest_block(block)
+        assert calls.take() == {}
+        assert (node.view.tip, node.view.canonical, node.view.confirmations,
+                node.view.undo) == before
 
     def test_send_inflow_indexed_for_recipient(self, keys):
         sender, rcpt = keys[0], keys[1]
@@ -742,6 +778,17 @@ class TestTipClaimContext:
         node.ingest_block(confirm_block(node, []))
         assert node.claim_context() is not first
         assert node.claim_context().branch_tip == node.view.tip
+
+    def test_block_off_the_tip_keeps_the_tip_context(self, keys):
+        """A block on a canonical parent below the tip is checked under a
+        context of its own: the tip's cached one is not replaced."""
+        node = make_node(make_genesis({}))
+        genesis = node.view.tip
+        node.ingest_block(confirm_block(node, []))
+        ctx = node.claim_context()
+        node.ingest_block(confirm_block(node, [], parent=genesis,
+                                        timestamp=99))
+        assert node.claim_context() is ctx
 
     def test_claim_matures_with_the_next_block(self, keys):
         """Maturity 2: a claim of a send one block deep is refused, and
