@@ -85,11 +85,11 @@ _set = object.__setattr__
 
 
 class Frozen:
-    """Base of the slotted value classes. A subclass names in ``_fields``
-    the fields that its equality, hash, repr and ``_replace`` read, and
-    its constructor writes each slot once, through ``object.__setattr__``
-    or the slot's descriptor; any later write raises AttributeError.
-    Defining a subclass generates and compiles no code."""
+    """Base of the slotted value classes with derived or cached state. A
+    subclass names in ``_fields`` the fields that its equality, hash and
+    repr read, and its constructor writes each slot once, through
+    ``object.__setattr__`` or the slot's descriptor; any later write
+    raises AttributeError. Defining a subclass compiles no code."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -116,12 +116,6 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r of an immutable %s"
                              % (name, type(self).__name__))
-
-    def _replace(self, **changes):
-        """A new object with ``changes`` over these ``_fields``, for a
-        class whose constructor takes exactly its ``_fields``."""
-        return type(self)(**{name: changes.pop(name, getattr(self, name))
-                             for name in self._fields}, **changes)
 
 
 class KeyPair(Frozen):

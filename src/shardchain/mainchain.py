@@ -80,40 +80,17 @@ def decode_records(data: bytes, count: int
 _set = object.__setattr__
 
 
-class BlockHeader(Frozen):
-    __slots__ = ("parent_block_hash", "height", "timestamp",
-                 "miner_address", "confirmations_root", "difficulty_bits",
-                 "nonce", "_block_hash")
-    _fields = __slots__[:-1]
-
-    def __init__(self, parent_block_hash: bytes, height: int,
-                 timestamp: int, miner_address: bytes,
-                 confirmations_root: bytes, difficulty_bits: int,
-                 nonce: int = 0):
-        _set(self, "parent_block_hash", parent_block_hash)
-        _set(self, "height", height)
-        _set(self, "timestamp", timestamp)
-        _set(self, "miner_address", miner_address)
-        _set(self, "confirmations_root", confirmations_root)
-        _set(self, "difficulty_bits", difficulty_bits)
-        _set(self, "nonce", nonce)
+class BlockHeader(NamedTuple):
+    parent_block_hash: bytes
+    height: int
+    timestamp: int
+    miner_address: bytes
+    confirmations_root: bytes
+    difficulty_bits: int
+    nonce: int = 0
 
     def encode(self) -> bytes:
-        return _HEADER.pack(self.parent_block_hash, self.height,
-                            self.timestamp, self.miner_address,
-                            self.confirmations_root, self.difficulty_bits,
-                            self.nonce)
-
-    @property
-    def block_hash(self) -> bytes:
-        # cached: the header is immutable, and ingest reads the hash of
-        # each block several times. decode_block seeds it with the hash of
-        # the wire bytes it unpacked.
-        try:
-            return self._block_hash
-        except AttributeError:
-            _set(self, "_block_hash", sha256d(self.encode()))
-            return self._block_hash
+        return _HEADER.pack(*self)
 
 
 def records_fit(records) -> bool:
@@ -135,7 +112,7 @@ def confirmations_root(records) -> bytes:
 
 
 class MainBlock(Frozen):
-    __slots__ = ("header", "confirmations", "_records_root")
+    __slots__ = ("header", "confirmations", "_block_hash", "_records_root")
     _fields = ("header", "confirmations")
 
     def __init__(self, header: BlockHeader, confirmations: tuple = ()):
@@ -144,7 +121,14 @@ class MainBlock(Frozen):
 
     @property
     def block_hash(self) -> bytes:
-        return self.header.block_hash
+        """The double SHA-256 of the header as encoded, computed once:
+        ingest reads it several times. ``decode_block`` and ``seal`` seed
+        it with the digest they already hold."""
+        try:
+            return self._block_hash
+        except AttributeError:
+            _set(self, "_block_hash", sha256d(self.header.encode()))
+            return self._block_hash
 
     @property
     def records_root(self) -> bytes:
@@ -170,13 +154,13 @@ def decode_block(data: bytes) -> MainBlock:
     if len(data) < BLOCK_OVERHEAD:
         raise codec.DecodeError("block shorter than %d bytes"
                                 % BLOCK_OVERHEAD)
-    header = BlockHeader(*_HEADER.unpack_from(data, 0))
+    header = tuple.__new__(BlockHeader, _HEADER.unpack_from(data, 0))
     (count,) = struct.unpack_from(">I", data, HEADER_LEN)
     body = data[BLOCK_OVERHEAD:]
     block = MainBlock(header, decode_records(body, count))
     # the header and the records re-encode to exactly the bytes they were
     # unpacked from
-    _set(header, "_block_hash", sha256d(data[:HEADER_LEN]))
+    _set(block, "_block_hash", sha256d(data[:HEADER_LEN]))
     _set(block, "_records_root", sha256(body))
     return block
 
@@ -213,8 +197,10 @@ def seal(block: MainBlock) -> MainBlock:
         while True:
             h = sha256d(base + struct.pack(">Q", nonce))
             if int.from_bytes(h, "big") <= goal:
-                return MainBlock(header._replace(nonce=nonce),
-                                 block.confirmations)
+                sealed = MainBlock(header._replace(nonce=nonce),
+                                   block.confirmations)
+                _set(sealed, "_block_hash", h)
+                return sealed
             nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
             if nonce == header.nonce:   # nonce space exhausted
                 break

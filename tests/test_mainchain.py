@@ -147,21 +147,46 @@ class TestBlockCodec:
         assert rec == ConfirmationRecord(address=b"\x01" * 20,
                                          tip_hash=b"\x02" * 32, tip_height=9)
 
-    def test_header_hash_is_per_object(self, monkeypatch):
-        """Each header caches the hash of its own encoding: a decoded
-        header, seeded with the hash of the wire bytes it was unpacked
-        from, and a copy with another nonce each hash what they hold."""
+    def test_block_hash_is_per_block(self, monkeypatch):
+        """Each block caches the hash of its header's encoding: a decoded
+        block, seeded with the hash of the wire bytes it was unpacked
+        from, and a block on a header copy with another nonce each hash
+        what they hold."""
         view = ChainView(make_genesis({}), PARAMS)
         block = mk_block(view)
-        header = decode_block(block.encode()).header
+        decoded = decode_block(block.encode())
         calls = Calls(monkeypatch, [(mainchain, "sha256d")])
-        seeded = header.block_hash
+        seeded = decoded.block_hash
         assert calls.take() == {}     # seeded, not computed
         monkeypatch.undo()
+        header = decoded.header
         assert seeded == sha256d(header.encode()) == block.block_hash
-        copy = header._replace(nonce=header.nonce + 1)
-        assert copy.block_hash == sha256d(copy.encode())
-        assert copy.block_hash != header.block_hash
+        copy = MainBlock(header._replace(nonce=header.nonce + 1),
+                         decoded.confirmations)
+        assert copy.block_hash == sha256d(copy.header.encode())
+        assert copy.block_hash != decoded.block_hash
+
+    def test_sealed_block_hash_is_seeded(self, monkeypatch):
+        """``new_block`` (through ``seal``) keeps the winning digest it
+        computed, so its block's first hash read computes none; a block
+        built by hand from a header, as a rival branch is built before
+        sealing, hashes once and then reads its slot."""
+        view = ChainView(make_genesis({}), PARAMS)
+        built = mainchain.new_block(view.tip, 1, 0, MINER, ROOT_RECORDS,
+                                    EASY_BITS)
+        header = BlockHeader(view.tip, 1, 0, MINER,
+                             confirmations_root(ROOT_RECORDS), EASY_BITS, 0)
+        hand_built = MainBlock(header, tuple(ROOT_RECORDS))
+        calls = Calls(monkeypatch, [(mainchain, "sha256d")])
+        sealed = built.block_hash
+        assert calls.take() == {}     # seeded, not computed
+        first = hand_built.block_hash
+        assert hand_built.block_hash is first
+        assert calls.take() == {"sha256d": 1}
+        monkeypatch.undo()
+        assert sealed == sha256d(built.header.encode())
+        assert meets_target(sealed, EASY_BITS)
+        assert first == sha256d(header.encode())
 
     def test_decoded_records_are_read_only_records(self):
         view = ChainView(make_genesis({}), PARAMS)
@@ -240,16 +265,14 @@ class TestRecordsRoot:
         view = ChainView(make_genesis({}), PARAMS)
         decoded = decode_block(mk_block(view, ROOT_RECORDS).encode())
         for records in (ROOT_RECORDS[1:], ROOT_RECORDS[:1]):
-            for block in (MainBlock(decoded.header, tuple(records)),
-                          decoded._replace(confirmations=tuple(records))):
-                calls = Calls(monkeypatch,
-                              [(mainchain, "confirmations_root")])
-                root = block.records_root
-                assert calls.take() == {"confirmations_root": 1}
-                monkeypatch.undo()
-                assert root == confirmations_root(records)
-                with pytest.raises(RootMismatch):
-                    validate_block(block, view)
+            block = MainBlock(decoded.header, tuple(records))
+            calls = Calls(monkeypatch, [(mainchain, "confirmations_root")])
+            root = block.records_root
+            assert calls.take() == {"confirmations_root": 1}
+            monkeypatch.undo()
+            assert root == confirmations_root(records)
+            with pytest.raises(RootMismatch):
+                validate_block(block, view)
         validate_block(MainBlock(decoded.header, tuple(ROOT_RECORDS)), view)
 
 

@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from shardchain import live, network, node
+from shardchain import live, network, node, subchain
 from shardchain.errors import ConfigInvalid, InvariantViolation
 from shardchain.mainchain import capacity
 from shardchain.sim import (
@@ -17,7 +17,8 @@ from shardchain.sim import (
 )
 
 from conftest import assert_chains_are_canonical, \
-    assert_confirmed_are_replays, assert_inflows_are_an_index, rival_branch
+    assert_confirmed_are_replays, assert_inflows_are_an_index, make_send, \
+    rival_branch
 
 
 def small_cfg(**overrides):
@@ -319,6 +320,52 @@ class TestHostedChains:
                 for node_ in sim.nodes.values():
                     assert_chains_are_canonical(node_)
             assert sim.root.view.tip == block.block_hash
+
+
+def stall_cfg(**overrides):
+    return SimConfig(seed=5, accounts=40, width=8, avg_txs=2,
+                     block_limit=2048, **overrides)
+
+
+class TestStalls:
+    """Two ways a node stops following the chain for good. Each test
+    states the behaviour its ROADMAP item must give, and fails until
+    then."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a node that missed two blocks asks no peer "
+                       "for them, so it never catches up (ROADMAP item 18)")
+    def test_node_catches_up_after_an_outage(self):
+        """The last node (depth 2) is down for intervals 4 and 5, then
+        up: it ends at the root's tip with no error."""
+        sim = Simulation(stall_cfg(blocks=12, node_count=7))
+        last = list(sim.nodes)[-1]
+        for i in range(sim.cfg.blocks):
+            sim.transport.alive[last] = i not in (4, 5)
+            sim.run_interval()
+        assert [n.view.tip for n in sim.nodes.values()] \
+            == [sim.root.view.tip] * 7
+        assert sim.errors == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="nothing serves a hosting node the confirmed "
+                       "version of an equivocated send (ROADMAP item 7)")
+    def test_equivocation_does_not_stall_a_host(self):
+        """The root and a half node each pool another signed height-1
+        send by one account that the half node hosts: every node ends at
+        the root's tip, and the half node confirms what the root does."""
+        sim = Simulation(stall_cfg(blocks=6, node_count=3))
+        half = list(sim.nodes.values())[1]
+        key = next(k for k in sim.keys if half.hosts(k.address))
+        for node_, amount in ((sim.root, 1), (half, 2)):
+            node_.apply_request(network.MsgKind.NewTx, subchain.encode_batch(
+                [make_send(key, amount=amount)]))
+        for _ in range(sim.cfg.blocks):
+            sim.run_interval()
+        assert [n.view.tip for n in sim.nodes.values()] \
+            == [sim.root.view.tip] * 3
+        assert half.confirmed_state(key.address) \
+            == sim.root.confirmed_state(key.address)
 
 
 class TestBench:

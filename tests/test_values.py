@@ -49,7 +49,7 @@ CASES = {
         "miner_address": (b"\x02" * 20, b"\x12" * 20),
         "confirmations_root": (b"\x03" * 32, b"\x13" * 32),
         "difficulty_bits": (EASY_BITS, 0x1F00FFFF), "nonce": (9, 10)},
-        {}, ["block_hash"]),
+        {}, []),
     "MainBlock": (MainBlock, {
         "header": (HEADER, BlockHeader(b"\x01" * 32, 3, 7, b"\x02" * 20,
                                        b"\x03" * 32, EASY_BITS, 10)),
