@@ -188,23 +188,19 @@ def meets_target(block_hash: bytes, difficulty_bits: int) -> bool:
 
 
 def seal(block: MainBlock) -> MainBlock:
-    """Iterate the nonce (then the timestamp) until the hash meets target."""
-    goal = target(block.header.difficulty_bits)
+    """Iterate the nonce until the hash meets target."""
     header = block.header
+    goal = target(header.difficulty_bits)
+    base = header.encode()[:-8]
+    nonce = header.nonce
     while True:
-        base = header.encode()[:-8]
-        nonce = header.nonce
-        while True:
-            h = sha256d(base + struct.pack(">Q", nonce))
-            if int.from_bytes(h, "big") <= goal:
-                sealed = MainBlock(header._replace(nonce=nonce),
-                                   block.confirmations)
-                _set(sealed, "_block_hash", h)
-                return sealed
-            nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
-            if nonce == header.nonce:   # nonce space exhausted
-                break
-        header = header._replace(timestamp=header.timestamp + 1, nonce=0)
+        h = sha256d(base + struct.pack(">Q", nonce))
+        if int.from_bytes(h, "big") <= goal:
+            sealed = MainBlock(header._replace(nonce=nonce),
+                               block.confirmations)
+            _set(sealed, "_block_hash", h)
+            return sealed
+        nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
 
 
 def new_block(parent: bytes, height: int, timestamp: int,

@@ -48,18 +48,15 @@ class Miner:
 
 # -- parallel verification --------------------------------------------
 
-def _verify_wire_chunk(wires: List[bytes]) -> List[bool]:
+def _verify_chunk(txs: Sequence[codec.SubchainTx]) -> List[bool]:
     # last first: an unsigned tx reads as its child, the next tx, does
     out = []
     child, child_ok = None, False
-    for wire in reversed(wires):
-        try:
-            tx = codec.decode_tx(wire)
-        except Exception:
-            tx, ok = None, False
+    for tx in reversed(txs):
+        if codec.unsigned(tx):
+            ok = child_ok and codec.vouched(tx, child)
         else:
-            ok = (child_ok and codec.vouched(tx, child)
-                  if codec.unsigned(tx) else codec._verify_uncached(tx))
+            ok = type(tx) in codec._TX_TYPES and codec._verify_uncached(tx)
         out.append(ok)
         child, child_ok = tx, ok
     out.reverse()
@@ -72,27 +69,27 @@ def verify_batch(txs: Sequence[codec.SubchainTx],
 
     An unsigned tx reads True when the next tx in the list is its valid
     child (``codec.verify_txs``), so a chunk ends only after a signed tx.
-    The verdict list is order-preserving and independent of the worker
-    count.
+    A value that is not a tx, or has a field off its wire type or range,
+    reads False, as ``codec.verify_tx`` says. The verdict list is
+    order-preserving and independent of the worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    wires = [codec.encode_tx(tx) for tx in txs]
-    if workers == 1 or len(wires) < 2 * workers:
-        return _verify_wire_chunk(wires)
-    size = (len(wires) + workers - 1) // workers
+    if workers == 1 or len(txs) < 2 * workers:
+        return _verify_chunk(txs)
+    size = (len(txs) + workers - 1) // workers
     chunks, start = [], 0
     for end, tx in enumerate(txs, 1):
         if end - start >= size and not codec.unsigned(tx):
-            chunks.append(wires[start:end])
+            chunks.append(txs[start:end])
             start = end
-    if start < len(wires):
-        chunks.append(wires[start:])
+    if start < len(txs):
+        chunks.append(txs[start:])
     import multiprocessing   # only this branch starts worker processes
 
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
-        results = pool.map(_verify_wire_chunk, chunks)
+        results = pool.map(_verify_chunk, chunks)
     verdicts: List[bool] = []
     for part in results:
         verdicts.extend(part)

@@ -75,13 +75,6 @@ class TreeTopology:
         self.recompute_neighbors()
         return nid, assignment
 
-    # topology interface used by sharding.nodes_path
-    def children(self, node: NodeId) -> List[NodeId]:
-        return self.child_map[node]
-
-    def assignment(self, node: NodeId) -> ShardAssignment:
-        return self.assignments[node]
-
     def nodes(self) -> List[NodeId]:
         return sorted(self.parent)
 

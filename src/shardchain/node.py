@@ -170,10 +170,8 @@ class Node:
         first height is refused. A known NewBlock changes nothing, any
         other is ingested."""
         if kind == MsgKind.NewBlock:
-            block = mainchain.decode_block(payload)
-            if block.block_hash in self.view.blocks:
+            if self.ingest_block(mainchain.decode_block(payload)) is None:
                 return
-            self.ingest_block(block)
         elif kind == MsgKind.NewTx:
             address, from_height, txs = subchain.decode_fragment(payload)
             # the header scopes the payload (routing, the journal), so it
@@ -273,18 +271,18 @@ class Node:
     # -- block ingest --------------------------------------------------
 
     def ingest_block(self, block: MainBlock
-                     ) -> Dict[bytes, Tuple[tuple, SubchainState]]:
+                     ) -> Optional[Dict[bytes, Tuple[tuple, SubchainState]]]:
         """Validate and apply one main block; idempotent.
 
         Returns the archive entry it stores for the block: each hosted
         address the block confirms, in record order, mapped to its
-        fragment's txs and the state they lead to (empty on duplicate
-        ingest).
+        fragment's txs and the state they lead to. None for a block the
+        view already holds.
         """
         bh = block.block_hash
         view = self.view
         if bh in view.blocks:
-            return {}
+            return None
         tip = view.tip
         parent = block.header.parent_block_hash
         # a block off the tip is checked as one on it, with the view

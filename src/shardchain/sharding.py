@@ -91,14 +91,13 @@ def split(assignment: ShardAssignment):
 def nodes_path(tree, address: bytes) -> list:
     """Root-to-deepest chain of tree nodes whose prefixes match ``address``.
 
-    ``tree`` is any topology exposing ``root``, ``children(node_id)`` and
-    ``assignment(node_id)``. Host-set sizes shrink along the path: the
-    deeper the node, the fewer shards it keeps.
+    ``tree`` is a ``network.TreeTopology``. Host-set sizes shrink along
+    the path: the deeper the node, the fewer shards it keeps.
     """
     path = [tree.root]
     while True:
-        step = next((child for child in tree.children(path[-1])
-                     if hosts(tree.assignment(child), address)), None)
+        step = next((child for child in tree.child_map[path[-1]]
+                     if hosts(tree.assignments[child], address)), None)
         if step is None:
             return path
         path.append(step)

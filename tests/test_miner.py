@@ -185,6 +185,31 @@ class TestVerifyBatch:
             assert verify_batch(txs, workers=workers) \
                 == [True] * 5 + [False, False, True]
 
+    def test_off_wire_values_read_false(self, keys):
+        """A value that is not a tx, or a signed send with a field off its
+        wire type or range, reads False alone and among valid signed and
+        unsigned batches, at one worker and at two, as verify_tx says."""
+        signed = make_send(keys[2])
+        bad = [signed._replace(amount="x"), signed._replace(amount=-1),
+               signed._replace(height=2 ** 64), None, b"xx"]
+        batches = chain_signed(keys[0], [False] * 4 + [True]) \
+            + chain_signed(keys[1], [False, True, True])
+        for value in bad:
+            assert codec.verify_tx(value) is False
+            for workers in (1, 2):
+                assert verify_batch([value], workers=workers) == [False]
+            # each position follows a signed tx, so only the value is False
+            for at in (0, 5, 7, 8):
+                txs = batches[:at] + [value] + batches[at:]
+                expected = [i != at for i in range(len(txs))]
+                for workers in (1, 2):
+                    assert verify_batch(txs, workers=workers) == expected
+            # below the value, the unsigned batch it would vouch for fails
+            txs = batches[:4] + [value] + batches[4:]
+            verdicts = verify_batch(txs, workers=1)
+            assert verdicts == [False] * 5 + [True] * 4
+            assert verify_batch(txs, workers=2) == verdicts
+
     def test_invalid_worker_count(self, keys):
         with pytest.raises(ValueError):
             verify_batch([], workers=0)

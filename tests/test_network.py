@@ -62,7 +62,7 @@ class TestEnvelope:
 class TestTopology:
     def test_join_assignments(self):
         topo, ids = full_tree(7)
-        prefixes = [topo.assignment(n).prefix_bits for n in ids]
+        prefixes = [topo.assignments[n].prefix_bits for n in ids]
         assert prefixes == ["", "0", "1", "00", "01", "10", "11"]
 
     def test_parent_full(self):
@@ -177,7 +177,7 @@ class TestBroadcast:
         assert set(scoped) == {ids[0], ids[1], nid}
         for n in topo.nodes():
             assert topo.link_ranges[n] == tuple(
-                (m, topo.assignment(m).low, topo.assignment(m).high)
+                (m, topo.assignments[m].low, topo.assignments[m].high)
                 for m in topo.links(n))
 
     def test_single_failure_everyone_else_reached(self):

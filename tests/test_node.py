@@ -246,7 +246,7 @@ class TestIngest:
         node = make_node(make_genesis({key.address: 1000}))
         chain = build_chain(key, 2, start_balance=1000)
         block, _ = ingest_chain(node, key, chain)
-        assert node.ingest_block(block) == {}
+        assert node.ingest_block(block) is None
         assert node.view.tip_height == 1
 
     def test_partial_confirmation_keeps_tail(self, keys):

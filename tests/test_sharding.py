@@ -168,7 +168,7 @@ class TestNodesPath:
         addr = b"\x00" * 20   # bits 00...
         path = nodes_path(topo, addr)
         assert len(path) == 3
-        assert [topo.assignment(n).prefix_bits for n in path] == \
+        assert [topo.assignments[n].prefix_bits for n in path] == \
             ["", "0", "00"]
 
     def test_every_node_on_path_hosts(self):
@@ -177,9 +177,9 @@ class TestNodesPath:
         for _ in range(200):
             addr = rng.randbytes(20)
             path = nodes_path(topo, addr)
-            assert all(hosts(topo.assignment(n), addr) for n in path)
+            assert all(hosts(topo.assignments[n], addr) for n in path)
             # the path ends at a leaf in a full tree
-            assert topo.children(path[-1]) == []
+            assert topo.child_map[path[-1]] == []
 
     def test_partial_tree_stops_early(self):
         topo = TreeTopology()
