@@ -311,10 +311,11 @@ class NodeClient:
     def fetch_fragment(self, address: bytes, lo: int, hi: int
                        ) -> subchain.SubchainFragment:
         """The fragment (lo, hi] of ``address``'s subchain. An address
-        that is not 20 bytes or a height outside u64 is refused before
-        anything is packed."""
+        that is not 20 bytes or a height that is not an int in u64 is
+        refused before anything is packed."""
         if not (isinstance(address, bytes) and len(address) == codec.ADDR_LEN
-                and 0 <= lo < 1 << 64 and 0 <= hi < 1 << 64):
+                and all(isinstance(h, int) and 0 <= h < 1 << 64
+                        for h in (lo, hi))):
             raise MalformedEnvelope("a FragmentRequest takes a 20-byte "
                                     "address and two u64 heights")
         return subchain.decode_fragment(self.call(Envelope(

@@ -8,7 +8,6 @@ first-seen tie-break.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from itertools import repeat
 from operator import attrgetter, ge, itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -381,15 +380,15 @@ class ViewClaimContext:
     """The claim context (see ``subchain``) of a ChainView's canonical
     branch up to ``branch_tip``, the view's tip when it is built.
 
-    ``send_source`` maps (sender_address, sender_tx_hash) -> SendTx for
-    confirmed transactions, typically a node store lookup or fragment
-    fetch. A block is on the branch when it is canonical at or below
-    ``branch_tip``'s height, so the answers hold until the view's
-    canonical chain next changes.
+    ``send_source`` maps (sender_address, sender_tx_hash, block_hash) to
+    the SendTx in the fragment of the sender that the block confirmed,
+    else None: typically a node store lookup. A block is on the branch
+    when it is canonical at or below ``branch_tip``'s height, so the
+    answers hold until the view's canonical chain next changes.
     """
 
     def __init__(self, view: ChainView, branch_tip: bytes,
-                 send_source: Callable[[bytes, bytes],
+                 send_source: Callable[[bytes, bytes, bytes],
                                        Optional[codec.SendTx]]):
         self.view = view
         self.branch_tip = branch_tip
@@ -405,26 +404,18 @@ class ViewClaimContext:
 
     def get(self, citation):
         """(recipient, amount) of the cited send or coinbase when the
-        cited block is mature on this branch and, for a send, confirms
-        the sender's subchain at or beyond the send's height; else None."""
-        sender_address, sender_tx_hash, main_block_hash = citation
+        cited block is mature on this branch and, for a send, is the
+        block whose record confirmed it; else None."""
+        block_hash = citation[2]
         # ``blocks`` holds no genesis entry: genesis is refused here too
-        block = self.view.blocks.get(main_block_hash)
-        if block is None or not self._mature(main_block_hash):
+        block = self.view.blocks.get(block_hash)
+        if block is None or not self._mature(block_hash):
             return None
         if citation[:2] == subchain.COINBASE:
             return block.header.miner_address, self.view.params.subsidy
-        # validate_block admits only strictly increasing addresses
-        records = block.confirmations
-        i = bisect_left(records, sender_address, key=attrgetter("address"))
-        if i == len(records) or records[i].address != sender_address:
-            return None
-        send = self.send_source(sender_address, sender_tx_hash)
-        if send is None or not isinstance(send, codec.SendTx) \
-                or send.tx_hash != sender_tx_hash \
-                or send.height > records[i].tip_height:
-            return None
-        return send.recipient_address, send.amount
+        send = self.send_source(*citation)
+        return None if send is None else (send.recipient_address,
+                                          send.amount)
 
 
 def check_header(block: MainBlock, view: ChainView) -> None:

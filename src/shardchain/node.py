@@ -67,8 +67,6 @@ class NodeStore:
         self.tail_states: Dict[bytes, SubchainState] = {}
         # each hosted address's canonical txs (height h at index h - 1)
         self.chains: Dict[bytes, List[SubchainTx]] = {}
-        # the canonical sends by tx hash, which commits to the sender
-        self.send_index: Dict[bytes, SendTx] = {}
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
         # every accepted block, main or side, mapped to the hosted
         # addresses it confirmed, in record order, each with its fragment
@@ -83,9 +81,13 @@ class NodeStore:
         """The canonical txs by ``(address, height)``: a read-only view."""
         return _TxView(self.chains)
 
-    def find_send(self, address: bytes, tx_hash: bytes) -> Optional[SendTx]:
-        send = self.send_index.get(tx_hash)
-        return send if send and send.current_address == address else None
+    def find_send(self, address: bytes, tx_hash: bytes,
+                  block_hash: bytes) -> Optional[SendTx]:
+        """The send ``tx_hash`` in the fragment of ``address`` that block
+        ``block_hash`` confirmed, else None."""
+        txs, _ = self.archive.get(block_hash, {}).get(address, ((), None))
+        return next((tx for tx in txs if tx.tx_hash == tx_hash
+                     and isinstance(tx, SendTx)), None)
 
 
 class _TxView(Mapping):
@@ -119,8 +121,6 @@ class Node:
         self.store = NodeStore()
         self.fetch = fetch
         self.remote_send_lookup: Optional[Callable] = None
-        # the tip's claim context, replaced when the tip moves
-        self._tip_context: Optional[ViewClaimContext] = None
 
     # -- shard plumbing ------------------------------------------------
 
@@ -141,21 +141,16 @@ class Node:
         return self.confirmed_state(address) if state is None else state
 
     def claim_context(self) -> ViewClaimContext:
-        """The claim context of the view's tip, built once per tip: its
-        answers hold until the canonical chain changes, which moves the
-        tip."""
-        tip = self.view.tip
-        ctx = self._tip_context
-        if ctx is None or ctx.branch_tip != tip:
-            ctx = self._tip_context = ViewClaimContext(
-                self.view, tip, send_source=self._send_source)
-        return ctx
+        """The claim context of the view's tip."""
+        return ViewClaimContext(self.view, self.view.tip,
+                                send_source=self._send_source)
 
-    def _send_source(self, address: bytes, tx_hash: bytes):
-        send = self.store.find_send(address, tx_hash)
+    def _send_source(self, address: bytes, tx_hash: bytes,
+                     block_hash: bytes) -> Optional[SendTx]:
+        send = self.store.find_send(address, tx_hash, block_hash)
         if send is None and not self.hosts(address) \
                 and self.remote_send_lookup is not None:
-            send = self.remote_send_lookup(address, tx_hash)
+            send = self.remote_send_lookup(address, tx_hash, block_hash)
         return send
 
     # -- messages ------------------------------------------------------
@@ -297,21 +292,7 @@ class Node:
             # height its fragment starts from here, and the block's undo
             # record
             prior = mainchain.validate_block(block, view)
-            if off_tip:
-                # send_index stays at the tip: a side branch confirms the
-                # sends archived for its side blocks, not those of the
-                # blocks above its fork point
-                sends = {(tx.current_address, tx.tx_hash):
-                         tx if h in side else None
-                         for h in disconnect + side
-                         for txs, _ in self.store.archive[h].values()
-                         for tx in txs if isinstance(tx, SendTx)} \
-                    if side else {}
-                ctx = ViewClaimContext(
-                    view, parent, send_source=lambda a, h: sends[a, h]
-                    if (a, h) in sends else self._send_source(a, h))
-            else:
-                ctx = self.claim_context()
+            ctx = self.claim_context()
             pending = {} if off_tip else self.store.pending
             tail_states = self.store.tail_states
             entry = {}
@@ -416,9 +397,8 @@ class Node:
         a hosted recipient, keyed by send hash, and a hosted miner's
         coinbase, keyed by block hash."""
         store = self.store
-        confirmed, chains, sends, inflows, pending = (
-            store.confirmed, store.chains, store.send_index, store.inflows,
-            store.pending)
+        confirmed, chains, inflows, pending = (
+            store.confirmed, store.chains, store.inflows, store.pending)
         # hosts()'s range test, written inline below
         low, high = self.assignment.low, self.assignment.high
         header = self.view.blocks[block_hash].header
@@ -430,7 +410,6 @@ class Node:
                 if isinstance(tx, SendTx):
                     # recipient_address, amount, timestamp, tx_hash
                     recipient, amount, _, tx_hash = tx[3:7]
-                    sends[tx_hash] = tx
                     if low <= recipient <= high:
                         inflows.setdefault(recipient, {})[tx_hash] = _new(
                             Inflow, (address, tx_hash, block_hash, amount,
@@ -460,10 +439,9 @@ class Node:
             if not chain:   # or its chain
                 store.chains.pop(address, None)
             for tx in txs:
-                if isinstance(tx, SendTx):
-                    del store.send_index[tx.tx_hash]
-                    if low <= tx.recipient_address <= high:
-                        self._drop_inflow(tx.recipient_address, tx.tx_hash)
+                if isinstance(tx, SendTx) \
+                        and low <= tx.recipient_address <= high:
+                    self._drop_inflow(tx.recipient_address, tx.tx_hash)
         miner = self.view.blocks[block_hash].header.miner_address
         if low <= miner <= high:
             self._drop_inflow(miner, block_hash)

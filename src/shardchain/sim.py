@@ -18,7 +18,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import codec, mainchain, miner as miner_mod
 from . import sharding, subchain, wallet
 from .codec import KeyPair, SendTx, sha256
-from .errors import ConfigInvalid, InvalidSeed, InvariantViolation
+from .errors import ConfigInvalid, InvalidSeed, InvariantViolation, \
+    MalformedBits
 from .mainchain import ChainParams, EASY_BITS, capacity, make_genesis
 from .network import Envelope, FloodRouter, MsgKind, SimTransport, \
     TreeTopology
@@ -57,6 +58,10 @@ class SimConfig(NamedTuple):
                 raise ConfigInvalid("%s must be in [%d, 2^64)" % (name, low))
         if self.neighbor_count < 0:
             raise ConfigInvalid("neighbor_count must not be negative")
+        try:
+            mainchain.target(self.difficulty_bits)
+        except MalformedBits as err:
+            raise ConfigInvalid("difficulty_bits: %s" % err) from None
         if self.width < 0 or self.width > self.accounts:
             raise ConfigInvalid("width must be in [0, accounts]")
         if capacity(self.block_limit) < 1:
@@ -112,7 +117,7 @@ class Simulation:
         for nid in ids:
             n = Node(nid, self.topology.assignments[nid], self.genesis,
                      self.params)
-            n.remote_send_lookup = self._send_lookup(nid)
+            n.remote_send_lookup = self._send_lookup
             self.nodes[nid] = n
         self.root = self.nodes[root_id]
         self.router = FloodRouter(self.topology, self.transport,
@@ -127,16 +132,16 @@ class Simulation:
 
     # -- network plumbing ---------------------------------------------
 
-    def _send_lookup(self, nid):
-        def lookup(address, tx_hash):
-            for other in sharding.nodes_path(self.topology, address):
-                if other == nid or not self.transport.is_alive(other):
-                    continue
-                send = self.nodes[other].store.find_send(address, tx_hash)
+    def _send_lookup(self, address, tx_hash, block_hash):
+        # only a node that does not host the sender asks, and it is on no
+        # path of the sender's hosts
+        for nid in sharding.nodes_path(self.topology, address):
+            if self.transport.is_alive(nid):
+                send = self.nodes[nid].store.find_send(address, tx_hash,
+                                                       block_hash)
                 if send is not None:
                     return send
-            return None
-        return lookup
+        return None
 
     @staticmethod
     def _scope(env: Envelope) -> Optional[bytes]:

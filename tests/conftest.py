@@ -171,14 +171,14 @@ def assert_chains_are_canonical(node):
     """Each hosted chain is its address's txs archived for the canonical
     blocks, in block order, as long as its confirmed height and never
     empty, and ``store.txs`` is them by (address, height);
-    ``send_index`` is every such send, by hash, and ``find_send`` finds
-    it under its sender alone."""
+    ``find_send`` finds each such send at the block that confirmed it,
+    under its sender alone."""
     store = node.store
     chains, sends = {}, {}
     for bh in node.view.canonical[1:]:
         for address, (txs, _) in store.archive[bh].items():
             chains.setdefault(address, []).extend(txs)
-            sends.update((tx.tx_hash, tx) for tx in txs
+            sends.update(((tx.tx_hash, bh), tx) for tx in txs
                          if isinstance(tx, SendTx))
     assert store.chains == chains
     assert all(store.chains.values())
@@ -191,12 +191,11 @@ def assert_chains_are_canonical(node):
     assert list(store.txs.values()) == list(held.values())
     assert all(store.txs.get((a, h)) is None for a, chain in chains.items()
                for h in (-1, 0, len(chain) + 1))
-    assert store.send_index == sends
-    for tx_hash, send in sends.items():
+    for (tx_hash, bh), send in sends.items():
         sender = send.current_address
-        assert store.find_send(sender, tx_hash) is send
+        assert store.find_send(sender, tx_hash, bh) is send
         other = bytes([sender[0] ^ 1]) + sender[1:]
-        assert store.find_send(other, tx_hash) is None
+        assert store.find_send(other, tx_hash, bh) is None
 
 
 def rival_branch(sim, depth, miner_address):

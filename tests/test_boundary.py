@@ -7,7 +7,7 @@ import io
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shardchain import codec, live, subchain
 from shardchain.codec import (
@@ -391,15 +391,22 @@ class RequestRecorder(live.NodeClient):
         raise self.Sent
 
 
-@given(address=widths(ADDR_LEN), lo=st.integers(-1, 2**64),
-       hi=st.integers(-1, 2**64))
+heights = st.one_of(st.integers(-1, 2**64), st.floats(0, 2**64),
+                   st.just("1"), st.none())
+
+
+@given(address=widths(ADDR_LEN), lo=heights, hi=heights)
+@example(address=b"\x01" * ADDR_LEN, lo=1.5, hi=2)
+@example(address=b"\x01" * ADDR_LEN, lo="1", hi=2)
+@example(address=b"\x01" * ADDR_LEN, lo=1, hi=None)
 def test_fragment_request_packs_its_range_or_is_refused(address, lo, hi):
     """A FragmentRequest carries exactly the address and heights asked
-    for, in 36 bytes; an address that is not 20 bytes or a height
-    outside u64 is refused, with MalformedEnvelope, and nothing is
-    sent."""
+    for, in 36 bytes; an address that is not 20 bytes or a height that
+    is not an int in u64 is refused, with MalformedEnvelope, and nothing
+    is sent."""
     client = RequestRecorder()
-    fits = len(address) == ADDR_LEN and 0 <= lo < 2**64 and 0 <= hi < 2**64
+    fits = len(address) == ADDR_LEN and all(
+        isinstance(h, int) and 0 <= h < 2**64 for h in (lo, hi))
     try:
         client.fetch_fragment(address, lo, hi)
     except MalformedEnvelope:

@@ -598,12 +598,12 @@ class TestViewClaimContext:
         view = ChainView(make_genesis({}), params)
         b1 = mk_block(view)
         view.extend(b1)
-        ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
+        ctx = ViewClaimContext(view, view.tip, lambda a, h, b: None)
         assert ctx.get((NULL_ADDRESS, NULL_HASH,
                         b1.block_hash)) is None   # depth 1 < 3
         for _ in range(2):
             view.extend(mk_block(view))
-        ctx = ViewClaimContext(view, view.tip, lambda a, h: None)
+        ctx = ViewClaimContext(view, view.tip, lambda a, h, b: None)
         assert ctx.get((NULL_ADDRESS, NULL_HASH, b1.block_hash)) \
             == (MINER, PARAMS.subsidy)
 
@@ -615,8 +615,9 @@ class TestViewClaimContext:
         rec = ConfirmationRecord(key.address, send.tx_hash, 1)
         b1 = mk_block(view, [rec])
         view.extend(b1)
-        ctx = ViewClaimContext(view, view.tip,
-                               lambda a, h: send if h == send.tx_hash else None)
+        ctx = ViewClaimContext(
+            view, view.tip, lambda a, h, b: send if (a, h, b) == (
+                key.address, send.tx_hash, b1.block_hash) else None)
         assert ctx.get((key.address, send.tx_hash, b1.block_hash)) \
             == (send.recipient_address, send.amount)
         # a block that never confirmed the sender yields nothing

@@ -767,28 +767,125 @@ class TestRefusedSideBlock:
         assert node.confirmed_state(r_key.address).balance == 30
 
 
+class TestClaimCitesConfirmingBlock:
+    """A claim of a send cites the main block whose record confirmed the
+    send: a later block whose record for the sender also covers it is
+    refused. Maturity 1; S is confirmed by b1, and b2 confirms the
+    sender's next send L, so b2's record covers S too."""
+
+    @staticmethod
+    def setup(keys):
+        sender, rcpt = keys[0], keys[1]
+        chains = {}
+
+        def fetch(address, lo, hi):
+            return SubchainFragment(address, lo, tuple(chains[address][lo:hi]))
+        params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                             maturity=1)
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({sender.address: 100}), params, fetch=fetch)
+        send = make_send(sender, amount=30, recipient=rcpt.address)
+        later = make_send(sender, parent=send.tx_hash, height=2, amount=5)
+        blocks = []
+        for tx in (send, later):
+            node.accept_pending_tx(tx)
+            blocks.append(confirm_block(node, node.pending_records()))
+            node.ingest_block(blocks[-1])
+        return node, chains, send, *blocks
+
+    @staticmethod
+    def snapshot(node):
+        return copy.deepcopy((node.view.tip, vars(node.store)))
+
+    def claim(self, keys, send, block):
+        return make_receive(keys[1], NULL_HASH, 1, keys[0].address,
+                            send.tx_hash, block.block_hash, 30)
+
+    def test_claim_citing_a_later_block_is_refused(self, keys):
+        node, _, send, b1, b2 = self.setup(keys)
+        before = self.snapshot(node)
+        with pytest.raises(UnconfirmedSend):
+            node.accept_pending_tx(self.claim(keys, send, b2))
+        assert self.snapshot(node) == before
+
+    def test_block_confirming_it_is_refused(self, keys):
+        node, chains, send, b1, b2 = self.setup(keys)
+        claim = self.claim(keys, send, b2)
+        chains[keys[1].address] = [claim]
+        bad = confirm_block(node, [ConfirmationRecord(
+            keys[1].address, claim.tx_hash, 1)])
+        before = self.snapshot(node)
+        with pytest.raises(UnconfirmedSend):
+            node.ingest_block(bad)
+        assert bad.block_hash not in node.view.blocks
+        assert self.snapshot(node) == before
+
+    def test_claim_citing_the_confirming_block_is_pooled(self, keys):
+        node, _, send, b1, b2 = self.setup(keys)
+        claim = self.claim(keys, send, b1)
+        assert node.accept_pending_tx(claim) is True
+        b3 = confirm_block(node, node.pending_records())
+        node.ingest_block(b3)
+        assert node.confirmed_state(keys[1].address).balance == 30
+        find = node.store.find_send
+        assert find(keys[0].address, send.tx_hash, b1.block_hash) == send
+        # b2's fragment of the sender holds only L
+        assert find(keys[0].address, send.tx_hash, b2.block_hash) is None
+        # a receive in the cited fragment, a block with no record for
+        # the sender, an unknown block
+        assert node.store.archive[b3.block_hash][keys[1].address][0] \
+            == (claim,)
+        assert find(keys[1].address, claim.tx_hash, b3.block_hash) is None
+        assert find(keys[0].address, send.tx_hash, b3.block_hash) is None
+        assert find(keys[0].address, send.tx_hash, b"\x44" * 32) is None
+
+    def test_send_archived_only_in_a_side_block(self, keys):
+        """A side block on b1 confirms another version O of the sender's
+        height 2: ``find_send`` finds O at that block alone."""
+        node, chains, send, b1, b2 = self.setup(keys)
+        other = make_send(keys[0], parent=send.tx_hash, height=2, amount=6)
+        chains[keys[0].address] = [send, other]
+        side = confirm_block(node, [ConfirmationRecord(
+            keys[0].address, other.tx_hash, 2)], parent=b1.block_hash,
+            timestamp=99)
+        node.ingest_block(side)
+        assert node.view.tip == b2.block_hash
+        find = node.store.find_send
+        assert find(keys[0].address, other.tx_hash, side.block_hash) == other
+        assert find(keys[0].address, other.tx_hash, b2.block_hash) is None
+
+
 class TestTipClaimContext:
-    """The node builds one claim context per tip and never reuses it
-    once the tip has moved."""
+    """The node's claim context is always its view's tip's."""
 
     def test_one_context_per_tip(self, keys):
         node = make_node(make_genesis({}))
         first = node.claim_context()
-        assert node.claim_context() is first
+        assert first.branch_tip == node.view.tip
         node.ingest_block(confirm_block(node, []))
-        assert node.claim_context() is not first
-        assert node.claim_context().branch_tip == node.view.tip
+        assert node.claim_context().branch_tip == node.view.tip \
+            != first.branch_tip
 
-    def test_block_off_the_tip_keeps_the_tip_context(self, keys):
-        """A block on a canonical parent below the tip is checked under a
-        context of its own: the tip's cached one is not replaced."""
+    def test_block_off_the_tip_keeps_the_tip_context(self, keys, monkeypatch):
+        """A block on a canonical parent below the tip is checked under
+        its parent's context; the tip's context afterwards is the real
+        tip's."""
         node = make_node(make_genesis({}))
         genesis = node.view.tip
         node.ingest_block(confirm_block(node, []))
-        ctx = node.claim_context()
+        tip = node.view.tip
+        seen = []
+        build = node.claim_context
+
+        def record():
+            ctx = build()
+            seen.append(ctx.branch_tip)
+            return ctx
+        monkeypatch.setattr(node, "claim_context", record)
         node.ingest_block(confirm_block(node, [], parent=genesis,
                                         timestamp=99))
-        assert node.claim_context() is ctx
+        assert seen == [genesis]
+        assert node.view.tip == tip and build().branch_tip == tip
 
     def test_claim_matures_with_the_next_block(self, keys):
         """Maturity 2: a claim of a send one block deep is refused, and
@@ -835,8 +932,8 @@ class TestTipClaimContext:
         assert node.store.pending[rcpt.address] == [claim]
         assert node.full_state(rcpt.address).balance == 30
         assert node.confirmed_state(rcpt.address).tip_height == 0
-        ctx = node.claim_context()
-        assert ctx is not old and ctx.branch_tip == b4.block_hash
+        assert old.branch_tip != b4.block_hash
+        assert node.claim_context().branch_tip == b4.block_hash
 
 
 class TestServing:

@@ -34,6 +34,10 @@ class TestConfig:
         ("accounts", 0), ("blocks", 0), ("block_interval", 0),
         ("node_count", 0), ("send_amount", 0), ("maturity", 0),
         ("maturity", -3), ("neighbor_count", -1),
+        # bits that encode no target (mainchain.target): refused before
+        # the first block is sealed
+        ("difficulty_bits", 0), ("difficulty_bits", 0x01000000),
+        ("difficulty_bits", 0x20000000),
     ])
     def test_positive_fields(self, field, value):
         with pytest.raises(ConfigInvalid):
@@ -235,15 +239,13 @@ def finished_sim(request):
 
 def by_address(store, names):
     """The named keyspaces of a node store, grouped by the address each
-    entry belongs to: a send by its sender (an empty inflow pool counts
-    as none)."""
+    entry belongs to: an (address, height) key by its address (an empty
+    inflow pool counts as none)."""
     out = defaultdict(dict)
     for name in names:
         for key, value in getattr(store, name).items():
             if isinstance(key, tuple):
                 out[key[0]].setdefault(name, {})[key[1]] = value
-            elif name == "send_index":
-                out[value.current_address].setdefault(name, {})[key] = value
             elif value or name != "inflows":
                 out[key][name] = value
     return out
@@ -265,7 +267,7 @@ def assert_shards_match_root(sim, names):
 class TestShardEquivalence:
     def test_nodes_agree_shard_by_shard(self, finished_sim):
         assert_shards_match_root(finished_sim, [
-            "confirmed", "pending", "tail_states", "txs", "send_index"])
+            "confirmed", "pending", "tail_states", "txs"])
 
     def test_root_states_are_replays(self, finished_sim):
         assert_confirmed_are_replays(finished_sim.root)
