@@ -14,7 +14,7 @@ import struct
 from enum import IntEnum
 from functools import lru_cache
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import List, NamedTuple, Union
 
 from cryptography.exceptions import InvalidSignature as _CryptoBadSig
 from cryptography.hazmat.primitives import hashes
@@ -389,15 +389,26 @@ def vouched(tx: SubchainTx, child) -> bool:
         return False        # a field of the wrong type or range
 
 
+def tx_verdicts(txs, verify=verify_tx) -> List[bool]:
+    """Whether each of one account's consecutive txs is authentic: a
+    signed tx when it passes ``verify``, an unsigned tx when it is
+    ``vouched`` for by the next tx and that tx is authentic."""
+    # last first: an unsigned tx reads its child's verdict
+    out = []
+    child, child_ok = None, False
+    for tx in reversed(txs):
+        child_ok = (child_ok and vouched(tx, child)) if unsigned(tx) \
+            else verify(tx)
+        out.append(child_ok)
+        child = tx
+    out.reverse()
+    return out
+
+
 def verify_txs(txs) -> bool:
-    """Whether one account's consecutive txs are authentic: each signed tx
-    passes ``verify_tx``, each unsigned tx is ``vouched`` for by the next
-    tx, and the last tx is signed. One signature thus authenticates a
-    whole batch."""
-    for tx, child in zip(txs, txs[1:]):
-        if not (vouched(tx, child) if unsigned(tx) else verify_tx(tx)):
-            return False
-    return not txs or verify_tx(txs[-1])
+    """Whether every verdict of ``tx_verdicts`` holds, which needs the
+    last tx signed: one signature authenticates a whole batch."""
+    return all(tx_verdicts(txs))
 
 
 class MsgKind(IntEnum):

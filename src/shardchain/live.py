@@ -85,10 +85,7 @@ def save_node(node: Node, data_dir: str) -> None:
     _replace_file(os.path.join(data_dir, LOG_FILE), b"".join(records))
     meta = {
         "prefix": node.assignment.prefix_bits,
-        "difficulty_bits": node.params.difficulty_bits,
-        "block_limit": node.params.block_limit,
-        "subsidy": node.params.subsidy,
-        "maturity": node.params.maturity,
+        **node.params._asdict(),
         "allocations": {a.hex(): b for a, b in node.genesis.allocations},
         "genesis_timestamp": node.genesis.timestamp,
     }
@@ -99,10 +96,7 @@ def save_node(node: Node, data_dir: str) -> None:
 def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
     with open(os.path.join(data_dir, META_FILE)) as fh:
         meta = json.load(fh)
-    params = ChainParams(difficulty_bits=meta["difficulty_bits"],
-                         block_limit=meta["block_limit"],
-                         subsidy=meta["subsidy"],
-                         maturity=meta["maturity"])
+    params = ChainParams(*(meta[name] for name in ChainParams._fields))
     genesis = make_genesis({bytes.fromhex(a): b
                             for a, b in meta["allocations"].items()},
                            timestamp=meta["genesis_timestamp"])

@@ -308,12 +308,9 @@ class ChainView:
 
     # -- mutation ------------------------------------------------------
 
-    def extend(self, block: MainBlock,
-               prior: Optional[Tuple[Optional[tuple], ...]] = None) -> bool:
-        """Insert a validated block. ``prior``, when given, is what
-        ``validate_block`` returned for it: its records' entries on the
-        parent branch, which are its undo record once it is canonical.
-        Returns True if the canonical tip changed (possibly a reorg)."""
+    def extend(self, block: MainBlock) -> bool:
+        """Insert a validated block. Returns True if the canonical tip
+        changed (possibly a reorg)."""
         parent = block.header.parent_block_hash
         if parent not in self.work:
             raise UnknownParent("parent block unknown")
@@ -327,17 +324,15 @@ class ChainView:
         work = self.work[bh] = self.work[parent] + _work(goal)
         if work <= self.work[self.tip]:
             return False
-        self.switch(bh, prior)
+        self.switch(bh)
         return True
 
-    def switch(self, tip: bytes,
-               prior: Optional[Tuple[Optional[tuple], ...]] = None
-               ) -> Tuple[List[bytes], List[bytes]]:
+    def switch(self, tip: bytes) -> Tuple[List[bytes], List[bytes]]:
         """Make ``tip``'s branch the canonical one: disconnect the
         canonical blocks above its fork point with their undo records,
-        then connect its blocks above it. ``prior``, when given, is
-        ``tip``'s undo record. Returns the blocks disconnected and those
-        connected, each oldest first."""
+        then connect its blocks above it, each with the undo record it
+        makes. Returns the blocks disconnected and those connected, each
+        oldest first."""
         # the blocks above the fork point, tip's last canonical ancestor
         connect = []
         h = tip
@@ -360,8 +355,8 @@ class ChainView:
         for h in connect:
             records = self.blocks[h].confirmations
             # before h is connected, the index is its parent branch's
-            self.undo[h] = prior if h == tip and prior is not None else \
-                tuple(map(confirmations.get, map(_ADDRESS, records)))
+            self.undo[h] = tuple(map(confirmations.get,
+                                     map(_ADDRESS, records)))
             confirmations.update(zip(map(_ADDRESS, records), zip(
                 repeat(h), map(_TIP_HASH, records),
                 map(_TIP_HEIGHT, records))))

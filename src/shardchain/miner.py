@@ -49,26 +49,19 @@ class Miner:
 # -- parallel verification --------------------------------------------
 
 def _verify_chunk(txs: Sequence[codec.SubchainTx]) -> List[bool]:
-    # last first: an unsigned tx reads as its child, the next tx, does
-    out = []
-    child, child_ok = None, False
-    for tx in reversed(txs):
-        if codec.unsigned(tx):
-            ok = child_ok and codec.vouched(tx, child)
-        else:
-            ok = type(tx) in codec._TX_TYPES and codec._verify_uncached(tx)
-        out.append(ok)
-        child, child_ok = tx, ok
-    out.reverse()
-    return out
+    # module-level, so that a fork pool can map it; each signed tx is
+    # checked anew, never read from the verify cache
+    return codec.tx_verdicts(txs, lambda tx: type(tx) in codec._TX_TYPES
+                             and codec._verify_uncached(tx))
 
 
 def verify_batch(txs: Sequence[codec.SubchainTx],
                  workers: int = 1) -> List[bool]:
     """Signature+digest verification sharded across worker processes.
 
-    An unsigned tx reads True when the next tx in the list is its valid
-    child (``codec.verify_txs``), so a chunk ends only after a signed tx.
+    Each verdict is that of ``codec.tx_verdicts``: an unsigned tx reads
+    True when the next tx in the list is its authentic child, so a chunk
+    ends only after a signed tx.
     A value that is not a tx, or has a field off its wire type or range,
     reads False, as ``codec.verify_tx`` says. The verdict list is
     order-preserving and independent of the worker count.

@@ -187,10 +187,8 @@ class FloodRouter:
     message floods every node."""
 
     def __init__(self, topology: TreeTopology, transport: SimTransport,
-                 on_deliver: Optional[Callable[[NodeId, Envelope],
-                                               None]] = None,
-                 scope: Optional[Callable[[Envelope],
-                                          Optional[bytes]]] = None):
+                 on_deliver: Callable[[NodeId, Envelope], None],
+                 scope: Callable[[Envelope], Optional[bytes]]):
         self.topology = topology
         self.transport = transport
         self.on_deliver = on_deliver
@@ -209,8 +207,7 @@ class FloodRouter:
         if not self.transport.queue:
             self.hops.clear()
         self.hops.setdefault(env.msg_id, {})[origin] = 0
-        if self.on_deliver is not None:
-            self.on_deliver(origin, env)
+        self.on_deliver(origin, env)
         self._forward(origin, None, env)
 
     def _receive(self, node: NodeId, sender: NodeId, env: Envelope) -> None:
@@ -218,13 +215,12 @@ class FloodRouter:
         if node in hops:
             return
         hops[node] = hops[sender] + 1
-        if self.on_deliver is not None:
-            self.on_deliver(node, env)
+        self.on_deliver(node, env)
         self._forward(node, sender, env)
 
     def _forward(self, node: NodeId, came_from: Optional[NodeId],
                  env: Envelope) -> None:
-        address = self.scope(env) if self.scope is not None else None
+        address = self.scope(env)
         # a link hosts the address when it lies in the link's range, as
         # sharding.hosts tests it
         for link, low, high in self.topology.link_ranges[node]:

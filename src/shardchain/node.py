@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from . import codec, mainchain, subchain
 from .codec import MsgKind, ReceiveTx, SendTx, SubchainTx
 from .errors import (
-    BadLink,
     ConfirmationMismatch,
     ConfirmedFrozen,
     DecodeError,
@@ -230,23 +229,19 @@ class Node:
         return True
 
     def _pool(self, address: bytes, txs: Tuple[SubchainTx, ...]) -> None:
-        # verify all, then apply all to a running state: nothing changes
+        # verify all, then fold all onto the tail's state: nothing changes
         # on a refusal
         if not codec.verify_txs(txs):
             raise InvalidSignature("transaction failed local verification")
         state = self.full_state(address)
         ctx = self.claim_context()
-        for tx in txs:
-            if tx.height == state.tip_height + 1:
-                state = subchain.apply_tx(state, tx, ctx)
-            elif tx.height <= state.tip_height:
-                # single-transaction fork: new tip would not be higher
-                if tx.height <= self.confirmed_state(address).tip_height:
-                    raise ConfirmedFrozen("fork below the confirmed height")
-                raise TailConflict("replacement tail does not win")
-            else:
-                raise BadLink("gap above the current tip", height=tx.height)
-        self.store.tail_states[address] = state
+        # a fork: the new tip would not be higher
+        if txs[0].height <= state.tip_height:
+            if txs[0].height <= self.confirmed_state(address).tip_height:
+                raise ConfirmedFrozen("fork below the confirmed height")
+            raise TailConflict("replacement tail does not win")
+        self.store.tail_states[address] = subchain.replay(
+            txs, ctx, initial=state, verify=None)
         self.store.pending.setdefault(address, []).extend(txs)
 
     def pending_records(self) -> List[mainchain.ConfirmationRecord]:
@@ -288,9 +283,8 @@ class Node:
             mainchain.check_header(block, view)
             disconnect, side = view.switch(parent)
         try:
-            # each record's entry on the parent branch, read once: the
-            # height its fragment starts from here, and the block's undo
-            # record
+            # each record's entry on the parent branch: the height its
+            # fragment starts from here, and the state it starts from
             prior = mainchain.validate_block(block, view)
             ctx = self.claim_context()
             pending = {} if off_tip else self.store.pending
@@ -327,7 +321,7 @@ class Node:
             if off_tip:
                 view.switch(tip)
         self.store.archive[bh] = entry
-        if view.extend(block, prior):
+        if view.extend(block):
             # a block off the tip that becomes the tip is a reorg
             if off_tip:
                 self._reorg(disconnect, side + [bh])

@@ -107,21 +107,16 @@ def apply_tx(state: SubchainState, tx: SubchainTx, ctx) -> SubchainState:
                                 balance + amount, claimed | {key}))
 
 
-def replay(txs: Sequence[SubchainTx], ctx,
-           initial: Optional[SubchainState] = None,
+def replay(txs: Sequence[SubchainTx], ctx, initial: SubchainState,
            verify: Optional[Callable[[Sequence[SubchainTx]], bool]]
            = codec.verify_txs,
            ) -> SubchainState:
-    """Left-fold of apply_tx from the (genesis) initial state, after
-    ``verify`` accepts the whole sequence.
+    """Left-fold of apply_tx from the ``initial`` state (a genesis state,
+    or one a fold reached), after ``verify`` accepts the whole sequence.
 
     This is the full-chain oracle; incremental verification paths must
     produce states equal to it field-for-field.
     """
-    if initial is None:
-        if not txs:
-            raise ValueError("replay of empty list needs an initial state")
-        initial = initial_state(txs[0].current_address)
     if verify is not None and not verify(txs):
         raise InvalidSignature("invalid transaction among heights %d to %d"
                                % (txs[0].height, txs[-1].height))

@@ -109,12 +109,22 @@ def forge(txs, forgery, pick, key, other):
     return txs
 
 
+def no_delivery(node, env):
+    """A FloodRouter ``on_deliver`` hook that does nothing."""
+
+
+def unscoped(env):
+    """A FloodRouter ``scope`` hook that gives no message an address, so
+    each floods every node."""
+    return None
+
+
 def flood(origin, env, topology, transport, router=None):
     """{node: hop count} of the nodes that a flood of ``env`` from
     ``origin`` reaches, through ``router`` or a fresh unscoped one, once
     the transport drains."""
     if router is None:
-        router = FloodRouter(topology, transport)
+        router = FloodRouter(topology, transport, no_delivery, unscoped)
         router.attach_all()
     router.originate(origin, env)
     transport.run()

@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from shardchain import codec, mainchain, subchain
 from shardchain.errors import (
@@ -23,6 +24,7 @@ from shardchain.sharding import ShardAssignment
 from shardchain.sim import derived_key
 
 from conftest import build_chain, chain_signed, make_send
+from test_decoders import hashes, linked_fragments
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)
 MINER_ADDR = b"\x4d" * 20
@@ -213,3 +215,108 @@ class TestVerifyBatch:
     def test_invalid_worker_count(self, keys):
         with pytest.raises(ValueError):
             verify_batch([], workers=0)
+
+
+def reference_verdicts(txs):
+    """The batch-authentication rule, written apart from codec: a signed
+    tx is authentic when it passes ``verify_tx``; an unsigned one when it
+    is vouched for by the next tx (its own hash matches its wire form, and
+    the next tx is of its account and names that hash as its parent) and
+    that tx is authentic."""
+    def vouched(tx, child):
+        try:
+            return (codec.hash_tx(tx) == tx
+                    and isinstance(child, (codec.SendTx, codec.ReceiveTx))
+                    and child.current_address == tx.current_address
+                    and child.parent_hash == tx.tx_hash)
+        except InvalidSignature:    # no wire form to hash
+            return False
+
+    def authentic(i):
+        if tx_signed(txs[i]):
+            return codec.verify_tx(txs[i])
+        return i + 1 < len(txs) and vouched(txs[i], txs[i + 1]) \
+            and authentic(i + 1)
+
+    return [authentic(i) for i in range(len(txs))]
+
+
+def tx_signed(tx):
+    return (tx.public_key, tx.signature) != (codec.NULL_KEY, codec.NULL_SIG)
+
+
+# each fault drawn into one account's batch, and the off-wire values
+FAULTS = ["none", "forged_hash", "bad_signature", "broken_link",
+          "unsigned_last", "off_wire_field"]
+OFF_WIRE = [("amount", "5"), ("height", -1), ("height", 2 ** 64),
+            ("current_address", b"\x01" * 19), ("parent_hash", None)]
+
+
+def with_fault(txs, fault, data, key):
+    """A copy of ``txs`` with one fault of that name at a drawn position."""
+    txs = list(txs)
+
+    def position(options):
+        assume(options)
+        return data.draw(st.sampled_from(options))
+
+    i = position(list(range(len(txs))))
+    if fault == "forged_hash":
+        txs[i] = txs[i]._replace(tx_hash=data.draw(hashes))
+    elif fault == "bad_signature":
+        i = position([j for j, tx in enumerate(txs) if tx_signed(tx)])
+        sig = txs[i].signature
+        txs[i] = txs[i]._replace(signature=bytes([sig[0] ^ 1]) + sig[1:])
+    elif fault == "broken_link":
+        tx = txs[i]._replace(parent_hash=data.draw(hashes))
+        # hashed or signed again where drawn, else its hash is stale too
+        if data.draw(st.booleans()):
+            tx = codec.sign_tx(tx, key) if tx_signed(tx) \
+                else codec.hash_tx(tx)
+        txs[i] = tx
+    elif fault == "unsigned_last":
+        txs[-1] = txs[-1]._replace(public_key=codec.NULL_KEY,
+                                   signature=codec.NULL_SIG)
+    elif fault == "off_wire_field":
+        txs[i] = txs[i]._replace(**dict([data.draw(st.sampled_from(
+            OFF_WIRE))]))
+    return txs
+
+
+class TestVerdictsFollowTheRule:
+    """``codec.verify_txs`` and ``verify_batch``'s per-tx verdicts, both
+    ``codec.tx_verdicts``, agree with the rule written apart from it."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @given(shape=st.lists(st.tuples(st.booleans(), st.booleans()),
+                          min_size=1, max_size=6),
+           data=st.data())
+    def test_one_account_batch(self, keys, fault, shape, data):
+        txs = chain_signed(keys[0], [sign for sign, _ in shape],
+                           [send for _, send in shape])
+        txs = with_fault(txs, fault, data, keys[0])
+        expected = reference_verdicts(txs)
+        assert codec.verify_txs(txs) is all(expected)
+        assert verify_batch(txs, workers=1) == expected
+
+    @given(frag=linked_fragments())
+    def test_drawn_fragment(self, frag):
+        """Random txs, unsigned and linked where drawn: neither hash nor
+        signature holds, so every verdict is False, by either path."""
+        expected = reference_verdicts(frag.txs)
+        assert not any(expected)
+        assert codec.verify_txs(frag.txs) is all(expected)
+        assert verify_batch(frag.txs, workers=1) == expected
+
+    def test_two_workers(self, keys):
+        """Eight txs of one account, three of them signed, the middle
+        signature bad: it and the unsigned tx below it read False, and
+        two workers give the rule's verdicts."""
+        txs = chain_signed(keys[0], [False, False, True, False, True,
+                                     False, False, True])
+        sig = txs[4].signature
+        txs[4] = txs[4]._replace(signature=bytes([sig[0] ^ 1]) + sig[1:])
+        expected = [True] * 3 + [False] * 2 + [True] * 3
+        assert reference_verdicts(txs) == expected
+        assert verify_batch(txs, workers=2) == expected
+        assert codec.verify_txs(txs) is False

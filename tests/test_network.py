@@ -16,7 +16,7 @@ from shardchain.network import (
 from shardchain.live import read_envelope
 from shardchain.sharding import nodes_path
 
-from conftest import flood
+from conftest import flood, no_delivery, unscoped
 
 
 def full_tree(nodes, neighbor_count=2):
@@ -111,7 +111,8 @@ class TestBroadcast:
         transport = SimTransport(seed=1)
         delivered = []
         router = FloodRouter(topo, transport,
-                             on_deliver=lambda n, e: delivered.append(n))
+                             on_deliver=lambda n, e: delivered.append(n),
+                             scope=unscoped)
         router.attach_all()
         env = Envelope(MsgKind.NewTx, b"once")
         router.originate(ids[0], env)
@@ -138,7 +139,7 @@ class TestBroadcast:
         the last one only; each flood still reaches every node."""
         topo, ids = full_tree(7)
         transport = SimTransport(seed=3)
-        router = FloodRouter(topo, transport)
+        router = FloodRouter(topo, transport, no_delivery, unscoped)
         router.attach_all()
         for i in range(4):
             env = Envelope(MsgKind.NewBlock, b"flood %d" % i)
@@ -161,7 +162,7 @@ class TestBroadcast:
         links(), each with the range of the link's assignment."""
         topo, ids = full_tree(3)
         transport = SimTransport(seed=2)
-        router = FloodRouter(topo, transport, scope=tx_address)
+        router = FloodRouter(topo, transport, no_delivery, tx_address)
         router.attach_all()
         before = flood(ids[0], Envelope(MsgKind.NewBlock, b"before"),
                        topo, transport, router)
@@ -199,7 +200,7 @@ class TestBroadcast:
         def trace():
             topo, ids = full_tree(15)
             transport = SimTransport(seed=42)
-            router = FloodRouter(topo, transport)
+            router = FloodRouter(topo, transport, no_delivery, unscoped)
             router.attach_all()
             log = []
             for dest, handler in list(transport.handlers.items()):
@@ -221,7 +222,7 @@ class TestBroadcast:
         transport.alive[ids[0]] = False
         assert flood(ids[0], Envelope(MsgKind.NewTx, b"z"), topo,
                      transport) == {}
-        router = FloodRouter(topo, transport, scope=tx_address)
+        router = FloodRouter(topo, transport, no_delivery, tx_address)
         router.attach_all()
         assert flood(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
                      topo, transport, router) == {}

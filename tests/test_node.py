@@ -88,6 +88,24 @@ class TestPendingAcceptance:
         with pytest.raises(BadLink):
             node.accept_pending_tx(t3)
 
+    def test_batch_not_extending_its_own_tx_refused(self, keys):
+        """A NewTx whose later tx does not extend the tx before it, here a
+        signed tx at height 1 whose parent is the unsigned tx at height 1
+        below it, authenticates, but its fold refuses it with BadLink: it
+        pools and journals nothing."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        u1 = codec.hash_tx(make_send(key, sign=False))
+        s1 = make_send(key, parent=u1.tx_hash, amount=2)
+        assert codec.verify_txs((u1, s1))
+        journal = []
+        with pytest.raises(BadLink):
+            node.apply_request(codec.MsgKind.NewTx,
+                               subchain.encode_batch((u1, s1)),
+                               lambda *record: journal.append(record))
+        assert journal == []
+        assert node.store.pending == {} and node.store.tail_states == {}
+
     def test_same_height_conflict(self, keys):
         key = keys[0]
         node = make_node(make_genesis({key.address: 100}))

@@ -330,7 +330,7 @@ def stall_cfg(**overrides):
 
 
 class TestStalls:
-    """Two ways a node stops following the chain for good. Each test
+    """Three ways a node stops following the chain for good. Each test
     states the behaviour its ROADMAP item must give, and fails until
     then."""
 
@@ -344,6 +344,30 @@ class TestStalls:
         last = list(sim.nodes)[-1]
         for i in range(sim.cfg.blocks):
             sim.transport.alive[last] = i not in (4, 5)
+            sim.run_interval()
+        assert [n.view.tip for n in sim.nodes.values()] \
+            == [sim.root.view.tip] * 7
+        assert sim.errors == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a host that missed a NewTx flood has no "
+                       "source for the fragment a block then confirms "
+                       "(ROADMAP item 7)")
+    def test_missed_new_tx_does_not_stall_a_host(self):
+        """The last node (depth 2) is down for interval 4's NewTx flood
+        only, and up again before that interval's block is built: it ends
+        at the root's tip with no error."""
+        sim = Simulation(stall_cfg(blocks=12, node_count=7))
+        last = list(sim.nodes)[-1]
+        build = sim.miner.build_template
+
+        def revive_then_build(timestamp):
+            sim.transport.alive[last] = True
+            return build(timestamp)
+
+        sim.miner.build_template = revive_then_build
+        for i in range(sim.cfg.blocks):
+            sim.transport.alive[last] = i != 4
             sim.run_interval()
         assert [n.view.tip for n in sim.nodes.values()] \
             == [sim.root.view.tip] * 7

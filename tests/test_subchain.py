@@ -113,10 +113,6 @@ class TestApplyTx:
 
 
 class TestReplay:
-    def test_empty_needs_initial(self):
-        with pytest.raises(ValueError):
-            replay([], EMPTY_CTX)
-
     def test_empty_with_initial(self, keys):
         state = initial_state(keys[0].address, balance=3)
         assert replay([], EMPTY_CTX, initial=state) == state
