@@ -26,12 +26,14 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 )
 
 from .errors import DecodeError, InvalidSeed, InvalidSignature, \
-    KeyMismatch, MalformedEnvelope
+    KeyMismatch, MalformedBatch, MalformedEnvelope
 
 HASH_LEN = 32
 ADDR_LEN = 20
 PUBKEY_LEN = 33
 SIG_LEN = 64
+# the bytes a signed tx carries that an unsigned one leaves out
+AUTH_LEN = PUBKEY_LEN + SIG_LEN
 
 NULL_HASH = b"\x00" * HASH_LEN
 NULL_ADDRESS = b"\x00" * ADDR_LEN
@@ -39,9 +41,14 @@ NULL_ADDRESS = b"\x00" * ADDR_LEN
 # tx above it in its batch authenticates it through its parent hash.
 NULL_KEY = b"\x00" * PUBKEY_LEN
 NULL_SIG = b"\x00" * SIG_LEN
+_NULL_AUTH = (NULL_KEY, NULL_SIG)
 
 TAG_SEND = 0x01
 TAG_RECEIVE = 0x02
+# the wire tags of an unsigned tx, which leaves out the null key and the
+# null signature; its preimage keeps the tag above
+TAG_SEND_UNSIGNED = 0x03
+TAG_RECEIVE_UNSIGNED = 0x04
 
 # The one signature curve: NIST P-256 (secp256r1, FIPS 186-4), and its
 # group order n, used for seed validation and low-s normalization.
@@ -58,12 +65,16 @@ _ECDSA = ec.ECDSA(Prehashed(hashes.SHA256()), deterministic_signing=True)
 # and signature, in table order.
 _SEND_PREIMAGE = struct.Struct(">B32sQ20s20sQQ")
 _RECV_PREIMAGE = struct.Struct(">B32sQ20s20s32s32sQQ")
-# Wire layout: tag, tx_hash, preimage body, public_key, signature.
-_SEND_WIRE = struct.Struct(">B32s32sQ20s20sQQ33s64s")
-_RECV_WIRE = struct.Struct(">B32s32sQ20s20s32s32sQQ33s64s")
+# Wire layout: tag, tx_hash, preimage body (an unsigned tx's whole
+# encoding), then a signed tx's public_key and signature.
+_SEND_WIRE = struct.Struct(">B32s32sQ20s20sQQ")
+_RECV_WIRE = struct.Struct(">B32s32sQ20s20s32s32sQQ")
+_AUTH = struct.Struct(">33s64s")
 
-SEND_WIRE_LEN = _SEND_WIRE.size
-RECV_WIRE_LEN = _RECV_WIRE.size
+UNSIGNED_SEND_WIRE_LEN = _SEND_WIRE.size          # 129
+UNSIGNED_RECV_WIRE_LEN = _RECV_WIRE.size          # 193
+SEND_WIRE_LEN = UNSIGNED_SEND_WIRE_LEN + AUTH_LEN  # 226
+RECV_WIRE_LEN = UNSIGNED_RECV_WIRE_LEN + AUTH_LEN  # 290
 
 
 def sha256(data: bytes) -> bytes:
@@ -223,49 +234,72 @@ def _wire_exact(tx: SubchainTx) -> bool:
 
 
 def encode_tx(tx: SubchainTx) -> bytes:
-    pre = tx_preimage(tx)
-    # Wire layout: tag, tx_hash, preimage body, public_key, signature.
+    """The wire bytes of ``tx``: tag, tx_hash, preimage body, then the key
+    and signature of a signed tx; an unsigned tx, with the null key and
+    the null signature, has its own tag and leaves both out. A tx with a
+    field off its wire type, width or range is refused with
+    MalformedBatch: it has no wire form."""
+    pre = _exact_preimage(tx, MalformedBatch)
+    if tx[-2:] == _NULL_AUTH:
+        tag = TAG_SEND_UNSIGNED if pre[0] == TAG_SEND else TAG_RECEIVE_UNSIGNED
+        return bytes((tag,)) + tx.tx_hash + pre[1:]
     return pre[:1] + tx.tx_hash + pre[1:] + tx.public_key + tx.signature
 
 
-def decode_tx(data: bytes) -> SubchainTx:
-    return decode_txs(data, 0, 1)[0]
+def _auth(data: bytes, end: int) -> tuple:
+    """The key and signature that end a signed tx at ``end``, refused when
+    both are null: such a tx has the unsigned tag, so that each tx has
+    one encoding."""
+    auth = _AUTH.unpack_from(data, end - AUTH_LEN)
+    if auth == _NULL_AUTH:
+        raise DecodeError("signed tag with the null key and signature "
+                          "before byte %d" % end)
+    return auth
 
 
 def decode_txs(data: bytes, offset: int, count: int,
-               address: bytes = NULL_ADDRESS) -> tuple:
+               address: bytes = NULL_ADDRESS, table: dict | None = None,
+               parent: bytes = NULL_HASH) -> tuple:
     """The ``count`` txs packed back to back in ``data`` from ``offset``,
     which they must fill exactly, each unpacked in place. Where equal, a
-    tx holds ``address`` as its current address, the previous tx's hash
-    (``NULL_HASH`` for the first) as its parent, ``NULL_KEY`` and
-    ``NULL_SIG``: a batch holds each repeated field once."""
-    txs, parent, size = [], NULL_HASH, len(data)
+    tx holds ``address`` as its current address and the previous tx's
+    hash as its parent (``parent`` for the first); an unsigned tx holds
+    ``NULL_KEY`` and ``NULL_SIG``; and a recipient or sender address or a
+    cited block hash is the object that ``table``, a node's one object
+    per value it has decoded, holds for it, which is added when the table
+    has none: a node holds each repeated field once."""
+    intern = ({} if table is None else table).setdefault
+    txs, size = [], len(data)
     for _ in range(count):
         tag = data[offset] if offset < size else None
         # a branch per layout: a shared one over a field list is slower
-        if tag == TAG_SEND:
-            end = offset + SEND_WIRE_LEN
+        if tag == TAG_SEND or tag == TAG_SEND_UNSIGNED:
+            signed = tag == TAG_SEND
+            end = offset + (SEND_WIRE_LEN if signed
+                            else UNSIGNED_SEND_WIRE_LEN)
             if end > size:
                 raise DecodeError("SendTx cut short at byte %d" % size)
-            (_, tx_hash, first, height, cur, rcpt, amount, ts, public,
-             sig) = _SEND_WIRE.unpack_from(data, offset)
+            (_, tx_hash, first, height, cur, rcpt, amount,
+             ts) = _SEND_WIRE.unpack_from(data, offset)
+            public, sig = _auth(data, end) if signed else _NULL_AUTH
             txs.append(_new(SendTx, (
                 parent if first == parent else first, height,
-                address if cur == address else cur, rcpt, amount, ts,
-                tx_hash, NULL_KEY if public == NULL_KEY else public,
-                NULL_SIG if sig == NULL_SIG else sig)))
-        elif tag == TAG_RECEIVE:
-            end = offset + RECV_WIRE_LEN
+                address if cur == address else cur, intern(rcpt, rcpt),
+                amount, ts, tx_hash, public, sig)))
+        elif tag == TAG_RECEIVE or tag == TAG_RECEIVE_UNSIGNED:
+            signed = tag == TAG_RECEIVE
+            end = offset + (RECV_WIRE_LEN if signed
+                            else UNSIGNED_RECV_WIRE_LEN)
             if end > size:
                 raise DecodeError("ReceiveTx cut short at byte %d" % size)
             (_, tx_hash, first, height, cur, sender, sender_tx, block_hash,
-             amount, ts, public, sig) = _RECV_WIRE.unpack_from(data, offset)
+             amount, ts) = _RECV_WIRE.unpack_from(data, offset)
+            public, sig = _auth(data, end) if signed else _NULL_AUTH
             txs.append(_new(ReceiveTx, (
                 parent if first == parent else first, height,
-                address if cur == address else cur, sender, sender_tx,
-                block_hash, amount, ts, tx_hash,
-                NULL_KEY if public == NULL_KEY else public,
-                NULL_SIG if sig == NULL_SIG else sig)))
+                address if cur == address else cur, intern(sender, sender),
+                sender_tx, intern(block_hash, block_hash), amount, ts,
+                tx_hash, public, sig)))
         else:
             raise DecodeError("no known tx tag at byte %d" % offset)
         parent, offset = tx_hash, end
@@ -286,16 +320,16 @@ def _compact_signature(der: bytes) -> bytes:
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-def _exact_preimage(tx: SubchainTx) -> bytes:
+def _exact_preimage(tx: SubchainTx, error=InvalidSignature) -> bytes:
     """The preimage of a tx whose every field has its wire type, width and
-    range; InvalidSignature for any other: it has no wire form to hash or
-    sign."""
+    range; ``error`` for any other: it has no wire form to hash, sign or
+    send."""
     try:
         if _wire_exact(tx):
             return tx_preimage(tx)
     except (struct.error, TypeError):
         pass
-    raise InvalidSignature("a field is not of its wire type and width")
+    raise error("a field is not of its wire type and width")
 
 
 def hash_tx(tx: SubchainTx) -> SubchainTx:
@@ -365,9 +399,6 @@ def _verify_uncached(tx: SubchainTx) -> bool:
     except (_CryptoBadSig, ValueError):
         return False
     return True
-
-
-_NULL_AUTH = (NULL_KEY, NULL_SIG)
 
 
 def unsigned(tx) -> bool:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
+from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, subchain
-from .codec import MsgKind, ReceiveTx, SendTx, SubchainTx
+from .codec import NULL_ADDRESS, NULL_HASH, MsgKind, ReceiveTx, SendTx, \
+    SubchainTx
 from .errors import (
     ConfirmationMismatch,
     ConfirmedFrozen,
@@ -74,6 +76,10 @@ class NodeStore:
         # confirmation there, so no branch is ever replayed
         self.archive: Dict[bytes, Dict[bytes,
                                        Tuple[tuple, SubchainState]]] = {}
+        # the one object of each address and block hash the node has
+        # decoded, which the decoders give every field of that value (the
+        # null address is a coinbase inflow's)
+        self.interned: Dict[bytes, bytes] = {NULL_ADDRESS: NULL_ADDRESS}
 
     @property
     def txs(self) -> Mapping:
@@ -162,22 +168,39 @@ class Node:
         record of each change. A NewTx fragment is pooled whole or not at
         all, and one whose header does not name its txs' address and
         first height is refused. A known NewBlock changes nothing, any
-        other is ingested."""
-        if kind == MsgKind.NewBlock:
-            if self.ingest_block(mainchain.decode_block(payload)) is None:
-                return
-        elif kind == MsgKind.NewTx:
-            address, from_height, txs = subchain.decode_fragment(payload)
-            # the header scopes the payload (routing, the journal), so it
-            # must name the txs it carries before any of them is pooled
-            if txs and (txs[0].height != from_height + 1 or any(
-                    tx.current_address != address for tx in txs)):
-                raise FragmentMisaligned("fragment header does not name "
-                                         "its transactions")
-            if not txs or not self.accept_pending_tx(*txs):
-                return
-        else:
-            raise DecodeError("unknown request kind %d" % kind)
+        other is ingested. A request that changes nothing, refused or
+        not, leaves no value in ``NodeStore.interned``."""
+        store = self.store
+        table = store.interned
+        kept = len(table)
+        try:
+            if kind == MsgKind.NewBlock:
+                if self.ingest_block(mainchain.decode_block(
+                        payload, table)) is None:
+                    return
+            elif kind == MsgKind.NewTx:
+                # a first tx that extends the tip the held txs reach holds
+                # that tip's object as its parent
+                address = subchain.fragment_address(payload)
+                held = store.tail_states.get(address) \
+                    or store.confirmed.get(address)
+                address, from_height, txs = subchain.decode_fragment(
+                    payload, table, held.tip_hash if held else NULL_HASH)
+                # the header scopes the payload (routing, the journal), so
+                # it must name the txs it carries before any is pooled
+                if txs and (txs[0].height != from_height + 1 or any(
+                        tx.current_address != address for tx in txs)):
+                    raise FragmentMisaligned("fragment header does not "
+                                             "name its transactions")
+                if not txs or not self.accept_pending_tx(*txs):
+                    return
+            else:
+                raise DecodeError("unknown request kind %d" % kind)
+            kept = len(table)
+        finally:
+            # the values the decode added are the table's last ones
+            for value in list(islice(reversed(table), len(table) - kept)):
+                del table[value]
         journal(kind, payload)
 
     # -- pending transactions -----------------------------------------
@@ -514,7 +537,8 @@ class Node:
             + mainchain.RECORD_LEN * len(b.confirmations)
             for b in self.view.blocks.values())
         # every stored tx passed verify_tx or vouched, both of which check
-        # the fixed wire widths, so its fields have the sizes they assume
+        # the fixed wire widths, so its fields have the sizes they assume;
+        # an unsigned tx leaves out the key and the signature
         wire_len = {SendTx: codec.SEND_WIRE_LEN,
                     ReceiveTx: codec.RECV_WIRE_LEN}
         chains, pending = self.store.chains, self.store.pending
@@ -522,6 +546,7 @@ class Node:
         return StorageReport(
             main_chain_bytes=main_bytes,
             subchain_bytes=sum(wire_len[type(tx)]
+                               - codec.AUTH_LEN * codec.unsigned(tx)
                                for txs in held for tx in txs),
             shard_count=len(chains.keys() | pending.keys()),
             tx_count=sum(map(len, held)))

@@ -179,10 +179,18 @@ def fragment_address(data: bytes) -> bytes:
     return data[:codec.ADDR_LEN]
 
 
-def decode_fragment(data: bytes) -> SubchainFragment:
+def decode_fragment(data: bytes, table: Optional[dict] = None,
+                    parent: bytes = NULL_HASH) -> SubchainFragment:
+    """The fragment ``data`` encodes, its address the object ``table``
+    holds for it and its txs decoded by ``codec.decode_txs`` through the
+    same table, the first one's parent linked to ``parent``: a node
+    passes the tip its held txs reach."""
     if len(data) < _FRAG_HEADER.size:
         raise codec.DecodeError("fragment shorter than its %d-byte header"
                                 % _FRAG_HEADER.size)
     address, from_height, count = _FRAG_HEADER.unpack_from(data, 0)
+    if table is None:
+        table = {}
+    address = table.setdefault(address, address)
     return _new(SubchainFragment, (address, from_height, codec.decode_txs(
-        data, _FRAG_HEADER.size, count, address)))
+        data, _FRAG_HEADER.size, count, address, table, parent)))

@@ -25,6 +25,12 @@ def keys():
     return [derived_key(b"test-key:%d" % i) for i in range(12)]
 
 
+def decode_tx(data):
+    """The one tx that ``data`` encodes, the inverse of ``codec.encode_tx``:
+    it has no caller in the package, which decodes fragments."""
+    return codec.decode_txs(data, 0, 1)[0]
+
+
 def make_send(key, parent=NULL_HASH, height=1, recipient=b"\x07" * 20,
               amount=1, timestamp=0, sign=True):
     tx = SendTx(parent_hash=parent, height=height,

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from shardchain import codec, live, subchain
 from shardchain.codec import (
     ADDR_LEN,
+    AUTH_LEN,
     HASH_LEN,
     NULL_HASH,
     PUBKEY_LEN,
@@ -28,6 +29,7 @@ from shardchain.errors import (
     DecodeError,
     FragmentMisaligned,
     InvalidSignature,
+    MalformedBatch,
     MalformedBlock,
     MalformedEnvelope,
     ShardChainError,
@@ -51,13 +53,13 @@ from shardchain.sharding import MAX_PREFIX_BITS, ShardAssignment
 from shardchain.sim import derived_key
 from shardchain.subchain import SubchainFragment
 
-from conftest import make_receive, make_send
+from conftest import decode_tx, make_receive, make_send
 
 KEY = derived_key(b"boundary")
 BALANCE = 1000
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)
 WIRE_LEN = {SendTx: SEND_WIRE_LEN, ReceiveTx: RECV_WIRE_LEN}
-ENCODING_ERRORS = (struct.error, TypeError, DecodeError)
+ENCODING_ERRORS = (struct.error, TypeError, MalformedBatch, DecodeError)
 
 wrong_types = st.one_of(st.none(), st.text(max_size=3),
                         st.floats(allow_nan=False),
@@ -134,7 +136,7 @@ def round_trips(value, encode, decode) -> bool:
 
 
 def tx_round_trips(tx) -> bool:
-    return round_trips(tx, codec.encode_tx, codec.decode_tx)
+    return round_trips(tx, codec.encode_tx, decode_tx)
 
 
 def record_round_trips(record) -> bool:
@@ -150,14 +152,17 @@ def assert_tx_refused(tx):
 
 @given(drawn=st.lists(st.tuples(txs, st.booleans()), max_size=4))
 def test_tx_round_trips_or_is_refused(drawn):
-    """Every drawn tx, signed by KEY when it can be, round-trips or is
-    refused; a node pools only such txs, so every tx its storage report
-    counts has its wire width, as the report assumes."""
+    """Every drawn tx, signed by KEY when it can be, round-trips, or
+    ``encode_tx`` refuses it with MalformedBatch and it is refused; a node
+    pools only such txs, so every tx its storage report counts has its
+    wire width, as the report assumes."""
     node = Node(b"\x00" * 8, ShardAssignment(),
                 make_genesis({KEY.address: BALANCE}), PARAMS)
     for tx, sign in drawn:
         tx = signed_or_not(tx, sign)
         if not tx_round_trips(tx):
+            with pytest.raises(MalformedBatch):
+                codec.encode_tx(tx)
             assert_tx_refused(tx)
         try:
             node.accept_pending_tx(tx)
@@ -168,7 +173,8 @@ def test_tx_round_trips_or_is_refused(drawn):
         held.extend(tail)
     for tx in held:
         assert tx_round_trips(tx)
-        assert len(codec.encode_tx(tx)) == WIRE_LEN[type(tx)]
+        assert len(codec.encode_tx(tx)) == WIRE_LEN[type(tx)] \
+            - AUTH_LEN * codec.unsigned(tx)
     report = node.storage_report()
     assert report.tx_count == len(held)
     assert report.subchain_bytes == sum(len(codec.encode_tx(tx))
@@ -421,6 +427,21 @@ def test_fragment_request_packs_its_range_or_is_refused(address, lo, hi):
     assert len(env.payload) == 36
 
 
+@pytest.mark.parametrize("field,value", [
+    ("recipient_address", b"\x01" * 19),   # struct would pad it
+    ("public_key", b"\x02" * 40),          # would misframe the fragment
+    ("amount", -1)])                       # off u64
+def test_submit_tx_refuses_an_off_wire_tx_unsent(keys, field, value):
+    """``encode_tx`` refuses a tx with a field off its wire type, width
+    or range with MalformedBatch, so a client never sends a tx other than
+    the one it holds."""
+    client = RequestRecorder()
+    tx = make_send(keys[0])._replace(**{field: value})
+    with pytest.raises(MalformedBatch):
+        client.submit_tx(tx)
+    assert client.sent == []
+
+
 class TestTypeGuard:
     def test_plain_tuple_misses_the_verify_cache(self, keys):
         tx = make_send(keys[0], amount=3)
@@ -432,7 +453,7 @@ class TestTypeGuard:
         for tx in (make_send(keys[0], amount=3),
                    make_receive(keys[1], NULL_HASH, 1, keys[0].address,
                                 b"\x04" * 32, b"\x05" * 32, 3)):
-            assert type(codec.decode_tx(codec.encode_tx(tx))) is type(tx)
+            assert type(decode_tx(codec.encode_tx(tx))) is type(tx)
 
     @given(send=sends, receive=receives)
     def test_kinds_never_equal(self, send, receive):

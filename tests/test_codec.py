@@ -26,8 +26,8 @@ from shardchain.codec import (
 )
 from shardchain.errors import InvalidSeed, InvalidSignature, KeyMismatch
 
-from conftest import FORGERIES, chain_signed, forge, make_receive, \
-    make_send, random_tx
+from conftest import FORGERIES, chain_signed, decode_tx, forge, \
+    make_receive, make_send, random_tx
 
 # SHA-256 of the all-zero SendTx preimage (tag 0x01 + 96 zero bytes),
 # computed independently with hashlib over a hand-built byte string.
@@ -105,10 +105,29 @@ class TestKeygen:
 
 class TestEncoding:
     def test_zero_send_layout(self):
+        """The all-zero send holds the null key and signature, so it has
+        the unsigned tag and leaves both out."""
         data = codec.encode_tx(zero_send())
-        assert len(data) == SEND_WIRE_LEN
-        assert data[0] == codec.TAG_SEND
-        assert data[1:] == bytes(SEND_WIRE_LEN - 1)
+        assert len(data) == codec.UNSIGNED_SEND_WIRE_LEN == 129
+        assert data[0] == codec.TAG_SEND_UNSIGNED
+        assert data[1:] == bytes(codec.UNSIGNED_SEND_WIRE_LEN - 1)
+
+    def test_unsigned_layout_drops_key_and_signature(self, keys):
+        """An unsigned tx encodes as its signed copy does, but for its tag
+        and the 97 bytes of key and signature: 129 and 193 bytes."""
+        for tx, tags in ((make_send(keys[0]), (0x01, 0x03)),
+                         (make_receive(keys[1], NULL_HASH, 1, b"\x03" * 20,
+                                       b"\x04" * 32, b"\x05" * 32, 7),
+                          (0x02, 0x04))):
+            signed = codec.encode_tx(tx)
+            bare = codec.encode_tx(tx._replace(public_key=codec.NULL_KEY,
+                                               signature=codec.NULL_SIG))
+            assert (signed[0], bare[0]) == tags
+            assert signed[1:-codec.AUTH_LEN] == bare[1:]
+            assert len(signed) - len(bare) == codec.AUTH_LEN == 97
+        assert (codec.UNSIGNED_SEND_WIRE_LEN,
+                codec.UNSIGNED_RECV_WIRE_LEN) == (129, 193)
+        assert (SEND_WIRE_LEN, RECV_WIRE_LEN) == (226, 290)
 
     def test_receive_longer_than_send(self):
         assert RECV_WIRE_LEN > SEND_WIRE_LEN
@@ -120,7 +139,7 @@ class TestEncoding:
         rng = random.Random(1234)
         for _ in range(1000):
             tx = random_tx(rng, rng.choice(keys))
-            assert codec.decode_tx(codec.encode_tx(tx)) == tx
+            assert decode_tx(codec.encode_tx(tx)) == tx
 
     def test_zero_send_digest_pinned(self):
         assert codec.sha256(codec.tx_preimage(zero_send())) \
@@ -142,7 +161,7 @@ class TestEncoding:
 
     def test_digest_invariant_under_reencode(self, keys):
         tx = make_send(keys[0])
-        again = codec.decode_tx(codec.encode_tx(tx))
+        again = decode_tx(codec.encode_tx(tx))
         assert codec.sha256(codec.tx_preimage(again)) \
             == codec.sha256(codec.tx_preimage(tx))
 
@@ -162,7 +181,7 @@ def test_roundtrip_property(parent, height, rcpt, amount, ts, tx_hash,
                 current_address=b"\x11" * 20, recipient_address=rcpt,
                 amount=amount, timestamp=ts, tx_hash=tx_hash,
                 public_key=pub, signature=sig)
-    assert codec.decode_tx(codec.encode_tx(tx)) == tx
+    assert decode_tx(codec.encode_tx(tx)) == tx
 
 
 def test_preimage_sensitivity(keys):
@@ -285,7 +304,7 @@ class TestSignatures:
             mutated = bytearray(wire)
             mutated[pos // 8] ^= 1 << (pos % 8)
             try:
-                cand = codec.decode_tx(bytes(mutated))
+                cand = decode_tx(bytes(mutated))
             except Exception:
                 continue
             assert not codec.verify_tx(cand)

@@ -13,6 +13,8 @@ from shardchain.codec import NULL_HASH, ReceiveTx, SendTx
 from shardchain.errors import DecodeError
 from shardchain.node import Inflow
 
+from conftest import decode_tx, make_receive
+
 hashes = st.binary(min_size=32, max_size=32)
 addresses = st.binary(min_size=20, max_size=20)
 u64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -79,7 +81,7 @@ def read_one_frame(data):
 
 # decoder, strategy for the values it decodes, their encoder
 DECODERS = {
-    "tx": (codec.decode_tx, txs, codec.encode_tx),
+    "tx": (decode_tx, txs, codec.encode_tx),
     "record": (lambda data: mainchain.decode_records(data, 1),
                st.tuples(records), lambda rs: rs[0].encode()),
     "block": (mainchain.decode_block, blocks, lambda b: b.encode()),
@@ -172,7 +174,7 @@ def test_fragment_decodes_as_its_txs_one_by_one(frag, extra):
     offset, one_by_one = 32, []
     for tx in frag.txs:
         size = len(codec.encode_tx(tx))
-        one_by_one.append(codec.decode_tx(wire[offset:offset + size]))
+        one_by_one.append(decode_tx(wire[offset:offset + size]))
         offset += size
     assert back == frag and back.txs == tuple(one_by_one)
     assert list(map(type, back.txs)) == list(map(type, one_by_one))
@@ -204,7 +206,77 @@ def test_decoded_batch_shares_repeated_fields(keys):
     for tx in txs[:-1]:
         assert tx.public_key is codec.NULL_KEY
         assert tx.signature is codec.NULL_SIG
-    alone = codec.decode_tx(codec.encode_tx(txs[0]))
+    alone = decode_tx(codec.encode_tx(txs[0]))
     assert alone.parent_hash is NULL_HASH
     assert alone.public_key is codec.NULL_KEY
     assert alone.signature is codec.NULL_SIG
+
+
+def bare(tx):
+    return tx._replace(public_key=codec.NULL_KEY, signature=codec.NULL_SIG)
+
+
+# each tx a send or a receive, kept as drawn (signed) or unsigned
+mixed_txs = st.tuples(txs, st.booleans()).map(
+    lambda pair: bare(pair[0]) if pair[1] else pair[0])
+mixed_fragments = st.builds(subchain.SubchainFragment, address=addresses,
+                            from_height=u64,
+                            txs=st.lists(mixed_txs, min_size=1,
+                                         max_size=5).map(tuple))
+
+
+@given(frag=mixed_fragments, extra=st.binary(min_size=1, max_size=8),
+       data=st.data())
+def test_mixed_fragment_round_trips(frag, extra, data):
+    """A fragment of signed and unsigned sends and receives decodes to
+    equal txs of the same types, each at its width: an unsigned tx leaves
+    out the 97 bytes of null key and signature. Every cut and extension
+    is refused, and so is a signed tag that carries both null fields."""
+    wire = subchain.encode_fragment(frag)
+    back = subchain.decode_fragment(wire)
+    assert back == frag
+    assert list(map(type, back.txs)) == list(map(type, frag.txs))
+    widths = {SendTx: codec.SEND_WIRE_LEN, ReceiveTx: codec.RECV_WIRE_LEN}
+    assert len(wire) == 32 + sum(widths[type(tx)]
+                                 - codec.AUTH_LEN * codec.unsigned(tx)
+                                 for tx in frag.txs)
+    for broken in [wire[:cut] for cut in range(len(wire))] + [wire + extra]:
+        with pytest.raises(DecodeError):
+            subchain.decode_fragment(broken)
+    # one tx in the earlier layout: the signed tag with the null pair
+    i = data.draw(st.integers(0, len(frag.txs) - 1))
+    parts = list(map(codec.encode_tx, frag.txs))
+    tx = frag.txs[i]
+    tag = codec.TAG_SEND if type(tx) is SendTx else codec.TAG_RECEIVE
+    parts[i] = bytes((tag,)) + codec.encode_tx(bare(tx))[1:] \
+        + codec.NULL_KEY + codec.NULL_SIG
+    with pytest.raises(DecodeError):
+        subchain.decode_fragment(wire[:32] + b"".join(parts))
+
+
+def test_decoders_give_the_tables_objects(keys):
+    """Decoders that share a table give every address and block hash of
+    one value the same object: a block's hash, its parent hash, miner
+    and record addresses, and a later fragment's addresses and cited
+    block hash."""
+    key, miner = keys[0].address, keys[1].address
+    parent = mainchain.new_block(b"\x05" * 32, 1, 0, miner, [],
+                                 mainchain.EASY_BITS)
+    claim = make_receive(keys[0], NULL_HASH, 1, miner, b"\x04" * 32,
+                         parent.block_hash, 3)
+    child = mainchain.new_block(parent.block_hash, 2, 0, miner, [
+        mainchain.ConfirmationRecord(key, claim.tx_hash, 1)],
+        mainchain.EASY_BITS)
+    table = {}
+    first = mainchain.decode_block(parent.encode(), table)
+    second = mainchain.decode_block(child.encode(), table)
+    [tx] = subchain.decode_fragment(subchain.encode_batch([claim]),
+                                    table).txs
+    assert second.header.parent_block_hash is first.block_hash \
+        is tx.main_block_hash
+    assert second.header.miner_address is first.header.miner_address \
+        is tx.sender_address
+    assert tx.current_address is second.confirmations[0].address
+    # the first block's parent, the miner, both block hashes, the account
+    assert len(table) == 5
+    assert all(value is table[value] for value in table.values())

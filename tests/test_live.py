@@ -22,7 +22,7 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment
 
-from conftest import build_chain, make_receive, make_send
+from conftest import build_chain, chain_signed, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=1)
@@ -246,6 +246,32 @@ class TestJournal:
                 make_send(keys[0], amount=7))))
         with pytest.raises(DecodeError):
             live.load_node(data_dir)
+
+    def test_earlier_layout_unsigned_tx_refused(self, data_dir, keys):
+        """A log of an earlier build, whose unsigned tx carried the null key
+        and the null signature under the signed tag, is refused, not
+        misread: each tx has one encoding. The same batch in this build's
+        layout loads."""
+        u1, s2 = chain_signed(keys[0], [False, True])
+        payload = subchain.encode_batch([u1, s2])
+        bare = codec.encode_tx(u1)
+        assert bare[0] == codec.TAG_SEND_UNSIGNED and bare in payload
+        earlier = payload.replace(bare, bytes((codec.TAG_SEND,)) + bare[1:]
+                                  + codec.NULL_KEY + codec.NULL_SIG)
+        path = log_path(data_dir)
+        size = os.path.getsize(path)
+
+        def load_with(record):
+            with open(path, "r+b") as fh:
+                fh.truncate(size)
+                fh.seek(size)
+                fh.write(live._log_record(MsgKind.NewTx, record))
+            return live.load_node(data_dir)
+
+        assert load_with(payload).store.pending == {
+            keys[0].address: [u1, s2]}
+        with pytest.raises(DecodeError):
+            load_with(earlier)
 
     def test_meta_with_block_interval_loads(self, data_dir, keys):
         """A data dir written while the chain parameters still held a block
@@ -801,11 +827,12 @@ NO_REACH_IN = pytest.mark.xfail(
     "", "0", "00", "01", pytest.param("1", marks=NO_REACH_IN),
     pytest.param("10", marks=NO_REACH_IN), "11"])
 def test_sim_node_save_load_roundtrip(saved_sim_nodes, prefix):
-    """A saved sim node, full or partial, reloads to the same confirmed
-    states, pending tails and tip."""
+    """A saved sim node, full or partial, reloads to the same tip and an
+    equal value in every store field: confirmed states, pending tails and
+    their states, chains, inflows, archive and decoded values."""
     node, data_dir = saved_sim_nodes[prefix]
     assert node.view.height[node.view.tip] == 8 and node.store.confirmed
     loaded = live.load_node(data_dir)
     assert loaded.view.tip == node.view.tip
-    assert loaded.store.confirmed == node.store.confirmed
-    assert loaded.store.pending == node.store.pending
+    for name, value in vars(node.store).items():
+        assert getattr(loaded.store, name) == value, name

@@ -954,6 +954,35 @@ class TestTipClaimContext:
         assert node.claim_context().branch_tip == b4.block_hash
 
 
+class TestDecodedValues:
+    def test_request_that_changes_nothing_keeps_no_value(self, keys):
+        """A NewTx or NewBlock that is refused, cut short or changes
+        nothing leaves the node's table of decoded values as it was; one
+        that is accepted adds its values, each as its own object."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        before = dict(node.store.interned)
+        recipient = b"\x0e" * 20
+        tx = make_send(key, amount=5, recipient=recipient)
+        forged = subchain.encode_batch([tx._replace(signature=b"\x01" * 64)])
+        with pytest.raises(InvalidSignature):
+            node.apply_request(codec.MsgKind.NewTx, forged)
+        with pytest.raises(codec.DecodeError):
+            node.apply_request(codec.MsgKind.NewTx, forged[:-1])
+        node.apply_request(codec.MsgKind.NewTx, subchain.encode_fragment(
+            SubchainFragment(b"\x0f" * 20, 0, ())))
+        block = confirm_block(node, [ConfirmationRecord(
+            b"\x10" * 20, b"\x11" * 32, 1)], miner=b"\x12" * 20)
+        with pytest.raises(PartialFetch):
+            node.apply_request(codec.MsgKind.NewBlock, block.encode())
+        assert node.store.interned == before
+        node.apply_request(codec.MsgKind.NewTx, subchain.encode_batch([tx]))
+        held = node.store.pending[key.address][0]
+        assert node.store.interned == {
+            **before, recipient: recipient, key.address: key.address}
+        assert node.store.interned[recipient] is held.recipient_address
+
+
 class TestServing:
     def test_serve_fragment(self, keys):
         key = keys[0]

@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from shardchain import live, network, node, subchain
+from shardchain.codec import ReceiveTx
 from shardchain.errors import ConfigInvalid, InvariantViolation
 from shardchain.mainchain import capacity
 from shardchain.sim import (
@@ -19,6 +20,11 @@ from shardchain.sim import (
 from conftest import assert_chains_are_canonical, \
     assert_confirmed_are_replays, assert_inflows_are_an_index, make_send, \
     rival_branch
+
+
+# the 7-node sim whose data dirs are compared across runs and builds
+DATA_DIR_CFG = SimConfig(seed=5, accounts=40, width=8, avg_txs=2,
+                         block_limit=2048, blocks=8, node_count=7)
 
 
 def small_cfg(**overrides):
@@ -117,11 +123,9 @@ class TestRuns:
         """Signatures take RFC 6979 nonces, so two runs of one seeded
         7-node sim write byte-identical data dirs at every node, not only
         equal reports."""
-        cfg = SimConfig(seed=5, accounts=40, width=8, avg_txs=2,
-                        block_limit=2048, blocks=8, node_count=7)
         runs = []
         for run in "ab":
-            sim = Simulation(cfg)
+            sim = Simulation(DATA_DIR_CFG)
             sim.run()
             files = {}
             for nid, n in sim.nodes.items():
@@ -134,6 +138,50 @@ class TestRuns:
         assert all(len(runs[0][nid, live.LOG_FILE]) > 2 * 2048
                    for nid in sim.nodes)
         assert runs[0] == runs[1]
+
+    def test_root_log_pinned(self, tmp_path):
+        """The root's log.bin of that sim is byte-identical across builds,
+        not only across runs: a change to the wire or log format shows
+        here and must say why and re-pin it."""
+        sim = Simulation(DATA_DIR_CFG)
+        sim.run()
+        live.save_node(sim.root, str(tmp_path))
+        log = (tmp_path / live.LOG_FILE).read_bytes()
+        assert hashlib.sha256(log).hexdigest() == \
+            "14edf374eb246f3cc1eec3e667996fde5425d959f2e5d84f49139e0ade33de89"
+
+    def test_each_node_holds_one_object_per_value(self):
+        """After a 7-node run with claims, each node holds one object per
+        address and per block hash across its held txs, its blocks'
+        headers and records and its inflows, and each held tx holds the
+        hash object of the held tx below it as its parent."""
+        sim = Simulation(DATA_DIR_CFG._replace(maturity=2))
+        sim.run()
+        claims = 0
+        for n in sim.nodes.values():
+            objects = defaultdict(set)
+            held = [*n.store.chains.values(), *n.store.pending.values()]
+            values = [(tx.current_address, tx[3])
+                      + ((tx.main_block_hash,) if type(tx) is ReceiveTx
+                         else ()) for txs in held for tx in txs]
+            values += [(bh, b.block_hash, b.header.parent_block_hash,
+                        b.header.miner_address,
+                        *(r.address for r in b.confirmations))
+                       for bh, b in n.view.blocks.items()]
+            values += [(recipient, flow.sender_address, flow.block_hash)
+                       for recipient, pool in n.store.inflows.items()
+                       for flow in pool.values()]
+            for value in (v for vs in values for v in vs):
+                objects[value].add(id(value))
+            assert {v.hex(): len(ids) for v, ids in objects.items()
+                    if len(ids) > 1} == {}, n.assignment.prefix_bits
+            chains = [n.store.chains.get(a, []) + n.store.pending.get(a, [])
+                      for a in n.store.chains.keys() | n.store.pending.keys()]
+            for txs in chains:
+                assert all(child.parent_hash is tx.tx_hash
+                           for tx, child in zip(txs, txs[1:]))
+            claims += sum(type(tx) is ReceiveTx for txs in held for tx in txs)
+        assert claims
 
     def test_seed_changes_outcome(self):
         a = run_sim(small_cfg(seed=3))
@@ -153,24 +201,25 @@ class TestRuns:
                                    blocks=8, initial_balance=4))
         assert report["conservation"]["ok"]
 
+    # the case ids are fixed, so that a re-pin keeps each case's name
     @pytest.mark.parametrize("cfg,digest", [
         # the criterion-9 config
         (SimConfig(seed=91, accounts=50, width=8, avg_txs=2,
                    block_limit=2048, block_interval=15, blocks=6,
                    node_count=3, maturity=3, initial_balance=1000),
-         "64a0178aa532715e86e4362614d1ab2b63fc6fe0b794b74ddb87de4669d7084a"),
+         "5da907f77c8e2afd950b1e3c9c4782313a74c21b117df6a7fff0e8ced221dcb3"),
         # width 20 over capacity 10, claims on: tail lengths and ties
         # decide which addresses each block confirms
         (SimConfig(seed=5, accounts=40, width=20, avg_txs=2,
                    block_limit=716, block_interval=15, blocks=8,
                    node_count=3, maturity=2, initial_balance=1000),
-         "6311954bbe1df0c64299ac32a53146b089af3e56115dd6a10cae9e130ed120b9"),
+         "2378265cc2898366fa4ae8f3d634489ee04cba7fc89d4df7736ba5ce0cab9740"),
         # the depth-2 tree, claims on: batches reach only their hosts
         (SimConfig(seed=7, accounts=40, width=10, avg_txs=2,
                    block_limit=2048, block_interval=15, blocks=8,
                    node_count=7, maturity=2, initial_balance=1000),
-         "196993c73a563382c00d8757df0b9d4b90b7381fa9d51afa599ec03640f155a3"),
-    ])
+         "40be063bd41015a6ec5bd91f544b3b491e26877dbe0456ba0006f6ece8f3a599"),
+    ], ids=["criterion9", "over_capacity", "depth2_tree"])
     def test_reports_pinned(self, cfg, digest):
         """Reports are byte-identical across builds, not only across runs:
         a change that alters one must say why and re-pin it."""
