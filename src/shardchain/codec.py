@@ -13,7 +13,7 @@ import os
 import struct
 from enum import IntEnum
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import List, NamedTuple, Union
 
 from cryptography.exceptions import InvalidSignature as _CryptoBadSig
@@ -230,7 +230,7 @@ def _wire_exact(tx: SubchainTx) -> bool:
     else:
         fields, widths = _RECV_FIELDS(tx), _RECV_WIDTHS
     b"".join(fields)        # the type check: join takes only bytes-likes
-    return tuple(map(len, fields)) == widths
+    return all(map(eq, map(len, fields), widths))
 
 
 def encode_tx(tx: SubchainTx) -> bytes:

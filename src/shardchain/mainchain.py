@@ -63,23 +63,17 @@ class ConfirmationRecord(NamedTuple):
         return _RECORD.pack(self.address, self.tip_hash, self.tip_height)
 
 
-def decode_records(data: bytes, count: int, table: Optional[dict] = None
+def decode_records(data: bytes, count: int
                    ) -> Tuple[ConfirmationRecord, ...]:
     """The ``count`` records packed back to back in ``data``, which they
-    must fill exactly: a block's body, or a Hello reply's summaries. Each
-    record's address is the object ``table`` holds for it (see
-    ``codec.decode_txs``)."""
+    must fill exactly: a block's body, or a Hello reply's summaries."""
     if len(data) != count * RECORD_LEN:
         raise codec.DecodeError("%d records must be %d bytes, got %d"
                                 % (count, count * RECORD_LEN, len(data)))
-    if not count:
-        return ()
-    intern = ({} if table is None else table).setdefault
     # each record is built in C from its unpacked fields: the same
     # read-only NamedTuple that _make gives, without a Python call
-    addresses, tips, heights = zip(*_RECORD.iter_unpack(data))
-    return tuple(map(tuple.__new__, repeat(ConfirmationRecord), zip(
-        map(intern, addresses, addresses), tips, heights)))
+    return tuple(map(tuple.__new__, repeat(ConfirmationRecord),
+                     _RECORD.iter_unpack(data)))
 
 
 _set = object.__setattr__
@@ -155,28 +149,17 @@ class MainBlock(Frozen):
         return b"".join(parts)
 
 
-def decode_block(data: bytes, table: Optional[dict] = None) -> MainBlock:
-    """The block ``data`` encodes. Its hash, its header's parent hash and
-    miner address and its records' addresses are the objects ``table``
-    holds for them (see ``codec.decode_txs``)."""
+def decode_block(data: bytes) -> MainBlock:
     if len(data) < BLOCK_OVERHEAD:
         raise codec.DecodeError("block shorter than %d bytes"
                                 % BLOCK_OVERHEAD)
-    if table is None:
-        table = {}
-    intern = table.setdefault
-    parent, height, timestamp, miner, root, bits, nonce = \
-        _HEADER.unpack_from(data, 0)
-    header = tuple.__new__(BlockHeader, (
-        intern(parent, parent), height, timestamp, intern(miner, miner),
-        root, bits, nonce))
+    header = tuple.__new__(BlockHeader, _HEADER.unpack_from(data, 0))
     (count,) = struct.unpack_from(">I", data, HEADER_LEN)
     body = data[BLOCK_OVERHEAD:]
-    block = MainBlock(header, decode_records(body, count, table))
+    block = MainBlock(header, decode_records(body, count))
     # the header and the records re-encode to exactly the bytes they were
     # unpacked from
-    block_hash = sha256d(data[:HEADER_LEN])
-    _set(block, "_block_hash", intern(block_hash, block_hash))
+    _set(block, "_block_hash", sha256d(data[:HEADER_LEN]))
     _set(block, "_records_root", sha256(body))
     return block
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from itertools import islice
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, subchain
@@ -76,9 +75,9 @@ class NodeStore:
         # confirmation there, so no branch is ever replayed
         self.archive: Dict[bytes, Dict[bytes,
                                        Tuple[tuple, SubchainState]]] = {}
-        # the one object of each address and block hash the node has
-        # decoded, which the decoders give every field of that value (the
-        # null address is a coinbase inflow's)
+        # the one object of each address and cited block hash the node
+        # has decoded in a tx, which the decoders give every tx field of
+        # that value (the null address is a coinbase inflow's)
         self.interned: Dict[bytes, bytes] = {NULL_ADDRESS: NULL_ADDRESS}
 
     @property
@@ -168,17 +167,16 @@ class Node:
         record of each change. A NewTx fragment is pooled whole or not at
         all, and one whose header does not name its txs' address and
         first height is refused. A known NewBlock changes nothing, any
-        other is ingested. A request that changes nothing, refused or
-        not, leaves no value in ``NodeStore.interned``."""
-        store = self.store
-        table = store.interned
-        kept = len(table)
-        try:
-            if kind == MsgKind.NewBlock:
-                if self.ingest_block(mainchain.decode_block(
-                        payload, table)) is None:
-                    return
-            elif kind == MsgKind.NewTx:
+        other is ingested. A NewTx that changes nothing, refused or not,
+        leaves no value in ``NodeStore.interned``."""
+        if kind == MsgKind.NewBlock:
+            if self.ingest_block(mainchain.decode_block(payload)) is None:
+                return
+        elif kind == MsgKind.NewTx:
+            store = self.store
+            table = store.interned
+            kept = len(table)
+            try:
                 # a first tx that extends the tip the held txs reach holds
                 # that tip's object as its parent
                 address = subchain.fragment_address(payload)
@@ -194,13 +192,13 @@ class Node:
                                              "name its transactions")
                 if not txs or not self.accept_pending_tx(*txs):
                     return
-            else:
-                raise DecodeError("unknown request kind %d" % kind)
-            kept = len(table)
-        finally:
-            # the values the decode added are the table's last ones
-            for value in list(islice(reversed(table), len(table) - kept)):
-                del table[value]
+                kept = len(table)
+            finally:
+                # the values the decode added are the table's last ones
+                while len(table) > kept:
+                    table.popitem()
+        else:
+            raise DecodeError("unknown request kind %d" % kind)
         journal(kind, payload)
 
     # -- pending transactions -----------------------------------------
@@ -425,11 +423,13 @@ class Node:
             chains.setdefault(address, []).extend(txs)
             for tx in txs:
                 if isinstance(tx, SendTx):
-                    # recipient_address, amount, timestamp, tx_hash
-                    recipient, amount, _, tx_hash = tx[3:7]
+                    # current_address, recipient_address, amount,
+                    # timestamp, tx_hash: the tx's own address object, not
+                    # the record's, which is decoded with no lookup
+                    sender, recipient, amount, _, tx_hash = tx[2:7]
                     if low <= recipient <= high:
                         inflows.setdefault(recipient, {})[tx_hash] = _new(
-                            Inflow, (address, tx_hash, block_hash, amount,
+                            Inflow, (sender, tx_hash, block_hash, amount,
                                      height))
             if address in pending:
                 self._trim_pending(address, new_state)

@@ -13,7 +13,7 @@ from shardchain.codec import NULL_HASH, ReceiveTx, SendTx
 from shardchain.errors import DecodeError
 from shardchain.node import Inflow
 
-from conftest import decode_tx, make_receive
+from conftest import decode_tx, make_receive, make_send
 
 hashes = st.binary(min_size=32, max_size=32)
 addresses = st.binary(min_size=20, max_size=20)
@@ -255,28 +255,27 @@ def test_mixed_fragment_round_trips(frag, extra, data):
 
 
 def test_decoders_give_the_tables_objects(keys):
-    """Decoders that share a table give every address and block hash of
-    one value the same object: a block's hash, its parent hash, miner
-    and record addresses, and a later fragment's addresses and cited
-    block hash."""
-    key, miner = keys[0].address, keys[1].address
-    parent = mainchain.new_block(b"\x05" * 32, 1, 0, miner, [],
-                                 mainchain.EASY_BITS)
-    claim = make_receive(keys[0], NULL_HASH, 1, miner, b"\x04" * 32,
-                         parent.block_hash, 3)
-    child = mainchain.new_block(parent.block_hash, 2, 0, miner, [
-        mainchain.ConfirmationRecord(key, claim.tx_hash, 1)],
-        mainchain.EASY_BITS)
+    """Fragments decoded through one table give every address and cited
+    block hash of one value the same object: a send's address and its
+    recipient, and a later claim's address, sender and cited block."""
+    key, other = keys[0], keys[1]
+    block_hash = b"\x05" * 32
+    send = make_send(key, recipient=other.address)
+    claim = make_receive(other, NULL_HASH, 1, key.address, send.tx_hash,
+                         block_hash, 1)
+    twin = make_receive(key, send.tx_hash, 2, other.address, b"\x04" * 32,
+                        block_hash, 1)
     table = {}
-    first = mainchain.decode_block(parent.encode(), table)
-    second = mainchain.decode_block(child.encode(), table)
-    [tx] = subchain.decode_fragment(subchain.encode_batch([claim]),
-                                    table).txs
-    assert second.header.parent_block_hash is first.block_hash \
-        is tx.main_block_hash
-    assert second.header.miner_address is first.header.miner_address \
-        is tx.sender_address
-    assert tx.current_address is second.confirmations[0].address
-    # the first block's parent, the miner, both block hashes, the account
-    assert len(table) == 5
+
+    def decode(tx):
+        return subchain.decode_fragment(subchain.encode_batch([tx]),
+                                        table).txs[0]
+    sent, claimed, again = decode(send), decode(claim), decode(twin)
+    assert claimed.current_address is sent.recipient_address \
+        is again.sender_address
+    assert claimed.sender_address is sent.current_address \
+        is again.current_address
+    assert claimed.main_block_hash is again.main_block_hash
+    # the two addresses and the cited block hash
+    assert len(table) == 3
     assert all(value is table[value] for value in table.values())

@@ -146,8 +146,8 @@ NOT_COMPARED = {
     "pending": "a fresh node has no tails; each kept tail is replayed",
     "tail_states": "checked against the replay of its pending tail",
     "archive": "holds side blocks; its canonical entries are compared",
-    "interned": "holds every value decoded, side blocks' too; it decides "
-                "only which object holds a value",
+    "interned": "holds every accepted NewTx's values, dropped tails' too; "
+                "it decides only which object holds a value",
 }
 
 

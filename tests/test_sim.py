@@ -152,9 +152,10 @@ class TestRuns:
 
     def test_each_node_holds_one_object_per_value(self):
         """After a 7-node run with claims, each node holds one object per
-        address and per block hash across its held txs, its blocks'
-        headers and records and its inflows, and each held tx holds the
-        hash object of the held tx below it as its parent."""
+        address and per cited block hash across its held txs and its
+        inflows' senders, and each held tx holds the hash object of the
+        held tx below it as its parent. Blocks are left out: a block is
+        decoded with no lookup."""
         sim = Simulation(DATA_DIR_CFG._replace(maturity=2))
         sim.run()
         claims = 0
@@ -164,11 +165,7 @@ class TestRuns:
             values = [(tx.current_address, tx[3])
                       + ((tx.main_block_hash,) if type(tx) is ReceiveTx
                          else ()) for txs in held for tx in txs]
-            values += [(bh, b.block_hash, b.header.parent_block_hash,
-                        b.header.miner_address,
-                        *(r.address for r in b.confirmations))
-                       for bh, b in n.view.blocks.items()]
-            values += [(recipient, flow.sender_address, flow.block_hash)
+            values += [(recipient, flow.sender_address)
                        for recipient, pool in n.store.inflows.items()
                        for flow in pool.values()]
             for value in (v for vs in values for v in vs):
