@@ -8,7 +8,7 @@ first-seen tie-break.
 from __future__ import annotations
 
 import struct
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import attrgetter, ge, itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -30,12 +30,16 @@ HEADER_LEN = 112
 BLOCK_OVERHEAD = HEADER_LEN + 4   # header plus the 4-byte record count
 
 _RECORD = struct.Struct(">20s32sQ")
+# a record's address, and its tip height, as the struct format of one
+# record: all that the canonical index reads of a stored block's body
+_ADDRESS_COLUMN = "20s40x"
+_HEIGHT_COLUMN = "52xQ"
 _HEADER = struct.Struct(">32sQQ20s32sIQ")
+_COUNT = struct.Struct(">I")
 _U64 = 1 << 64
 # a record's fields by position: whole-record passes map these over a
 # block's records instead of reading NamedTuple fields one by one
 _ADDRESS = itemgetter(0)
-_TIP_HASH = itemgetter(1)
 _TIP_HEIGHT = itemgetter(2)
 
 DEFAULT_SUBSIDY = 50 * 10**8
@@ -102,21 +106,42 @@ def records_fit(records) -> bool:
                for a, h, n in records)
 
 
-def confirmations_root(records) -> bytes:
-    # only in-process records come here (a decoded block hashed its bytes)
+def encode_records(records) -> bytes:
+    """The records' wire encodings, back to back: a block's body. A record
+    off its wire type, width or range is refused with MalformedBlock."""
     if not records_fit(records):
         raise MalformedBlock("a record field is off its wire type, width or "
                              "range")
-    return sha256(b"".join(r.encode() for r in records))
+    return b"".join(starmap(_RECORD.pack, records))
+
+
+def confirmations_root(records) -> bytes:
+    return sha256(encode_records(records))
 
 
 class MainBlock(Frozen):
-    __slots__ = ("header", "confirmations", "_block_hash", "_records_root")
-    _fields = ("header", "confirmations")
+    """A header and ``body``, its records' wire bytes: a block a view
+    stores is its wire size. A block built from records, or decoded from
+    the wire, also carries its records decoded, so that each node decodes
+    a block's records once; the copy that ``ChainView.extend`` stores
+    keeps the header and the body alone, and its ``confirmations``
+    decodes the body on each read."""
+    __slots__ = ("header", "body", "_records", "_root", "_block_hash")
+    _fields = ("header", "body")
 
     def __init__(self, header: BlockHeader, confirmations: tuple = ()):
+        records = tuple(confirmations)
         _set(self, "header", header)
-        _set(self, "confirmations", confirmations)
+        _set(self, "body", encode_records(records))
+        _set(self, "_records", records)
+        _set(self, "_root", None)
+
+    @property
+    def confirmations(self) -> Tuple[ConfirmationRecord, ...]:
+        records = self._records
+        if records is None:
+            return decode_records(self.body, len(self.body) // RECORD_LEN)
+        return records
 
     @property
     def block_hash(self) -> bytes:
@@ -131,22 +156,42 @@ class MainBlock(Frozen):
 
     @property
     def records_root(self) -> bytes:
-        """The root of the records as they are: what ``validate_block``
-        compares with the header's, computed once. ``decode_block`` and
-        ``new_block`` seed it with the root of the bytes they already
-        hold."""
-        try:
-            return self._records_root
-        except AttributeError:
-            _set(self, "_records_root", confirmations_root(
-                self.confirmations))
-            return self._records_root
+        """The root of the records as they are, the hash of the body,
+        which ``check_header`` compares with the header's. ``decode_block``
+        and ``new_block`` seed it with the hash they hold; a stored copy
+        hashes its body."""
+        root = self._root
+        return sha256(self.body) if root is None else root
 
     def encode(self) -> bytes:
-        parts = [self.header.encode(),
-                 struct.pack(">I", len(self.confirmations))]
-        parts.extend(r.encode() for r in self.confirmations)
-        return b"".join(parts)
+        return b"".join((self.header.encode(),
+                         _COUNT.pack(len(self.body) // RECORD_LEN),
+                         self.body))
+
+
+def _block(header: BlockHeader, body: bytes, records: tuple,
+           root: Optional[bytes], block_hash: Optional[bytes] = None
+           ) -> MainBlock:
+    # a block whose body and decoded records are already at hand, so
+    # nothing is encoded or decoded again
+    block = object.__new__(MainBlock)
+    _set(block, "header", header)
+    _set(block, "body", body)
+    _set(block, "_records", records)
+    _set(block, "_root", root)
+    if block_hash is not None:
+        _set(block, "_block_hash", block_hash)
+    return block
+
+
+def _column(block: MainBlock, field: itemgetter, column: str) -> tuple:
+    # one field of each record: from the records a block carries, else
+    # unpacked from its body in one call, with no tuple per record
+    records = block._records
+    if records is None:
+        body = block.body
+        return struct.unpack(">" + column * (len(body) // RECORD_LEN), body)
+    return tuple(map(field, records))
 
 
 def decode_block(data: bytes) -> MainBlock:
@@ -154,14 +199,11 @@ def decode_block(data: bytes) -> MainBlock:
         raise codec.DecodeError("block shorter than %d bytes"
                                 % BLOCK_OVERHEAD)
     header = tuple.__new__(BlockHeader, _HEADER.unpack_from(data, 0))
-    (count,) = struct.unpack_from(">I", data, HEADER_LEN)
-    body = data[BLOCK_OVERHEAD:]
-    block = MainBlock(header, decode_records(body, count))
-    # the header and the records re-encode to exactly the bytes they were
-    # unpacked from
-    _set(block, "_block_hash", sha256d(data[:HEADER_LEN]))
-    _set(block, "_records_root", sha256(body))
-    return block
+    (count,) = _COUNT.unpack_from(data, HEADER_LEN)
+    body = bytes(data[BLOCK_OVERHEAD:])
+    # the header re-encodes to exactly the bytes it was unpacked from
+    return _block(header, body, decode_records(body, count), sha256(body),
+                  sha256d(data[:HEADER_LEN]))
 
 
 def target(difficulty_bits: int) -> int:
@@ -195,10 +237,8 @@ def seal(block: MainBlock) -> MainBlock:
     while True:
         h = sha256d(base + struct.pack(">Q", nonce))
         if int.from_bytes(h, "big") <= goal:
-            sealed = MainBlock(header._replace(nonce=nonce),
-                               block.confirmations)
-            _set(sealed, "_block_hash", h)
-            return sealed
+            return _block(header._replace(nonce=nonce), block.body,
+                          block._records, block._root, h)
         nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -208,12 +248,10 @@ def new_block(parent: bytes, height: int, timestamp: int,
     """The sealed block on ``parent`` confirming ``records``, which it
     sorts by address."""
     records = tuple(sorted(records, key=attrgetter("address")))
-    root = confirmations_root(records)
-    header = BlockHeader(parent, height, timestamp, miner_address, root,
-                         difficulty_bits, 0)
-    block = seal(MainBlock(header, records))
-    _set(block, "_records_root", root)
-    return block
+    body = encode_records(records)
+    header = BlockHeader(parent, height, timestamp, miner_address,
+                         sha256(body), difficulty_bits, 0)
+    return seal(_block(header, body, records, header.confirmations_root))
 
 
 class Genesis(Frozen):
@@ -247,12 +285,14 @@ def make_genesis(allocations: Dict[bytes, int], timestamp: int = 0) -> Genesis:
 
 class ChainView:
     """Block DAG index: canonical tip by cumulative work, plus the
-    per-address latest-confirmation map for the canonical chain only.
+    canonical chain's index of each address's latest confirmation: its
+    tip height (``tip_heights``) and the hash of the block that confirmed
+    it (``confirmed_by``).
 
-    Each canonical block keeps an undo record: the confirmation entries
-    its records replaced. A reorg disconnects the old blocks down to the
-    fork point with those records and connects the new branch, so its
-    cost follows the fork distance, not the chain length."""
+    Each canonical block keeps an undo record: the block hashes and the
+    heights its records replaced. A reorg disconnects the old blocks down
+    to the fork point with those records and connects the new branch, so
+    its cost follows the fork distance, not the chain length."""
 
     def __init__(self, genesis: Genesis, params: ChainParams):
         self.genesis = genesis
@@ -263,10 +303,11 @@ class ChainView:
         self.tip: bytes = genesis.block_hash
         # canonical indexes
         self.canonical: List[bytes] = [genesis.block_hash]
-        self.confirmations: Dict[bytes, Tuple[bytes, bytes, int]] = {}
-        # canonical block -> the entries its records replaced, in record
-        # order, None for an address it confirmed first
-        self.undo: Dict[bytes, Tuple[Optional[tuple], ...]] = {}
+        self.tip_heights: Dict[bytes, int] = {}
+        self.confirmed_by: Dict[bytes, bytes] = {}
+        # canonical block -> the block hashes and the heights its records
+        # replaced, in record order, None for an address it confirmed first
+        self.undo: Dict[bytes, Tuple[tuple, tuple]] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -299,7 +340,8 @@ class ChainView:
     def confirmations_at(self, branch_tip: bytes
                          ) -> Dict[bytes, Tuple[bytes, bytes, int]]:
         """Latest confirmation per address along an arbitrary branch,
-        scanned from genesis: the oracle for ``confirmations``."""
+        scanned from genesis, as (block hash, tip hash, tip height): the
+        oracle for ``confirmed_by`` and ``tip_heights``."""
         index: Dict[bytes, Tuple[bytes, bytes, int]] = {}
         for bh in self.branch(branch_tip)[1:]:     # after genesis
             for rec in self.blocks[bh].confirmations:
@@ -322,10 +364,13 @@ class ChainView:
         self.blocks[bh] = block
         self.height[bh] = self.height[parent] + 1
         work = self.work[bh] = self.work[parent] + _work(goal)
-        if work <= self.work[self.tip]:
-            return False
-        self.switch(bh)
-        return True
+        moved = work > self.work[self.tip]
+        if moved:
+            self.switch(bh)
+        # the view keeps the block's header and body alone; its records,
+        # which the switch read, go when the caller drops the block
+        self.blocks[bh] = _block(block.header, block.body, None, None, bh)
+        return moved
 
     def switch(self, tip: bytes) -> Tuple[List[bytes], List[bytes]]:
         """Make ``tip``'s branch the canonical one: disconnect the
@@ -343,23 +388,26 @@ class ChainView:
         fork_height = self.height[h]
         disconnect = self.canonical[fork_height + 1:]
         del self.canonical[fork_height + 1:]
-        confirmations = self.confirmations
+        confirmed_by, tip_heights = self.confirmed_by, self.tip_heights
         for h in reversed(disconnect):
-            for address, entry in zip(map(_ADDRESS,
-                                          self.blocks[h].confirmations),
-                                      self.undo.pop(h)):
-                if entry is None:
-                    del confirmations[address]
+            hashes, heights = self.undo.pop(h)
+            for address, prior, height in zip(
+                    _column(self.blocks[h], _ADDRESS, _ADDRESS_COLUMN),
+                    hashes, heights):
+                if prior is None:
+                    del confirmed_by[address], tip_heights[address]
                 else:
-                    confirmations[address] = entry
+                    confirmed_by[address] = prior
+                    tip_heights[address] = height
         for h in connect:
-            records = self.blocks[h].confirmations
+            block = self.blocks[h]
+            addresses = _column(block, _ADDRESS, _ADDRESS_COLUMN)
             # before h is connected, the index is its parent branch's
-            self.undo[h] = tuple(map(confirmations.get,
-                                     map(_ADDRESS, records)))
-            confirmations.update(zip(map(_ADDRESS, records), zip(
-                repeat(h), map(_TIP_HASH, records),
-                map(_TIP_HEIGHT, records))))
+            self.undo[h] = (tuple(map(confirmed_by.get, addresses)),
+                            tuple(map(tip_heights.get, addresses)))
+            confirmed_by.update(zip(addresses, repeat(h)))
+            tip_heights.update(zip(addresses, _column(
+                block, _TIP_HEIGHT, _HEIGHT_COLUMN)))
             self.canonical.append(h)
         self.tip = tip
         return disconnect, connect
@@ -368,7 +416,9 @@ class ChainView:
         """From-scratch canonical scan: the oracle that the incremental
         indexes must equal."""
         self.canonical = self.branch(self.tip)
-        self.confirmations = self.confirmations_at(self.tip)
+        scan = self.confirmations_at(self.tip).items()
+        self.confirmed_by = {a: entry[0] for a, entry in scan}
+        self.tip_heights = {a: entry[2] for a, entry in scan}
 
 
 class ViewClaimContext:
@@ -417,8 +467,9 @@ def check_header(block: MainBlock, view: ChainView) -> None:
     """The checks of ``validate_block`` that read only the parent's place
     in the view, none in time that grows with the chain: known parent,
     difficulty bits, height, size, header fields at their wire widths and
-    ranges, PoW, record order, and root (whose computation refuses
-    in-process records off theirs)."""
+    ranges, PoW, record order, and root. A block's records are at their
+    wire widths and ranges: a block is built of records that encode, or
+    decoded."""
     header = block.header
     parent = header.parent_block_hash
     # a parent that is not bytes names no block, and may not even hash
@@ -428,9 +479,7 @@ def check_header(block: MainBlock, view: ChainView) -> None:
         raise BadPoW("unexpected difficulty bits")
     if header.height != view.height[parent] + 1:
         raise BadPoW("wrong block height")
-    records = block.confirmations
-    # the length of block.encode(), without encoding the block
-    if BLOCK_OVERHEAD + RECORD_LEN * len(records) > view.params.block_limit:
+    if BLOCK_OVERHEAD + len(block.body) > view.params.block_limit:
         raise Oversize("block exceeds %d bytes" % view.params.block_limit)
     # struct pads or cuts a bytes field and refuses an integer off its
     # range or a field of another type (records_fit's tests), so the hash
@@ -445,29 +494,28 @@ def check_header(block: MainBlock, view: ChainView) -> None:
         raise MalformedBlock("a header field is off its wire type or range")
     if not meets_target(block.block_hash, header.difficulty_bits):
         raise BadPoW("block hash above target")
-    addresses = list(map(_ADDRESS, records))
+    addresses = list(map(_ADDRESS, block.confirmations))
     if any(map(ge, addresses, addresses[1:])):
         raise UnsortedRecords("records must be strictly increasing")
     if header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
 
 
-def validate_block(block: MainBlock, view: ChainView
-                   ) -> Tuple[Optional[tuple], ...]:
+def validate_block(block: MainBlock, view: ChainView) -> Tuple[int, ...]:
     """The main chain's checks of one block on the view's tip (a block
     off it is checked after ``view.switch`` to its parent):
     ``check_header``, then that each record advances its address. Whether
     a record's fragment is a valid state transition is for the nodes that
-    host the address to check. Returns each record's latest confirmation
-    entry on the parent branch, in record order: (block hash, tip hash,
-    tip height), or None for an address the branch never confirmed."""
+    host the address to check. Returns each record's address's tip height
+    on the parent branch, in record order, 0 for an address the branch
+    never confirmed."""
     check_header(block, view)
     if block.header.parent_block_hash != view.tip:
         raise UnknownParent("parent block is not the view's tip")
     records = block.confirmations
-    prior = tuple(map(view.confirmations.get, map(_ADDRESS, records)))
-    for tip_height, entry in zip(map(_TIP_HEIGHT, records), prior):
-        prev_height = entry[2] if entry else 0
+    prior = tuple(map(view.tip_heights.get, map(_ADDRESS, records),
+                      repeat(0)))
+    for tip_height, prev_height in zip(map(_TIP_HEIGHT, records), prior):
         if tip_height <= prev_height:
             raise StaleConfirmation(
                 "record does not advance beyond height %d" % prev_height)

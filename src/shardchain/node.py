@@ -304,17 +304,17 @@ class Node:
             mainchain.check_header(block, view)
             disconnect, side = view.switch(parent)
         try:
-            # each record's entry on the parent branch: the height its
-            # fragment starts from here, and the state it starts from
+            # each record's tip height on the parent branch, which its
+            # fragment starts from here
             prior = mainchain.validate_block(block, view)
             ctx = self.claim_context()
             pending = {} if off_tip else self.store.pending
             tail_states = self.store.tail_states
             entry = {}
-            span = hosted_slice(self.assignment, block.confirmations)
-            for (address, tip_hash, tip_height), last in zip(
-                    block.confirmations[span], prior[span]):
-                lo = last[2] if last else 0
+            records = block.confirmations
+            span = hosted_slice(self.assignment, records)
+            for (address, tip_hash, tip_height), lo in zip(records[span],
+                                                           prior[span]):
                 # a record on the tip that confirms a whole pending tail
                 # takes the tail's kept state: its replay under the tip's
                 # claim context, which is this block's. Any other record
@@ -329,7 +329,8 @@ class Node:
                 frag = self._shard_oracle(address, lo, tip_height, tip_hash)
                 try:
                     new_state = subchain.verify_fragment(
-                        self._state_after(last, address), frag, ctx)
+                        self._state_after(view.confirmed_by.get(address),
+                                          address), frag, ctx)
                 except SubchainError as err:
                     err.address = address
                     raise
@@ -350,13 +351,13 @@ class Node:
                 self._connect(bh)
         return entry
 
-    def _state_after(self, entry: Optional[tuple],
+    def _state_after(self, block_hash: Optional[bytes],
                      address: bytes) -> SubchainState:
-        """Confirmed state of a hosted address given its latest
-        confirmation entry on some branch (None if it has none there)."""
-        if entry is None:
+        """Confirmed state of a hosted address given the block of its
+        latest confirmation on some branch (None if it has none there)."""
+        if block_hash is None:
             return self.base_state(address)
-        return self.store.archive[entry[0]][address][1]
+        return self.store.archive[block_hash][address][1]
 
     def _shard_oracle(self, address: bytes, lo: int, hi: int,
                       tip_hash: bytes) -> SubchainFragment:
@@ -446,9 +447,10 @@ class Node:
         store = self.store
         low, high = self.assignment.low, self.assignment.high
         for address, (txs, _) in store.archive[block_hash].items():
-            entry = self.view.confirmations.get(address)
-            if entry is not None:
-                store.confirmed[address] = self._state_after(entry, address)
+            confirming = self.view.confirmed_by.get(address)
+            if confirming is not None:
+                store.confirmed[address] = self._state_after(confirming,
+                                                             address)
             else:       # another disconnected block may have dropped it
                 store.confirmed.pop(address, None)
             chain = store.chains.get(address, [])
@@ -531,10 +533,9 @@ class Node:
         return frag
 
     def storage_report(self) -> StorageReport:
-        # a block's encoding is its overhead plus fixed-width records
+        # a block's encoding is its overhead plus its body
         main_bytes = len(self.genesis.encode()) + sum(
-            mainchain.BLOCK_OVERHEAD
-            + mainchain.RECORD_LEN * len(b.confirmations)
+            mainchain.BLOCK_OVERHEAD + len(b.body)
             for b in self.view.blocks.values())
         # every stored tx passed verify_tx or vouched, both of which check
         # the fixed wire widths, so its fields have the sizes they assume;

@@ -237,6 +237,31 @@ def rival_branch(sim, depth, miner_address):
     sim.miner.refresh_pool()
 
 
+def index_scan(view, tip):
+    """The canonical index that ``view`` must hold with ``tip`` as its
+    tip, from the from-genesis scan: ``(confirmed_by, tip_heights)``."""
+    scan = view.confirmations_at(tip).items()
+    return ({a: entry[0] for a, entry in scan},
+            {a: entry[2] for a, entry in scan})
+
+
+def assert_index_is_scan(view):
+    """The view's canonical index is the from-genesis scan of its tip, and
+    each canonical block's undo record is the scan of its parent read at
+    each of the block's record addresses: (block hashes, tip heights),
+    None for an address the block confirmed first."""
+    assert (view.confirmed_by, view.tip_heights) \
+        == index_scan(view, view.tip)
+    assert set(view.undo) == set(view.canonical[1:])
+    for bh in view.canonical[1:]:
+        block = view.blocks[bh]
+        scan = view.confirmations_at(block.header.parent_block_hash)
+        entries = [scan.get(r.address) for r in block.confirmations]
+        assert view.undo[bh] == (
+            tuple(entry and entry[0] for entry in entries),
+            tuple(entry and entry[2] for entry in entries)), bh.hex()
+
+
 def assert_inflows_are_an_index(node):
     """``node.store.inflows`` is what a scan of the canonical blocks
     gives: each archived send to a hosted recipient, and the coinbase of

@@ -53,7 +53,7 @@ from shardchain.subchain import (
     verify_fragment,
 )
 
-from conftest import flood, make_receive, make_send
+from conftest import assert_index_is_scan, flood, make_receive, make_send
 
 
 @pytest.fixture
@@ -465,9 +465,9 @@ def test_criterion_8_reorg_correctness(announce):
         assert node.view.depth(a1.block_hash) == 7
         assert node.store.pending[rcpt.address] == [claim]
         assert node.full_state(rcpt.address).balance == 30
-        # confirmation index equals a from-scratch canonical scan
-        assert node.view.confirmations == \
-            node.view.confirmations_at(node.view.tip)
+        # confirmation index and undo records equal a from-scratch
+        # canonical scan
+        assert_index_is_scan(node.view)
 
         # deeper reorg that orphans the confirmation itself
         node2 = _pow_node({sender.address: 100}, maturity=1)
@@ -491,8 +491,7 @@ def test_criterion_8_reorg_correctness(announce):
         assert node2.full_state(rcpt.address).balance == 0
         # the orphaned send returns to the pending pool for re-confirmation
         assert node2.store.pending[sender.address] == [send2]
-        assert node2.view.confirmations == \
-            node2.view.confirmations_at(node2.view.tip)
+        assert_index_is_scan(node2.view)
     except BaseException:
         announce(8, "reorg correctness", "FAIL")
         raise

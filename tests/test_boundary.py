@@ -306,7 +306,10 @@ def blocks(draw):
                 b"".join(r.encode() for r in recs))
         except struct.error:
             fields["confirmations_root"] = NULL_HASH
-    block = MainBlock(BlockHeader(**fields), recs)
+    try:
+        block = MainBlock(BlockHeader(**fields), recs)
+    except MalformedBlock:
+        return recs         # refused when built: the test checks why
     try:
         return seal(block)
     except (struct.error, TypeError, ShardChainError):
@@ -318,7 +321,11 @@ def blocks(draw):
 def test_block_round_trips_or_is_refused(block):
     """An in-process block that ``validate_block`` accepts is the block its
     own encoding decodes to, field for field: its hash covers exactly the
-    bytes it holds. Any other block is refused with a ShardChainError."""
+    bytes it holds. Any other block is refused with a ShardChainError:
+    one whose records do not all round-trip, when it is built."""
+    if isinstance(block, tuple):
+        assert not all(map(record_round_trips, block))
+        return
     try:
         validate_block(block, ChainView(GENESIS, PARAMS))
     except ShardChainError:

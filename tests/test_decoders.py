@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shardchain import codec, live, mainchain, sharding, subchain, wallet
-from shardchain.codec import NULL_HASH, ReceiveTx, SendTx
-from shardchain.errors import DecodeError
+from shardchain.codec import NULL_HASH, ReceiveTx, SendTx, sha256, sha256d
+from shardchain.errors import DecodeError, MalformedBlock
 from shardchain.node import Inflow
 
 from conftest import decode_tx, make_receive, make_send
@@ -38,6 +38,21 @@ headers = st.builds(mainchain.BlockHeader, parent_block_hash=hashes,
                     height=u64, timestamp=u64, miner_address=addresses,
                     confirmations_root=hashes, difficulty_bits=u32,
                     nonce=u64)
+# a record with one field off its wire width, range or type
+off_wire_records = st.one_of(
+    st.builds(mainchain.ConfirmationRecord, address=st.binary(
+        max_size=22).filter(lambda a: len(a) != 20), tip_hash=hashes,
+        tip_height=u64),
+    st.builds(mainchain.ConfirmationRecord, address=addresses,
+              tip_hash=st.binary(max_size=34).filter(lambda h: len(h) != 32),
+              tip_height=u64),
+    st.builds(mainchain.ConfirmationRecord, address=addresses,
+              tip_hash=hashes, tip_height=st.one_of(
+                  st.integers(max_value=-1), st.integers(min_value=2**64))),
+    st.builds(mainchain.ConfirmationRecord, address=st.just("a" * 20),
+              tip_hash=hashes, tip_height=u64),
+    st.builds(mainchain.ConfirmationRecord, address=addresses,
+              tip_hash=hashes, tip_height=st.just(1.0)))
 blocks = st.builds(mainchain.MainBlock, header=headers,
                    confirmations=st.lists(records, max_size=3).map(tuple))
 envelopes = st.builds(codec.Envelope, kind=st.sampled_from(codec.MsgKind),
@@ -67,6 +82,38 @@ def linked_fragments(draw):
         txs.append(tx)
         parent = tx.tx_hash
     return frag._replace(txs=tuple(txs))
+
+
+@given(header=headers, recs=st.lists(records, max_size=4).map(tuple),
+       bad=off_wire_records, data=st.data())
+def test_block_round_trips_as_bytes(header, recs, bad, data):
+    """A block holds its records as their joined encodings and gives them
+    back; its encoding decodes to an equal block of the same hash, whose
+    root is the hash of that body. A record off its wire width, range or
+    type is refused when the block is built, and every cut and every extension of
+    the encoding up to a record's length is a DecodeError."""
+    block = mainchain.MainBlock(header, recs)
+    assert block.body == b"".join(r.encode() for r in recs)
+    assert block.confirmations == recs
+    wire = block.encode()
+    back = mainchain.decode_block(wire)
+    assert back == block and back.body == block.body
+    assert back.confirmations == recs
+    assert all(type(r) is mainchain.ConfirmationRecord
+               for r in back.confirmations)
+    assert back.block_hash == block.block_hash == sha256d(header.encode())
+    assert back.records_root == block.records_root == sha256(block.body)
+    at = data.draw(st.integers(min_value=0, max_value=len(recs)))
+    with pytest.raises(MalformedBlock):
+        mainchain.MainBlock(header, recs[:at] + (bad,) + recs[at:])
+    for cut in range(len(wire)):
+        with pytest.raises(DecodeError):
+            mainchain.decode_block(wire[:cut])
+    extra = data.draw(st.binary(min_size=mainchain.RECORD_LEN,
+                                max_size=mainchain.RECORD_LEN))
+    for length in range(1, mainchain.RECORD_LEN + 1):
+        with pytest.raises(DecodeError):
+            mainchain.decode_block(wire + extra[:length])
 
 
 def read_one_frame(data):

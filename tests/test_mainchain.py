@@ -40,7 +40,7 @@ from shardchain.mainchain import (
     validate_block,
 )
 
-from conftest import Calls, build_chain, make_send
+from conftest import Calls, build_chain, index_scan, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=2048)
 MINER = b"\x4d" * 20
@@ -227,20 +227,22 @@ ROOT_RECORDS = [ConfirmationRecord(bytes([2 * i]) * 20, bytes([i]) * 32,
 
 class TestRecordsRoot:
     """``validate_block`` compares the header's root with the block's
-    ``records_root``: ``decode_block`` seeds it with the hash of the
-    record bytes it unpacked, ``new_block`` with the root it wrote into
-    the header, and any other block computes it from its records."""
+    ``records_root``, the hash of its body: the record bytes
+    ``decode_block`` unpacked, or those ``new_block`` and the constructor
+    encoded once. Neither the root nor the checks encode a record."""
 
     def test_seeded_roots_are_the_records_root(self, monkeypatch):
         view = ChainView(make_genesis({}), PARAMS)
         built = mainchain.new_block(view.tip, 1, 0, MINER,
                                     reversed(ROOT_RECORDS), EASY_BITS)
         decoded = decode_block(built.encode())
-        calls = Calls(monkeypatch, [(mainchain, "confirmations_root")])
+        calls = Calls(monkeypatch, [(mainchain, "confirmations_root"),
+                                    (mainchain, "encode_records")])
         for block in (built, decoded):
-            assert block.records_root == block.header.confirmations_root
+            assert block.records_root == block.header.confirmations_root \
+                == sha256(block.body)
             validate_block(block, view)
-        assert calls.take() == {}     # seeded, not computed
+        assert calls.take() == {}     # hashed from the body, not encoded
         monkeypatch.undo()
         for block in (built, decoded):
             assert block.records_root \
@@ -265,12 +267,13 @@ class TestRecordsRoot:
         view = ChainView(make_genesis({}), PARAMS)
         decoded = decode_block(mk_block(view, ROOT_RECORDS).encode())
         for records in (ROOT_RECORDS[1:], ROOT_RECORDS[:1]):
+            calls = Calls(monkeypatch, [(mainchain, "encode_records")])
             block = MainBlock(decoded.header, tuple(records))
-            calls = Calls(monkeypatch, [(mainchain, "confirmations_root")])
             root = block.records_root
-            assert calls.take() == {"confirmations_root": 1}
+            assert calls.take() == {"encode_records": 1}
             monkeypatch.undo()
-            assert root == confirmations_root(records)
+            assert block.body == b"".join(r.encode() for r in records)
+            assert root == sha256(block.body) == confirmations_root(records)
             with pytest.raises(RootMismatch):
                 validate_block(block, view)
         validate_block(MainBlock(decoded.header, tuple(ROOT_RECORDS)), view)
@@ -353,8 +356,17 @@ class TestChainView:
                       timestamp=21, parent=b1.block_hash)
         view.extend(b2)
         assert view.tip == b2.block_hash
-        assert view.confirmations == view.confirmations_at(view.tip)
-        assert view.confirmations[addr] == (b2.block_hash, b"\x03" * 32, 3)
+        assert (view.confirmed_by, view.tip_heights) \
+            == index_scan(view, view.tip)
+        assert view.confirmed_by[addr] == b2.block_hash
+        assert view.tip_heights[addr] == 3
+        assert view.undo[b2.block_hash] == ((b1.block_hash,), (2,))
+        # the from-scratch rebuild gives the same chain and index
+        incremental = (list(view.canonical), dict(view.confirmed_by),
+                       dict(view.tip_heights))
+        view.rebuild_index()
+        assert (view.canonical, view.confirmed_by, view.tip_heights) \
+            == incremental
 
     def test_side_branch_index_matches_scan(self):
         """Switched to any block of a depth-6 rival branch that stays a
@@ -386,22 +398,25 @@ class TestChainView:
             branch.append(parent)
         tip = view.tip
         assert len(branch) == 6 and tip == view.canonical[10]
-        before = (list(view.canonical), dict(view.confirmations),
-                  dict(view.undo))
+        before = (list(view.canonical), dict(view.confirmed_by),
+                  dict(view.tip_heights), dict(view.undo))
         for bh in branch + view.canonical[:-1]:
             view.switch(bh)
             assert view.tip == bh
-            assert view.confirmations == view.confirmations_at(bh), bh.hex()
+            assert (view.confirmed_by, view.tip_heights) \
+                == index_scan(view, bh), bh.hex()
             assert view.canonical == view.branch(bh), bh.hex()
             if bh == branch[-1]:
                 # at a side block above the fork, address 1 (only in
                 # canonical block 5) is not indexed
-                assert addrs[1] not in view.confirmations
+                assert addrs[1] not in view.confirmed_by
+                assert addrs[1] not in view.tip_heights
             view.switch(tip)
             assert view.tip == tip
-            assert (view.canonical, view.confirmations, view.undo) \
-                == before, bh.hex()
-        assert view.confirmations[addrs[1]] is not None
+            assert (view.canonical, view.confirmed_by, view.tip_heights,
+                    view.undo) == before, bh.hex()
+        assert view.confirmed_by[addrs[1]] == view.canonical[5]
+        assert view.tip_heights[addrs[1]] == 5
 
     def test_depth(self):
         view = ChainView(make_genesis({}), PARAMS)
@@ -423,25 +438,27 @@ def hosted_setup(keys, n_txs=4):
 
 class TestValidateBlock:
     def test_returns_parent_branch_index(self, keys):
-        """The parent branch's index entry of each record, in record
-        order. A block off the tip is refused until the view is switched
-        to its parent; there an address that only blocks above the fork
-        point confirmed has no entry: a record of it is fresh, not stale
-        against the old tip's entry."""
+        """The parent branch's tip height of each record's address, in
+        record order, 0 for an address it never confirmed. A block off the
+        tip is refused until the view is switched to its parent; there an
+        address that only blocks above the fork point confirmed has no
+        height: a record of it is fresh, not stale against the old tip's
+        height."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        assert validate_block(block, view) == (None,)
+        assert validate_block(block, view) == (0,)
         view.extend(block)
         again = ConfirmationRecord(key.address, chain[-1].tx_hash, 5)
-        assert validate_block(mk_block(view, [again]), view) \
-            == ((block.block_hash, chain[-1].tx_hash, 4),)
+        assert validate_block(mk_block(view, [again]), view) == (4,)
+        assert view.confirmed_by[key.address] == block.block_hash
         side = mk_block(view, [rec], parent=view.genesis.block_hash,
                         timestamp=99)
         with pytest.raises(UnknownParent):
             validate_block(side, view)
         view.switch(view.genesis.block_hash)
-        assert validate_block(side, view) == (None,)
+        assert validate_block(side, view) == (0,)
+        assert key.address not in view.confirmed_by
 
     def test_unknown_parent(self, keys):
         key, view, chain = hosted_setup(keys)

@@ -40,8 +40,8 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment, initial_state, replay
 
-from conftest import FORGERIES, Calls, build_chain, chain_signed, forge, \
-    make_receive, make_send
+from conftest import FORGERIES, Calls, assert_index_is_scan, build_chain, \
+    chain_signed, forge, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=2)
@@ -412,13 +412,14 @@ class TestIngest:
                 **fields, nonce=n)) for n in range(64))
                 if not mainchain.meets_target(b.block_hash, EASY_BITS))
         before = (node.view.tip, list(node.view.canonical),
-                  dict(node.view.confirmations), dict(node.view.undo))
+                  dict(node.view.confirmed_by), dict(node.view.tip_heights),
+                  dict(node.view.undo))
         calls = Calls(monkeypatch, [(mainchain.ChainView, "switch")])
         with pytest.raises(UnknownParent if fault == "parent" else BadPoW):
             node.ingest_block(block)
         assert calls.take() == {}
-        assert (node.view.tip, node.view.canonical, node.view.confirmations,
-                node.view.undo) == before
+        assert (node.view.tip, node.view.canonical, node.view.confirmed_by,
+                node.view.tip_heights, node.view.undo) == before
 
     def test_send_inflow_indexed_for_recipient(self, keys):
         sender, rcpt = keys[0], keys[1]
@@ -665,9 +666,8 @@ class TestReorg:
         assert node.view.tip == b2.block_hash
         state = node.confirmed_state(key.address)
         assert state.tip_height == 2
-        # index equals a from-scratch branch scan
-        assert node.view.confirmations == \
-            node.view.confirmations_at(node.view.tip)
+        # index and undo records equal a from-scratch branch scan
+        assert_index_is_scan(node.view)
 
     def test_orphaned_claim_invalidated(self, keys):
         """A claim that references a send confirmed only on the losing
@@ -745,8 +745,9 @@ class TestRefusedSideBlock:
     @staticmethod
     def snapshot(node):
         view = node.view
-        return copy.deepcopy((view.tip, view.canonical, view.confirmations,
-                              view.undo, vars(node.store)))
+        return copy.deepcopy((view.tip, view.canonical, view.confirmed_by,
+                              view.tip_heights, view.undo,
+                              vars(node.store)))
 
     @pytest.mark.parametrize("refusal", [StaleConfirmation, UnconfirmedSend,
                                          PartialFetch])

@@ -24,8 +24,8 @@ from shardchain.sim import SimConfig, Simulation, derived_key
 from shardchain.subchain import SubchainFragment
 
 from conftest import Calls, assert_chains_are_canonical, \
-    assert_confirmed_are_replays, assert_inflows_are_an_index, \
-    make_receive, make_send
+    assert_confirmed_are_replays, assert_index_is_scan, \
+    assert_inflows_are_an_index, make_receive, make_send
 
 MINER = b"\x4d" * 20
 SENDERS = [derived_key(b"reorg-oracle:sender:%d" % i) for i in range(2)]
@@ -161,14 +161,9 @@ def test_every_keyspace_is_checked():
 def assert_matches_fresh(node, tree, params):
     view = node.view
     assert view.canonical == view.branch(view.tip)
-    assert view.confirmations == view.confirmations_at(view.tip)
-    # each canonical block's undo record, whether read from the index or
-    # handed over by validate_block, is its parent branch's scan
-    for bh in view.canonical[1:]:
-        block = view.blocks[bh]
-        index = view.confirmations_at(block.header.parent_block_hash)
-        assert view.undo[bh] == tuple(index.get(r.address)
-                                      for r in block.confirmations), bh
+    # the index and each canonical block's undo record are the scans of
+    # the tip and of the block's parent
+    assert_index_is_scan(view)
     fresh = full_node(tree, params)
     for bh in view.canonical[1:]:
         fresh.ingest_block(view.blocks[bh])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 from shardchain import live, network, node, subchain
 from shardchain.codec import ReceiveTx
 from shardchain.errors import ConfigInvalid, InvariantViolation
-from shardchain.mainchain import capacity
+from shardchain.mainchain import ConfirmationRecord, capacity
 from shardchain.sim import (
     SimConfig,
     Simulation,
@@ -179,6 +180,33 @@ class TestRuns:
                            for tx, child in zip(txs, txs[1:]))
             claims += sum(type(tx) is ReceiveTx for txs in held for tx in txs)
         assert claims
+
+    def test_nothing_per_record_outlives_ingest(self):
+        """After the 7-node run whose data dirs are compared, no record
+        decoded in it is alive: each stored block holds its header and its
+        records' bytes, and each node's index maps each address to its tip
+        height, an int, and to the hash of a block it holds."""
+
+        def records():
+            gc.collect()
+            return [o for o in gc.get_objects()
+                    if type(o) is ConfirmationRecord]
+
+        # other tests' records, held so that no new one takes their ids
+        earlier = records()
+        sim = Simulation(DATA_DIR_CFG)
+        sim.run()
+        assert set(map(id, records())) <= set(map(id, earlier))
+        for n in sim.nodes.values():
+            view = n.view
+            assert view.blocks and view.tip_heights
+            assert all(block._records is None
+                       for block in view.blocks.values())
+            assert view.tip_heights.keys() == view.confirmed_by.keys()
+            assert all(type(height) is int
+                       for height in view.tip_heights.values())
+            assert all(bh in view.blocks
+                       for bh in view.confirmed_by.values())
 
     def test_seed_changes_outcome(self):
         a = run_sim(small_cfg(seed=3))

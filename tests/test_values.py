@@ -4,9 +4,9 @@ and hash read, and that a value, once built, cannot be changed."""
 import pytest
 
 from shardchain import codec
-from shardchain.codec import Envelope, KeyPair, MsgKind
-from shardchain.mainchain import EASY_BITS, BlockHeader, ChainParams, \
-    ConfirmationRecord, Genesis, MainBlock
+from shardchain.codec import Envelope, KeyPair, MsgKind, sha256
+from shardchain.mainchain import EASY_BITS, RECORD_LEN, BlockHeader, \
+    ChainParams, ConfirmationRecord, Genesis, MainBlock, decode_records
 from shardchain.sharding import ShardAssignment
 from shardchain.sim import SimConfig
 
@@ -15,6 +15,13 @@ OTHER = codec.keygen(b"\x06" * 32)
 HEADER = BlockHeader(b"\x01" * 32, 3, 7, b"\x02" * 20, b"\x03" * 32,
                      EASY_BITS, 9)
 RECORD = ConfirmationRecord(b"\x04" * 20, b"\x05" * 32, 2)
+
+
+def main_block(header, body):
+    """The block of ``header`` built from the records that ``body``
+    encodes: a block's fields are its header and its records' bytes."""
+    return MainBlock(header, decode_records(body, len(body) // RECORD_LEN))
+
 
 # per class: each field that equality reads, with a value and another
 # value; each constructor argument that it ignores, likewise; and the
@@ -50,11 +57,11 @@ CASES = {
         "confirmations_root": (b"\x03" * 32, b"\x13" * 32),
         "difficulty_bits": (EASY_BITS, 0x1F00FFFF), "nonce": (9, 10)},
         {}, []),
-    "MainBlock": (MainBlock, {
+    "MainBlock": (main_block, {
         "header": (HEADER, BlockHeader(b"\x01" * 32, 3, 7, b"\x02" * 20,
                                        b"\x03" * 32, EASY_BITS, 10)),
-        "confirmations": ((RECORD,), ())}, {},
-        ["block_hash", "records_root"]),
+        "body": (RECORD.encode(), b"")}, {},
+        ["confirmations", "block_hash"]),
     "Genesis": (Genesis, {
         "timestamp": (0, 1),
         "allocations": (((b"\x01" * 20, 5),), ((b"\x01" * 20, 6),))}, {},
@@ -81,3 +88,12 @@ def test_value_semantics(name):
         with pytest.raises(AttributeError):
             setattr(value, attr, before)
         assert getattr(value, attr) is before
+
+
+def test_block_root_is_its_body_hash():
+    """A block's ``records_root`` is computed from its body on each read,
+    so it is equal, not identical, across reads, and it cannot be set."""
+    block = main_block(HEADER, RECORD.encode())
+    assert block.records_root == sha256(block.body) == sha256(RECORD.encode())
+    with pytest.raises(AttributeError):
+        block.records_root = block.records_root
