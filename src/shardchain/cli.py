@@ -245,7 +245,7 @@ def cmd_miner(args) -> int:
             mined += 1
             print("mined block %d %s (%d records)"
                   % (block.header.height, block.block_hash.hex()[:16],
-                     len(block.confirmations)), flush=True)
+                     len(block.body) // mainchain.RECORD_LEN), flush=True)
     finally:
         client.close()
     return 0

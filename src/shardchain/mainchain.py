@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from itertools import repeat, starmap
-from operator import attrgetter, ge, itemgetter
+from operator import attrgetter, ge
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, subchain
@@ -30,17 +30,9 @@ HEADER_LEN = 112
 BLOCK_OVERHEAD = HEADER_LEN + 4   # header plus the 4-byte record count
 
 _RECORD = struct.Struct(">20s32sQ")
-# a record's address, and its tip height, as the struct format of one
-# record: all that the canonical index reads of a stored block's body
-_ADDRESS_COLUMN = "20s40x"
-_HEIGHT_COLUMN = "52xQ"
 _HEADER = struct.Struct(">32sQQ20s32sIQ")
 _COUNT = struct.Struct(">I")
 _U64 = 1 << 64
-# a record's fields by position: whole-record passes map these over a
-# block's records instead of reading NamedTuple fields one by one
-_ADDRESS = itemgetter(0)
-_TIP_HEIGHT = itemgetter(2)
 
 DEFAULT_SUBSIDY = 50 * 10**8
 EASY_BITS = 0x207FFFFF   # top byte 0x7f: ~1/2 success per attempt
@@ -67,13 +59,17 @@ class ConfirmationRecord(NamedTuple):
         return _RECORD.pack(self.address, self.tip_hash, self.tip_height)
 
 
+def _check_count(data: bytes, count: int) -> None:
+    if len(data) != count * RECORD_LEN:
+        raise codec.DecodeError("%d records must be %d bytes, got %d"
+                                % (count, count * RECORD_LEN, len(data)))
+
+
 def decode_records(data: bytes, count: int
                    ) -> Tuple[ConfirmationRecord, ...]:
     """The ``count`` records packed back to back in ``data``, which they
     must fill exactly: a block's body, or a Hello reply's summaries."""
-    if len(data) != count * RECORD_LEN:
-        raise codec.DecodeError("%d records must be %d bytes, got %d"
-                                % (count, count * RECORD_LEN, len(data)))
+    _check_count(data, count)
     # each record is built in C from its unpacked fields: the same
     # read-only NamedTuple that _make gives, without a Python call
     return tuple(map(tuple.__new__, repeat(ConfirmationRecord),
@@ -120,28 +116,21 @@ def confirmations_root(records) -> bytes:
 
 
 class MainBlock(Frozen):
-    """A header and ``body``, its records' wire bytes: a block a view
-    stores is its wire size. A block built from records, or decoded from
-    the wire, also carries its records decoded, so that each node decodes
-    a block's records once; the copy that ``ChainView.extend`` stores
-    keeps the header and the body alone, and its ``confirmations``
-    decodes the body on each read."""
-    __slots__ = ("header", "body", "_records", "_root", "_block_hash")
+    """A header and ``body``, its records' wire bytes, and nothing decoded
+    from them: each pass unpacks the fields of the body it reads
+    (``columns``, ``rows``), and ``confirmations`` decodes the whole body
+    on each read."""
+    __slots__ = ("header", "body", "_root", "_block_hash")
     _fields = ("header", "body")
 
     def __init__(self, header: BlockHeader, confirmations: tuple = ()):
-        records = tuple(confirmations)
         _set(self, "header", header)
-        _set(self, "body", encode_records(records))
-        _set(self, "_records", records)
+        _set(self, "body", encode_records(tuple(confirmations)))
         _set(self, "_root", None)
 
     @property
     def confirmations(self) -> Tuple[ConfirmationRecord, ...]:
-        records = self._records
-        if records is None:
-            return decode_records(self.body, len(self.body) // RECORD_LEN)
-        return records
+        return decode_records(self.body, len(self.body) // RECORD_LEN)
 
     @property
     def block_hash(self) -> bytes:
@@ -158,8 +147,8 @@ class MainBlock(Frozen):
     def records_root(self) -> bytes:
         """The root of the records as they are, the hash of the body,
         which ``check_header`` compares with the header's. ``decode_block``
-        and ``new_block`` seed it with the hash they hold; a stored copy
-        hashes its body."""
+        and ``new_block`` seed it with the hash they hold; a block built
+        from records hashes its body."""
         root = self._root
         return sha256(self.body) if root is None else root
 
@@ -169,41 +158,48 @@ class MainBlock(Frozen):
                          self.body))
 
 
-def _block(header: BlockHeader, body: bytes, records: tuple,
-           root: Optional[bytes], block_hash: Optional[bytes] = None
-           ) -> MainBlock:
-    # a block whose body and decoded records are already at hand, so
-    # nothing is encoded or decoded again
+def _block(header: BlockHeader, body: bytes, root: Optional[bytes],
+           block_hash: Optional[bytes] = None) -> MainBlock:
+    # a block whose body is already encoded, with the digests at hand
     block = object.__new__(MainBlock)
     _set(block, "header", header)
     _set(block, "body", body)
-    _set(block, "_records", records)
     _set(block, "_root", root)
     if block_hash is not None:
         _set(block, "_block_hash", block_hash)
     return block
 
 
-def _column(block: MainBlock, field: itemgetter, column: str) -> tuple:
-    # one field of each record: from the records a block carries, else
-    # unpacked from its body in one call, with no tuple per record
-    records = block._records
-    if records is None:
-        body = block.body
-        return struct.unpack(">" + column * (len(body) // RECORD_LEN), body)
-    return tuple(map(field, records))
+def columns(block: MainBlock) -> Tuple[tuple, tuple]:
+    """Each record's address and each record's tip height, in record
+    order, unpacked from the body in one call with no tuple per record.
+    Every column read shares this format, one per record count: struct
+    caches 100 compiled formats, and a miss compiles the whole format."""
+    body = block.body
+    both = struct.unpack(">" + "20s32xQ" * (len(body) // RECORD_LEN), body)
+    return both[0::2], both[1::2]
+
+
+def rows(block: MainBlock, span: slice):
+    """The (address, tip hash, tip height) of each record in ``span``, a
+    slice with bounds, read from that part of the body alone."""
+    return _RECORD.iter_unpack(
+        block.body[span.start * RECORD_LEN:span.stop * RECORD_LEN])
 
 
 def decode_block(data: bytes) -> MainBlock:
+    """The block ``data`` encodes. Its records are not decoded: the body
+    must be ``count`` records long, and any bytes of that length are
+    records of the wire types."""
     if len(data) < BLOCK_OVERHEAD:
         raise codec.DecodeError("block shorter than %d bytes"
                                 % BLOCK_OVERHEAD)
     header = tuple.__new__(BlockHeader, _HEADER.unpack_from(data, 0))
     (count,) = _COUNT.unpack_from(data, HEADER_LEN)
     body = bytes(data[BLOCK_OVERHEAD:])
+    _check_count(body, count)
     # the header re-encodes to exactly the bytes it was unpacked from
-    return _block(header, body, decode_records(body, count), sha256(body),
-                  sha256d(data[:HEADER_LEN]))
+    return _block(header, body, sha256(body), sha256d(data[:HEADER_LEN]))
 
 
 def target(difficulty_bits: int) -> int:
@@ -238,7 +234,7 @@ def seal(block: MainBlock) -> MainBlock:
         h = sha256d(base + struct.pack(">Q", nonce))
         if int.from_bytes(h, "big") <= goal:
             return _block(header._replace(nonce=nonce), block.body,
-                          block._records, block._root, h)
+                          block._root, h)
         nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -251,7 +247,7 @@ def new_block(parent: bytes, height: int, timestamp: int,
     body = encode_records(records)
     header = BlockHeader(parent, height, timestamp, miner_address,
                          sha256(body), difficulty_bits, 0)
-    return seal(_block(header, body, records, header.confirmations_root))
+    return seal(_block(header, body, header.confirmations_root))
 
 
 class Genesis(Frozen):
@@ -367,9 +363,6 @@ class ChainView:
         moved = work > self.work[self.tip]
         if moved:
             self.switch(bh)
-        # the view keeps the block's header and body alone; its records,
-        # which the switch read, go when the caller drops the block
-        self.blocks[bh] = _block(block.header, block.body, None, None, bh)
         return moved
 
     def switch(self, tip: bytes) -> Tuple[List[bytes], List[bytes]]:
@@ -392,22 +385,19 @@ class ChainView:
         for h in reversed(disconnect):
             hashes, heights = self.undo.pop(h)
             for address, prior, height in zip(
-                    _column(self.blocks[h], _ADDRESS, _ADDRESS_COLUMN),
-                    hashes, heights):
+                    columns(self.blocks[h])[0], hashes, heights):
                 if prior is None:
                     del confirmed_by[address], tip_heights[address]
                 else:
                     confirmed_by[address] = prior
                     tip_heights[address] = height
         for h in connect:
-            block = self.blocks[h]
-            addresses = _column(block, _ADDRESS, _ADDRESS_COLUMN)
+            keys, heights = columns(self.blocks[h])
             # before h is connected, the index is its parent branch's
-            self.undo[h] = (tuple(map(confirmed_by.get, addresses)),
-                            tuple(map(tip_heights.get, addresses)))
-            confirmed_by.update(zip(addresses, repeat(h)))
-            tip_heights.update(zip(addresses, _column(
-                block, _TIP_HEIGHT, _HEIGHT_COLUMN)))
+            self.undo[h] = (tuple(map(confirmed_by.get, keys)),
+                            tuple(map(tip_heights.get, keys)))
+            confirmed_by.update(zip(keys, repeat(h)))
+            tip_heights.update(zip(keys, heights))
             self.canonical.append(h)
         self.tip = tip
         return disconnect, connect
@@ -463,13 +453,15 @@ class ViewClaimContext:
                                           send.amount)
 
 
-def check_header(block: MainBlock, view: ChainView) -> None:
+def check_header(block: MainBlock, view: ChainView
+                 ) -> Tuple[tuple, tuple]:
     """The checks of ``validate_block`` that read only the parent's place
     in the view, none in time that grows with the chain: known parent,
     difficulty bits, height, size, header fields at their wire widths and
     ranges, PoW, record order, and root. A block's records are at their
     wire widths and ranges: a block is built of records that encode, or
-    decoded."""
+    decoded. Returns the block's ``columns``, which ``validate_block``
+    reads on."""
     header = block.header
     parent = header.parent_block_hash
     # a parent that is not bytes names no block, and may not even hash
@@ -494,29 +486,29 @@ def check_header(block: MainBlock, view: ChainView) -> None:
         raise MalformedBlock("a header field is off its wire type or range")
     if not meets_target(block.block_hash, header.difficulty_bits):
         raise BadPoW("block hash above target")
-    addresses = list(map(_ADDRESS, block.confirmations))
-    if any(map(ge, addresses, addresses[1:])):
+    keys, heights = columns(block)
+    if any(map(ge, keys, keys[1:])):
         raise UnsortedRecords("records must be strictly increasing")
     if header.confirmations_root != block.records_root:
         raise RootMismatch("confirmations root does not match records")
+    return keys, heights
 
 
-def validate_block(block: MainBlock, view: ChainView) -> Tuple[int, ...]:
+def validate_block(block: MainBlock, view: ChainView
+                   ) -> Tuple[tuple, Tuple[int, ...]]:
     """The main chain's checks of one block on the view's tip (a block
     off it is checked after ``view.switch`` to its parent):
     ``check_header``, then that each record advances its address. Whether
     a record's fragment is a valid state transition is for the nodes that
-    host the address to check. Returns each record's address's tip height
-    on the parent branch, in record order, 0 for an address the branch
-    never confirmed."""
-    check_header(block, view)
+    host the address to check. Returns the block's address column and
+    each record's address's tip height on the parent branch, both in
+    record order, 0 for an address the branch never confirmed."""
+    keys, heights = check_header(block, view)
     if block.header.parent_block_hash != view.tip:
         raise UnknownParent("parent block is not the view's tip")
-    records = block.confirmations
-    prior = tuple(map(view.tip_heights.get, map(_ADDRESS, records),
-                      repeat(0)))
-    for tip_height, prev_height in zip(map(_TIP_HEIGHT, records), prior):
+    prior = tuple(map(view.tip_heights.get, keys, repeat(0)))
+    for tip_height, prev_height in zip(heights, prior):
         if tip_height <= prev_height:
             raise StaleConfirmation(
                 "record does not advance beyond height %d" % prev_height)
-    return prior
+    return keys, prior

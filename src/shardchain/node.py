@@ -304,27 +304,28 @@ class Node:
             mainchain.check_header(block, view)
             disconnect, side = view.switch(parent)
         try:
-            # each record's tip height on the parent branch, which its
-            # fragment starts from here
-            prior = mainchain.validate_block(block, view)
+            # the block's addresses, and each record's tip height on the
+            # parent branch, which its fragment starts from here
+            addresses, prior = mainchain.validate_block(block, view)
             ctx = self.claim_context()
             pending = {} if off_tip else self.store.pending
             tail_states = self.store.tail_states
             entry = {}
-            records = block.confirmations
-            span = hosted_slice(self.assignment, records)
-            for (address, tip_hash, tip_height), lo in zip(records[span],
-                                                           prior[span]):
+            span = hosted_slice(self.assignment, addresses)
+            for (address, tip_hash, tip_height), lo in zip(
+                    mainchain.rows(block, span), prior[span]):
                 # a record on the tip that confirms a whole pending tail
                 # takes the tail's kept state: its replay under the tip's
                 # claim context, which is this block's. Any other record
                 # is replayed from the state of its address's last
-                # confirmation.
+                # confirmation. Each entry is keyed by its first tx's
+                # address, the node's own object, not the row's.
                 tail = pending.get(address)
                 if tail and tail[0].height == lo + 1 \
                         and tail[-1].tx_hash == tip_hash \
                         and tail[-1].height == tip_height:
-                    entry[address] = (tuple(tail), tail_states[address])
+                    entry[tail[0].current_address] = (tuple(tail),
+                                                      tail_states[address])
                     continue
                 frag = self._shard_oracle(address, lo, tip_height, tip_hash)
                 try:
@@ -338,7 +339,7 @@ class Node:
                         or new_state.tip_height != tip_height:
                     raise ConfirmationMismatch(
                         "fragment tip does not match the record")
-                entry[address] = (frag.txs, new_state)
+                entry[frag.txs[0].current_address] = (frag.txs, new_state)
         finally:
             if off_tip:
                 view.switch(tip)

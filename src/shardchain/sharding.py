@@ -8,7 +8,6 @@ match it (depth 0 = full node, hosting everything).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
 
 from .codec import ADDR_LEN, Frozen
 from .errors import DecodeError, MaxDepth
@@ -66,18 +65,16 @@ def hosts(assignment: ShardAssignment, address: bytes) -> bool:
     return assignment.low <= address <= assignment.high
 
 
-_ADDRESS = attrgetter("address")
-
-
-def hosted_slice(assignment: ShardAssignment, records) -> slice:
-    """The slice of ``records`` whose addresses the assignment hosts,
-    found by bisecting to its [low, high] range; it also cuts any
-    sequence aligned with the records. It relies only on the records
-    being strictly sorted by address, as ``mainchain.validate_block``
-    checks: the slice then holds the records ``hosts()`` keeps, since
-    both are the same range test on the addresses' byte order."""
-    return slice(bisect_left(records, assignment.low, key=_ADDRESS),
-                 bisect_right(records, assignment.high, key=_ADDRESS))
+def hosted_slice(assignment: ShardAssignment, addresses) -> slice:
+    """The slice of ``addresses``, a block's address column, that the
+    assignment hosts, found by bisecting to its [low, high] range; it
+    also cuts any sequence aligned with the block's records. It relies
+    only on the addresses being strictly sorted, as
+    ``mainchain.validate_block`` checks: the slice then holds the
+    addresses ``hosts()`` keeps, since both are the same range test on
+    the addresses' byte order."""
+    return slice(bisect_left(addresses, assignment.low),
+                 bisect_right(addresses, assignment.high))
 
 
 def split(assignment: ShardAssignment):

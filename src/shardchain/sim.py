@@ -213,7 +213,7 @@ class Simulation:
 
         archived = self.root.store.archive.get(block.block_hash, {})
         row = {"height": block.header.height,
-               "records": len(block.confirmations),
+               "records": len(block.body) // mainchain.RECORD_LEN,
                "txs_covered": sum(len(txs) for txs, _ in archived.values()),
                "bytes": len(block.encode())}
         self.block_rows.append(row)

@@ -438,8 +438,9 @@ def hosted_setup(keys, n_txs=4):
 
 class TestValidateBlock:
     def test_returns_parent_branch_index(self, keys):
-        """The parent branch's tip height of each record's address, in
-        record order, 0 for an address it never confirmed. A block off the
+        """The block's addresses, and the parent branch's tip height of
+        each record's address, both in record order, 0 for an address it
+        never confirmed. A block off the
         tip is refused until the view is switched to its parent; there an
         address that only blocks above the fork point confirmed has no
         height: a record of it is fresh, not stale against the old tip's
@@ -447,17 +448,18 @@ class TestValidateBlock:
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        assert validate_block(block, view) == (0,)
+        assert validate_block(block, view) == ((key.address,), (0,))
         view.extend(block)
         again = ConfirmationRecord(key.address, chain[-1].tx_hash, 5)
-        assert validate_block(mk_block(view, [again]), view) == (4,)
+        assert validate_block(mk_block(view, [again]), view) \
+            == ((key.address,), (4,))
         assert view.confirmed_by[key.address] == block.block_hash
         side = mk_block(view, [rec], parent=view.genesis.block_hash,
                         timestamp=99)
         with pytest.raises(UnknownParent):
             validate_block(side, view)
         view.switch(view.genesis.block_hash)
-        assert validate_block(side, view) == (0,)
+        assert validate_block(side, view) == ((key.address,), (0,))
         assert key.address not in view.confirmed_by
 
     def test_unknown_parent(self, keys):

@@ -482,6 +482,36 @@ class TestIngest:
                     address=address, from_height=0, txs=txs), ctx)
             assert node.confirmed_state(address).tip_height == 3
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_new_block_builds_no_record(self, keys, monkeypatch, depth):
+        """A NewBlock is decoded, checked and ingested, at a full node and
+        at a depth-2 node, without decoding its records (``confirmations``
+        decodes through ``decode_records`` too): each pass reads the
+        columns of the body it needs, and a partial node unpacks only its
+        hosted span."""
+        genesis = make_genesis({key.address: 100 for key in keys})
+        prefix = format(keys[0].address[0], "08b")[:depth]
+        node = make_node(genesis, prefix)
+        hosted = [key for key in keys if node.hosts(key.address)]
+        assert 0 < len(hosted) < len(keys) or depth == 0
+        records = []
+        for key in keys:
+            chain = build_chain(key, 2, start_balance=100)
+            if key in hosted:
+                node.accept_pending_tx(*chain)
+            records.append(ConfirmationRecord(key.address,
+                                              chain[-1].tx_hash, 2))
+        block = confirm_block(node, sorted(records))
+        calls = Calls(monkeypatch, [(mainchain, "decode_records")])
+        node.apply_request(codec.MsgKind.NewBlock, block.encode())
+        assert calls.take() == {}
+        monkeypatch.undo()
+        assert node.view.tip == block.block_hash
+        assert list(node.store.archive[block.block_hash]) == sorted(
+            key.address for key in hosted)
+        assert all(node.confirmed_state(key.address).tip_height == 2
+                   for key in hosted)
+
 
 class TestIngestFallback:
     """Records that do not confirm a whole pending tail in a block on the

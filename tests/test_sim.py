@@ -153,10 +153,10 @@ class TestRuns:
 
     def test_each_node_holds_one_object_per_value(self):
         """After a 7-node run with claims, each node holds one object per
-        address and per cited block hash across its held txs and its
-        inflows' senders, and each held tx holds the hash object of the
-        held tx below it as its parent. Blocks are left out: a block is
-        decoded with no lookup."""
+        address and per cited block hash across its held txs, its
+        inflows' senders and its archive's keys, and each held tx holds
+        the hash object of the held tx below it as its parent. Blocks are
+        left out: a block is decoded with no lookup."""
         sim = Simulation(DATA_DIR_CFG._replace(maturity=2))
         sim.run()
         claims = 0
@@ -169,6 +169,7 @@ class TestRuns:
             values += [(recipient, flow.sender_address)
                        for recipient, pool in n.store.inflows.items()
                        for flow in pool.values()]
+            values += [tuple(entry) for entry in n.store.archive.values()]
             for value in (v for vs in values for v in vs):
                 objects[value].add(id(value))
             assert {v.hex(): len(ids) for v, ids in objects.items()
@@ -183,9 +184,8 @@ class TestRuns:
 
     def test_nothing_per_record_outlives_ingest(self):
         """After the 7-node run whose data dirs are compared, no record
-        decoded in it is alive: each stored block holds its header and its
-        records' bytes, and each node's index maps each address to its tip
-        height, an int, and to the hash of a block it holds."""
+        decoded in it is alive, and each node's index maps each address to
+        its tip height, an int, and to the hash of a block it holds."""
 
         def records():
             gc.collect()
@@ -200,8 +200,6 @@ class TestRuns:
         for n in sim.nodes.values():
             view = n.view
             assert view.blocks and view.tip_heights
-            assert all(block._records is None
-                       for block in view.blocks.values())
             assert view.tip_heights.keys() == view.confirmed_by.keys()
             assert all(type(height) is int
                        for height in view.tip_heights.values())

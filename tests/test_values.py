@@ -60,8 +60,7 @@ CASES = {
     "MainBlock": (main_block, {
         "header": (HEADER, BlockHeader(b"\x01" * 32, 3, 7, b"\x02" * 20,
                                        b"\x03" * 32, EASY_BITS, 10)),
-        "body": (RECORD.encode(), b"")}, {},
-        ["confirmations", "block_hash"]),
+        "body": (RECORD.encode(), b"")}, {}, ["block_hash"]),
     "Genesis": (Genesis, {
         "timestamp": (0, 1),
         "allocations": (((b"\x01" * 20, 5),), ((b"\x01" * 20, 6),))}, {},
@@ -97,3 +96,14 @@ def test_block_root_is_its_body_hash():
     assert block.records_root == sha256(block.body) == sha256(RECORD.encode())
     with pytest.raises(AttributeError):
         block.records_root = block.records_root
+
+
+def test_block_confirmations_decode_on_each_read():
+    """A block holds no decoded records: ``confirmations`` decodes the
+    body on each read, to equal records, and it cannot be set."""
+    block = main_block(HEADER, RECORD.encode())
+    first = block.confirmations
+    assert first == block.confirmations == (RECORD,)
+    assert first is not block.confirmations
+    with pytest.raises(AttributeError):
+        block.confirmations = first
