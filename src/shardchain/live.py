@@ -75,9 +75,12 @@ def save_node(node: Node, data_dir: str) -> None:
     atomically."""
     os.makedirs(data_dir, exist_ok=True)
     records = []
+    chains = node.store.chains
     for bh in node.view.canonical[1:]:
-        records += [_log_record(MsgKind.NewTx, subchain.encode_batch(txs))
-                    for txs, _ in node.store.archive[bh].values()]
+        # from the held chain: a signed copy may have replaced a tx
+        records += [_log_record(MsgKind.NewTx, subchain.encode_batch(
+            chains[a][txs[0].height - 1:txs[-1].height]))
+            for a, (txs, _) in node.store.archive[bh].items()]
         records.append(_log_record(MsgKind.NewBlock,
                                    node.view.blocks[bh].encode()))
     records += [_log_record(MsgKind.NewTx, subchain.encode_batch(tail))

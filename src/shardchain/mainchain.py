@@ -1,8 +1,8 @@
 """Main chain: PoW-sealed blocks carrying subchain confirmation records.
 
 Blocks never carry transactions. Each record binds an address to its
-latest subchain tip; fork choice is heaviest cumulative work with
-first-seen tie-break.
+latest subchain tip; fork choice is the highest branch, the first seen
+winning a tie: with one difficulty, the heaviest.
 """
 
 from __future__ import annotations
@@ -216,10 +216,6 @@ def target(difficulty_bits: int) -> int:
     return value
 
 
-def _work(goal: int) -> int:
-    return (1 << 256) // (goal + 1)
-
-
 def meets_target(block_hash: bytes, difficulty_bits: int) -> bool:
     return int.from_bytes(block_hash, "big") <= target(difficulty_bits)
 
@@ -280,10 +276,10 @@ def make_genesis(allocations: Dict[bytes, int], timestamp: int = 0) -> Genesis:
 
 
 class ChainView:
-    """Block DAG index: canonical tip by cumulative work, plus the
-    canonical chain's index of each address's latest confirmation: its
-    tip height (``tip_heights``) and the hash of the block that confirmed
-    it (``confirmed_by``).
+    """Block DAG index: the canonical chain, from genesis to ``tip``, the
+    first block seen at the greatest height, plus its index of each
+    address's latest confirmation: its tip height (``tip_heights``) and
+    the hash of the block that confirmed it (``confirmed_by``).
 
     Each canonical block keeps an undo record: the block hashes and the
     heights its records replaced. A reorg disconnects the old blocks down
@@ -294,9 +290,7 @@ class ChainView:
         self.genesis = genesis
         self.params = params
         self.blocks: Dict[bytes, MainBlock] = {}
-        self.work: Dict[bytes, int] = {genesis.block_hash: 0}
         self.height: Dict[bytes, int] = {genesis.block_hash: 0}
-        self.tip: bytes = genesis.block_hash
         # canonical indexes
         self.canonical: List[bytes] = [genesis.block_hash]
         self.tip_heights: Dict[bytes, int] = {}
@@ -308,8 +302,12 @@ class ChainView:
     # -- queries -------------------------------------------------------
 
     @property
+    def tip(self) -> bytes:
+        return self.canonical[-1]
+
+    @property
     def tip_height(self) -> int:
-        return self.height[self.tip]
+        return len(self.canonical) - 1
 
     def is_canonical(self, block_hash: bytes) -> bool:
         h = self.height.get(block_hash)
@@ -346,24 +344,20 @@ class ChainView:
 
     # -- mutation ------------------------------------------------------
 
-    def extend(self, block: MainBlock) -> bool:
-        """Insert a validated block. Returns True if the canonical tip
-        changed (possibly a reorg)."""
+    def extend(self, block: MainBlock
+               ) -> Optional[Tuple[List[bytes], List[bytes]]]:
+        """Insert a validated block. When it is higher than the tip, its
+        branch becomes canonical and ``switch``'s lists are returned;
+        else None."""
         parent = block.header.parent_block_hash
-        if parent not in self.work:
+        if parent not in self.height:
             raise UnknownParent("parent block unknown")
         bh = block.block_hash
         if bh in self.blocks:
-            return False
-        goal = target(block.header.difficulty_bits)
-        assert int.from_bytes(bh, "big") <= goal
+            return None
         self.blocks[bh] = block
-        self.height[bh] = self.height[parent] + 1
-        work = self.work[bh] = self.work[parent] + _work(goal)
-        moved = work > self.work[self.tip]
-        if moved:
-            self.switch(bh)
-        return moved
+        height = self.height[bh] = self.height[parent] + 1
+        return self.switch(bh) if height > self.tip_height else None
 
     def switch(self, tip: bytes) -> Tuple[List[bytes], List[bytes]]:
         """Make ``tip``'s branch the canonical one: disconnect the
@@ -399,7 +393,6 @@ class ChainView:
             confirmed_by.update(zip(keys, repeat(h)))
             tip_heights.update(zip(keys, heights))
             self.canonical.append(h)
-        self.tip = tip
         return disconnect, connect
 
     def rebuild_index(self) -> None:
@@ -465,7 +458,7 @@ def check_header(block: MainBlock, view: ChainView
     header = block.header
     parent = header.parent_block_hash
     # a parent that is not bytes names no block, and may not even hash
-    if not isinstance(parent, bytes) or parent not in view.work:
+    if not isinstance(parent, bytes) or parent not in view.height:
         raise UnknownParent("parent block unknown")
     if header.difficulty_bits != view.params.difficulty_bits:
         raise BadPoW("unexpected difficulty bits")

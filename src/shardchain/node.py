@@ -302,7 +302,7 @@ class Node:
         off_tip = parent != tip
         if off_tip:
             mainchain.check_header(block, view)
-            disconnect, side = view.switch(parent)
+            view.switch(parent)
         try:
             # the block's addresses, and each record's tip height on the
             # parent branch, which its fragment starts from here
@@ -344,10 +344,11 @@ class Node:
             if off_tip:
                 view.switch(tip)
         self.store.archive[bh] = entry
-        if view.extend(block):
+        moved = view.extend(block)
+        if moved:
             # a block off the tip that becomes the tip is a reorg
             if off_tip:
-                self._reorg(disconnect, side + [bh])
+                self._reorg(*moved)
             else:
                 self._connect(bh)
         return entry

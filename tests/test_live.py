@@ -213,6 +213,29 @@ class TestJournal:
         assert sorted(os.listdir(data_dir)) == [live.LOG_FILE,
                                                 live.META_FILE]
 
+    def test_compact_keeps_signed_copy_of_confirmed_tx(self, data_dir, keys):
+        """A signed copy that replaced a confirmed unsigned tx is written
+        in its block's fragment, so the reloaded node serves the fragment
+        ending there as the saved one did."""
+        key = keys[0]
+        node = live.load_node(data_dir)
+        u1, u2, s3 = chain_signed(key, [False, False, True])
+        node.apply_request(MsgKind.NewTx, subchain.encode_batch((u1, u2, s3)))
+        block = mainchain.new_block(
+            node.view.tip, 1, 15, MINER,
+            [mainchain.ConfirmationRecord(key.address, s3.tx_hash, 3)],
+            PARAMS.difficulty_bits)
+        node.apply_request(MsgKind.NewBlock, block.encode())
+        assert node.store.confirmed[key.address].tip_height == 3
+        s2 = codec.sign_tx(u2, key)
+        node.apply_request(MsgKind.NewTx, subchain.encode_batch((u1, s2)))
+        assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
+        live.save_node(node, data_dir)
+        reloaded = live.load_node(data_dir)
+        assert reloaded.serve_fragment(key.address, 0, 2).txs == (u1, s2)
+        assert reloaded.store.chains == node.store.chains
+        assert node_state(reloaded) == node_state(node)
+
     @pytest.mark.parametrize("first_held", [False, True])
     def test_refused_batch_pools_nothing(self, data_dir, keys, first_held):
         """A two-tx NewTx whose second tx is refused is refused whole: the

@@ -2,6 +2,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shardchain import codec, mainchain
 from shardchain.codec import NULL_ADDRESS, NULL_HASH, sha256, sha256d
@@ -28,7 +29,6 @@ from shardchain.mainchain import (
     ConfirmationRecord,
     MainBlock,
     ViewClaimContext,
-    _work,
     capacity,
     confirmations_root,
     decode_block,
@@ -100,15 +100,6 @@ class TestCompactBits:
     def test_malformed(self, bits):
         with pytest.raises(MalformedBits):
             target(bits)
-
-    def test_work_inverse_to_target(self):
-        def block_work(bits):
-            return _work(target(bits))
-
-        assert block_work(0x20000001) > block_work(0x20000002)
-        # halving the target roughly doubles the work
-        lo, hi = block_work(0x20000002), block_work(0x20000001)
-        assert hi == 2 * lo or hi == 2 * lo + 1
 
 
 class TestSeal:
@@ -297,13 +288,13 @@ class TestChainView:
         assert not view.extend(block)
         assert view.tip_height == 1
 
-    def test_extend_computes_target_once(self, monkeypatch):
-        """The block's target serves both its PoW assert and its work."""
+    def test_extend_computes_no_target(self, monkeypatch):
+        """Fork choice reads heights: ``check_header`` checked the PoW."""
         view = ChainView(make_genesis({}), PARAMS)
         block = mk_block(view)
         calls = Calls(monkeypatch, [(mainchain, "target")])
         assert view.extend(block)
-        assert calls.take() == {"target": 1}
+        assert calls.take() == {}
 
     def test_unknown_parent(self):
         view = ChainView(make_genesis({}), PARAMS)
@@ -427,6 +418,45 @@ class TestChainView:
         assert view.depth(b2.block_hash) == 1
         assert view.depth(b1.block_hash) == 2
         assert view.depth(b"\x00" * 32) == 0
+
+    # under 1 s for its 100 trees on a 2-core host
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 7)),
+                    max_size=12))
+    def test_fork_choice_over_random_trees(self, tree):
+        """Blocks of a random tree, each on a parent drawn among those
+        inserted before it (genesis included), each confirming the
+        addresses of a bit mask, inserted parents-first. After each
+        ``extend`` the tip is the first-inserted block of the greatest
+        height, the canonical chain is its branch and the index is the
+        scan of it, and ``extend`` returned what ``switch`` did: the old
+        blocks above the fork point and the new ones, or None."""
+        view = ChainView(make_genesis({}), PARAMS)
+        inserted = [view.genesis.block_hash]
+        for i, (pick, mask) in enumerate(tree):
+            parent = inserted[pick % len(inserted)]
+            height = view.height[parent] + 1
+            records = [ConfirmationRecord(bytes([a + 1]) * 20,
+                                          bytes([i]) * 32, height)
+                       for a in range(3) if mask >> a & 1]
+            block = mk_block(view, records, timestamp=i, parent=parent)
+            before = list(view.canonical)
+            moved = view.extend(block)
+            inserted.append(block.block_hash)
+            best = max(map(view.height.__getitem__, inserted))
+            assert view.tip == next(h for h in inserted
+                                    if view.height[h] == best)
+            assert view.canonical == view.branch(view.tip)
+            assert view.tip_height == len(view.canonical) - 1 == best
+            assert (view.confirmed_by, view.tip_heights) \
+                == index_scan(view, view.tip)
+            if moved is None:
+                assert view.canonical == before
+            else:
+                disconnect, connect = moved
+                fork = len(before) - len(disconnect)
+                assert before[fork:] == disconnect
+                assert before[:fork] + connect == view.canonical
 
 
 def hosted_setup(keys, n_txs=4):
