@@ -274,7 +274,7 @@ class NodeServer:
                 *_FRAGMENT_RANGE.unpack(env.payload))
             return Envelope(MsgKind.FragmentResponse,
                             OK + subchain.encode_fragment(frag)).encode()
-        return Envelope(MsgKind.Hello, ERR + b"unsupported kind").encode()
+        raise DecodeError("a node serves no %s request" % env.kind.name)
 
 
 # -- miner client -----------------------------------------------------

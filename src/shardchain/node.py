@@ -294,15 +294,15 @@ class Node:
         view = self.view
         if bh in view.blocks:
             return None
-        tip = view.tip
+        tip, top = view.tip, view.tip_height
         parent = block.header.parent_block_hash
         # a block off the tip is checked as one on it, with the view
-        # switched to its parent and back; its header first, whose checks
-        # cost nothing in the fork distance
-        off_tip = parent != tip
+        # switched to its parent; its header first, whose checks cost
+        # nothing in the fork distance
+        off_tip, wins = parent != tip, False
         if off_tip:
             mainchain.check_header(block, view)
-            view.switch(parent)
+            moved = view.switch(parent)
         try:
             # the block's addresses, and each record's tip height on the
             # parent branch, which its fragment starts from here
@@ -340,17 +340,18 @@ class Node:
                     raise ConfirmationMismatch(
                         "fragment tip does not match the record")
                 entry[frag.txs[0].current_address] = (frag.txs, new_state)
+            # a block on a parent as high as the old tip wins, and connects
+            # there; the view goes back for any other, or a refused one
+            wins = view.tip_height >= top
         finally:
-            if off_tip:
+            if off_tip and not wins:
                 view.switch(tip)
         self.store.archive[bh] = entry
-        moved = view.extend(block)
-        if moved:
-            # a block off the tip that becomes the tip is a reorg
-            if off_tip:
-                self._reorg(*moved)
-            else:
-                self._connect(bh)
+        view.extend(block)
+        if off_tip and wins:    # a reorg: to the parent, then the block
+            self._reorg(moved[0], [*moved[1], bh])
+        elif wins:
+            self._connect(bh)
         return entry
 
     def _state_after(self, block_hash: Optional[bytes],

@@ -327,13 +327,15 @@ class TestHostileInput:
         # two ranges the node can serve, as an earlier build's client
         # sent them in one request
         Envelope(MsgKind.FragmentRequest, b"\x00" * 72),
+        # a kind that no request of is served
+        Envelope(MsgKind.FragmentResponse, live.OK),
     ])
     def test_malformed_request_gets_error(self, data_dir, env):
         with serving(data_dir) as (_, client):
             size = os.path.getsize(log_path(data_dir))
             with pytest.raises(ShardChainError) as exc:
                 client.call(env)
-            assert "DecodeError" in str(exc.value)
+            assert str(exc.value).startswith("DecodeError: ")
             _, _, tip_height, _ = client.hello()   # connection still open
             assert tip_height == 0
             assert os.path.getsize(log_path(data_dir)) == size
@@ -414,6 +416,19 @@ class TestHostileInput:
                 assert reply.payload.startswith(live.ERR)
                 assert b"exceeds" in reply.payload
                 assert rfile.read(1) == b""     # then the node hangs up
+
+    def test_unknown_kind_refused_then_closed(self, data_dir):
+        """A frame whose kind byte names no message kind gets a
+        DecodeError reply, and then the node hangs up."""
+        with serving(data_dir) as (server, _):
+            with socket.create_connection(server.server.server_address) \
+                    as sock, sock.makefile("rb") as rfile:
+                sock.sendall(struct.pack(">IB32s", 2, 0x77, b"\x00" * 32)
+                             + b"\x01\x02")
+                reply = live.read_envelope(rfile)
+                assert reply.payload == live.ERR \
+                    + b"DecodeError: unknown message kind 119"
+                assert rfile.read(1) == b""
 
     def test_read_envelope_cap(self):
         left, right = socket.socketpair()

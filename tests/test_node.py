@@ -376,8 +376,8 @@ class TestIngest:
 
     def test_side_block_walks_branch_index_once(self, keys, monkeypatch):
         """The main chain's checks hand the parent branch's index to the
-        record loop, so a side block costs two view switches: to its
-        parent and back."""
+        record loop, so a side block that does not win costs two view
+        switches: to its parent and back."""
         node = make_node(make_genesis({}))
         genesis = node.view.tip
         node.ingest_block(confirm_block(node, []))
@@ -385,6 +385,37 @@ class TestIngest:
         calls = Calls(monkeypatch, [(mainchain.ChainView, "switch")])
         node.ingest_block(side)
         assert calls.take() == {"switch": 2}
+
+    @pytest.mark.parametrize("depth", [1, 6])
+    def test_winning_side_block_moves_the_view_once(self, monkeypatch,
+                                                     depth):
+        """A side branch on genesis as high as the tip, ``depth`` blocks,
+        is overtaken by its next block: the view switches once to the
+        block's parent (``depth`` blocks out, ``depth`` in), where the
+        block is checked, and ``extend`` then connects the block alone.
+        Switching back to the old tip and forward again would move
+        ``3 * depth`` blocks out and ``3 * depth + 1`` in."""
+        node = make_node(make_genesis({}))
+        parent = node.view.tip
+        for _ in range(depth):
+            node.ingest_block(confirm_block(node, []))
+        for i in range(depth):
+            side = confirm_block(node, [], parent=parent, timestamp=99 + i)
+            node.ingest_block(side)
+            parent = side.block_hash
+        winner = confirm_block(node, [], parent=parent, timestamp=99 + depth)
+        moves = []
+        switch = mainchain.ChainView.switch
+
+        def counted(view, tip):
+            disconnect, connect = switch(view, tip)
+            moves.append((len(disconnect), len(connect)))
+            return disconnect, connect
+        monkeypatch.setattr(mainchain.ChainView, "switch", counted)
+        node.ingest_block(winner)
+        assert moves == [(depth, depth), (0, 1)]
+        assert node.view.tip == winner.block_hash
+        assert_index_is_scan(node.view)
 
     @pytest.mark.parametrize("fault", ["bits", "pow", "height", "parent"])
     def test_side_header_refused_before_switch(self, monkeypatch, fault):
@@ -730,15 +761,18 @@ class TestReorg:
 
 
 class TestRefusedSideBlock:
-    """A side block is checked on the view switched to its parent and
-    back: one refused there leaves the node exactly as it was."""
+    """A side block is checked on the view switched to its parent, which
+    switches back for a refused block: one refused there leaves the node
+    exactly as it was."""
 
     @staticmethod
-    def setup(keys):
+    def setup(keys, wins=False):
         """Two nodes fed the same blocks: canonical b1 (S's send to R),
         b2, b3 on genesis, and side blocks s1 (T's two sends) and s2 on
-        genesis; fragments come from ``chains`` by fetch. S has a
-        pending send on the tip."""
+        genesis, and with ``wins`` s3 on s2, as high as b3, so that a
+        block on it would be the tip; fragments come from ``chains`` by
+        fetch. S has a pending send on the tip. The last side block is
+        returned."""
         s_key, r_key, t_key = keys[:3]
         genesis = make_genesis({s_key.address: 100, t_key.address: 100})
         send = make_send(s_key, amount=30, recipient=r_key.address)
@@ -765,12 +799,14 @@ class TestRefusedSideBlock:
         tip = add([]) and add([])
         s1 = add([ConfirmationRecord(t_key.address, t_chain[-1].tx_hash, 2)],
                  parent=genesis.block_hash, timestamp=99)
-        s2 = add([], parent=s1.block_hash)
+        side = add([], parent=s1.block_hash)
+        if wins:
+            side = add([], parent=side.block_hash)
         pending = make_send(s_key, parent=send.tx_hash, height=2)
         for n in nodes:
             n.accept_pending_tx(pending)
         assert node.view.tip == tip.block_hash
-        return nodes, chains, send, s2, b1
+        return nodes, chains, send, side, b1
 
     @staticmethod
     def snapshot(node):
@@ -779,16 +815,22 @@ class TestRefusedSideBlock:
                               view.tip_heights, view.undo,
                               vars(node.store)))
 
-    @pytest.mark.parametrize("refusal", [StaleConfirmation, UnconfirmedSend,
-                                         PartialFetch])
-    def test_refusal_changes_nothing(self, keys, refusal):
+    # a block below the tip's height keeps the id of the refusal alone
+    @pytest.mark.parametrize("refusal, wins", [
+        pytest.param(refusal, wins,
+                     id=refusal.__name__ + "-above_tip" * wins)
+        for wins in (False, True)
+        for refusal in (StaleConfirmation, UnconfirmedSend, PartialFetch)])
+    def test_refusal_changes_nothing(self, keys, refusal, wins):
         """A stale record on the side branch (T at s1's height, fresh on
         the canonical chain), a claim of S's send that only canonical
         block b1, above the fork, confirms (mature on the tip), and a
-        fragment no source holds are each refused. The node's view and
-        every keyspace then equal their copies from before, and the next
-        tip block pools and connects as at a node that never saw it."""
-        (node, twin), chains, send, s2, b1 = self.setup(keys)
+        fragment no source holds are each refused, in a block below the
+        tip's height and in one above it, which would have been the tip.
+        The node's view, index, undo records and every keyspace then
+        equal their copies from before, and the next tip block pools and
+        connects as at a node that never saw it."""
+        (node, twin), chains, send, side, b1 = self.setup(keys, wins)
         s_key, r_key, t_key = keys[:3]
         claim = make_receive(r_key, NULL_HASH, 1, s_key.address,
                              send.tx_hash, b1.block_hash, 30)
@@ -800,7 +842,8 @@ class TestRefusedSideBlock:
         chains[r_key.address] = [claim]
         bad = confirm_block(node, [ConfirmationRecord(
             record[0], getattr(record[1], "tx_hash", record[1]),
-            record[2])], parent=s2.block_hash)
+            record[2])], parent=side.block_hash)
+        assert (bad.header.height > node.view.tip_height) == wins
         before = self.snapshot(node)
         with pytest.raises(refusal):
             node.ingest_block(bad)
@@ -814,6 +857,49 @@ class TestRefusedSideBlock:
         assert node.view.tip == nxt.block_hash
         assert self.snapshot(node) == self.snapshot(twin)
         assert node.confirmed_state(r_key.address).balance == 30
+
+
+class TestRefusedTransition:
+    """``subchain.apply_tx``'s refusals of a send of 0 and of a tx of
+    another account, reached through a node's pool and through a block
+    record whose fragment the node fetches: each refusal leaves the node
+    as it was."""
+
+    CASES = [("zero_amount", "amount must be at least 1"),
+             ("other_account", "belongs to a different subchain")]
+
+    @staticmethod
+    def chain(keys, case):
+        """A's two sends, the second of 0, or A's send followed by a send
+        of B's account signed by B that links to it; both verify."""
+        a, b = keys[:2]
+        first = make_send(a, amount=1)
+        key, amount = (a, 0) if case == "zero_amount" else (b, 1)
+        return [first, make_send(key, parent=first.tx_hash, height=2,
+                                 amount=amount)]
+
+    @pytest.mark.parametrize("case, text", CASES)
+    def test_pool_refuses(self, keys, case, text):
+        node = make_node(make_genesis({k.address: 100 for k in keys[:2]}))
+        txs = self.chain(keys, case)
+        with pytest.raises(BadLink, match=text):
+            node.accept_pending_tx(*txs)
+        assert node.store.pending == {} and node.store.tail_states == {}
+
+    @pytest.mark.parametrize("case, text", CASES)
+    def test_block_record_refuses(self, keys, case, text):
+        txs = self.chain(keys, case)
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({k.address: 100 for k in keys[:2]}), PARAMS,
+                    fetch=lambda address, lo, hi: SubchainFragment(
+                        address, lo, tuple(txs[lo:hi])))
+        genesis = node.view.tip
+        block = confirm_block(node, [ConfirmationRecord(
+            keys[0].address, txs[-1].tx_hash, 2)])
+        with pytest.raises(BadLink, match=text):
+            node.ingest_block(block)
+        assert node.view.tip == genesis and node.view.blocks == {}
+        assert node.store.archive == {} and node.store.confirmed == {}
 
 
 class TestClaimCitesConfirmingBlock:

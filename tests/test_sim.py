@@ -6,8 +6,8 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from shardchain import live, network, node, subchain
-from shardchain.codec import ReceiveTx
+from shardchain import live, mainchain, network, node, subchain
+from shardchain.codec import ReceiveTx, sha256
 from shardchain.errors import ConfigInvalid, InvariantViolation
 from shardchain.mainchain import ConfirmationRecord, capacity
 from shardchain.sim import (
@@ -464,6 +464,92 @@ class TestStalls:
             == [sim.root.view.tip] * 3
         assert half.confirmed_state(key.address) \
             == sim.root.confirmed_state(key.address)
+
+
+class TestHostileMiner:
+    """A hostile miner seals two blocks on the tip, each with one record
+    whose tip hash no fragment backs, for an address that half node B
+    hosts and half node A does not (ROADMAP item 27). A node fully
+    checks the addresses it hosts and is SPV grade for the rest: it
+    gives a foreign record only the main chain's checks."""
+
+    HOSTILE = b"\xee" * 20
+
+    @classmethod
+    def split(cls):
+        """The seed-5 3-node sim after 4 intervals, then the two forged
+        blocks flooded from the root: the sim, A, B and the blocks."""
+        sim = Simulation(SimConfig(seed=5, accounts=60, width=8,
+                                   node_count=3))
+        for _ in range(4):
+            sim.run_interval()
+        a, b = list(sim.nodes.values())[1:]
+        address = next(x for x in sim.addresses
+                       if b.hosts(x) and not a.hosts(x))
+        view = sim.root.view
+        parent, tip_height = view.tip, view.tip_height
+        confirmed = view.tip_heights.get(address, 0)
+        forged = []
+        for i in (1, 2):
+            block = mainchain.new_block(
+                parent, tip_height + i, sim.now, cls.HOSTILE,
+                [ConfirmationRecord(address, sha256(b"forged:%d" % i),
+                                    confirmed + i)],
+                sim.params.difficulty_bits)
+            sim.broadcast(network.MsgKind.NewBlock, block.encode())
+            sim.transport.run()
+            forged.append(block)
+            parent = block.block_hash
+        return sim, a, b, forged
+
+    def test_foreign_node_follows_then_returns(self, monkeypatch):
+        """The root and B refuse the first forged block (no fragment) and
+        so the second (unknown parent); A adopts both and sits two blocks
+        ahead for two honest intervals. The third honest block outweighs
+        its branch: A returns to the root's tip through that winning side
+        block, one switch to its parent (2 blocks out, 2 in) and then its
+        connect, and ends with hosted states equal to the root's. The
+        root's errors make ``report`` raise, so node state is read."""
+        sim, a, b, forged = self.split()
+        honest = sim.root.view.tip
+        assert a.view.tip == forged[-1].block_hash
+        assert b.view.tip == honest
+        assert sorted(e.split(": ")[1].split("(")[0] for e in sim.errors) \
+            == ["PartialFetch", "PartialFetch", "UnknownParent",
+                "UnknownParent"]
+        for _ in range(2):
+            sim.run_interval()
+            assert a.view.tip == forged[-1].block_hash
+            assert b.view.tip == sim.root.view.tip != forged[-1].block_hash
+        moves = []
+        switch = mainchain.ChainView.switch
+
+        def counted(view, tip):
+            out = switch(view, tip)
+            if view is a.view:
+                moves.append((len(out[0]), len(out[1])))
+            return out
+        monkeypatch.setattr(mainchain.ChainView, "switch", counted)
+        sim.run_interval()
+        assert moves == [(2, 2), (0, 1)]
+        assert [n.view.tip for n in sim.nodes.values()] \
+            == [sim.root.view.tip] * 3
+        assert len(sim.errors) == 4
+        names = ["confirmed", "pending", "tail_states", "txs"]
+        full = by_address(sim.root.store, names)
+        assert dict(by_address(a.store, names)) \
+            == {x: held for x, held in full.items() if a.hosts(x)}
+        assert_chains_are_canonical(a)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a node checks only its hosted records, so "
+                       "the half node that does not host the forged "
+                       "record's address adopts the block (ROADMAP item "
+                       "27, stage 2)")
+    def test_no_node_adopts_a_forged_record(self):
+        sim, _, _, forged = self.split()
+        assert not any(f.block_hash in n.view.blocks
+                       for n in sim.nodes.values() for f in forged)
 
 
 class TestBench:
