@@ -33,10 +33,9 @@ class MalformedEnvelope(ShardChainError):
 class SubchainError(ShardChainError):
     """Base for state-transform rejections; carries the offending height."""
 
-    def __init__(self, msg="", height=None, address=None):
+    def __init__(self, msg="", height=None):
         super().__init__(msg)
         self.height = height
-        self.address = address
 
 
 class BadLink(SubchainError):

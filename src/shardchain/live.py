@@ -38,6 +38,7 @@ ERR = b"\x01"
 # log through Node.apply_request.
 
 META_FILE = "meta.json"
+NODE_ID = b"\x00" * 8   # a data dir's node: the only node of its process
 LOG_FILE = "log.bin"
 _LOG_HEAD = struct.Struct(">BI")
 
@@ -96,14 +97,16 @@ def save_node(node: Node, data_dir: str) -> None:
                   json.dumps(meta, sort_keys=True, indent=1).encode())
 
 
-def load_node(data_dir: str, node_id: bytes = b"\x00" * 8) -> Node:
+def load_node(data_dir: str) -> Node:
     with open(os.path.join(data_dir, META_FILE)) as fh:
         meta = json.load(fh)
+    # a key of an older dir's parameters (block_interval, subsidy) is
+    # ignored, and the next save drops it
     params = ChainParams(*(meta[name] for name in ChainParams._fields))
     genesis = make_genesis({bytes.fromhex(a): b
                             for a, b in meta["allocations"].items()},
                            timestamp=meta["genesis_timestamp"])
-    node = Node(node_id, ShardAssignment(meta["prefix"]), genesis, params)
+    node = Node(NODE_ID, ShardAssignment(meta["prefix"]), genesis, params)
     for kind, payload in _read_log(os.path.join(data_dir, LOG_FILE)):
         node.apply_request(kind, payload)
     return node
@@ -115,7 +118,7 @@ def init_data_dir(data_dir: str, allocations, params: ChainParams,
     if os.path.exists(os.path.join(data_dir, META_FILE)):
         raise ConfigInvalid("data dir %s already holds a node" % data_dir)
     genesis = make_genesis(allocations)
-    node = Node(b"\x00" * 8, ShardAssignment(prefix), genesis, params)
+    node = Node(NODE_ID, ShardAssignment(prefix), genesis, params)
     save_node(node, data_dir)
     return node
 

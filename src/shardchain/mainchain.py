@@ -34,7 +34,7 @@ _HEADER = struct.Struct(">32sQQ20s32sIQ")
 _COUNT = struct.Struct(">I")
 _U64 = 1 << 64
 
-DEFAULT_SUBSIDY = 50 * 10**8
+SUBSIDY = 50 * 10**8   # each main block's coinbase
 EASY_BITS = 0x207FFFFF   # top byte 0x7f: ~1/2 success per attempt
 
 
@@ -46,7 +46,6 @@ def capacity(block_limit: int) -> int:
 class ChainParams(NamedTuple):
     difficulty_bits: int = EASY_BITS
     block_limit: int = 1 << 20
-    subsidy: int = DEFAULT_SUBSIDY
     maturity: int = 6
 
 
@@ -120,13 +119,12 @@ class MainBlock(Frozen):
     from them: each pass unpacks the fields of the body it reads
     (``columns``, ``rows``), and ``confirmations`` decodes the whole body
     on each read."""
-    __slots__ = ("header", "body", "_root", "_block_hash")
+    __slots__ = ("header", "body", "_block_hash")
     _fields = ("header", "body")
 
     def __init__(self, header: BlockHeader, confirmations: tuple = ()):
         _set(self, "header", header)
         _set(self, "body", encode_records(tuple(confirmations)))
-        _set(self, "_root", None)
 
     @property
     def confirmations(self) -> Tuple[ConfirmationRecord, ...]:
@@ -143,28 +141,18 @@ class MainBlock(Frozen):
             _set(self, "_block_hash", sha256d(self.header.encode()))
             return self._block_hash
 
-    @property
-    def records_root(self) -> bytes:
-        """The root of the records as they are, the hash of the body,
-        which ``check_header`` compares with the header's. ``decode_block``
-        and ``new_block`` seed it with the hash they hold; a block built
-        from records hashes its body."""
-        root = self._root
-        return sha256(self.body) if root is None else root
-
     def encode(self) -> bytes:
         return b"".join((self.header.encode(),
                          _COUNT.pack(len(self.body) // RECORD_LEN),
                          self.body))
 
 
-def _block(header: BlockHeader, body: bytes, root: Optional[bytes],
+def _block(header: BlockHeader, body: bytes,
            block_hash: Optional[bytes] = None) -> MainBlock:
-    # a block whose body is already encoded, with the digests at hand
+    # a block whose body is already encoded, with its hash if at hand
     block = object.__new__(MainBlock)
     _set(block, "header", header)
     _set(block, "body", body)
-    _set(block, "_root", root)
     if block_hash is not None:
         _set(block, "_block_hash", block_hash)
     return block
@@ -199,7 +187,7 @@ def decode_block(data: bytes) -> MainBlock:
     body = bytes(data[BLOCK_OVERHEAD:])
     _check_count(body, count)
     # the header re-encodes to exactly the bytes it was unpacked from
-    return _block(header, body, sha256(body), sha256d(data[:HEADER_LEN]))
+    return _block(header, body, sha256d(data[:HEADER_LEN]))
 
 
 def target(difficulty_bits: int) -> int:
@@ -210,10 +198,8 @@ def target(difficulty_bits: int) -> int:
         raise MalformedBits("exponent %d out of range" % exponent)
     if mantissa == 0:
         raise MalformedBits("zero mantissa")
-    value = mantissa * (256 ** (exponent - 3))
-    if value >= 1 << 256:
-        raise MalformedBits("target overflows 256 bits")
-    return value
+    # mantissa < 2^24 and exponent <= 32: below 2^24 * 256^29 = 2^256
+    return mantissa * (256 ** (exponent - 3))
 
 
 def meets_target(block_hash: bytes, difficulty_bits: int) -> bool:
@@ -229,8 +215,7 @@ def seal(block: MainBlock) -> MainBlock:
     while True:
         h = sha256d(base + struct.pack(">Q", nonce))
         if int.from_bytes(h, "big") <= goal:
-            return _block(header._replace(nonce=nonce), block.body,
-                          block._root, h)
+            return _block(header._replace(nonce=nonce), block.body, h)
         nonce = (nonce + 1) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -243,7 +228,7 @@ def new_block(parent: bytes, height: int, timestamp: int,
     body = encode_records(records)
     header = BlockHeader(parent, height, timestamp, miner_address,
                          sha256(body), difficulty_bits, 0)
-    return seal(_block(header, body, header.confirmations_root))
+    return seal(_block(header, body))
 
 
 class Genesis(Frozen):
@@ -440,7 +425,7 @@ class ViewClaimContext:
         if block is None or not self._mature(block_hash):
             return None
         if citation[:2] == subchain.COINBASE:
-            return block.header.miner_address, self.view.params.subsidy
+            return block.header.miner_address, SUBSIDY
         send = self.send_source(*citation)
         return None if send is None else (send.recipient_address,
                                           send.amount)
@@ -482,7 +467,7 @@ def check_header(block: MainBlock, view: ChainView
     keys, heights = columns(block)
     if any(map(ge, keys, keys[1:])):
         raise UnsortedRecords("records must be strictly increasing")
-    if header.confirmations_root != block.records_root:
+    if header.confirmations_root != sha256(block.body):
         raise RootMismatch("confirmations root does not match records")
     return keys, heights
 

@@ -21,18 +21,19 @@ from .errors import NoHost, ParentFull, Timeout, UnknownParent
 from .sharding import ShardAssignment
 
 NodeId = bytes   # opaque 8-byte identifier
+NEIGHBORS = 2      # each node's nearby-neighbor links, before symmetry
+TIMEOUT_MS = 10_000.0   # a fragment request's round-trip limit
 
 
 class TreeTopology:
     """Binary tree of nodes plus symmetric nearby-neighbor links.
 
-    Neighbors are the ``neighbor_count`` closest nodes by tree hop
+    Neighbors are the ``NEIGHBORS`` closest nodes by tree hop
     distance, excluding the node's own parent and children (those links
     already exist), ties broken by NodeId; the relation is symmetrized.
     """
 
-    def __init__(self, neighbor_count: int = 2):
-        self.neighbor_count = neighbor_count
+    def __init__(self):
         self.parent: Dict[NodeId, Optional[NodeId]] = {}
         self.child_map: Dict[NodeId, List[NodeId]] = {}
         self.assignments: Dict[NodeId, ShardAssignment] = {}
@@ -106,8 +107,7 @@ class TreeTopology:
             skip = set(self.tree_links(node)) | {node}
             dist = self.distances_from(node)
             ranked = sorted((d, n) for n, d in dist.items() if n not in skip)
-            chosen[node].update(n for _, n in
-                                ranked[:self.neighbor_count])
+            chosen[node].update(n for _, n in ranked[:NEIGHBORS])
         for node, nbrs in chosen.items():   # symmetric closure
             for m in nbrs:
                 chosen[m].add(node)
@@ -232,8 +232,7 @@ class FloodRouter:
 def request_fragment(requester: NodeId, address: bytes, from_height: int,
                      to_height: int, topology: TreeTopology,
                      transport: SimTransport,
-                     serve: Callable[[NodeId, bytes, int, int], object],
-                     timeout_ms: float = 10_000.0):
+                     serve: Callable[[NodeId, bytes, int, int], object]):
     """Route a fragment request to the nearest alive host on the
     address's hosting path; ``serve`` performs the actual lookup."""
     path = sharding.nodes_path(topology, address)
@@ -245,7 +244,7 @@ def request_fragment(requester: NodeId, address: bytes, from_height: int,
     hops = dist[target]
     # simulated round trip across the hop path
     rtt = sum(transport.sample_latency() for _ in range(2 * hops))
-    if rtt > timeout_ms:
-        raise Timeout("fragment request exceeded %.0f ms" % timeout_ms)
+    if rtt > TIMEOUT_MS:
+        raise Timeout("fragment request exceeded %.0f ms" % TIMEOUT_MS)
     transport.now += rtt
     return serve(target, address, from_height, to_height)

@@ -27,11 +27,10 @@ from .errors import (
     PartialFetch,
     RangeUnavailable,
     ShardChainError,
-    SubchainError,
     TailConflict,
 )
-from .mainchain import ChainParams, ChainView, Genesis, MainBlock, \
-    ViewClaimContext
+from .mainchain import SUBSIDY, ChainParams, ChainView, Genesis, \
+    MainBlock, ViewClaimContext
 from .sharding import ShardAssignment, hosted_slice, hosts
 from .subchain import COINBASE, SubchainFragment, SubchainState
 
@@ -328,13 +327,9 @@ class Node:
                                                       tail_states[address])
                     continue
                 frag = self._shard_oracle(address, lo, tip_height, tip_hash)
-                try:
-                    new_state = subchain.verify_fragment(
-                        self._state_after(view.confirmed_by.get(address),
-                                          address), frag, ctx)
-                except SubchainError as err:
-                    err.address = address
-                    raise
+                new_state = subchain.verify_fragment(
+                    self._state_after(view.confirmed_by.get(address),
+                                      address), frag, ctx)
                 if new_state.tip_hash != tip_hash \
                         or new_state.tip_height != tip_height:
                     raise ConfirmationMismatch(
@@ -440,7 +435,7 @@ class Node:
         if low <= header.miner_address <= high:
             inflows.setdefault(header.miner_address, {})[
                 block_hash] = _new(Inflow, (*COINBASE, block_hash,
-                                            self.params.subsidy, height))
+                                            SUBSIDY, height))
 
     def _disconnect(self, block_hash: bytes) -> None:
         """Remove what ``_connect`` added for a formerly canonical block

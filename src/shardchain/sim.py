@@ -39,10 +39,7 @@ class SimConfig(NamedTuple):
     latency_max_ms: float = 5.0
     difficulty_bits: int = EASY_BITS
     maturity: int = 6
-    neighbor_count: int = 2
     initial_balance: int = 1_000_000
-    send_amount: int = 1
-    subsidy: int = mainchain.DEFAULT_SUBSIDY
     claim_inflows: bool = True
 
     def validate(self) -> None:
@@ -51,13 +48,9 @@ class SimConfig(NamedTuple):
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigInvalid("%s must be positive" % name)
-        # each is a u64 field of the genesis, a tx or a coinbase claim
-        for name, low in [("initial_balance", 1), ("send_amount", 1),
-                          ("subsidy", 0)]:
-            if not low <= getattr(self, name) < 1 << 64:
-                raise ConfigInvalid("%s must be in [%d, 2^64)" % (name, low))
-        if self.neighbor_count < 0:
-            raise ConfigInvalid("neighbor_count must not be negative")
+        # a u64 field of the genesis
+        if not 1 <= self.initial_balance < 1 << 64:
+            raise ConfigInvalid("initial_balance must be in [1, 2^64)")
         try:
             mainchain.target(self.difficulty_bits)
         except MalformedBits as err:
@@ -93,7 +86,6 @@ class Simulation:
         self.rng = random.Random(cfg.seed)
         self.params = ChainParams(difficulty_bits=cfg.difficulty_bits,
                                   block_limit=cfg.block_limit,
-                                  subsidy=cfg.subsidy,
                                   maturity=cfg.maturity)
         self.keys = [derived_key(b"account:%d:%d" % (cfg.seed, i))
                      for i in range(cfg.accounts)]
@@ -103,7 +95,7 @@ class Simulation:
         self.genesis = make_genesis(
             {a: cfg.initial_balance for a in self.addresses})
 
-        self.topology = TreeTopology(neighbor_count=cfg.neighbor_count)
+        self.topology = TreeTopology()
         root_id = self.topology.add_root()
         ids = [root_id]
         for i in range(1, cfg.node_count):
@@ -168,7 +160,7 @@ class Simulation:
     # -- workload ------------------------------------------------------
 
     def _eligible(self) -> List[bytes]:
-        need = self.cfg.avg_txs * self.cfg.send_amount
+        need = self.cfg.avg_txs   # each send is of 1
         out = []
         for address in self.addresses:
             if self.root.store.pending.get(address):
@@ -196,8 +188,8 @@ class Simulation:
             view = wallet.account_view(self.root, address)
             if not cfg.claim_inflows:
                 view.claimables = []
-            sends = [(self.addresses[self.rng.randrange(cfg.accounts)],
-                      cfg.send_amount) for _ in range(cfg.avg_txs)]
+            sends = [(self.addresses[self.rng.randrange(cfg.accounts)], 1)
+                     for _ in range(cfg.avg_txs)]
             batch = wallet.batch_settle(view, sends,
                                         self.key_of[address],
                                         timestamp=self.now)
@@ -239,9 +231,9 @@ class Simulation:
             block = view.blocks[bh]
             miner_state = root.confirmed_state(block.header.miner_address)
             if bh not in miner_state.claimed:
-                unclaimed_coinbase += self.params.subsidy
+                unclaimed_coinbase += mainchain.SUBSIDY
         genesis_total = sum(b for _, b in self.genesis.allocations)
-        subsidies = self.params.subsidy * (len(view.canonical) - 1)
+        subsidies = mainchain.SUBSIDY * (len(view.canonical) - 1)
         lhs = balances + unclaimed_sends + unclaimed_coinbase
         rhs = genesis_total + subsidies
         return {"balances": balances, "unclaimed_sends": unclaimed_sends,

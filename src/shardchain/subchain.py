@@ -70,39 +70,34 @@ def apply_tx(state: SubchainState, tx: SubchainTx, ctx) -> SubchainState:
     amount = tx.amount
     if current_address != address:
         raise BadLink("transaction belongs to a different subchain",
-                      height=height, address=address)
+                      height=height)
     if height != tip_height + 1 or parent_hash != tip_hash:
-        raise BadLink("height/parent does not extend the tip",
-                      height=height, address=address)
+        raise BadLink("height/parent does not extend the tip", height=height)
     if amount < 1:
-        raise BadLink("amount must be at least 1",
-                      height=height, address=address)
+        raise BadLink("amount must be at least 1", height=height)
 
     if isinstance(tx, SendTx):
         if amount > balance:
             raise InsufficientBalance(
                 "send of %d exceeds balance %d" % (amount, balance),
-                height=height, address=address)
+                height=height)
         return _new(SubchainState, (address, tx.tx_hash, height,
                                     balance - amount, claimed))
 
     citation = tx[3:6]
     key = inflow_key(citation)
     if key in claimed:
-        raise DoubleClaim("inflow already claimed",
-                          height=height, address=address)
+        raise DoubleClaim("inflow already claimed", height=height)
     inflow = ctx.get(citation)
     if inflow is None:
         raise UnconfirmedSend("cited inflow not confirmed at depth",
-                              height=height, address=address)
+                              height=height)
     recipient, inflow_amount = inflow
     if recipient != address:
-        raise WrongRecipient("inflow addressed to someone else",
-                             height=height, address=address)
+        raise WrongRecipient("inflow addressed to someone else", height=height)
     if amount != inflow_amount:
         raise AmountMismatch("claim of %d against inflow of %d"
-                             % (amount, inflow_amount),
-                             height=height, address=address)
+                             % (amount, inflow_amount), height=height)
     return _new(SubchainState, (address, tx.tx_hash, height,
                                 balance + amount, claimed | {key}))
 

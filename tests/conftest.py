@@ -282,7 +282,7 @@ def assert_inflows_are_an_index(node):
         miner = block.header.miner_address
         if node.hosts(miner):
             expected.setdefault(miner, {})[bh] = Inflow(
-                NULL_ADDRESS, NULL_HASH, bh, node.params.subsidy, height)
+                NULL_ADDRESS, NULL_HASH, bh, mainchain.SUBSIDY, height)
     assert node.store.inflows == expected
     # an Inflow equals a bare tuple of its values, so check the type too
     assert all(type(flow) is Inflow for pool in node.store.inflows.values()

@@ -399,7 +399,7 @@ def test_criterion_7_broadcast_resilience(announce):
         start = time.perf_counter()
         checked = 0
         for size in (7, 15, 31):
-            topo = TreeTopology(neighbor_count=2)
+            topo = TreeTopology()
             ids = [topo.add_root()]
             while len(ids) < size:
                 nid, _ = topo.join(ids[(len(ids) - 1) // 2])

@@ -85,6 +85,11 @@ class TestKeygen:
         key = codec.keygen(b"\x02" * 32)
         assert key.address == hashlib.sha256(key.public).digest()[-20:]
 
+    @pytest.mark.parametrize("size", [0, 32, 34, 65])
+    def test_address_needs_a_compressed_key(self, size):
+        with pytest.raises(ValueError):
+            codec.address_from_public(b"\x02" * size)
+
     def test_signing_derives_no_key(self, monkeypatch):
         """A KeyPair carries the key object keygen derived: signing
         derives none, and the object takes no part in equality or repr."""

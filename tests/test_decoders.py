@@ -89,9 +89,10 @@ def linked_fragments(draw):
 def test_block_round_trips_as_bytes(header, recs, bad, data):
     """A block holds its records as their joined encodings and gives them
     back; its encoding decodes to an equal block of the same hash, whose
-    root is the hash of that body. A record off its wire width, range or
-    type is refused when the block is built, and every cut and every extension of
-    the encoding up to a record's length is a DecodeError."""
+    records' root is the hash of that body. A record off its wire width,
+    range or type is refused when the block is built, and every cut and
+    every extension of the encoding up to a record's length is a
+    DecodeError."""
     block = mainchain.MainBlock(header, recs)
     assert block.body == b"".join(r.encode() for r in recs)
     assert block.confirmations == recs
@@ -102,7 +103,8 @@ def test_block_round_trips_as_bytes(header, recs, bad, data):
     assert all(type(r) is mainchain.ConfirmationRecord
                for r in back.confirmations)
     assert back.block_hash == block.block_hash == sha256d(header.encode())
-    assert back.records_root == block.records_root == sha256(block.body)
+    assert sha256(back.body) == sha256(block.body) \
+        == mainchain.confirmations_root(recs)
     at = data.draw(st.integers(min_value=0, max_value=len(recs)))
     with pytest.raises(MalformedBlock):
         mainchain.MainBlock(header, recs[:at] + (bad,) + recs[at:])

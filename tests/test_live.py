@@ -296,16 +296,22 @@ class TestJournal:
         with pytest.raises(DecodeError):
             load_with(earlier)
 
-    def test_meta_with_block_interval_loads(self, data_dir, keys):
-        """A data dir written while the chain parameters still held a block
-        interval loads, and its next save drops the key."""
+    # the chain parameters once held a block interval, and a subsidy
+    @pytest.mark.parametrize("key,value", [("block_interval", 600),
+                                           ("subsidy", mainchain.SUBSIDY)],
+                             ids=["block_interval", "subsidy"])
+    def test_meta_with_block_interval_loads(self, data_dir, keys, key,
+                                            value):
+        """A data dir written while the chain parameters still held a
+        dropped key loads to an equal node, and its next save drops the
+        key."""
         node = live.load_node(data_dir)
         node.accept_pending_tx(make_send(keys[0], amount=7))
         live.save_node(node, data_dir)
         meta_path = os.path.join(data_dir, live.META_FILE)
         with open(meta_path) as fh:
             meta = json.load(fh)
-        meta["block_interval"] = 600
+        meta[key] = value
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
         loaded = live.load_node(data_dir)
@@ -313,7 +319,7 @@ class TestJournal:
             == (node_state(node), node.params)
         live.save_node(loaded, data_dir)
         with open(meta_path) as fh:
-            assert "block_interval" not in json.load(fh)
+            assert key not in json.load(fh)
 
 
 class TestHostileInput:

@@ -217,12 +217,14 @@ ROOT_RECORDS = [ConfirmationRecord(bytes([2 * i]) * 20, bytes([i]) * 32,
 
 
 class TestRecordsRoot:
-    """``validate_block`` compares the header's root with the block's
-    ``records_root``, the hash of its body: the record bytes
-    ``decode_block`` unpacked, or those ``new_block`` and the constructor
-    encoded once. Neither the root nor the checks encode a record."""
+    """``validate_block`` compares the header's root with the hash of the
+    block's body: the record bytes ``decode_block`` unpacked, or those
+    ``new_block`` and the constructor encoded once. The checks encode no
+    record."""
 
     def test_seeded_roots_are_the_records_root(self, monkeypatch):
+        """The root ``new_block`` puts in its header, and the one a decoded
+        header holds, is the hash of the block's body."""
         view = ChainView(make_genesis({}), PARAMS)
         built = mainchain.new_block(view.tip, 1, 0, MINER,
                                     reversed(ROOT_RECORDS), EASY_BITS)
@@ -230,13 +232,12 @@ class TestRecordsRoot:
         calls = Calls(monkeypatch, [(mainchain, "confirmations_root"),
                                     (mainchain, "encode_records")])
         for block in (built, decoded):
-            assert block.records_root == block.header.confirmations_root \
-                == sha256(block.body)
+            assert block.header.confirmations_root == sha256(block.body)
             validate_block(block, view)
         assert calls.take() == {}     # hashed from the body, not encoded
         monkeypatch.undo()
         for block in (built, decoded):
-            assert block.records_root \
+            assert sha256(block.body) \
                 == confirmations_root(block.confirmations) \
                 == confirmations_root(ROOT_RECORDS)
 
@@ -250,7 +251,7 @@ class TestRecordsRoot:
         data = bytearray(mk_block(view, ROOT_RECORDS).encode())
         data[BLOCK_OVERHEAD + RECORD_LEN + offset] ^= 1
         block = decode_block(bytes(data))
-        assert block.records_root == confirmations_root(block.confirmations)
+        assert sha256(block.body) == confirmations_root(block.confirmations)
         with pytest.raises(RootMismatch):
             validate_block(block, view)
 
@@ -260,7 +261,7 @@ class TestRecordsRoot:
         for records in (ROOT_RECORDS[1:], ROOT_RECORDS[:1]):
             calls = Calls(monkeypatch, [(mainchain, "encode_records")])
             block = MainBlock(decoded.header, tuple(records))
-            root = block.records_root
+            root = sha256(block.body)
             assert calls.take() == {"encode_records": 1}
             monkeypatch.undo()
             assert block.body == b"".join(r.encode() for r in records)
@@ -654,7 +655,7 @@ class TestViewClaimContext:
             view.extend(mk_block(view))
         ctx = ViewClaimContext(view, view.tip, lambda a, h, b: None)
         assert ctx.get((NULL_ADDRESS, NULL_HASH, b1.block_hash)) \
-            == (MINER, PARAMS.subsidy)
+            == (MINER, mainchain.SUBSIDY)
 
     def test_send_lookup_requires_confirmation(self, keys):
         key = keys[0]

@@ -19,10 +19,10 @@ from shardchain.sharding import nodes_path
 from conftest import flood, no_delivery, unscoped
 
 
-def full_tree(nodes, neighbor_count=2):
+def full_tree(nodes):
     """Breadth-first tree of the given node count: node i's parent is
     (i-1)//2, matching a heap layout."""
-    topo = TreeTopology(neighbor_count=neighbor_count)
+    topo = TreeTopology()
     ids = [topo.add_root()]
     while len(ids) < nodes:
         parent = ids[(len(ids) - 1) // 2]
@@ -182,8 +182,8 @@ class TestBroadcast:
                 for m in topo.links(n))
 
     def test_single_failure_everyone_else_reached(self):
-        """With neighbor_count=2, killing any single non-origin node never
-        prevents the rest from hearing a broadcast."""
+        """With network.NEIGHBORS = 2, killing any single non-origin node
+        never prevents the rest from hearing a broadcast."""
         for size in (7, 15):
             topo, ids = full_tree(size)
             for dead in ids[1:]:
@@ -301,10 +301,13 @@ class TestRequestFragment:
                              self.serve)
 
     def test_timeout(self):
+        """Links of 6 to 9 s: the round trip to the nearest host, two hops
+        off, takes four of them, over the 10 s limit."""
         topo, ids = full_tree(7)
-        transport = SimTransport(seed=3, latency_ms=(500, 900))
+        transport = SimTransport(seed=3, latency_ms=(6_000, 9_000))
         for n in ids:
             transport.alive[n] = True
         with pytest.raises(Timeout):
             request_fragment(ids[6], b"\x00" * 20, 0, 5, topo, transport,
-                             self.serve, timeout_ms=1.0)
+                             self.serve)
+        assert transport.now == 0

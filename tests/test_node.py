@@ -471,7 +471,7 @@ class TestIngest:
         node.ingest_block(block)
         inflow = node.store.inflows[MINER][block.block_hash]
         assert inflow[:2] == (NULL_ADDRESS, NULL_HASH)
-        assert inflow.amount == PARAMS.subsidy
+        assert inflow.amount == mainchain.SUBSIDY
 
 
     def test_ingest_of_accepted_txs_encodes_and_verifies_nothing(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shardchain import sharding
-from shardchain.errors import MaxDepth, ParentFull
+from shardchain.errors import DecodeError, MaxDepth, ParentFull
 from shardchain.network import TreeTopology
 from shardchain.sharding import (
     MAX_PREFIX_BITS,
@@ -109,6 +109,14 @@ class TestAssignment:
     def test_encode_roundtrip(self, bits):
         a = ShardAssignment(bits)
         assert decode_assignment(a.encode()) == a
+
+    def test_nonzero_padding_refused(self):
+        """The bits after the prefix in its last byte are zero: a set bit
+        there would be a second encoding of the same prefix."""
+        data = ShardAssignment("101").encode()
+        for bit in range(5):
+            with pytest.raises(DecodeError):
+                decode_assignment(data[:-1] + bytes([data[-1] | 1 << bit]))
 
 
 PREFIXES = st.one_of(

@@ -26,21 +26,19 @@ def main_block(header, body):
 # per class: each field that equality reads, with a value and another
 # value; each constructor argument that it ignores, likewise; and the
 # attributes derived from the fields. Every value hashes, so it must not
-# change: no attribute of it can be set.
+# change: no attribute of it can be set or deleted.
 CASES = {
     "ChainParams": (ChainParams, {
         "difficulty_bits": (EASY_BITS, 0x1F00FFFF),
-        "block_limit": (4096, 2048), "subsidy": (50, 25),
-        "maturity": (6, 2)}, {}, []),
+        "block_limit": (4096, 2048), "maturity": (6, 2)}, {}, []),
     "SimConfig": (SimConfig, {
         "seed": (1, 2), "accounts": (100, 50), "width": (10, 5),
         "avg_txs": (1, 2), "block_limit": (4096, 2048),
         "block_interval": (15, 10), "blocks": (10, 5),
         "node_count": (1, 7), "latency_min_ms": (1.0, 2.0),
         "latency_max_ms": (5.0, 6.0), "difficulty_bits": (EASY_BITS, 0),
-        "maturity": (6, 2), "neighbor_count": (2, 0),
-        "initial_balance": (1000, 999), "send_amount": (1, 2),
-        "subsidy": (50, 25), "claim_inflows": (True, False)}, {}, []),
+        "maturity": (6, 2), "initial_balance": (1000, 999),
+        "claim_inflows": (True, False)}, {}, []),
     "KeyPair": (KeyPair, {
         "secret": (KEY.secret, OTHER.secret),
         "public": (KEY.public, OTHER.public)},
@@ -86,16 +84,18 @@ def test_value_semantics(name):
         before = getattr(value, attr)
         with pytest.raises(AttributeError):
             setattr(value, attr, before)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
         assert getattr(value, attr) is before
 
 
 def test_block_root_is_its_body_hash():
-    """A block's ``records_root`` is computed from its body on each read,
-    so it is equal, not identical, across reads, and it cannot be set."""
-    block = main_block(HEADER, RECORD.encode())
-    assert block.records_root == sha256(block.body) == sha256(RECORD.encode())
-    with pytest.raises(AttributeError):
-        block.records_root = block.records_root
+    """A block holds its root once, in its header: the root of the records
+    it holds is the hash of its body, and it keeps no other copy."""
+    header = HEADER._replace(confirmations_root=sha256(RECORD.encode()))
+    block = main_block(header, RECORD.encode())
+    assert block.header.confirmations_root == sha256(block.body)
+    assert MainBlock.__slots__ == ("header", "body", "_block_hash")
 
 
 def test_block_confirmations_decode_on_each_read():

@@ -12,6 +12,7 @@ from shardchain.errors import (
 )
 from shardchain.mainchain import (
     EASY_BITS,
+    SUBSIDY,
     BlockHeader,
     ChainParams,
     ConfirmationRecord,
@@ -79,8 +80,11 @@ class TestBuildSend:
 
     def test_wrong_key(self, keys):
         view = plain_view(keys[0], 10)
-        with pytest.raises(KeyMismatch):
-            build_send(view, b"\x01" * 20, 1, keys[1])
+        # unsigned too, which no signature check would catch
+        for signed in (True, False):
+            with pytest.raises(KeyMismatch):
+                build_send(view, b"\x01" * 20, 1, keys[1], signed=signed)
+        assert view.spendable == 10 and view.state.tip_height == 0
 
     def test_txs_verify(self, keys):
         key = keys[0]
@@ -126,6 +130,16 @@ class TestBuildClaim:
         build_claim(view, f, key)
         with pytest.raises(AlreadyClaimed):
             build_claim(view, f, key)
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_wrong_key(self, keys, signed):
+        """Refused before any tx is built: an unsigned claim too, which
+        no signature check would catch."""
+        f = flow(b"\x09" * 20, b"\x0a" * 32, 25, b"\x0b" * 32, 1)
+        view = plain_view(keys[0], 0, claimables=[(f, 3)])
+        with pytest.raises(KeyMismatch):
+            build_claim(view, f, keys[1], signed=signed)
+        assert view.spendable == 0 and view.state.tip_height == 0
 
     def test_coinbase_claim_fields(self, keys):
         key = keys[0]
@@ -215,7 +229,7 @@ class TestAgainstNode:
         inflow = mview.claimables[0][0]
         claim = build_claim(mview, inflow, miner_key)
         node.accept_pending_tx(claim)
-        assert node.full_state(miner_key.address).balance == PARAMS.subsidy
+        assert node.full_state(miner_key.address).balance == SUBSIDY
         blocks.append(confirm(node, [ConfirmationRecord(
             miner_key.address, claim.tx_hash, 1)]))
         state = node.confirmed_state(miner_key.address)
@@ -233,7 +247,7 @@ class TestAgainstNode:
             build_claim(account_view(node, miner_key.address), inflow,
                         miner_key)
         again = make_coinbase_claim(miner_key, claim.tx_hash, 2,
-                                    blocks[0].block_hash, PARAMS.subsidy)
+                                    blocks[0].block_hash, SUBSIDY)
         with pytest.raises(DoubleClaim):
             node.accept_pending_tx(again)
 
@@ -251,7 +265,7 @@ class TestAgainstNode:
         assert inflow.block_hash == b1.block_hash
         claim = build_claim(mview, inflow, miner_key)
         node.accept_pending_tx(claim)
-        assert node.full_state(miner_key.address).balance == PARAMS.subsidy
+        assert node.full_state(miner_key.address).balance == SUBSIDY
         # another miner's 3-block branch from genesis wins
         parent = node.view.blocks[b1.block_hash].header.parent_block_hash
         for _ in range(3):
