@@ -329,20 +329,19 @@ class ChainView:
 
     # -- mutation ------------------------------------------------------
 
-    def extend(self, block: MainBlock
-               ) -> Optional[Tuple[List[bytes], List[bytes]]]:
+    def extend(self, block: MainBlock) -> None:
         """Insert a validated block. When it is higher than the tip, its
-        branch becomes canonical and ``switch``'s lists are returned;
-        else None."""
+        branch becomes canonical."""
         parent = block.header.parent_block_hash
         if parent not in self.height:
             raise UnknownParent("parent block unknown")
         bh = block.block_hash
         if bh in self.blocks:
-            return None
+            return
         self.blocks[bh] = block
         height = self.height[bh] = self.height[parent] + 1
-        return self.switch(bh) if height > self.tip_height else None
+        if height > self.tip_height:
+            self.switch(bh)
 
     def switch(self, tip: bytes) -> Tuple[List[bytes], List[bytes]]:
         """Make ``tip``'s branch the canonical one: disconnect the
@@ -431,15 +430,22 @@ class ViewClaimContext:
                                           send.amount)
 
 
-def check_header(block: MainBlock, view: ChainView
-                 ) -> Tuple[tuple, tuple]:
-    """The checks of ``validate_block`` that read only the parent's place
-    in the view, none in time that grows with the chain: known parent,
+def validate_block(block: MainBlock, view: ChainView
+                   ) -> Tuple[tuple, Tuple[int, ...],
+                              Tuple[List[bytes], List[bytes]]]:
+    """The main chain's one check of a block, on the branch it joins.
+    First the checks that read only the parent's place in the view, none
+    in time that grows with the chain or the fork distance: known parent,
     difficulty bits, height, size, header fields at their wire widths and
     ranges, PoW, record order, and root. A block's records are at their
     wire widths and ranges: a block is built of records that encode, or
-    decoded. Returns the block's ``columns``, which ``validate_block``
-    reads on."""
+    decoded. Then, on the view switched to a parent off its tip and left
+    there, refused or not, that each record advances its address; whether
+    a record's fragment is a valid state transition is for the nodes that
+    host the address to check. Returns the block's address column and
+    each record's address's tip height on the parent branch (0 for an
+    address it never confirmed), both in record order, and the switch's
+    lists (empty for a block on the tip)."""
     header = block.header
     parent = header.parent_block_hash
     # a parent that is not bytes names no block, and may not even hash
@@ -469,24 +475,10 @@ def check_header(block: MainBlock, view: ChainView
         raise UnsortedRecords("records must be strictly increasing")
     if header.confirmations_root != sha256(block.body):
         raise RootMismatch("confirmations root does not match records")
-    return keys, heights
-
-
-def validate_block(block: MainBlock, view: ChainView
-                   ) -> Tuple[tuple, Tuple[int, ...]]:
-    """The main chain's checks of one block on the view's tip (a block
-    off it is checked after ``view.switch`` to its parent):
-    ``check_header``, then that each record advances its address. Whether
-    a record's fragment is a valid state transition is for the nodes that
-    host the address to check. Returns the block's address column and
-    each record's address's tip height on the parent branch, both in
-    record order, 0 for an address the branch never confirmed."""
-    keys, heights = check_header(block, view)
-    if block.header.parent_block_hash != view.tip:
-        raise UnknownParent("parent block is not the view's tip")
+    moved = ([], []) if parent == view.tip else view.switch(parent)
     prior = tuple(map(view.tip_heights.get, keys, repeat(0)))
     for tip_height, prev_height in zip(heights, prior):
         if tip_height <= prev_height:
             raise StaleConfirmation(
                 "record does not advance beyond height %d" % prev_height)
-    return keys, prior
+    return keys, prior, moved

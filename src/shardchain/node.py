@@ -294,20 +294,15 @@ class Node:
         if bh in view.blocks:
             return None
         tip, top = view.tip, view.tip_height
-        parent = block.header.parent_block_hash
-        # a block off the tip is checked as one on it, with the view
-        # switched to its parent; its header first, whose checks cost
-        # nothing in the fork distance
-        off_tip, wins = parent != tip, False
-        if off_tip:
-            mainchain.check_header(block, view)
-            moved = view.switch(parent)
+        wins = False
         try:
-            # the block's addresses, and each record's tip height on the
-            # parent branch, which its fragment starts from here
-            addresses, prior = mainchain.validate_block(block, view)
+            # the block's addresses, each record's tip height on the
+            # parent branch, which its fragment starts from here, and the
+            # blocks the view's switch to a parent off the tip moved by
+            addresses, prior, (disconnect, connect) = \
+                mainchain.validate_block(block, view)
             ctx = self.claim_context()
-            pending = {} if off_tip else self.store.pending
+            pending = self.store.pending if view.tip == tip else {}
             tail_states = self.store.tail_states
             entry = {}
             span = hosted_slice(self.assignment, addresses)
@@ -339,12 +334,12 @@ class Node:
             # there; the view goes back for any other, or a refused one
             wins = view.tip_height >= top
         finally:
-            if off_tip and not wins:
+            if not wins and view.tip != tip:
                 view.switch(tip)
         self.store.archive[bh] = entry
         view.extend(block)
-        if off_tip and wins:    # a reorg: to the parent, then the block
-            self._reorg(moved[0], [*moved[1], bh])
+        if wins and disconnect:     # a reorg: to the parent, then the block
+            self._reorg(disconnect, [*connect, bh])
         elif wins:
             self._connect(bh)
         return entry

@@ -78,6 +78,13 @@ class TestKeygen:
         with pytest.raises(InvalidSeed):
             codec.keygen(codec.CURVE_ORDER.to_bytes(32, "big"))
 
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_seed_of_another_length_rejected(self, length):
+        """A seed one byte short or long is refused for its length, also
+        when its bytes would read as a valid scalar."""
+        with pytest.raises(InvalidSeed, match="32 bytes"):
+            codec.keygen(b"\x01" * length)
+
     def test_unseeded_randomness(self):
         assert codec.keygen().address != codec.keygen().address
 

@@ -530,6 +530,13 @@ class TestFraming:
             with pytest.raises(DecodeError, match="msg_id"):
                 client.call(Envelope(MsgKind.Hello, b""))
 
+    def test_peer_closing_before_reply_raises(self):
+        """A peer that reads the request and closes the connection with
+        no reply raises ConnectionError at the client."""
+        with replying(b"") as client:
+            with pytest.raises(ConnectionError, match="closed"):
+                client.call(Envelope(MsgKind.Hello, b""))
+
     def test_error_reply_raises_node_text(self):
         text = b"NotHosted: address outside prefix 1"
         with replying(Envelope(MsgKind.Hello, live.ERR + text).encode()) \

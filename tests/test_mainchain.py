@@ -277,25 +277,31 @@ class TestChainView:
         hashes = [view.genesis.block_hash]
         for _ in range(5):
             block = mk_block(view)
-            assert view.extend(block)
+            view.extend(block)
             hashes.append(block.block_hash)
+            assert view.tip == block.block_hash
         assert view.canonical == hashes
         assert view.tip_height == 5
 
     def test_extend_idempotent(self):
         view = ChainView(make_genesis({}), PARAMS)
         block = mk_block(view)
-        assert view.extend(block)
-        assert not view.extend(block)
+        view.extend(block)
+        canonical = list(view.canonical)
+        view.extend(block)
+        assert view.canonical == canonical
+        assert view.tip == block.block_hash
         assert view.tip_height == 1
 
     def test_extend_computes_no_target(self, monkeypatch):
-        """Fork choice reads heights: ``check_header`` checked the PoW."""
+        """Fork choice reads heights: ``validate_block`` checked the
+        PoW."""
         view = ChainView(make_genesis({}), PARAMS)
         block = mk_block(view)
         calls = Calls(monkeypatch, [(mainchain, "target")])
-        assert view.extend(block)
+        view.extend(block)
         assert calls.take() == {}
+        assert view.tip == block.block_hash
 
     def test_unknown_parent(self):
         view = ChainView(make_genesis({}), PARAMS)
@@ -328,7 +334,7 @@ class TestChainView:
         view.extend(b2)
         assert view.tip == a2.block_hash   # tie at height 2, first seen wins
         b3 = mk_block(view, timestamp=12, parent=b2.block_hash)
-        assert view.extend(b3)
+        view.extend(b3)
         assert view.tip == b3.block_hash
         assert view.canonical == [view.genesis.block_hash, b1.block_hash,
                                   b2.block_hash, b3.block_hash]
@@ -430,8 +436,7 @@ class TestChainView:
         addresses of a bit mask, inserted parents-first. After each
         ``extend`` the tip is the first-inserted block of the greatest
         height, the canonical chain is its branch and the index is the
-        scan of it, and ``extend`` returned what ``switch`` did: the old
-        blocks above the fork point and the new ones, or None."""
+        scan of it."""
         view = ChainView(make_genesis({}), PARAMS)
         inserted = [view.genesis.block_hash]
         for i, (pick, mask) in enumerate(tree):
@@ -441,8 +446,7 @@ class TestChainView:
                                           bytes([i]) * 32, height)
                        for a in range(3) if mask >> a & 1]
             block = mk_block(view, records, timestamp=i, parent=parent)
-            before = list(view.canonical)
-            moved = view.extend(block)
+            view.extend(block)
             inserted.append(block.block_hash)
             best = max(map(view.height.__getitem__, inserted))
             assert view.tip == next(h for h in inserted
@@ -451,13 +455,6 @@ class TestChainView:
             assert view.tip_height == len(view.canonical) - 1 == best
             assert (view.confirmed_by, view.tip_heights) \
                 == index_scan(view, view.tip)
-            if moved is None:
-                assert view.canonical == before
-            else:
-                disconnect, connect = moved
-                fork = len(before) - len(disconnect)
-                assert before[fork:] == disconnect
-                assert before[:fork] + connect == view.canonical
 
 
 def hosted_setup(keys, n_txs=4):
@@ -471,27 +468,29 @@ class TestValidateBlock:
     def test_returns_parent_branch_index(self, keys):
         """The block's addresses, and the parent branch's tip height of
         each record's address, both in record order, 0 for an address it
-        never confirmed. A block off the
-        tip is refused until the view is switched to its parent; there an
-        address that only blocks above the fork point confirmed has no
-        height: a record of it is fresh, not stale against the old tip's
-        height."""
+        never confirmed, and the blocks the view moved by. A block off the
+        tip is checked with the view switched to its parent, where it is
+        left; there an address that only blocks above the fork point
+        confirmed has no height: a record of it is fresh, not stale
+        against the old tip's height."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        assert validate_block(block, view) == ((key.address,), (0,))
+        assert validate_block(block, view) == ((key.address,), (0,),
+                                               ([], []))
         view.extend(block)
         again = ConfirmationRecord(key.address, chain[-1].tx_hash, 5)
         assert validate_block(mk_block(view, [again]), view) \
-            == ((key.address,), (4,))
+            == ((key.address,), (4,), ([], []))
         assert view.confirmed_by[key.address] == block.block_hash
         side = mk_block(view, [rec], parent=view.genesis.block_hash,
                         timestamp=99)
-        with pytest.raises(UnknownParent):
-            validate_block(side, view)
-        view.switch(view.genesis.block_hash)
-        assert validate_block(side, view) == ((key.address,), (0,))
+        assert validate_block(side, view) == ((key.address,), (0,),
+                                              ([block.block_hash], []))
+        assert view.tip == view.genesis.block_hash
+        assert view.canonical == [view.genesis.block_hash]
         assert key.address not in view.confirmed_by
+        assert key.address not in view.tip_heights
 
     def test_unknown_parent(self, keys):
         key, view, chain = hosted_setup(keys)

@@ -227,6 +227,25 @@ class TestBroadcast:
         assert flood(ids[0], Envelope(MsgKind.NewTx, b"\x00" * 20),
                      topo, transport, router) == {}
 
+    def test_dead_sender_queues_nothing(self):
+        """A send from a node marked dead queues nothing, so nothing is
+        delivered; the same send from it alive is."""
+        transport = SimTransport(seed=0)
+        got = []
+        a, b = b"\x01" * 8, b"\x02" * 8
+        for node in (a, b):
+            transport.register(node, lambda sender, env: got.append(sender))
+        transport.alive[a] = False
+        env = Envelope(MsgKind.NewTx, b"z")
+        transport.send(a, b, env)
+        assert transport.queue == []
+        transport.run()
+        assert got == []
+        transport.alive[a] = True
+        transport.send(a, b, env)
+        transport.run()
+        assert got == [a]
+
     def test_scoped_reaches_exactly_the_alive_hosts(self):
         """For every tree size, no or any one dead node, every alive
         origin on the address's hosting path and a spread of addresses,

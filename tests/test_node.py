@@ -387,6 +387,47 @@ class TestIngest:
         assert calls.take() == {"switch": 2}
 
     @pytest.mark.parametrize("depth", [1, 6])
+    @pytest.mark.parametrize("case", ["stale", "loses", "wins"])
+    def test_side_block_body_hashed_once(self, monkeypatch, case, depth):
+        """A side block's header is checked once: a block ``depth``
+        blocks off the tip that a stale record refuses, one that loses
+        and one that wins each hash their body once, in the root check.
+        The node hosts neither address, so no record needs a fragment."""
+        node = make_node(make_genesis({}), "1")
+        old, new = b"\x01" * 20, b"\x02" * 20
+        parents = [node.view.tip]
+        for _ in range(depth):
+            node.ingest_block(confirm_block(node, []))
+        # a side branch as high as the tip, whose first block confirms old
+        for i in range(depth):
+            records = [ConfirmationRecord(old, b"\x0a" * 32, 1)] \
+                if i == 0 else []
+            side = confirm_block(node, records, parent=parents[-1],
+                                 timestamp=99 + i)
+            node.ingest_block(side)
+            parents.append(side.block_hash)
+        record = ConfirmationRecord(old if case == "stale" else new,
+                                    b"\x0b" * 32, 1)
+        block = confirm_block(node, [record], timestamp=200, parent=parents[
+            -2 if case == "loses" else -1])
+        hashes = []
+        sha256 = mainchain.sha256
+
+        def counted(data):
+            hashes.append(data == block.body)
+            return sha256(data)
+        monkeypatch.setattr(mainchain, "sha256", counted)
+        if case == "stale":
+            with pytest.raises(StaleConfirmation):
+                node.ingest_block(block)
+        else:
+            node.ingest_block(block)
+        assert hashes == [True]
+        assert (block.block_hash in node.view.blocks) == (case != "stale")
+        assert (node.view.tip == block.block_hash) == (case == "wins")
+        assert_index_is_scan(node.view)
+
+    @pytest.mark.parametrize("depth", [1, 6])
     def test_winning_side_block_moves_the_view_once(self, monkeypatch,
                                                      depth):
         """A side branch on genesis as high as the tip, ``depth`` blocks,

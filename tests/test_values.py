@@ -89,6 +89,19 @@ def test_value_semantics(name):
         assert getattr(value, attr) is before
 
 
+def test_equality_with_another_class_is_left_to_it():
+    """A value compared with one of another class, even a subclass with
+    the same fields and values, returns NotImplemented, so Python falls
+    back to identity: the two are unequal."""
+    class Twin(Genesis):
+        __slots__ = ()
+
+    value, twin = Genesis(0, ()), Twin(0, ())
+    assert value.__eq__(twin) is NotImplemented
+    assert value.__eq__(HEADER) is NotImplemented
+    assert value != twin and not value == twin and value != HEADER
+
+
 def test_block_root_is_its_body_hash():
     """A block holds its root once, in its header: the root of the records
     it holds is the hash of its body, and it keeps no other copy."""
