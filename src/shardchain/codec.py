@@ -13,7 +13,7 @@ import os
 import struct
 from enum import IntEnum
 from functools import lru_cache
-from operator import attrgetter, eq
+from operator import attrgetter
 from typing import List, NamedTuple, Union
 
 from cryptography.exceptions import InvalidSignature as _CryptoBadSig
@@ -70,6 +70,9 @@ _RECV_PREIMAGE = struct.Struct(">B32sQ20s20s32s32sQQ")
 _SEND_WIRE = struct.Struct(">B32s32sQ20s20sQQ")
 _RECV_WIRE = struct.Struct(">B32s32sQ20s20s32s32sQQ")
 _AUTH = struct.Struct(">33s64s")
+# A whole tx in field order: preimage, tx_hash, public_key, signature.
+_SEND_TX = struct.Struct(_SEND_PREIMAGE.format + "32s33s64s")
+_RECV_TX = struct.Struct(_RECV_PREIMAGE.format + "32s33s64s")
 
 UNSIGNED_SEND_WIRE_LEN = _SEND_WIRE.size          # 129
 UNSIGNED_RECV_WIRE_LEN = _RECV_WIRE.size          # 193
@@ -208,31 +211,6 @@ def tx_preimage(tx: SubchainTx) -> bytes:
     return _RECV_PREIMAGE.pack(TAG_RECEIVE, *tx[:8])
 
 
-# Each bytes field and its wire width. ``struct`` pads a short value and
-# truncates a long one, so a tx whose fields are not exactly these widths
-# would hash and sign other bytes than it holds.
-_SEND_FIELDS = attrgetter("parent_hash", "current_address",
-                          "recipient_address", "tx_hash", "public_key",
-                          "signature")
-_SEND_WIDTHS = (HASH_LEN, ADDR_LEN, ADDR_LEN, HASH_LEN, PUBKEY_LEN, SIG_LEN)
-_RECV_FIELDS = attrgetter("parent_hash", "current_address", "sender_address",
-                          "sender_tx_hash", "main_block_hash", "tx_hash",
-                          "public_key", "signature")
-_RECV_WIDTHS = (HASH_LEN, ADDR_LEN, ADDR_LEN, HASH_LEN, HASH_LEN, HASH_LEN,
-                PUBKEY_LEN, SIG_LEN)
-
-
-def _wire_exact(tx: SubchainTx) -> bool:
-    """Whether every bytes field of ``tx`` has its wire width; raises
-    TypeError for one that is not bytes-like."""
-    if isinstance(tx, SendTx):
-        fields, widths = _SEND_FIELDS(tx), _SEND_WIDTHS
-    else:
-        fields, widths = _RECV_FIELDS(tx), _RECV_WIDTHS
-    b"".join(fields)        # the type check: join takes only bytes-likes
-    return all(map(eq, map(len, fields), widths))
-
-
 def encode_tx(tx: SubchainTx) -> bytes:
     """The wire bytes of ``tx``: tag, tx_hash, preimage body, then the key
     and signature of a signed tx; an unsigned tx, with the null key and
@@ -320,16 +298,28 @@ def _compact_signature(der: bytes) -> bytes:
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-def _exact_preimage(tx: SubchainTx, error=InvalidSignature) -> bytes:
-    """The preimage of a tx whose every field has its wire type, width and
-    range; ``error`` for any other: it has no wire form to hash, sign or
-    send."""
+def _exact_preimage(tx: SubchainTx, error=InvalidSignature) -> bytes | None:
+    """The preimage of a SendTx or a ReceiveTx whose fields read back
+    unchanged once packed: struct pads a short bytes field, cuts a long
+    one and refuses an int off its range or a value of another type, so
+    only such a tx hashes, signs and sends the bytes it holds. Any other
+    value has no wire form: ``error`` is raised, or None returned when
+    ``error`` is None."""
+    if type(tx) is SendTx:
+        form, fields = _SEND_TX, (TAG_SEND,) + tx
+    elif type(tx) is ReceiveTx:
+        form, fields = _RECV_TX, (TAG_RECEIVE,) + tx
+    else:
+        form = fields = None
     try:
-        if _wire_exact(tx):
-            return tx_preimage(tx)
-    except (struct.error, TypeError):
-        pass
-    raise error("a field is not of its wire type and width")
+        whole = form and form.pack(*fields)
+    except struct.error:
+        whole = None
+    if whole and form.unpack(whole) == fields:
+        return whole[:-HASH_LEN - AUTH_LEN]
+    if error is None:
+        return None
+    raise error("not a tx whose fields have their wire type, width and range")
 
 
 def hash_tx(tx: SubchainTx) -> SubchainTx:
@@ -358,7 +348,9 @@ def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
 # ReceiveTx may read it. A tx equals another exactly when every field
 # does, and its hash and equality run in C, so every node/miner re-check
 # of the same transaction is free without re-encoding it. A transaction
-# with an unhashable field is checked, never cached.
+# with an unhashable field is checked, never cached; one with no wire form
+# may equal a tx that has one (a memoryview equals its bytes), so its
+# False is not kept.
 _verify_cache: dict[SubchainTx, bool] = {}
 _VERIFY_CACHE_MAX = 1 << 18
 
@@ -373,28 +365,28 @@ def verify_tx(tx: SubchainTx) -> bool:
         return _verify_uncached(tx)
     if cached is None:
         cached = _verify_uncached(tx)
-        if len(_verify_cache) < _VERIFY_CACHE_MAX:
+        if len(_verify_cache) < _VERIFY_CACHE_MAX and (
+                cached or _exact_preimage(tx, None) is not None):
             _verify_cache[tx] = cached
     return cached
 
 
 def _verify_uncached(tx: SubchainTx) -> bool:
-    try:
-        if not _wire_exact(tx):
-            return False
-        digest = sha256(tx_preimage(tx))
-        if tx.tx_hash != digest:
-            return False
-        if address_from_public(tx.public_key) != tx.current_address:
-            return False
-        r = int.from_bytes(tx.signature[:32], "big")
-        s = int.from_bytes(tx.signature[32:], "big")
-    except (struct.error, TypeError):
-        return False        # a field of the wrong type or range
+    pre = _exact_preimage(tx, None)
+    if pre is None:
+        return False
+    digest = sha256(pre)
+    if tx.tx_hash != digest:
+        return False
+    if address_from_public(tx.public_key) != tx.current_address:
+        return False
+    r = int.from_bytes(tx.signature[:32], "big")
+    s = int.from_bytes(tx.signature[32:], "big")
     if not (0 < r < CURVE_ORDER and 0 < s <= CURVE_ORDER // 2):
         return False
     try:
-        pub = _public_key(tx.public_key)
+        # the key cache hashes its argument, which a bytearray key is not
+        pub = _public_key(bytes(tx.public_key))
         pub.verify(encode_dss_signature(r, s), digest, _ECDSA)
     except (_CryptoBadSig, ValueError):
         return False
@@ -411,13 +403,12 @@ def vouched(tx: SubchainTx, child) -> bool:
     the same account: an authentic ``child`` then commits to every field
     of ``tx`` through its parent hash, as a signed tree head commits to
     its log (RFC 6962)."""
-    try:
-        return (type(child) in _TX_TYPES and _wire_exact(tx)
-                and tx.tx_hash == sha256(tx_preimage(tx))
-                and child.parent_hash == tx.tx_hash
-                and child.current_address == tx.current_address)
-    except (struct.error, TypeError):
-        return False        # a field of the wrong type or range
+    if type(child) not in _TX_TYPES:
+        return False
+    pre = _exact_preimage(tx, None)
+    return (pre is not None and tx.tx_hash == sha256(pre)
+            and child.parent_hash == tx.tx_hash
+            and child.current_address == tx.current_address)
 
 
 def tx_verdicts(txs, verify=verify_tx) -> List[bool]:

@@ -51,8 +51,7 @@ class Miner:
 def _verify_chunk(txs: Sequence[codec.SubchainTx]) -> List[bool]:
     # module-level, so that a fork pool can map it; each signed tx is
     # checked anew, never read from the verify cache
-    return codec.tx_verdicts(txs, lambda tx: type(tx) in codec._TX_TYPES
-                             and codec._verify_uncached(tx))
+    return codec.tx_verdicts(txs, codec._verify_uncached)
 
 
 def verify_batch(txs: Sequence[codec.SubchainTx],

@@ -148,9 +148,25 @@ def assert_tx_refused(tx):
     assert codec.verify_tx(tx) is False
     with pytest.raises(InvalidSignature):
         codec.sign_tx(tx, KEY)
+    with pytest.raises(InvalidSignature):
+        codec.hash_tx(tx)
+    # a child naming it as parent gets no voucher for it
+    assert codec.vouched(tx, tx._replace(parent_hash=tx.tx_hash)) is False
+
+
+# a hashed send with one field that its preimage leaves out held off its
+# wire form: the hash still matches the preimage
+TAIL_BROKEN = tuple(
+    tx._replace(**{name: value(getattr(tx, name))})
+    for tx in [codec.hash_tx(SendTx(NULL_HASH, 1, KEY.address,
+                                    b"\x07" * ADDR_LEN, 1, 0))]
+    for name, value in [("tx_hash", memoryview),
+                        ("public_key", lambda key: key + b"\x02"),
+                        ("signature", lambda sig: sig[1:])])
 
 
 @given(drawn=st.lists(st.tuples(txs, st.booleans()), max_size=4))
+@example(drawn=[(tx, False) for tx in TAIL_BROKEN])
 def test_tx_round_trips_or_is_refused(drawn):
     """Every drawn tx, signed by KEY when it can be, round-trips, or
     ``encode_tx`` refuses it with MalformedBatch and it is refused; a node
@@ -182,6 +198,7 @@ def test_tx_round_trips_or_is_refused(drawn):
 
 
 @given(frag=fragments)
+@example(frag=SubchainFragment(KEY.address, 0, TAIL_BROKEN))
 def test_fragment_round_trips_or_is_refused(frag):
     """A fragment that does not round-trip holds a refused tx, has no
     wire form, or has an address off its wire width, which no state has:

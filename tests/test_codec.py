@@ -25,6 +25,7 @@ from shardchain.codec import (
     SendTx,
 )
 from shardchain.errors import InvalidSeed, InvalidSignature, KeyMismatch
+from shardchain.sim import derived_key
 
 from conftest import FORGERIES, chain_signed, decode_tx, forge, \
     make_receive, make_send, random_tx
@@ -87,6 +88,12 @@ class TestKeygen:
 
     def test_unseeded_randomness(self):
         assert codec.keygen().address != codec.keygen().address
+
+    def test_unseeded_draws_again_past_the_zero_scalar(self, monkeypatch):
+        draws = [b"\x00" * 32, b"\x03" * 32]
+        monkeypatch.setattr(codec.os, "urandom", lambda n: draws.pop(0))
+        assert codec.keygen() == codec.keygen(b"\x03" * 32)
+        assert draws == []
 
     def test_address_derivation(self):
         key = codec.keygen(b"\x02" * 32)
@@ -429,6 +436,28 @@ class TestVerifyCache:
         checked = self.counted(monkeypatch)
         assert codec.verify_tx(odd) is codec.verify_tx(odd) is (flip == 0)
         assert len(checked) == 2 and len(codec._verify_cache) == size
+
+    @pytest.mark.parametrize("name", ["parent_hash", "tx_hash", "public_key",
+                                      "signature"])
+    def test_memoryview_twin_leaves_the_tx_authentic(self, keys, name):
+        """A field held as a memoryview has no wire form, so its tx reads
+        False; the twin equals the genuine tx, which still reads True."""
+        tx = make_send(keys[5], amount=3, timestamp=20 + len(name))
+        twin = tx._replace(**{name: memoryview(getattr(tx, name))})
+        assert twin == tx
+        assert codec.verify_tx(twin) is False
+        assert codec.verify_tx(tx) is True
+
+    @pytest.mark.parametrize("convert, verdict", [(memoryview, False),
+                                                  (bytearray, True)])
+    def test_key_of_another_bytes_type_gets_a_verdict(self, convert,
+                                                      verdict):
+        """A key no check has seen yet, held as a memoryview, has no wire
+        form; as a same-width bytearray it has the genuine tx's."""
+        key = derived_key(b"key held as " + convert.__name__.encode())
+        tx = make_send(key)
+        odd = tx._replace(public_key=convert(tx.public_key))
+        assert codec.verify_tx(odd) is verdict
 
     @pytest.mark.parametrize("name, value", [
         ("public_key", b"\x02" * 32), ("public_key", "k" * 33),

@@ -316,9 +316,10 @@ class TestChainView:
         b = mk_block(view, timestamp=2)
         assert a.block_hash != b.block_hash
         view.extend(a)
-        changed = view.extend(b)   # equal work: tip must not move
-        assert not changed
+        canonical = list(view.canonical)
+        view.extend(b)   # equal work: tip must not move
         assert view.tip == a.block_hash
+        assert view.canonical == canonical
 
     def test_reorg_to_heavier_branch(self):
         view = ChainView(make_genesis({}), PARAMS)
@@ -391,7 +392,9 @@ class TestChainView:
             block = mk_block(view, [record(i, height) for i in
                                     side.get(height, [])],
                              timestamp=1000 + height, parent=parent)
-            assert not view.extend(block)
+            tip, canonical = view.tip, list(view.canonical)
+            view.extend(block)
+            assert view.tip == tip and view.canonical == canonical
             parent = block.block_hash
             branch.append(parent)
         tip = view.tip

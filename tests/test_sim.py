@@ -6,15 +6,17 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from shardchain import live, mainchain, network, node, subchain
-from shardchain.codec import ReceiveTx, sha256
-from shardchain.errors import ConfigInvalid, InvariantViolation
+from shardchain import codec, live, mainchain, miner, network, node, \
+    subchain
+from shardchain.codec import ReceiveTx, SendTx, sha256
+from shardchain.errors import ConfigInvalid, InvalidSeed, InvariantViolation
 from shardchain.mainchain import ConfirmationRecord, capacity
 from shardchain.sim import (
     SimConfig,
     Simulation,
     bench_storage,
     bench_verify,
+    derived_key,
     run_sim,
 )
 
@@ -356,6 +358,39 @@ def assert_shards_match_root(sim, names):
                               if node_.hosts(a)}, node_.assignment
 
 
+class TestPlumbing:
+    def test_derived_key_hashes_a_refused_seed_again(self, monkeypatch):
+        keygen, seeds = codec.keygen, []
+
+        def refuse_first(seed):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise InvalidSeed("refused once")
+            return keygen(seed)
+        monkeypatch.setattr(codec, "keygen", refuse_first)
+        key = derived_key(b"label")
+        assert seeds == [sha256(b"label"), sha256(sha256(b"label"))]
+        assert key == keygen(seeds[1])
+
+    def test_send_lookup_asks_only_live_hosts(self):
+        """A confirmed send is found at a live host on its sender's path,
+        and at none once every node is down."""
+        sim = Simulation(small_cfg(blocks=3))
+        for _ in range(sim.cfg.blocks):
+            sim.run_interval()
+        root = sim.root
+        bh, send = next((bh, tx) for bh in root.view.canonical[1:]
+                        for txs, _ in root.store.archive[bh].values()
+                        for tx in txs if type(tx) is SendTx)
+        cited = (send.current_address, send.tx_hash, bh)
+        assert sim._send_lookup(*cited) == send
+        assert sim._send_lookup(send.current_address, sha256(b"none"),
+                                bh) is None
+        for nid in sim.nodes:
+            sim.transport.alive[nid] = False
+        assert sim._send_lookup(*cited) is None
+
+
 class TestShardEquivalence:
     def test_nodes_agree_shard_by_shard(self, finished_sim):
         assert_shards_match_root(finished_sim, [
@@ -578,6 +613,17 @@ class TestBench:
         assert [r["workers"] for r in rows] == [1, 2]
         assert all(r["all_valid"] and r["txs"] == 40 for r in rows)
         assert all(r["seconds"] > 0 for r in rows)
+
+    def test_bench_verify_refuses_verdicts_that_differ(self, monkeypatch):
+        counts = []
+
+        def verdicts(txs, workers):
+            counts.append(workers)
+            return [workers == 1] * len(txs)
+        monkeypatch.setattr(miner, "verify_batch", verdicts)
+        with pytest.raises(InvariantViolation, match="differ"):
+            bench_verify(4, [1, 2])
+        assert counts == [1, 2]
 
     def test_bench_verify_bad_count(self):
         with pytest.raises(ConfigInvalid):
