@@ -204,13 +204,6 @@ _TX_TYPES = (SendTx, ReceiveTx)
 _new = tuple.__new__
 
 
-def tx_preimage(tx: SubchainTx) -> bytes:
-    """Bytes that tx_hash and the signature commit to."""
-    if isinstance(tx, SendTx):
-        return _SEND_PREIMAGE.pack(TAG_SEND, *tx[:6])
-    return _RECV_PREIMAGE.pack(TAG_RECEIVE, *tx[:8])
-
-
 def encode_tx(tx: SubchainTx) -> bytes:
     """The wire bytes of ``tx``: tag, tx_hash, preimage body, then the key
     and signature of a signed tx; an unsigned tx, with the null key and
@@ -344,29 +337,29 @@ def sign_tx(tx: SubchainTx, key: KeyPair) -> SubchainTx:
 
 
 # Verification results memoized on the transaction tuple itself, behind
-# the type check: tuple equality ignores the type, so only a SendTx or a
-# ReceiveTx may read it. A tx equals another exactly when every field
-# does, and its hash and equality run in C, so every node/miner re-check
-# of the same transaction is free without re-encoding it. A transaction
-# with an unhashable field is checked, never cached; one with no wire form
-# may equal a tx that has one (a memoryview equals its bytes), so its
-# False is not kept.
+# the type checks: tuple equality ignores the type, so only a SendTx or a
+# ReceiveTx whose every field is exactly bytes or int may read or write
+# it. A field of another type may equal one of these (a memoryview its
+# bytes, a float or a bool its int) and hash alike, so such a twin would
+# read its genuine tx's verdict; it is checked, never cached. Of bytes and
+# ints, a tx equals another exactly when every field does, and its hash
+# and equality run in C, so every node/miner re-check of the same
+# transaction is free without re-encoding it.
 _verify_cache: dict[SubchainTx, bool] = {}
 _VERIFY_CACHE_MAX = 1 << 18
+_CACHED_TYPES = frozenset((bytes, int))
 
 
 def verify_tx(tx: SubchainTx) -> bool:
     """Local check only: hash matches preimage, signature matches address."""
     if type(tx) not in _TX_TYPES:
         return False
-    try:
-        cached = _verify_cache.get(tx)
-    except TypeError:
+    if not _CACHED_TYPES.issuperset(map(type, tx)):
         return _verify_uncached(tx)
+    cached = _verify_cache.get(tx)
     if cached is None:
         cached = _verify_uncached(tx)
-        if len(_verify_cache) < _VERIFY_CACHE_MAX and (
-                cached or _exact_preimage(tx, None) is not None):
+        if len(_verify_cache) < _VERIFY_CACHE_MAX:
             _verify_cache[tx] = cached
     return cached
 

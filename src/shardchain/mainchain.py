@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from itertools import repeat, starmap
-from operator import attrgetter, ge
+from operator import attrgetter, ge, le
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, subchain
@@ -269,7 +269,10 @@ class ChainView:
     Each canonical block keeps an undo record: the block hashes and the
     heights its records replaced. A reorg disconnects the old blocks down
     to the fork point with those records and connects the new branch, so
-    its cost follows the fork distance, not the chain length."""
+    its cost follows the fork distance, not the chain length. A block
+    that ``validate_block`` checked connects from the columns and prior
+    heights that the check read: only the blocks a reorg moves are read
+    from their bodies."""
 
     def __init__(self, genesis: Genesis, params: ChainParams):
         self.genesis = genesis
@@ -281,7 +284,8 @@ class ChainView:
         self.tip_heights: Dict[bytes, int] = {}
         self.confirmed_by: Dict[bytes, bytes] = {}
         # canonical block -> the block hashes and the heights its records
-        # replaced, in record order, None for an address it confirmed first
+        # replaced, in record order: None and 0 for an address it
+        # confirmed first
         self.undo: Dict[bytes, Tuple[tuple, tuple]] = {}
 
     # -- queries -------------------------------------------------------
@@ -329,9 +333,12 @@ class ChainView:
 
     # -- mutation ------------------------------------------------------
 
-    def extend(self, block: MainBlock) -> None:
+    def extend(self, block: MainBlock, read: Optional[tuple] = None
+               ) -> None:
         """Insert a validated block. When it is higher than the tip, its
-        branch becomes canonical."""
+        branch becomes canonical; ``read``, the block's address column,
+        height column and prior heights as ``validate_block`` returned
+        them, connects it without reading its body (see ``switch``)."""
         parent = block.header.parent_block_hash
         if parent not in self.height:
             raise UnknownParent("parent block unknown")
@@ -341,14 +348,18 @@ class ChainView:
         self.blocks[bh] = block
         height = self.height[bh] = self.height[parent] + 1
         if height > self.tip_height:
-            self.switch(bh)
+            self.switch(bh, read)
 
-    def switch(self, tip: bytes) -> Tuple[List[bytes], List[bytes]]:
+    def switch(self, tip: bytes, read: Optional[tuple] = None
+               ) -> Tuple[List[bytes], List[bytes]]:
         """Make ``tip``'s branch the canonical one: disconnect the
         canonical blocks above its fork point with their undo records,
         then connect its blocks above it, each with the undo record it
-        makes. Returns the blocks disconnected and those connected, each
-        oldest first."""
+        makes. ``read``, if given, is ``tip``'s address column, height
+        column and prior heights on its parent's branch, which is the
+        index when ``tip`` connects: ``tip`` connects from them, and every
+        other block from its body. Returns the blocks disconnected and
+        those connected, each oldest first."""
         # the blocks above the fork point, tip's last canonical ancestor
         connect = []
         h = tip
@@ -370,10 +381,13 @@ class ChainView:
                     confirmed_by[address] = prior
                     tip_heights[address] = height
         for h in connect:
-            keys, heights = columns(self.blocks[h])
             # before h is connected, the index is its parent branch's
-            self.undo[h] = (tuple(map(confirmed_by.get, keys)),
-                            tuple(map(tip_heights.get, keys)))
+            if read is not None and h == tip:
+                keys, heights, prior = read
+            else:
+                keys, heights = columns(self.blocks[h])
+                prior = tuple(map(tip_heights.get, keys, repeat(0)))
+            self.undo[h] = (tuple(map(confirmed_by.get, keys)), prior)
             confirmed_by.update(zip(keys, repeat(h)))
             tip_heights.update(zip(keys, heights))
             self.canonical.append(h)
@@ -431,7 +445,7 @@ class ViewClaimContext:
 
 
 def validate_block(block: MainBlock, view: ChainView
-                   ) -> Tuple[tuple, Tuple[int, ...],
+                   ) -> Tuple[tuple, Tuple[int, ...], Tuple[int, ...],
                               Tuple[List[bytes], List[bytes]]]:
     """The main chain's one check of a block, on the branch it joins.
     First the checks that read only the parent's place in the view, none
@@ -442,10 +456,11 @@ def validate_block(block: MainBlock, view: ChainView
     decoded. Then, on the view switched to a parent off its tip and left
     there, refused or not, that each record advances its address; whether
     a record's fragment is a valid state transition is for the nodes that
-    host the address to check. Returns the block's address column and
-    each record's address's tip height on the parent branch (0 for an
-    address it never confirmed), both in record order, and the switch's
-    lists (empty for a block on the tip)."""
+    host the address to check. Returns the block's address and tip height
+    columns, each record's address's tip height on the parent branch (0
+    for an address it never confirmed), all in record order, and the
+    switch's lists (empty for a block on the tip). The first three are
+    the ``read`` that ``ChainView.extend`` connects the block from."""
     header = block.header
     parent = header.parent_block_hash
     # a parent that is not bytes names no block, and may not even hash
@@ -477,8 +492,9 @@ def validate_block(block: MainBlock, view: ChainView
         raise RootMismatch("confirmations root does not match records")
     moved = ([], []) if parent == view.tip else view.switch(parent)
     prior = tuple(map(view.tip_heights.get, keys, repeat(0)))
-    for tip_height, prev_height in zip(heights, prior):
-        if tip_height <= prev_height:
-            raise StaleConfirmation(
-                "record does not advance beyond height %d" % prev_height)
-    return keys, prior, moved
+    if any(map(le, heights, prior)):
+        for tip_height, prev_height in zip(heights, prior):
+            if tip_height <= prev_height:
+                raise StaleConfirmation(
+                    "record does not advance beyond height %d" % prev_height)
+    return keys, heights, prior, moved

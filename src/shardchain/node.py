@@ -296,12 +296,13 @@ class Node:
         tip, top = view.tip, view.tip_height
         wins = False
         try:
-            # the block's addresses, each record's tip height on the
-            # parent branch, which its fragment starts from here, and the
-            # blocks the view's switch to a parent off the tip moved by
-            addresses, prior, (disconnect, connect) = \
+            # the block's addresses and tip heights, each record's tip
+            # height on the parent branch, which its fragment starts from
+            # here, and the blocks the view's switch to a parent off the
+            # tip moved by
+            addresses, heights, prior, (disconnect, connect) = \
                 mainchain.validate_block(block, view)
-            ctx = self.claim_context()
+            ctx = None
             pending = self.store.pending if view.tip == tip else {}
             tail_states = self.store.tail_states
             entry = {}
@@ -312,15 +313,18 @@ class Node:
                 # takes the tail's kept state: its replay under the tip's
                 # claim context, which is this block's. Any other record
                 # is replayed from the state of its address's last
-                # confirmation. Each entry is keyed by its first tx's
-                # address, the node's own object, not the row's.
+                # confirmation, under the claim context built for the
+                # first such record. Each entry is keyed by its first tx's
+                # address, the node's own object, not the row's. A tx's
+                # height is its field 1 and its hash its third from last.
                 tail = pending.get(address)
-                if tail and tail[0].height == lo + 1 \
-                        and tail[-1].tx_hash == tip_hash \
-                        and tail[-1].height == tip_height:
-                    entry[tail[0].current_address] = (tuple(tail),
-                                                      tail_states[address])
+                if tail and tail[0][1] == lo + 1 \
+                        and tail[-1][-3] == tip_hash \
+                        and tail[-1][1] == tip_height:
+                    entry[tail[0][2]] = (tuple(tail), tail_states[address])
                     continue
+                if ctx is None:
+                    ctx = self.claim_context()
                 frag = self._shard_oracle(address, lo, tip_height, tip_hash)
                 new_state = subchain.verify_fragment(
                     self._state_after(view.confirmed_by.get(address),
@@ -337,7 +341,7 @@ class Node:
             if not wins and view.tip != tip:
                 view.switch(tip)
         self.store.archive[bh] = entry
-        view.extend(block)
+        view.extend(block, (addresses, heights, prior))
         if wins and disconnect:     # a reorg: to the parent, then the block
             self._reorg(disconnect, [*connect, bh])
         elif wins:
@@ -406,8 +410,9 @@ class Node:
         a hosted recipient, keyed by send hash, and a hosted miner's
         coinbase, keyed by block hash."""
         store = self.store
-        confirmed, chains, inflows, pending = (
-            store.confirmed, store.chains, store.inflows, store.pending)
+        confirmed, chains, inflows, pending, tail_states = (
+            store.confirmed, store.chains, store.inflows, store.pending,
+            store.tail_states)
         # hosts()'s range test, written inline below
         low, high = self.assignment.low, self.assignment.high
         header = self.view.blocks[block_hash].header
@@ -416,16 +421,21 @@ class Node:
             confirmed[address] = new_state
             chains.setdefault(address, []).extend(txs)
             for tx in txs:
-                if isinstance(tx, SendTx):
+                if type(tx) is SendTx:
                     # current_address, recipient_address, amount,
                     # timestamp, tx_hash: the tx's own address object, not
                     # the record's, which is decoded with no lookup
                     sender, recipient, amount, _, tx_hash = tx[2:7]
                     if low <= recipient <= high:
-                        inflows.setdefault(recipient, {})[tx_hash] = _new(
-                            Inflow, (sender, tx_hash, block_hash, amount,
-                                     height))
-            if address in pending:
+                        pool = inflows.get(recipient)
+                        if pool is None:
+                            pool = inflows[recipient] = {}
+                        pool[tx_hash] = _new(Inflow, (
+                            sender, tx_hash, block_hash, amount, height))
+            tail = pending.get(address)
+            if tail and tail[-1][1] <= new_state.tip_height:  # all confirmed
+                del pending[address], tail_states[address]
+            elif tail:
                 self._trim_pending(address, new_state)
         if low <= header.miner_address <= high:
             inflows.setdefault(header.miner_address, {})[
@@ -498,16 +508,16 @@ class Node:
     def _trim_pending(self, address: bytes,
                       confirmed: SubchainState) -> None:
         """Keep the part of ``address``'s pending tail above the
-        ``confirmed`` state if it links to it, else drop the tail."""
-        tail = self.store.pending[address]
-        if tail[-1].height > confirmed.tip_height:
-            kept = [t for t in tail if t.height > confirmed.tip_height]
-            if kept[0].parent_hash == confirmed.tip_hash \
-                    and kept[0].height == confirmed.tip_height + 1:
-                # the hash chain fixes the kept suffix's state: it stays
-                self.store.pending[address] = kept
-                return
-        # all confirmed, or no longer links
+        ``confirmed`` state, which the tail passes, if it links to it,
+        else drop the tail."""
+        kept = [t for t in self.store.pending[address]
+                if t.height > confirmed.tip_height]
+        if kept[0].parent_hash == confirmed.tip_hash \
+                and kept[0].height == confirmed.tip_height + 1:
+            # the hash chain fixes the kept suffix's state: it stays
+            self.store.pending[address] = kept
+            return
+        # no longer links
         del self.store.pending[address], self.store.tail_states[address]
 
     # -- serving -------------------------------------------------------

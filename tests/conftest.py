@@ -249,7 +249,7 @@ def assert_index_is_scan(view):
     """The view's canonical index is the from-genesis scan of its tip, and
     each canonical block's undo record is the scan of its parent read at
     each of the block's record addresses: (block hashes, tip heights),
-    None for an address the block confirmed first."""
+    None and 0 for an address the block confirmed first."""
     assert (view.confirmed_by, view.tip_heights) \
         == index_scan(view, view.tip)
     assert set(view.undo) == set(view.canonical[1:])
@@ -259,7 +259,7 @@ def assert_index_is_scan(view):
         entries = [scan.get(r.address) for r in block.confirmations]
         assert view.undo[bh] == (
             tuple(entry and entry[0] for entry in entries),
-            tuple(entry and entry[2] for entry in entries)), bh.hex()
+            tuple(entry[2] if entry else 0 for entry in entries)), bh.hex()
 
 
 def assert_inflows_are_an_index(node):

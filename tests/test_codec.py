@@ -161,8 +161,7 @@ class TestEncoding:
             assert decode_tx(codec.encode_tx(tx)) == tx
 
     def test_zero_send_digest_pinned(self):
-        assert codec.sha256(codec.tx_preimage(zero_send())) \
-            == ZERO_SEND_DIGEST
+        assert codec.hash_tx(zero_send()).tx_hash == ZERO_SEND_DIGEST
 
     def test_zero_receive_digest_pinned(self):
         tx = ReceiveTx(parent_hash=NULL_HASH, height=0,
@@ -170,19 +169,18 @@ class TestEncoding:
                        sender_address=b"\x00" * 20,
                        sender_tx_hash=NULL_HASH,
                        main_block_hash=NULL_HASH, amount=0, timestamp=0)
-        assert codec.sha256(codec.tx_preimage(tx)) == ZERO_RECV_DIGEST
+        assert codec.hash_tx(tx).tx_hash == ZERO_RECV_DIGEST
 
     def test_digest_differs_on_amount(self, keys):
         a = make_send(keys[0], amount=1, sign=False)
         b = make_send(keys[0], amount=2, sign=False)
-        assert codec.sha256(codec.tx_preimage(a)) \
-            != codec.sha256(codec.tx_preimage(b))
+        assert codec.hash_tx(a).tx_hash != codec.hash_tx(b).tx_hash
 
     def test_digest_invariant_under_reencode(self, keys):
         tx = make_send(keys[0])
         again = decode_tx(codec.encode_tx(tx))
-        assert codec.sha256(codec.tx_preimage(again)) \
-            == codec.sha256(codec.tx_preimage(tx))
+        assert codec.hash_tx(again).tx_hash == codec.hash_tx(tx).tx_hash \
+            == tx.tx_hash
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,8 +204,9 @@ def test_roundtrip_property(parent, height, rcpt, amount, ts, tx_hash,
 def test_preimage_sensitivity(keys):
     """Flipping any single preimage byte changes the digest."""
     tx = make_send(keys[0], amount=9, timestamp=5)
-    pre = codec.tx_preimage(tx)
-    base = codec.sha256(codec.tx_preimage(tx))
+    pre = codec._exact_preimage(tx)
+    base = codec.hash_tx(tx).tx_hash
+    assert codec.sha256(pre) == base
     for i in range(len(pre)):
         mutated = bytearray(pre)
         mutated[i] ^= 0x01
@@ -284,7 +283,8 @@ class TestSignatures:
         has the preimage of the same send to 07 x 20 + 99."""
         tx = make_send(keys[0], recipient=b"\x07" * 20)
         longer = tx._replace(recipient_address=b"\x07" * 20 + b"\x99")
-        assert codec.tx_preimage(longer) == codec.tx_preimage(tx)
+        assert codec._SEND_PREIMAGE.pack(codec.TAG_SEND, *longer[:6]) \
+            == codec._SEND_PREIMAGE.pack(codec.TAG_SEND, *tx[:6])
         assert not codec.verify_tx(longer)
 
     def test_short_recipient_refused(self, keys):
@@ -296,7 +296,8 @@ class TestSignatures:
             make_send(keys[0], recipient=short)
         padded = make_send(keys[0], recipient=short + b"\x00")
         tx = padded._replace(recipient_address=short)
-        assert codec.tx_preimage(tx) == codec.tx_preimage(padded)
+        assert codec._SEND_PREIMAGE.pack(codec.TAG_SEND, *tx[:6]) \
+            == codec._SEND_PREIMAGE.pack(codec.TAG_SEND, *padded[:6])
         assert not codec.verify_tx(tx)
 
     @pytest.mark.parametrize("field", [
@@ -344,7 +345,7 @@ class TestSignatures:
         high = codec.CURVE_ORDER - s
         pub = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(),
                                                            tx.public_key)
-        pub.verify(encode_dss_signature(r, high), codec.tx_preimage(tx),
+        pub.verify(encode_dss_signature(r, high), codec._exact_preimage(tx),
                    ec.ECDSA(hashes.SHA256()))
         assert not codec.verify_tx(tx._replace(
             signature=tx.signature[:32] + high.to_bytes(32, "big")))
@@ -360,7 +361,7 @@ class TestSignatures:
         tx = SendTx(parent_hash=NULL_HASH, height=1,
                     current_address=codec.address_from_public(public),
                     recipient_address=b"\x07" * 20, amount=5, timestamp=1)
-        pre = codec.tx_preimage(tx)
+        pre = codec._exact_preimage(tx)
         r, s = decode_dss_signature(priv.sign(pre, ec.ECDSA(hashes.SHA256())))
         s = min(s, SECP256K1_ORDER - s)
         # in range and low-s for P-256 too: only the curve can refuse it
@@ -446,6 +447,27 @@ class TestVerifyCache:
         twin = tx._replace(**{name: memoryview(getattr(tx, name))})
         assert twin == tx
         assert codec.verify_tx(twin) is False
+        assert codec.verify_tx(tx) is True
+
+    @pytest.mark.parametrize("name, convert, verdict", [
+        ("tx_hash", memoryview, False), ("parent_hash", memoryview, False),
+        ("public_key", memoryview, False), ("signature", memoryview, False),
+        ("height", float, False), ("amount", float, False),
+        ("height", bool, True)])
+    def test_twin_of_a_cached_tx_is_checked(self, keys, monkeypatch, name,
+                                            convert, verdict):
+        """A twin of a cached tx with one field of another type than bytes
+        or int equals it and hashes alike, so it would read the genuine
+        tx's verdict: it is checked, never cached. A memoryview or a float
+        has no wire form; a bool packs as its int."""
+        tx = make_send(keys[5], amount=3, timestamp=40 + len(name))
+        assert codec.verify_tx(tx)
+        twin = tx._replace(**{name: convert(getattr(tx, name))})
+        assert twin == tx and hash(twin) == hash(tx)
+        size = len(codec._verify_cache)
+        checked = self.counted(monkeypatch)
+        assert codec.verify_tx(twin) is verdict
+        assert checked == [twin] and len(codec._verify_cache) == size
         assert codec.verify_tx(tx) is True
 
     @pytest.mark.parametrize("convert, verdict", [(memoryview, False),

@@ -40,7 +40,8 @@ from shardchain.mainchain import (
     validate_block,
 )
 
-from conftest import Calls, build_chain, index_scan, make_send
+from conftest import Calls, assert_index_is_scan, build_chain, index_scan, \
+    make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=2048)
 MINER = b"\x4d" * 20
@@ -367,6 +368,41 @@ class TestChainView:
         assert (view.canonical, view.confirmed_by, view.tip_heights) \
             == incremental
 
+    def test_extend_connects_from_what_validation_read(self, monkeypatch):
+        """A block that ``validate_block`` checked on a side branch, which
+        ``extend`` then makes the tip from the view's old tip, connects
+        from the columns and prior heights that the check read, and every
+        other block of its branch from its body: only the moved blocks'
+        columns are read, and the index and each undo record are the
+        from-genesis scan's (0 for an address first confirmed)."""
+        view = ChainView(make_genesis({}), PARAMS)
+        a, b = b"\x0a" * 20, b"\x0b" * 20
+        for height in (1, 2):
+            view.extend(mk_block(view, [
+                ConfirmationRecord(a, bytes([height]) * 32, height)]))
+        tip, canonical = view.tip, view.canonical[1:]
+        side = []
+        for height in (1, 2):
+            block = mk_block(view, [
+                ConfirmationRecord(b, bytes([height]) * 32, height)],
+                timestamp=100 + height,
+                parent=side[-1] if side else view.genesis.block_hash)
+            view.extend(block)
+            side.append(block.block_hash)
+        block = mk_block(view, [ConfirmationRecord(a, b"\x0c" * 32, 1),
+                                ConfirmationRecord(b, b"\x0d" * 32, 3)],
+                         timestamp=200, parent=side[-1])
+        keys, heights, prior, moved = validate_block(block, view)
+        assert (keys, heights, prior, moved) \
+            == ((a, b), (1, 3), (0, 2), (canonical, side))
+        view.switch(tip)
+        calls = Calls(monkeypatch, [(mainchain, "columns")])
+        view.extend(block, (keys, heights, prior))
+        assert calls.take() == {"columns": 4}
+        assert view.canonical[1:] == [*side, block.block_hash]
+        assert view.undo[block.block_hash] == ((None, side[-1]), (0, 2))
+        assert_index_is_scan(view)
+
     def test_side_branch_index_matches_scan(self):
         """Switched to any block of a depth-6 rival branch that stays a
         side branch, or of the canonical chain below its tip, the view's
@@ -469,26 +505,26 @@ def hosted_setup(keys, n_txs=4):
 
 class TestValidateBlock:
     def test_returns_parent_branch_index(self, keys):
-        """The block's addresses, and the parent branch's tip height of
-        each record's address, both in record order, 0 for an address it
-        never confirmed, and the blocks the view moved by. A block off the
-        tip is checked with the view switched to its parent, where it is
-        left; there an address that only blocks above the fork point
-        confirmed has no height: a record of it is fresh, not stale
+        """The block's addresses and tip heights, and the parent branch's
+        tip height of each record's address, all in record order, 0 for an
+        address it never confirmed, and the blocks the view moved by. A
+        block off the tip is checked with the view switched to its parent,
+        where it is left; there an address that only blocks above the fork
+        point confirmed has no height: a record of it is fresh, not stale
         against the old tip's height."""
         key, view, chain = hosted_setup(keys)
         rec = ConfirmationRecord(key.address, chain[-1].tx_hash, 4)
         block = mk_block(view, [rec])
-        assert validate_block(block, view) == ((key.address,), (0,),
+        assert validate_block(block, view) == ((key.address,), (4,), (0,),
                                                ([], []))
         view.extend(block)
         again = ConfirmationRecord(key.address, chain[-1].tx_hash, 5)
         assert validate_block(mk_block(view, [again]), view) \
-            == ((key.address,), (4,), ([], []))
+            == ((key.address,), (5,), (4,), ([], []))
         assert view.confirmed_by[key.address] == block.block_hash
         side = mk_block(view, [rec], parent=view.genesis.block_hash,
                         timestamp=99)
-        assert validate_block(side, view) == ((key.address,), (0,),
+        assert validate_block(side, view) == ((key.address,), (4,), (0,),
                                               ([block.block_hash], []))
         assert view.tip == view.genesis.block_hash
         assert view.canonical == [view.genesis.block_hash]

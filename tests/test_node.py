@@ -127,6 +127,29 @@ class TestPendingAcceptance:
         with pytest.raises(DuplicateHashConflict):
             node.accept_pending_tx(forged)
 
+    @pytest.mark.parametrize("name", ["tx_hash", "parent_hash",
+                                      "public_key", "signature"])
+    def test_twin_of_a_verified_tx_refused(self, keys, name):
+        """A twin of a verified tx with one field held as a memoryview
+        equals it and hashes alike, but has no wire form: it is refused
+        and leaves no state. The genuine tx then pools, and its block
+        seals and connects."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        tx = make_send(key, amount=5, timestamp=40 + len(name))
+        assert codec.verify_tx(tx)
+        twin = tx._replace(**{name: memoryview(getattr(tx, name))})
+        assert twin == tx and hash(twin) == hash(tx)
+        with pytest.raises(InvalidSignature):
+            node.accept_pending_tx(twin)
+        assert (node.store.pending, node.store.tail_states) == ({}, {})
+        assert node.accept_pending_tx(tx) is True
+        block = mainchain.new_block(node.view.tip, 1, 15, MINER,
+                                    node.pending_records(),
+                                    node.params.difficulty_bits)
+        assert node.ingest_block(block)
+        assert node.confirmed_state(key.address).tip_hash == tx.tx_hash
+
     def test_resigned_duplicate_conflicts(self, keys):
         """Re-signing a tx under another nonce than RFC 6979's keeps its
         hash (the preimage leaves out the signature) but not its
@@ -137,7 +160,7 @@ class TestPendingAcceptance:
         tx = make_send(key, amount=1)
         # plain ECDSA draws a random nonce; s is normalized low as codec's
         r, s = decode_dss_signature(key.signing_key.sign(
-            codec.tx_preimage(tx), ec.ECDSA(hashes.SHA256())))
+            codec._exact_preimage(tx), ec.ECDSA(hashes.SHA256())))
         again = tx._replace(signature=r.to_bytes(32, "big") + min(
             s, codec.CURVE_ORDER - s).to_bytes(32, "big"))
         assert again.tx_hash == tx.tx_hash and again != tx
@@ -448,14 +471,39 @@ class TestIngest:
         moves = []
         switch = mainchain.ChainView.switch
 
-        def counted(view, tip):
-            disconnect, connect = switch(view, tip)
+        def counted(view, tip, read=None):
+            disconnect, connect = switch(view, tip, read)
             moves.append((len(disconnect), len(connect)))
             return disconnect, connect
         monkeypatch.setattr(mainchain.ChainView, "switch", counted)
         node.ingest_block(winner)
         assert moves == [(depth, depth), (0, 1)]
         assert node.view.tip == winner.block_hash
+        assert_index_is_scan(node.view)
+
+    @pytest.mark.parametrize("depth", [0, 1, 6])
+    def test_block_columns_read_once(self, monkeypatch, depth):
+        """A block's columns are read once, in its check: ``extend``
+        connects it from the columns and prior heights that the check
+        read. On the tip (depth 0) that is the one read; a side block on
+        genesis that overtakes a ``depth``-block tip adds only the
+        blocks its switch to its parent moves, ``depth`` out and
+        ``depth`` in. The node hosts none of the records' addresses."""
+        node = make_node(make_genesis({}), "1")
+        parent = node.view.tip
+        for _ in range(depth):
+            node.ingest_block(confirm_block(node, []))
+        for i in range(depth):
+            side = confirm_block(node, [], parent=parent, timestamp=99 + i)
+            node.ingest_block(side)
+            parent = side.block_hash
+        block = confirm_block(node, [
+            ConfirmationRecord(bytes([i]) * 20, b"\x0a" * 32, 1)
+            for i in range(1, 4)], parent=parent, timestamp=200)
+        calls = Calls(monkeypatch, [(mainchain, "columns")])
+        node.ingest_block(block)
+        assert calls.take() == {"columns": 1 + 2 * depth}
+        assert node.view.tip == block.block_hash
         assert_index_is_scan(node.view)
 
     @pytest.mark.parametrize("fault", ["bits", "pow", "height", "parent"])
@@ -1045,9 +1093,13 @@ class TestTipClaimContext:
     def test_block_off_the_tip_keeps_the_tip_context(self, keys, monkeypatch):
         """A block on a canonical parent below the tip is checked under
         its parent's context; the tip's context afterwards is the real
-        tip's."""
-        node = make_node(make_genesis({}))
+        tip's. The block confirms a pending send, whose record a block
+        off the tip replays: a context is built only for a replay."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
         genesis = node.view.tip
+        send = make_send(key, amount=5)
+        node.accept_pending_tx(send)
         node.ingest_block(confirm_block(node, []))
         tip = node.view.tip
         seen = []
@@ -1058,8 +1110,8 @@ class TestTipClaimContext:
             seen.append(ctx.branch_tip)
             return ctx
         monkeypatch.setattr(node, "claim_context", record)
-        node.ingest_block(confirm_block(node, [], parent=genesis,
-                                        timestamp=99))
+        node.ingest_block(confirm_block(node, [ConfirmationRecord(
+            key.address, send.tx_hash, 1)], parent=genesis, timestamp=99))
         assert seen == [genesis]
         assert node.view.tip == tip and build().branch_tip == tip
 

@@ -579,8 +579,8 @@ class TestHostileMiner:
         moves = []
         switch = mainchain.ChainView.switch
 
-        def counted(view, tip):
-            out = switch(view, tip)
+        def counted(view, tip, read=None):
+            out = switch(view, tip, read)
             if view is a.view:
                 moves.append((len(out[0]), len(out[1])))
             return out
