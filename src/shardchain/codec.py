@@ -291,24 +291,30 @@ def _compact_signature(der: bytes) -> bytes:
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
+def packed(form: struct.Struct, fields: tuple) -> bytes | None:
+    """The bytes ``form`` packs ``fields`` to when they unpack to equal
+    fields, else None: struct pads a short bytes field, cuts a long one
+    and refuses an int off its range or a value of another type, so only
+    such fields have a wire form, and it holds what they hold."""
+    try:
+        data = form.pack(*fields)
+    except struct.error:
+        return None
+    return data if form.unpack(data) == fields else None
+
+
 def _exact_preimage(tx: SubchainTx, error=InvalidSignature) -> bytes | None:
-    """The preimage of a SendTx or a ReceiveTx whose fields read back
-    unchanged once packed: struct pads a short bytes field, cuts a long
-    one and refuses an int off its range or a value of another type, so
-    only such a tx hashes, signs and sends the bytes it holds. Any other
-    value has no wire form: ``error`` is raised, or None returned when
+    """The preimage of a SendTx or a ReceiveTx that ``packed`` packs: only
+    such a tx hashes, signs and sends the bytes it holds. Any other value
+    has no wire form: ``error`` is raised, or None returned when
     ``error`` is None."""
     if type(tx) is SendTx:
-        form, fields = _SEND_TX, (TAG_SEND,) + tx
+        whole = packed(_SEND_TX, (TAG_SEND,) + tx)
     elif type(tx) is ReceiveTx:
-        form, fields = _RECV_TX, (TAG_RECEIVE,) + tx
+        whole = packed(_RECV_TX, (TAG_RECEIVE,) + tx)
     else:
-        form = fields = None
-    try:
-        whole = form and form.pack(*fields)
-    except struct.error:
         whole = None
-    if whole and form.unpack(whole) == fields:
+    if whole is not None:
         return whole[:-HASH_LEN - AUTH_LEN]
     if error is None:
         return None

@@ -163,10 +163,10 @@ _OK_FIELDS = (MsgKind.Hello, OK, ENVELOPE.unpack_from(OK_FRAME)[2])
 
 # -- node server ------------------------------------------------------
 
-# a Hello reply is the node's shard assignment, its tip hash, the (tip
-# height, summary count) pair, then one confirmation record per pending
-# tail: the record that confirms the whole tail
-_HELLO_COUNTS = struct.Struct(">QI")
+# a Hello reply is the node's shard assignment, its tip hash, tip height
+# and summary count, then one confirmation record per pending tail: the
+# record that confirms the whole tail
+_HELLO_HEAD = struct.Struct(">32sQI")
 # a FragmentRequest is one (address, lo, hi) range; the ok reply holds
 # its fragment
 _FRAGMENT_RANGE = struct.Struct(">20sQQ")
@@ -175,18 +175,14 @@ _FRAGMENT_RANGE = struct.Struct(">20sQQ")
 def encode_hello(assignment: ShardAssignment, tip: bytes, tip_height: int,
                  pending: Sequence[mainchain.ConfirmationRecord]
                  ) -> bytes:
-    """The body of an ok Hello reply, after its status byte. Fields off
-    their wire types, widths or ranges are refused before anything is
-    packed."""
-    if not isinstance(tip, bytes) or len(tip) != codec.HASH_LEN \
-            or not isinstance(tip_height, int) \
-            or not 0 <= tip_height < 1 << 64 \
-            or not mainchain.records_fit(pending):
+    """The body of an ok Hello reply, after its status byte. Fields that
+    ``codec.packed`` does not pack are refused, with MalformedEnvelope."""
+    head = codec.packed(_HELLO_HEAD, (tip, tip_height, len(pending)))
+    records = mainchain.records_fit(pending)
+    if head is None or records is None:
         raise MalformedEnvelope("a Hello field is off its wire type, width "
                                 "or range")
-    return b"".join([assignment.encode(), tip,
-                     _HELLO_COUNTS.pack(tip_height, len(pending))]
-                    + [record.encode() for record in pending])
+    return assignment.encode() + head + records
 
 
 def decode_hello(body: bytes):
@@ -195,12 +191,12 @@ def decode_hello(body: bytes):
     if not body:
         raise DecodeError("empty Hello reply")
     alen = 1 + (body[0] + 7) // 8
-    head = alen + 32 + _HELLO_COUNTS.size
+    head = alen + _HELLO_HEAD.size
     if len(body) < head:
         raise DecodeError("Hello reply shorter than %d bytes" % head)
     assignment = sharding.decode_assignment(body[:alen])
-    tip_height, count = _HELLO_COUNTS.unpack_from(body, alen + 32)
-    return (assignment, body[alen:alen + 32], tip_height,
+    tip, tip_height, count = _HELLO_HEAD.unpack_from(body, alen)
+    return (assignment, tip, tip_height,
             list(mainchain.decode_records(body[head:], count)))
 
 
@@ -310,16 +306,15 @@ class NodeClient:
 
     def fetch_fragment(self, address: bytes, lo: int, hi: int
                        ) -> subchain.SubchainFragment:
-        """The fragment (lo, hi] of ``address``'s subchain. An address
-        that is not 20 bytes or a height that is not an int in u64 is
-        refused before anything is packed."""
-        if not (isinstance(address, bytes) and len(address) == codec.ADDR_LEN
-                and all(isinstance(h, int) and 0 <= h < 1 << 64
-                        for h in (lo, hi))):
+        """The fragment (lo, hi] of ``address``'s subchain. A range that
+        ``codec.packed`` does not pack is refused, with MalformedEnvelope,
+        and nothing is sent."""
+        payload = codec.packed(_FRAGMENT_RANGE, (address, lo, hi))
+        if payload is None:
             raise MalformedEnvelope("a FragmentRequest takes a 20-byte "
                                     "address and two u64 heights")
         return subchain.decode_fragment(self.call(Envelope(
-            MsgKind.FragmentRequest, _FRAGMENT_RANGE.pack(address, lo, hi))))
+            MsgKind.FragmentRequest, payload)))
 
     def submit_tx(self, tx) -> None:
         """Submit ``tx`` alone: a one-tx fragment, the one NewTx payload."""

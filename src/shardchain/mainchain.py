@@ -8,14 +8,15 @@ winning a tie: with one difficulty, the heaviest.
 from __future__ import annotations
 
 import struct
-from itertools import repeat, starmap
+from itertools import chain, repeat
 from operator import attrgetter, ge, le
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, subchain
-from .codec import ADDR_LEN, HASH_LEN, Frozen, sha256, sha256d
+from .codec import Frozen, sha256, sha256d
 from .errors import (
     BadPoW,
+    ConfigInvalid,
     MalformedBits,
     MalformedBlock,
     Oversize,
@@ -32,7 +33,6 @@ BLOCK_OVERHEAD = HEADER_LEN + 4   # header plus the 4-byte record count
 _RECORD = struct.Struct(">20s32sQ")
 _HEADER = struct.Struct(">32sQQ20s32sIQ")
 _COUNT = struct.Struct(">I")
-_U64 = 1 << 64
 
 SUBSIDY = 50 * 10**8   # each main block's coinbase
 EASY_BITS = 0x207FFFFF   # top byte 0x7f: ~1/2 success per attempt
@@ -91,23 +91,31 @@ class BlockHeader(NamedTuple):
         return _HEADER.pack(*self)
 
 
-def records_fit(records) -> bool:
-    """Whether every record's fields are of their wire types, widths and
-    ranges: struct would pad or cut a bytes field and refuse a height off
-    u64 or a field of another type."""
-    return all(isinstance(a, bytes) and len(a) == ADDR_LEN
-               and isinstance(h, bytes) and len(h) == HASH_LEN
-               and isinstance(n, int) and 0 <= n < _U64
-               for a, h, n in records)
+def records_fit(records) -> Optional[bytes]:
+    """The records' wire encodings, back to back, when each record has
+    three fields and ``codec.packed`` packs them all; else None."""
+    if any(len(record) != 3 for record in records):
+        return None
+    return codec.packed(struct.Struct(">" + _RECORD.format[1:] * len(records)),
+                        tuple(chain.from_iterable(records)))
 
 
 def encode_records(records) -> bytes:
     """The records' wire encodings, back to back: a block's body. A record
     off its wire type, width or range is refused with MalformedBlock."""
-    if not records_fit(records):
-        raise MalformedBlock("a record field is off its wire type, width or "
-                             "range")
-    return b"".join(starmap(_RECORD.pack, records))
+    body = records_fit(records)
+    if body is None:
+        raise MalformedBlock("a record field has no wire form")
+    return body
+
+
+def _wire_header(header) -> BlockHeader:
+    """The header that ``header``'s wire bytes decode to, when
+    ``codec.packed`` packs it; MalformedBlock when it has no wire form."""
+    data = codec.packed(_HEADER, header)
+    if data is None:
+        raise MalformedBlock("a header field has no wire form")
+    return tuple.__new__(BlockHeader, _HEADER.unpack(data))
 
 
 def confirmations_root(records) -> bytes:
@@ -118,12 +126,14 @@ class MainBlock(Frozen):
     """A header and ``body``, its records' wire bytes, and nothing decoded
     from them: each pass unpacks the fields of the body it reads
     (``columns``, ``rows``), and ``confirmations`` decodes the whole body
-    on each read."""
+    on each read. A block holds the header its bytes decode to: one with
+    a field off its wire type, width or range is refused when built, with
+    MalformedBlock, as is such a record."""
     __slots__ = ("header", "body", "_block_hash")
     _fields = ("header", "body")
 
     def __init__(self, header: BlockHeader, confirmations: tuple = ()):
-        _set(self, "header", header)
+        _set(self, "header", _wire_header(header))
         _set(self, "body", encode_records(tuple(confirmations)))
 
     @property
@@ -226,13 +236,15 @@ def new_block(parent: bytes, height: int, timestamp: int,
     sorts by address."""
     records = tuple(sorted(records, key=attrgetter("address")))
     body = encode_records(records)
-    header = BlockHeader(parent, height, timestamp, miner_address,
-                         sha256(body), difficulty_bits, 0)
+    header = _wire_header((parent, height, timestamp, miner_address,
+                           sha256(body), difficulty_bits, 0))
     return seal(_block(header, body))
 
 
 class Genesis(Frozen):
-    """Height-0 anchor: allocations are pre-confirmed subchain balances."""
+    """Height-0 anchor: allocations are pre-confirmed subchain balances.
+    Its hash commits to what it holds: a timestamp or an allocation that
+    ``codec.packed`` does not pack is refused with ConfigInvalid."""
     __slots__ = ("timestamp", "allocations", "block_hash", "_alloc_map")
     _fields = ("timestamp", "allocations")
 
@@ -240,16 +252,20 @@ class Genesis(Frozen):
         _set(self, "timestamp", timestamp)
         # sorted tuple of (address, balance)
         _set(self, "allocations", allocations)
+        # dict() refuses an allocation that is not a pair, before encode()
+        # flattens them all
+        _set(self, "_alloc_map", dict(allocations))
         # every view reads the hash at once and walks parent links
         # against it constantly
         _set(self, "block_hash", sha256d(self.encode()))
-        _set(self, "_alloc_map", dict(allocations))
 
     def encode(self) -> bytes:
-        parts = [struct.pack(">QI", self.timestamp, len(self.allocations))]
-        for address, balance in self.allocations:
-            parts.append(struct.pack(">20sQ", address, balance))
-        return b"".join(parts)
+        count = len(self.allocations)
+        data = codec.packed(struct.Struct(">QI" + "20sQ" * count), (
+            self.timestamp, count, *chain.from_iterable(self.allocations)))
+        if data is None:
+            raise ConfigInvalid("a genesis field has no wire form")
+        return data
 
     def balance_of(self, address: bytes) -> int:
         return self._alloc_map.get(address, 0)
@@ -450,21 +466,20 @@ def validate_block(block: MainBlock, view: ChainView
     """The main chain's one check of a block, on the branch it joins.
     First the checks that read only the parent's place in the view, none
     in time that grows with the chain or the fork distance: known parent,
-    difficulty bits, height, size, header fields at their wire widths and
-    ranges, PoW, record order, and root. A block's records are at their
-    wire widths and ranges: a block is built of records that encode, or
-    decoded. Then, on the view switched to a parent off its tip and left
-    there, refused or not, that each record advances its address; whether
-    a record's fragment is a valid state transition is for the nodes that
-    host the address to check. Returns the block's address and tip height
-    columns, each record's address's tip height on the parent branch (0
-    for an address it never confirmed), all in record order, and the
-    switch's lists (empty for a block on the tip). The first three are
-    the ``read`` that ``ChainView.extend`` connects the block from."""
+    difficulty bits, height, size, PoW, record order, and root. A block's
+    header and records are of their wire types, widths and ranges: it is
+    built of ones that ``codec.packed`` packs, or decoded. Then, on the
+    view switched to a parent off its tip and left there, refused or not,
+    that each record advances its address; whether a record's fragment is
+    a valid state transition is for the nodes that host the address to
+    check. Returns the block's address and tip height columns, each
+    record's address's tip height on the parent branch (0 for an address
+    it never confirmed), all in record order, and the switch's lists
+    (empty for a block on the tip). The first three are the ``read`` that
+    ``ChainView.extend`` connects the block from."""
     header = block.header
     parent = header.parent_block_hash
-    # a parent that is not bytes names no block, and may not even hash
-    if not isinstance(parent, bytes) or parent not in view.height:
+    if parent not in view.height:
         raise UnknownParent("parent block unknown")
     if header.difficulty_bits != view.params.difficulty_bits:
         raise BadPoW("unexpected difficulty bits")
@@ -472,17 +487,6 @@ def validate_block(block: MainBlock, view: ChainView
         raise BadPoW("wrong block height")
     if BLOCK_OVERHEAD + len(block.body) > view.params.block_limit:
         raise Oversize("block exceeds %d bytes" % view.params.block_limit)
-    # struct pads or cuts a bytes field and refuses an integer off its
-    # range or a field of another type (records_fit's tests), so the hash
-    # would cover other bytes than the header holds, or fail
-    miner, ts, nonce = header.miner_address, header.timestamp, header.nonce
-    if not (isinstance(miner, bytes) and len(miner) == ADDR_LEN
-            and isinstance(header.confirmations_root, bytes)
-            and isinstance(header.height, int)
-            and isinstance(header.difficulty_bits, int)
-            and isinstance(ts, int) and 0 <= ts < _U64
-            and isinstance(nonce, int) and 0 <= nonce < _U64):
-        raise MalformedBlock("a header field is off its wire type or range")
     if not meets_target(block.block_hash, header.difficulty_bits):
         raise BadPoW("block hash above target")
     keys, heights = columns(block)

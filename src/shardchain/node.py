@@ -14,8 +14,7 @@ from collections.abc import Mapping
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import codec, mainchain, subchain
-from .codec import NULL_ADDRESS, NULL_HASH, MsgKind, ReceiveTx, SendTx, \
-    SubchainTx
+from .codec import NULL_ADDRESS, NULL_HASH, MsgKind, SendTx, SubchainTx
 from .errors import (
     ConfirmationMismatch,
     ConfirmedFrozen,
@@ -540,17 +539,11 @@ class Node:
         main_bytes = len(self.genesis.encode()) + sum(
             mainchain.BLOCK_OVERHEAD + len(b.body)
             for b in self.view.blocks.values())
-        # every stored tx passed verify_tx or vouched, both of which check
-        # the fixed wire widths, so its fields have the sizes they assume;
-        # an unsigned tx leaves out the key and the signature
-        wire_len = {SendTx: codec.SEND_WIRE_LEN,
-                    ReceiveTx: codec.RECV_WIRE_LEN}
         chains, pending = self.store.chains, self.store.pending
         held = [*chains.values(), *pending.values()]
         return StorageReport(
             main_chain_bytes=main_bytes,
-            subchain_bytes=sum(wire_len[type(tx)]
-                               - codec.AUTH_LEN * codec.unsigned(tx)
+            subchain_bytes=sum(len(codec.encode_tx(tx))
                                for txs in held for tx in txs),
             shard_count=len(chains.keys() | pending.keys()),
             tx_count=sum(map(len, held)))

@@ -139,6 +139,12 @@ def tx_round_trips(tx) -> bool:
     return round_trips(tx, codec.encode_tx, decode_tx)
 
 
+def header_round_trips(header) -> bool:
+    # a header alone is a block of no records
+    return round_trips(header, BlockHeader.encode,
+                       lambda data: decode_block(data + bytes(4)).header)
+
+
 def record_round_trips(record) -> bool:
     return round_trips(record, ConfirmationRecord.encode,
                        lambda data: decode_records(data, 1)[0])
@@ -323,10 +329,11 @@ def blocks(draw):
                 b"".join(r.encode() for r in recs))
         except struct.error:
             fields["confirmations_root"] = NULL_HASH
+    header = BlockHeader(**fields)
     try:
-        block = MainBlock(BlockHeader(**fields), recs)
+        block = MainBlock(header, recs)
     except MalformedBlock:
-        return recs         # refused when built: the test checks why
+        return header, recs     # refused when built: the test checks why
     try:
         return seal(block)
     except (struct.error, TypeError, ShardChainError):
@@ -339,10 +346,14 @@ def test_block_round_trips_or_is_refused(block):
     """An in-process block that ``validate_block`` accepts is the block its
     own encoding decodes to, field for field: its hash covers exactly the
     bytes it holds. Any other block is refused with a ShardChainError:
-    one whose records do not all round-trip, when it is built."""
+    one whose header or records do not all round-trip, when it is
+    built."""
     if isinstance(block, tuple):
-        assert not all(map(record_round_trips, block))
+        header, recs = block
+        assert not header_round_trips(header) \
+            or not all(map(record_round_trips, recs))
         return
+    assert header_round_trips(block.header)
     try:
         validate_block(block, ChainView(GENESIS, PARAMS))
     except ShardChainError:

@@ -522,6 +522,11 @@ class TestChainSigned:
         assert hashed == tx._replace(tx_hash=codec.sign_tx(
             tx, keys[0]).tx_hash)
         assert codec.unsigned(hashed) and not codec.verify_tx(hashed)
+        # its child vouches for it; a plain tuple of the child's fields,
+        # which equals the child, is no tx and vouches for nothing
+        child = make_send(keys[0], parent=hashed.tx_hash, height=2)
+        assert codec.vouched(hashed, child) is True
+        assert codec.vouched(hashed, tuple(child)) is False
 
     def test_hash_tx_refuses_a_field_off_its_width(self, keys):
         with pytest.raises(InvalidSignature):

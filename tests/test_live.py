@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shardchain import cli, codec, live, mainchain, subchain
-from shardchain.errors import DecodeError, FragmentMisaligned, \
-    MalformedBatch, ShardChainError, UnconfirmedSend
+from shardchain.errors import ConfigInvalid, DecodeError, \
+    FragmentMisaligned, MalformedBatch, ShardChainError, UnconfirmedSend
 from shardchain.mainchain import ChainParams, EASY_BITS
 from shardchain.miner import Miner
 from shardchain.network import Envelope, MsgKind
@@ -320,6 +320,20 @@ class TestJournal:
         live.save_node(loaded, data_dir)
         with open(meta_path) as fh:
             assert key not in json.load(fh)
+
+    @pytest.mark.parametrize("balance", [2 ** 64, -1, "5"])
+    def test_meta_with_off_wire_allocation_refused(self, data_dir, keys,
+                                                   balance):
+        """A meta.json whose allocation has no wire form is refused with
+        ConfigInvalid, a ShardChainError, when the dir loads."""
+        meta_path = os.path.join(data_dir, live.META_FILE)
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["allocations"] = {keys[0].address.hex(): balance}
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(ConfigInvalid):
+            live.load_node(data_dir)
 
 
 class TestHostileInput:

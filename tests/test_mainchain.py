@@ -8,6 +8,7 @@ from shardchain import codec, mainchain
 from shardchain.codec import NULL_ADDRESS, NULL_HASH, sha256, sha256d
 from shardchain.errors import (
     BadPoW,
+    ConfigInvalid,
     DecodeError,
     MainChainError,
     MalformedBits,
@@ -256,6 +257,15 @@ class TestRecordsRoot:
         with pytest.raises(RootMismatch):
             validate_block(block, view)
 
+    def test_regrouped_fields_refused(self):
+        """Fields that would pack back to back as valid records, but are
+        grouped otherwise (a pair, then four fields), are not records:
+        they have no root and build no block."""
+        (address, tip_hash, height), other = ROOT_RECORDS[:2]
+        regrouped = ((address, tip_hash), (height, *other))
+        with pytest.raises(MalformedBlock):
+            confirmations_root(regrouped)
+
     def test_hand_built_block_computes_its_root(self, monkeypatch):
         view = ChainView(make_genesis({}), PARAMS)
         decoded = decode_block(mk_block(view, ROOT_RECORDS).encode())
@@ -270,6 +280,31 @@ class TestRecordsRoot:
             with pytest.raises(RootMismatch):
                 validate_block(block, view)
         validate_block(MainBlock(decoded.header, tuple(ROOT_RECORDS)), view)
+
+
+class TestGenesis:
+    ADDRESS = b"\x01" * 20
+
+    @pytest.mark.parametrize("allocations,timestamp", [
+        # struct would pad it: the genesis would hash as the one of its
+        # zero-padded twin, whose balance_of reads 0 at this address
+        ({b"\x01" * 19: 5}, 0),
+        ({b"\x01" * 21: 5}, 0),         # or cut it
+        ({"\x01" * 20: 5}, 0),
+        ({ADDRESS: 2 ** 64}, 0),
+        ({ADDRESS: -1}, 0),
+        ({ADDRESS: 5.0}, 0),
+        ({ADDRESS: 5}, 2 ** 64),
+    ], ids=["short", "long", "str", "over_u64", "negative", "float",
+            "timestamp"])
+    def test_allocation_off_its_wire_form_refused(self, allocations,
+                                                  timestamp):
+        """A genesis hashes its allocations' wire bytes, so it commits to
+        what it holds only when each of them reads back unchanged once
+        packed: an allocation or a timestamp off its wire form is refused
+        with ConfigInvalid."""
+        with pytest.raises(ConfigInvalid):
+            make_genesis(allocations, timestamp)
 
 
 class TestChainView:
@@ -586,15 +621,21 @@ class TestValidateBlock:
     def test_miner_address_width(self, keys, width):
         """A miner address off 20 bytes: ``struct`` pads or cuts it into
         the header, so a 19-byte one would hash as, and decode to, its
-        zero-padded twin, whose coinbase is another address's."""
+        zero-padded twin, whose coinbase is another address's. Its block
+        is refused when built, so it is never validated and never enters
+        a view; the twin validates and connects."""
         key, view, chain = hosted_setup(keys)
-        block = mk_block(view, miner=b"\x07" * width)
-        twin = decode_block(block.encode())
-        assert twin.block_hash == block.block_hash
-        assert twin.header.miner_address != block.header.miner_address
-        with pytest.raises(MainChainError):
-            validate_block(block, view)
-        validate_block(twin, view)
+        miner = b"\x07" * width
+        with pytest.raises(MalformedBlock):
+            mk_block(view, miner=miner)
+        twin = mk_block(view, miner=miner[:20].ljust(20, b"\x00"))
+        assert twin.header._replace(miner_address=miner).encode() \
+            == twin.header.encode()
+        assert twin.header.miner_address != miner
+        view.extend(twin, validate_block(twin, view)[:3])
+        assert view.tip == twin.block_hash
+        assert view.blocks[twin.block_hash].header.miner_address \
+            == twin.header.miner_address
 
     @pytest.mark.parametrize("field,value", [
         ("timestamp", 2**64), ("timestamp", -1),
@@ -631,15 +672,21 @@ class TestValidateBlock:
             validate_block(MainBlock(header, block.confirmations), view)
 
     def test_unhashable_parent_unknown(self, keys):
-        """A parent hash that is not bytes names no block, even a list
-        of the tip's bytes, which would not hash as a key, or a bytearray
-        that compares equal to the tip."""
+        """A parent hash that is not bytes names no block: a list of the
+        tip's bytes, which would not hash as a key, has no wire form, and
+        its block is refused when built. A bytearray equal to the tip
+        packs to the tip's hash, so its block holds that hash as bytes:
+        it is the tip's child, and validates as such."""
         key, view, chain = hosted_setup(keys)
         block = mk_block(view)
-        for parent in (list(view.tip), bytearray(view.tip)):
-            header = block.header._replace(parent_block_hash=parent)
-            with pytest.raises(UnknownParent):
-                validate_block(MainBlock(header, block.confirmations), view)
+        header = block.header._replace(parent_block_hash=list(view.tip))
+        with pytest.raises(MalformedBlock):
+            MainBlock(header, block.confirmations)
+        header = block.header._replace(parent_block_hash=bytearray(view.tip))
+        child = MainBlock(header, block.confirmations)
+        assert type(child.header.parent_block_hash) is bytes
+        assert child == block and child.block_hash == block.block_hash
+        validate_block(child, view)
 
     @pytest.mark.parametrize("width,tip_height", [
         (31, 1), (33, 1), (32, 2**64), (32, -1)])

@@ -755,6 +755,27 @@ class TestIngestFallback:
             node.accept_pending_tx(a)
         assert key.address not in node.store.pending
 
+    def test_tail_above_another_version_is_dropped(self, keys):
+        """A node pools [s1] then [s2], and a block confirms s1', another
+        version of s1, at height 1: s1' is fetched and confirmed, and s2,
+        which is above the confirmed height but names s1 as its parent,
+        no longer links, so the whole tail is dropped."""
+        key = keys[0]
+        s1 = make_send(key, amount=1)
+        s2 = make_send(key, parent=s1.tx_hash, height=2, amount=1)
+        s1_other = make_send(key, recipient=b"\x08" * 20, amount=2)
+        node = Node(b"\x00" * 8, ShardAssignment(""),
+                    make_genesis({key.address: 100}), PARAMS,
+                    fetch=lambda address, lo, hi: SubchainFragment(
+                        address, lo, (s1_other,)[lo:hi]))
+        node.accept_pending_tx(s1)
+        node.accept_pending_tx(s2)
+        node.ingest_block(confirm_block(node, [
+            ConfirmationRecord(key.address, s1_other.tx_hash, 1)]))
+        assert node.store.pending == {} and node.store.tail_states == {}
+        assert node.store.chains[key.address] == [s1_other]
+        assert node.full_state(key.address).balance == 98
+
 
 class TestEndToEndTransfer:
     def test_send_confirm_claim(self, keys):
@@ -1230,10 +1251,10 @@ class TestStorage:
         assert report.main_chain_bytes == \
             len(node.genesis.encode()) + len(block.encode())
 
-    def test_report_encodes_no_tx(self, keys, monkeypatch):
-        """Stored and pending txs of both kinds are counted at their wire
-        widths without encoding one, and blocks from their record counts
-        without encoding one."""
+    def test_report_encodes_each_tx_once(self, keys, monkeypatch):
+        """Stored and pending txs of both kinds are counted at the widths
+        ``encode_tx`` gives them, each encoded once, and blocks from their
+        record counts without encoding one."""
         sender, rcpt = keys[0], keys[1]
         node = make_node(make_genesis({sender.address: 100}))
         send = make_send(sender, amount=30, recipient=rcpt.address)
@@ -1248,7 +1269,7 @@ class TestStorage:
         calls = Calls(monkeypatch, [(codec, "encode_tx"),
                                     (MainBlock, "encode")])
         report = node.storage_report()
-        assert calls.take() == {}
+        assert calls.take() == {"encode_tx": 2}
         assert report.tx_count == 2 and report.shard_count == 2
         assert report.subchain_bytes == wire
         assert report.main_chain_bytes == main
