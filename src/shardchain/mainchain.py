@@ -272,8 +272,11 @@ class Genesis(Frozen):
 
 
 def make_genesis(allocations: Dict[bytes, int], timestamp: int = 0) -> Genesis:
-    return Genesis(timestamp=timestamp,
-                   allocations=tuple(sorted(allocations.items())))
+    try:
+        pairs = tuple(sorted(allocations.items()))
+    except TypeError:   # addresses of more than one type: not all bytes
+        raise ConfigInvalid("a genesis address has no wire form") from None
+    return Genesis(timestamp=timestamp, allocations=pairs)
 
 
 class ChainView:

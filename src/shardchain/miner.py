@@ -34,7 +34,7 @@ class Miner:
         return self.node.accept_pending_tx(tx)
 
     def refresh_pool(self) -> None:
-        """Nothing left to do: the node trims its tails as blocks connect."""
+        """Nothing left to do: the node's tails follow each winning block."""
 
     def build_template(self, timestamp: int) -> MainBlock:
         """The sealed block on the node's tip: one record at the tail tip

@@ -341,10 +341,8 @@ class Node:
                 view.switch(tip)
         self.store.archive[bh] = entry
         view.extend(block, (addresses, heights, prior))
-        if wins and disconnect:     # a reorg: to the parent, then the block
-            self._reorg(disconnect, [*connect, bh])
-        elif wins:
-            self._connect(bh)
+        if wins:    # to the parent, then the block
+            self._follow(disconnect, [*connect, bh])
         return entry
 
     def _state_after(self, block_hash: Optional[bytes],
@@ -403,11 +401,46 @@ class Node:
             return None
         return _new(SubchainFragment, (address, lo, txs))
 
-    def _connect(self, block_hash: bytes) -> None:
+    def _follow(self, disconnect: List[bytes], connect: List[bytes]) -> None:
+        """Move the hosted keyspaces from the old canonical blocks
+        ``disconnect`` to the new ones ``connect`` (both oldest first; the
+        view has switched already), then resubmit what the move leaves
+        unconfirmed through ``accept_pending_tx``: the held txs the
+        disconnects cut, then every tail on a reorg, else what the
+        connects leave of a tail. It goes in address order, in segments
+        that each end at a signed tx, up to an address's first refusal."""
+        store = self.store
+        resubmit: Dict[bytes, List[SubchainTx]] = {}
+        for h in disconnect:
+            for address, txs in self._disconnect(h):
+                resubmit.setdefault(address, []).extend(txs)
+        if disconnect:      # a reorg: every tail goes back
+            for address, tail in store.pending.items():
+                resubmit.setdefault(address, []).extend(tail)
+            store.pending.clear()
+            store.tail_states.clear()
+        for h in connect:
+            for address, txs in self._connect(h):
+                resubmit.setdefault(address, []).extend(txs)
+        for address in sorted(resubmit):
+            segment = []
+            for tx in resubmit[address]:
+                segment.append(tx)
+                if not codec.unsigned(tx):
+                    try:
+                        self.accept_pending_tx(*segment)
+                    except ShardChainError:
+                        break
+                    segment = []
+
+    def _connect(self, block_hash: bytes
+                 ) -> List[Tuple[bytes, List[SubchainTx]]]:
         """Apply a block's archived hosted entry to the canonical
         keyspaces and index the inflows it makes: each archived send to
         a hosted recipient, keyed by send hash, and a hosted miner's
-        coinbase, keyed by block hash."""
+        coinbase, keyed by block hash. Pops each pending tail the block
+        confirms, and returns the part above the confirmed height of each
+        one it confirms only in part, with its address."""
         store = self.store
         confirmed, chains, inflows, pending, tail_states = (
             store.confirmed, store.chains, store.inflows, store.pending,
@@ -416,6 +449,7 @@ class Node:
         low, high = self.assignment.low, self.assignment.high
         header = self.view.blocks[block_hash].header
         height = header.height
+        partial = []
         for address, (txs, new_state) in store.archive[block_hash].items():
             confirmed[address] = new_state
             chains.setdefault(address, []).extend(txs)
@@ -431,23 +465,28 @@ class Node:
                             pool = inflows[recipient] = {}
                         pool[tx_hash] = _new(Inflow, (
                             sender, tx_hash, block_hash, amount, height))
-            tail = pending.get(address)
-            if tail and tail[-1][1] <= new_state.tip_height:  # all confirmed
-                del pending[address], tail_states[address]
-            elif tail:
-                self._trim_pending(address, new_state)
+            tail = pending.pop(address, None)
+            if tail:    # a tx's height is its field 1
+                del tail_states[address]
+                if tail[-1][1] > new_state.tip_height:
+                    partial.append((address, tail[
+                        new_state.tip_height + 1 - tail[0][1]:]))
         if low <= header.miner_address <= high:
             inflows.setdefault(header.miner_address, {})[
                 block_hash] = _new(Inflow, (*COINBASE, block_hash,
                                             SUBSIDY, height))
+        return partial
 
-    def _disconnect(self, block_hash: bytes) -> None:
+    def _disconnect(self, block_hash: bytes
+                    ) -> List[Tuple[bytes, List[SubchainTx]]]:
         """Remove what ``_connect`` added for a formerly canonical block
         (each chain is cut at its first height), and reset each confirmed
         state it set from the view's new canonical index, which has
-        switched already."""
+        switched already. Returns the held txs cut from each chain, with
+        its address."""
         store = self.store
         low, high = self.assignment.low, self.assignment.high
+        cuts = []
         for address, (txs, _) in store.archive[block_hash].items():
             confirming = self.view.confirmed_by.get(address)
             if confirming is not None:
@@ -456,6 +495,7 @@ class Node:
             else:       # another disconnected block may have dropped it
                 store.confirmed.pop(address, None)
             chain = store.chains.get(address, [])
+            cuts.append((address, chain[txs[0].height - 1:]))
             del chain[txs[0].height - 1:]
             if not chain:   # or its chain
                 store.chains.pop(address, None)
@@ -466,58 +506,13 @@ class Node:
         miner = self.view.blocks[block_hash].header.miner_address
         if low <= miner <= high:
             self._drop_inflow(miner, block_hash)
+        return cuts
 
     def _drop_inflow(self, address: bytes, key: bytes) -> None:
         pool = self.store.inflows[address]
         del pool[key]
         if not pool:
             del self.store.inflows[address]
-
-    def _reorg(self, disconnect: List[bytes], connect: List[bytes]) -> None:
-        """Switch the hosted keyspaces from the old canonical blocks
-        ``disconnect`` to the new ones ``connect`` (both oldest first;
-        the view has switched already), then resubmit, address by address
-        in address order, the orphaned formerly confirmed txs and then the
-        old pending tail through ``accept_pending_tx``, in segments that
-        each end at a signed tx, stopping each address at the first
-        segment it refuses."""
-        resubmit: Dict[bytes, List[SubchainTx]] = {}
-        for h in disconnect:
-            self._disconnect(h)
-            for address, (txs, _) in self.store.archive[h].items():
-                resubmit.setdefault(address, []).extend(txs)
-        for address, tail in self.store.pending.items():
-            resubmit.setdefault(address, []).extend(tail)
-        self.store.pending.clear()
-        self.store.tail_states.clear()
-        for h in connect:
-            self._connect(h)
-        for address in sorted(resubmit):
-            segment = []
-            for tx in resubmit[address]:
-                segment.append(tx)
-                if codec.unsigned(tx):
-                    continue
-                try:
-                    self.accept_pending_tx(*segment)
-                except ShardChainError:
-                    break
-                segment = []
-
-    def _trim_pending(self, address: bytes,
-                      confirmed: SubchainState) -> None:
-        """Keep the part of ``address``'s pending tail above the
-        ``confirmed`` state, which the tail passes, if it links to it,
-        else drop the tail."""
-        kept = [t for t in self.store.pending[address]
-                if t.height > confirmed.tip_height]
-        if kept[0].parent_hash == confirmed.tip_hash \
-                and kept[0].height == confirmed.tip_height + 1:
-            # the hash chain fixes the kept suffix's state: it stays
-            self.store.pending[address] = kept
-            return
-        # no longer links
-        del self.store.pending[address], self.store.tail_states[address]
 
     # -- serving -------------------------------------------------------
 

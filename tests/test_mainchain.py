@@ -291,12 +291,14 @@ class TestGenesis:
         ({b"\x01" * 19: 5}, 0),
         ({b"\x01" * 21: 5}, 0),         # or cut it
         ({"\x01" * 20: 5}, 0),
+        # sorted() cannot order a str address among bytes ones
+        ({ADDRESS: 5, "a" * 20: 5}, 0),
         ({ADDRESS: 2 ** 64}, 0),
         ({ADDRESS: -1}, 0),
         ({ADDRESS: 5.0}, 0),
         ({ADDRESS: 5}, 2 ** 64),
-    ], ids=["short", "long", "str", "over_u64", "negative", "float",
-            "timestamp"])
+    ], ids=["short", "long", "str", "mixed_types", "over_u64", "negative",
+            "float", "timestamp"])
     def test_allocation_off_its_wire_form_refused(self, allocations,
                                                   timestamp):
         """A genesis hashes its allocations' wire bytes, so it commits to

@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import \
     decode_dss_signature
 
 from shardchain import codec, mainchain, sharding, subchain, wallet
-from shardchain.codec import NULL_ADDRESS, NULL_HASH
+from shardchain.codec import NULL_ADDRESS, NULL_HASH, SendTx
 from shardchain.errors import (
     BadLink,
     BadPoW,
@@ -41,7 +41,7 @@ from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment, initial_state, replay
 
 from conftest import FORGERIES, Calls, assert_index_is_scan, build_chain, \
-    chain_signed, forge, make_receive, make_send
+    chain_signed, forge, make_coinbase_claim, make_receive, make_send
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=2)
@@ -303,6 +303,33 @@ class TestIngest:
         assert node.full_state(key.address) == replay(
             chain[2:], node.claim_context(),
             initial=node.confirmed_state(key.address))
+
+    def test_partial_confirmation_keeps_chain_signed_claim(self, keys):
+        """A record confirms s1 of the tail [s1, u2, c3], where c3 is a
+        signed claim of a mature coinbase that vouches for the unsigned
+        u2: [u2, c3] stays pooled, at the state its replay reaches from
+        the new confirmed state."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 1000}))
+        mined = confirm_block(node, [], miner=key.address)
+        node.ingest_block(mined)
+        node.ingest_block(confirm_block(node, []))     # maturity 2
+        s1 = make_send(key, amount=5)
+        u2 = codec.hash_tx(SendTx(s1.tx_hash, 2, key.address,
+                                  b"\x07" * 20, 3, 0))
+        c3 = make_coinbase_claim(key, u2.tx_hash, 3, mined.block_hash,
+                                 mainchain.SUBSIDY)
+        node.accept_pending_tx(s1)
+        node.accept_pending_tx(u2, c3)
+        node.ingest_block(confirm_block(node, [
+            ConfirmationRecord(key.address, s1.tx_hash, 1)]))
+        assert node.confirmed_state(key.address).tip_hash == s1.tx_hash
+        assert node.store.pending == {key.address: [u2, c3]}
+        assert node.store.tail_states[key.address] == replay(
+            [u2, c3], node.claim_context(),
+            initial=node.confirmed_state(key.address))
+        assert node.full_state(key.address).balance \
+            == 1000 - 5 - 3 + mainchain.SUBSIDY
 
     def test_mismatched_record_rejected(self, keys):
         key = keys[0]
@@ -638,6 +665,10 @@ class TestIngestFallback:
     tip are checked by replay against the fragment they name."""
 
     def test_prefix_of_tail_replays(self, keys, monkeypatch):
+        """A record confirming the first two txs of a four-tx tail is
+        replayed from its fragment (two ``apply_tx``), and the two txs it
+        leaves unconfirmed go back through ``accept_pending_tx``, which
+        pools them again from the new confirmed state (two more)."""
         key = keys[0]
         node = make_node(make_genesis({key.address: 1000}))
         chain = build_chain(key, 4, start_balance=1000)
@@ -647,7 +678,7 @@ class TestIngestFallback:
         entry = node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, chain[1].tx_hash, 2)]))
         counts = calls.take()
-        assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 2)
+        assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 4)
         assert entry[key.address][0] == tuple(chain[:2])
         assert node.store.pending[key.address] == chain[2:]
 
@@ -868,6 +899,30 @@ class TestReorg:
         assert node.full_state(rcpt.address).balance == 0
         # the sender's pending send survives and can be re-confirmed
         assert node.store.pending[sender.address] == [send]
+
+    def test_signed_copy_survives_a_reorg(self, keys):
+        """A node confirms [u1, u2, s3], then takes a signed copy s2 of u2,
+        so it serves (u1, s2). A reorg that orphans the block resubmits
+        the txs the node held, s2 among them, not the block's: it still
+        serves (u1, s2)."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        u1, u2, s3 = chain_signed(key, [False, False, True])
+        node.accept_pending_tx(u1, u2, s3)
+        node.ingest_block(confirm_block(node, [
+            ConfirmationRecord(key.address, s3.tx_hash, 3)], timestamp=1))
+        s2 = codec.sign_tx(u2, key)
+        assert node.accept_pending_tx(u1, s2) is True
+        assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
+        rival = confirm_block(node, [], timestamp=30,
+                              parent=node.genesis.block_hash)
+        node.ingest_block(rival)
+        node.ingest_block(confirm_block(node, [], timestamp=31,
+                                        parent=rival.block_hash))
+        assert node.view.canonical[1] == rival.block_hash
+        assert node.store.pending == {key.address: [u1, s2, s3]}
+        assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
+        assert node.full_state(key.address).balance == 97
 
 
 class TestRefusedSideBlock:
