@@ -84,8 +84,9 @@ def save_node(node: Node, data_dir: str) -> None:
             for a, (txs, _) in node.store.archive[bh].items()]
         records.append(_log_record(MsgKind.NewBlock,
                                    node.view.blocks[bh].encode()))
-    records += [_log_record(MsgKind.NewTx, subchain.encode_batch(tail))
-                for _, tail in sorted(node.store.pending.items())]
+    records += [_log_record(MsgKind.NewTx, subchain.encode_batch(
+        chains[a][node.confirmed_state(a).tip_height:]))
+        for a in sorted(node.store.tail_states)]
     _replace_file(os.path.join(data_dir, LOG_FILE), b"".join(records))
     meta = {
         "prefix": node.assignment.prefix_bits,

@@ -56,14 +56,17 @@ class StorageReport(NamedTuple):
 
 
 class NodeStore:
-    """In-memory keyspaces; byte accounting uses serialized sizes only."""
+    """In-memory keyspaces; byte accounting uses serialized sizes only.
+
+    ``chains[a]`` is every tx the node holds of hosted address ``a``,
+    height h at index h - 1: the canonical txs up to ``confirmed[a]``'s
+    tip height, then the pending tail. ``tail_states[a]`` is the state
+    that tail reaches, in pooling order: ``a`` has a tail exactly when it
+    has an entry there."""
 
     def __init__(self):
         self.confirmed: Dict[bytes, SubchainState] = {}
-        self.pending: Dict[bytes, List[SubchainTx]] = {}
-        # the state each pending tail reaches from the confirmed state
         self.tail_states: Dict[bytes, SubchainState] = {}
-        # each hosted address's canonical txs (height h at index h - 1)
         self.chains: Dict[bytes, List[SubchainTx]] = {}
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
         # every accepted block, main or side, mapped to the hosted
@@ -80,8 +83,9 @@ class NodeStore:
 
     @property
     def txs(self) -> Mapping:
-        """The canonical txs by ``(address, height)``: a read-only view."""
-        return _TxView(self.chains)
+        """The canonical txs by ``(address, height)``: a read-only view
+        over each list up to its confirmed height."""
+        return _TxView(self.chains, self.confirmed)
 
     def find_send(self, address: bytes, tx_hash: bytes,
                   block_hash: bytes) -> Optional[SendTx]:
@@ -93,21 +97,22 @@ class NodeStore:
 
 
 class _TxView(Mapping):
-    def __init__(self, chains):
+    def __init__(self, chains, confirmed):
         self._chains = chains
+        self._confirmed = confirmed
 
     def __getitem__(self, key):
-        chain = self._chains.get(key[0], ())
-        if not 0 < key[1] <= len(chain):
+        state = self._confirmed.get(key[0])
+        if state is None or not 0 < key[1] <= state.tip_height:
             raise KeyError(key)
-        return chain[key[1] - 1]
+        return self._chains[key[0]][key[1] - 1]
 
     def __iter__(self):
-        return ((a, h) for a, chain in self._chains.items()
-                for h in range(1, len(chain) + 1))
+        return ((a, h) for a, state in self._confirmed.items()
+                for h in range(1, state.tip_height + 1))
 
     def __len__(self):
-        return sum(map(len, self._chains.values()))
+        return sum(state.tip_height for state in self._confirmed.values())
 
 
 class Node:
@@ -221,16 +226,18 @@ class Node:
         try:
             if not self.hosts(address):
                 raise NotHosted("address outside this node's prefix")
+            chain = self.store.chains.get(address, ())
             skip = 0
             for tx in txs:
-                at = self._held_at(address, operator.index(tx.height))
-                if at is None or at[0][at[1]].tx_hash != tx.tx_hash:
+                i = operator.index(tx.height) - 1
+                if not 0 <= i < len(chain) \
+                        or chain[i].tx_hash != tx.tx_hash:
                     break
-                held = at[0][at[1]]
+                held = chain[i]
                 # key and signature aside, the same tx
                 same = held[:-2] == tx[:-2]
                 if codec.unsigned(held) and same and codec.verify_tx(tx):
-                    upgrades.append((*at, tx))
+                    upgrades.append((i, tx))
                 elif held != tx and not (same and codec.unsigned(tx)):
                     raise DuplicateHashConflict(
                         "different transaction with the same hash")
@@ -243,8 +250,8 @@ class Node:
             self._pool(address, txs)
         elif not upgrades:
             return False
-        for held_txs, i, tx in upgrades:
-            held_txs[i] = tx
+        for i, tx in upgrades:
+            chain[i] = tx
         return True
 
     def _pool(self, address: bytes, txs: Tuple[SubchainTx, ...]) -> None:
@@ -261,21 +268,22 @@ class Node:
             raise TailConflict("replacement tail does not win")
         self.store.tail_states[address] = subchain.replay(
             txs, ctx, initial=state, verify=None)
-        self.store.pending.setdefault(address, []).extend(txs)
+        self.store.chains.setdefault(address, []).extend(txs)
 
     def pending_records(self) -> List[mainchain.ConfirmationRecord]:
         """The record that confirms each pending tail, in block order."""
-        pending = self.store.pending
+        tails = self.store.tail_states
         return [_new(mainchain.ConfirmationRecord, (
-            a, pending[a][-1].tx_hash, pending[a][-1].height))
+            a, tails[a].tip_hash, tails[a].tip_height))
             for a in self.block_order()]
 
     def block_order(self) -> List[bytes]:
         """The addresses with a pending tail in the order a block confirms
-        them: longest tail first, ties in the order the tails entered
-        ``pending``."""
-        pending = self.store.pending
-        return sorted(pending, key=lambda a: -len(pending[a]))  # stable
+        them: longest tail (its state's tip height above the confirmed
+        one) first, ties in the order the tails entered ``tail_states``."""
+        tails = self.store.tail_states
+        return sorted(tails, key=lambda a: self.confirmed_state(
+            a).tip_height - tails[a].tip_height)    # stable
 
     # -- block ingest --------------------------------------------------
 
@@ -302,8 +310,8 @@ class Node:
             addresses, heights, prior, (disconnect, connect) = \
                 mainchain.validate_block(block, view)
             ctx = None
-            pending = self.store.pending if view.tip == tip else {}
-            tail_states = self.store.tail_states
+            tails = self.store.tail_states if view.tip == tip else {}
+            chains = self.store.chains
             entry = {}
             span = hosted_slice(self.assignment, addresses)
             for (address, tip_hash, tip_height), lo in zip(
@@ -314,13 +322,12 @@ class Node:
                 # is replayed from the state of its address's last
                 # confirmation, under the claim context built for the
                 # first such record. Each entry is keyed by its first tx's
-                # address, the node's own object, not the row's. A tx's
-                # height is its field 1 and its hash its third from last.
-                tail = pending.get(address)
-                if tail and tail[0][1] == lo + 1 \
-                        and tail[-1][-3] == tip_hash \
-                        and tail[-1][1] == tip_height:
-                    entry[tail[0][2]] = (tuple(tail), tail_states[address])
+                # address (field 2), the node's own object, not the row's.
+                state = tails.get(address)
+                if state and state.tip_hash == tip_hash \
+                        and state.tip_height == tip_height:
+                    txs = tuple(chains[address][lo:])
+                    entry[txs[0][2]] = (txs, state)
                     continue
                 if ctx is None:
                     ctx = self.claim_context()
@@ -374,29 +381,10 @@ class Node:
             raise PartialFetch("remote fragment unavailable")
         return frag
 
-    def _held_at(self, address: bytes, height: int
-                 ) -> Optional[Tuple[List[SubchainTx], int]]:
-        """Where this node holds its tx at ``height``: the canonical chain
-        and the index in it, else the pending tail and the index, else
-        None."""
-        chain = self.store.chains.get(address, ())
-        if 0 < height <= len(chain):
-            return chain, height - 1
-        tail = self.store.pending.get(address)
-        # a tail is contiguous, so height h sits at h - tail[0].height
-        if tail and 0 <= height - tail[0].height < len(tail):
-            return tail, height - tail[0].height
-        return None
-
     def _local_fragment(self, address, lo, hi):
         # the held txs at heights (lo, hi], else None, in no time in
-        # proportion to ``hi`` (from a block's record); the tail is above
-        # the canonical chain
-        chain = self.store.chains.get(address, ())
-        n = len(chain)
-        txs = (*chain[lo:hi],
-               *self.store.pending.get(address, ())[max(lo - n, 0):
-                                                    max(hi - n, 0)])
+        # proportion to ``hi`` (from a block's record)
+        txs = tuple(self.store.chains.get(address, ())[lo:hi])
         if len(txs) != hi - lo:
             return None
         return _new(SubchainFragment, (address, lo, txs))
@@ -405,23 +393,39 @@ class Node:
         """Move the hosted keyspaces from the old canonical blocks
         ``disconnect`` to the new ones ``connect`` (both oldest first; the
         view has switched already), then resubmit what the move leaves
-        unconfirmed through ``accept_pending_tx``: the held txs the
-        disconnects cut, then every tail on a reorg, else what the
-        connects leave of a tail. It goes in address order, in segments
-        that each end at a signed tx, up to an address's first refusal."""
+        unconfirmed through ``accept_pending_tx``. On a reorg that is,
+        for each address of a disconnected block or of a tail, every held
+        tx above its height at the fork point, cut from its list: the txs
+        the node held, so a signed copy that replaced an unsigned one goes
+        back signed. Else it is what the connects leave of a tail. It goes
+        in address order, in segments that each end at a signed tx, up to
+        an address's first refusal."""
         store = self.store
+        chains = store.chains
         resubmit: Dict[bytes, List[SubchainTx]] = {}
-        for h in disconnect:
-            for address, txs in self._disconnect(h):
-                resubmit.setdefault(address, []).extend(txs)
-        if disconnect:      # a reorg: every tail goes back
-            for address, tail in store.pending.items():
-                resubmit.setdefault(address, []).extend(tail)
-            store.pending.clear()
+        if disconnect:
+            # each address's height at the fork: below the first tx the
+            # oldest disconnected block confirmed (a tx's height is its
+            # field 1), else its confirmed height
+            fork = {}
+            for h in disconnect:
+                for address, (txs, _) in store.archive[h].items():
+                    fork.setdefault(address, txs[0][1] - 1)
+                self._disconnect(h)
+            for address in store.tail_states:
+                fork.setdefault(address,
+                                self.confirmed_state(address).tip_height)
             store.tail_states.clear()
+            for address, height in fork.items():
+                chain = chains[address]
+                resubmit[address] = chain[height:]
+                del chain[height:]
+                if not chain:   # unconfirmed at the fork: the connects
+                    # confirm it anew, so ``txs`` keeps canonical order
+                    del chains[address]
+                    store.confirmed.pop(address, None)
         for h in connect:
-            for address, txs in self._connect(h):
-                resubmit.setdefault(address, []).extend(txs)
+            resubmit.update(self._connect(h))
         for address in sorted(resubmit):
             segment = []
             for tx in resubmit[address]:
@@ -438,13 +442,15 @@ class Node:
         """Apply a block's archived hosted entry to the canonical
         keyspaces and index the inflows it makes: each archived send to
         a hosted recipient, keyed by send hash, and a hosted miner's
-        coinbase, keyed by block hash. Pops each pending tail the block
-        confirms, and returns the part above the confirmed height of each
-        one it confirms only in part, with its address."""
+        coinbase, keyed by block hash. Writes each fragment into its
+        address's list from its first height, which ends the list there,
+        and drops the tail state of each address it confirms. Returns the
+        part of the list above the new confirmed height of each tail it
+        confirms only in part, taken before the write, with its
+        address."""
         store = self.store
-        confirmed, chains, inflows, pending, tail_states = (
-            store.confirmed, store.chains, store.inflows, store.pending,
-            store.tail_states)
+        confirmed, chains, inflows, tail_states = (
+            store.confirmed, store.chains, store.inflows, store.tail_states)
         # hosts()'s range test, written inline below
         low, high = self.assignment.low, self.assignment.high
         header = self.view.blocks[block_hash].header
@@ -452,7 +458,11 @@ class Node:
         partial = []
         for address, (txs, new_state) in store.archive[block_hash].items():
             confirmed[address] = new_state
-            chains.setdefault(address, []).extend(txs)
+            chain = chains.setdefault(address, [])
+            if tail_states.pop(address, None) \
+                    and len(chain) > new_state.tip_height:
+                partial.append((address, chain[new_state.tip_height:]))
+            chain[txs[0][1] - 1:] = txs     # a tx's height is its field 1
             for tx in txs:
                 if type(tx) is SendTx:
                     # current_address, recipient_address, amount,
@@ -465,40 +475,24 @@ class Node:
                             pool = inflows[recipient] = {}
                         pool[tx_hash] = _new(Inflow, (
                             sender, tx_hash, block_hash, amount, height))
-            tail = pending.pop(address, None)
-            if tail:    # a tx's height is its field 1
-                del tail_states[address]
-                if tail[-1][1] > new_state.tip_height:
-                    partial.append((address, tail[
-                        new_state.tip_height + 1 - tail[0][1]:]))
         if low <= header.miner_address <= high:
             inflows.setdefault(header.miner_address, {})[
                 block_hash] = _new(Inflow, (*COINBASE, block_hash,
                                             SUBSIDY, height))
         return partial
 
-    def _disconnect(self, block_hash: bytes
-                    ) -> List[Tuple[bytes, List[SubchainTx]]]:
-        """Remove what ``_connect`` added for a formerly canonical block
-        (each chain is cut at its first height), and reset each confirmed
-        state it set from the view's new canonical index, which has
-        switched already. Returns the held txs cut from each chain, with
-        its address."""
+    def _disconnect(self, block_hash: bytes) -> None:
+        """Drop the inflows ``_connect`` indexed for a formerly canonical
+        block, and reset each confirmed state it set from the view's new
+        canonical index, which has switched already. ``_follow`` cuts the
+        lists, and drops the state of an address the index lacks."""
         store = self.store
         low, high = self.assignment.low, self.assignment.high
-        cuts = []
         for address, (txs, _) in store.archive[block_hash].items():
             confirming = self.view.confirmed_by.get(address)
             if confirming is not None:
                 store.confirmed[address] = self._state_after(confirming,
                                                              address)
-            else:       # another disconnected block may have dropped it
-                store.confirmed.pop(address, None)
-            chain = store.chains.get(address, [])
-            cuts.append((address, chain[txs[0].height - 1:]))
-            del chain[txs[0].height - 1:]
-            if not chain:   # or its chain
-                store.chains.pop(address, None)
             for tx in txs:
                 if isinstance(tx, SendTx) \
                         and low <= tx.recipient_address <= high:
@@ -506,7 +500,6 @@ class Node:
         miner = self.view.blocks[block_hash].header.miner_address
         if low <= miner <= high:
             self._drop_inflow(miner, block_hash)
-        return cuts
 
     def _drop_inflow(self, address: bytes, key: bytes) -> None:
         pool = self.store.inflows[address]
@@ -534,11 +527,10 @@ class Node:
         main_bytes = len(self.genesis.encode()) + sum(
             mainchain.BLOCK_OVERHEAD + len(b.body)
             for b in self.view.blocks.values())
-        chains, pending = self.store.chains, self.store.pending
-        held = [*chains.values(), *pending.values()]
+        chains = self.store.chains
         return StorageReport(
             main_chain_bytes=main_bytes,
             subchain_bytes=sum(len(codec.encode_tx(tx))
-                               for txs in held for tx in txs),
-            shard_count=len(chains.keys() | pending.keys()),
-            tx_count=sum(map(len, held)))
+                               for txs in chains.values() for tx in txs),
+            shard_count=len(chains),
+            tx_count=sum(map(len, chains.values())))

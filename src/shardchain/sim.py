@@ -9,7 +9,6 @@ simulates in milliseconds.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -163,7 +162,7 @@ class Simulation:
         need = self.cfg.avg_txs   # each send is of 1
         out = []
         for address in self.addresses:
-            if self.root.store.pending.get(address):
+            if address in self.root.store.tail_states:
                 continue
             # inflows only add to the balance: a view is needed only
             # when the balance alone falls short
@@ -221,7 +220,7 @@ class Simulation:
         balances = sum(root.confirmed_state(a).balance for a in
                        sorted(touched))
         unclaimed_sends = 0
-        for tx in itertools.chain.from_iterable(root.store.chains.values()):
+        for tx in root.store.txs.values():
             if isinstance(tx, SendTx):
                 rcpt = root.confirmed_state(tx.recipient_address)
                 if tx.tx_hash not in rcpt.claimed:

@@ -172,6 +172,15 @@ def build_chain(key, length, start_balance, ctx=None, rng=None):
     return txs
 
 
+def tails(node):
+    """Each pending tail of ``node`` by address, in pooling order: the
+    part of the address's list in ``NodeStore.chains`` above its
+    confirmed height."""
+    chains = node.store.chains
+    return {a: chains[a][node.confirmed_state(a).tip_height:]
+            for a in node.store.tail_states}
+
+
 def assert_confirmed_are_replays(node):
     """Each confirmed state of ``node`` is, field for field, the replay of
     the account's canonical txs from its genesis state."""
@@ -184,11 +193,13 @@ def assert_confirmed_are_replays(node):
 
 
 def assert_chains_are_canonical(node):
-    """Each hosted chain is its address's txs archived for the canonical
-    blocks, in block order, as long as its confirmed height and never
-    empty, and ``store.txs`` is them by (address, height);
-    ``find_send`` finds each such send at the block that confirmed it,
-    under its sender alone."""
+    """Each hosted list is never empty and as long as its address's full
+    state's tip height. Up to its confirmed height it is its address's
+    txs archived for the canonical blocks, in block order, and
+    ``store.txs`` is them by (address, height); above it is the pending
+    tail, held exactly when ``tail_states`` has the address, and which
+    ``store.txs`` does not hold. ``find_send`` finds each canonical send
+    at the block that confirmed it, under its sender alone."""
     store = node.store
     chains, sends = {}, {}
     for bh in node.view.canonical[1:]:
@@ -196,14 +207,22 @@ def assert_chains_are_canonical(node):
             chains.setdefault(address, []).extend(txs)
             sends.update(((tx.tx_hash, bh), tx) for tx in txs
                          if isinstance(tx, SendTx))
-    assert store.chains == chains
     assert all(store.chains.values())
     assert {a: len(chain) for a, chain in store.chains.items()} == \
-        {a: state.tip_height for a, state in store.confirmed.items()}
-    # store.txs reads the lists by (address, height)
+        {a: node.full_state(a).tip_height for a in store.chains}
+    confirmed = {a: node.confirmed_state(a).tip_height
+                 for a in store.chains}
+    assert set(store.tail_states) == {
+        a for a, chain in store.chains.items() if len(chain) > confirmed[a]}
+    assert {a: chain[:confirmed[a]] for a, chain in store.chains.items()
+            if confirmed[a]} == chains
+    assert set(store.confirmed) <= set(store.chains)
+    # store.txs reads the lists by (address, height), up to the tail
     held = {(a, h): tx for a, chain in chains.items()
             for h, tx in enumerate(chain, 1)}
     assert dict(store.txs.items()) == held and store.txs == held
+    assert all((a, h) not in store.txs for a, chain in store.chains.items()
+               for h in range(confirmed[a] + 1, len(chain) + 1))
     assert list(store.txs.values()) == list(held.values())
     assert all(store.txs.get((a, h)) is None for a, chain in chains.items()
                for h in (-1, 0, len(chain) + 1))

@@ -53,7 +53,8 @@ from shardchain.subchain import (
     verify_fragment,
 )
 
-from conftest import assert_index_is_scan, flood, make_receive, make_send
+from conftest import assert_index_is_scan, flood, make_receive, make_send, \
+    tails
 
 
 @pytest.fixture
@@ -463,7 +464,7 @@ def test_criterion_8_reorg_correctness(announce):
         # the fork point is above the confirming block, so the send stays
         # canonical and mature and the pending claim survives the reorg
         assert node.view.depth(a1.block_hash) == 7
-        assert node.store.pending[rcpt.address] == [claim]
+        assert tails(node)[rcpt.address] == [claim]
         assert node.full_state(rcpt.address).balance == 30
         # confirmation index and undo records equal a from-scratch
         # canonical scan
@@ -487,10 +488,10 @@ def test_criterion_8_reorg_correctness(announce):
         node2.ingest_block(d2)
         assert node2.view.tip == d2.block_hash
         # the claim referenced an orphaned confirmation: invalidated
-        assert rcpt.address not in node2.store.pending
+        assert rcpt.address not in tails(node2)
         assert node2.full_state(rcpt.address).balance == 0
         # the orphaned send returns to the pending pool for re-confirmation
-        assert node2.store.pending[sender.address] == [send2]
+        assert tails(node2)[sender.address] == [send2]
         assert_index_is_scan(node2.view)
     except BaseException:
         announce(8, "reorg correctness", "FAIL")

@@ -53,7 +53,7 @@ from shardchain.sharding import MAX_PREFIX_BITS, ShardAssignment
 from shardchain.sim import derived_key
 from shardchain.subchain import SubchainFragment
 
-from conftest import decode_tx, make_receive, make_send
+from conftest import decode_tx, make_receive, make_send, tails
 
 KEY = derived_key(b"boundary")
 BALANCE = 1000
@@ -191,7 +191,7 @@ def test_tx_round_trips_or_is_refused(drawn):
         except ShardChainError:
             pass
     held = list(node.store.txs.values())
-    for tail in node.store.pending.values():
+    for tail in tails(node).values():
         held.extend(tail)
     for tx in held:
         assert tx_round_trips(tx)

@@ -13,7 +13,7 @@ from shardchain import cli, codec, live
 from shardchain.mainchain import ChainParams, EASY_BITS
 from shardchain.sim import derived_key
 
-from conftest import make_send
+from conftest import make_send, tails
 
 SIM_FLAGS = ["sim", "--seed", "5", "--accounts", "30", "--width", "5",
              "--avg-txs", "1", "--block-size", "2048", "--interval", "15",
@@ -395,6 +395,6 @@ class TestCompactCommand:
             "bytes\n" % (before, os.path.getsize(log))
         compacted = live.load_node(data_dir)
         assert (compacted.view.tip, compacted.store.confirmed,
-                compacted.store.pending, compacted.store.tail_states) == \
-            (node.view.tip, node.store.confirmed, node.store.pending,
+                tails(compacted), compacted.store.tail_states) == \
+            (node.view.tip, node.store.confirmed, tails(node),
              node.store.tail_states)

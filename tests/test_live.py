@@ -22,7 +22,8 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment
 
-from conftest import build_chain, chain_signed, make_receive, make_send
+from conftest import build_chain, chain_signed, make_receive, make_send, \
+    tails
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=1)
@@ -47,7 +48,7 @@ def serving(data_dir):
 def node_state(node):
     return (node.view.tip, set(node.view.blocks), dict(node.store.confirmed),
             {address: [tx.tx_hash for tx in tail]
-             for address, tail in node.store.pending.items()})
+             for address, tail in tails(node).items()})
 
 
 def log_path(data_dir):
@@ -157,7 +158,7 @@ class TestJournal:
         for _ in range(2):
             reloaded = live.load_node(data_dir)
             assert node_state(reloaded) == after
-            assert reloaded.store.pending[keys[2].address] == [late]
+            assert tails(reloaded)[keys[2].address] == [late]
 
     @pytest.mark.parametrize("record", [
         struct.pack(">BI", MsgKind.NewBlock, 10) + b"\x00" * 10,
@@ -255,7 +256,7 @@ class TestJournal:
                 client.call(Envelope(MsgKind.NewTx, batch))
             assert str(exc.value) == ("InvalidSignature: transaction "
                                       "failed local verification")
-            assert server.node.store.pending == (
+            assert tails(server.node) == (
                 {keys[0].address: [first]} if first_held else {})
             state = node_state(server.node)
         assert os.path.getsize(log_path(data_dir)) == size
@@ -291,7 +292,7 @@ class TestJournal:
                 fh.write(live._log_record(MsgKind.NewTx, record))
             return live.load_node(data_dir)
 
-        assert load_with(payload).store.pending == {
+        assert tails(load_with(payload)) == {
             keys[0].address: [u1, s2]}
         with pytest.raises(DecodeError):
             load_with(earlier)
@@ -373,7 +374,7 @@ class TestHostileInput:
                 client.submit_tx(make_send(key, amount=7))
             assert "NotHosted" in str(exc.value)
             assert os.path.getsize(log_path(path)) == size
-            assert server.node.store.pending == {}
+            assert tails(server.node) == {}
 
     @staticmethod
     def misaligned(case, keys):
@@ -399,14 +400,14 @@ class TestHostileInput:
         with pytest.raises(FragmentMisaligned):
             node.apply_request(MsgKind.NewTx, payload,
                                lambda *record: journal.append(record))
-        assert journal == [] and node.store.pending == {}
+        assert journal == [] and tails(node) == {}
         server = live.NodeServer(data_dir, ("127.0.0.1", 0))
         try:
             size = os.path.getsize(log_path(data_dir))
             reply = live.read_envelope(io.BytesIO(server.handle(
                 Envelope(MsgKind.NewTx, payload))))
             assert reply.payload.startswith(live.ERR + b"FragmentMisaligned")
-            assert server.node.store.pending == {}
+            assert tails(server.node) == {}
             assert os.path.getsize(log_path(data_dir)) == size
         finally:
             server.close()
@@ -421,7 +422,7 @@ class TestHostileInput:
             _, _, tip_height, pending = client.hello()
             assert (tip_height, pending) == (0, [])
             assert os.path.getsize(log_path(data_dir)) == size
-            assert server.node.store.pending == {}
+            assert tails(server.node) == {}
 
     def test_oversized_frame_refused_unread(self, data_dir):
         with serving(data_dir) as (server, _):
@@ -851,11 +852,11 @@ def test_sim_root_and_live_node_apply_the_same_envelopes(tmp_path):
         server.close()
 
     def held(node):
-        return (node.view.tip, node.store.confirmed, node.store.pending,
+        return (node.view.tip, node.store.confirmed, tails(node),
                 node.store.tail_states, node.store.inflows)
 
     root = sim.root
-    assert root.view.tip_height == 8 and root.store.pending
+    assert root.view.tip_height == 8 and tails(root)
     assert held(server.node) == held(root)
     assert held(live.load_node(path)) == held(root)
 

@@ -23,7 +23,7 @@ from shardchain.node import Node
 from shardchain.sharding import ShardAssignment
 from shardchain.sim import derived_key
 
-from conftest import build_chain, chain_signed, make_send
+from conftest import build_chain, chain_signed, make_send, tails
 from test_decoders import hashes, linked_fragments
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096)
@@ -42,7 +42,7 @@ class TestPool:
         tx = make_send(key, amount=5)
         assert miner.pool_insert(tx) is True
         assert miner.pool_insert(tx) is False    # exact duplicate: no-op
-        assert node.store.pending[key.address] == [tx]
+        assert tails(node)[key.address] == [tx]
 
     def test_bad_signature(self, keys):
         key = keys[0]
@@ -144,7 +144,7 @@ class TestMining:
         assert node.view.tip == block.block_hash
         assert node.confirmed_state(key.address).tip_height == 3
         miner.refresh_pool()
-        assert key.address not in node.store.pending
+        assert key.address not in tails(node)
 
 
 class TestVerifyBatch:

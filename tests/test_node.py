@@ -41,7 +41,7 @@ from shardchain.sharding import ShardAssignment
 from shardchain.subchain import SubchainFragment, initial_state, replay
 
 from conftest import FORGERIES, Calls, assert_index_is_scan, build_chain, \
-    chain_signed, forge, make_coinbase_claim, make_receive, make_send
+    chain_signed, forge, make_coinbase_claim, make_receive, make_send, tails
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=2)
@@ -68,7 +68,7 @@ class TestPendingAcceptance:
         tx = make_send(key, amount=5)
         assert node.accept_pending_tx(tx) is True
         assert node.accept_pending_tx(tx) is False  # exact duplicate: no-op
-        assert node.store.pending[key.address] == [tx]
+        assert tails(node)[key.address] == [tx]
         assert node.full_state(key.address).balance == 95
 
     def test_bad_signature(self, keys):
@@ -104,7 +104,7 @@ class TestPendingAcceptance:
                                subchain.encode_batch((u1, s1)),
                                lambda *record: journal.append(record))
         assert journal == []
-        assert node.store.pending == {} and node.store.tail_states == {}
+        assert tails(node) == {} and node.store.tail_states == {}
 
     def test_same_height_conflict(self, keys):
         key = keys[0]
@@ -142,7 +142,7 @@ class TestPendingAcceptance:
         assert twin == tx and hash(twin) == hash(tx)
         with pytest.raises(InvalidSignature):
             node.accept_pending_tx(twin)
-        assert (node.store.pending, node.store.tail_states) == ({}, {})
+        assert (tails(node), node.store.tail_states) == ({}, {})
         assert node.accept_pending_tx(tx) is True
         block = mainchain.new_block(node.view.tip, 1, 15, MINER,
                                     node.pending_records(),
@@ -179,7 +179,7 @@ class TestPendingAcceptance:
         tx = make_send(key, amount=5)._replace(**{name: value})
         with pytest.raises(InvalidSignature):
             node.accept_pending_tx(tx)
-        assert node.store.pending == {} and node.store.tail_states == {}
+        assert tails(node) == {} and node.store.tail_states == {}
 
     def test_chain_signed_batch_pools_whole(self, keys):
         """A batch whose last tx alone is signed pools whole, in one
@@ -188,7 +188,7 @@ class TestPendingAcceptance:
         node = make_node(make_genesis({key.address: 100}))
         txs = chain_signed(key, [False, False, True])
         assert node.accept_pending_tx(*txs) is True
-        assert node.store.pending == {key.address: txs}
+        assert tails(node) == {key.address: txs}
         assert node.full_state(key.address).balance == 97
         assert node.accept_pending_tx(*txs) is False
 
@@ -213,7 +213,7 @@ class TestPendingAcceptance:
         node.apply_request(codec.MsgKind.NewTx, payload,
                            lambda *record: journal.append(record))
         assert journal == [(codec.MsgKind.NewTx, payload)]
-        assert node.store.pending == {key.address: [u1, s2, s3]}
+        assert tails(node) == {key.address: [u1, s2, s3]}
         assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
         assert node.accept_pending_tx(u1, u2) is False
         assert node.accept_pending_tx(u1, s2, s3) is False
@@ -241,7 +241,7 @@ class TestPendingAcceptance:
         with pytest.raises(InvalidSignature):
             node.accept_pending_tx(*forged)
         assert journal == []
-        assert node.store.pending == {key.address: [held]}
+        assert tails(node) == {key.address: [held]}
         assert node.full_state(key.address).balance == 99
 
     def test_non_hosted_tx_refused_unverified(self, keys, monkeypatch):
@@ -255,7 +255,7 @@ class TestPendingAcceptance:
         with pytest.raises(NotHosted):
             node.accept_pending_tx(tx)
         assert calls.take() == {}
-        assert (node.store.pending, node.store.tail_states,
+        assert (tails(node), node.store.tail_states,
                 node.store.txs) == ({}, {}, {})
 
 
@@ -277,7 +277,7 @@ class TestIngest:
         assert state.tip_height == 3
         assert entry == node.store.archive[block.block_hash] \
             == {key.address: (tuple(chain), state)}
-        assert key.address not in node.store.pending
+        assert key.address not in tails(node)
         # oracle: from-scratch replay agrees
         assert state == replay(chain, node.claim_context(),
                                initial=initial_state(key.address, 1000))
@@ -299,7 +299,7 @@ class TestIngest:
         rec = ConfirmationRecord(key.address, chain[1].tx_hash, 2)
         node.ingest_block(confirm_block(node, [rec]))
         assert node.confirmed_state(key.address).tip_height == 2
-        assert [t.height for t in node.store.pending[key.address]] == [3, 4]
+        assert [t.height for t in tails(node)[key.address]] == [3, 4]
         assert node.full_state(key.address) == replay(
             chain[2:], node.claim_context(),
             initial=node.confirmed_state(key.address))
@@ -324,7 +324,7 @@ class TestIngest:
         node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, s1.tx_hash, 1)]))
         assert node.confirmed_state(key.address).tip_hash == s1.tx_hash
-        assert node.store.pending == {key.address: [u2, c3]}
+        assert tails(node) == {key.address: [u2, c3]}
         assert node.store.tail_states[key.address] == replay(
             [u2, c3], node.claim_context(),
             initial=node.confirmed_state(key.address))
@@ -355,14 +355,14 @@ class TestIngest:
                         address, lo, tuple(txs[lo:hi])))
         if pooled:
             node.accept_pending_tx(*txs)
-        before = (node.view.tip, dict(node.store.pending),
+        before = (node.view.tip, dict(tails(node)),
                   dict(node.store.tail_states), dict(node.store.archive))
         block = confirm_block(node, [
             ConfirmationRecord(key.address, txs[1].tx_hash, 2)])
         with pytest.raises(InvalidSignature):
             node.ingest_block(block)
         assert block.block_hash not in node.view.blocks
-        assert (node.view.tip, node.store.pending, node.store.tail_states,
+        assert (node.view.tip, tails(node), node.store.tail_states,
                 node.store.archive) == before
         assert node.store.confirmed == {}
 
@@ -382,8 +382,8 @@ class TestIngest:
             ConfirmationRecord(key.address, s2.tx_hash, 2)])
         node.ingest_block(block)
         assert node.view.tip == block.block_hash
-        assert node.store.chains[key.address] == [u1, s2]
-        assert node.store.pending == {key.address: [s3]}
+        assert node.store.chains[key.address] == [u1, s2, s3]
+        assert tails(node) == {key.address: [s3]}
         assert node.confirmed_state(key.address).tip_hash == s2.tx_hash
         assert node.full_state(key.address).balance == 997
 
@@ -680,7 +680,7 @@ class TestIngestFallback:
         counts = calls.take()
         assert (counts["verify_fragment"], counts["apply_tx"]) == (1, 4)
         assert entry[key.address][0] == tuple(chain[:2])
-        assert node.store.pending[key.address] == chain[2:]
+        assert tails(node)[key.address] == chain[2:]
 
     def test_side_block_confirming_tail_replays(self, keys, monkeypatch):
         """A sibling of the tip confirms the whole pending tail: its claim
@@ -708,7 +708,7 @@ class TestIngestFallback:
         oracle = replay(chain, node.claim_context(), initial=old)
         node.view.switch(tip)
         assert entry[key.address][1] == oracle
-        assert node.store.pending[key.address] == chain
+        assert tails(node)[key.address] == chain
         assert node.confirmed_state(key.address).tip_height == 0
 
     def test_huge_record_height_stops_at_first_gap(self, keys, monkeypatch):
@@ -775,7 +775,7 @@ class TestIngestFallback:
         assert entry[key.address][0] == (b,)
         state = node.confirmed_state(key.address)
         assert (state.tip_hash, state.balance) == (b.tx_hash, 998)
-        assert key.address not in node.store.pending
+        assert key.address not in tails(node)
 
     def test_dropped_tail_tx_resubmitted_is_rejected(self, keys):
         """The tail tx dropped for the confirmed other version is not held
@@ -784,7 +784,7 @@ class TestIngestFallback:
         node, a, _, _, _ = self.confirm_other_version(key)
         with pytest.raises(ConfirmedFrozen):
             node.accept_pending_tx(a)
-        assert key.address not in node.store.pending
+        assert key.address not in tails(node)
 
     def test_tail_above_another_version_is_dropped(self, keys):
         """A node pools [s1] then [s2], and a block confirms s1', another
@@ -803,7 +803,7 @@ class TestIngestFallback:
         node.accept_pending_tx(s2)
         node.ingest_block(confirm_block(node, [
             ConfirmationRecord(key.address, s1_other.tx_hash, 1)]))
-        assert node.store.pending == {} and node.store.tail_states == {}
+        assert tails(node) == {} and node.store.tail_states == {}
         assert node.store.chains[key.address] == [s1_other]
         assert node.full_state(key.address).balance == 98
 
@@ -895,10 +895,10 @@ class TestReorg:
         b2 = confirm_block(node, [], timestamp=31, parent=b1.block_hash)
         node.ingest_block(b2)
         assert node.view.tip == b2.block_hash
-        assert rcpt.address not in node.store.pending
+        assert rcpt.address not in tails(node)
         assert node.full_state(rcpt.address).balance == 0
         # the sender's pending send survives and can be re-confirmed
-        assert node.store.pending[sender.address] == [send]
+        assert tails(node)[sender.address] == [send]
 
     def test_signed_copy_survives_a_reorg(self, keys):
         """A node confirms [u1, u2, s3], then takes a signed copy s2 of u2,
@@ -920,9 +920,99 @@ class TestReorg:
         node.ingest_block(confirm_block(node, [], timestamp=31,
                                         parent=rival.block_hash))
         assert node.view.canonical[1] == rival.block_hash
-        assert node.store.pending == {key.address: [u1, s2, s3]}
+        assert tails(node) == {key.address: [u1, s2, s3]}
         assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
         assert node.full_state(key.address).balance == 97
+
+    def test_signed_copy_survives_a_reorg_onto_its_block(self, keys):
+        """Blocks M and S at height 1 both confirm [u1, u2, s3], M first,
+        and then the node takes a signed copy s2 of u2. When a child of S
+        wins, S's archived u2 does not replace the held s2: the node
+        still serves (u1, s2)."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        u1, u2, s3 = chain_signed(key, [False, False, True])
+        node.accept_pending_tx(u1, u2, s3)
+        records = [ConfirmationRecord(key.address, s3.tx_hash, 3)]
+        node.ingest_block(confirm_block(node, records, timestamp=1))
+        side = confirm_block(node, records, timestamp=2,
+                             parent=node.genesis.block_hash)
+        node.ingest_block(side)
+        assert node.store.archive[side.block_hash][key.address][0] \
+            == (u1, u2, s3)
+        s2 = codec.sign_tx(u2, key)
+        assert node.accept_pending_tx(u1, s2) is True
+        node.ingest_block(confirm_block(node, [], timestamp=3,
+                                        parent=side.block_hash))
+        assert node.view.canonical[1] == side.block_hash
+        assert node.store.chains == {key.address: [u1, s2, s3]}
+        assert tails(node) == {}
+        assert node.serve_fragment(key.address, 0, 2).txs == (u1, s2)
+
+    @pytest.mark.parametrize("repools", [True, False])
+    def test_reorg_of_an_address_only_block(self, keys, monkeypatch,
+                                            repools):
+        """K claims the coinbase of A0, which it mined, in A1, the only
+        block that confirms K, and pools a tail [u2, s3] above it. A rival
+        branch disconnects A1: K's whole list, the claim and then the
+        tail, goes back in height order. Where the rival keeps A0 it all
+        pools again; where it forks below A0 the claim is refused, and K
+        has no entry left. Either way the node's storage report is that
+        of a fresh node that took the rival branch, then the side blocks,
+        and pools what the node pools."""
+        key = keys[0]
+        params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                             maturity=1)
+        genesis = make_genesis({keys[1].address: 100})
+        node = make_node(genesis, params=params)
+        a0 = confirm_block(node, [], timestamp=1, miner=key.address)
+        node.ingest_block(a0)
+        c1 = make_coinbase_claim(key, NULL_HASH, 1, a0.block_hash,
+                                 mainchain.SUBSIDY)
+        node.accept_pending_tx(c1)
+        node.ingest_block(confirm_block(node, [ConfirmationRecord(
+            key.address, c1.tx_hash, 1)], timestamp=2))
+        u2 = codec.hash_tx(SendTx(c1.tx_hash, 2, key.address,
+                                  b"\x07" * 20, 1, 0))
+        s3 = codec.sign_tx(SendTx(u2.tx_hash, 3, key.address,
+                                  b"\x07" * 20, 1, 0), key)
+        node.accept_pending_tx(u2, s3)
+        assert node.store.chains[key.address] == [c1, u2, s3]
+        offered = []
+        accept = node.accept_pending_tx
+
+        def recording(*txs):
+            offered.append(txs)
+            return accept(*txs)
+
+        monkeypatch.setattr(node, "accept_pending_tx", recording)
+        rival = [a0] if repools else []
+        parent = rival[-1].block_hash if repools else genesis.block_hash
+        while len(rival) < 3:
+            rival.append(confirm_block(node, [], timestamp=10 + len(rival),
+                                       parent=parent))
+            parent = rival[-1].block_hash
+            node.ingest_block(rival[-1])
+        view = node.view
+        assert view.canonical[1:] == [b.block_hash for b in rival]
+        fresh = Node(b"\x00" * 8, ShardAssignment(""), genesis, params,
+                     fetch=lambda address, lo, hi: SubchainFragment(
+                         address, lo, (c1,)[lo:hi]))
+        side = [bh for bh in view.blocks if not view.is_canonical(bh)]
+        for bh in [*view.canonical[1:], *side]:
+            fresh.ingest_block(view.blocks[bh])
+        assert fresh.view.blocks.keys() == view.blocks.keys()
+        assert fresh.view.tip == view.tip
+        if repools:
+            assert offered == [(c1,), (u2, s3)]
+            assert node.store.chains == {key.address: [c1, u2, s3]}
+            assert tails(node) == {key.address: [c1, u2, s3]}
+            fresh.accept_pending_tx(c1, u2, s3)
+        else:
+            assert offered == [(c1,)]
+            assert node.store.chains == node.store.tail_states \
+                == node.store.confirmed == {}
+        assert node.storage_report() == fresh.storage_report()
 
 
 class TestRefusedSideBlock:
@@ -1049,7 +1139,7 @@ class TestRefusedTransition:
         txs = self.chain(keys, case)
         with pytest.raises(BadLink, match=text):
             node.accept_pending_tx(*txs)
-        assert node.store.pending == {} and node.store.tail_states == {}
+        assert tails(node) == {} and node.store.tail_states == {}
 
     @pytest.mark.parametrize("case, text", CASES)
     def test_block_record_refuses(self, keys, case, text):
@@ -1233,7 +1323,7 @@ class TestTipClaimContext:
         b4 = confirm_block(node, [], parent=b3.block_hash)
         node.ingest_block(b4)
         assert node.view.tip == b4.block_hash
-        assert node.store.pending[rcpt.address] == [claim]
+        assert tails(node)[rcpt.address] == [claim]
         assert node.full_state(rcpt.address).balance == 30
         assert node.confirmed_state(rcpt.address).tip_height == 0
         assert old.branch_tip != b4.block_hash
@@ -1263,7 +1353,7 @@ class TestDecodedValues:
             node.apply_request(codec.MsgKind.NewBlock, block.encode())
         assert node.store.interned == before
         node.apply_request(codec.MsgKind.NewTx, subchain.encode_batch([tx]))
-        held = node.store.pending[key.address][0]
+        held = tails(node)[key.address][0]
         assert node.store.interned == {
             **before, recipient: recipient, key.address: key.address}
         assert node.store.interned[recipient] is held.recipient_address

@@ -162,7 +162,7 @@ class TestRuns:
         claims = 0
         for n in sim.nodes.values():
             objects = defaultdict(set)
-            held = [*n.store.chains.values(), *n.store.pending.values()]
+            held = n.store.chains.values()
             values = [(tx.current_address, tx[3])
                       + ((tx.main_block_hash,) if type(tx) is ReceiveTx
                          else ()) for txs in held for tx in txs]
@@ -174,9 +174,7 @@ class TestRuns:
                 objects[value].add(id(value))
             assert {v.hex(): len(ids) for v, ids in objects.items()
                     if len(ids) > 1} == {}, n.assignment.prefix_bits
-            chains = [n.store.chains.get(a, []) + n.store.pending.get(a, [])
-                      for a in n.store.chains.keys() | n.store.pending.keys()]
-            for txs in chains:
+            for txs in held:
                 assert all(child.parent_hash is tx.tx_hash
                            for tx, child in zip(txs, txs[1:]))
             claims += sum(type(tx) is ReceiveTx for txs in held for tx in txs)
@@ -394,7 +392,7 @@ class TestPlumbing:
 class TestShardEquivalence:
     def test_nodes_agree_shard_by_shard(self, finished_sim):
         assert_shards_match_root(finished_sim, [
-            "confirmed", "pending", "tail_states", "txs"])
+            "confirmed", "chains", "tail_states", "txs"])
 
     def test_root_states_are_replays(self, finished_sim):
         assert_confirmed_are_replays(finished_sim.root)
@@ -591,7 +589,7 @@ class TestHostileMiner:
         assert [n.view.tip for n in sim.nodes.values()] \
             == [sim.root.view.tip] * 3
         assert len(sim.errors) == 4
-        names = ["confirmed", "pending", "tail_states", "txs"]
+        names = ["confirmed", "chains", "tail_states", "txs"]
         full = by_address(sim.root.store, names)
         assert dict(by_address(a.store, names)) \
             == {x: held for x, held in full.items() if a.hosts(x)}

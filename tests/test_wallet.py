@@ -32,7 +32,7 @@ from shardchain.wallet import (
     build_send,
 )
 
-from conftest import make_coinbase_claim
+from conftest import make_coinbase_claim, tails
 
 PARAMS = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
                      maturity=2)
@@ -271,7 +271,7 @@ class TestAgainstNode:
         for _ in range(3):
             parent = confirm(node, [], parent=parent).block_hash
         assert node.view.tip == parent
-        assert miner_key.address not in node.store.pending
+        assert miner_key.address not in tails(node)
         assert miner_key.address not in node.store.inflows
         assert node.full_state(miner_key.address) == \
             node.base_state(miner_key.address)
