@@ -37,10 +37,10 @@ _new = tuple.__new__
 
 
 class Inflow(NamedTuple):
-    """A canonical send or coinbase toward an account. Its first three
-    fields are what a claim of it cites; it is spent when its
-    ``NodeStore.inflows`` key, ``subchain.inflow_key(flow[:3])``, is in
-    the recipient's ``claimed`` set."""
+    """A canonical send or coinbase toward an account, as ``Node.inflows``
+    indexes it. Its first three fields are what a claim of it cites; it is
+    spent when its index key, ``subchain.inflow_key(flow[:3])``, is in the
+    recipient's ``claimed`` set."""
     sender_address: bytes
     sender_tx_hash: bytes
     block_hash: bytes
@@ -62,13 +62,16 @@ class NodeStore:
     height h at index h - 1: the canonical txs up to ``confirmed[a]``'s
     tip height, then the pending tail. ``tail_states[a]`` is the state
     that tail reaches, in pooling order: ``a`` has a tail exactly when it
-    has an entry there."""
+    has an entry there. ``inflows`` indexes the canonical blocks up to
+    the first of ``unindexed``, the blocks connected since the index was
+    last read, in connect order: read it through ``Node.inflows``."""
 
     def __init__(self):
         self.confirmed: Dict[bytes, SubchainState] = {}
         self.tail_states: Dict[bytes, SubchainState] = {}
         self.chains: Dict[bytes, List[SubchainTx]] = {}
         self.inflows: Dict[bytes, Dict[bytes, Inflow]] = {}
+        self.unindexed: List[bytes] = []
         # every accepted block, main or side, mapped to the hosted
         # addresses it confirmed, in record order, each with its fragment
         # txs and the validated state they led to: the confirmed state of
@@ -229,16 +232,21 @@ class Node:
             chain = self.store.chains.get(address, ())
             skip = 0
             for tx in txs:
-                i = operator.index(tx.height) - 1
-                if not 0 <= i < len(chain) \
-                        or chain[i].tx_hash != tx.tx_hash:
+                # a tx's height is its field 1, its hash the third from last
+                i = operator.index(tx[1]) - 1
+                if not 0 <= i < len(chain):
                     break
                 held = chain[i]
-                # key and signature aside, the same tx
+                if held[-3] != tx[-3]:
+                    break
+                # key and signature aside, the same tx; an unsigned one
+                # cannot verify, so it replaces nothing
                 same = held[:-2] == tx[:-2]
-                if codec.unsigned(held) and same and codec.verify_tx(tx):
+                unsigned = codec.unsigned(tx)
+                if same and not unsigned and codec.unsigned(held) \
+                        and codec.verify_tx(tx):
                     upgrades.append((i, tx))
-                elif held != tx and not (same and codec.unsigned(tx)):
+                elif held != tx and not (same and unsigned):
                     raise DuplicateHashConflict(
                         "different transaction with the same hash")
                 skip += 1
@@ -440,21 +448,16 @@ class Node:
     def _connect(self, block_hash: bytes
                  ) -> List[Tuple[bytes, List[SubchainTx]]]:
         """Apply a block's archived hosted entry to the canonical
-        keyspaces and index the inflows it makes: each archived send to
-        a hosted recipient, keyed by send hash, and a hosted miner's
-        coinbase, keyed by block hash. Writes each fragment into its
+        keyspaces and queue the block for the inflow index, which
+        ``inflows`` builds when read. Writes each fragment into its
         address's list from its first height, which ends the list there,
         and drops the tail state of each address it confirms. Returns the
         part of the list above the new confirmed height of each tail it
         confirms only in part, taken before the write, with its
         address."""
         store = self.store
-        confirmed, chains, inflows, tail_states = (
-            store.confirmed, store.chains, store.inflows, store.tail_states)
-        # hosts()'s range test, written inline below
-        low, high = self.assignment.low, self.assignment.high
-        header = self.view.blocks[block_hash].header
-        height = header.height
+        confirmed, chains, tail_states = (
+            store.confirmed, store.chains, store.tail_states)
         partial = []
         for address, (txs, new_state) in store.archive[block_hash].items():
             confirmed[address] = new_state
@@ -463,36 +466,28 @@ class Node:
                     and len(chain) > new_state.tip_height:
                 partial.append((address, chain[new_state.tip_height:]))
             chain[txs[0][1] - 1:] = txs     # a tx's height is its field 1
-            for tx in txs:
-                if type(tx) is SendTx:
-                    # current_address, recipient_address, amount,
-                    # timestamp, tx_hash: the tx's own address object, not
-                    # the record's, which is decoded with no lookup
-                    sender, recipient, amount, _, tx_hash = tx[2:7]
-                    if low <= recipient <= high:
-                        pool = inflows.get(recipient)
-                        if pool is None:
-                            pool = inflows[recipient] = {}
-                        pool[tx_hash] = _new(Inflow, (
-                            sender, tx_hash, block_hash, amount, height))
-        if low <= header.miner_address <= high:
-            inflows.setdefault(header.miner_address, {})[
-                block_hash] = _new(Inflow, (*COINBASE, block_hash,
-                                            SUBSIDY, height))
+        store.unindexed.append(block_hash)
         return partial
 
     def _disconnect(self, block_hash: bytes) -> None:
-        """Drop the inflows ``_connect`` indexed for a formerly canonical
-        block, and reset each confirmed state it set from the view's new
-        canonical index, which has switched already. ``_follow`` cuts the
-        lists, and drops the state of an address the index lacks."""
+        """Reset each confirmed state a formerly canonical block set from
+        the view's new canonical index, which has switched already, and
+        take the block out of the inflow index: out of the queue if it is
+        not indexed yet, else by dropping the inflows it made. ``_follow``
+        cuts the lists, and drops the state of an address the index
+        lacks."""
         store = self.store
-        low, high = self.assignment.low, self.assignment.high
-        for address, (txs, _) in store.archive[block_hash].items():
+        entry = store.archive[block_hash]
+        for address in entry:
             confirming = self.view.confirmed_by.get(address)
             if confirming is not None:
                 store.confirmed[address] = self._state_after(confirming,
                                                              address)
+        if block_hash in store.unindexed:
+            store.unindexed.remove(block_hash)
+            return
+        low, high = self.assignment.low, self.assignment.high
+        for txs, _ in entry.values():
             for tx in txs:
                 if isinstance(tx, SendTx) \
                         and low <= tx.recipient_address <= high:
@@ -506,6 +501,39 @@ class Node:
         del pool[key]
         if not pool:
             del self.store.inflows[address]
+
+    def inflows(self) -> Dict[bytes, Dict[bytes, Inflow]]:
+        """The inflow index, by recipient: each canonical send to a hosted
+        recipient, keyed by send hash, and each canonical coinbase of a
+        hosted miner, keyed by block hash. Built when read: the blocks
+        connected since the last read are indexed first, in connect
+        order."""
+        store = self.store
+        inflows = store.inflows
+        # hosts()'s range test, written inline below
+        low, high = self.assignment.low, self.assignment.high
+        for block_hash in store.unindexed:
+            header = self.view.blocks[block_hash].header
+            height = header.height
+            for txs, _ in store.archive[block_hash].values():
+                for tx in txs:
+                    if type(tx) is SendTx:
+                        # current_address, recipient_address, amount,
+                        # timestamp, tx_hash: the tx's own address object,
+                        # not the record's, which is decoded with no lookup
+                        sender, recipient, amount, _, tx_hash = tx[2:7]
+                        if low <= recipient <= high:
+                            pool = inflows.get(recipient)
+                            if pool is None:
+                                pool = inflows[recipient] = {}
+                            pool[tx_hash] = _new(Inflow, (
+                                sender, tx_hash, block_hash, amount, height))
+            if low <= header.miner_address <= high:
+                inflows.setdefault(header.miner_address, {})[
+                    block_hash] = _new(Inflow, (*COINBASE, block_hash,
+                                                SUBSIDY, height))
+        store.unindexed.clear()
+        return inflows
 
     # -- serving -------------------------------------------------------
 

@@ -46,7 +46,7 @@ def account_view(node, address: bytes) -> AccountView:
     state = node.full_state(address)
     claimed = state.claimed
     claimables = [(flow, node.view.depth(flow.block_hash))
-                  for key, flow in node.store.inflows.get(address, {}).items()
+                  for key, flow in node.inflows().get(address, {}).items()
                   if key not in claimed]
     return AccountView(address=address, state=state,
                        claimables=claimables, maturity=node.params.maturity)

@@ -281,13 +281,13 @@ def assert_index_is_scan(view):
             tuple(entry[2] if entry else 0 for entry in entries)), bh.hex()
 
 
-def assert_inflows_are_an_index(node):
-    """``node.store.inflows`` is what a scan of the canonical blocks
-    gives: each archived send to a hosted recipient, and the coinbase of
-    each block a hosted address mined, with its block hash and height,
+def inflow_scan(node, blocks):
+    """The inflow index of ``blocks`` from a scan of their archive
+    entries: each archived send to a hosted recipient, and the coinbase
+    of each block a hosted address mined, with its block hash and height,
     claimed or not."""
     expected = {}
-    for bh in node.view.canonical[1:]:
+    for bh in blocks:
         block = node.view.blocks[bh]
         height = block.header.height
         archived = node.store.archive[bh]
@@ -302,9 +302,26 @@ def assert_inflows_are_an_index(node):
         if node.hosts(miner):
             expected.setdefault(miner, {})[bh] = Inflow(
                 NULL_ADDRESS, NULL_HASH, bh, mainchain.SUBSIDY, height)
-    assert node.store.inflows == expected
+    return expected
+
+
+def assert_inflows_are_an_index(node, read=True):
+    """``node.store.unindexed`` holds exactly the canonical blocks not yet
+    indexed, in connect order: the canonical chain's last ones, and
+    ``node.store.inflows`` is the scan of the blocks below them. A read
+    through ``node.inflows()``, unless ``read`` is False, indexes them
+    all: the queue is then empty, and the index the read returns is the
+    scan of every canonical block."""
+    store = node.store
+    canonical = node.view.canonical[1:]
+    indexed = len(canonical) - len(store.unindexed)
+    assert store.unindexed == canonical[indexed:]
+    assert store.inflows == inflow_scan(node, canonical[:indexed])
+    if read:
+        assert node.inflows() == inflow_scan(node, canonical)
+        assert store.unindexed == []
     # an Inflow equals a bare tuple of its values, so check the type too
-    assert all(type(flow) is Inflow for pool in node.store.inflows.values()
+    assert all(type(flow) is Inflow for pool in store.inflows.values()
                for flow in pool.values())
 
 

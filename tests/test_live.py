@@ -853,7 +853,7 @@ def test_sim_root_and_live_node_apply_the_same_envelopes(tmp_path):
 
     def held(node):
         return (node.view.tip, node.store.confirmed, tails(node),
-                node.store.tail_states, node.store.inflows)
+                node.store.tail_states, node.inflows())
 
     root = sim.root
     assert root.view.tip_height == 8 and tails(root)
@@ -895,10 +895,13 @@ NO_REACH_IN = pytest.mark.xfail(
 def test_sim_node_save_load_roundtrip(saved_sim_nodes, prefix):
     """A saved sim node, full or partial, reloads to the same tip and an
     equal value in every store field: confirmed states, pending tails and
-    their states, chains, inflows, archive and decoded values."""
+    their states, chains, inflows, archive and decoded values. The
+    inflow index of each is read first, through ``Node.inflows``, which
+    indexes the blocks connected since the last read."""
     node, data_dir = saved_sim_nodes[prefix]
     assert node.view.height[node.view.tip] == 8 and node.store.confirmed
     loaded = live.load_node(data_dir)
     assert loaded.view.tip == node.view.tip
+    assert loaded.inflows() == node.inflows()
     for name, value in vars(node.store).items():
         assert getattr(loaded.store, name) == value, name

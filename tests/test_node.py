@@ -219,6 +219,22 @@ class TestPendingAcceptance:
         assert node.accept_pending_tx(u1, s2, s3) is False
         assert node.full_state(key.address).balance == 97
 
+    def test_unsigned_copy_of_held_unsigned_is_not_verified(
+            self, keys, monkeypatch):
+        """An unsigned copy of a held unsigned tx, as a reorg resubmits
+        after a race, is skipped with no signature check: it cannot
+        verify, so it replaces nothing. Only a signed copy is checked."""
+        key = keys[0]
+        node = make_node(make_genesis({key.address: 100}))
+        u1, u2, s3 = chain_signed(key, [False, False, True])
+        node.accept_pending_tx(u1, u2, s3)
+        calls = Calls(monkeypatch, [(codec, "verify_tx")])
+        assert node.accept_pending_tx(u1, u2) is False
+        assert calls.take() == {}
+        assert node.accept_pending_tx(u1, codec.sign_tx(u2, key)) is True
+        assert calls.take() == {"verify_tx": 1}
+        assert not codec.unsigned(node.store.chains[key.address][1])
+
     @pytest.mark.parametrize("forgery", FORGERIES)
     def test_forged_batch_pools_nothing(self, keys, forgery):
         """Each forgery of a chain-signed NewTx is refused with
@@ -576,7 +592,11 @@ class TestIngest:
         rec = ConfirmationRecord(sender.address, tx.tx_hash, 1)
         block = confirm_block(node, [rec])
         node.ingest_block(block)
-        inflow = node.store.inflows[rcpt.address][tx.tx_hash]
+        # queued at connect, indexed when read
+        assert node.store.inflows == {}
+        assert node.store.unindexed == [block.block_hash]
+        inflow = node.inflows()[rcpt.address][tx.tx_hash]
+        assert node.store.unindexed == []
         assert inflow.amount == 30
         assert inflow.block_hash == block.block_hash
         assert inflow[:2] != (NULL_ADDRESS, NULL_HASH)
@@ -585,7 +605,7 @@ class TestIngest:
         node = make_node(make_genesis({}))
         block = confirm_block(node, [])
         node.ingest_block(block)
-        inflow = node.store.inflows[MINER][block.block_hash]
+        inflow = node.inflows()[MINER][block.block_hash]
         assert inflow[:2] == (NULL_ADDRESS, NULL_HASH)
         assert inflow.amount == mainchain.SUBSIDY
 
@@ -828,7 +848,7 @@ class TestEndToEndTransfer:
         assert node.confirmed_state(rcpt.address).balance == 30
         # the claim hides the inflow, which stays indexed
         assert wallet.account_view(node, rcpt.address).claimables == []
-        assert node.store.inflows[rcpt.address][send.tx_hash].block_hash \
+        assert node.inflows()[rcpt.address][send.tx_hash].block_hash \
             == block.block_hash
 
     def test_immature_claim_rejected(self, keys):

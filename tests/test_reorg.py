@@ -147,6 +147,9 @@ NOT_COMPARED = {
     "archive": "holds side blocks; its canonical entries are compared",
     "interned": "holds every accepted NewTx's values, dropped tails' too; "
                 "it decides only which object holds a value",
+    "unindexed": "a read of the inflow index empties it; "
+                 "assert_inflows_are_an_index checks it against the "
+                 "canonical chain",
 }
 
 
@@ -157,29 +160,43 @@ def test_every_keyspace_is_checked():
         sorted(FRESH_COMPARED + tuple(NOT_COMPARED))
 
 
-def assert_matches_fresh(node, tree, params):
+def assert_matches_fresh(node, tree, params, read=True):
+    """``read`` says whether this step reads the node's inflow index;
+    unread, the part indexed so far is compared."""
     view = node.view
     assert view.canonical == view.branch(view.tip)
     # the index and each canonical block's undo record are the scans of
     # the tip and of the block's parent
     assert_index_is_scan(view)
+    assert_inflows_are_an_index(node, read=False)
+    indexed = set(view.canonical[1:len(view.canonical)
+                                 - len(node.store.unindexed)])
     fresh = full_node(tree, params)
     for bh in view.canonical[1:]:
         fresh.ingest_block(view.blocks[bh])
     assert fresh.view.tip == view.tip
     for name in FRESH_COMPARED:
-        held = getattr(node.store, name)
+        held, want = getattr(node.store, name), getattr(fresh.store, name)
         if name == "chains":    # a fresh node has no tails
             held = {a: chain[:node.confirmed_state(a).tip_height]
                     for a, chain in held.items()
                     if a in node.store.confirmed}
-        assert held == getattr(fresh.store, name), name
+        elif name == "inflows":     # each read through Node.inflows
+            want = fresh.inflows()
+            if read:
+                held = node.inflows()
+            else:   # the inflows of the blocks below the queue
+                want = {a: kept for a, pool in want.items() if (kept := {
+                    k: flow for k, flow in pool.items()
+                    if flow.block_hash in indexed})}
+        assert held == want, name
     # the fresh node has no pending tails, so it replays every record: the
     # node's txs and states taken from its pool must equal those replays
     for bh in view.canonical[1:]:
         assert node.store.archive[bh] == fresh.store.archive[bh], bh
     assert_confirmed_are_replays(node)
-    assert_inflows_are_an_index(node)
+    if read:    # the read index against the scan too
+        assert_inflows_are_an_index(node)
     assert_chains_are_canonical(node)
     # every surviving pending tail, the part of its list above the
     # canonical prefix compared above, still applies on the canonical
@@ -231,7 +248,42 @@ def test_reorg_matches_fresh_canonical_node(data):
                 pass
         node.ingest_block(block)
         arrived.add(bh)
-        assert_matches_fresh(node, tree, params)
+        # the inflow index is read after some steps only, so reorgs
+        # disconnect both indexed and queued blocks
+        assert_matches_fresh(node, tree, params, read=draw_bool())
+
+
+def test_reorg_takes_indexed_and_queued_blocks_out_of_the_index():
+    """A1 confirms a send to a hosted recipient and is indexed by a read;
+    A2 is connected but not yet read. A rival branch disconnects both:
+    A1's inflows are dropped, A2 leaves the queue, and a read then gives
+    the rival branch's coinbases alone."""
+    key = SENDERS[0]
+    params = ChainParams(difficulty_bits=EASY_BITS, block_limit=4096,
+                         maturity=1)
+    node = Node(b"\x00" * 8, ShardAssignment(""),
+                make_genesis({key.address: BALANCE}), params)
+    send = make_send(key, recipient=b"\x07" * 20)
+    node.accept_pending_tx(send)
+    a1 = mine(node.view.tip, 1, [ConfirmationRecord(
+        key.address, send.tx_hash, 1)], 1)
+    node.ingest_block(a1)
+    assert set(node.inflows()) == {b"\x07" * 20, MINER}
+    a2 = mine(a1.block_hash, 2, [], 2)
+    node.ingest_block(a2)
+    assert node.store.unindexed == [a2.block_hash]
+    parent = node.genesis.block_hash
+    for height in range(1, 4):
+        block = mine(parent, height, [], 10 + height)
+        node.ingest_block(block)
+        parent = block.block_hash
+    assert node.view.tip == parent
+    # the old blocks are out: nothing indexed, the rival's three queued
+    assert node.store.inflows == {}
+    assert node.store.unindexed == node.view.canonical[1:]
+    assert_inflows_are_an_index(node)
+    assert list(node.store.inflows) == [MINER]
+    assert tails(node) == {key.address: [send]}
 
 
 # -- cost ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from shardchain import codec, live, mainchain, miner, network, node, \
-    subchain
+    subchain, wallet
 from shardchain.codec import ReceiveTx, SendTx, sha256
 from shardchain.errors import ConfigInvalid, InvalidSeed, InvariantViolation
 from shardchain.mainchain import ConfirmationRecord, capacity
@@ -22,7 +22,7 @@ from shardchain.sim import (
 
 from conftest import assert_chains_are_canonical, \
     assert_confirmed_are_replays, assert_inflows_are_an_index, make_send, \
-    rival_branch
+    rival_branch, tails
 
 
 # the 7-node sim whose data dirs are compared across runs and builds
@@ -167,7 +167,7 @@ class TestRuns:
                       + ((tx.main_block_hash,) if type(tx) is ReceiveTx
                          else ()) for txs in held for tx in txs]
             values += [(recipient, flow.sender_address)
-                       for recipient, pool in n.store.inflows.items()
+                       for recipient, pool in n.inflows().items()
                        for flow in pool.values()]
             values += [tuple(entry) for entry in n.store.archive.values()]
             for value in (v for vs in values for v in vs):
@@ -329,13 +329,16 @@ def finished_sim(request):
     return sim
 
 
-def by_address(store, names):
-    """The named keyspaces of a node store, grouped by the address each
+def by_address(node_, names):
+    """The named keyspaces of a node's store, grouped by the address each
     entry belongs to: an (address, height) key by its address (an empty
-    inflow pool counts as none)."""
+    inflow pool counts as none). The inflow index is read through
+    ``Node.inflows``."""
     out = defaultdict(dict)
     for name in names:
-        for key, value in getattr(store, name).items():
+        held = node_.inflows() if name == "inflows" \
+            else getattr(node_.store, name)
+        for key, value in held.items():
             if isinstance(key, tuple):
                 out[key[0]].setdefault(name, {})[key[1]] = value
             elif value or name != "inflows":
@@ -347,11 +350,11 @@ def assert_shards_match_root(sim, names):
     """Each non-root node holds, for every address it hosts, exactly what
     the full root node holds, and nothing for any other address."""
     assert sim.root.assignment.depth == 0
-    full = by_address(sim.root.store, names)
+    full = by_address(sim.root, names)
     for node_ in sim.nodes.values():
         if node_ is sim.root:
             continue
-        held = by_address(node_.store, names)
+        held = by_address(node_, names)
         assert dict(held) == {a: entries for a, entries in full.items()
                               if node_.hosts(a)}, node_.assignment
 
@@ -423,31 +426,82 @@ class TestHostedChains:
     """The hosted chains and the send index against the canonical
     archive, at every node after every block."""
 
-    def test_sim_7node_run(self):
+    def test_sim_7node_run(self, monkeypatch):
+        """Also counts each node's reads of its inflow index: the root's
+        wallet reads it every interval, and a node that has not read it
+        has indexed no block, however many it connected."""
         sim = Simulation(SHARD_RUNS[0])
+        reads = Counter()
+        read = node.Node.inflows
+
+        def counted(node_):
+            reads[node_.node_id] += 1
+            return read(node_)
+
+        monkeypatch.setattr(node.Node, "inflows", counted)
         for _ in range(sim.cfg.blocks):
             sim.run_interval()
             for node_ in sim.nodes.values():
                 assert_chains_are_canonical(node_)
+                if not reads[node_.node_id]:
+                    assert node_.store.inflows == {}
+                    assert node_.store.unindexed \
+                        == node_.view.canonical[1:]
         assert not sim.errors
+        assert list(reads) == [sim.root.node_id]
 
     def test_reorg_3node_run(self):
         """A full and two half nodes; every 10 blocks a rival branch of
-        depth 1 or 6, in turn, wins."""
+        depth 1 or 6, in turn, wins. Before it floods, two accounts pool
+        a batch of sends: one that the tip block confirms, and one that
+        none of the last 6 blocks does. So the reorg meets a pending tail
+        at each node hosting them, above a disconnected confirmation or
+        not, and each tail pools again on the rival branch."""
         sim = Simulation(SimConfig(seed=1, accounts=200, width=20,
                                    avg_txs=1, blocks=60, node_count=3))
         rival = b"\x5a" * 20
         depths = iter([1, 6] * 3)
+        root = sim.root
+
+        def funded(address):
+            return address not in root.store.tail_states \
+                and root.full_state(address).balance >= 2
+
         for i in range(1, sim.cfg.blocks + 1):
             sim.run_interval()
             for node_ in sim.nodes.values():
                 assert_chains_are_canonical(node_)
             if i % 10:
                 continue
+            view = root.view
+            recent = {rec.address for bh in view.canonical[-6:]
+                      for rec in view.blocks[bh].confirmations}
+            batches = {}
+            for address in (
+                    next(rec.address for rec in
+                         view.blocks[view.tip].confirmations
+                         if funded(rec.address)),
+                    next(a for a in sim.addresses
+                         if a not in recent and funded(a))):
+                # sends alone: a claim of an inflow the rival disconnects
+                # would not pool again
+                account = wallet.account_view(root, address)
+                account.claimables = []
+                batches[address] = wallet.batch_settle(
+                    account, [(rival, 1)] * 2, sim.key_of[address],
+                    timestamp=sim.now)
+                sim.broadcast(codec.MsgKind.NewTx,
+                              subchain.encode_batch(batches[address]))
+            sim.transport.run()
+            held = {n.node_id: {a: batch for a, batch in batches.items()
+                                if n.hosts(a)}
+                    for n in sim.nodes.values()}
+            assert {n.node_id: tails(n) for n in sim.nodes.values()} == held
             for block in rival_branch(sim, next(depths), rival):
                 for node_ in sim.nodes.values():
                     assert_chains_are_canonical(node_)
-            assert sim.root.view.tip == block.block_hash
+            assert root.view.tip == block.block_hash
+            assert {n.node_id: tails(n) for n in sim.nodes.values()} == held
 
 
 def stall_cfg(**overrides):
@@ -590,8 +644,8 @@ class TestHostileMiner:
             == [sim.root.view.tip] * 3
         assert len(sim.errors) == 4
         names = ["confirmed", "chains", "tail_states", "txs"]
-        full = by_address(sim.root.store, names)
-        assert dict(by_address(a.store, names)) \
+        full = by_address(sim.root, names)
+        assert dict(by_address(a, names)) \
             == {x: held for x, held in full.items() if a.hosts(x)}
         assert_chains_are_canonical(a)
 

@@ -272,7 +272,7 @@ class TestAgainstNode:
             parent = confirm(node, [], parent=parent).block_hash
         assert node.view.tip == parent
         assert miner_key.address not in tails(node)
-        assert miner_key.address not in node.store.inflows
+        assert miner_key.address not in node.inflows()
         assert node.full_state(miner_key.address) == \
             node.base_state(miner_key.address)
         with pytest.raises(UnconfirmedSend):
